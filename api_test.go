@@ -296,37 +296,6 @@ func TestDeterminismError(t *testing.T) {
 	}
 }
 
-// TestConfigShim: the deprecated Config struct still works through
-// WithConfig while call sites migrate.
-func TestConfigShim(t *testing.T) {
-	sys := demoSystem(t)
-	scn, err := sys.Compile(figure2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, err := scn.Evaluate(context.Background(),
-		map[string]any{"current": 5, "purchase1": 16, "purchase2": 32, "feature": 36},
-		WithConfig(Config{Worlds: 40, DisableReuse: true}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum["demand"].N != 40 {
-		t.Errorf("N = %d, want the shimmed world count 40", sum["demand"].N)
-	}
-
-	// The shim composes: its zero fields must not clobber options applied
-	// before it.
-	sum, err = scn.Evaluate(context.Background(),
-		map[string]any{"current": 5, "purchase1": 16, "purchase2": 32, "feature": 36},
-		WithWorlds(25), WithConfig(Config{DisableReuse: true}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum["demand"].N != 25 {
-		t.Errorf("N = %d; WithConfig's zero Worlds clobbered WithWorlds(25)", sum["demand"].N)
-	}
-}
-
 // TestAsciiCarriesCIAndSecondAxis: the chart round-trip keeps the CI band
 // and the y2 placement (it used to drop both).
 func TestAsciiCarriesCIAndSecondAxis(t *testing.T) {

@@ -17,32 +17,24 @@ import (
 
 // The engine experiment: the 1000-world render path — executing the Query
 // Generator's pure TSQL over a materialized possible-worlds table — timed
-// on the legacy row-at-a-time engine, the interpreted vectorized engine,
-// and the compiled-plan path, for each of the five bundled example
-// scenarios. Besides ns/op, the vectorized and compiled paths report
-// allocs/op and bytes/op, so the plans' buffer-reuse win is tracked, not
+// on the row-at-a-time reference executor and as a compiled plan, for each
+// of the five bundled example scenarios. Besides ns/op, the compiled path
+// reports allocs/op and bytes/op, so the plans' buffer reuse is tracked, not
 // just raw latency. Results are printed as a table and written as JSON
 // (BENCH_engine.json) for CI artifact upload, the README's performance
 // section, and the -check regression gate.
 
-// engineBenchResult is one scenario's measurement across the three paths.
+// engineBenchResult is one scenario's measurement on the two executors.
 type engineBenchResult struct {
-	Scenario          string  `json:"scenario"`
-	Worlds            int     `json:"worlds"`
-	RowNsPerOp        float64 `json:"row_ns_per_op"`
-	VectorizedNsPerOp float64 `json:"vectorized_ns_per_op"`
-	CompiledNsPerOp   float64 `json:"compiled_ns_per_op"`
-	// Speedup is row/vectorized (the PR 3 metric, kept for continuity);
-	// CompiledSpeedup is vectorized/compiled — the compiled plans' win over
-	// the interpreted vectorized baseline.
-	Speedup         float64 `json:"speedup"`
-	CompiledSpeedup float64 `json:"compiled_speedup"`
-	// Allocation profiles of the two columnar paths (the row path's boxed
-	// allocations are not worth tracking).
-	VectorizedAllocsPerOp float64 `json:"vectorized_allocs_per_op"`
-	VectorizedBytesPerOp  float64 `json:"vectorized_bytes_per_op"`
-	CompiledAllocsPerOp   float64 `json:"compiled_allocs_per_op"`
-	CompiledBytesPerOp    float64 `json:"compiled_bytes_per_op"`
+	Scenario        string  `json:"scenario"`
+	Worlds          int     `json:"worlds"`
+	RowNsPerOp      float64 `json:"row_ns_per_op"`
+	CompiledNsPerOp float64 `json:"compiled_ns_per_op"`
+	// Speedup is row/compiled: the machine-normalized number -check gates.
+	Speedup float64 `json:"speedup"`
+	// The row executor's boxed allocations are not worth tracking.
+	CompiledAllocsPerOp float64 `json:"compiled_allocs_per_op"`
+	CompiledBytesPerOp  float64 `json:"compiled_bytes_per_op"`
 }
 
 // engineBenchReport is the BENCH_engine.json schema.
@@ -126,13 +118,14 @@ func timeEngine(ctx context.Context, run func() error, minIters int, minDur time
 	return nsPerOp, allocsPerOp, bytesPerOp, nil
 }
 
-// runEngineBench is experiment "engine": render benchmarks for the three
-// execution paths on the five example scenarios. With check=false the
-// report is written to outPath; with check=true outPath is instead read as
-// the committed baseline and the run fails when a render path regressed
-// more than 20% against it (the CI bench regression gate).
+// runEngineBench is experiment "engine": render benchmarks for the row
+// reference and the compiled plan on the five example scenarios. With
+// check=false the report is written to outPath; with check=true outPath is
+// instead read as the committed baseline and the run fails when the
+// compiled path regressed more than 20% against it (the CI bench
+// regression gate).
 func runEngineBench(ctx context.Context, worlds int, outPath string, check bool) error {
-	section(fmt.Sprintf("ENGINE: row vs vectorized vs compiled render path (%d worlds)", worlds))
+	section(fmt.Sprintf("ENGINE: row vs compiled render path (%d worlds)", worlds))
 	reg, err := benchfix.Registry()
 	if err != nil {
 		return err
@@ -151,8 +144,8 @@ func runEngineBench(ctx context.Context, worlds int, outPath string, check bool)
 		CPUs:      runtime.NumCPU(),
 		Worlds:    worlds,
 	}
-	fmt.Printf("%-16s %12s %12s %12s %8s %8s %11s %11s\n",
-		"scenario", "row ns/op", "vec ns/op", "plan ns/op", "r/v", "v/p", "vec allocs", "plan allocs")
+	fmt.Printf("%-16s %12s %12s %8s %11s\n",
+		"scenario", "row ns/op", "plan ns/op", "r/p", "plan allocs")
 	for _, name := range sqlparser.ExampleScenarioNames() {
 		src := sqlparser.ExampleScenarios()[name]
 		scn, err := scenario.Compile(src, reg)
@@ -180,36 +173,26 @@ func runEngineBench(ctx context.Context, worlds int, outPath string, check bool)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		mkEngine := func(rowMode bool) *sqlengine.Engine {
+		mkEngine := func() *sqlengine.Engine {
 			cat := sqlengine.NewCatalog()
 			for _, t := range scn.StaticTables {
 				cat.Put(t)
 			}
 			cat.PutColumns(worldsTable)
-			e := sqlengine.New(cat)
-			e.RowMode = rowMode
-			return e
+			return sqlengine.New(cat)
 		}
-		rowEngine := mkEngine(true)
+		rowEngine := mkEngine()
 		rowNs, _, _, err := timeEngine(ctx, func() error {
-			_, err := rowEngine.ExecScript(script, nil)
+			_, err := rowEngine.ExecScriptRow(script, nil)
 			return err
 		}, minIters, minDur)
 		if err != nil {
 			return fmt.Errorf("%s (row): %w", name, err)
 		}
-		vecEngine := mkEngine(false)
-		vecNs, vecAllocs, vecBytes, err := timeEngine(ctx, func() error {
-			_, err := vecEngine.ExecScriptColumnar(script, nil)
-			return err
-		}, minIters, minDur)
-		if err != nil {
-			return fmt.Errorf("%s (vectorized): %w", name, err)
-		}
 		// The compiled path executes the same generated TSQL via a plan
 		// compiled once — the scenario render loop's configuration.
 		plan := sqlengine.CompileScript(script)
-		planEngine := mkEngine(false)
+		planEngine := mkEngine()
 		planNs, planAllocs, planBytes, err := timeEngine(ctx, func() error {
 			res, err := plan.Exec(planEngine, nil)
 			if err != nil {
@@ -222,21 +205,16 @@ func runEngineBench(ctx context.Context, worlds int, outPath string, check bool)
 			return fmt.Errorf("%s (compiled): %w", name, err)
 		}
 		r := engineBenchResult{
-			Scenario:              name,
-			Worlds:                worlds,
-			RowNsPerOp:            rowNs,
-			VectorizedNsPerOp:     vecNs,
-			CompiledNsPerOp:       planNs,
-			Speedup:               rowNs / vecNs,
-			CompiledSpeedup:       vecNs / planNs,
-			VectorizedAllocsPerOp: vecAllocs,
-			VectorizedBytesPerOp:  vecBytes,
-			CompiledAllocsPerOp:   planAllocs,
-			CompiledBytesPerOp:    planBytes,
+			Scenario:            name,
+			Worlds:              worlds,
+			RowNsPerOp:          rowNs,
+			CompiledNsPerOp:     planNs,
+			Speedup:             rowNs / planNs,
+			CompiledAllocsPerOp: planAllocs,
+			CompiledBytesPerOp:  planBytes,
 		}
 		report.Results = append(report.Results, r)
-		fmt.Printf("%-16s %12.0f %12.0f %12.0f %7.1fx %7.1fx %11.1f %11.1f\n",
-			name, rowNs, vecNs, planNs, r.Speedup, r.CompiledSpeedup, vecAllocs, planAllocs)
+		fmt.Printf("%-16s %12.0f %12.0f %7.1fx %11.1f\n", name, rowNs, planNs, r.Speedup, planAllocs)
 	}
 	if check {
 		return checkEngineBaseline(outPath, &report)
@@ -254,10 +232,10 @@ func runEngineBench(ctx context.Context, worlds int, outPath string, check bool)
 }
 
 // checkEngineBaseline compares a fresh run against the committed baseline.
-// The gate compares MACHINE-NORMALIZED ratios — each columnar path's
-// speedup over the row engine measured in the same process — so a slower
+// The gate compares the MACHINE-NORMALIZED ratio — the compiled plan's
+// speedup over the row executor measured in the same process — so a slower
 // CI runner does not trip it; only a real relative regression of the
-// vectorized or compiled path (>20%) does.
+// compiled path (>20%) does.
 func checkEngineBaseline(baselinePath string, current *engineBenchReport) error {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -276,28 +254,17 @@ func checkEngineBaseline(baselinePath string, current *engineBenchReport) error 
 	failed := false
 	for _, cur := range current.Results {
 		b, ok := base[cur.Scenario]
-		if !ok || b.RowNsPerOp == 0 {
+		if !ok || b.RowNsPerOp == 0 || b.CompiledNsPerOp == 0 {
 			fmt.Printf("  %-16s no baseline entry, skipped\n", cur.Scenario)
 			continue
 		}
-		type gate struct {
-			name       string
-			cur, floor float64
+		floor := (b.RowNsPerOp / b.CompiledNsPerOp) * tolerance
+		status := "ok"
+		if cur.Speedup < floor {
+			status = "REGRESSED"
+			failed = true
 		}
-		gates := []gate{
-			{"row/vectorized", cur.RowNsPerOp / cur.VectorizedNsPerOp, (b.RowNsPerOp / b.VectorizedNsPerOp) * tolerance},
-		}
-		if b.CompiledNsPerOp > 0 && cur.CompiledNsPerOp > 0 {
-			gates = append(gates, gate{"row/compiled", cur.RowNsPerOp / cur.CompiledNsPerOp, (b.RowNsPerOp / b.CompiledNsPerOp) * tolerance})
-		}
-		for _, g := range gates {
-			status := "ok"
-			if g.cur < g.floor {
-				status = "REGRESSED"
-				failed = true
-			}
-			fmt.Printf("  %-16s %-16s %8.1fx (floor %8.1fx)  %s\n", cur.Scenario, g.name, g.cur, g.floor, status)
-		}
+		fmt.Printf("  %-16s row/compiled %8.1fx (floor %8.1fx)  %s\n", cur.Scenario, cur.Speedup, floor, status)
 	}
 	if failed {
 		return fmt.Errorf("bench check: render path regressed >20%% against %s", baselinePath)

@@ -372,7 +372,11 @@ func runE3(ctx context.Context, worlds, step int) error {
 		if err != nil {
 			return outcome{}, err
 		}
-		res, err := scn.Optimize(ctx, nil, fp.WithConfig(fp.Config{Worlds: worlds, DisableReuse: disable}))
+		opts := []fp.EvalOption{fp.WithWorlds(worlds)}
+		if disable {
+			opts = append(opts, fp.WithoutReuse())
+		}
+		res, err := scn.Optimize(ctx, nil, opts...)
 		if err != nil {
 			return outcome{}, err
 		}

@@ -23,7 +23,7 @@
 //	trace  render tracing overhead: untraced vs traced render, and the
 //	       disabled-path span ops (with -check: must be 0 allocs/op and
 //	       under 2% of an untraced render)
-//	wire   shard wire protocol v1 vs v2: bytes per shard exchange for
+//	wire   shard wire full vs slim: bytes per shard exchange for
 //	       full-payload vs fingerprint-only requests and per-world vs
 //	       sketch-only responses; writes BENCH_wire.json and asserts the
 //	       sketch-only response shrink exceeds 10x at -wireworlds worlds

@@ -19,13 +19,12 @@ import (
 	"fuzzyprophet/internal/sqlparser"
 )
 
-// The wire experiment: bytes on the wire per shard exchange, v1 versus v2.
-// A real coordinator drives a real worker over loopback HTTP through the
-// protocoltest byte-counting proxy. The v1 cost model is the full-payload
-// request a pre-v2 coordinator sent with EVERY shard (script + side tables
-// + bindings) and the full per-world response vectors; v2's steady state is
-// the fingerprint-only request, and its sketch-only mode replaces the
-// O(worlds) response with O(compression) merged sketches. The headline
+// The wire experiment: bytes on the wire per shard exchange, full versus
+// slim. A real coordinator drives a real worker over loopback HTTP through
+// the protocoltest byte-counting proxy. The full cost is the first-contact
+// request (script + side tables + bindings) and the full per-world response
+// vectors; the steady state is the fingerprint-only request, and sketch-only
+// mode replaces the O(worlds) response with O(compression) merged sketches. The headline
 // number — response shrink with sketch_only at 10^5 worlds — is asserted
 // to exceed 10x, matching the wire-protocol acceptance bar.
 
@@ -38,8 +37,8 @@ type wireBenchReport struct {
 	Scenario  string `json:"scenario"`
 	Worlds    int    `json:"worlds"`
 	Points    int    `json:"points"`
-	// Requests: bytes per shard request. Full is what protocol v1 shipped
-	// with every shard; slim is v2's steady state.
+	// Requests: bytes per shard request. Full is the first-contact payload;
+	// slim is the fingerprint-only steady state.
 	RequestFullBytes int     `json:"request_full_bytes"`
 	RequestSlimBytes int     `json:"request_slim_bytes"`
 	RequestReduction float64 `json:"request_reduction"`
@@ -111,7 +110,7 @@ func wireCall(ctx context.Context, method, url string, in, out any) error {
 // runWireBench is experiment "wire".
 func runWireBench(ctx context.Context, worlds int, outPath string) error {
 	const scenarioName = "capacityplanning"
-	section(fmt.Sprintf("WIRE: shard protocol v1 vs v2 bytes per exchange (%d worlds, %s)", worlds, scenarioName))
+	section(fmt.Sprintf("WIRE: full vs slim bytes per shard exchange (%d worlds, %s)", worlds, scenarioName))
 
 	sysW, err := newWireSystem()
 	if err != nil {
@@ -188,7 +187,7 @@ func runWireBench(ctx context.Context, worlds int, outPath string) error {
 	}
 
 	// Full-response mode: the first shard request is the one-time warm-up
-	// re-send (v1's per-shard cost); the rest are v2 steady state.
+	// re-send (the full cost); the rest are the slim steady state.
 	fullElapsed, err := evaluate(false)
 	if err != nil {
 		return err
@@ -241,7 +240,7 @@ func runWireBench(ctx context.Context, worlds int, outPath string) error {
 	report.ResponseSketchBytes = respBytes / respCount
 	report.ResponseReduction = float64(report.ResponseFullBytes) / float64(report.ResponseSketchBytes)
 
-	fmt.Printf("%-34s %14s %14s %10s\n", "", "v1/full", "v2", "shrink")
+	fmt.Printf("%-34s %14s %14s %10s\n", "", "full", "slim", "shrink")
 	fmt.Printf("%-34s %14d %14d %9.1fx\n", "request bytes/shard", report.RequestFullBytes, report.RequestSlimBytes, report.RequestReduction)
 	fmt.Printf("%-34s %14d %14d %9.1fx\n", "response bytes/shard (sketch_only)", report.ResponseFullBytes, report.ResponseSketchBytes, report.ResponseReduction)
 	fmt.Printf("%-34s %14.1f %14.1f\n", "evaluate wall ms", report.FullMs, report.SketchMs)

@@ -507,7 +507,7 @@ type ShardEvaluator interface {
 // split across WithShards-many in-process sub-shards (pass GOMAXPROCS to
 // saturate a worker's cores). Fingerprint reuse is not consulted — partial
 // vectors are not valid bases. The scenario's query must be shardable
-// (non-grouped, within the compiled-plan subset); others are rejected.
+// (non-grouped, no DISTINCT / ORDER BY / LIMIT); others are rejected.
 func (sc *Scenario) EvaluateShard(ctx context.Context, point map[string]any, worlds int, seed uint64, shard WorldShard, opts ...EvalOption) (*ShardResult, error) {
 	pt, err := sc.toDeclaredPoint(point)
 	if err != nil {

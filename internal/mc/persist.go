@@ -21,11 +21,11 @@ import (
 // The snapshot embeds the fingerprint configuration and the bound seed
 // base; loading validates both, refusing to mix incompatible state.
 
-// snapshotVersion guards the gob layout. Version 2 adds SpillKeys:
-// a store with a spill tier snapshots as a MANIFEST — the spilled keys,
-// with payloads left in their CRC-protected column files — instead of a
-// full payload copy. Version 1 streams (full Bases, no SpillKeys) still
-// decode: gob matches fields by name.
+// snapshotVersion guards the gob layout; a stream stamped with any other
+// version is rejected and its owner starts from a cold cache. Version 2
+// carries SpillKeys: a store with a spill tier snapshots as a MANIFEST — the
+// spilled keys, with payloads left in their CRC-protected column files —
+// instead of a full payload copy.
 const snapshotVersion = 2
 
 type reuseSnapshot struct {
@@ -125,18 +125,18 @@ func LoadSnapshot(path string, storeOpts storage.Options) (*Reuse, error) {
 
 // LoadReuse reads a snapshot previously written by Save, returning a reuse
 // engine whose basis store is configured by storeOpts. The snapshot's
-// fingerprint configuration is restored verbatim. Accepts version 1 (full
-// payload) and version 2 (manifest-mode when saved with a spill tier)
-// streams. Manifest-mode bases not found in the reopened spill tier —
-// wrong or missing SpillDir, or files quarantined after corruption —
-// degrade to on-demand re-simulation rather than failing the load.
+// fingerprint configuration is restored verbatim. A stream stamped with
+// another snapshotVersion is an error. Manifest-mode bases not found in the
+// reopened spill tier — wrong or missing SpillDir, or files quarantined
+// after corruption — degrade to on-demand re-simulation rather than failing
+// the load.
 func LoadReuse(rd io.Reader, storeOpts storage.Options) (*Reuse, error) {
 	var snap reuseSnapshot
 	if err := gob.NewDecoder(rd).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("mc: loading reuse state: %w", err)
 	}
-	if snap.Version != 1 && snap.Version != snapshotVersion {
-		return nil, fmt.Errorf("mc: reuse snapshot version %d not supported (want <= %d)", snap.Version, snapshotVersion)
+	if snap.Version != snapshotVersion {
+		return nil, fmt.Errorf("mc: reuse snapshot version %d not supported (want %d)", snap.Version, snapshotVersion)
 	}
 	r, err := NewReuse(snap.Config, storeOpts)
 	if err != nil {

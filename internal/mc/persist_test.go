@@ -3,6 +3,7 @@ package mc
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"strings"
 	"testing"
 
@@ -76,6 +77,14 @@ func TestLoadReuseRejectsGarbage(t *testing.T) {
 	}
 	if _, err := LoadReuse(bytes.NewReader(nil), storage.Options{}); err == nil {
 		t.Error("empty input should error")
+	}
+	// A well-formed stream in the retired v1 layout is refused by version.
+	var v1 bytes.Buffer
+	if err := gob.NewEncoder(&v1).Encode(&reuseSnapshot{Version: 1, Config: core.DefaultConfig()}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadReuse(&v1, storage.Options{}); err == nil || !strings.Contains(err.Error(), "version 1 not supported") {
+		t.Errorf("v1-stamped snapshot: err = %v, want the version error", err)
 	}
 }
 

@@ -638,7 +638,7 @@ func (ev *Evaluator) EvaluateShard(ctx context.Context, pt guide.Point, shard Wo
 		return nil, fmt.Errorf("mc: shard [%d,%d) outside world range [0,%d)", shard.Lo, shard.Hi, ev.opts.Worlds)
 	}
 	if !ev.scn.Plan().Shardable() {
-		return nil, fmt.Errorf("mc: scenario plan is not shardable (grouped or fallback query)")
+		return nil, fmt.Errorf("mc: scenario plan is not shardable (grouped, DISTINCT, ORDER BY, LIMIT or INTO query)")
 	}
 	m := shard.Len()
 	sub := SplitWorlds(m, ev.opts.Shards)

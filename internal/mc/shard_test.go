@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 
@@ -11,9 +13,11 @@ import (
 	"fuzzyprophet/internal/benchfix"
 	"fuzzyprophet/internal/core"
 	"fuzzyprophet/internal/scenario"
+	"fuzzyprophet/internal/sqlengine"
 	"fuzzyprophet/internal/sqlparser"
 	"fuzzyprophet/internal/stats"
 	"fuzzyprophet/internal/storage"
+	"fuzzyprophet/internal/value"
 )
 
 func TestSplitWorlds(t *testing.T) {
@@ -80,17 +84,84 @@ func compileExample(t *testing.T, name string) *scenario.Scenario {
 	return scn
 }
 
+// threeTableSources are serverfleet with a third FROM table, so the plan
+// joins worlds × regions × tiers: once as two cross products, once with the
+// tiers hash-joined to their home region (us-east holds two tiers, asia none).
+var threeTableSources = map[string]string{
+	"worlds-x-regions-x-tiers": `
+DECLARE PARAMETER @current AS RANGE 0 TO 52 STEP BY 1;
+DECLARE PARAMETER @feature AS SET (12, 36);
+SELECT region, tier,
+       DemandModel(@current, @feature) * share * weight AS tier_demand,
+       CASE WHEN tier_demand > local_capacity * weight THEN 1 ELSE 0 END AS strained
+FROM regions, tiers;
+GRAPH OVER @current EXPECT strained, EXPECT tier_demand;
+`,
+	"worlds-x-regions-join-tiers": `
+DECLARE PARAMETER @current AS RANGE 0 TO 52 STEP BY 1;
+DECLARE PARAMETER @feature AS SET (12, 36);
+SELECT region, tier,
+       DemandModel(@current, @feature) * share * weight AS tier_demand,
+       CASE WHEN tier_demand > local_capacity * weight THEN 1 ELSE 0 END AS strained
+FROM regions JOIN tiers ON tiers.home = regions.region;
+GRAPH OVER @current EXPECT strained, EXPECT tier_demand;
+`,
+}
+
+// compileThreeTable compiles one of threeTableSources with its two side
+// tables attached.
+func compileThreeTable(t *testing.T, name string) *scenario.Scenario {
+	t.Helper()
+	reg, err := benchfix.Registry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scn, err := scenario.Compile(threeTableSources[name], reg)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	regions, err := benchfix.RegionsTable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiers, err := sqlengine.NewTable("tiers", []string{"tier", "home", "weight"}, [][]value.Value{
+		{value.Str("gold"), value.Str("us-east"), value.Float(0.5)},
+		{value.Str("silver"), value.Str("europe"), value.Float(0.3)},
+		{value.Str("bronze"), value.Str("us-east"), value.Float(0.2)},
+		{value.Str("spare"), value.Str("us-west"), value.Float(0.1)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tbl := range []*sqlengine.Table{regions, tiers} {
+		if err := scn.AddTable(tbl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return scn
+}
+
 // TestShardedEvaluationBitIdentical: for every bundled example scenario,
-// sharded evaluation at 2, 7 and 16 shards produces byte-for-byte the same
-// per-world output vectors — and therefore bit-identical EXPECT /
-// EXPECT_STDDEV / PROB — as the single-range evaluation, and the merged
-// sketches agree with exact quantiles within the sketch tolerance.
+// and for the three-table scenarios, sharded evaluation at 2, 7 and 16
+// shards produces byte-for-byte the same per-world output vectors — and
+// therefore bit-identical EXPECT / EXPECT_STDDEV / PROB — as the
+// single-range evaluation, and the merged sketches agree with exact
+// quantiles within the sketch tolerance.
 func TestShardedEvaluationBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	const worlds = 500
-	for _, name := range sqlparser.ExampleScenarioNames() {
+	names := append(sqlparser.ExampleScenarioNames(), "worlds-x-regions-x-tiers", "worlds-x-regions-join-tiers")
+	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
-			scn := compileExample(t, name)
+			var scn *scenario.Scenario
+			if _, ok := threeTableSources[name]; ok {
+				scn = compileThreeTable(t, name)
+			} else {
+				scn = compileExample(t, name)
+			}
+			if !scn.Plan().Shardable() {
+				t.Fatalf("%s: plan is not shardable", name)
+			}
 			pt := scn.DefaultPoint()
 			base := NewEvaluator(scn, Options{Worlds: worlds})
 			want, err := base.EvaluatePoint(ctx, pt)
@@ -245,6 +316,75 @@ func TestEvaluateShardStitch(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestPlanShardableByClause pins which SELECT clauses keep a plan shardable:
+// any FROM shape and WHERE do; grouping, the whole-result post-operators
+// and INTO do not.
+func TestPlanShardableByClause(t *testing.T) {
+	for _, c := range []struct {
+		sql  string
+		want bool
+	}{
+		{"SELECT a FROM t;", true},
+		{"SELECT a, a * 2 AS d FROM t WHERE a > 1;", true},
+		{"SELECT a, b FROM t, u;", true},
+		{"SELECT a FROM t JOIN u ON t.k = u.k;", true},
+		{"SELECT a FROM t LEFT JOIN u ON t.k = u.k JOIN v ON v.x > t.a, w;", true},
+		{"SELECT SUM(a) AS s FROM t;", false},
+		{"SELECT a FROM t GROUP BY a;", false},
+		{"SELECT a FROM t HAVING a > 1;", false},
+		{"SELECT DISTINCT a FROM t;", false},
+		{"SELECT a FROM t ORDER BY a;", false},
+		{"SELECT a FROM t LIMIT 3;", false},
+		{"SELECT a INTO x FROM t;", false},
+	} {
+		script, err := sqlparser.Parse(c.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		plan := sqlengine.CompileSelect(script.Statements[0].(sqlparser.Select))
+		if got := plan.Shardable(); got != c.want {
+			t.Errorf("%s Shardable() = %v, want %v", c.sql, got, c.want)
+		}
+	}
+}
+
+// TestShippedScenariosShardable: every scenario script the repo ships —
+// the five bundled examples and the benchmark's two copies — compiles to a
+// shardable plan, so none of them renders single-range behind a fleet.
+func TestShippedScenariosShardable(t *testing.T) {
+	reg, err := benchfix.Registry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources := map[string]string{}
+	for name, src := range sqlparser.ExampleScenarios() {
+		sources["examples/"+name] = src
+	}
+	benchFiles, err := filepath.Glob("../../bench/scenarios/*.fp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range benchFiles {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sources["bench/"+filepath.Base(path)] = string(src)
+	}
+	if len(sources) != 7 {
+		t.Fatalf("found %d shipped scenario scripts, want 7", len(sources))
+	}
+	for name, src := range sources {
+		scn, err := scenario.Compile(src, reg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !scn.Plan().Shardable() {
+			t.Errorf("%s: plan is not shardable", name)
 		}
 	}
 }

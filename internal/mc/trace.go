@@ -57,12 +57,6 @@ func recordExecCounters(sp *obs.Span, c *sqlengine.ExecCounters) {
 	}
 	sp.SetInt("rows_in", c.RowsIn)
 	sp.SetInt("rows_out", c.RowsOut)
-	if c.Fallback {
-		sp.SetStr("fallback_reason", c.FallbackReason)
-		op := sp.Note("op:interpreted", time.Duration(c.EvalNS))
-		op.SetInt("rows_out", c.RowsOut)
-		return
-	}
 	bind := sp.Note("op:bind", time.Duration(c.BindNS))
 	bind.SetInt("rows_out", c.RowsIn)
 	if c.JoinKind != "" {

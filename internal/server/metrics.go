@@ -100,13 +100,12 @@ type metrics struct {
 	degradedRenders   atomic.Int64
 
 	// Wire protocol v2: slim (fingerprint-only) vs full-payload requests,
-	// cache-miss re-sends and version downgrades (coordinator side), plus
-	// the worker-side miss count and sketch-only renders, and raw wire
+	// and cache-miss re-sends (coordinator side), plus the worker-side
+	// miss count and sketch-only renders, and raw wire
 	// bytes both ways.
 	shardSlimRequests     atomic.Int64
 	shardFullRequests     atomic.Int64
 	shardCacheMissResends atomic.Int64
-	shardProtoDowngrades  atomic.Int64
 	shardCooldowns        atomic.Int64
 	shardCacheMisses      atomic.Int64
 	shardSketchOnlyServed atomic.Int64
@@ -212,9 +211,8 @@ func (m *metrics) writeTo(w io.Writer, s *Server) {
 
 	// Wire protocol v2.
 	counter("fpserver_shard_slim_requests_total", "Fingerprint-only shard requests sent (steady state, no script payload).", m.shardSlimRequests.Load())
-	counter("fpserver_shard_full_requests_total", "Full-payload shard requests sent (first contact, cache-miss re-send or v1 worker).", m.shardFullRequests.Load())
+	counter("fpserver_shard_full_requests_total", "Full-payload shard requests sent (first contact or cache-miss re-send).", m.shardFullRequests.Load())
 	counter("fpserver_shard_cache_miss_resends_total", "Full re-sends after a worker answered 409 scenario_not_cached.", m.shardCacheMissResends.Load())
-	counter("fpserver_shard_proto_downgrades_total", "Workers downgraded to v1 full payloads after rejecting a fingerprint-only request.", m.shardProtoDowngrades.Load())
 	counter("fpserver_shard_worker_cooldowns_total", "Worker circuit breakers opened (or re-opened) after a transport error or 5xx.", m.shardCooldowns.Load())
 	counter("fpserver_shard_scenario_cache_misses_total", "Fingerprint-only requests answered 409 because the scenario was not cached (worker role).", m.shardCacheMisses.Load())
 	counter("fpserver_shard_sketch_only_renders_total", "Shard renders answered with merged sketches instead of sample vectors (worker role).", m.shardSketchOnlyServed.Load())

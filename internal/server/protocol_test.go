@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"net/http"
 	"reflect"
 	"testing"
@@ -145,50 +146,53 @@ func TestCacheMissStorm(t *testing.T) {
 	}
 }
 
-// TestVersionSkewDowngrade: a worker that rejects fingerprint-only
-// requests (protocol v1) is downgraded to full payloads after one 400 and
-// renders keep succeeding.
-func TestVersionSkewDowngrade(t *testing.T) {
+// TestSlim400LeavesWorkerWarm: a 400 to a fingerprint-only request — here
+// a bad world range — is the request's fault. It costs exactly one POST,
+// never counts against the worker's breaker, and the worker stays warm: the
+// next shard to it is still fingerprint-only.
+func TestSlim400LeavesWorkerWarm(t *testing.T) {
 	_, worker := newTestServer(t, func(c *Config) { c.WorkerMode = true })
 	proxy := protocoltest.New(worker.URL)
 	t.Cleanup(proxy.Close)
-	proxy.SetFault(protocoltest.VersionSkew)
 	coordSrv, coord := newTestServer(t, func(c *Config) { c.Workers = []string{proxy.URL()} })
 
 	scn := registerScenario(t, coord.URL)
 	one := []map[string]any{testPoints[0]}
-	// Cold contact is full-payload — a v1 worker accepts it.
-	evaluatePoints(t, coord.URL, scn.ID, evaluateRequest{Points: one, Worlds: 64})
-	// The coordinator now believes the worker is warm and goes slim; the
-	// v1 worker rejects, the coordinator downgrades and re-sends full.
-	evaluatePoints(t, coord.URL, scn.ID, evaluateRequest{Points: one, Worlds: 64})
-	// Downgraded for good: no more slim attempts.
+	// Cold contact is full-payload and warms the worker.
 	evaluatePoints(t, coord.URL, scn.ID, evaluateRequest{Points: one, Worlds: 64})
 
+	entry, ok := coordSrv.registry.Get(scn.ID)
+	if !ok {
+		t.Fatalf("scenario %s not registered", scn.ID)
+	}
+	proxy.Reset()
+	_, err := coordSrv.newWorkerPool(entry).EvaluateShard(context.Background(), fp.ShardRequest{
+		Point:  testPoints[0],
+		Worlds: 64,
+		Shard:  fp.WorldShard{Lo: 40, Hi: 8},
+	})
+	if err == nil {
+		t.Fatal("inverted shard range evaluated without error")
+	}
 	ex := proxy.ShardExchanges()
-	if len(ex) != 4 {
-		t.Fatalf("saw %d exchanges, want 4 (full, slim-400, full, full): %+v", len(ex), ex)
+	if len(ex) != 1 || ex[0].HasSQLPayload() || ex[0].Status != http.StatusBadRequest {
+		t.Fatalf("bad-range shard exchanges = %+v, want exactly one slim 400", ex)
 	}
-	wantSeq := []struct {
-		payload bool
-		status  int
-	}{
-		{true, http.StatusOK},
-		{false, http.StatusBadRequest},
-		{true, http.StatusOK},
-		{true, http.StatusOK},
+	if n := coordSrv.metrics.shardCooldowns.Load(); n != 0 {
+		t.Errorf("a 400 opened the worker's breaker %d time(s)", n)
 	}
-	for i, w := range wantSeq {
-		if ex[i].HasSQLPayload() != w.payload || ex[i].Status != w.status {
-			t.Errorf("exchange %d = payload %v status %d, want payload %v status %d",
-				i, ex[i].HasSQLPayload(), ex[i].Status, w.payload, w.status)
-		}
+	if ws := coordSrv.workerStates[0]; !ws.healthy(time.Now()) || ws.br.failures != 0 {
+		t.Errorf("a 400 counted against the worker's breaker (failures = %d)", ws.br.failures)
 	}
-	if n := coordSrv.metrics.shardProtoDowngrades.Load(); n != 1 {
-		t.Errorf("downgrade counter = %d, want 1", n)
+
+	proxy.Reset()
+	evaluatePoints(t, coord.URL, scn.ID, evaluateRequest{Points: one, Worlds: 64})
+	ex = proxy.ShardExchanges()
+	if len(ex) != 1 || ex[0].HasSQLPayload() || ex[0].Status != http.StatusOK {
+		t.Errorf("exchanges after the 400 = %+v, want one slim 200", ex)
 	}
-	if n := coordSrv.metrics.shardWorkerFailures.Load(); n != 0 {
-		t.Errorf("version skew caused %d local fallbacks; the downgrade should have recovered in-band", n)
+	if n := coordSrv.metrics.shardFullRequests.Load(); n != 1 {
+		t.Errorf("full request counter = %d, want 1 (first contact only)", n)
 	}
 }
 

@@ -4,11 +4,10 @@
 // pointed at the proxy's URL and every POST /shard/render passing through
 // is recorded as an Exchange (byte counts, status, raw request body) and
 // optionally perturbed by the configured Fault — connections dropped,
-// responses truncated or corrupted, requests delayed or duplicated, or the
-// worker impersonated as protocol v1. Tests then assert two things at
-// once: the coordinator's recovery behavior (per-shard retry, cache-miss
-// re-send, protocol downgrade, local fallback) and the wire contract
-// itself (steady-state requests carry no script payload).
+// responses truncated or corrupted, requests delayed or duplicated. Tests
+// then assert two things at once: the coordinator's recovery behavior
+// (per-shard retry, cache-miss re-send, local fallback) and the wire
+// contract itself (steady-state requests carry no script payload).
 //
 // Everything is deterministic: faults fire on the proxied request flow,
 // never on timers or free-running randomness, so a test that sets a fault
@@ -51,10 +50,6 @@ const (
 	// Duplicate forwards the same request to the worker twice and answers
 	// with the second response — exercising worker-side idempotency.
 	Duplicate
-	// VersionSkew impersonates a protocol-v1 worker: fingerprint-only
-	// requests (no "sql" in the body) are rejected with 400 as a v1 worker
-	// would; full payloads pass through.
-	VersionSkew
 	// Hang holds the request open without answering until the client gives
 	// up (its context ends), then aborts the connection — a worker that is
 	// alive at the TCP level but never makes progress. The coordinator only
@@ -76,8 +71,6 @@ func (f Fault) String() string {
 		return "corrupt"
 	case Duplicate:
 		return "duplicate"
-	case VersionSkew:
-		return "version-skew"
 	case Hang:
 		return "hang"
 	default:
@@ -301,17 +294,6 @@ func (p *Proxy) handle(w http.ResponseWriter, r *http.Request) {
 		panic(http.ErrAbortHandler)
 	case Delay:
 		time.Sleep(delay)
-	case VersionSkew:
-		if !ex.HasSQLPayload() {
-			// A v1 worker has no fingerprint-only path: the request looks
-			// like it's simply missing its script.
-			ex.Status = http.StatusBadRequest
-			p.record(ex)
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusBadRequest)
-			io.WriteString(w, `{"error":"missing \"sql\""}`)
-			return
-		}
 	}
 
 	status, header, respBody, err := p.forward(r, body)

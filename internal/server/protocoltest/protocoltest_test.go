@@ -167,40 +167,6 @@ func TestDuplicateForwardsTwice(t *testing.T) {
 	}
 }
 
-func TestVersionSkewRejectsSlimOnly(t *testing.T) {
-	backend, hits := newBackend(t)
-	p := New(backend.URL)
-	defer p.Close()
-	p.SetFault(VersionSkew)
-
-	resp, raw, err := post(t, p.URL(), `{"proto":2,"fingerprint":"abc","worlds":10,"lo":0,"hi":10}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("slim request through v1 worker = %d, want 400", resp.StatusCode)
-	}
-	var eb struct {
-		Error string `json:"error"`
-		Code  string `json:"code"`
-	}
-	if err := json.Unmarshal(raw, &eb); err != nil || eb.Code != "" || !strings.Contains(eb.Error, "sql") {
-		t.Fatalf("v1 rejection body = %s", raw)
-	}
-	if *hits != 0 {
-		t.Error("slim request reached the backend through a v1 worker")
-	}
-
-	// Full payloads pass: a v1 worker understands them.
-	resp, _, err = post(t, p.URL(), `{"sql":"CREATE SCENARIO x AS ...","worlds":10,"lo":0,"hi":10}`)
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("full request through v1 worker: %v / %v", resp, err)
-	}
-	if *hits != 1 {
-		t.Errorf("backend hits = %d, want 1", *hits)
-	}
-}
-
 func TestDelayHoldsTheRequest(t *testing.T) {
 	backend, _ := newBackend(t)
 	p := New(backend.URL)

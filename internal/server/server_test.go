@@ -3,10 +3,12 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -266,7 +268,27 @@ func TestWarmStart(t *testing.T) {
 			t.Fatalf("warm render diverges at week %d", i)
 		}
 	}
-	_ = srv2
+
+	// A snapshot stamped with the retired v1 layout is refused: the load
+	// error is counted and the scenario registers with a cold cache.
+	ts2.Close()
+	if err := srv2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var v1 bytes.Buffer
+	if err := gob.NewEncoder(&v1).Encode(struct{ Version int }{1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(srv2.snapshots.Path(scn2.Fingerprint), v1.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv3, ts3 := newTestServer(t, func(c *Config) { c.SnapshotDir = dir })
+	if scn3 := registerScenario(t, ts3.URL); scn3.Warm {
+		t.Error("a v1-stamped snapshot warm-started the scenario")
+	}
+	if n := srv3.snapshots.Errors(); n != 1 {
+		t.Errorf("snapshot errors = %d, want 1", n)
+	}
 }
 
 // TestSessionBackpressure: MaxSessions admits exactly that many sessions,

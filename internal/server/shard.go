@@ -22,11 +22,10 @@
 //     sizing each worker's range by its observed throughput (latency EWMA)
 //     or /healthz-advertised capacity. The coordinator tracks, per worker,
 //     which fingerprints are warm (so steady state sends fingerprint-only
-//     requests) and whether the worker speaks v2 (a v1 worker rejecting a
-//     fingerprint-only request with 400 downgrades it to full payloads).
-//     A worker failing with a transport error or 5xx trips its circuit
-//     breaker and is only retried after the (jittered, backoff-doubling)
-//     open window lapses — or when every worker's breaker is open. Slow
+//     requests). A worker failing with a transport error or 5xx trips
+//     its circuit breaker and is only retried after the (jittered,
+//     backoff-doubling) open window lapses — or when every worker's
+//     breaker is open. Slow
 //     shards are hedged: past the hedge delay (the observed P95 by
 //     default) a duplicate request races on a second worker and the first
 //     result wins. A failed shard request is retried on the remaining
@@ -86,13 +85,10 @@ const (
 // Protocol v2 (Proto == 2): the steady-state request carries Fingerprint
 // but neither SQL nor Tables; the worker resolves the scenario from its
 // cache and answers 409/scenario_not_cached when it can't, triggering a
-// one-shot full re-send. Version 1 (Proto 0 or 1) always carries SQL; a v1
-// worker ignores the v2-only fields, so a full v2 request is also a valid
-// v1 request.
+// one-shot full re-send.
 type shardRequest struct {
-	// Proto is the wire protocol version the coordinator speaks (0 and 1
-	// mean v1). Workers reject versions above theirs with 400
-	// unsupported_protocol.
+	// Proto is the wire protocol version the coordinator speaks. Workers
+	// reject versions above theirs with 400 unsupported_protocol.
 	Proto int `json:"proto,omitempty"`
 	// SQL is the scenario script; Tables its deterministic side tables.
 	// Omitted on steady-state v2 requests.
@@ -352,9 +348,6 @@ type workerState struct {
 	// warm records which scenario fingerprints this worker has confirmed
 	// cached, making fingerprint-only (slim) requests safe.
 	warm map[string]bool
-	// v1 marks a worker that rejected a fingerprint-only request outright
-	// (version skew): it gets full payloads from then on.
-	v1 bool
 	// ewmaNsPerWorld is the exponentially weighted per-world latency; 0
 	// until the first successful shard.
 	ewmaNsPerWorld float64
@@ -376,7 +369,7 @@ func newWorkerStates(urls []string, threshold int, cooldown time.Duration) []*wo
 func (ws *workerState) isWarm(fingerprint string) bool {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
-	return !ws.v1 && ws.warm[fingerprint]
+	return ws.warm[fingerprint]
 }
 
 func (ws *workerState) setWarm(fingerprint string, warm bool) {
@@ -387,19 +380,6 @@ func (ws *workerState) setWarm(fingerprint string, warm bool) {
 	} else {
 		delete(ws.warm, fingerprint)
 	}
-}
-
-func (ws *workerState) supportsV2() bool {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	return !ws.v1
-}
-
-func (ws *workerState) downgrade() {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	ws.v1 = true
-	ws.warm = make(map[string]bool)
 }
 
 // healthy reports whether the worker's breaker admits an attempt now
@@ -566,8 +546,6 @@ func (p *workerPool) EvaluateShard(ctx context.Context, req fp.ShardRequest) (*f
 	if err != nil {
 		return nil, err
 	}
-	// The full payload doubles as the v1 form: a v1 worker ignores the
-	// fields it doesn't know.
 	wire.SQL = p.entry.Source
 	wire.Tables = p.entry.Tables
 	full, err := json.Marshal(wire)
@@ -696,9 +674,10 @@ func (p *workerPool) hedgeDelay() (time.Duration, bool) {
 }
 
 // tryWorker runs one shard against one worker: slim (fingerprint-only)
-// when the worker is known v2 and warm for this scenario, with a one-shot
-// full re-send on 409/scenario_not_cached, and a permanent downgrade to
-// full payloads when a slim request comes back 400 (a v1 worker).
+// when the worker is warm for this scenario, with a one-shot full re-send
+// on 409/scenario_not_cached. Any other 4xx — a bad range, a bad point —
+// is the request's fault, not the worker's: it is returned as is, and the
+// worker stays warm.
 func (p *workerPool) tryWorker(ctx context.Context, ws *workerState, req fp.ShardRequest, slim, full []byte) (*fp.ShardResult, error) {
 	sp := obs.SpanFrom(ctx)
 	fingerprint := p.entry.Fingerprint
@@ -727,36 +706,19 @@ func (p *workerPool) tryWorker(ctx context.Context, ws *workerState, req fp.Shar
 		return res, nil
 	}
 	var he *shardHTTPError
-	if useSlim && errors.As(err, &he) {
-		switch {
-		case he.status == http.StatusConflict && he.code == codeScenarioNotCached:
-			// The worker lost (or never had) the scenario: one-shot full
-			// re-send, then remember it as warm again.
-			ws.setWarm(fingerprint, false)
-			p.metrics.shardCacheMissResends.Add(1)
-			p.metrics.shardFullRequests.Add(1)
-			sp.SetInt("cache_miss_resend", 1)
-			start = time.Now()
-			if res, err = p.post(ctx, ws.url, full); err == nil {
-				p.recordSuccess(ws, req, start)
-				ws.setWarm(fingerprint, true)
-				sp.SetStr("wire", "full-resend")
-				return res, nil
-			}
-		case he.status == http.StatusBadRequest:
-			// Version skew: a v1 worker has no fingerprint-only path and
-			// rejects the slim request as missing its script. Downgrade the
-			// worker to full payloads permanently and re-send.
-			ws.downgrade()
-			p.metrics.shardProtoDowngrades.Add(1)
-			p.metrics.shardFullRequests.Add(1)
-			sp.SetInt("proto_downgrade", 1)
-			start = time.Now()
-			if res, err = p.post(ctx, ws.url, full); err == nil {
-				p.recordSuccess(ws, req, start)
-				sp.SetStr("wire", "full-downgrade")
-				return res, nil
-			}
+	if useSlim && errors.As(err, &he) && he.status == http.StatusConflict && he.code == codeScenarioNotCached {
+		// The worker lost (or never had) the scenario: one-shot full
+		// re-send, then remember it as warm again.
+		ws.setWarm(fingerprint, false)
+		p.metrics.shardCacheMissResends.Add(1)
+		p.metrics.shardFullRequests.Add(1)
+		sp.SetInt("cache_miss_resend", 1)
+		start = time.Now()
+		if res, err = p.post(ctx, ws.url, full); err == nil {
+			p.recordSuccess(ws, req, start)
+			ws.setWarm(fingerprint, true)
+			sp.SetStr("wire", "full-resend")
+			return res, nil
 		}
 	}
 	// A transport error or server-side failure counts against the worker's

@@ -14,14 +14,17 @@
 // a 0/1 indicator — the engine implements them under their own names so
 // queries stay faithful to the paper's surface syntax.
 //
-// Execution is columnar and vectorized: tables store typed column vectors
-// (Column) with null bitmaps, filters produce selection vectors instead of
-// copied rows, and expressions and aggregates run over whole vectors in
-// tight loops (see vexec.go / veval.go). The original row-at-a-time
-// executor is retained behind Engine.RowMode as a semantic oracle for
-// differential testing and as the before-measurement of the engine
-// benchmarks; the Table rows API remains as a thin compatibility shim over
-// the columnar storage.
+// Execution is columnar: tables store typed column vectors (Column) with
+// null bitmaps, and every SELECT compiles to a Plan (plan.go) — pre-bound
+// operator kernels over pooled buffers, with a general-expression operator
+// (veval.go) for everything the kernel compiler does not specialize. Filters
+// produce selection vectors instead of copied rows, and expressions and
+// aggregates run over whole vectors in tight loops. The original
+// row-at-a-time executor (exec.go, eval.go) is retained as the semantic
+// reference for differential testing and as the before-measurement of the
+// engine benchmark, reached only through ExecScriptRow / ExecSelectRow; the
+// Table rows API remains as a thin compatibility shim over the columnar
+// storage.
 package sqlengine
 
 import (

@@ -75,9 +75,10 @@ func (b bitmap) any() bool {
 }
 
 // Column is one typed vector of a columnar table or intermediate result:
-// the unit of work of the vectorized engine. Columns are immutable once
-// built — every operator allocates fresh output columns, so columns may be
-// shared freely between catalog tables, intermediate relations and results.
+// the unit of work of the engine. Columns are immutable once built, so they
+// may be shared freely between catalog tables, intermediate relations and
+// results; the exception is a Plan's pooled output buffers, which are
+// rewritten after the execution's PlanResult is released.
 type Column struct {
 	kind  ColKind
 	n     int
@@ -302,112 +303,10 @@ func (c *Column) Float64s() ([]float64, error) {
 	return out, nil
 }
 
-// gather returns a new column holding rows idx[0], idx[1], … of c.
+// gather returns a new column holding rows idx[0], idx[1], … of c; -1
+// entries produce NULL rows (LEFT JOIN padding for the null-extended side).
 func (c *Column) gather(idx []int) *Column {
-	n := len(idx)
-	switch c.kind {
-	case ColNull:
-		return nullColumn(n)
-	case ColBoxed:
-		out := make([]value.Value, n)
-		for j, i := range idx {
-			out[j] = c.v[i]
-		}
-		return &Column{kind: ColBoxed, n: n, v: out}
-	}
-	out := &Column{kind: c.kind, n: n}
-	if c.nulls != nil {
-		nulls := newBitmap(n)
-		hasNull := false
-		for j, i := range idx {
-			if c.nulls.get(i) {
-				nulls.set(j)
-				hasNull = true
-			}
-		}
-		if hasNull {
-			out.nulls = nulls
-		}
-	}
-	switch c.kind {
-	case ColFloat:
-		out.f = make([]float64, n)
-		for j, i := range idx {
-			out.f[j] = c.f[i]
-		}
-	case ColInt:
-		out.i = make([]int64, n)
-		for j, i := range idx {
-			out.i[j] = c.i[i]
-		}
-	case ColString:
-		out.s = make([]string, n)
-		for j, i := range idx {
-			out.s[j] = c.s[i]
-		}
-	case ColBool:
-		out.b = make([]bool, n)
-		for j, i := range idx {
-			out.b[j] = c.b[i]
-		}
-	}
-	return out
-}
-
-// gatherPad is gather with -1 entries producing NULL rows (LEFT JOIN
-// padding for the null-extended side).
-func (c *Column) gatherPad(idx []int) *Column {
-	n := len(idx)
-	pad := false
-	for _, i := range idx {
-		if i < 0 {
-			pad = true
-			break
-		}
-	}
-	if !pad {
-		return c.gather(idx)
-	}
-	if c.kind == ColNull {
-		return nullColumn(n)
-	}
-	if c.kind == ColBoxed {
-		out := make([]value.Value, n)
-		for j, i := range idx {
-			if i >= 0 {
-				out[j] = c.v[i]
-			}
-		}
-		return &Column{kind: ColBoxed, n: n, v: out}
-	}
-	out := &Column{kind: c.kind, n: n, nulls: newBitmap(n)}
-	switch c.kind {
-	case ColFloat:
-		out.f = make([]float64, n)
-	case ColInt:
-		out.i = make([]int64, n)
-	case ColString:
-		out.s = make([]string, n)
-	case ColBool:
-		out.b = make([]bool, n)
-	}
-	for j, i := range idx {
-		if i < 0 || (c.nulls != nil && c.nulls.get(i)) {
-			out.nulls.set(j)
-			continue
-		}
-		switch c.kind {
-		case ColFloat:
-			out.f[j] = c.f[i]
-		case ColInt:
-			out.i[j] = c.i[i]
-		case ColString:
-			out.s[j] = c.s[i]
-		case ColBool:
-			out.b[j] = c.b[i]
-		}
-	}
-	return out
+	return gatherPadInto(new(colSlot), c, idx)
 }
 
 // appendKey appends row i's canonical grouping key to dst — the same

@@ -16,19 +16,17 @@ type ExecCounters struct {
 	WhereOut int64 // rows surviving WHERE
 	RowsOut  int64 // result rows handed back
 
-	// Join strategy chosen by bindFrom for two-table FROMs:
-	// "" (none/single table), "cross", "hash", "interpreted".
+	// Join strategy bindFrom chose for the last table of a multi-table
+	// FROM: "" (none/single table), "cross", "hash", "interpreted" (the
+	// general theta join).
 	JoinKind  string
-	BuildRows int64 // hash join: build-side (right table) rows
-	ProbeRows int64 // hash join: probe-side (left table) rows
+	BuildRows int64 // that join's right-side (build) rows
+	ProbeRows int64 // that join's left-side (probe) rows
 
-	// Interpreted fallback.
-	Fallback       bool
-	FallbackReason string // compile-time reason, or "row-mode-engine"
-	Grouped        bool
+	Grouped bool
 
 	// Phase wall time in nanoseconds. Measured only on counted runs.
 	BindNS  int64 // FROM bind + relation materialization (includes joins)
 	WhereNS int64 // WHERE kernel + selection build
-	EvalNS  int64 // item kernels / grouped executor / fallback execution
+	EvalNS  int64 // item kernels and post-operators / grouped executor
 }

@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -10,12 +11,12 @@ import (
 	"fuzzyprophet/internal/value"
 )
 
-// Differential suite: every query runs through both the vectorized default
-// path and the legacy row engine over identical catalogs; the two must
-// agree exactly — same error-ness, same row count, same values (NULLs
-// included). The fixtures deliberately lean on NULL-handling edge cases:
-// NULLs in filters, group keys, aggregate inputs, join keys, ORDER BY keys
-// and IN lists.
+// Differential suite: every query runs as a compiled Plan and through the
+// row reference executor over identical catalogs; the two must agree
+// exactly — same error-ness, same row count, same values (NULLs included).
+// The fixtures deliberately lean on NULL-handling edge cases: NULLs in
+// filters, group keys, aggregate inputs, join keys, ORDER BY keys and IN
+// lists.
 
 // diffData builds one catalog instance; each engine gets its own so INTO
 // materializations cannot leak across paths.
@@ -49,44 +50,46 @@ func diffData(t *testing.T) *Catalog {
 		{null, value.Str("n")},
 	}))
 	cat.Put(mustTable(t, "allnull", []string{"v"}, [][]value.Value{{null}, {null}}))
+	// A NaN join key compares equal to everything under the engines'
+	// two-way comparison, which no hash key can express.
+	cat.Put(mustTable(t, "nan", []string{"k", "tag"}, [][]value.Value{
+		{value.Float(math.NaN()), value.Str("nan")},
+		{value.Float(1.5), value.Str("one-half")},
+		{null, value.Str("null")},
+	}))
 	return cat
 }
 
-// runBothEngines executes src on the compiled-plan path, the interpreted
-// vectorized path and the row engine over fresh identical catalogs and
-// asserts all three outcomes match. It returns the vectorized result for
-// any additional assertions.
+// runBothEngines executes src as a compiled plan and on the row reference
+// executor over fresh identical catalogs and asserts the outcomes match. It
+// returns the plan's result for any additional assertions.
 func runBothEngines(t *testing.T, src string, params map[string]value.Value) *Result {
 	t.Helper()
-	vec := New(diffData(t))
-	row := New(diffData(t))
-	row.RowMode = true
 	script, err := sqlparser.Parse(src)
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	vres, verr := vec.ExecScript(script, params)
-	rres, rerr := row.ExecScript(script, params)
-	compareOutcomes(t, src, vres, verr, rres, rerr)
+	rres, rerr := New(diffData(t)).ExecScriptRow(script, params)
 
-	// Compiled-plan leg: compile once, execute twice on one engine — the
-	// second pass reuses the plan's buffers, so any cross-execution buffer
-	// contamination shows up as a mismatch here.
+	// Compile once, execute twice on one engine — the second pass reuses the
+	// plan's buffers, so any cross-execution buffer contamination shows up
+	// as a mismatch here.
 	plan := CompileScript(script)
 	comp := New(diffData(t))
+	var cres *Result
 	for pass := 0; pass < 2; pass++ {
 		pres, perr := plan.Exec(comp, params)
-		var cres *Result
+		cres = nil
 		if perr == nil && pres != nil {
 			cres = pres.Result()
 			pres.Release()
 		}
-		compareOutcomes(t, src+" [compiled]", cres, perr, rres, rerr)
+		compareOutcomes(t, src, cres, perr, rres, rerr)
 		if perr != nil {
 			break
 		}
 	}
-	return vres
+	return cres
 }
 
 // compareOutcomes asserts both paths agreed: same error-ness, and on
@@ -95,7 +98,7 @@ func runBothEngines(t *testing.T, src string, params map[string]value.Value) *Re
 func compareOutcomes(t *testing.T, src string, vres *Result, verr error, rres *Result, rerr error) {
 	t.Helper()
 	if (verr == nil) != (rerr == nil) {
-		t.Fatalf("%s:\nvectorized err = %v\nrow err        = %v", src, verr, rerr)
+		t.Fatalf("%s:\nplan err = %v\nrow err  = %v", src, verr, rerr)
 	}
 	if verr != nil {
 		return
@@ -104,13 +107,13 @@ func compareOutcomes(t *testing.T, src string, vres *Result, verr error, rres *R
 		t.Fatalf("%s: cols %v vs %v", src, vres.Cols, rres.Cols)
 	}
 	if len(vres.Rows) != len(rres.Rows) {
-		t.Fatalf("%s: %d rows (vectorized) vs %d rows (row)", src, len(vres.Rows), len(rres.Rows))
+		t.Fatalf("%s: %d rows (plan) vs %d rows (row)", src, len(vres.Rows), len(rres.Rows))
 	}
 	for i := range vres.Rows {
 		for j := range vres.Cols {
 			a, b := vres.Rows[i][j], rres.Rows[i][j]
 			if a.IsNull() != b.IsNull() || (!a.IsNull() && !a.Equal(b)) {
-				t.Fatalf("%s: row %d col %s: vectorized %v vs row %v", src, i, vres.Cols[j], a, b)
+				t.Fatalf("%s: row %d col %s: plan %v vs row %v", src, i, vres.Cols[j], a, b)
 			}
 		}
 	}
@@ -197,10 +200,43 @@ func TestDifferentialFixedQueries(t *testing.T) {
 		// INTO materialization and re-query.
 		"SELECT g, COUNT(*) AS n INTO agg FROM t GROUP BY g; SELECT g, n FROM agg ORDER BY n DESC, g;",
 		"SELECT a, b INTO copy FROM t WHERE a IS NOT NULL; SELECT SUM(a) AS s FROM copy;",
+		"SELECT a + 1 AS a1, b INTO x FROM t WHERE a > 1 ORDER BY a DESC LIMIT 3; SELECT x.a1, dim.label FROM x, dim WHERE x.b IS NOT NULL;",
+		"SELECT DISTINCT g INTO gs FROM t; SELECT gs.g, dim.label FROM gs LEFT JOIN dim ON gs.g = dim.g;",
 		// Scalar SELECT with no FROM.
 		"SELECT 1 + 2 AS three, NULL AS nothing, 'x' AS letter;",
 		// Parameters.
 		"SELECT a FROM t WHERE a > @lo ORDER BY a;",
+		// Three- and four-table FROMs in their natural (first-table-major)
+		// order: cross × cross with pruned columns, hash then theta, LEFT
+		// JOINs padding through an empty middle table, NaN keys (hash path
+		// aborts), mixed-family boxed keys (never hashable), NULL keys.
+		"SELECT t.a, dim.label, bigint.tag FROM t, dim, bigint;",
+		"SELECT t.a, dim.label, d2.weight FROM t JOIN dim ON t.g = dim.g JOIN dim d2 ON d2.weight > t.b;",
+		"SELECT t.a, dim.label, nan.tag FROM t LEFT JOIN dim ON t.g = dim.g LEFT JOIN nan ON t.b = nan.k;",
+		"SELECT t.a, nan.tag, dim.label FROM t JOIN nan ON nan.k = t.b, dim WHERE dim.g IS NOT NULL;",
+		"SELECT t.a, dim.label FROM t, empty, dim;",
+		"SELECT t.a, e.b, dim.label FROM t LEFT JOIN empty e ON t.a = e.a JOIN dim ON t.g = dim.g;",
+		"SELECT t.a, dim.label, e.a FROM t JOIN dim ON t.g = dim.g LEFT JOIN empty e ON e.b > dim.weight;",
+		"SELECT t.a, dim.label, b.tag FROM t JOIN dim ON t.mixed = dim.weight * 5, bigint b WHERE b.v IS NOT NULL;",
+		"SELECT x.a, y.label, z.tag, w.v FROM t x JOIN dim y ON x.g = y.g, bigint z LEFT JOIN allnull w ON w.v = z.v WHERE x.a IS NOT NULL;",
+		"SELECT x.a, y.label, z.tag, n.tag AS ntag FROM t x LEFT JOIN dim y ON x.g = y.g LEFT JOIN bigint z ON z.v > x.a LEFT JOIN nan n ON n.k = y.weight * 3;",
+		"SELECT dim.label, COUNT(*) AS n, SUM(t.a) AS s FROM t JOIN dim ON t.g = dim.g, bigint GROUP BY dim.label ORDER BY dim.label;",
+		// Non-grouped ORDER BY keys: huge ints, an expression that is not
+		// projected, and one that would divide by zero only on a row
+		// DISTINCT already dropped (keys evaluate over the survivors).
+		"SELECT DISTINCT v FROM bigint ORDER BY v DESC LIMIT 2;",
+		"SELECT b.v, b.tag, t.a FROM bigint b, t WHERE t.a = 2 ORDER BY b.v DESC, b.tag;",
+		"SELECT DISTINCT g FROM t WHERE a IS NOT NULL ORDER BY a * -1;",
+		"SELECT DISTINCT g FROM t ORDER BY 1 / (b + 3.25);",
+	}
+	// DISTINCT / ORDER BY (alias and NULL keys, ASC and DESC) / LIMIT in
+	// every combination, over a join and under a WHERE.
+	for _, distinct := range []string{"", "DISTINCT "} {
+		for _, order := range []string{"", " ORDER BY lab DESC, t.a", " ORDER BY t.b, lab"} {
+			for _, limit := range []string{"", " LIMIT 3", " LIMIT 0"} {
+				queries = append(queries, "SELECT "+distinct+"t.g, dim.label AS lab FROM t LEFT JOIN dim ON t.g = dim.g WHERE t.b IS NOT NULL OR t.a > 1"+order+limit+";")
+			}
+		}
 	}
 	params := map[string]value.Value{"lo": value.Int(1)}
 	for _, q := range queries {
@@ -225,6 +261,17 @@ func TestDifferentialErrors(t *testing.T) {
 		"SELECT a FROM t WHERE s AND flag;",
 		"SELECT a FROM t ORDER BY SUM(a);",
 		"SELECT @missing FROM t;",
+		// The same failures past the second table and in the post-operators.
+		"SELECT g FROM t, bigint, dim;", // ambiguous
+		"SELECT t.a FROM t, dim, missing;",
+		"SELECT t.a FROM t JOIN dim ON t.g = dim.weight, bigint;",      // string = float
+		"SELECT t.a FROM t, bigint JOIN dim ON t.g = dim.weight;",      // same, as the third table
+		"SELECT t.a FROM t JOIN dim ON t.g = b.tag, bigint b;",         // ON sees only the tables so far
+		"SELECT t.a FROM t, dim JOIN bigint b ON b.v / (t.a - 1) > 0;", // division by zero in a theta ON
+		"SELECT a FROM t ORDER BY s + 1;",
+		"SELECT DISTINCT a FROM t ORDER BY 1 / (a - 4) LIMIT 1;",
+		"SELECT a AS c, b AS c INTO dup FROM t;",
+		"SELECT a INTO x FROM t; SELECT nosuch FROM x;",
 	} {
 		runBothEngines(t, q, nil)
 	}
@@ -301,23 +348,43 @@ func randomColumnBool(r *rand.Rand, depth int) sqlparser.Expr {
 	}
 }
 
-// TestDifferentialRandomQueries fuzzes whole SELECTs — projections,
-// filters, grouping with aggregates, ordering — through both paths.
+// TestDifferentialRandomQueries fuzzes whole SELECTs — projections over one
+// to three tables, filters, grouping with aggregates, DISTINCT, ordering,
+// LIMIT, and INTO followed by a re-select — through both paths.
 func TestDifferentialRandomQueries(t *testing.T) {
 	r := rand.New(rand.NewSource(20110612))
 	aggs := []string{"SUM", "AVG", "COUNT", "MIN", "MAX", "STDDEV", "EXPECT", "PROB"}
+	// Joined tables share no column name with t, so the generated
+	// expressions' unqualified references stay unambiguous.
+	froms := []string{
+		"t", "t", "t",
+		"t, allnull",
+		"t LEFT JOIN bigint ON a = v",
+		"t JOIN bigint ON b < v",
+		"t, allnull n LEFT JOIN bigint ON b > bigint.v",
+		"t JOIN bigint ON mixed <> v LEFT JOIN nan ON k = b",
+	}
 	for i := 0; i < 400; i++ {
 		var sb strings.Builder
 		grouped := i%3 == 0
+		from := froms[r.Intn(len(froms))]
+		into := r.Intn(8) == 0
 		if grouped {
 			agg1 := aggs[r.Intn(len(aggs))]
 			agg2 := aggs[r.Intn(len(aggs))]
-			fmt.Fprintf(&sb, "SELECT g, %s(%s) AS m1, %s(%s) AS m2 FROM t",
+			fmt.Fprintf(&sb, "SELECT g, %s(%s) AS m1, %s(%s) AS m2",
 				agg1, randomColumnExpr(r, 2).SQL(), agg2, randomColumnExpr(r, 1).SQL())
 		} else {
-			fmt.Fprintf(&sb, "SELECT %s AS x, %s AS y FROM t",
-				randomColumnExpr(r, 3).SQL(), randomColumnExpr(r, 2).SQL())
+			sb.WriteString("SELECT ")
+			if r.Intn(4) == 0 {
+				sb.WriteString("DISTINCT ")
+			}
+			fmt.Fprintf(&sb, "%s AS x, %s AS y", randomColumnExpr(r, 3).SQL(), randomColumnExpr(r, 2).SQL())
 		}
+		if into {
+			sb.WriteString(" INTO scratch")
+		}
+		fmt.Fprintf(&sb, " FROM %s", from)
 		if r.Intn(2) == 0 {
 			fmt.Fprintf(&sb, " WHERE %s", randomColumnBool(r, 2).SQL())
 		}
@@ -341,6 +408,11 @@ func TestDifferentialRandomQueries(t *testing.T) {
 			}
 		}
 		sb.WriteString(";")
+		if into && grouped {
+			sb.WriteString(" SELECT g, m2 FROM scratch, allnull;")
+		} else if into {
+			sb.WriteString(" SELECT y, x FROM scratch WHERE x IS NOT NULL;")
+		}
 		runBothEngines(t, sb.String(), nil)
 	}
 }

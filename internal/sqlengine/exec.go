@@ -9,15 +9,14 @@ import (
 	"fuzzyprophet/internal/value"
 )
 
-// Engine evaluates SELECT statements against a catalog. Execution is
-// columnar and vectorized by default; RowMode selects the legacy
-// row-at-a-time executor, kept as a semantic oracle for differential
-// testing and benchmarking.
+// Engine evaluates SELECT statements against a catalog. Every statement
+// runs as a compiled Plan; the row-at-a-time executor in this file and
+// eval.go is the semantic reference the differential suite and the engine
+// benchmark compare against, reached only through ExecScriptRow and
+// ExecSelectRow.
 type Engine struct {
 	Catalog  *Catalog
 	Resolver FuncResolver // optional; consulted before scalar builtins
-	// RowMode forces the legacy row-at-a-time execution path.
-	RowMode bool
 }
 
 // New returns an engine over the given catalog.
@@ -53,18 +52,41 @@ func (r *Result) Column(name string) ([]value.Value, error) {
 }
 
 // ExecScript runs every SELECT statement in the script in order, binding
-// params, and returns the result of the last one. GRAPH and OPTIMIZE
-// statements are metadata for the surrounding modes and are skipped;
-// DECLARE PARAMETER statements are skipped (parameter binding is the
-// caller's job).
+// params, and returns the result of the last one (nil when there is none).
+// GRAPH and OPTIMIZE statements are metadata for the surrounding modes and
+// are skipped; DECLARE PARAMETER statements are skipped (parameter binding
+// is the caller's job). It is a convenience over CompileScript: callers that
+// execute a script more than once compile it once and Exec the plan.
 func (e *Engine) ExecScript(script *sqlparser.Script, params map[string]value.Value) (*Result, error) {
+	res, err := CompileScript(script).Exec(e, params)
+	if err != nil || res == nil {
+		return nil, err
+	}
+	defer res.Release()
+	return res.Result(), nil
+}
+
+// ExecSelect evaluates one SELECT with the given parameter bindings. When
+// the statement has an INTO clause the result is also materialized in the
+// catalog under that name.
+func (e *Engine) ExecSelect(sel sqlparser.Select, params map[string]value.Value) (*Result, error) {
+	res, err := CompileSelect(sel).Exec(e, params)
+	if err != nil {
+		return nil, err
+	}
+	defer res.Release()
+	return res.Result(), nil
+}
+
+// ExecScriptRow is ExecScript on the row-at-a-time reference executor.
+func (e *Engine) ExecScriptRow(script *sqlparser.Script, params map[string]value.Value) (*Result, error) {
 	var last *Result
 	for _, st := range script.Statements {
 		sel, ok := st.(sqlparser.Select)
 		if !ok {
 			continue
 		}
-		res, err := e.ExecSelect(sel, params)
+		res, err := e.ExecSelectRow(sel, params)
 		if err != nil {
 			return nil, err
 		}
@@ -73,24 +95,9 @@ func (e *Engine) ExecScript(script *sqlparser.Script, params map[string]value.Va
 	return last, nil
 }
 
-// ExecSelect evaluates one SELECT with the given parameter bindings. When
-// the statement has an INTO clause the result is also materialized in the
-// catalog under that name. The vectorized path runs unless RowMode is set;
-// both paths produce identical results (the differential suite asserts
-// this), the row path just does it one boxed value at a time.
-func (e *Engine) ExecSelect(sel sqlparser.Select, params map[string]value.Value) (*Result, error) {
-	if e.RowMode {
-		return e.execSelectRow(sel, params)
-	}
-	cres, err := e.ExecSelectColumnar(sel, params)
-	if err != nil {
-		return nil, err
-	}
-	return cres.Result(), nil
-}
-
-// execSelectRow is the legacy row-at-a-time SELECT path.
-func (e *Engine) execSelectRow(sel sqlparser.Select, params map[string]value.Value) (*Result, error) {
+// ExecSelectRow is ExecSelect on the row-at-a-time reference executor: one
+// boxed value at a time, no compilation, no vectors.
+func (e *Engine) ExecSelectRow(sel sqlparser.Select, params map[string]value.Value) (*Result, error) {
 	src, err := e.buildFrom(sel.From, params)
 	if err != nil {
 		return nil, err
@@ -112,22 +119,9 @@ func (e *Engine) execSelectRow(sel sqlparser.Select, params map[string]value.Val
 		src = &relation{schema: src.schema, rows: kept}
 	}
 
-	grouped := len(sel.GroupBy) > 0
-	if !grouped {
-		for _, item := range sel.Items {
-			if hasAggregate(item.Expr) {
-				grouped = true
-				break
-			}
-		}
-	}
-	if sel.Having != nil && !grouped {
-		grouped = true
-	}
-
 	var res *Result
 	var orderEnvs []func(sqlparser.Expr) (value.Value, error)
-	if grouped {
+	if isGrouped(sel) {
 		res, orderEnvs, err = e.execGrouped(sel, src, params)
 	} else {
 		res, orderEnvs, err = e.execSimple(sel, src, params)

@@ -91,23 +91,13 @@ func equiJoinSides(exprL, exprR sqlparser.Expr, combined []colBinding, nAcc int)
 	}
 }
 
-// equiJoinKeys is the one-shot form used by the interpreted path: structure
-// split plus side resolution against a combined schema built by the caller.
-func equiJoinKeys(cond sqlparser.Expr, combined []colBinding, nAcc int) (leftKey, rightKey sqlparser.Expr, ok bool) {
-	l, r, ok := splitEquality(cond)
-	if !ok {
-		return nil, nil, false
-	}
-	return equiJoinSides(l, r, combined, nAcc)
-}
-
 // buildTable is reusable hash-join build-side state: a key → chain-head
 // map plus head/tail/next chain slices keeping each key's build rows in
 // ascending order (so the probe emits matches in exactly the quadratic
 // path's order). Chains live in flat slices, so across executions only
 // first-seen map keys allocate — one string per DISTINCT key instead of
-// one per build-side row — and the compiled path pools the whole structure
-// in its planState like every other buffer.
+// one per build-side row — and the Plan pools the whole structure in its
+// planState like every other buffer.
 type buildTable struct {
 	idx    map[string]int32 // key → head build row of its chain
 	next   []int32          // next[r]: following build row with r's key; -1 ends
@@ -204,12 +194,11 @@ func appendJoinKey(c *Column, i int, dst []byte) ([]byte, bool) {
 
 // hashEquiJoin evaluates the key expressions over their sides and builds
 // the (outL, outR) gather lists of the inner or left join, appending to the
-// provided buffers (pass nil to allocate). bt, when non-nil, is reused
-// build-side state (the compiled path pools one in its planState; pass nil
-// for a temporary). ok=false means the keys turned out unhashable (kind
-// family mismatch, boxed keys, or a NaN key) and the caller must run the
-// quadratic path; err means key evaluation failed, which the quadratic
-// path would also report.
+// provided buffers; bt is the caller's reusable build-side state (a Plan
+// pools one in its planState). ok=false means the keys turned out
+// unhashable (kind family mismatch, boxed keys, or a NaN key) and the caller
+// must run the quadratic path; err means key evaluation failed, which the
+// quadratic path would also report.
 func (e *Engine) hashEquiJoin(acc, next *vRel, leftKeyX, rightKeyX sqlparser.Expr, leftJoin bool, params map[string]value.Value, outL, outR []int, bt *buildTable) (gl, gr []int, ok bool, err error) {
 	// Evaluate left before right: the quadratic path's evalBinary does the
 	// same, so when both sides error the same one wins.
@@ -241,9 +230,6 @@ func (e *Engine) hashEquiJoin(acc, next *vRel, leftKeyX, rightKeyX sqlparser.Exp
 
 	// Build on the right side, preserving right-row order per key so the
 	// probe emits matches in exactly the quadratic path's order.
-	if bt == nil {
-		bt = &buildTable{}
-	}
 	bt.reset(rkey.n)
 	for r := 0; r < rkey.n; r++ {
 		if rkey.IsNull(r) {

@@ -6,14 +6,14 @@ import (
 )
 
 // This file holds the unboxed elementwise and fold cores shared by the
-// interpreted vectorized evaluator (veval.go) and the compiled plan kernels
+// general-expression operator (veval.go) and the compiled plan kernels
 // (plan_kernels.go). Every core is split into a no-nulls plain-slice fast
 // path and a bitmap-masked slow path; the fast paths for + - * are manually
 // 8-lane unrolled (elementwise maps are lane-independent, so unrolling is
 // bit-exact). Reductions that the row oracle computes sequentially (float
 // SUM, Welford moments) deliberately keep their sequential order — the
-// differential suite asserts bit-identical results across all three
-// execution paths — and win only the removal of the per-element bitmap
+// differential suite asserts bit-identical results between the Plan and
+// the row reference — and win only the removal of the per-element bitmap
 // branch; integer SUM is exact under reassociation and does unroll.
 
 // mergedNulls returns the word-wise OR of two null bitmaps sized for n

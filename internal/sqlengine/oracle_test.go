@@ -200,13 +200,12 @@ func randomBoolExpr(r *rand.Rand, depth int) sqlparser.Expr {
 }
 
 // TestEngineAgreesWithOracle runs every random expression through BOTH
-// execution paths — the vectorized default and the legacy row engine — and
-// checks each against the independent Go interpreter, plus the two engines
-// against each other (including agreement on whether evaluation errors).
+// executors — the compiled Plan and the row reference — and checks each
+// against the independent Go interpreter, plus the two against each other
+// (including agreement on whether evaluation errors).
 func TestEngineAgreesWithOracle(t *testing.T) {
 	vec := New(NewCatalog())
 	row := New(NewCatalog())
-	row.RowMode = true
 	r := rand.New(rand.NewSource(8))
 	checked := 0
 	for i := 0; i < 2000; i++ {
@@ -224,16 +223,16 @@ func TestEngineAgreesWithOracle(t *testing.T) {
 			t.Fatalf("generated SQL does not parse: %v\n%s", err, src)
 		}
 		res, err := vec.ExecScript(script, nil)
-		rowRes, rowErr := row.ExecScript(script, nil)
+		rowRes, rowErr := row.ExecScriptRow(script, nil)
 
 		// Differential: both paths must agree on error-ness and value.
 		if (err == nil) != (rowErr == nil) {
-			t.Fatalf("%s: vectorized err=%v, row err=%v", expr.SQL(), err, rowErr)
+			t.Fatalf("%s: plan err=%v, row err=%v", expr.SQL(), err, rowErr)
 		}
 		if err == nil {
 			got, rowGot := res.Rows[0][0], rowRes.Rows[0][0]
 			if got.IsNull() != rowGot.IsNull() || (!got.IsNull() && !got.Equal(rowGot)) {
-				t.Fatalf("%s: vectorized = %v, row = %v", expr.SQL(), got, rowGot)
+				t.Fatalf("%s: plan = %v, row = %v", expr.SQL(), got, rowGot)
 			}
 		}
 

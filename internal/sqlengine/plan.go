@@ -20,14 +20,14 @@ import (
 // index lists into reused buffers, and the result is handed out as a
 // PlanResult that recycles its state on Release.
 //
-// Compilation never fails: SELECT features outside the compiled subset
-// (INTO, non-grouped ORDER BY/DISTINCT/LIMIT, >2-table FROM) fall back to
-// the interpreted vectorized executor, and within a compiled plan any
-// expression the kernel compiler does not cover runs through the
-// interpreted evaluator over the same relation — so a compiled plan is
-// observationally identical to the interpreted path by construction (the
-// differential suite asserts this against both the interpreted vectorized
-// engine and the row oracle).
+// Compilation never fails and every SELECT compiles: the Plan is the
+// engine's only production driver. FROM is a left-deep loop over any number
+// of tables (cross, hash equi-join or theta join per table), non-grouped
+// DISTINCT / ORDER BY / LIMIT run as post-operators over the projected
+// columns, INTO registers the result in the catalog, and any expression the
+// kernel compiler does not cover runs through the general-expression
+// operator (veval.go) over the same relation. The differential suite
+// asserts the Plan against the row reference executor (ExecScriptRow).
 //
 // Plans are immutable after CompileSelect/CompileScript and safe for
 // concurrent Exec: each execution borrows an isolated planState from the
@@ -35,25 +35,27 @@ import (
 
 // Plan is one SELECT compiled into reusable kernels and buffers.
 type Plan struct {
-	sel            sqlparser.Select
-	fallback       bool   // execute via the interpreted path entirely
-	fallbackReason string // compile-time reason the plan fell back
-	grouped        bool
+	sel     sqlparser.Select
+	grouped bool
+	// post: the result passes through a post-operator (non-grouped DISTINCT,
+	// ORDER BY, LIMIT) or an INTO registration after projection.
+	post bool
 
 	fromRefs []sqlparser.TableRef
-	// eqL/eqR are the two operands of a single-equality two-table join ON
-	// condition, split once at compile time (side resolution still happens
-	// at bind, against the catalog-dependent schema).
-	eqL, eqR sqlparser.Expr
+	// eqL[i]/eqR[i] are the two operands of FROM entry i's ON condition when
+	// it is a single equality, split once at compile time (side resolution
+	// still happens at bind, against the catalog-dependent schema).
+	eqL, eqR []sqlparser.Expr
 	whereK   kernel
 	items    []itemPlan
+	orderK   []kernel // non-grouped ORDER BY keys
 	colNames []string
 
 	colRefs []colRefSpec
 	// gatherSlot[i] is the fixed slot colRef spec i gathers through when a
 	// selection is active.
 	gatherSlot []int
-	usedAll    bool // materialize every relation column (grouped/fallback needs)
+	usedAll    bool // materialize every relation column (grouped plans, deep joins)
 	slots      int  // number of fixed buffer slots
 
 	pool sync.Pool
@@ -73,9 +75,7 @@ type colRefSpec struct{ table, name string }
 
 // PlanResult is the outcome of one Plan or ScriptPlan execution. Its
 // columns may alias plan-owned buffers: read (or copy) everything you need,
-// then call Release to recycle the buffers for the next execution. A
-// PlanResult from a fallback execution owns fresh columns and Release is a
-// no-op; callers treat both identically.
+// then call Release to recycle the buffers for the next execution.
 type PlanResult struct {
 	ColResult
 	st *planState
@@ -89,10 +89,7 @@ func (r *PlanResult) Release() {
 		return
 	}
 	r.st = nil
-	st.e = nil
-	st.params = nil
-	st.counters = nil
-	st.plan.pool.Put(st)
+	st.recycle()
 }
 
 // ScriptPlan is a script compiled statement-by-statement.
@@ -131,52 +128,32 @@ func (sp *ScriptPlan) Exec(e *Engine, params map[string]value.Value) (*PlanResul
 
 // CompileSelect compiles one SELECT into a reusable plan.
 func CompileSelect(sel sqlparser.Select) *Plan {
-	p := &Plan{sel: sel, fromRefs: sel.From}
+	p := &Plan{sel: sel, fromRefs: sel.From, grouped: isGrouped(sel)}
 	p.pool.New = func() any { return newPlanState(p) }
+	p.post = sel.Into != "" || (!p.grouped && (sel.Distinct || len(sel.OrderBy) > 0 || sel.Limit >= 0))
 
-	grouped := len(sel.GroupBy) > 0
-	if !grouped {
-		for _, item := range sel.Items {
-			if hasAggregate(item.Expr) {
-				grouped = true
-				break
-			}
+	p.eqL = make([]sqlparser.Expr, len(sel.From))
+	p.eqR = make([]sqlparser.Expr, len(sel.From))
+	for i, ref := range sel.From {
+		if ref.JoinCond != nil {
+			p.eqL[i], p.eqR[i], _ = splitEquality(ref.JoinCond)
 		}
-	}
-	if sel.Having != nil && !grouped {
-		grouped = true
-	}
-	p.grouped = grouped
-
-	switch {
-	case sel.Into != "":
-		p.fallbackReason = "select-into"
-	case len(sel.From) > 2:
-		p.fallbackReason = "from-more-than-two-tables"
-	case !grouped && len(sel.OrderBy) > 0:
-		p.fallbackReason = "non-grouped-order-by"
-	case !grouped && sel.Distinct:
-		p.fallbackReason = "non-grouped-distinct"
-	case !grouped && sel.Limit >= 0:
-		p.fallbackReason = "non-grouped-limit"
-	}
-	if p.fallbackReason != "" {
-		p.fallback = true
-		return p
-	}
-	if len(sel.From) == 2 && sel.From[1].JoinCond != nil {
-		p.eqL, p.eqR, _ = splitEquality(sel.From[1].JoinCond)
+		// A conditional or LEFT join past the second table evaluates over
+		// the accumulated relation, so no column may be pruned from it.
+		if i >= 2 && (ref.JoinCond != nil || ref.LeftJoin) {
+			p.usedAll = true
+		}
 	}
 
 	c := &compiler{p: p, specIDs: map[colRefSpec]int{}}
 	if sel.Where != nil {
 		p.whereK = c.compileRoot(sel.Where, nil)
 	}
-	if grouped {
+	if p.grouped {
 		// Grouped execution delegates grouping, aggregation and the
-		// per-group scalar glue to the interpreted grouped executor over
-		// the compiled FROM/WHERE relation — lazy per-group aggregate
-		// argument evaluation is part of the engines' error semantics.
+		// per-group scalar glue to the grouped executor over the compiled
+		// FROM/WHERE relation — lazy per-group aggregate argument evaluation
+		// is part of the engines' error semantics.
 		p.usedAll = true
 		return p
 	}
@@ -188,67 +165,56 @@ func CompileSelect(sel sqlparser.Select) *Plan {
 			aliases[item.Alias] = i
 		}
 	}
+	for _, k := range sel.OrderBy {
+		p.orderK = append(p.orderK, c.compileRoot(k.Expr, aliases))
+	}
 	return p
+}
+
+// isGrouped reports whether a SELECT takes the aggregation path: GROUP BY,
+// HAVING, or an aggregate call among its items.
+func isGrouped(sel sqlparser.Select) bool {
+	if len(sel.GroupBy) > 0 || sel.Having != nil {
+		return true
+	}
+	for _, item := range sel.Items {
+		if hasAggregate(item.Expr) {
+			return true
+		}
+	}
+	return false
 }
 
 // Shardable reports whether the plan's output can be computed over disjoint
 // row ranges of its FIRST FROM table and concatenated in range order to
-// reproduce the whole execution bit for bit. That holds exactly for the
-// compiled non-grouped plans: every compiled operator is row-wise over the
-// FROM relation, the relation is materialized in first-table-major order
-// (single table directly; cross products repeat the left side row-wise;
-// hash and interpreted joins probe with the left side in order), and WHERE
-// only filters rows without reordering. Grouped plans collapse rows and
-// fallback plans may reorder them (ORDER BY, DISTINCT, LIMIT, INTO,
-// 3+-table FROM), so neither is shardable. The Monte Carlo executor keys
-// world sharding off this: a shardable scenario plan evaluated on world
-// ranges [lo,hi) yields partial outputs whose concatenation is identical to
-// the single-range execution.
-func (p *Plan) Shardable() bool { return !p.fallback && !p.grouped }
+// reproduce the whole execution bit for bit. That holds exactly when nothing
+// collapses or reorders rows: every operator is row-wise over the FROM
+// relation, the relation is materialized in first-table-major order (single
+// table directly; each join of the left-deep loop — cross, hash or theta —
+// emits its matches per left row in order), and WHERE only filters. Grouped
+// plans collapse rows, DISTINCT / ORDER BY / LIMIT see the whole result, and
+// INTO has a catalog side effect, so none of those is shardable. The Monte
+// Carlo executor keys world sharding off this: a shardable scenario plan
+// evaluated on world ranges [lo,hi) yields partial outputs whose
+// concatenation is identical to the single-range execution.
+func (p *Plan) Shardable() bool { return !p.grouped && !p.post }
 
-// Exec runs the plan against an engine's catalog. On a RowMode engine or a
-// fallback plan, execution routes through the interpreted paths.
+// Exec runs the plan against an engine's catalog.
 func (p *Plan) Exec(e *Engine, params map[string]value.Value) (*PlanResult, error) {
 	return p.ExecCounted(e, params, nil)
 }
 
 // ExecCounted is Exec with per-operator statistics: when c is non-nil the
-// execution fills it with relation cardinalities, the join strategy, the
-// fallback reason, and per-phase wall time. With c == nil no measurement
-// happens — Exec's hot path is byte-for-byte the same work as before.
+// execution fills it with relation cardinalities, the join strategy and
+// per-phase wall time. With c == nil no measurement happens — Exec's hot
+// path is byte-for-byte the same work as before.
 func (p *Plan) ExecCounted(e *Engine, params map[string]value.Value, c *ExecCounters) (*PlanResult, error) {
-	if p.fallback || e.RowMode {
-		var t0 time.Time
-		if c != nil {
-			c.Fallback = true
-			c.FallbackReason = p.fallbackReason
-			if !p.fallback {
-				c.FallbackReason = "row-mode-engine"
-			}
-			c.Grouped = p.grouped
-			t0 = obs.Now()
-		}
-		cres, err := e.ExecSelectColumnar(p.sel, params)
-		if err != nil {
-			return nil, err
-		}
-		if c != nil {
-			c.EvalNS += obs.Since(t0).Nanoseconds()
-			if len(cres.Columns) > 0 {
-				c.RowsOut = int64(cres.Columns[0].Len())
-			}
-		}
-		return &PlanResult{ColResult: *cres}, nil
-	}
 	st := p.pool.Get().(*planState)
 	st.begin(e, params)
 	st.counters = c
 	res, err := st.run()
 	if err != nil {
-		st.e = nil
-		st.params = nil
-		st.counters = nil
-		p.pool.Put(st)
+		st.recycle()
 		return nil, err
 	}
 	return res, nil
@@ -354,8 +320,11 @@ type planState struct {
 	params   map[string]value.Value
 	counters *ExecCounters // nil on uncounted runs
 
-	schema  []colBinding
-	relCols []*Column
+	schema []colBinding
+	tables []*ColTable // the FROM tables, bound per execution
+	// cols are the relation's column lists: a join reads its left input
+	// from one while writing its output to the other.
+	cols    [2][]*Column
 	rel     vRel
 	accRel  vRel // join inputs, state-owned so they never escape
 	nextRel vRel
@@ -459,6 +428,14 @@ func (st *planState) begin(e *Engine, params map[string]value.Value) {
 	clear(st.extras)
 }
 
+// recycle returns the state to its plan's pool.
+func (st *planState) recycle() {
+	st.e = nil
+	st.params = nil
+	st.counters = nil
+	st.plan.pool.Put(st)
+}
+
 func (st *planState) slot(id int) *colSlot { return st.fixSlots[id] }
 
 func (st *planState) dynSlot() *colSlot {
@@ -518,83 +495,155 @@ func (st *planState) run() (*PlanResult, error) {
 		st.n = len(st.sel)
 		st.clearGatherCache()
 	}
+	var err error
 	if p.grouped {
-		res, err := st.runGrouped()
-		if c != nil && err == nil {
-			c.EvalNS += obs.Since(t0).Nanoseconds()
-			if len(res.Columns) > 0 {
-				c.RowsOut = int64(res.Columns[0].Len())
-			}
-		}
-		return res, err
+		err = st.runGrouped()
+	} else {
+		err = st.runProject()
 	}
+	if err == nil && p.sel.Into != "" {
+		err = st.registerInto()
+	}
+	if err != nil {
+		return nil, err
+	}
+	if c != nil {
+		c.EvalNS += obs.Since(t0).Nanoseconds()
+		c.RowsOut = int64(st.pres.NumRows())
+	}
+	return &st.pres, nil
+}
+
+// runProject evaluates the item kernels over the filtered relation, then
+// the DISTINCT → ORDER BY → LIMIT post-operators. No shipped scenario uses
+// the post-operators, so they allocate fresh columns instead of drawing on
+// pooled buffers.
+func (st *planState) runProject() error {
+	p := st.plan
 	for i := range p.items {
 		col, err := p.items[i].k(st)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		st.itemCols[i] = col
 		if a := p.items[i].alias; a != "" {
 			st.extras[a] = col
 		}
 	}
-	if c != nil {
-		c.EvalNS += obs.Since(t0).Nanoseconds()
-		c.RowsOut = int64(st.n)
-	}
 	st.pres = PlanResult{ColResult: ColResult{Cols: p.colNames, Columns: st.itemCols}, st: st}
-	return &st.pres, nil
+	if !p.post {
+		return nil
+	}
+	if p.sel.Distinct {
+		if keep := distinctKeep(st.itemCols, st.n); len(keep) < st.n {
+			// ORDER BY keys evaluate over the surviving rows only, like
+			// the row reference: narrow the selection and the alias columns.
+			st.gatherItems(keep)
+			if st.sel != nil {
+				for j, k := range keep {
+					keep[j] = st.sel[k]
+				}
+			}
+			st.sel = keep
+			st.clearGatherCache()
+		}
+	}
+	if len(p.orderK) > 0 {
+		keyCols := make([]*Column, len(p.orderK))
+		for j, k := range p.orderK {
+			col, err := k(st)
+			if err != nil {
+				return err
+			}
+			keyCols[j] = col
+		}
+		perm, err := sortPerm(keyCols, p.sel.OrderBy, st.n)
+		if err != nil {
+			return err
+		}
+		st.gatherItems(perm)
+	}
+	if p.sel.Limit >= 0 && int64(st.n) > p.sel.Limit {
+		st.gatherItems(identityIdx(int(p.sel.Limit)))
+	}
+	return nil
 }
 
-// runGrouped hands the filtered relation to the interpreted grouped
-// executor (shared with ExecSelectColumnar), so grouped semantics — lazy
-// per-group aggregate evaluation, HAVING, ORDER BY contexts — are the
-// interpreted path's by construction.
-func (st *planState) runGrouped() (*PlanResult, error) {
+// gatherItems replaces the projected columns (and the alias columns naming
+// them) with their rows at idx.
+func (st *planState) gatherItems(idx []int) {
+	for i, c := range st.itemCols {
+		st.itemCols[i] = c.gather(idx)
+		if a := st.plan.items[i].alias; a != "" {
+			st.extras[a] = st.itemCols[i]
+		}
+	}
+	st.n = len(idx)
+}
+
+// registerInto stores the result under the statement's INTO name. The
+// columns are copied: the result may alias pooled buffers the next
+// execution overwrites, and catalog tables are immutable.
+func (st *planState) registerInto() error {
+	res := &st.pres.ColResult
+	all := identityIdx(res.NumRows())
+	cols := make([]*Column, len(res.Columns))
+	for j, c := range res.Columns {
+		cols[j] = c.gather(all)
+	}
+	ct, err := NewColTable(st.plan.sel.Into, res.Cols, cols)
+	if err != nil {
+		return err
+	}
+	st.e.Catalog.PutColumns(ct)
+	return nil
+}
+
+// runGrouped hands the filtered relation to the grouped executor, which
+// owns grouped semantics — lazy per-group aggregate evaluation, HAVING,
+// ORDER BY contexts.
+func (st *planState) runGrouped() error {
 	p := st.plan
 	fr := frame{rows: st.sel, n: st.n}
 	res, orderEnvs, err := st.e.execGroupedVec(p.sel, &st.rel, fr, st.params)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if p.sel.Distinct {
 		res, orderEnvs = dedupeRows(res, orderEnvs)
 	}
 	if len(p.sel.OrderBy) > 0 {
 		if err := st.e.orderResult(res, orderEnvs, p.sel.OrderBy); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if p.sel.Limit >= 0 && int64(len(res.Rows)) > p.sel.Limit {
 		res.Rows = res.Rows[:p.sel.Limit]
 	}
-	cres := colResultFromResult(res)
-	st.pres = PlanResult{ColResult: *cres, st: st}
-	return &st.pres, nil
+	st.pres = PlanResult{ColResult: *colResultFromResult(res), st: st}
+	return nil
 }
 
 // bindFrom resolves the FROM tables in the engine's catalog, builds the
 // combined schema, resolves the plan's column references against it, and
-// materializes the source relation — directly (single table), via tiled
-// gather lists (cross product), via the hash equi-join, or through the
-// interpreted join for every other shape. Only columns the plan actually
-// uses are materialized on the fast paths.
+// materializes the source relation: a single table directly, more tables
+// through a left-deep loop of joins. Only columns the plan actually uses
+// are materialized on the cross and hash paths.
 func (st *planState) bindFrom() error {
 	p := st.plan
 	st.schema = st.schema[:0]
-	st.relCols = st.relCols[:0]
+	st.tables = st.tables[:0]
 	if len(p.fromRefs) == 0 {
 		st.rel = vRel{n: 1}
 		st.resolveSpecs()
 		return nil
 	}
-	var tables [2]*ColTable
-	for i, ref := range p.fromRefs {
+	for _, ref := range p.fromRefs {
 		ct, ok := st.e.Catalog.GetColumns(ref.Name)
 		if !ok {
 			return fmt.Errorf("sqlengine: unknown table %q", ref.Name)
 		}
-		tables[i] = ct
+		st.tables = append(st.tables, ct)
 		binding := ref.Name
 		if ref.Alias != "" {
 			binding = ref.Alias
@@ -605,17 +654,39 @@ func (st *planState) bindFrom() error {
 	}
 	st.resolveSpecs()
 
-	if len(p.fromRefs) == 1 {
-		st.relCols = append(st.relCols, tables[0].Columns...)
-		st.rel = vRel{schema: st.schema, cols: st.relCols, n: tables[0].NumRows()}
+	first := st.tables[0]
+	if len(st.tables) == 1 {
+		st.cols[0] = append(st.cols[0][:0], first.Columns...)
+		st.rel = vRel{schema: st.schema, cols: st.cols[0], n: first.NumRows()}
 		return nil
 	}
+	st.accRel = vRel{schema: st.schema[:len(first.Cols)], cols: first.Columns, n: first.NumRows()}
+	for i := 1; i < len(st.tables); i++ {
+		if err := st.join(i); err != nil {
+			return err
+		}
+	}
+	st.rel = st.accRel
+	return nil
+}
 
-	nAcc := len(tables[0].Cols)
-	st.accRel = vRel{schema: st.schema[:nAcc], cols: tables[0].Columns, n: tables[0].NumRows()}
-	st.nextRel = vRel{schema: st.schema[nAcc:], cols: tables[1].Columns, n: tables[1].NumRows()}
+// join folds FROM table i into the accumulated relation st.accRel: a cross
+// product by repeat/tile block copies, an equality ON condition through the
+// hash equi-join, and every other shape (non-equality ON, LEFT JOIN without
+// ON, unhashable keys, empty sides with conditions) through joinVec.
+// The counters keep the last join's strategy and input sizes.
+func (st *planState) join(i int) error {
+	p := st.plan
+	ref := p.fromRefs[i]
 	acc, next := &st.accRel, &st.nextRel
-	ref := p.fromRefs[1]
+	nAcc := len(acc.schema)
+	schema := st.schema[:nAcc+len(st.tables[i].Cols)]
+	*next = vRel{schema: schema[nAcc:], cols: st.tables[i].Columns, n: st.tables[i].NumRows()}
+	if c := st.counters; c != nil {
+		c.BuildRows = int64(next.n)
+		c.ProbeRows = int64(acc.n)
+	}
+	out := st.cols[i&1][:0]
 
 	switch {
 	case ref.JoinCond == nil && !ref.LeftJoin:
@@ -625,28 +696,26 @@ func (st *planState) bindFrom() error {
 		// beyond the output itself.
 		if c := st.counters; c != nil {
 			c.JoinKind = "cross"
-			c.BuildRows = int64(next.n)
-			c.ProbeRows = int64(acc.n)
 		}
-		n := acc.n * next.n
 		for j, c := range acc.cols {
 			if !st.needed[j] {
-				st.relCols = append(st.relCols, nil)
+				out = append(out, nil)
 				continue
 			}
-			st.relCols = append(st.relCols, crossRepeatInto(st.dynSlot(), c, next.n))
+			out = append(out, crossRepeatInto(st.dynSlot(), c, next.n))
 		}
 		for j, c := range next.cols {
-			if !st.needed[len(acc.cols)+j] {
-				st.relCols = append(st.relCols, nil)
+			if !st.needed[nAcc+j] {
+				out = append(out, nil)
 				continue
 			}
-			st.relCols = append(st.relCols, crossTileInto(st.dynSlot(), c, acc.n))
+			out = append(out, crossTileInto(st.dynSlot(), c, acc.n))
 		}
-		st.rel = vRel{schema: st.schema, cols: st.relCols, n: n}
+		st.cols[i&1] = out
+		*acc = vRel{schema: schema, cols: out, n: acc.n * next.n}
 		return nil
-	case ref.JoinCond != nil && p.eqL != nil && acc.n > 0 && next.n > 0:
-		if lx, rx, ok := equiJoinSides(p.eqL, p.eqR, st.schema, nAcc); ok {
+	case p.eqL[i] != nil && acc.n > 0 && next.n > 0:
+		if lx, rx, ok := equiJoinSides(p.eqL[i], p.eqR[i], schema, nAcc); ok {
 			outL, outR, hashed, err := st.e.hashEquiJoin(acc, next, lx, rx, ref.LeftJoin, st.params, st.joinL[:0], st.joinR[:0], &st.build)
 			if err != nil {
 				return err
@@ -654,28 +723,38 @@ func (st *planState) bindFrom() error {
 			if hashed {
 				if c := st.counters; c != nil {
 					c.JoinKind = "hash"
-					c.BuildRows = int64(next.n)
-					c.ProbeRows = int64(acc.n)
 				}
 				st.joinL, st.joinR = outL, outR
-				st.materializeJoin(acc, next, outL, outR)
+				// Gather the needed columns through the plan buffers; -1
+				// right entries pad NULL (LEFT JOIN).
+				for j, c := range acc.cols {
+					if !st.needed[j] {
+						out = append(out, nil)
+						continue
+					}
+					out = append(out, gatherPadInto(st.dynSlot(), c, outL))
+				}
+				for j, c := range next.cols {
+					if !st.needed[nAcc+j] {
+						out = append(out, nil)
+						continue
+					}
+					out = append(out, gatherPadInto(st.dynSlot(), c, outR))
+				}
+				st.cols[i&1] = out
+				*acc = vRel{schema: schema, cols: out, n: len(outL)}
 				return nil
 			}
 		}
 	}
-	// Everything else (non-equality ON, LEFT JOIN without ON, unhashable
-	// keys, empty sides with conditions): interpreted join, fully
-	// materialized.
 	if c := st.counters; c != nil {
 		c.JoinKind = "interpreted"
-		c.BuildRows = int64(next.n)
-		c.ProbeRows = int64(acc.n)
 	}
-	joined, err := st.e.joinVec(acc, next, ref, st.params)
+	joined, err := st.e.joinVec(acc, next, schema, ref, st.params)
 	if err != nil {
 		return err
 	}
-	st.rel = *joined
+	*acc = *joined
 	return nil
 }
 
@@ -700,28 +779,6 @@ func (st *planState) resolveSpecs() {
 			st.needed[idx] = true
 		}
 	}
-}
-
-// materializeJoin gathers the needed combined columns through the plan
-// buffers using the (outL, outR) index lists; -1 right entries pad NULL
-// (LEFT JOIN).
-func (st *planState) materializeJoin(acc, next *vRel, outL, outR []int) {
-	n := len(outL)
-	for j, c := range acc.cols {
-		if !st.needed[j] {
-			st.relCols = append(st.relCols, nil)
-			continue
-		}
-		st.relCols = append(st.relCols, gatherPadInto(st.dynSlot(), c, outL))
-	}
-	for j, c := range next.cols {
-		if !st.needed[len(acc.cols)+j] {
-			st.relCols = append(st.relCols, nil)
-			continue
-		}
-		st.relCols = append(st.relCols, gatherPadInto(st.dynSlot(), c, outR))
-	}
-	st.rel = vRel{schema: st.schema, cols: st.relCols, n: n}
 }
 
 // colRefCol resolves one compiled column reference over the current
@@ -751,8 +808,8 @@ func (st *planState) colRefCol(spec int) (*Column, error) {
 	return col, nil
 }
 
-// gatherPadInto is Column.gatherPad writing through a reusable slot buffer
-// (-1 indexes pad NULL rows).
+// gatherPadInto gathers rows idx[0], idx[1], … of c into a slot buffer; -1
+// indexes pad NULL rows.
 func gatherPadInto(sl *colSlot, c *Column, idx []int) *Column {
 	n := len(idx)
 	switch c.kind {
@@ -957,7 +1014,7 @@ func crossTileInto(sl *colSlot, c *Column, count int) *Column {
 	return &sl.col
 }
 
-// truthyKeepInto is truthyKeep appending into a reusable buffer.
+// truthyKeepInto appends the positions where the column is truthy to keep.
 func truthyKeepInto(c *Column, keep []int) []int {
 	switch c.kind {
 	case ColNull:
@@ -990,8 +1047,7 @@ func truthyKeepInto(c *Column, keep []int) []int {
 	return keep
 }
 
-// splatInto broadcasts one value into a slot buffer (the buffer-backed
-// splatValue).
+// splatInto broadcasts one value into a slot buffer.
 func splatInto(sl *colSlot, v value.Value, n int) *Column {
 	switch v.Kind() {
 	case value.KindInt:

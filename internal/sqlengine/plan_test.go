@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"fuzzyprophet/internal/sqlengine"
+	"fuzzyprophet/internal/sqlparser"
+	"fuzzyprophet/internal/value"
 )
 
 // TestPlanAllocationFree asserts the compiled render path performs (near)
@@ -17,7 +19,7 @@ func TestPlanAllocationFree(t *testing.T) {
 	}
 	for _, f := range buildScenarioFixtures(t, 1000) {
 		plan := sqlengine.CompileScript(f.script)
-		e := f.engine(false)
+		e := f.engine()
 		run := func() {
 			res, err := plan.Exec(e, nil)
 			if err != nil {
@@ -39,7 +41,7 @@ func TestPlanAllocationFree(t *testing.T) {
 func TestPlanBufferReuse(t *testing.T) {
 	for _, f := range buildScenarioFixtures(t, 100) {
 		plan := sqlengine.CompileScript(f.script)
-		e := f.engine(false)
+		e := f.engine()
 		ref, err := plan.Exec(e, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", f.name, err)
@@ -67,6 +69,46 @@ func TestPlanBufferReuse(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestIntoTableDetachedFromPlanBuffers: the table an INTO registers must
+// not alias the plan's pooled buffers — the next execution of the same plan
+// (here on another engine, with another binding) would rewrite it.
+func TestIntoTableDetachedFromPlanBuffers(t *testing.T) {
+	script, err := sqlparser.Parse("SELECT w + @k AS v INTO snap FROM fact;")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := sqlengine.CompileScript(script)
+	engine := func() *sqlengine.Engine {
+		fact, err := sqlengine.NewColTable("fact", []string{"w"}, []*sqlengine.Column{sqlengine.IntColumn([]int64{0, 1, 2, 3})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cat := sqlengine.NewCatalog()
+		cat.PutColumns(fact)
+		return sqlengine.New(cat)
+	}
+	first, second := engine(), engine()
+	for _, run := range []struct {
+		e *sqlengine.Engine
+		k int64
+	}{{first, 1}, {second, 100}} {
+		res, err := plan.Exec(run.e, map[string]value.Value{"k": value.Int(run.k)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Release()
+	}
+	snap, ok := first.Catalog.GetColumns("snap")
+	if !ok {
+		t.Fatal("INTO did not register snap")
+	}
+	for i := 0; i < snap.NumRows(); i++ {
+		if got := snap.Columns[0].Value(i); !got.Equal(value.Int(int64(i) + 1)) {
+			t.Fatalf("snap.v[%d] = %v after a later execution, want %d", i, got, i+1)
 		}
 	}
 }

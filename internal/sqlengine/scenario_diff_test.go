@@ -15,7 +15,8 @@ import (
 
 // Scenario-level differential tests and the engine render benchmarks: the
 // pure TSQL the Query Generator emits for the five example scenarios runs
-// over a materialized possible-worlds table on both execution paths. This
+// over a materialized possible-worlds table as a compiled plan and on the
+// row reference executor. This
 // is exactly the per-point render workload of the online mode, isolated
 // from VG sampling cost.
 
@@ -91,15 +92,13 @@ func buildScenarioFixtures(tb testing.TB, worlds int) []scenarioFixture {
 	return out
 }
 
-func (f *scenarioFixture) engine(rowMode bool) *sqlengine.Engine {
+func (f *scenarioFixture) engine() *sqlengine.Engine {
 	cat := sqlengine.NewCatalog()
 	for _, t := range f.statics {
 		cat.Put(t)
 	}
 	cat.PutColumns(f.worlds)
-	e := sqlengine.New(cat)
-	e.RowMode = rowMode
-	return e
+	return sqlengine.New(cat)
 }
 
 // assertSameResults fails unless two results agree exactly (NULL matches
@@ -123,22 +122,17 @@ func assertSameResults(tb testing.TB, name, labelA, labelB string, a, b *sqlengi
 }
 
 // TestScenarioSQLDifferential renders every example scenario's generated
-// TSQL through all three paths — compiled plan, interpreted vectorized,
-// row oracle — and asserts identical per-world outputs.
+// TSQL as a compiled plan and on the row oracle and asserts identical
+// per-world outputs.
 func TestScenarioSQLDifferential(t *testing.T) {
 	for _, f := range buildScenarioFixtures(t, 200) {
-		vres, verr := f.engine(false).ExecScript(f.script, nil)
-		rres, rerr := f.engine(true).ExecScript(f.script, nil)
-		if (verr == nil) != (rerr == nil) {
-			t.Fatalf("%s: vectorized err = %v, row err = %v", f.name, verr, rerr)
+		rres, rerr := f.engine().ExecScriptRow(f.script, nil)
+		if rerr != nil {
+			t.Fatalf("%s: %v", f.name, rerr)
 		}
-		if verr != nil {
-			t.Fatalf("%s: %v", f.name, verr)
-		}
-		assertSameResults(t, f.name, "vectorized", "row", vres, rres)
 
 		plan := sqlengine.CompileScript(f.script)
-		e := f.engine(false)
+		e := f.engine()
 		for pass := 0; pass < 2; pass++ { // second pass reuses warm buffers
 			pres, perr := plan.Exec(e, nil)
 			if perr != nil {
@@ -158,7 +152,7 @@ func TestScenarioSQLDifferential(t *testing.T) {
 // isolated; results must match the row oracle exactly.
 func TestScenarioPlanConcurrentRenders(t *testing.T) {
 	for _, f := range buildScenarioFixtures(t, 200) {
-		rres, rerr := f.engine(true).ExecScript(f.script, nil)
+		rres, rerr := f.engine().ExecScriptRow(f.script, nil)
 		if rerr != nil {
 			t.Fatalf("%s: %v", f.name, rerr)
 		}
@@ -171,7 +165,7 @@ func TestScenarioPlanConcurrentRenders(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				e := f.engine(false)
+				e := f.engine()
 				for k := 0; k < rendersEach; k++ {
 					pres, err := plan.Exec(e, nil)
 					if err != nil {
@@ -206,38 +200,30 @@ func TestScenarioPlanConcurrentRenders(t *testing.T) {
 }
 
 // BenchmarkEngineRender1000 times the 1000-world render path — parse-free
-// execution of each scenario's generated TSQL — on the row engine, the
-// interpreted vectorized engine, and the compiled-plan path (the Monte
-// Carlo executor's configuration since plans landed). The speedups these
-// report are the ones recorded in BENCH_engine.json.
+// execution of each scenario's generated TSQL — on the row reference
+// executor and as a compiled plan (the Monte Carlo executor's
+// configuration). The speedups these report are the ones recorded in
+// BENCH_engine.json.
 func BenchmarkEngineRender1000(b *testing.B) {
 	for _, f := range buildScenarioFixtures(b, 1000) {
-		for _, mode := range []string{"compiled", "vectorized", "row"} {
+		for _, mode := range []string{"compiled", "row"} {
 			b.Run(f.name+"/"+mode, func(b *testing.B) {
-				e := f.engine(mode == "row")
+				e := f.engine()
 				plan := sqlengine.CompileScript(f.script)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					// Each path drains results the way the Monte Carlo
-					// executor does (or did): columnar consumers read the
-					// typed columns, the row path reads boxed rows.
-					switch mode {
-					case "row":
-						if _, err := e.ExecScript(f.script, nil); err != nil {
+					if mode == "row" {
+						if _, err := e.ExecScriptRow(f.script, nil); err != nil {
 							b.Fatal(err)
 						}
-					case "vectorized":
-						if _, err := e.ExecScriptColumnar(f.script, nil); err != nil {
-							b.Fatal(err)
-						}
-					default:
-						res, err := plan.Exec(e, nil)
-						if err != nil {
-							b.Fatal(err)
-						}
-						res.Release()
+						continue
 					}
+					res, err := plan.Exec(e, nil)
+					if err != nil {
+						b.Fatal(err)
+					}
+					res.Release()
 				}
 			})
 		}

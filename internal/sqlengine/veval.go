@@ -7,16 +7,17 @@ import (
 	"fuzzyprophet/internal/value"
 )
 
-// This file is the vectorized expression evaluator: expressions evaluate to
-// whole Columns over a selection (frame) instead of one boxed value per
-// row. Laziness-sensitive constructs — AND/OR short-circuiting, CASE arms,
-// IN item lists — narrow the selection before evaluating their conditional
-// sub-expressions, so an error (say, a division by zero in an untaken CASE
-// arm) surfaces exactly when the row engine would surface it and never
-// otherwise. Operations on typed numeric columns run in tight unboxed
-// loops; columns holding strings, bools in arithmetic positions, or mixed
-// kinds degrade gracefully to per-row boxed evaluation with semantics
-// identical to the row engine by construction.
+// This file is the Plan's general-expression operator — the vectorized
+// evaluator behind fallbackKernel, join conditions and the grouped
+// executor: expressions evaluate to whole Columns over a selection (frame)
+// instead of one boxed value per row. Laziness-sensitive constructs —
+// AND/OR short-circuiting, CASE arms, IN item lists — narrow the selection
+// before evaluating their conditional sub-expressions, so an error (say, a
+// division by zero in an untaken CASE arm) surfaces exactly when the row
+// engine would surface it and never otherwise. Operations on typed numeric
+// columns run in tight unboxed loops; columns holding strings, bools in
+// arithmetic positions, or mixed kinds degrade gracefully to per-row boxed
+// evaluation with semantics identical to the row engine by construction.
 
 // vRel is an intermediate columnar relation: a qualified schema over
 // column vectors.
@@ -82,42 +83,9 @@ func gatherIdent(col *Column, idx []int) *Column {
 	return col.gather(idx)
 }
 
-// splatValue broadcasts one boxed value to a column of length n.
+// splatValue broadcasts one boxed value to a fresh column of length n.
 func splatValue(v value.Value, n int) *Column {
-	switch v.Kind() {
-	case value.KindNull:
-		return nullColumn(n)
-	case value.KindInt:
-		iv, _ := v.AsInt()
-		out := make([]int64, n)
-		for i := range out {
-			out[i] = iv
-		}
-		return IntColumn(out)
-	case value.KindFloat:
-		fv, _ := v.AsFloat()
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = fv
-		}
-		return FloatColumn(out)
-	case value.KindString:
-		sv := v.AsString()
-		out := make([]string, n)
-		for i := range out {
-			out[i] = sv
-		}
-		return StringColumn(out)
-	case value.KindBool:
-		bv, _ := v.AsBool()
-		out := make([]bool, n)
-		for i := range out {
-			out[i] = bv
-		}
-		return BoolColumn(out)
-	default:
-		return nullColumn(n)
-	}
+	return splatInto(new(colSlot), v, n)
 }
 
 // eval evaluates a non-aggregate expression over the frame, returning a
@@ -302,36 +270,7 @@ func triBoolColumn(c *Column) ([]uint8, error) {
 // truthyKeep returns the frame positions where the column is truthy (SQL
 // WHERE semantics: NULL and non-boolean values count as false).
 func truthyKeep(c *Column) []int {
-	keep := make([]int, 0, c.n)
-	switch c.kind {
-	case ColNull:
-		return keep
-	case ColBool:
-		for i, v := range c.b {
-			if v && !(c.nulls != nil && c.nulls.get(i)) {
-				keep = append(keep, i)
-			}
-		}
-	case ColInt:
-		for i, v := range c.i {
-			if v != 0 && !(c.nulls != nil && c.nulls.get(i)) {
-				keep = append(keep, i)
-			}
-		}
-	case ColFloat:
-		for i, v := range c.f {
-			if v != 0 && !(c.nulls != nil && c.nulls.get(i)) {
-				keep = append(keep, i)
-			}
-		}
-	default:
-		for i := 0; i < c.n; i++ {
-			if c.Value(i).Truthy() {
-				keep = append(keep, i)
-			}
-		}
-	}
-	return keep
+	return truthyKeepInto(c, make([]int, 0, c.n))
 }
 
 func (vc *vctx) evalBinary(n sqlparser.Binary, fr frame) (*Column, error) {

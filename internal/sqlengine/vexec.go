@@ -10,14 +10,13 @@ import (
 	"fuzzyprophet/internal/value"
 )
 
-// This file is the vectorized (columnar) executor: the default execution
-// path of the engine. FROM builds a columnar relation (joins gather index
-// vectors instead of copying boxed rows), WHERE produces a selection vector,
-// projection evaluates whole columns, GROUP BY hashes pre-computed key
-// columns, and aggregates fold typed vectors in tight loops. The grouped
-// path computes aggregates vectorized and then evaluates the (tiny,
-// per-group) scalar glue through the row expression evaluator, so grouped
-// semantics are shared with the row engine by construction.
+// This file holds the columnar operators a Plan drives besides its compiled
+// kernels: the columnar result, the theta join (gather index vectors instead
+// of copied boxed rows), the DISTINCT and ORDER BY post-operators, and the
+// grouped executor — GROUP BY hashes pre-computed key columns, aggregates
+// fold typed vectors in tight loops, and the (tiny, per-group) scalar glue
+// evaluates through the row expression evaluator, so grouped semantics are
+// shared with the row reference by construction.
 
 // ColResult is the columnar form of a query result. The Monte Carlo
 // executor consumes it directly (Column.Float64s), avoiding the box/unbox
@@ -86,161 +85,14 @@ func colResultFromResult(res *Result) *ColResult {
 	return out
 }
 
-// ExecScriptColumnar is ExecScript returning the last result in columnar
-// form without boxing — the Monte Carlo render path.
-func (e *Engine) ExecScriptColumnar(script *sqlparser.Script, params map[string]value.Value) (*ColResult, error) {
-	var last *ColResult
-	for _, st := range script.Statements {
-		sel, ok := st.(sqlparser.Select)
-		if !ok {
-			continue
-		}
-		res, err := e.ExecSelectColumnar(sel, params)
-		if err != nil {
-			return nil, err
-		}
-		last = res
-	}
-	return last, nil
-}
-
-// ExecSelectColumnar evaluates one SELECT on the vectorized path. When the
-// statement has an INTO clause the result is materialized in the catalog in
-// columnar form.
-func (e *Engine) ExecSelectColumnar(sel sqlparser.Select, params map[string]value.Value) (*ColResult, error) {
-	if e.RowMode {
-		res, err := e.execSelectRow(sel, params)
-		if err != nil {
-			return nil, err
-		}
-		return colResultFromResult(res), nil
-	}
-	rel, err := e.buildFromVec(sel.From, params)
-	if err != nil {
-		return nil, err
-	}
-	fr := fullFrame(rel.n)
-	if sel.Where != nil {
-		vcw := &vctx{params: params, rel: rel, resolver: e.Resolver}
-		cond, err := vcw.eval(sel.Where, fr)
-		if err != nil {
-			return nil, err
-		}
-		fr = fr.narrow(truthyKeep(cond))
-	}
-
-	grouped := len(sel.GroupBy) > 0
-	if !grouped {
-		for _, item := range sel.Items {
-			if hasAggregate(item.Expr) {
-				grouped = true
-				break
-			}
-		}
-	}
-	if sel.Having != nil && !grouped {
-		grouped = true
-	}
-
-	var cres *ColResult
-	if grouped {
-		res, orderEnvs, err := e.execGroupedVec(sel, rel, fr, params)
-		if err != nil {
-			return nil, err
-		}
-		if sel.Distinct {
-			res, orderEnvs = dedupeRows(res, orderEnvs)
-		}
-		if len(sel.OrderBy) > 0 {
-			if err := e.orderResult(res, orderEnvs, sel.OrderBy); err != nil {
-				return nil, err
-			}
-		}
-		if sel.Limit >= 0 && int64(len(res.Rows)) > sel.Limit {
-			res.Rows = res.Rows[:sel.Limit]
-		}
-		cres = colResultFromResult(res)
-	} else {
-		cres, err = e.execSimpleVec(sel, rel, fr, params)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if sel.Into != "" {
-		ct, err := NewColTable(sel.Into, cres.Cols, cres.Columns)
-		if err != nil {
-			return nil, err
-		}
-		e.Catalog.PutColumns(ct)
-	}
-	return cres, nil
-}
-
-// buildFromVec assembles the source relation columnar-side: cross products
-// and join filters produce gather index vectors over the base tables
-// instead of copied rows. An empty FROM yields one empty row (scalar
-// SELECT).
-func (e *Engine) buildFromVec(refs []sqlparser.TableRef, params map[string]value.Value) (*vRel, error) {
-	if len(refs) == 0 {
-		return &vRel{n: 1}, nil
-	}
-	var acc *vRel
-	for i, ref := range refs {
-		ct, ok := e.Catalog.GetColumns(ref.Name)
-		if !ok {
-			return nil, fmt.Errorf("sqlengine: unknown table %q", ref.Name)
-		}
-		binding := ref.Name
-		if ref.Alias != "" {
-			binding = ref.Alias
-		}
-		schema := make([]colBinding, len(ct.Cols))
-		for j, c := range ct.Cols {
-			schema[j] = colBinding{table: binding, name: c}
-		}
-		next := &vRel{schema: schema, cols: ct.Columns, n: ct.NumRows()}
-		if i == 0 {
-			acc = next
-			continue
-		}
-		joined, err := e.joinVec(acc, next, ref, params)
-		if err != nil {
-			return nil, err
-		}
-		acc = joined
-	}
-	return acc, nil
-}
-
 // joinVec combines acc with next under the ref's join semantics (cross,
-// inner ON, LEFT JOIN), producing gather lists first and gathering each
-// column once. Equality ON conditions take the hash path (hashjoin.go)
-// and never materialize the quadratic intermediate.
-func (e *Engine) joinVec(acc, next *vRel, ref sqlparser.TableRef, params map[string]value.Value) (*vRel, error) {
+// inner ON, LEFT JOIN) over the combined schema: the condition filters the
+// full nl×nr product, then each column is gathered once. It is the general
+// join — the Plan routes pure cross products and hashable equality
+// conditions around it.
+func (e *Engine) joinVec(acc, next *vRel, schema []colBinding, ref sqlparser.TableRef, params map[string]value.Value) (*vRel, error) {
 	nl, nr := acc.n, next.n
 	total := nl * nr
-	schema := append(append([]colBinding(nil), acc.schema...), next.schema...)
-
-	// Hash equi-join fast path. Empty inputs skip it: the quadratic loop
-	// never evaluates the condition then, so neither may the key pass.
-	if ref.JoinCond != nil && nl > 0 && nr > 0 {
-		if lx, rx, ok := equiJoinKeys(ref.JoinCond, schema, len(acc.schema)); ok {
-			outL, outR, hashed, err := e.hashEquiJoin(acc, next, lx, rx, ref.LeftJoin, params, nil, nil, nil)
-			if err != nil {
-				return nil, err
-			}
-			if hashed {
-				cols := make([]*Column, 0, len(acc.cols)+len(next.cols))
-				for _, c := range acc.cols {
-					cols = append(cols, c.gather(outL))
-				}
-				for _, c := range next.cols {
-					cols = append(cols, c.gatherPad(outR))
-				}
-				return &vRel{schema: schema, cols: cols, n: len(outL)}, nil
-			}
-		}
-	}
 
 	var keepMask []bool // nil = cross join, everything kept
 	if ref.JoinCond != nil {
@@ -252,14 +104,7 @@ func (e *Engine) joinVec(acc, next *vRel, ref sqlparser.TableRef, params map[str
 				ri[l*nr+r] = r
 			}
 		}
-		cols := make([]*Column, 0, len(acc.cols)+len(next.cols))
-		for _, c := range acc.cols {
-			cols = append(cols, c.gather(li))
-		}
-		for _, c := range next.cols {
-			cols = append(cols, c.gather(ri))
-		}
-		combined := &vRel{schema: schema, cols: cols, n: total}
+		combined := &vRel{schema: schema, cols: gatherSides(acc, next, li, ri), n: total}
 		vc := &vctx{params: params, rel: combined, resolver: e.Resolver}
 		cond, err := vc.eval(ref.JoinCond, fullFrame(total))
 		if err != nil {
@@ -289,75 +134,20 @@ func (e *Engine) joinVec(acc, next *vRel, ref sqlparser.TableRef, params map[str
 			outR = append(outR, -1)
 		}
 	}
-	cols := make([]*Column, 0, len(acc.cols)+len(next.cols))
-	for _, c := range acc.cols {
-		cols = append(cols, c.gather(outL))
-	}
-	for _, c := range next.cols {
-		cols = append(cols, c.gatherPad(outR))
-	}
-	return &vRel{schema: schema, cols: cols, n: len(outL)}, nil
+	return &vRel{schema: schema, cols: gatherSides(acc, next, outL, outR), n: len(outL)}, nil
 }
 
-// execSimpleVec projects each item as a whole column; aliases of earlier
-// items become extra columns visible to later items and to ORDER BY (the
-// dialect extension Figure 2 relies on).
-func (e *Engine) execSimpleVec(sel sqlparser.Select, rel *vRel, fr frame, params map[string]value.Value) (*ColResult, error) {
-	vc := &vctx{
-		params:   params,
-		rel:      rel,
-		extras:   make(map[string]*Column, len(sel.Items)),
-		resolver: e.Resolver,
+// gatherSides gathers acc's columns by li and next's by ri (-1 pads NULL)
+// into one combined column list.
+func gatherSides(acc, next *vRel, li, ri []int) []*Column {
+	cols := make([]*Column, 0, len(acc.cols)+len(next.cols))
+	for _, c := range acc.cols {
+		cols = append(cols, c.gather(li))
 	}
-	// The projection frame anchors the extras: positions are relative to
-	// the filtered selection.
-	pf := frame{rows: fr.rows, n: fr.n}
-	res := &ColResult{}
-	for i, item := range sel.Items {
-		res.Cols = append(res.Cols, outputName(item, i))
-		col, err := vc.eval(item.Expr, pf)
-		if err != nil {
-			return nil, err
-		}
-		res.Columns = append(res.Columns, col)
-		if item.Alias != "" {
-			vc.extras[item.Alias] = col
-		}
+	for _, c := range next.cols {
+		cols = append(cols, c.gather(ri))
 	}
-	ctxFr := pf
-	if sel.Distinct {
-		keep := distinctKeep(res.Columns, pf.n)
-		if len(keep) < pf.n {
-			for j := range res.Columns {
-				res.Columns[j] = res.Columns[j].gather(keep)
-			}
-			ctxFr = pf.narrow(keep)
-		}
-	}
-	if len(sel.OrderBy) > 0 {
-		keyCols := make([]*Column, len(sel.OrderBy))
-		for j, k := range sel.OrderBy {
-			col, err := vc.eval(k.Expr, ctxFr)
-			if err != nil {
-				return nil, err
-			}
-			keyCols[j] = col
-		}
-		perm, err := sortPerm(keyCols, sel.OrderBy, ctxFr.n)
-		if err != nil {
-			return nil, err
-		}
-		for j := range res.Columns {
-			res.Columns[j] = res.Columns[j].gather(perm)
-		}
-	}
-	if sel.Limit >= 0 && int64(res.NumRows()) > sel.Limit {
-		prefix := identityIdx(int(sel.Limit))
-		for j := range res.Columns {
-			res.Columns[j] = res.Columns[j].gather(prefix)
-		}
-	}
-	return res, nil
+	return cols
 }
 
 // distinctKeep returns the first-occurrence positions of distinct value

@@ -121,8 +121,8 @@ func WithGroupBudget(groups int) EvalOption {
 // shards evaluated concurrently and stitched back in world order (default
 // 1: single-range evaluation). World seeds derive per (site, world), so the
 // stitched result is bit-identical to the single-range one regardless of
-// shard count. Scenarios whose queries fall outside the shardable subset
-// (grouped or fallback plans) silently evaluate single-range.
+// shard count. Scenarios whose query is not shardable (grouped, DISTINCT,
+// ORDER BY or LIMIT) silently evaluate single-range.
 func WithShards(n int) EvalOption {
 	return func(c *evalConfig) { c.shards = n }
 }
@@ -144,8 +144,8 @@ func WithShardEvaluator(se ShardEvaluator) EvalOption {
 // instead of O(worlds) — wire protocol v2's compressed response mode.
 // Summaries read off the sketches: moments (mean, stddev, CI95) are exact,
 // quantiles (median, P95) carry the t-digest error bound. Requires a
-// shardable scenario plan; other plans silently evaluate single-range with
-// full vectors.
+// shardable scenario query (see WithShards); others silently evaluate
+// single-range with full vectors.
 func WithSketchOnly() EvalOption {
 	return func(c *evalConfig) { c.sketchOnly = true }
 }
@@ -171,72 +171,6 @@ func WithAllowDegraded() EvalOption {
 // invalid weights fall back to the equal split.
 func WithShardWeights(weights func() []float64) EvalOption {
 	return func(c *evalConfig) { c.shardWeights = weights }
-}
-
-// Config tunes evaluation through a single struct whose zero values mean
-// "default".
-//
-// Deprecated: Config survives only as a migration shim — pass it through
-// WithConfig while porting call sites to the equivalent functional options
-// (WithWorlds, WithSeedBase, WithWorkers, WithoutReuse,
-// WithFingerprintLength, WithAffineTol, WithStoreBudget, WithGroupBudget).
-type Config struct {
-	// Worlds is the Monte Carlo world count per point (default 1000).
-	Worlds int
-	// SeedBase fixes the world seed sequence (default 20110612).
-	SeedBase uint64
-	// Workers bounds VG-invocation parallelism (default GOMAXPROCS).
-	Workers int
-	// DisableReuse turns fingerprint reuse off (naive re-simulation;
-	// baseline mode for benchmarks).
-	DisableReuse bool
-	// FingerprintLength is the fingerprint seed count k (default 16).
-	FingerprintLength int
-	// AffineTol is the relative residual budget for affine mappings
-	// (default 0.02).
-	AffineTol float64
-	// StoreBudget bounds the basis-distribution store in bytes (0 =
-	// unbounded).
-	StoreBudget int64
-	// GroupBudget, when positive, makes Optimize explore only that many
-	// randomly sampled groups instead of the whole grouped space (the
-	// result is then approximate; see OptimizeResult.Exhaustive).
-	GroupBudget int
-}
-
-// WithConfig applies a legacy Config as one option, so existing call sites
-// migrate by wrapping their struct: scn.Evaluate(ctx, pt, WithConfig(cfg)).
-// Keeping Config's "zero means default" semantics, zero fields leave the
-// option set untouched, so WithConfig composes with other options.
-//
-// Deprecated: use the individual functional options.
-func WithConfig(cfg Config) EvalOption {
-	return func(c *evalConfig) {
-		if cfg.Worlds != 0 {
-			c.worlds = cfg.Worlds
-		}
-		if cfg.SeedBase != 0 {
-			c.seedBase = cfg.SeedBase
-		}
-		if cfg.Workers != 0 {
-			c.workers = cfg.Workers
-		}
-		if cfg.DisableReuse {
-			c.disableReuse = true
-		}
-		if cfg.FingerprintLength != 0 {
-			c.fpLength = cfg.FingerprintLength
-		}
-		if cfg.AffineTol != 0 {
-			c.affineTol = cfg.AffineTol
-		}
-		if cfg.StoreBudget != 0 {
-			c.storeBudget = cfg.StoreBudget
-		}
-		if cfg.GroupBudget != 0 {
-			c.groupBudget = cfg.GroupBudget
-		}
-	}
 }
 
 func (c evalConfig) fingerprint() core.Config {
