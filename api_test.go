@@ -1,8 +1,10 @@
 package fuzzyprophet
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -332,5 +334,251 @@ func TestAsciiCarriesCIAndSecondAxis(t *testing.T) {
 	}
 	if !strings.Contains(chart, "(y2)") {
 		t.Errorf("chart lost the second-axis placement:\n%s", chart)
+	}
+}
+
+// TestOptimizeSketchOnlyMatchesFull: Optimize reads the point's aggregates,
+// never the sample vectors, so a sketch-only sweep (no vectors at all)
+// finds the same feasible set and optimum as the full one. With one range
+// per point the sketch's moments are the sequential fold's, so the metrics
+// agree to float rounding.
+func TestOptimizeSketchOnlyMatchesFull(t *testing.T) {
+	sys := demoSystem(t)
+	scn, err := sys.Compile(figure2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	// A budgeted sweep: the same seeded sample of groups on both runs.
+	opts := []EvalOption{WithWorlds(60), WithGroupBudget(8)}
+	full, err := scn.Optimize(ctx, nil, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sketched, err := scn.Optimize(ctx, nil, append(opts, WithSketchOnly())...)
+	if err != nil {
+		t.Fatalf("Optimize with WithSketchOnly: %v", err)
+	}
+	sameRows := func(kind string, want, got []OptimizeRow) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d rows, want %d", kind, len(got), len(want))
+		}
+		for i := range want {
+			if fmt.Sprint(got[i].Group) != fmt.Sprint(want[i].Group) || got[i].Feasible != want[i].Feasible {
+				t.Errorf("%s row %d = %v feasible=%v, want %v feasible=%v",
+					kind, i, got[i].Group, got[i].Feasible, want[i].Group, want[i].Feasible)
+			}
+			for term, w := range want[i].Metrics {
+				if g := got[i].Metrics[term]; math.Abs(g-w) > 1e-12*math.Max(1, math.Abs(w)) {
+					t.Errorf("%s row %d %s = %v, want %v", kind, i, term, g, w)
+				}
+			}
+		}
+	}
+	if len(full.Rows) != 8 {
+		t.Fatalf("budgeted sweep explored %d groups, want 8", len(full.Rows))
+	}
+	sameRows("Rows", full.Rows, sketched.Rows)
+	sameRows("Best", full.Best, sketched.Best)
+}
+
+// scriptedShards is a ShardEvaluator that records every request and serves
+// it in process. With cutAfterFirst set, shard 1 of the first point waits
+// for shard 0 to be served and then cancels the render — a deterministic
+// stand-in for a deadline that expires mid-fan-out.
+type scriptedShards struct {
+	scn  *Scenario
+	fail bool
+
+	cutAfterFirst context.CancelFunc
+	firstServed   chan struct{}
+
+	mu   sync.Mutex
+	reqs []ShardRequest
+}
+
+func (s *scriptedShards) EvaluateShard(ctx context.Context, req ShardRequest) (*ShardResult, error) {
+	s.mu.Lock()
+	s.reqs = append(s.reqs, req)
+	s.mu.Unlock()
+	if s.fail {
+		return nil, errors.New("worker down")
+	}
+	if s.cutAfterFirst != nil && req.Shard.Index == 1 {
+		<-s.firstServed
+		s.cutAfterFirst()
+		return nil, ctx.Err()
+	}
+	var opts []EvalOption
+	if req.SketchOnly {
+		opts = append(opts, WithSketchOnly())
+	}
+	res, err := s.scn.EvaluateShard(ctx, req.Point, req.Worlds, req.Seed, req.Shard, opts...)
+	if s.cutAfterFirst != nil && req.Shard.Index == 0 {
+		close(s.firstServed)
+	}
+	return res, err
+}
+
+// TestOpenSessionFromHonoursOptions: a session restored from saved reuse
+// state resolves its options exactly like OpenSession — sketch-only shard
+// requests, weighted shard sizing, the shard-input cache behind a local
+// fallback, and degraded frames — instead of silently dropping them.
+func TestOpenSessionFromHonoursOptions(t *testing.T) {
+	sys := demoSystem(t)
+	scn, err := sys.Compile(figure2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed, err := scn.OpenSession(WithWorlds(80))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := seed.SaveReuse(&saved); err != nil {
+		t.Fatal(err)
+	}
+	openers := map[string]func(...EvalOption) (*Session, error){
+		"OpenSession": scn.OpenSession,
+		"OpenSessionFrom": func(opts ...EvalOption) (*Session, error) {
+			return scn.OpenSessionFrom(bytes.NewReader(saved.Bytes()), opts...)
+		},
+	}
+	weights := func() []float64 { return []float64{3, 1} }
+	graphs := map[string]*Graph{}
+	for name, open := range openers {
+		t.Run(name, func(t *testing.T) {
+			// Sketch-only requests over weighted ranges.
+			rec := &scriptedShards{scn: scn}
+			sess, err := open(WithWorlds(80), WithShards(2), WithShardEvaluator(rec), WithShardWeights(weights), WithSketchOnly())
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := sess.Render(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			graphs[name] = g
+			if len(rec.reqs) != 2*g.Stats.Points {
+				t.Fatalf("%d shard requests for %d points, want two each", len(rec.reqs), g.Stats.Points)
+			}
+			for _, req := range rec.reqs {
+				if !req.SketchOnly {
+					t.Fatalf("shard request %+v is not sketch-only: WithSketchOnly was dropped", req.Shard)
+				}
+				if want := [2]WorldShard{{Lo: 0, Hi: 60}, {Lo: 60, Hi: 80, Index: 1}}[req.Shard.Index]; req.Shard != want {
+					t.Fatalf("shard %+v, want %+v: WithShardWeights was dropped", req.Shard, want)
+				}
+			}
+
+			// A failing fleet falls back to local self-simulated ranges,
+			// which are served through the shard-input cache.
+			cache, err := NewShardInputCache(0, "", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cache.Close()
+			sess, err = open(WithWorlds(80), WithShards(2), WithShardEvaluator(&scriptedShards{scn: scn, fail: true}), WithShardInputCache(cache))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sess.Render(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if st := cache.Stats(); st.Inserted == 0 {
+				t.Errorf("shard-input cache untouched (%+v): WithShardInputCache was dropped", st)
+			}
+
+			// A render cut after its first point's first shard is a degraded
+			// one-point frame, not an error.
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			cut := &scriptedShards{scn: scn, cutAfterFirst: cancel, firstServed: make(chan struct{})}
+			sess, err = open(WithWorlds(80), WithShards(2), WithShardEvaluator(cut), WithAllowDegraded())
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err = sess.Render(ctx)
+			if err != nil {
+				t.Fatalf("cut render: %v (WithAllowDegraded was dropped)", err)
+			}
+			if !g.Stats.Degraded || g.Stats.Points != 1 || g.Stats.WorldsCompleted != 40 {
+				t.Errorf("cut render stats = %+v, want a degraded one-point frame over 40 worlds", g.Stats)
+			}
+		})
+	}
+	if a, b := graphs["OpenSession"], graphs["OpenSessionFrom"]; a != nil && b != nil {
+		for i := range a.Series {
+			for j := range a.Series[i].Y {
+				if math.Float64bits(a.Series[i].Y[j]) != math.Float64bits(b.Series[i].Y[j]) {
+					t.Fatalf("series %s x=%v: restored session renders %v, fresh session %v",
+						a.Series[i].Name, a.X[j], b.Series[i].Y[j], a.Series[i].Y[j])
+				}
+			}
+		}
+	}
+}
+
+// TestConsumersShareOneAggregate: a point is aggregated once, inside the
+// executor, and every consumer reads that one fold — so for the same
+// (point, worlds, seed) the session graph, Evaluate and Optimize report
+// the same float64 bits.
+func TestConsumersShareOneAggregate(t *testing.T) {
+	sys := demoSystem(t)
+	scn, err := sys.Compile(`
+DECLARE PARAMETER @current AS SET (30);
+DECLARE PARAMETER @purchase1 AS SET (8);
+DECLARE PARAMETER @purchase2 AS SET (40);
+DECLARE PARAMETER @feature AS SET (12);
+SELECT DemandModel(@current, @feature) AS demand,
+       CapacityModel(@current, @purchase1, @purchase2) AS capacity,
+       CASE WHEN capacity < demand THEN 1 ELSE 0 END AS overload
+INTO results;
+GRAPH OVER @current EXPECT overload, EXPECT_STDDEV demand;
+OPTIMIZE SELECT @purchase1 FROM results
+WHERE MAX(EXPECT overload) < 2 AND MAX(EXPECT_STDDEV demand) >= 0
+GROUP BY purchase1, purchase2, feature FOR MAX @purchase1;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	opts := []EvalOption{WithWorlds(300), WithSeedBase(7)}
+
+	sess, err := scn.OpenSession(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := sess.Render(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := scn.Evaluate(ctx, map[string]any{"current": 30, "purchase1": 8, "purchase2": 40, "feature": 12}, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := scn.Optimize(ctx, nil, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(opt.Rows) != 1 || len(g.X) != 1 {
+		t.Fatalf("want one group and one X; got %d rows, %d X", len(opt.Rows), len(g.X))
+	}
+	same := func(what string, vals ...float64) {
+		t.Helper()
+		for _, v := range vals[1:] {
+			if math.Float64bits(v) != math.Float64bits(vals[0]) {
+				t.Errorf("%s differs across consumers: %v", what, vals)
+				return
+			}
+		}
+	}
+	overload, demand := g.Series[0], g.Series[1]
+	same("EXPECT overload", overload.Y[0], sum["overload"].Mean, opt.Rows[0].Metrics["MAX(EXPECT(overload))"])
+	same("CI95 overload", overload.CI95[0], sum["overload"].CI95)
+	same("EXPECT_STDDEV demand", demand.Y[0], sum["demand"].StdDev, opt.Rows[0].Metrics["MAX(EXPECT_STDDEV(demand))"])
+	same("CI95 demand", demand.CI95[0], sum["demand"].CI95)
+	if sum["demand"].StdDev == 0 || sum["overload"].N != 300 {
+		t.Errorf("degenerate fixture: %+v", sum)
 	}
 }

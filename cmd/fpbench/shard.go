@@ -19,9 +19,11 @@ import (
 // The shard experiment: in-process sharded world evaluation on a large
 // render. One parameter point of the capacityplanning scenario is
 // evaluated at shardWorlds Monte Carlo worlds with 1, 2, 4 and 8 shards
-// (VG parallelism pinned to one worker per shard pool so the measurement
-// isolates shard scaling), recording wall time and speedup over the
-// single-shard run and asserting the stitched outputs stay bit-identical.
+// (the coordinator simulates the site vectors once and the ranges slice
+// them, so VG parallelism is set to the shard count: n shards means n
+// cores for simulation and n for plan execution), recording wall time and
+// speedup over the single-shard run and asserting the stitched outputs
+// stay bit-identical.
 // Results are written as JSON (BENCH_shard.json) for CI artifact upload
 // alongside the engine benchmark.
 
@@ -74,7 +76,7 @@ func runShardBench(ctx context.Context, worlds int, outPath string) error {
 	// measure runs one shard configuration (min of iters timings) and
 	// returns the render for the identity check.
 	measure := func(shards, iters int) (float64, *mc.PointResult, error) {
-		ev := mc.NewEvaluator(scn, mc.Options{Worlds: worlds, Workers: 1, Shards: shards})
+		ev := mc.NewEvaluator(scn, mc.Options{Worlds: worlds, Workers: shards, Shards: shards})
 		var best float64 = math.Inf(1)
 		var res *mc.PointResult
 		for i := 0; i < iters; i++ {
@@ -120,7 +122,7 @@ func runShardBench(ctx context.Context, worlds int, outPath string) error {
 		report.Results = append(report.Results, r)
 		fmt.Printf("%-8d %14.0f %9.2fx %10v\n", shards, ns, r.Speedup, identical)
 		if !identical {
-			return fmt.Errorf("shard bench: %d-shard render is not bit-identical to the single-range render", shards)
+			return fmt.Errorf("shard bench: %d-shard render is not bit-identical to the one-range render", shards)
 		}
 		if shards == 8 {
 			report.SpeedupAt8 = r.Speedup
@@ -154,7 +156,7 @@ func sameColumns(a, b *mc.PointResult) bool {
 			}
 		}
 	}
-	// The merged sketches must agree with a direct fold on the moments.
+	// The point's aggregates must agree with a direct fold on the moments.
 	for col, cs := range b.Sketches {
 		direct := aggregate.NewColumnStats()
 		direct.AddAll(a.Columns[col])

@@ -187,7 +187,15 @@ func runOnline(ctx context.Context, scn *fp.Scenario, opts []fp.EvalOption, sets
 		fatal(err)
 	}
 	fmt.Println(chart)
-	fmt.Printf("reuse outcomes: %v\n", session.ReuseCounts())
+	fmt.Printf("reuse outcomes: %s\n", formatOutcomes(session.ReuseCounts()))
+}
+
+// formatOutcomes prints the four reuse outcomes in fixed order, zeros
+// included, so runs diff cleanly and a missing outcome reads as 0, not as
+// an absent map key.
+func formatOutcomes(counts map[string]int) string {
+	return fmt.Sprintf("computed=%d cached=%d identity=%d affine=%d",
+		counts["computed"], counts["cached"], counts["identity"], counts["affine"])
 }
 
 // runExplain renders the scenario once under a RenderTrace and prints the
@@ -208,7 +216,7 @@ func runExplain(ctx context.Context, scn *fp.Scenario, opts []fp.EvalOption, set
 	rt.End()
 	fmt.Printf("render %s (%v)\n\n", rt.ID(), rt.Duration().Round(time.Microsecond))
 	fmt.Print(rt.Format())
-	fmt.Printf("\nreuse outcomes: %v\n", session.ReuseCounts())
+	fmt.Printf("\nreuse outcomes: %s\n", formatOutcomes(session.ReuseCounts()))
 }
 
 func runOffline(ctx context.Context, sys *fp.System, scn *fp.Scenario, opts []fp.EvalOption) {
@@ -227,8 +235,8 @@ func runOffline(ctx context.Context, sys *fp.System, scn *fp.Scenario, opts []fp
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("explored %d points in %v; VG invocations %d; reuse %v\n\n",
-		res.PointsEvaluated, res.Elapsed.Round(1e6), sys.VGInvocations(), res.ReuseCounts)
+	fmt.Printf("explored %d points in %v; VG invocations %d; reuse %s\n\n",
+		res.PointsEvaluated, res.Elapsed.Round(1e6), sys.VGInvocations(), formatOutcomes(res.ReuseCounts))
 
 	rows := append([]fp.OptimizeRow(nil), res.Rows...)
 	sort.Slice(rows, func(i, j int) bool {

@@ -385,31 +385,13 @@ func (sc *Scenario) EvaluateBatch(ctx context.Context, points []map[string]any, 
 	return out, nil
 }
 
+// summarize reads the point's per-column aggregates into the public summary
+// shape. On sketch-only results (WithSketchOnly) moments are exact and
+// Median/P95 carry the t-digest tolerance.
 func summarize(res *mc.PointResult) map[string]ColumnSummary {
-	if len(res.Columns) == 0 && len(res.Sketches) > 0 {
-		// Sketch-only evaluation (WithSketchOnly): no sample vectors came
-		// back, so the summary reads straight off the merged sketches —
-		// moments are exact, Median/P95 carry the t-digest tolerance.
-		out := make(map[string]ColumnSummary, len(res.Sketches))
-		for col, cs := range res.Sketches {
-			out[col] = ColumnSummary{
-				N:      cs.Count(),
-				Mean:   cs.Expect(),
-				StdDev: cs.StdDev(),
-				Min:    cs.Moments.Min(),
-				Max:    cs.Moments.Max(),
-				Median: cs.Median(),
-				P95:    cs.P95(),
-				CI95:   cs.CI95(),
-				Note:   degradedNote(res),
-			}
-		}
-		return out
-	}
-	out := make(map[string]ColumnSummary, len(res.Columns))
-	for col, samples := range res.Columns {
-		cs := aggregate.NewColumnStats()
-		cs.AddAll(samples)
+	note := degradedNote(res)
+	out := make(map[string]ColumnSummary, len(res.Sketches))
+	for col, cs := range res.Sketches {
 		out[col] = ColumnSummary{
 			N:      cs.Count(),
 			Mean:   cs.Expect(),
@@ -419,6 +401,7 @@ func summarize(res *mc.PointResult) map[string]ColumnSummary {
 			Median: cs.Median(),
 			P95:    cs.P95(),
 			CI95:   cs.CI95(),
+			Note:   note,
 		}
 	}
 	return out
@@ -467,9 +450,10 @@ type ShardResult struct {
 }
 
 // ShardProtocolVersion is the wire protocol version the shard fan-out
-// speaks (fpserver's POST /shard/render). Version 2 added fingerprint-only
-// requests with cache-miss re-send and the sketch-only response mode;
-// coordinators downgrade per worker when a v1 worker rejects a v2 request.
+// speaks (fpserver's POST /shard/render): fingerprint-only requests with
+// cache-miss re-send, and the sketch-only response mode. It is the only
+// version; a worker that rejects it fails the shard (which then falls back
+// to local evaluation).
 const ShardProtocolVersion = 2
 
 // ShardRequest describes one world shard of a point render for a
@@ -503,48 +487,26 @@ type ShardEvaluator interface {
 // Because world seeds derive per (site, world) from the seed base, the
 // returned partial vectors are bit-identical to the corresponding rows of
 // a full local evaluation; a coordinator concatenates shard results in
-// world order to reproduce the single-range render exactly. The shard is
-// split across WithShards-many in-process sub-shards (pass GOMAXPROCS to
+// world order to reproduce the unsharded render exactly. The shard is
+// split across WithShards-many in-process ranges (pass GOMAXPROCS to
 // saturate a worker's cores). Fingerprint reuse is not consulted — partial
 // vectors are not valid bases. The scenario's query must be shardable
 // (non-grouped, no DISTINCT / ORDER BY / LIMIT); others are rejected.
+// Zero worlds or seed take the options' values. To serve many shards of one
+// scenario, keep a ShardWorker instead: this builds a fresh one per call.
 func (sc *Scenario) EvaluateShard(ctx context.Context, point map[string]any, worlds int, seed uint64, shard WorldShard, opts ...EvalOption) (*ShardResult, error) {
-	pt, err := sc.toDeclaredPoint(point)
-	if err != nil {
-		return nil, err
-	}
 	cfg := newEvalConfig(opts)
-	cfg.disableReuse = true // shard evaluation never consults reuse
-	if worlds > 0 {
-		cfg.worlds = worlds
+	if worlds <= 0 {
+		worlds = cfg.worlds
 	}
-	if seed != 0 {
-		cfg.seedBase = seed
+	if seed == 0 {
+		seed = cfg.seedBase
 	}
-	mcOpts, err := cfg.mcOptions()
+	w, err := sc.newShardWorker(cfg)
 	if err != nil {
 		return nil, err
 	}
-	mcOpts.Runner = nil // a worker never re-fans out
-	ev := mc.NewEvaluator(sc.scn, mcOpts)
-	out, err := ev.EvaluateShard(ctx, pt, mc.WorldRange{Lo: shard.Lo, Hi: shard.Hi})
-	if err != nil {
-		return nil, err
-	}
-	res := &ShardResult{Columns: out.Columns, Sketches: out.Sketches}
-	for _, fs := range out.Columns {
-		res.Rows = len(fs)
-		break
-	}
-	if res.Rows == 0 && len(out.Columns) == 0 {
-		// Sketch-only shard (WithSketchOnly): the row count survives in the
-		// sketches' observation counts.
-		for _, sk := range out.Sketches {
-			res.Rows = int(sk.Count)
-			break
-		}
-	}
-	return res, nil
+	return w.EvaluateShard(ctx, point, worlds, seed, shard, cfg.sketchOnly)
 }
 
 // Session is an online-mode exploration (paper §3.2): sliders plus a live
@@ -561,7 +523,11 @@ type Session struct {
 // OpenSession starts the online mode. The scenario must declare a GRAPH
 // statement.
 func (sc *Scenario) OpenSession(opts ...EvalOption) (*Session, error) {
-	mcOpts, err := newEvalConfig(opts).mcOptions()
+	return sc.openSession(newEvalConfig(opts))
+}
+
+func (sc *Scenario) openSession(cfg evalConfig) (*Session, error) {
+	mcOpts, err := cfg.mcOptions()
 	if err != nil {
 		return nil, err
 	}
@@ -587,15 +553,8 @@ func (sc *Scenario) OpenSessionFrom(rd io.Reader, opts ...EvalOption) (*Session,
 	if err != nil {
 		return nil, err
 	}
-	mcOpts := mc.Options{Worlds: cfg.worlds, SeedBase: cfg.seedBase, Workers: cfg.workers, Shards: cfg.shards, Reuse: reuse}
-	if cfg.shardEval != nil {
-		mcOpts.Runner = shardRunnerFor(cfg.shardEval)
-	}
-	inner, err := online.NewSession(sc.scn, mcOpts)
-	if err != nil {
-		return nil, err
-	}
-	return &Session{scn: sc.scn, inner: inner, reuse: reuse}, nil
+	cfg.shared = reuse // every other option resolves exactly as in OpenSession
+	return sc.openSession(cfg)
 }
 
 // SaveReuse serializes the session's reuse state (basis distributions plus

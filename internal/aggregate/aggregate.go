@@ -7,8 +7,7 @@ package aggregate
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"math"
 
 	"fuzzyprophet/internal/stats"
 )
@@ -161,84 +160,16 @@ func MergeSketches(sketches []ColumnSketch) *ColumnStats {
 	return out
 }
 
-// PointStats aggregates all output columns at one parameter point. It is
-// safe for concurrent Add from Monte Carlo workers.
-type PointStats struct {
-	mu   sync.Mutex
-	cols map[string]*ColumnStats
-}
-
-// NewPointStats returns an aggregator with the given output columns.
-func NewPointStats(columns []string) *PointStats {
-	p := &PointStats{cols: make(map[string]*ColumnStats, len(columns))}
-	for _, c := range columns {
-		p.cols[c] = NewColumnStats()
-	}
-	return p
-}
-
-// Add folds one world's value into the named column.
-func (p *PointStats) Add(column string, x float64) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	c, ok := p.cols[column]
-	if !ok {
-		return fmt.Errorf("aggregate: unknown column %q", column)
-	}
-	c.Add(x)
-	return nil
-}
-
-// AddSamples folds a whole sample vector into the named column.
-func (p *PointStats) AddSamples(column string, xs []float64) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	c, ok := p.cols[column]
-	if !ok {
-		return fmt.Errorf("aggregate: unknown column %q", column)
-	}
-	c.AddAll(xs)
-	return nil
-}
-
-// Column returns the named column's aggregator.
-func (p *PointStats) Column(name string) (*ColumnStats, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	c, ok := p.cols[name]
-	return c, ok
-}
-
-// Columns returns the column names, sorted.
-func (p *PointStats) Columns() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]string, 0, len(p.cols))
-	for n := range p.cols {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Converged reports whether every column's 95% CI half-width is within eps
-// (relative to max(1, |mean|)), with at least minSamples worlds. This is
-// the online mode's "first accurate guess" criterion.
-func (p *PointStats) Converged(eps float64, minSamples int64) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, c := range p.cols {
-		if c.Moments.Count() < minSamples {
+// Converged reports whether every column of one point's stats has a 95% CI
+// half-width within eps (relative to max(1, |mean|)), with at least
+// minSamples worlds. This is the online mode's "first accurate guess"
+// criterion.
+func Converged(cols map[string]*ColumnStats, eps float64, minSamples int64) bool {
+	for _, c := range cols {
+		if c.Count() < minSamples {
 			return false
 		}
-		scale := c.Moments.Mean()
-		if scale < 0 {
-			scale = -scale
-		}
-		if scale < 1 {
-			scale = 1
-		}
-		if c.Moments.CI95() > eps*scale {
+		if c.CI95() > eps*math.Max(1, math.Abs(c.Expect())) {
 			return false
 		}
 	}

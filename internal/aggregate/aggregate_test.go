@@ -2,7 +2,6 @@ package aggregate
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"fuzzyprophet/internal/rng"
@@ -72,80 +71,33 @@ func TestMetric(t *testing.T) {
 	}
 }
 
-func TestPointStats(t *testing.T) {
-	p := NewPointStats([]string{"demand", "capacity", "overload"})
-	if err := p.Add("demand", 10); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.AddSamples("overload", []float64{1, 0, 0, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Add("nope", 1); err == nil {
-		t.Error("unknown column should error")
-	}
-	if err := p.AddSamples("nope", nil); err == nil {
-		t.Error("unknown column should error")
-	}
-	c, ok := p.Column("overload")
-	if !ok || c.Count() != 4 {
-		t.Errorf("column = %v, %v", c, ok)
-	}
-	if _, ok := p.Column("zzz"); ok {
-		t.Error("missing column lookup should fail")
-	}
-	cols := p.Columns()
-	if len(cols) != 3 || cols[0] != "capacity" {
-		t.Errorf("columns = %v", cols)
-	}
-}
-
 func TestConvergence(t *testing.T) {
-	p := NewPointStats([]string{"x"})
-	if p.Converged(0.1, 10) {
+	x := NewColumnStats()
+	p := map[string]*ColumnStats{"x": x}
+	if Converged(p, 0.1, 10) {
 		t.Error("empty aggregator cannot be converged")
 	}
 	s := rng.New(5)
 	for i := 0; i < 5; i++ {
-		p.Add("x", s.Normal(100, 1))
+		x.Add(s.Normal(100, 1))
 	}
-	if p.Converged(0.1, 10) {
+	if Converged(p, 0.1, 10) {
 		t.Error("below minSamples cannot be converged")
 	}
 	for i := 0; i < 5000; i++ {
-		p.Add("x", s.Normal(100, 1))
+		x.Add(s.Normal(100, 1))
 	}
-	if !p.Converged(0.01, 10) {
+	if !Converged(p, 0.01, 10) {
 		t.Error("tight distribution with many samples should converge")
 	}
-	// A huge-variance column blocks convergence at small eps.
-	q := NewPointStats([]string{"y"})
+	// A huge-variance column blocks convergence at small eps, also beside a
+	// converged one.
+	y := NewColumnStats()
 	for i := 0; i < 100; i++ {
-		q.Add("y", s.Normal(0, 1000))
+		y.Add(s.Normal(0, 1000))
 	}
-	if q.Converged(0.0001, 10) {
+	if Converged(map[string]*ColumnStats{"x": x, "y": y}, 0.0001, 10) {
 		t.Error("noisy column should not converge at tight eps")
-	}
-}
-
-func TestConcurrentAdds(t *testing.T) {
-	p := NewPointStats([]string{"x"})
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				if err := p.Add("x", 1); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	c, _ := p.Column("x")
-	if c.Count() != 8000 {
-		t.Errorf("count = %d", c.Count())
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 	"fuzzyprophet/internal/obs"
 	"fuzzyprophet/internal/rng"
 	"fuzzyprophet/internal/scenario"
-	"fuzzyprophet/internal/sqlengine"
 	"fuzzyprophet/internal/storage"
 	"fuzzyprophet/internal/value"
 )
@@ -38,19 +37,18 @@ type Options struct {
 	// Workers bounds VG-invocation parallelism (default: GOMAXPROCS).
 	Workers int
 	// Shards splits each point's world range [0, Worlds) into this many
-	// contiguous shards evaluated concurrently, each producing partial
+	// contiguous ranges evaluated concurrently, each producing partial
 	// column vectors that the coordinator stitches back in world order
-	// (default 1: the single-range path). Because world seeds derive per
-	// (site, world), the stitched result is bit-identical to a single-range
-	// evaluation regardless of shard count. Sharding requires the
-	// scenario's compiled plan to be Shardable; other plans silently use
-	// the single-range path.
+	// (default 1: one range, evaluated inline). Because world seeds derive
+	// per (site, world), the stitched result is bit-identical whatever the
+	// range count. A plan that is not Shardable always evaluates as one
+	// local range.
 	Shards int
-	// Runner, when non-nil, evaluates shards remotely (the HTTP fan-out in
-	// internal/server). A shard whose runner call fails is re-evaluated
-	// locally by the coordinator, so a dying worker degrades throughput,
-	// not correctness. With a Runner set, fingerprint reuse is bypassed
-	// (workers re-derive samples from seeds).
+	// Runner, when non-nil, evaluates the ranges of a Shardable plan
+	// remotely (the HTTP fan-out in internal/server). A range whose runner
+	// call fails is re-evaluated locally by the coordinator, so a dying
+	// worker degrades throughput, not correctness. Remote ranges bypass
+	// fingerprint reuse (workers re-derive samples from seeds).
 	Runner ShardRunner
 	// Reuse enables fingerprint-based computation reuse when non-nil.
 	Reuse *Reuse
@@ -62,12 +60,11 @@ type Options struct {
 	// VG-Functions; determinism of (seed base, site, world) seeds makes the
 	// cached vectors bit-identical to fresh simulation.
 	ShardInputs *storage.Store
-	// SketchOnly makes sharded evaluations return ONLY merged per-column
-	// sketches (Welford moments + t-digest) — PointResult.Columns stays nil
-	// — so remote shard responses are O(compression) instead of O(worlds).
-	// Consumers read Expect/StdDev/quantiles/CI95 from the sketches within
-	// the t-digest error bound. Requires a shardable plan; non-shardable
-	// plans fall back to the full single-range path.
+	// SketchOnly makes every range return ONLY its per-column sketch
+	// (Welford moments + t-digest) — PointResult.Columns stays nil and
+	// PointResult.Sketches is the range-ordered merge — so remote shard
+	// responses are O(compression) instead of O(worlds). Moments stay
+	// exact; quantiles carry the t-digest error bound.
 	SketchOnly bool
 	// ShardWeights, when non-nil with a remote Runner, supplies one
 	// positive weight per shard slot just before each point's split; shard
@@ -76,9 +73,9 @@ type Options struct {
 	// slow workers get small ranges. Invalid weights fall back to the
 	// equal split.
 	ShardWeights func() []float64
-	// AllowDegraded permits a sharded evaluation cut short by its context
+	// AllowDegraded permits an evaluation cut short by its context
 	// deadline to return a partial result instead of the context error:
-	// the sketches of every shard that completed before the cut are merged
+	// the sketches of every range that completed before the cut are merged
 	// and the result carries Degraded=true with WorldsCompleted < Worlds.
 	// Columns stays nil on a degraded result (missing world ranges cannot
 	// be stitched), so consumers read the sketches. Degradation granularity
@@ -234,25 +231,20 @@ func (r *Reuse) install(site, key string, samples []float64, fp core.Fingerprint
 
 // Evaluator evaluates scenario points.
 type Evaluator struct {
-	scn     *scenario.Scenario
-	opts    Options
-	catalog *sqlengine.Catalog
-	engine  *sqlengine.Engine
+	scn       *scenario.Scenario
+	opts      Options
+	worldCols []string
 
-	// The evaluator-owned possible-worlds table, updated in place per
-	// point: the column headers are repointed at the fresh sample vectors
-	// instead of allocating an ord vector, column headers and a ColTable
-	// every point around the (allocation-free) compiled plan execution.
-	worldCols    []string
-	worldColumns []*sqlengine.Column
-	worlds       *sqlengine.ColTable
+	// reads names the output columns EvaluatePoint aggregates (see Reads);
+	// nil means every numeric column.
+	reads map[string]bool
 
 	// ord holds world ordinals 0..cap-1, filled to a high-water mark and
-	// shared read-only by the single-range path and every shard env.
+	// shared read-only by every range env.
 	ord []int64
 
-	// envs pools per-shard execution environments (own catalog + engine +
-	// worlds table over a world sub-range).
+	// envs pools range-execution environments (own catalog + engine +
+	// worlds table over a world range).
 	envMu sync.Mutex
 	envs  []*shardEnv
 }
@@ -268,45 +260,28 @@ func worldsSchema(scn *scenario.Scenario) []string {
 	return cols
 }
 
-// ownedWorldsTable builds a worlds ColTable whose column headers the owner
-// repoints per evaluation (SetInts/SetFloats).
-func ownedWorldsTable(cols []string) ([]*sqlengine.Column, *sqlengine.ColTable, error) {
-	columns := make([]*sqlengine.Column, len(cols))
-	columns[0] = sqlengine.IntColumn(nil)
-	for i := 1; i < len(columns); i++ {
-		columns[i] = sqlengine.FloatColumn(nil)
-	}
-	ct, err := sqlengine.NewColTable(scenario.WorldsTable, cols, columns)
-	return columns, ct, err
+// NewEvaluator returns an evaluator for the compiled scenario.
+func NewEvaluator(scn *scenario.Scenario, opts Options) *Evaluator {
+	return &Evaluator{scn: scn, opts: opts.WithDefaults(), worldCols: worldsSchema(scn)}
 }
 
-// NewEvaluator returns an evaluator for the compiled scenario. The
-// scenario's static side tables are installed into the evaluator's catalog.
-func NewEvaluator(scn *scenario.Scenario, opts Options) *Evaluator {
-	cat := sqlengine.NewCatalog()
-	for _, t := range scn.StaticTables {
-		cat.Put(t)
+// Reads declares which output columns the caller will read from
+// PointResult.Sketches, so EvaluatePoint folds only those: a session render
+// names its GRAPH columns, Optimize its constraint columns, a prefetch none.
+// An evaluator on which Reads was never called aggregates every numeric
+// column. Sketch-only and degraded results cover every column regardless:
+// they merge per-range sketches, which a remote worker folds without
+// knowing the reader.
+func (ev *Evaluator) Reads(cols ...string) {
+	ev.reads = make(map[string]bool, len(cols))
+	for _, c := range cols {
+		ev.reads[c] = true
 	}
-	ev := &Evaluator{
-		scn:       scn,
-		opts:      opts.WithDefaults(),
-		catalog:   cat,
-		engine:    sqlengine.New(cat),
-		worldCols: worldsSchema(scn),
-	}
-	var err error
-	ev.worldColumns, ev.worlds, err = ownedWorldsTable(ev.worldCols)
-	if err != nil {
-		// Impossible by construction: the schema always has >= 1 column
-		// with equal (zero) lengths.
-		panic(err)
-	}
-	return ev
 }
 
 // ordRange returns world ordinals [lo, hi) as a slice of the shared,
 // fill-once ordinal vector, growing it to hi when needed. Callers only read
-// the slice; growth happens on the coordinating goroutine before shard
+// the slice; growth happens on the coordinating goroutine before range
 // goroutines start.
 func (ev *Evaluator) ordRange(lo, hi int) []int64 {
 	if hi > len(ev.ord) {
@@ -322,12 +297,12 @@ func (ev *Evaluator) ordRange(lo, hi int) []int64 {
 
 // Reconfigure retargets the evaluator at a new (worlds, seed base, sketch
 // mode) triple without discarding its warmed state — the compiled plan,
-// catalog, pooled shard envs and grown ordinal vector all carry over. This
-// is what makes a per-fingerprint evaluator freelist worthwhile on a shard
-// worker: consecutive requests for the same scenario differ only in these
-// render parameters, and rebuilding an Evaluator per request repays the
-// whole warm-up every shard. Zero worlds/seedBase take the defaults. Not
-// safe to call concurrently with an evaluation.
+// pooled range envs and grown ordinal vector all carry over. This is what
+// makes a per-fingerprint evaluator freelist worthwhile on a shard worker:
+// consecutive requests for the same scenario differ only in these render
+// parameters, and rebuilding an Evaluator per request repays the whole
+// warm-up every shard. Zero worlds/seedBase take the defaults. Not safe to
+// call concurrently with an evaluation.
 func (ev *Evaluator) Reconfigure(worlds int, seedBase uint64, sketchOnly bool) {
 	o := ev.opts
 	o.Worlds = worlds
@@ -335,16 +310,6 @@ func (ev *Evaluator) Reconfigure(worlds int, seedBase uint64, sketchOnly bool) {
 	o.SketchOnly = sketchOnly
 	ev.opts = o.WithDefaults()
 }
-
-// Catalog exposes the evaluator's catalog so callers can install static
-// side tables the scenario query joins against.
-func (ev *Evaluator) Catalog() *sqlengine.Catalog { return ev.catalog }
-
-// Options returns the effective options.
-func (ev *Evaluator) Options() Options { return ev.opts }
-
-// Scenario returns the compiled scenario.
-func (ev *Evaluator) Scenario() *scenario.Scenario { return ev.scn }
 
 // WorldSeed returns the fixed seed for (site, world i) under the given
 // seed base. World seeds are disjoint from fingerprint seeds by
@@ -355,15 +320,12 @@ func WorldSeed(seedBase uint64, siteID string, i int) uint64 {
 	return rng.Derive(seedBase, "world."+siteID, uint64(i)).Uint64()
 }
 
-func (ev *Evaluator) worldSeed(siteID string, i int) uint64 {
-	return WorldSeed(ev.opts.SeedBase, siteID, i)
-}
-
-// PointResult holds one point's per-world outputs.
+// PointResult holds one point's per-world outputs and their aggregates.
 type PointResult struct {
 	// Point is the evaluated parameter point.
 	Point guide.Point
-	// Columns maps each output column to its per-world sample vector.
+	// Columns maps each numeric output column to its per-world sample
+	// vector; nil on sketch-only and degraded results.
 	Columns map[string][]float64
 	// Worlds is the number of worlds evaluated.
 	Worlds int
@@ -371,12 +333,15 @@ type PointResult struct {
 	SiteOutcome map[string]ReuseKind
 	// SQL is the pure TSQL the Query Generator emitted for this point.
 	SQL string
-	// Sketches holds the merged per-column mergeable aggregates (moments +
-	// t-digest) when the point was evaluated in shards; nil on the
-	// single-range path, where aggregation folds the full vectors directly.
+	// Sketches holds the point's per-column aggregates (Welford moments +
+	// t-digest) — the one place consumers read EXPECT / STDDEV / quantiles
+	// / CI95 from. With sample vectors it is the world-major fold of each
+	// stitched column the evaluator's caller reads (Evaluator.Reads); on
+	// sketch-only and degraded results it is the range-ordered merge of
+	// the ranges' sketches, over every column.
 	Sketches map[string]*aggregate.ColumnStats
 	// Degraded marks a partial result: the context deadline expired before
-	// the full world budget and Options.AllowDegraded harvested the shards
+	// the full world budget and Options.AllowDegraded harvested the ranges
 	// completed so far. Columns is nil and Sketches cover only
 	// WorldsCompleted of the requested Worlds.
 	Degraded bool
@@ -430,40 +395,111 @@ func recoverToError(dst *error, stage string) {
 	}
 }
 
-// EvaluatePoint runs the full pipeline for one parameter point. The context
-// is checked between sites and once per world-batch during simulation, so
-// cancellation aborts a long evaluation promptly; the first error returned
-// after cancellation wraps ctx.Err().
+// EvaluatePoint runs the one point pipeline: obtain the site vectors, split
+// [0, Worlds) into contiguous ranges, run every range through the range
+// executor (runShardLocal, or Options.Runner), stitch the ranges in world
+// order and aggregate once. There is exactly one range — evaluated inline
+// on the calling goroutine, with no fan-out — unless Options.Shards > 1 or
+// a Runner is set, and always when the plan is not Shardable; because
+// world seeds derive per (site, world) the stitched columns are
+// bit-identical whatever the split.
 //
-// With Options.Shards > 1 (or a remote Runner configured) and a shardable
-// scenario plan, the world range is split into contiguous shards evaluated
-// concurrently and stitched back in world order — bit-identical to the
-// single-range evaluation because world seeds derive per (site, world).
+// The context is checked between sites and once per world-batch during
+// simulation, so cancellation aborts a long evaluation promptly; the first
+// error returned after cancellation wraps ctx.Err().
 //
-// An Evaluator is not safe for concurrent EvaluatePoint calls (the
-// possible-worlds table lives in its catalog); share the Reuse engine and
-// give each goroutine its own Evaluator instead.
+// An Evaluator is not safe for concurrent EvaluatePoint calls; share the
+// Reuse engine and give each goroutine its own Evaluator instead.
 func (ev *Evaluator) EvaluatePoint(ctx context.Context, pt guide.Point) (*PointResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if (ev.opts.Shards > 1 || ev.opts.Runner != nil || ev.opts.SketchOnly || ev.opts.AllowDegraded) && ev.scn.Plan().Shardable() && ev.opts.Worlds > 1 {
-		return ev.evaluateSharded(ctx, pt)
-	}
+	n := ev.opts.Worlds
 	// The point span groups this point's stage spans under the render's
 	// active span; with no active span every obs call below is a nil no-op.
 	psp := obs.SpanFrom(ctx).Child("point")
 	defer psp.End()
-	psp.SetInt("worlds", int64(ev.opts.Worlds))
+	psp.SetInt("worlds", int64(n))
 	res := &PointResult{
 		Point:       pt,
-		Worlds:      ev.opts.Worlds,
-		Columns:     make(map[string][]float64, len(ev.scn.OutputCols)),
+		Worlds:      n,
 		SiteOutcome: make(map[string]ReuseKind, len(ev.scn.Sites)),
 	}
+	// Query Generator: the pure TSQL is emitted for diagnostics (the paper's
+	// GUI displays it); the ranges execute the scenario's COMPILED plan with
+	// the point's bindings — semantically identical to parsing and executing
+	// this SQL (the differential suite asserts so) at zero parse cost.
+	var err error
+	if res.SQL, err = ev.scn.GenerateSQL(pt); err != nil {
+		return nil, err
+	}
 
-	// 1. Obtain per-site sample vectors (fresh or re-mapped).
+	// 1. Site vectors. Local ranges slice full [0, Worlds) vectors the
+	// coordinator obtains once (fresh, or re-mapped through the reuse
+	// engine); remote ranges re-derive theirs from per-(site, world) seeds.
+	shardable := ev.scn.Plan().Shardable()
+	remote := shardable && ev.opts.Runner != nil
+	var siteSamples [][]float64
+	if remote {
+		for si := range ev.scn.Sites {
+			res.SiteOutcome[ev.scn.Sites[si].ID] = Computed
+		}
+	} else if siteSamples, err = ev.siteVectors(ctx, psp, pt, res.SiteOutcome); err != nil {
+		return nil, err
+	}
+
+	// 2. Ranges. Worker-aware sizing: when the caller supplies per-worker
+	// weights (latency EWMAs, advertised capacities), remote ranges are
+	// sized proportionally so a slow worker gets a small range instead of
+	// stalling the stitch; local ranges all run on the same cores.
+	ranges := []WorldRange{{Lo: 0, Hi: n}}
+	if shardable {
+		ranges = SplitWorlds(n, ev.opts.Shards)
+		if remote && ev.opts.ShardWeights != nil {
+			if ws := ev.opts.ShardWeights(); len(ws) > 0 {
+				ranges = SplitWorldsWeighted(n, ws)
+			}
+		}
+	}
+
+	// 3. Run the ranges: materialize, execute the plan, collect columns.
+	task := ShardTask{Point: pt, Worlds: n, SeedBase: ev.opts.SeedBase, SketchOnly: ev.opts.SketchOnly}
+	sp, fanOut := psp, remote || len(ranges) > 1
+	if fanOut {
+		sp = psp.Child("shard-fanout")
+		sp.SetInt("shards", int64(len(ranges)))
+		if task.SketchOnly {
+			sp.SetInt("sketch_only", 1)
+		}
+	}
+	outs, errs := ev.runRanges(ctx, sp, task, ranges, siteSamples, ev.ordRange(0, n), remote)
+	if fanOut {
+		sp.End()
+	}
+	for _, err := range errs {
+		if err != nil {
+			// Deadline mid-fan-out: with AllowDegraded, the ranges that DID
+			// complete are still a statistically honest (if wider-CI) answer
+			// — merge their sketches instead of failing the render.
+			if ev.opts.AllowDegraded && ctx.Err() != nil && ev.harvestDegraded(res, ranges, outs, errs, psp) {
+				return res, nil
+			}
+			return nil, err
+		}
+	}
+
+	// 4. Stitch in world order and aggregate once (the Result Aggregator).
+	if res.Columns, res.Sketches, err = ev.reduce(psp, outs); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// siteVectors obtains every site's full [0, Worlds) sample vector at pt
+// (fresh or re-mapped), recording each site's reuse outcome.
+func (ev *Evaluator) siteVectors(ctx context.Context, psp *obs.Span, pt guide.Point, outcome map[string]ReuseKind) ([][]float64, error) {
 	ssp := psp.Child("simulate")
+	defer ssp.End()
 	var spillBefore storage.Stats
 	if ssp != nil && ev.opts.Reuse != nil {
 		spillBefore = ev.opts.Reuse.store.Stats()
@@ -479,79 +515,16 @@ func (ev *Evaluator) EvaluatePoint(ctx context.Context, pt guide.Point) (*PointR
 			return nil, err
 		}
 		siteSamples[si] = samples
-		res.SiteOutcome[site.ID] = kind
+		outcome[site.ID] = kind
 	}
 	if ssp != nil {
 		ssp.SetInt("sites", int64(len(ev.scn.Sites)))
-		recordOutcomes(ssp, res.SiteOutcome)
+		recordOutcomes(ssp, outcome)
 		if ev.opts.Reuse != nil {
 			noteSpillDeltas(ssp, spillBefore, ev.opts.Reuse.store.Stats())
 		}
 	}
-	ssp.End()
-
-	// 2. Materialize the possible-worlds table — directly as columns: the
-	// world ordinal is an int vector and each site's sample vector becomes a
-	// float column as-is, with no row transpose and no boxing. The table and
-	// its column headers are evaluator-owned and updated in place; only the
-	// catalog entry is refreshed, so the compiled plan's zero-allocation
-	// execution is not surrounded by per-point table garbage.
-	msp := psp.Child("worlds-materialize")
-	ev.worldColumns[0].SetInts(ev.ordRange(0, ev.opts.Worlds))
-	for si := range ev.scn.Sites {
-		ev.worldColumns[si+1].SetFloats(siteSamples[si])
-	}
-	ev.catalog.PutColumns(ev.worlds)
-	msp.End()
-
-	// 3. Query Generator: emit pure TSQL for diagnostics (the paper's GUI
-	// displays it), then execute the scenario's COMPILED plan with the
-	// point's parameter bindings — semantically identical to parsing and
-	// executing the generated SQL (the differential suite asserts so), but
-	// with zero parse cost and, after warm-up, zero per-operator
-	// allocation: the plan's kernels write into pooled buffers that are
-	// recycled on Release below.
-	xsp := psp.Child("plan-execute")
-	var counters *sqlengine.ExecCounters
-	if xsp != nil {
-		counters = &sqlengine.ExecCounters{}
-	}
-	sql, err := ev.scn.GenerateSQL(pt)
-	if err != nil {
-		return nil, err
-	}
-	res.SQL = sql
-	out, err := ev.scn.Plan().ExecCounted(ev.engine, pt, counters)
-	if err != nil {
-		return nil, fmt.Errorf("mc: executing scenario plan: %w", err)
-	}
-	if out == nil {
-		return nil, fmt.Errorf("mc: scenario plan produced no result")
-	}
-	defer out.Release()
-	recordExecCounters(xsp, counters)
-	xsp.End()
-
-	// 4. Collect output samples as column slices — the Result Aggregator
-	// consumes float vectors, so the engine's typed columns convert without
-	// boxing a single row. Purely categorical (string) columns are carried
-	// in the SQL result but have no distribution to aggregate, so they are
-	// skipped here; NULLs or mixed types in a numeric column are errors.
-	for _, colName := range ev.scn.OutputCols {
-		col, err := out.Column(colName)
-		if err != nil {
-			return nil, err
-		}
-		if col.Len() > 0 && col.AllStrings() {
-			continue
-		}
-		fs, err := col.Float64s()
-		if err != nil {
-			return nil, fmt.Errorf("mc: output column %q: %w", colName, err)
-		}
-		res.Columns[colName] = fs
-	}
-	return res, nil
+	return siteSamples, nil
 }
 
 // probeCount returns k, the number of world-seed probes used as the
@@ -645,9 +618,7 @@ func (ev *Evaluator) samplesFor(ctx context.Context, site *scenario.Site, pt gui
 
 // simulate invokes the site's VG-Function for worlds [from, to), in
 // parallel, returning the full [0, to) vector. prefix supplies the already-
-// computed worlds [0, from) (nil when from is 0). The context is checked
-// once per batchWorlds worlds in every worker, so cancellation stops a long
-// simulation within one world-batch.
+// computed worlds [0, from) (nil when from is 0).
 func (ev *Evaluator) simulate(ctx context.Context, site *scenario.Site, args []value.Value, from, to int, prefix []float64) ([]float64, error) {
 	samples := make([]float64, to)
 	copy(samples, prefix[:from])
@@ -656,29 +627,8 @@ func (ev *Evaluator) simulate(ctx context.Context, site *scenario.Site, args []v
 	if workers > n {
 		workers = n
 	}
-	run := func(lo, hi int) (err error) {
-		// A panicking VG-Function fails this simulation, not the process.
-		defer recoverToError(&err, "simulate")
-		for i := lo; i < hi; i++ {
-			if (i-lo)%batchWorlds == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			v, err := ev.scn.Registry.Invoke(site.Name, ev.worldSeed(site.ID, i), args)
-			if err != nil {
-				return fmt.Errorf("mc: %s world %d: %w", site.ID, i, err)
-			}
-			f, err := v.AsFloat()
-			if err != nil {
-				return fmt.Errorf("mc: %s world %d: %w", site.ID, i, err)
-			}
-			samples[i] = f
-		}
-		return nil
-	}
 	if workers <= 1 {
-		if err := run(from, to); err != nil {
+		if err := ev.simulateRange(ctx, site, args, from, to, samples[from:]); err != nil {
 			return nil, err
 		}
 		return samples, nil
@@ -705,11 +655,11 @@ func (ev *Evaluator) simulate(ctx context.Context, site *scenario.Site, args []v
 					errCh <- err
 				}
 			}()
-			// run recovers VG panics itself, but the boundary defer is what
-			// guarantees a panic anywhere in this goroutine fails the
+			// simulateRange recovers VG panics itself, but the boundary defer
+			// is what guarantees a panic anywhere in this goroutine fails the
 			// simulation, not the process (errCh is buffered per worker).
 			defer recoverToError(&err, "simulate")
-			err = run(lo, hi)
+			err = ev.simulateRange(ctx, site, args, lo, hi, samples[lo:hi])
 		}(lo, hi)
 	}
 	wg.Wait()
@@ -719,4 +669,29 @@ func (ev *Evaluator) simulate(ctx context.Context, site *scenario.Site, args []v
 	default:
 	}
 	return samples, nil
+}
+
+// simulateRange invokes one site's VG-Function for worlds [lo, hi), writing
+// into dst (len hi-lo). The context is checked once per world-batch, so
+// cancellation stops a long simulation within one batch; a panicking
+// VG-Function fails the simulation, not the process.
+func (ev *Evaluator) simulateRange(ctx context.Context, site *scenario.Site, args []value.Value, lo, hi int, dst []float64) (err error) {
+	defer recoverToError(&err, "simulate")
+	for i := lo; i < hi; i++ {
+		if (i-lo)%batchWorlds == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		v, err := ev.scn.Registry.Invoke(site.Name, WorldSeed(ev.opts.SeedBase, site.ID, i), args)
+		if err != nil {
+			return fmt.Errorf("mc: %s world %d: %w", site.ID, i, err)
+		}
+		f, err := v.AsFloat()
+		if err != nil {
+			return fmt.Errorf("mc: %s world %d: %w", site.ID, i, err)
+		}
+		dst[i-lo] = f
+	}
+	return nil
 }

@@ -1,18 +1,20 @@
 package mc
 
-// Sharded world evaluation: the Monte Carlo loop is embarrassingly parallel
-// across possible worlds, and world seeds are derived per (site, world) —
-// so any worker, in-process or on another machine, reproduces exactly the
-// samples the coordinator would have computed for a world range [lo, hi).
-// A coordinator splits a point's range [0, Worlds) into contiguous shards,
-// each shard simulates its sites (or slices coordinator-computed vectors),
-// executes the scenario's compiled plan over a shard-local worlds table,
-// and returns partial output columns in world order plus mergeable
-// per-column sketches (Welford moments + t-digest). The coordinator
-// stitches the partial columns back in shard order — bit-identical to the
-// single-range evaluation, because the compiled plan is row-wise over the
-// worlds-major relation (sqlengine.Plan.Shardable) — and merges the
-// sketches for consumers that want aggregates without a second pass.
+// The range pipeline: every point evaluation — single-node or fleet — is
+// "split [0, Worlds) into contiguous ranges, run each range, stitch in
+// world order, aggregate once", with exactly one range unless sharding is
+// asked for. The Monte Carlo loop is embarrassingly parallel across
+// possible worlds, and world seeds derive per (site, world), so any
+// executor, in-process or on another machine, reproduces exactly the
+// samples the coordinator would have computed for a range [lo, hi). One
+// range slices the coordinator's site vectors (or, on a shard worker,
+// simulates its own from seeds), materializes a range-local worlds table,
+// executes the scenario's compiled plan over it and returns its partial
+// output columns in world order — or, sketch-only, one mergeable sketch
+// per column (Welford moments + t-digest). Concatenating the partial
+// columns in range order is bit-identical whatever the split, because the
+// compiled plan is row-wise over the worlds-major relation
+// (sqlengine.Plan.Shardable); a plan that is not is always one range.
 
 import (
 	"context"
@@ -28,7 +30,6 @@ import (
 	"fuzzyprophet/internal/scenario"
 	"fuzzyprophet/internal/sqlengine"
 	"fuzzyprophet/internal/storage"
-	"fuzzyprophet/internal/value"
 )
 
 // WorldRange is a half-open shard [Lo, Hi) of a render's world range.
@@ -131,9 +132,11 @@ type ShardTask struct {
 	SketchOnly bool
 }
 
-// ShardOutput is one shard's partial render: per-column sample vectors for
+// ShardOutput is one range's partial render: per-column sample vectors for
 // the rows its world range produced (in world order; joins may yield more
-// rows than worlds, WHERE fewer), plus a mergeable sketch per column.
+// rows than worlds, WHERE fewer) and/or a mergeable sketch per column. A
+// local range carries vectors, or — sketch-only — sketches; a worker's
+// response carries both unless sketch-only was asked for.
 type ShardOutput struct {
 	Columns  map[string][]float64
 	Sketches map[string]aggregate.ColumnSketch
@@ -144,10 +147,12 @@ type ShardOutput struct {
 // An error return makes the coordinator re-evaluate the shard locally.
 type ShardRunner func(ctx context.Context, task ShardTask) (*ShardOutput, error)
 
-// shardEnv is one pooled shard-execution environment: its own catalog and
-// engine (the shard's worlds table must not race the coordinator's), an
-// owned worlds table over the shard's world sub-range, and per-site
-// simulation buffers for self-simulated shards.
+// shardEnv is one pooled range-execution environment: its own catalog and
+// engine (concurrent ranges must not race on one worlds table), an owned
+// worlds table whose column headers are repointed per evaluation
+// (SetInts/SetFloats) — so the compiled plan's zero-allocation execution is
+// not surrounded by per-point table garbage — and per-site simulation
+// buffers for self-simulated ranges.
 type shardEnv struct {
 	catalog *sqlengine.Catalog
 	engine  *sqlengine.Engine
@@ -161,7 +166,12 @@ func (ev *Evaluator) newShardEnv() (*shardEnv, error) {
 	for _, t := range ev.scn.StaticTables {
 		cat.Put(t)
 	}
-	columns, worlds, err := ownedWorldsTable(ev.worldCols)
+	columns := make([]*sqlengine.Column, len(ev.worldCols))
+	columns[0] = sqlengine.IntColumn(nil)
+	for i := 1; i < len(columns); i++ {
+		columns[i] = sqlengine.FloatColumn(nil)
+	}
+	worlds, err := sqlengine.NewColTable(scenario.WorldsTable, ev.worldCols, columns)
 	if err != nil {
 		return nil, err
 	}
@@ -201,30 +211,6 @@ func (env *shardEnv) siteRange(si, m int) []float64 {
 	return env.siteBuf[si]
 }
 
-// simulateRange invokes one site's VG-Function for worlds [lo, hi) of the
-// task, writing into dst (len hi-lo). The context is checked once per
-// world-batch, exactly like the single-range simulate loop.
-func (ev *Evaluator) simulateRange(ctx context.Context, site *scenario.Site, args []value.Value, task ShardTask, dst []float64) error {
-	lo, hi := task.Range.Lo, task.Range.Hi
-	for i := lo; i < hi; i++ {
-		if (i-lo)%batchWorlds == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		v, err := ev.scn.Registry.Invoke(site.Name, WorldSeed(task.SeedBase, site.ID, i), args)
-		if err != nil {
-			return fmt.Errorf("mc: %s world %d: %w", site.ID, i, err)
-		}
-		f, err := v.AsFloat()
-		if err != nil {
-			return fmt.Errorf("mc: %s world %d: %w", site.ID, i, err)
-		}
-		dst[i-lo] = f
-	}
-	return nil
-}
-
 // shardInputKey encodes everything a self-simulated shard input vector
 // depends on beyond the site: the argument key, the seed base and the
 // world range.
@@ -233,80 +219,39 @@ func shardInputKey(argKey string, seedBase uint64, lo, hi int) string {
 		strconv.Itoa(lo) + ":" + strconv.Itoa(hi)
 }
 
-// runShardLocal evaluates one shard in process. ord holds the shard's
-// world ordinals (len task.Range.Len(), absolute values). When siteSamples
-// is non-nil it holds full [0, Worlds) per-site vectors (computed by the
-// coordinator, reuse-aware) and the shard just slices its range; otherwise
-// the shard simulates its own range from the task's seeds.
-func (ev *Evaluator) runShardLocal(ctx context.Context, task ShardTask, siteSamples [][]float64, ord []int64) (*ShardOutput, error) {
+// runShardLocal is the range executor: it evaluates one world range in
+// process, recording its stage spans under sp. ord holds the range's world
+// ordinals (len task.Range.Len(), absolute values). When siteSamples is
+// non-nil it holds full [0, Worlds) per-site vectors (obtained by the
+// coordinator, reuse-aware) and the range just slices them; otherwise the
+// range simulates its own worlds from the task's seeds — the shard-worker
+// half, and a coordinator's fallback for a failed remote range.
+func (ev *Evaluator) runShardLocal(ctx context.Context, sp *obs.Span, task ShardTask, siteSamples [][]float64, ord []int64) (*ShardOutput, error) {
 	env, err := ev.acquireEnv()
 	if err != nil {
 		return nil, err
 	}
 	defer ev.releaseEnv(env)
 
-	sp := obs.SpanFrom(ctx)
-	ssp := sp.Child("simulate")
-	var inputsBefore storage.Stats
-	if ssp != nil && ev.opts.ShardInputs != nil {
-		inputsBefore = ev.opts.ShardInputs.Stats()
-	}
-	var cacheHits int64
 	lo, hi := task.Range.Lo, task.Range.Hi
-	for si := range ev.scn.Sites {
-		var vec []float64
-		if siteSamples != nil {
-			vec = siteSamples[si][lo:hi]
-		} else {
-			site := &ev.scn.Sites[si]
-			args, key, err := site.ArgValues(task.Point)
-			if err != nil {
-				return nil, err
-			}
-			// Worker-mode shard-input cache: a worker re-rendering the same
-			// point serves the range's samples from the store (RAM or spill
-			// tier) instead of re-invoking the VG-Function per world. The
-			// key pins everything the samples depend on — args, seed base
-			// and world range — so a hit is bit-identical by determinism.
-			var cacheKey string
-			if ev.opts.ShardInputs != nil {
-				cacheKey = shardInputKey(key, task.SeedBase, lo, hi)
-				if cached, ok := ev.opts.ShardInputs.Get(site.ID, cacheKey); ok && len(cached) == hi-lo {
-					cacheHits++
-					env.columns[si+1].SetFloats(cached)
-					continue
-				}
-			}
-			vec = env.siteRange(si, hi-lo)
-			if err := ev.simulateRange(ctx, site, args, task, vec); err != nil {
-				return nil, err
-			}
-			if ev.opts.ShardInputs != nil {
-				ev.opts.ShardInputs.Put(site.ID, cacheKey, vec)
-			}
+	if siteSamples != nil {
+		for si := range siteSamples {
+			env.columns[si+1].SetFloats(siteSamples[si][lo:hi])
 		}
-		env.columns[si+1].SetFloats(vec)
+	} else if err := ev.simulateInputs(ctx, sp, env, task); err != nil {
+		return nil, err
 	}
-	if ssp != nil {
-		ssp.SetInt("worlds", int64(hi-lo))
-		ssp.SetInt("sites", int64(len(ev.scn.Sites)))
-		if siteSamples != nil {
-			ssp.SetInt("sliced", 1) // coordinator-computed vectors, no simulation
-		}
-		if cacheHits > 0 {
-			ssp.SetInt("shard_input_cache_hits", cacheHits)
-		}
-		if ev.opts.ShardInputs != nil {
-			noteSpillDeltas(ssp, inputsBefore, ev.opts.ShardInputs.Stats())
-		}
-	}
-	ssp.End()
 
+	// Materialize the possible-worlds table — directly as columns: the world
+	// ordinal is an int vector and each site's sample vector is a float
+	// column as-is, with no row transpose and no boxing.
 	msp := sp.Child("worlds-materialize")
 	env.columns[0].SetInts(ord)
 	env.catalog.PutColumns(env.worlds)
 	msp.End()
 
+	// Execute the compiled plan: after warm-up its kernels write into pooled
+	// buffers that are recycled on Release below.
 	xsp := sp.Child("plan-execute")
 	var counters *sqlengine.ExecCounters
 	if xsp != nil {
@@ -314,19 +259,25 @@ func (ev *Evaluator) runShardLocal(ctx context.Context, task ShardTask, siteSamp
 	}
 	out, err := ev.scn.Plan().ExecCounted(env.engine, task.Point, counters)
 	if err != nil {
-		return nil, fmt.Errorf("mc: executing scenario plan for shard [%d,%d): %w", lo, hi, err)
+		return nil, fmt.Errorf("mc: executing scenario plan for worlds [%d,%d): %w", lo, hi, err)
 	}
 	if out == nil {
-		return nil, fmt.Errorf("mc: scenario plan produced no result for shard [%d,%d)", lo, hi)
+		return nil, fmt.Errorf("mc: scenario plan produced no result for worlds [%d,%d)", lo, hi)
 	}
 	defer out.Release()
 	recordExecCounters(xsp, counters)
 	xsp.End()
 
-	result := &ShardOutput{
-		Sketches: make(map[string]aggregate.ColumnSketch, len(ev.scn.OutputCols)),
-	}
-	if !task.SketchOnly {
+	// Collect output samples as column slices — the Result Aggregator
+	// consumes float vectors, so the engine's typed columns convert without
+	// boxing a single row. Purely categorical (string) columns are carried
+	// in the SQL result but have no distribution to aggregate, so they are
+	// skipped here; NULLs or mixed types in a numeric column are errors. A
+	// sketch-only range folds each vector into its sketch and drops it.
+	result := &ShardOutput{}
+	if task.SketchOnly {
+		result.Sketches = make(map[string]aggregate.ColumnSketch, len(ev.scn.OutputCols))
+	} else {
 		result.Columns = make(map[string][]float64, len(ev.scn.OutputCols))
 	}
 	for _, colName := range ev.scn.OutputCols {
@@ -341,194 +292,104 @@ func (ev *Evaluator) runShardLocal(ctx context.Context, task ShardTask, siteSamp
 		if err != nil {
 			return nil, fmt.Errorf("mc: output column %q: %w", colName, err)
 		}
-		if !task.SketchOnly {
+		if task.SketchOnly {
+			result.Sketches[colName] = sketchOf(fs)
+		} else {
 			result.Columns[colName] = fs
 		}
-		cs := aggregate.NewColumnStats()
-		cs.AddAll(fs)
-		result.Sketches[colName] = cs.Sketch()
 	}
 	return result, nil
 }
 
-// stitchShards concatenates the shards' partial columns in shard (= world)
-// order and merges their sketches. A column that SOME shards skipped as
-// categorical (all-string) while others carried it empty — an empty shard
-// cannot see the column's type — is dropped, matching the single-range
-// path's skip of categorical columns; a shard carrying numeric rows for a
-// column another shard deemed categorical is a genuine type mix and errors
-// (the single-range conversion would error on it too).
-func stitchShards(outs []*ShardOutput) (map[string][]float64, map[string]*aggregate.ColumnStats, error) {
-	names := make(map[string]bool)
-	total := make(map[string]int)
-	inAll := make(map[string]int)
-	for _, out := range outs {
-		for col, fs := range out.Columns {
-			names[col] = true
-			total[col] += len(fs)
-			inAll[col]++
-		}
+// simulateInputs fills env's worlds table with the task range's site
+// vectors, simulated from the task's per-(site, world) seeds or served from
+// the shard-input cache.
+func (ev *Evaluator) simulateInputs(ctx context.Context, sp *obs.Span, env *shardEnv, task ShardTask) error {
+	ssp := sp.Child("simulate")
+	defer ssp.End()
+	inputs := ev.opts.ShardInputs
+	var inputsBefore storage.Stats
+	if ssp != nil && inputs != nil {
+		inputsBefore = inputs.Stats()
 	}
-	columns := make(map[string][]float64, len(names))
-	sketches := make(map[string]*aggregate.ColumnStats, len(names))
-	for col := range names {
-		if inAll[col] < len(outs) {
-			if total[col] > 0 {
-				return nil, nil, fmt.Errorf("mc: column %q is categorical in some shards but numeric in others", col)
-			}
-			continue // categorical: every shard with rows skipped it
+	var cacheHits int64
+	lo, hi := task.Range.Lo, task.Range.Hi
+	for si := range ev.scn.Sites {
+		site := &ev.scn.Sites[si]
+		args, key, err := site.ArgValues(task.Point)
+		if err != nil {
+			return err
 		}
-		full := make([]float64, 0, total[col])
-		parts := make([]aggregate.ColumnSketch, 0, len(outs))
-		for _, out := range outs {
-			full = append(full, out.Columns[col]...)
-			if sk, ok := out.Sketches[col]; ok {
-				parts = append(parts, sk)
+		// Worker-mode shard-input cache: a worker re-rendering the same
+		// point serves the range's samples from the store (RAM or spill
+		// tier) instead of re-invoking the VG-Function per world. The key
+		// pins everything the samples depend on — args, seed base and world
+		// range — so a hit is bit-identical by determinism.
+		var cacheKey string
+		if inputs != nil {
+			cacheKey = shardInputKey(key, task.SeedBase, lo, hi)
+			if cached, ok := inputs.Get(site.ID, cacheKey); ok && len(cached) == hi-lo {
+				cacheHits++
+				env.columns[si+1].SetFloats(cached)
+				continue
 			}
 		}
-		columns[col] = full
-		if merged := aggregate.MergeSketches(parts); merged != nil {
-			sketches[col] = merged
+		vec := env.siteRange(si, hi-lo)
+		if err := ev.simulateRange(ctx, site, args, lo, hi, vec); err != nil {
+			return err
+		}
+		if inputs != nil {
+			inputs.Put(site.ID, cacheKey, vec)
+		}
+		env.columns[si+1].SetFloats(vec)
+	}
+	if ssp != nil {
+		ssp.SetInt("worlds", int64(hi-lo))
+		ssp.SetInt("sites", int64(len(ev.scn.Sites)))
+		if cacheHits > 0 {
+			ssp.SetInt("shard_input_cache_hits", cacheHits)
+		}
+		if inputs != nil {
+			noteSpillDeltas(ssp, inputsBefore, inputs.Stats())
 		}
 	}
-	return columns, sketches, nil
+	return nil
 }
 
-// stitchSketches is stitchShards for sketch-only shards: no sample vectors
-// came back, so column presence and the categorical-mix check run over the
-// sketch maps (a shard's sketch Count plays the role of its row count) and
-// the merge is pure sketch merging — O(shards · compression) total.
-func stitchSketches(outs []*ShardOutput) (map[string]*aggregate.ColumnStats, error) {
-	names := make(map[string]bool)
-	total := make(map[string]int64)
-	inAll := make(map[string]int)
-	for _, out := range outs {
-		for col, sk := range out.Sketches {
-			names[col] = true
-			total[col] += sk.Count
-			inAll[col]++
-		}
-	}
-	sketches := make(map[string]*aggregate.ColumnStats, len(names))
-	for col := range names {
-		if inAll[col] < len(outs) {
-			if total[col] > 0 {
-				return nil, fmt.Errorf("mc: column %q is categorical in some shards but numeric in others", col)
-			}
-			continue // categorical: every shard with rows skipped it
-		}
-		parts := make([]aggregate.ColumnSketch, 0, len(outs))
-		for _, out := range outs {
-			parts = append(parts, out.Sketches[col])
-		}
-		if merged := aggregate.MergeSketches(parts); merged != nil {
-			sketches[col] = merged
-		}
-	}
-	return sketches, nil
-}
-
-// evaluateSharded is EvaluatePoint's sharded path: split, fan out, stitch.
-func (ev *Evaluator) evaluateSharded(ctx context.Context, pt guide.Point) (*PointResult, error) {
-	n := ev.opts.Worlds
-	psp := obs.SpanFrom(ctx).Child("point")
-	defer psp.End()
-	psp.SetInt("worlds", int64(n))
-	res := &PointResult{
-		Point:       pt,
-		Worlds:      n,
-		SiteOutcome: make(map[string]ReuseKind, len(ev.scn.Sites)),
-	}
-	sql, err := ev.scn.GenerateSQL(pt)
-	if err != nil {
-		return nil, err
-	}
-	res.SQL = sql
-
-	// Site samples: with a remote runner the workers re-derive them from
-	// seeds (reuse bypassed); locally with reuse enabled the coordinator
-	// computes full reuse-aware vectors once and shards slice them; locally
-	// without reuse each shard simulates its own range in parallel.
-	remote := ev.opts.Runner != nil
-	var siteSamples [][]float64
-	if !remote && ev.opts.Reuse != nil {
-		ssp := psp.Child("simulate")
-		var spillBefore storage.Stats
-		if ssp != nil {
-			spillBefore = ev.opts.Reuse.store.Stats()
-		}
-		siteSamples = make([][]float64, len(ev.scn.Sites))
-		for si := range ev.scn.Sites {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			site := &ev.scn.Sites[si]
-			samples, kind, err := ev.samplesFor(ctx, site, pt)
-			if err != nil {
-				return nil, err
-			}
-			siteSamples[si] = samples
-			res.SiteOutcome[site.ID] = kind
-		}
-		if ssp != nil {
-			ssp.SetInt("sites", int64(len(ev.scn.Sites)))
-			recordOutcomes(ssp, res.SiteOutcome)
-			noteSpillDeltas(ssp, spillBefore, ev.opts.Reuse.store.Stats())
-		}
-		ssp.End()
-	} else {
-		for si := range ev.scn.Sites {
-			res.SiteOutcome[ev.scn.Sites[si].ID] = Computed
-		}
-	}
-
-	// Worker-aware sizing: when the caller supplies per-worker weights
-	// (latency EWMAs, advertised capacities), shards are sized
-	// proportionally so a slow worker gets a small range instead of
-	// stalling the stitch. Weights only make sense for remote fan-out —
-	// local shards all run on the same cores.
-	ranges := SplitWorlds(n, ev.opts.Shards)
-	if remote && ev.opts.ShardWeights != nil {
-		if ws := ev.opts.ShardWeights(); len(ws) > 0 {
-			ranges = SplitWorldsWeighted(n, ws)
-		}
-	}
-	sketchOnly := ev.opts.SketchOnly
-	ev.ordRange(0, n) // pre-grow so shard goroutines only read
-	fsp := psp.Child("shard-fanout")
-	fsp.SetInt("shards", int64(len(ranges)))
-	if sketchOnly {
-		fsp.SetInt("sketch_only", 1)
-	}
+// runRanges runs every range through the range executor and returns the
+// outputs (and errors) in range order. A single local range runs inline on
+// the calling goroutine with its stage spans directly under sp — no
+// goroutine, no "shard" span; otherwise each range gets a goroutine and a
+// "shard" span under sp. With remote set, a range goes to Options.Runner
+// first and falls back to local evaluation when the runner fails. ord
+// holds the world ordinals of [ranges[0].Lo, ranges[len-1].Hi).
+func (ev *Evaluator) runRanges(ctx context.Context, sp *obs.Span, task ShardTask, ranges []WorldRange, siteSamples [][]float64, ord []int64, remote bool) ([]*ShardOutput, []error) {
 	outs := make([]*ShardOutput, len(ranges))
 	errs := make([]error, len(ranges))
+	if len(ranges) == 1 && !remote {
+		task.Range = ranges[0]
+		outs[0], errs[0] = ev.runShardLocal(ctx, sp, task, siteSamples, ord)
+		return outs, errs
+	}
+	base := ranges[0].Lo
 	var wg sync.WaitGroup
-	for i := range ranges {
+	for i, r := range ranges {
+		task.Range, task.Index = r, i
 		wg.Add(1)
-		go func(i int) {
+		go func(i int, task ShardTask) {
 			defer wg.Done()
-			// A panic in a shard (bad VG, kernel bug) fails this shard only;
+			// A panic in a range (bad VG, kernel bug) fails this range only;
 			// wg.Done is registered first so it runs after the recovery.
 			defer recoverToError(&errs[i], "shard")
-			task := ShardTask{
-				Point:      pt,
-				Worlds:     n,
-				SeedBase:   ev.opts.SeedBase,
-				Range:      ranges[i],
-				Index:      i,
-				SketchOnly: sketchOnly,
-			}
-			// Each shard gets its own child span, carried via ctx so the
-			// local path's stage spans (and a remote worker's grafted
-			// subtree) land under it.
-			ssp := fsp.Child("shard")
+			// Each range gets its own child span, carried via ctx so a remote
+			// worker's grafted subtree lands under it.
+			ssp := sp.Child("shard")
 			defer ssp.End()
 			ssp.SetInt("lo", int64(task.Range.Lo))
 			ssp.SetInt("hi", int64(task.Range.Hi))
-			sctx := obs.With(ctx, ssp)
 			if remote {
 				ssp.SetStr("exec", "remote")
-				out, err := ev.opts.Runner(sctx, task)
+				out, err := ev.opts.Runner(obs.With(ctx, ssp), task)
 				if err == nil {
 					outs[i] = out
 					return
@@ -537,57 +398,118 @@ func (ev *Evaluator) evaluateSharded(ctx context.Context, pt guide.Point) (*Poin
 					errs[i] = err
 					return
 				}
-				// Per-shard local fallback: a failed worker costs latency,
+				// Per-range local fallback: a failed worker costs latency,
 				// not the render.
 				ssp.SetStr("exec", "local-fallback")
 			}
-			outs[i], errs[i] = ev.runShardLocal(sctx, task, siteSamples, ev.ord[task.Range.Lo:task.Range.Hi])
-		}(i)
+			outs[i], errs[i] = ev.runShardLocal(ctx, ssp, task, siteSamples, ord[task.Range.Lo-base:task.Range.Hi-base])
+		}(i, task)
 	}
 	wg.Wait()
-	fsp.End()
-	for _, err := range errs {
-		if err != nil {
-			// Deadline mid-fan-out: with AllowDegraded, the shards that DID
-			// complete are still a statistically honest (if wider-CI) answer
-			// — merge their sketches instead of failing the render.
-			if ev.opts.AllowDegraded && ctx.Err() != nil && ev.harvestDegraded(res, ranges, outs, errs, psp) {
-				return res, nil
-			}
-			return nil, err
-		}
-	}
-	msp := psp.Child("sketch-merge")
-	if sketchOnly {
-		sketches, err := stitchSketches(outs)
-		msp.End()
-		if err != nil {
-			return nil, err
-		}
-		if len(sketches) > 0 {
-			res.Sketches = sketches
-		}
-		return res, nil
-	}
-	columns, sketches, err := stitchShards(outs)
-	msp.End()
-	if err != nil {
-		return nil, err
-	}
-	res.Columns = columns
-	if len(sketches) > 0 {
-		res.Sketches = sketches
-	}
-	return res, nil
+	return outs, errs
 }
 
-// harvestDegraded turns a deadline-cut fan-out into a partial result: the
-// sketches of every completed shard are merged and res is flagged
-// Degraded with the completed world count. Returns false — leaving res
-// untouched — when nothing completed, when any shard failed with a panic
-// (deterministic bugs must surface, not degrade), or when the completed
-// sketches cannot be merged. Errors racing the deadline (cancelled
-// transports, cut simulations) are subsumed by the degraded result.
+// sketchOf folds one range's sample vector into its serializable sketch.
+func sketchOf(fs []float64) aggregate.ColumnSketch {
+	cs := aggregate.NewColumnStats()
+	cs.AddAll(fs)
+	return cs.Sketch()
+}
+
+// stitchShards reconciles the ranges' outputs in range (= world) order.
+// Ranges that carry sample vectors are concatenated per column (a single
+// range's vectors are returned as they are); ranges that carry none —
+// sketch-only — have their sketches merged per column instead, O(ranges ·
+// compression) total, and a range's sketch Count plays the role of its row
+// count. A column that SOME ranges skipped as categorical (all-string)
+// while others carried it empty — an empty range cannot see the column's
+// type — is dropped; a range carrying numeric rows for a column another
+// range deemed categorical is a genuine type mix and errors (a one-range
+// conversion would error on it too).
+func stitchShards(outs []*ShardOutput) (map[string][]float64, map[string]*aggregate.ColumnStats, error) {
+	vectors := outs[0].Columns != nil
+	if vectors && len(outs) == 1 {
+		return outs[0].Columns, nil, nil
+	}
+	total := make(map[string]int64)
+	inAll := make(map[string]int)
+	for _, out := range outs {
+		if vectors {
+			for col, fs := range out.Columns {
+				total[col] += int64(len(fs))
+				inAll[col]++
+			}
+		} else {
+			for col, sk := range out.Sketches {
+				total[col] += sk.Count
+				inAll[col]++
+			}
+		}
+	}
+	var columns map[string][]float64
+	var sketches map[string]*aggregate.ColumnStats
+	if vectors {
+		columns = make(map[string][]float64, len(inAll))
+	} else {
+		sketches = make(map[string]*aggregate.ColumnStats, len(inAll))
+	}
+	for col, n := range inAll {
+		if n < len(outs) {
+			if total[col] > 0 {
+				return nil, nil, fmt.Errorf("mc: column %q is categorical in some shards but numeric in others", col)
+			}
+			continue // categorical: every range with rows skipped it
+		}
+		if vectors {
+			full := make([]float64, 0, total[col])
+			for _, out := range outs {
+				full = append(full, out.Columns[col]...)
+			}
+			columns[col] = full
+			continue
+		}
+		parts := make([]aggregate.ColumnSketch, len(outs))
+		for i, out := range outs {
+			parts[i] = out.Sketches[col]
+		}
+		sketches[col] = aggregate.MergeSketches(parts)
+	}
+	return columns, sketches, nil
+}
+
+// reduce is the pipeline's last step, the paper's Result Aggregator: stitch
+// the ranges in world order and reduce each column to one ColumnStats, once,
+// inside the sketch-merge span. With sample vectors that is a world-major
+// fold of each stitched column the caller reads (so the aggregate never
+// depends on the split); without — sketch-only — it is the range-ordered
+// merge stitchShards already produced.
+func (ev *Evaluator) reduce(sp *obs.Span, outs []*ShardOutput) (map[string][]float64, map[string]*aggregate.ColumnStats, error) {
+	msp := sp.Child("sketch-merge")
+	defer msp.End()
+	columns, sketches, err := stitchShards(outs)
+	if err != nil || columns == nil {
+		return nil, sketches, err
+	}
+	sketches = make(map[string]*aggregate.ColumnStats, len(columns))
+	for col, fs := range columns {
+		if ev.reads == nil || ev.reads[col] {
+			cs := aggregate.NewColumnStats()
+			cs.AddAll(fs)
+			sketches[col] = cs
+		}
+	}
+	return columns, sketches, nil
+}
+
+// harvestDegraded turns a deadline-cut fan-out into a partial result: each
+// completed range is reduced to its sketches (its own when it carries
+// them, else a fold of its vectors), they are merged in range order and res
+// is flagged Degraded with the completed world count. Returns false —
+// leaving res untouched — when nothing completed, when any range failed
+// with a panic (deterministic bugs must surface, not degrade), or when the
+// completed sketches cannot be merged. Errors racing the deadline
+// (cancelled transports, cut simulations) are subsumed by the degraded
+// result.
 func (ev *Evaluator) harvestDegraded(res *PointResult, ranges []WorldRange, outs []*ShardOutput, errs []error, psp *obs.Span) bool {
 	var done []*ShardOutput
 	completed := 0
@@ -599,14 +521,21 @@ func (ev *Evaluator) harvestDegraded(res *PointResult, ranges []WorldRange, outs
 		if out == nil || errs[i] != nil {
 			continue
 		}
-		done = append(done, out)
+		sketches := out.Sketches
+		if len(sketches) == 0 {
+			sketches = make(map[string]aggregate.ColumnSketch, len(out.Columns))
+			for col, fs := range out.Columns {
+				sketches[col] = sketchOf(fs)
+			}
+		}
+		done = append(done, &ShardOutput{Sketches: sketches})
 		completed += ranges[i].Len()
 	}
 	if completed == 0 {
 		return false
 	}
 	msp := psp.Child("sketch-merge")
-	sketches, err := stitchSketches(done)
+	_, sketches, err := stitchShards(done)
 	msp.End()
 	if err != nil || len(sketches) == 0 {
 		return false
@@ -623,10 +552,12 @@ func (ev *Evaluator) harvestDegraded(res *PointResult, ranges []WorldRange, outs
 // Options.Worlds)) at one parameter point — the worker half of distributed
 // rendering: an HTTP worker receives (scenario, point, seed base, range),
 // self-simulates the range from per-(site, world) seeds and returns the
-// partial columns and sketches for the coordinator to stitch. The shard is
-// itself split across Options.Shards in-process sub-shards, so a worker
-// saturates its own cores. Fingerprint reuse is not consulted (partial
-// vectors are not valid bases). Requires a shardable scenario plan.
+// partial columns (unless sketch-only) plus one sketch per column for the
+// coordinator to stitch. It is the same pipeline as EvaluatePoint over a
+// sub-range: the shard is itself split across Options.Shards in-process
+// ranges, so a worker saturates its own cores. Fingerprint reuse is not
+// consulted (partial vectors are not valid bases). Requires a shardable
+// scenario plan.
 //
 // Like EvaluatePoint, EvaluateShard is not safe for concurrent calls on
 // one Evaluator.
@@ -640,60 +571,27 @@ func (ev *Evaluator) EvaluateShard(ctx context.Context, pt guide.Point, shard Wo
 	if !ev.scn.Plan().Shardable() {
 		return nil, fmt.Errorf("mc: scenario plan is not shardable (grouped, DISTINCT, ORDER BY, LIMIT or INTO query)")
 	}
-	m := shard.Len()
-	sub := SplitWorlds(m, ev.opts.Shards)
+	ranges := SplitWorlds(shard.Len(), ev.opts.Shards)
+	for i := range ranges {
+		ranges[i].Lo += shard.Lo
+		ranges[i].Hi += shard.Lo
+	}
 	// A shard-local ordinal vector: a worker evaluator serves one request,
 	// so filling the shared [0, Hi) vector would cost O(total worlds) per
 	// request; this costs O(shard length).
-	ord := make([]int64, m)
+	ord := make([]int64, shard.Len())
 	for i := range ord {
 		ord[i] = int64(shard.Lo + i)
 	}
 	sp := obs.SpanFrom(ctx)
-	outs := make([]*ShardOutput, len(sub))
-	errs := make([]error, len(sub))
-	var wg sync.WaitGroup
-	for i := range sub {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer recoverToError(&errs[i], "shard")
-			task := ShardTask{
-				Point:      pt,
-				Worlds:     ev.opts.Worlds,
-				SeedBase:   ev.opts.SeedBase,
-				Range:      WorldRange{Lo: shard.Lo + sub[i].Lo, Hi: shard.Lo + sub[i].Hi},
-				Index:      i,
-				SketchOnly: ev.opts.SketchOnly,
-			}
-			ssp := sp.Child("shard")
-			defer ssp.End()
-			ssp.SetInt("lo", int64(task.Range.Lo))
-			ssp.SetInt("hi", int64(task.Range.Hi))
-			outs[i], errs[i] = ev.runShardLocal(obs.With(ctx, ssp), task, nil, ord[sub[i].Lo:sub[i].Hi])
-		}(i)
-	}
-	wg.Wait()
+	task := ShardTask{Point: pt, Worlds: ev.opts.Worlds, SeedBase: ev.opts.SeedBase, SketchOnly: ev.opts.SketchOnly}
+	outs, errs := ev.runRanges(ctx, sp, task, ranges, nil, ord, false)
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	msp := sp.Child("sketch-merge")
-	if ev.opts.SketchOnly {
-		sketches, err := stitchSketches(outs)
-		msp.End()
-		if err != nil {
-			return nil, err
-		}
-		out := &ShardOutput{Sketches: make(map[string]aggregate.ColumnSketch, len(sketches))}
-		for col, cs := range sketches {
-			out.Sketches[col] = cs.Sketch()
-		}
-		return out, nil
-	}
-	columns, sketches, err := stitchShards(outs)
-	msp.End()
+	columns, sketches, err := ev.reduce(sp, outs)
 	if err != nil {
 		return nil, err
 	}

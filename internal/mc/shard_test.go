@@ -6,12 +6,14 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"fuzzyprophet/internal/aggregate"
 	"fuzzyprophet/internal/benchfix"
 	"fuzzyprophet/internal/core"
+	"fuzzyprophet/internal/obs"
 	"fuzzyprophet/internal/scenario"
 	"fuzzyprophet/internal/sqlengine"
 	"fuzzyprophet/internal/sqlparser"
@@ -141,21 +143,48 @@ func compileThreeTable(t *testing.T, name string) *scenario.Scenario {
 	return scn
 }
 
-// TestShardedEvaluationBitIdentical: for every bundled example scenario,
-// and for the three-table scenarios, sharded evaluation at 2, 7 and 16
-// shards produces byte-for-byte the same per-world output vectors — and
-// therefore bit-identical EXPECT / EXPECT_STDDEV / PROB — as the
-// single-range evaluation, and the merged sketches agree with exact
-// quantiles within the sketch tolerance.
+// TestShardedEvaluationBitIdentical: for every shipped scenario (the five
+// bundled examples and the benchmark's two copies), and for the three-table
+// scenarios, sharded evaluation at 2, 7 and 16 shards produces byte-for-byte
+// the same per-world output vectors — and therefore bit-identical EXPECT /
+// EXPECT_STDDEV / PROB — as the one-range evaluation, and the point's
+// aggregates agree with exact quantiles within the sketch tolerance. Then
+// the whole mode table — shards {1, 3, 7} × reuse {on, off} × {local,
+// in-process Runner} — must return those same columns AND aggregates that
+// are, bit for bit, one sequential fold of the one-range column: no split,
+// reuse outcome or executor may leak into a full-vector point's statistics.
 func TestShardedEvaluationBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	const worlds = 500
+	reg, err := benchfix.Registry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipped := shippedSources(t)
 	names := append(sqlparser.ExampleScenarioNames(), "worlds-x-regions-x-tiers", "worlds-x-regions-join-tiers")
+	for name := range shipped {
+		if strings.HasPrefix(name, "bench/") {
+			names = append(names, name)
+		}
+	}
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
 			var scn *scenario.Scenario
 			if _, ok := threeTableSources[name]; ok {
 				scn = compileThreeTable(t, name)
+			} else if src, ok := shipped[name]; ok {
+				if scn, err = scenario.Compile(src, reg); err != nil {
+					t.Fatal(err)
+				}
+				if strings.Contains(name, "serverfleet") {
+					regions, err := benchfix.RegionsTable()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := scn.AddTable(regions); err != nil {
+						t.Fatal(err)
+					}
+				}
 			} else {
 				scn = compileExample(t, name)
 			}
@@ -200,6 +229,40 @@ func TestShardedEvaluationBitIdentical(t *testing.T) {
 					}
 				}
 			}
+
+			// The mode table. The in-process runner is a shard worker
+			// without the HTTP hop: a fresh evaluator per shard.
+			runner := func(ctx context.Context, task ShardTask) (*ShardOutput, error) {
+				worker := NewEvaluator(scn, Options{Worlds: task.Worlds, SeedBase: task.SeedBase, Shards: 2, SketchOnly: task.SketchOnly})
+				return worker.EvaluateShard(ctx, task.Point, task.Range)
+			}
+			for _, shards := range []int{1, 3, 7} {
+				for _, withReuse := range []bool{false, true} {
+					for _, remote := range []bool{false, true} {
+						mode := fmt.Sprintf("shards=%d reuse=%v remote=%v", shards, withReuse, remote)
+						opts := Options{Worlds: worlds, Shards: shards}
+						if withReuse {
+							if opts.Reuse, err = NewReuse(core.DefaultConfig(), storage.Options{}); err != nil {
+								t.Fatal(err)
+							}
+						}
+						if remote {
+							opts.Runner = runner
+						}
+						ev := NewEvaluator(scn, opts)
+						// Twice: with reuse on, the second pass is served
+						// from the basis store.
+						for pass := 0; pass < 2; pass++ {
+							got, err := ev.EvaluatePoint(ctx, pt)
+							if err != nil {
+								t.Fatalf("%s pass %d: %v", mode, pass, err)
+							}
+							assertSameColumns(t, shards, want, got)
+							assertSequentialFold(t, mode, want, got)
+						}
+					}
+				}
+			}
 		})
 	}
 }
@@ -229,6 +292,40 @@ func assertSameColumns(t *testing.T, shards int, want, got *PointResult) {
 		gs.AddAll(g)
 		if ws.Expect() != gs.Expect() || ws.StdDev() != gs.StdDev() || ws.Prob() != gs.Prob() {
 			t.Fatalf("%d shards: column %q aggregate mismatch", shards, col)
+		}
+	}
+}
+
+// assertSequentialFold: every column's aggregate is bit-equal to ONE
+// sequential ColumnStats.AddAll over the one-range column.
+func assertSequentialFold(t *testing.T, mode string, want, got *PointResult) {
+	t.Helper()
+	if len(got.Sketches) != len(want.Columns) {
+		t.Fatalf("%s: %d aggregates for %d columns", mode, len(got.Sketches), len(want.Columns))
+	}
+	for col, w := range want.Columns {
+		cs, ok := got.Sketches[col]
+		if !ok {
+			t.Fatalf("%s: no aggregate for column %q", mode, col)
+		}
+		direct := aggregate.NewColumnStats()
+		direct.AddAll(w)
+		g, d := cs.Sketch(), direct.Sketch()
+		for _, f := range []struct {
+			name string
+			g, d float64
+		}{
+			{"count", float64(g.Count), float64(d.Count)},
+			{"mean", g.Mean, d.Mean},
+			{"m2", g.M2, d.M2},
+			{"min", g.Min, d.Min},
+			{"max", g.Max, d.Max},
+			{"median", cs.Median(), direct.Median()},
+			{"p95", cs.P95(), direct.P95()},
+		} {
+			if math.Float64bits(f.g) != math.Float64bits(f.d) {
+				t.Fatalf("%s: column %q %s = %v, want %v (not one sequential fold)", mode, col, f.name, f.g, f.d)
+			}
 		}
 	}
 }
@@ -360,6 +457,21 @@ func TestShippedScenariosShardable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for name, src := range shippedSources(t) {
+		scn, err := scenario.Compile(src, reg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !scn.Plan().Shardable() {
+			t.Errorf("%s: plan is not shardable", name)
+		}
+	}
+}
+
+// shippedSources returns the seven scenario scripts the repo ships, keyed
+// "examples/<name>" and "bench/<file>".
+func shippedSources(t *testing.T) map[string]string {
+	t.Helper()
 	sources := map[string]string{}
 	for name, src := range sqlparser.ExampleScenarios() {
 		sources["examples/"+name] = src
@@ -378,15 +490,7 @@ func TestShippedScenariosShardable(t *testing.T) {
 	if len(sources) != 7 {
 		t.Fatalf("found %d shipped scenario scripts, want 7", len(sources))
 	}
-	for name, src := range sources {
-		scn, err := scenario.Compile(src, reg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !scn.Plan().Shardable() {
-			t.Errorf("%s: plan is not shardable", name)
-		}
-	}
+	return sources
 }
 
 func TestEvaluateShardValidation(t *testing.T) {
@@ -467,5 +571,75 @@ GRAPH OVER @t EXPECT demand;
 	assertSameColumns(t, 4, want, got)
 	if _, ok := got.Columns["tag"]; ok {
 		t.Error("sharded render should skip the categorical column too")
+	}
+}
+
+// TestNonShardablePlanIsOneLocalRange: a grouped scenario query cannot be
+// split, so whatever the options ask for — four shards, sketch-only, a
+// remote runner — it evaluates as one local range (reuse-aware, the runner
+// never called) and still returns its aggregates.
+func TestNonShardablePlanIsOneLocalRange(t *testing.T) {
+	ctx := context.Background()
+	reg, err := benchfix.Registry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scn, err := scenario.Compile(`
+DECLARE PARAMETER @t AS SET (5);
+SELECT __world % 10 AS bucket, DemandModel(@t, @t) AS demand GROUP BY __world % 10;
+GRAPH OVER @t EXPECT demand;
+`, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scn.Plan().Shardable() {
+		t.Fatal("grouped plan reports shardable")
+	}
+	pt := scn.DefaultPoint()
+	want, err := NewEvaluator(scn, Options{Worlds: 50}).EvaluatePoint(ctx, pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Columns["demand"]) != 10 {
+		t.Fatalf("demand has %d rows, want 10 groups", len(want.Columns["demand"]))
+	}
+	reuse, err := NewReuse(core.DefaultConfig(), storage.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner := func(context.Context, ShardTask) (*ShardOutput, error) {
+		t.Error("runner called for a non-shardable plan")
+		return nil, fmt.Errorf("unreachable")
+	}
+	tr := obs.New("render", "")
+	ev := NewEvaluator(scn, Options{Worlds: 50, Shards: 4, SketchOnly: true, Runner: runner, Reuse: reuse})
+	got, err := ev.EvaluatePoint(obs.With(ctx, tr.Root()), pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.End()
+	if got.Columns != nil {
+		t.Error("sketch-only result carries sample vectors")
+	}
+	for col, w := range want.Sketches {
+		g, ok := got.Sketches[col]
+		if !ok || g.Count() != w.Count() || g.Expect() != w.Expect() || g.StdDev() != w.StdDev() {
+			t.Errorf("column %q: aggregate %+v, want %+v", col, g, w)
+		}
+	}
+	if n := reuse.Counts()[Computed]; n != len(scn.Sites) {
+		t.Errorf("reuse engine recorded %d computed sites, want %d", n, len(scn.Sites))
+	}
+	// One local range: the stage spans sit directly under the point, with
+	// no fan-out.
+	seen := map[string]int{}
+	tr.Tree().Visit(func(_ int, n *obs.Node) { seen[n.Name]++ })
+	for _, stage := range []string{"point", "simulate", "worlds-materialize", "plan-execute", "sketch-merge"} {
+		if seen[stage] != 1 {
+			t.Errorf("trace has %d %q spans, want 1; got %v", seen[stage], stage, seen)
+		}
+	}
+	if seen["shard-fanout"]+seen["shard"] != 0 {
+		t.Errorf("one local range must not fan out; got %v", seen)
 	}
 }

@@ -247,8 +247,9 @@ func (s *Session) Render(ctx context.Context) (*Graph, error) {
 
 // renderWith renders one frame under the given options, from a snapshot of
 // the current pins. Each render evaluates through its own mc.Evaluator (the
-// possible-worlds table is evaluator-local state); only the lock-protected
-// reuse engine is shared, so concurrent renders are safe.
+// possible-worlds tables are evaluator-local state), told to aggregate only
+// the columns the GRAPH clause plots; only the lock-protected reuse engine
+// is shared, so concurrent renders are safe.
 func (s *Session) renderWith(ctx context.Context, opts mc.Options) (*Graph, error) {
 	start := time.Now()
 	pins := s.snapshotPins()
@@ -256,9 +257,10 @@ func (s *Session) renderWith(ctx context.Context, opts mc.Options) (*Graph, erro
 	if err != nil {
 		return nil, err
 	}
-	ev := mc.NewEvaluator(s.scn, opts)
 	g := &Graph{Axis: s.axis, Pins: clonePoint(pins)}
-	for _, item := range s.scn.Graph.Items {
+	columns := make([]string, len(s.scn.Graph.Items))
+	for i, item := range s.scn.Graph.Items {
+		columns[i] = item.Column
 		g.Series = append(g.Series, GraphSeries{
 			Name:       item.Agg + " " + item.Column,
 			Agg:        item.Agg,
@@ -267,6 +269,8 @@ func (s *Session) renderWith(ctx context.Context, opts mc.Options) (*Graph, erro
 			SecondAxis: styleHasY2(item.Style),
 		})
 	}
+	ev := mc.NewEvaluator(s.scn, opts)
+	ev.Reads(columns...)
 	minWorlds := opts.Worlds
 	for _, pt := range points {
 		if err := ctx.Err(); err != nil {
@@ -299,12 +303,8 @@ func (s *Session) renderWith(ctx context.Context, opts mc.Options) (*Graph, erro
 		}
 		g.X = append(g.X, x)
 		classify(res, &g.Stats)
-		lookup, err := columnStats(res)
-		if err != nil {
-			return nil, err
-		}
 		for i := range g.Series {
-			col, ok := lookup(g.Series[i].Column)
+			col, ok := res.Sketches[g.Series[i].Column]
 			if !ok {
 				return nil, fmt.Errorf("online: missing column %q", g.Series[i].Column)
 			}
@@ -445,37 +445,6 @@ func classify(res *mc.PointResult, stats *RenderStats) {
 	}
 }
 
-// numericColumns lists the point result's aggregatable columns (categorical
-// string columns are excluded by the executor).
-func numericColumns(res *mc.PointResult) []string {
-	out := make([]string, 0, len(res.Columns))
-	for col := range res.Columns {
-		out = append(out, col)
-	}
-	return out
-}
-
-// columnStats returns a per-column aggregate lookup for one point result:
-// sample vectors are folded into fresh stats when present; on sketch-only
-// renders (mc.Options.SketchOnly — wire protocol v2's compressed response
-// mode) the merged sketches are read directly, so the graph's moments are
-// exact and its quantile series carry the t-digest error bound.
-func columnStats(res *mc.PointResult) (func(string) (*aggregate.ColumnStats, bool), error) {
-	if len(res.Columns) == 0 && len(res.Sketches) > 0 {
-		return func(col string) (*aggregate.ColumnStats, bool) {
-			cs, ok := res.Sketches[col]
-			return cs, ok
-		}, nil
-	}
-	stats := aggregate.NewPointStats(numericColumns(res))
-	for col, samples := range res.Columns {
-		if err := stats.AddSamples(col, samples); err != nil {
-			return nil, err
-		}
-	}
-	return stats.Column, nil
-}
-
 func clonePoint(p guide.Point) guide.Point {
 	out := make(guide.Point, len(p))
 	for k, v := range p {
@@ -508,6 +477,7 @@ func (s *Session) Prefetch(ctx context.Context, axes []string, radius int) (int,
 		return 0, err
 	}
 	ev := mc.NewEvaluator(s.scn, s.opts)
+	ev.Reads() // warming the reuse store reads no aggregate
 	evaluated := 0
 	for {
 		neighbor, ok := strategy.Next()
@@ -567,13 +537,7 @@ func (s *Session) TimeToFirstAccurateGuess(ctx context.Context, eps float64, min
 			if err != nil {
 				return 0, 0, err
 			}
-			stats := aggregate.NewPointStats(numericColumns(res))
-			for col, samples := range res.Columns {
-				if err := stats.AddSamples(col, samples); err != nil {
-					return 0, 0, err
-				}
-			}
-			if !stats.Converged(eps, int64(worlds/2)) {
+			if !aggregate.Converged(res.Sketches, eps, int64(worlds/2)) {
 				allConverged = false
 				break
 			}

@@ -33,7 +33,6 @@ import (
 	"fuzzyprophet/internal/scenario"
 	"fuzzyprophet/internal/sqlengine"
 	"fuzzyprophet/internal/sqlparser"
-	"fuzzyprophet/internal/stats"
 	"fuzzyprophet/internal/value"
 )
 
@@ -259,7 +258,13 @@ func Run(ctx context.Context, scn *scenario.Scenario, opts Options) (*Result, er
 		return nil, err
 	}
 
+	// The evaluator aggregates only the columns the constraint reads.
 	ev := mc.NewEvaluator(scn, opts.MC)
+	columns := make([]string, len(terms))
+	for i, term := range terms {
+		columns[i] = term.column
+	}
+	ev.Reads(columns...)
 	res := &Result{GroupParams: groupNames, FreeParams: freeNames, GroupsTotal: groupSpace.Size()}
 
 	var groups []guide.Point
@@ -297,22 +302,13 @@ func Run(ctx context.Context, scn *scenario.Scenario, opts Options) (*Result, er
 				opts.Progress(res.PointsEvaluated, total, pt, pr)
 			}
 			for _, term := range terms {
-				samples, ok := pr.Columns[term.column]
+				cs, ok := pr.Sketches[term.column]
 				if !ok {
 					return nil, fmt.Errorf("optimize: constraint references column %q the query did not produce", term.column)
 				}
-				var m stats.Moments
-				for _, x := range samples {
-					m.Add(x)
-				}
-				var v float64
-				switch term.inner {
-				case "EXPECT", "PROB":
-					v = m.Mean()
-				case "EXPECT_STDDEV":
-					v = m.StdDev()
-				default:
-					return nil, fmt.Errorf("optimize: unsupported inner aggregate %s", term.inner)
+				v, err := cs.Metric(term.inner)
+				if err != nil {
+					return nil, err
 				}
 				vectors[term.sql] = append(vectors[term.sql], v)
 			}

@@ -118,11 +118,11 @@ func WithGroupBudget(groups int) EvalOption {
 }
 
 // WithShards splits each point's Monte Carlo world range into n contiguous
-// shards evaluated concurrently and stitched back in world order (default
-// 1: single-range evaluation). World seeds derive per (site, world), so the
-// stitched result is bit-identical to the single-range one regardless of
-// shard count. Scenarios whose query is not shardable (grouped, DISTINCT,
-// ORDER BY or LIMIT) silently evaluate single-range.
+// ranges evaluated concurrently and stitched back in world order (default
+// 1: one range, evaluated inline). World seeds derive per (site, world) and
+// statistics are folded from the stitched columns, so results are
+// bit-identical regardless of n. A scenario whose query is not shardable
+// (grouped, DISTINCT, ORDER BY or LIMIT) always evaluates as one range.
 func WithShards(n int) EvalOption {
 	return func(c *evalConfig) { c.shards = n }
 }
@@ -138,21 +138,21 @@ func WithShardEvaluator(se ShardEvaluator) EvalOption {
 	return func(c *evalConfig) { c.shardEval = se }
 }
 
-// WithSketchOnly makes sharded evaluations return ONLY merged per-column
-// sketches (Welford moments + t-digest centroids) instead of per-world
-// sample vectors, so each remote shard response is O(compression) bytes
-// instead of O(worlds) — wire protocol v2's compressed response mode.
-// Summaries read off the sketches: moments (mean, stddev, CI95) are exact,
-// quantiles (median, P95) carry the t-digest error bound. Requires a
-// shardable scenario query (see WithShards); others silently evaluate
-// single-range with full vectors.
+// WithSketchOnly makes every world range return ONLY its per-column sketch
+// (Welford moments + t-digest centroids) instead of per-world sample
+// vectors, so each remote shard response is O(compression) bytes instead of
+// O(worlds) — the wire protocol's compressed response mode. Results are
+// the range-ordered merge of those sketches: moments (mean, stddev, CI95)
+// are exact, quantiles (median, P95) carry the t-digest error bound. It
+// applies to every evaluation — Evaluate, sessions, Optimize — with or
+// without shards.
 func WithSketchOnly() EvalOption {
 	return func(c *evalConfig) { c.sketchOnly = true }
 }
 
 // WithAllowDegraded opts a caller into degraded results: an evaluation cut
 // short by its context deadline returns the sketches merged from the world
-// shards completed so far — flagged Degraded with WorldsCompleted — instead
+// ranges completed so far — flagged Degraded with WorldsCompleted — instead
 // of a deadline error. Moments over the completed worlds are exact and
 // quantiles carry the t-digest error bound, but both describe a smaller
 // sample than requested, so confidence intervals are wider. Degradation

@@ -231,9 +231,9 @@ func (c *ShardInputCache) Stats() StoreStats {
 // Close releases the cache's spill tier, if any.
 func (c *ShardInputCache) Close() error { return c.store.Close() }
 
-// WithShardInputCache makes shard evaluations (EvaluateShard, and local
-// shard fallbacks without reuse) serve self-simulated input vectors from
-// the given cache.
+// WithShardInputCache makes self-simulating shard evaluations
+// (EvaluateShard / ShardWorker, and a coordinator's local fallback for a
+// failed remote shard) serve their input vectors from the given cache.
 func WithShardInputCache(c *ShardInputCache) EvalOption {
 	return func(cfg *evalConfig) {
 		if c != nil {

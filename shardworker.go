@@ -9,9 +9,10 @@ import (
 
 // ShardWorker serves shard evaluations for ONE scenario with a freelist of
 // warmed evaluators — the worker half of wire protocol v2's per-fingerprint
-// evaluator pool. Scenario.EvaluateShard builds a fresh Monte Carlo
-// evaluator per call, repaying the worlds-table and shard-env warm-up on
-// every request; a ShardWorker checks an evaluator out of its pool,
+// evaluator pool. Scenario.EvaluateShard builds a fresh worker (and so a
+// fresh Monte Carlo evaluator) per call, repaying the worlds-table and
+// range-env warm-up on every request; a ShardWorker checks an evaluator out
+// of its pool,
 // retargets it at the request's (worlds, seed, sketch mode) via a cheap
 // reconfigure, and returns it after the render, so steady-state shard
 // serving allocates nothing per request beyond the response itself.
@@ -20,7 +21,7 @@ import (
 // out their own evaluator (the pool grows to peak concurrency and is
 // reused thereafter). The options fixed at construction (worker
 // parallelism, in-process sub-shards, shard-input cache) apply to every
-// request; reuse is always disabled, as in Scenario.EvaluateShard.
+// request; reuse is always disabled (partial vectors are not valid bases).
 type ShardWorker struct {
 	scn  *Scenario
 	opts mc.Options
@@ -31,9 +32,12 @@ type ShardWorker struct {
 
 // NewShardWorker returns a shard-serving evaluator pool for the scenario.
 // The scenario's query must be shardable for requests to succeed (the
-// check happens per call, matching Scenario.EvaluateShard).
+// check happens per call).
 func (sc *Scenario) NewShardWorker(opts ...EvalOption) (*ShardWorker, error) {
-	cfg := newEvalConfig(opts)
+	return sc.newShardWorker(newEvalConfig(opts))
+}
+
+func (sc *Scenario) newShardWorker(cfg evalConfig) (*ShardWorker, error) {
 	cfg.disableReuse = true // shard evaluation never consults reuse
 	mcOpts, err := cfg.mcOptions()
 	if err != nil {
@@ -44,9 +48,9 @@ func (sc *Scenario) NewShardWorker(opts ...EvalOption) (*ShardWorker, error) {
 }
 
 // EvaluateShard evaluates the worlds in shard (within [0, worlds)) at one
-// parameter point, exactly like Scenario.EvaluateShard but against a
-// pooled evaluator. With sketchOnly set the result carries only merged
-// per-column sketches (Columns nil), the v2 compressed response mode.
+// parameter point against a pooled evaluator (zero worlds or seed take the
+// engine defaults). With sketchOnly set the result carries only merged
+// per-column sketches (Columns nil), the compressed response mode.
 func (w *ShardWorker) EvaluateShard(ctx context.Context, point map[string]any, worlds int, seed uint64, shard WorldShard, sketchOnly bool) (*ShardResult, error) {
 	pt, err := w.scn.toDeclaredPoint(point)
 	if err != nil {
@@ -68,7 +72,8 @@ func (w *ShardWorker) EvaluateShard(ctx context.Context, point map[string]any, w
 		res.Rows = len(fs)
 		break
 	}
-	if res.Rows == 0 && len(out.Columns) == 0 {
+	if len(out.Columns) == 0 {
+		// Sketch-only: the row count survives in the sketches' counts.
 		for _, sk := range out.Sketches {
 			res.Rows = int(sk.Count)
 			break
