@@ -1,5 +1,5 @@
 // Benchmarks regenerating the paper's figures and performance claims, one
-// per experiment in DESIGN.md's index. Run with:
+// per experiment in cmd/fpbench's package-doc index. Run with:
 //
 //	go test -bench=. -benchmem
 //

@@ -427,8 +427,8 @@ func runE3(ctx context.Context, worlds, step int) error {
 }
 
 // runE4 ablates the fingerprint length k: reuse rate versus estimate error
-// introduced by wrongly accepted mappings (the event-window minority-mode
-// risk documented in DESIGN.md).
+// introduced by wrongly accepted mappings: a short probe can miss the
+// minority-mode worlds inside a stochastic arrival window.
 func runE4(ctx context.Context, worlds int) error {
 	section("E4 — ablation: fingerprint length k vs reuse rate and estimate error")
 	reg := vg.NewRegistry()

@@ -1,9 +1,9 @@
 // Package benchfix holds the shared fixtures for compiling the five
 // bundled example scenarios outside their example programs: the VG
 // registry (demo models plus the quickstart's OrderVolume) and the
-// serverfleet dimension table. Both the engine differential/benchmark
-// tests (internal/sqlengine) and the fpbench engine experiment build their
-// workloads from here, so the two always measure the same scenarios.
+// serverfleet dimension table. The engine differential/benchmark tests
+// (internal/sqlengine) and the mc shard and trace tests build their
+// workloads from here, so they always exercise the same scenarios.
 package benchfix
 
 import (

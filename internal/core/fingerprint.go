@@ -38,7 +38,7 @@ import (
 )
 
 // Config holds the fingerprinting parameters. The defaults reflect the
-// DESIGN.md ablation (experiment E4).
+// fingerprint-length ablation (cmd/fpbench experiment e4).
 type Config struct {
 	// Length is k, the number of fixed seeds in a fingerprint.
 	Length int

@@ -313,9 +313,9 @@ func (ev *Evaluator) Reconfigure(worlds int, seedBase uint64, sketchOnly bool) {
 
 // WorldSeed returns the fixed seed for (site, world i) under the given
 // seed base. World seeds are disjoint from fingerprint seeds by
-// construction (different derivation labels). Exported so harnesses (the
-// fpbench engine benchmark) can materialize a worlds table identical to
-// the executor's.
+// construction (different derivation labels). Exported so harnesses
+// (bench/layerprobe) can materialize a worlds table identical to the
+// executor's.
 func WorldSeed(seedBase uint64, siteID string, i int) uint64 {
 	return rng.Derive(seedBase, "world."+siteID, uint64(i)).Uint64()
 }

@@ -106,9 +106,9 @@ func TestTracedEvaluationBitIdentical(t *testing.T) {
 
 // BenchmarkTraceDisabledOverhead measures the full render path with no
 // span on the context (every instrumented call hits the nil fast path)
-// against the same render under a live trace. The "untraced" variant is
-// the one the CI gate watches: its allocation count must not grow when
-// instrumentation is added to the pipeline.
+// against the same render under a live trace. The "untraced" variant's
+// allocation count must not grow when instrumentation is added to the
+// pipeline; obs.TestNilDisabledPath pins the nil calls at 0 allocs.
 func BenchmarkTraceDisabledOverhead(b *testing.B) {
 	scn := compileBenchFigure2(b)
 	pt := scn.DefaultPoint()

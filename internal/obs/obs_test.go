@@ -109,7 +109,9 @@ func TestConcurrentChildren(t *testing.T) {
 
 // TestNilDisabledPath asserts that the disabled tracer (nil spans, no span
 // in context) performs zero allocations — the guarantee the instrumented
-// render hot path relies on.
+// render hot path relies on. The call shapes are the ones mc.EvaluatePoint
+// makes per point: child spans, attributes, a chained Note, and the child
+// pushed onto the context.
 func TestNilDisabledPath(t *testing.T) {
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -119,6 +121,10 @@ func TestNilDisabledPath(t *testing.T) {
 		c.SetStr("site", "x")
 		c.SetFloat("f", 1.5)
 		c.Note("spill", time.Millisecond)
+		c.Note("spill-demote", time.Millisecond).SetInt("count", 1)
+		if With(ctx, c) != ctx {
+			t.Fatal("With(ctx, nil child) must return ctx unchanged")
+		}
 		c.Graft(nil)
 		c.End()
 		ctx2 := With(ctx, nil)

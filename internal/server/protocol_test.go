@@ -347,8 +347,8 @@ func TestFaultMatrixBitIdentical(t *testing.T) {
 
 // TestSketchOnlyEvaluate: a sketch_only batch over workers returns
 // summaries whose exact statistics (count, moments) match the full-vector
-// evaluation, while the shard responses stay far smaller than the sample
-// vectors they replace.
+// evaluation, while the shard responses are at least 10x smaller than the
+// sample vectors they replace and every request to the warm worker is slim.
 func TestSketchOnlyEvaluate(t *testing.T) {
 	_, worker := newTestServer(t, func(c *Config) { c.WorkerMode = true })
 	proxy := protocoltest.New(worker.URL)
@@ -356,7 +356,7 @@ func TestSketchOnlyEvaluate(t *testing.T) {
 	_, coord := newTestServer(t, func(c *Config) { c.Workers = []string{proxy.URL()} })
 	_, local := newTestServer(t, nil)
 
-	const worlds = 4000
+	const worlds = 20000
 	one := []map[string]any{testPoints[0]}
 	scnLocal := registerScenario(t, local.URL)
 	want := evaluatePoints(t, local.URL, scnLocal.ID, evaluateRequest{Points: one, Worlds: worlds})
@@ -396,14 +396,17 @@ func TestSketchOnlyEvaluate(t *testing.T) {
 	for _, e := range fullEx {
 		fullBytes += e.ResponseBytes
 	}
-	for _, e := range sketchEx {
+	for i, e := range sketchEx {
+		if e.HasSQLPayload() {
+			t.Errorf("sketch-only exchange %d to a warm worker carries a script payload (%dB)", i, e.RequestBytes)
+		}
 		sketchBytes += e.ResponseBytes
 	}
 	if sketchBytes == 0 || fullBytes == 0 {
 		t.Fatalf("missing exchanges: full %dB sketch %dB", fullBytes, sketchBytes)
 	}
-	if sketchBytes*2 >= fullBytes {
-		t.Errorf("sketch-only responses (%dB) not meaningfully smaller than full (%dB) at %d worlds",
+	if sketchBytes*10 > fullBytes {
+		t.Errorf("sketch-only responses (%dB) less than 10x smaller than full (%dB) at %d worlds",
 			sketchBytes, fullBytes, worlds)
 	}
 }

@@ -11,8 +11,8 @@ import (
 
 // TestPlanAllocationFree asserts the compiled render path performs (near)
 // zero allocations per execution after warm-up. The bound is deliberately
-// loose (sync.Pool may be drained by a concurrent GC); the benchmark
-// numbers in BENCH_engine.json track the exact counts.
+// loose (sync.Pool may be drained by a concurrent GC);
+// BenchmarkEngineRender1000 reports the exact counts.
 func TestPlanAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")

@@ -202,8 +202,8 @@ func TestScenarioPlanConcurrentRenders(t *testing.T) {
 // BenchmarkEngineRender1000 times the 1000-world render path — parse-free
 // execution of each scenario's generated TSQL — on the row reference
 // executor and as a compiled plan (the Monte Carlo executor's
-// configuration). The speedups these report are the ones recorded in
-// BENCH_engine.json.
+// configuration). CI runs it once per push; bench/ judges the plan's
+// execution time end to end (sqlengine.plan_exec_us.*).
 func BenchmarkEngineRender1000(b *testing.B) {
 	for _, f := range buildScenarioFixtures(b, 1000) {
 		for _, mode := range []string{"compiled", "row"} {

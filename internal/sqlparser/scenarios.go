@@ -8,10 +8,9 @@ import (
 	"strings"
 )
 
-// The five example scenarios double as the parser's fuzz corpus, the
-// engine's differential-test fixtures and the fpbench engine benchmark
-// workload, so they are embedded and exported here rather than read from
-// testdata by each consumer.
+// The five example scenarios double as the parser's fuzz corpus and the
+// engine's and mc's differential-test fixtures, so they are embedded and
+// exported here rather than read from testdata by each consumer.
 //
 //go:embed testdata/scenarios/*.fp
 var scenarioFS embed.FS

@@ -4,7 +4,7 @@ package fuzzyprophet
 // attached to the context passed into Render/Evaluate calls; the Monte
 // Carlo executor, the compiled-plan engine and the shard coordinator hang
 // stage spans off it. With no trace on the context the instrumented paths
-// are nil no-ops (0 allocs — asserted by BenchmarkTraceDisabledOverhead).
+// are nil no-ops (0 allocs — asserted by obs.TestNilDisabledPath).
 //
 //	rt := fp.NewRenderTrace()
 //	g, err := session.Render(fp.WithTrace(ctx, rt))
