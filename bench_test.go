@@ -338,7 +338,7 @@ func BenchmarkE5_MarkovAnalyze(b *testing.B) {
 		chain := make([][]float64, models.Weeks)
 		series := make([][]float64, len(seeds))
 		for j, s := range seeds {
-			series[j] = cm.Series(s, 16, 32)
+			series[j] = cm.Year(s, 16, 32)
 		}
 		for w := 0; w < models.Weeks; w++ {
 			row := make([]float64, len(seeds))

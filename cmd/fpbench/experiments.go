@@ -536,7 +536,7 @@ func runE5() error {
 		chain := make([][]float64, models.Weeks)
 		series := make([][]float64, len(seeds))
 		for i, s := range seeds {
-			series[i] = cm.Series(s, p1, p2)
+			series[i] = cm.Year(s, p1, p2)
 		}
 		for w := 0; w < models.Weeks; w++ {
 			row := make([]float64, len(seeds))
@@ -559,7 +559,7 @@ func runE5() error {
 		probe := core.Config{Length: 16, SeedBase: 99, IdentityTol: cfg.IdentityTol, AffineTol: cfg.AffineTol}
 		var maxRel float64
 		for _, s := range probe.Seeds() {
-			full := cm.Series(s, p1, p2)
+			full := cm.Year(s, p1, p2)
 			for _, r := range est.Regions {
 				_, y, ok := est.Jump(r.Start, full[r.Start])
 				if !ok {

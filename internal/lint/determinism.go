@@ -36,6 +36,8 @@ var DeterminismAnalyzer = &Analyzer{
 		"internal/vg",
 		"internal/aggregate",
 		"internal/stats",
+		"internal/models",
+		"internal/rng",
 	},
 	Run: runDeterminism,
 }

@@ -24,7 +24,6 @@ import (
 	"fuzzyprophet/internal/rng"
 	"fuzzyprophet/internal/scenario"
 	"fuzzyprophet/internal/storage"
-	"fuzzyprophet/internal/value"
 )
 
 // Options configures an Evaluator.
@@ -243,6 +242,10 @@ type Evaluator struct {
 	// shared read-only by every range env.
 	ord []int64
 
+	// chains holds one series chain per site, used by the sites whose
+	// VG-Function is a vg.SeriesFunction (see chain.go).
+	chains []seriesChain
+
 	// envs pools range-execution environments (own catalog + engine +
 	// worlds table over a world range).
 	envMu sync.Mutex
@@ -262,7 +265,12 @@ func worldsSchema(scn *scenario.Scenario) []string {
 
 // NewEvaluator returns an evaluator for the compiled scenario.
 func NewEvaluator(scn *scenario.Scenario, opts Options) *Evaluator {
-	return &Evaluator{scn: scn, opts: opts.WithDefaults(), worldCols: worldsSchema(scn)}
+	return &Evaluator{
+		scn:       scn,
+		opts:      opts.WithDefaults(),
+		worldCols: worldsSchema(scn),
+		chains:    make([]seriesChain, len(scn.Sites)),
+	}
 }
 
 // Reads declares which output columns the caller will read from
@@ -297,7 +305,8 @@ func (ev *Evaluator) ordRange(lo, hi int) []int64 {
 
 // Reconfigure retargets the evaluator at a new (worlds, seed base, sketch
 // mode) triple without discarding its warmed state — the compiled plan,
-// pooled range envs and grown ordinal vector all carry over. This is what
+// pooled range envs and grown ordinal vector all carry over, and so do the
+// series chains while the seed base stays the same. This is what
 // makes a per-fingerprint evaluator freelist worthwhile on a shard worker:
 // consecutive requests for the same scenario differ only in these render
 // parameters, and rebuilding an Evaluator per request repays the whole
@@ -317,7 +326,19 @@ func (ev *Evaluator) Reconfigure(worlds int, seedBase uint64, sketchOnly bool) {
 // (bench/layerprobe) can materialize a worlds table identical to the
 // executor's.
 func WorldSeed(seedBase uint64, siteID string, i int) uint64 {
-	return rng.Derive(seedBase, "world."+siteID, uint64(i)).Uint64()
+	return worldSeed(worldSeeds(seedBase, siteID), i)
+}
+
+// worldSeeds keys a site's per-world seed family under seedBase, once per
+// range rather than once per world.
+func worldSeeds(seedBase uint64, siteID string) rng.Keyed {
+	return rng.Key(seedBase, "world."+siteID)
+}
+
+// worldSeed is world i's seed in a site's seed family.
+func worldSeed(worlds rng.Keyed, i int) uint64 {
+	src := worlds.At(uint64(i))
+	return src.Uint64()
 }
 
 // PointResult holds one point's per-world outputs and their aggregates.
@@ -509,13 +530,12 @@ func (ev *Evaluator) siteVectors(ctx context.Context, psp *obs.Span, pt guide.Po
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		site := &ev.scn.Sites[si]
-		samples, kind, err := ev.samplesFor(ctx, site, pt)
+		samples, kind, err := ev.samplesFor(ctx, si, pt)
 		if err != nil {
 			return nil, err
 		}
 		siteSamples[si] = samples
-		outcome[site.ID] = kind
+		outcome[ev.scn.Sites[si].ID] = kind
 	}
 	if ssp != nil {
 		ssp.SetInt("sites", int64(len(ev.scn.Sites)))
@@ -528,7 +548,9 @@ func (ev *Evaluator) siteVectors(ctx context.Context, psp *obs.Span, pt guide.Po
 }
 
 // probeCount returns k, the number of world-seed probes used as the
-// fingerprint, clamped so probing never exceeds half the full simulation.
+// fingerprint, clamped so probing never exceeds half the full simulation
+// and never falls below 2 (samplesFor fingerprints only points with at
+// least 2 worlds).
 func (ev *Evaluator) probeCount() int {
 	k := ev.opts.Reuse.cfg.Length
 	if max := ev.opts.Worlds / 2; k > max {
@@ -540,7 +562,7 @@ func (ev *Evaluator) probeCount() int {
 	return k
 }
 
-// samplesFor produces the per-world sample vector for one site at one
+// samplesFor produces the per-world sample vector for site si at one
 // point, consulting the reuse engine when configured.
 //
 // The fingerprint of a point is its output under the first k *world* seeds
@@ -549,14 +571,15 @@ func (ev *Evaluator) probeCount() int {
 // probes double as validation on real output worlds: a computed point's
 // fingerprint costs nothing extra, and a re-mapped vector is exact at every
 // probed index (the probes overwrite the mapped values).
-func (ev *Evaluator) samplesFor(ctx context.Context, site *scenario.Site, pt guide.Point) ([]float64, ReuseKind, error) {
-	args, key, err := site.ArgValues(pt)
+func (ev *Evaluator) samplesFor(ctx context.Context, si int, pt guide.Point) ([]float64, ReuseKind, error) {
+	call, err := ev.callAt(si, pt)
 	if err != nil {
 		return nil, Computed, err
 	}
+	site, key := &ev.scn.Sites[si], call.key
 	r := ev.opts.Reuse
 	if r == nil {
-		samples, err := ev.simulate(ctx, site, args, 0, ev.opts.Worlds, nil)
+		samples, err := ev.simulate(ctx, call, 0, ev.opts.Worlds, nil)
 		return samples, Computed, err
 	}
 	if err := r.bindSeedBase(ev.opts.SeedBase); err != nil {
@@ -572,9 +595,19 @@ func (ev *Evaluator) samplesFor(ctx context.Context, site *scenario.Site, pt gui
 		// Stored run was smaller than requested; fall through to recompute.
 	}
 
+	// Too few worlds to fingerprint: simulate them, but install no basis.
+	if ev.opts.Worlds < 2 {
+		samples, err := ev.simulate(ctx, call, 0, ev.opts.Worlds, nil)
+		if err != nil {
+			return nil, Computed, err
+		}
+		r.record(Computed)
+		return samples, Computed, nil
+	}
+
 	// Probe the target at the first k world seeds (k VG invocations).
 	k := ev.probeCount()
-	probes, err := ev.simulate(ctx, site, args, 0, k, nil)
+	probes, err := ev.simulate(ctx, call, 0, k, nil)
 	if err != nil {
 		return nil, Computed, fmt.Errorf("mc: fingerprinting %s%s: %w", site.ID, key, err)
 	}
@@ -608,7 +641,7 @@ func (ev *Evaluator) samplesFor(ctx context.Context, site *scenario.Site, pt gui
 	}
 
 	// Simulate the remaining worlds; the probes are worlds 0..k-1.
-	samples, err := ev.simulate(ctx, site, args, k, ev.opts.Worlds, probes)
+	samples, err := ev.simulate(ctx, call, k, ev.opts.Worlds, probes)
 	if err != nil {
 		return nil, Computed, err
 	}
@@ -618,8 +651,10 @@ func (ev *Evaluator) samplesFor(ctx context.Context, site *scenario.Site, pt gui
 
 // simulate invokes the site's VG-Function for worlds [from, to), in
 // parallel, returning the full [0, to) vector. prefix supplies the already-
-// computed worlds [0, from) (nil when from is 0).
-func (ev *Evaluator) simulate(ctx context.Context, site *scenario.Site, args []value.Value, from, to int, prefix []float64) ([]float64, error) {
+// computed worlds [0, from) (nil when from is 0). A series site is served
+// from its chain, readied here before the chunks fan out.
+func (ev *Evaluator) simulate(ctx context.Context, call siteCall, from, to int, prefix []float64) ([]float64, error) {
+	ev.useChain(&call, 0, to)
 	samples := make([]float64, to)
 	copy(samples, prefix[:from])
 	n := to - from
@@ -628,7 +663,7 @@ func (ev *Evaluator) simulate(ctx context.Context, site *scenario.Site, args []v
 		workers = n
 	}
 	if workers <= 1 {
-		if err := ev.simulateRange(ctx, site, args, from, to, samples[from:]); err != nil {
+		if err := ev.simulateRange(ctx, call, from, to, samples[from:]); err != nil {
 			return nil, err
 		}
 		return samples, nil
@@ -659,7 +694,7 @@ func (ev *Evaluator) simulate(ctx context.Context, site *scenario.Site, args []v
 			// is what guarantees a panic anywhere in this goroutine fails the
 			// simulation, not the process (errCh is buffered per worker).
 			defer recoverToError(&err, "simulate")
-			err = ev.simulateRange(ctx, site, args, lo, hi, samples[lo:hi])
+			err = ev.simulateRange(ctx, call, lo, hi, samples[lo:hi])
 		}(lo, hi)
 	}
 	wg.Wait()
@@ -671,27 +706,42 @@ func (ev *Evaluator) simulate(ctx context.Context, site *scenario.Site, args []v
 	return samples, nil
 }
 
-// simulateRange invokes one site's VG-Function for worlds [lo, hi), writing
-// into dst (len hi-lo). The context is checked once per world-batch, so
-// cancellation stops a long simulation within one batch; a panicking
-// VG-Function fails the simulation, not the process.
-func (ev *Evaluator) simulateRange(ctx context.Context, site *scenario.Site, args []value.Value, lo, hi int, dst []float64) (err error) {
+// simulateRange delivers one site's samples for worlds [lo, hi) into dst
+// (len hi-lo): read from the call's chain, simulating a world's chain the
+// first time it is read, or from one Generate per world. The function is
+// resolved and the hi-lo invocations counted once. The context is checked
+// once per world-batch, so cancellation stops a long simulation within one
+// batch; a panicking VG-Function fails the simulation, not the process.
+func (ev *Evaluator) simulateRange(ctx context.Context, call siteCall, lo, hi int, dst []float64) (err error) {
 	defer recoverToError(&err, "simulate")
+	if lo >= hi {
+		return nil
+	}
+	site := &ev.scn.Sites[call.si]
+	f, err := ev.scn.Registry.Bind(site.Name, len(call.args), hi-lo)
+	if err != nil {
+		return fmt.Errorf("mc: %s: %w", site.ID, err)
+	}
+	worlds := worldSeeds(ev.opts.SeedBase, site.ID)
 	for i := lo; i < hi; i++ {
 		if (i-lo)%batchWorlds == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		v, err := ev.scn.Registry.Invoke(site.Name, WorldSeed(ev.opts.SeedBase, site.ID, i), args)
+		if call.chain != nil {
+			if dst[i-lo], err = call.chain.sample(worlds, i, call.pos); err != nil {
+				return fmt.Errorf("mc: %s world %d: %w", site.ID, i, err)
+			}
+			continue
+		}
+		v, err := f.Generate(worldSeed(worlds, i), call.args)
 		if err != nil {
 			return fmt.Errorf("mc: %s world %d: %w", site.ID, i, err)
 		}
-		f, err := v.AsFloat()
-		if err != nil {
+		if dst[i-lo], err = v.AsFloat(); err != nil {
 			return fmt.Errorf("mc: %s world %d: %w", site.ID, i, err)
 		}
-		dst[i-lo] = f
 	}
 	return nil
 }

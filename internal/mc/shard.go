@@ -224,9 +224,10 @@ func shardInputKey(argKey string, seedBase uint64, lo, hi int) string {
 // ordinals (len task.Range.Len(), absolute values). When siteSamples is
 // non-nil it holds full [0, Worlds) per-site vectors (obtained by the
 // coordinator, reuse-aware) and the range just slices them; otherwise the
-// range simulates its own worlds from the task's seeds — the shard-worker
-// half, and a coordinator's fallback for a failed remote range.
-func (ev *Evaluator) runShardLocal(ctx context.Context, sp *obs.Span, task ShardTask, siteSamples [][]float64, ord []int64) (*ShardOutput, error) {
+// range simulates its own worlds of each site call from the task's seeds —
+// the shard-worker half, and a coordinator's fallback for a failed remote
+// range.
+func (ev *Evaluator) runShardLocal(ctx context.Context, sp *obs.Span, task ShardTask, siteSamples [][]float64, calls []siteCall, ord []int64) (*ShardOutput, error) {
 	env, err := ev.acquireEnv()
 	if err != nil {
 		return nil, err
@@ -238,7 +239,7 @@ func (ev *Evaluator) runShardLocal(ctx context.Context, sp *obs.Span, task Shard
 		for si := range siteSamples {
 			env.columns[si+1].SetFloats(siteSamples[si][lo:hi])
 		}
-	} else if err := ev.simulateInputs(ctx, sp, env, task); err != nil {
+	} else if err := ev.simulateInputs(ctx, sp, env, task, calls); err != nil {
 		return nil, err
 	}
 
@@ -304,7 +305,7 @@ func (ev *Evaluator) runShardLocal(ctx context.Context, sp *obs.Span, task Shard
 // simulateInputs fills env's worlds table with the task range's site
 // vectors, simulated from the task's per-(site, world) seeds or served from
 // the shard-input cache.
-func (ev *Evaluator) simulateInputs(ctx context.Context, sp *obs.Span, env *shardEnv, task ShardTask) error {
+func (ev *Evaluator) simulateInputs(ctx context.Context, sp *obs.Span, env *shardEnv, task ShardTask, calls []siteCall) error {
 	ssp := sp.Child("simulate")
 	defer ssp.End()
 	inputs := ev.opts.ShardInputs
@@ -314,12 +315,8 @@ func (ev *Evaluator) simulateInputs(ctx context.Context, sp *obs.Span, env *shar
 	}
 	var cacheHits int64
 	lo, hi := task.Range.Lo, task.Range.Hi
-	for si := range ev.scn.Sites {
+	for si, call := range calls {
 		site := &ev.scn.Sites[si]
-		args, key, err := site.ArgValues(task.Point)
-		if err != nil {
-			return err
-		}
 		// Worker-mode shard-input cache: a worker re-rendering the same
 		// point serves the range's samples from the store (RAM or spill
 		// tier) instead of re-invoking the VG-Function per world. The key
@@ -327,7 +324,7 @@ func (ev *Evaluator) simulateInputs(ctx context.Context, sp *obs.Span, env *shar
 		// range — so a hit is bit-identical by determinism.
 		var cacheKey string
 		if inputs != nil {
-			cacheKey = shardInputKey(key, task.SeedBase, lo, hi)
+			cacheKey = shardInputKey(call.key, task.SeedBase, lo, hi)
 			if cached, ok := inputs.Get(site.ID, cacheKey); ok && len(cached) == hi-lo {
 				cacheHits++
 				env.columns[si+1].SetFloats(cached)
@@ -335,7 +332,7 @@ func (ev *Evaluator) simulateInputs(ctx context.Context, sp *obs.Span, env *shar
 			}
 		}
 		vec := env.siteRange(si, hi-lo)
-		if err := ev.simulateRange(ctx, site, args, lo, hi, vec); err != nil {
+		if err := ev.simulateRange(ctx, call, lo, hi, vec); err != nil {
 			return err
 		}
 		if inputs != nil {
@@ -362,16 +359,33 @@ func (ev *Evaluator) simulateInputs(ctx context.Context, sp *obs.Span, env *shar
 // goroutine, no "shard" span; otherwise each range gets a goroutine and a
 // "shard" span under sp. With remote set, a range goes to Options.Runner
 // first and falls back to local evaluation when the runner fails. ord
-// holds the world ordinals of [ranges[0].Lo, ranges[len-1].Hi).
+// holds the world ordinals of [ranges[0].Lo, ranges[len-1].Hi). Ranges that
+// may simulate their own worlds share site calls — and series chains —
+// resolved here, before the fan-out.
 func (ev *Evaluator) runRanges(ctx context.Context, sp *obs.Span, task ShardTask, ranges []WorldRange, siteSamples [][]float64, ord []int64, remote bool) ([]*ShardOutput, []error) {
 	outs := make([]*ShardOutput, len(ranges))
 	errs := make([]error, len(ranges))
+	base := ranges[0].Lo
+	var calls []siteCall
+	if siteSamples == nil || remote {
+		calls = make([]siteCall, len(ev.scn.Sites))
+		for si := range calls {
+			call, err := ev.callAt(si, task.Point)
+			if err != nil {
+				for i := range errs {
+					errs[i] = err
+				}
+				return outs, errs
+			}
+			ev.useChain(&call, base, ranges[len(ranges)-1].Hi)
+			calls[si] = call
+		}
+	}
 	if len(ranges) == 1 && !remote {
 		task.Range = ranges[0]
-		outs[0], errs[0] = ev.runShardLocal(ctx, sp, task, siteSamples, ord)
+		outs[0], errs[0] = ev.runShardLocal(ctx, sp, task, siteSamples, calls, ord)
 		return outs, errs
 	}
-	base := ranges[0].Lo
 	var wg sync.WaitGroup
 	for i, r := range ranges {
 		task.Range, task.Index = r, i
@@ -402,7 +416,7 @@ func (ev *Evaluator) runRanges(ctx context.Context, sp *obs.Span, task ShardTask
 				// not the render.
 				ssp.SetStr("exec", "local-fallback")
 			}
-			outs[i], errs[i] = ev.runShardLocal(ctx, ssp, task, siteSamples, ord[task.Range.Lo-base:task.Range.Hi-base])
+			outs[i], errs[i] = ev.runShardLocal(ctx, ssp, task, siteSamples, calls, ord[task.Range.Lo-base:task.Range.Hi-base])
 		}(i, task)
 	}
 	wg.Wait()

@@ -8,13 +8,18 @@
 // reproduces Figure 3's shape — overload risk is negligible early, rises as
 // demand approaches capacity, and drops when purchased hardware arrives.
 //
-// Determinism discipline: every stochastic draw is keyed by
-// rng.Derive(worldSeed, streamLabel, index) where the label and index never
+// Determinism discipline: every stochastic draw comes from the stream
+// rng.Key(worldSeed, streamLabel).At(index) where the label and index never
 // depend on the *parameter values* — only on structural positions (week
 // number, failure class, purchase ordinal). This is what makes the models
 // fingerprint-friendly: two parameterizations that agree on whether an
 // event has happened by week w produce bitwise-identical outputs at week w,
-// which the fingerprint engine detects as an identity mapping.
+// which the fingerprint engine detects as an identity mapping. It also
+// makes the order of draws irrelevant — each (label, index) stream is
+// independent — so a model keys each label once per call and derives the
+// per-index streams on the stack, and CapacityModel's scalar form and its
+// whole-year chain (vg.SeriesFunction) are the same loop stopped at
+// different weeks, bit for bit.
 package models
 
 import (
@@ -82,8 +87,8 @@ func (m *DemandModel) Arity() int { return 2 }
 // world seed. It is the direct-call form used by the Markov analyzer and
 // the benches.
 func (m *DemandModel) At(seed uint64, week, feature int) float64 {
-	base := m.cfg.Base + m.cfg.Growth*float64(week) +
-		rng.Derive(seed, "demand.base", uint64(week)).Normal(0, m.cfg.Sigma)
+	baseSrc := rng.Key(seed, "demand.base").At(uint64(week))
+	base := m.cfg.Base + m.cfg.Growth*float64(week) + baseSrc.Normal(0, m.cfg.Sigma)
 	if week < feature {
 		return base
 	}
@@ -98,8 +103,8 @@ func (m *DemandModel) At(seed uint64, week, feature int) float64 {
 	// week-since-release: once two release dates have both fully ramped,
 	// their demands coincide exactly — an identity mapping fingerprints
 	// recover automatically.
-	bump := ramp * (m.cfg.FeatureBoost +
-		rng.Derive(seed, "demand.feature", uint64(week)).Normal(0, m.cfg.FeatureSigma))
+	featureSrc := rng.Key(seed, "demand.feature").At(uint64(week))
+	bump := ramp * (m.cfg.FeatureBoost + featureSrc.Normal(0, m.cfg.FeatureSigma))
 	return base + bump
 }
 
@@ -181,12 +186,25 @@ func DefaultCapacityConfig() CapacityConfig {
 // comes online"). Failure draws are keyed by (week, class) independent of
 // the purchase dates, so weeks unaffected by a purchase shift are bitwise
 // identical across parameterizations.
+//
+// The model is a vg.SeriesFunction over its week argument: Series simulates
+// the whole year as one chain, so a render sweeping the weeks runs each
+// world's chain once.
 type CapacityModel struct {
 	cfg CapacityConfig
+	// failLabels[ci] is failure class ci's stream label.
+	failLabels []string
 }
 
 // NewCapacityModel returns a capacity model with the given calibration.
-func NewCapacityModel(cfg CapacityConfig) *CapacityModel { return &CapacityModel{cfg: cfg} }
+func NewCapacityModel(cfg CapacityConfig) *CapacityModel {
+	cfg.Failures = append([]FailureClass(nil), cfg.Failures...)
+	labels := make([]string, len(cfg.Failures))
+	for ci, fc := range cfg.Failures {
+		labels[ci] = "capacity.fail." + fc.Name
+	}
+	return &CapacityModel{cfg: cfg, failLabels: labels}
+}
 
 // Name implements vg.Function.
 func (m *CapacityModel) Name() string { return "CapacityModel" }
@@ -197,26 +215,36 @@ func (m *CapacityModel) Arity() int { return 3 }
 // ArrivalWeek returns the stochastic deployment week of the purchase placed
 // at purchaseWeek (ordinal distinguishes the first and second purchase).
 func (m *CapacityModel) ArrivalWeek(seed uint64, purchaseWeek, ordinal int) int {
-	lag := m.cfg.LeadTimeMin +
-		int(rng.Derive(seed, "capacity.lead", uint64(ordinal)).Poisson(m.cfg.LeadTimeMean))
-	return purchaseWeek + lag
+	return m.arrivalWeek(rng.Key(seed, "capacity.lead"), purchaseWeek, ordinal)
 }
 
-// Series simulates the full year and returns the per-week capacity,
-// weeks 0..Weeks-1. This is the chain the Markov analyzer inspects.
-func (m *CapacityModel) Series(seed uint64, purchase1, purchase2 int) []float64 {
-	arr1 := m.ArrivalWeek(seed, purchase1, 0)
-	arr2 := m.ArrivalWeek(seed, purchase2, 1)
+func (m *CapacityModel) arrivalWeek(lead rng.Keyed, purchaseWeek, ordinal int) int {
+	src := lead.At(uint64(ordinal))
+	return purchaseWeek + m.cfg.LeadTimeMin + int(src.Poisson(m.cfg.LeadTimeMean))
+}
+
+// simulate is the model's one loop body: it runs the year's chain at seed
+// under the purchase schedule and writes weeks [0, len(out)) into out,
+// stopping there (len(out) <= Weeks).
+func (m *CapacityModel) simulate(seed uint64, purchase1, purchase2 int, out []float64) {
+	lead := rng.Key(seed, "capacity.lead")
+	arr1 := m.arrivalWeek(lead, purchase1, 0)
+	arr2 := m.arrivalWeek(lead, purchase2, 1)
+	var keyBuf [8]rng.Keyed // more failure classes than this spill to the heap
+	fail := keyBuf[:0]
+	for _, label := range m.failLabels {
+		fail = append(fail, rng.Key(seed, label))
+	}
 
 	// pendingRepair[w] is capacity scheduled to return at week w.
-	pendingRepair := make([]float64, Weeks+8)
-	caps := make([]float64, Weeks)
+	var pendingRepair [Weeks + 8]float64
 	cap := m.cfg.Initial
-	for w := 0; w < Weeks; w++ {
+	for w := range out {
 		if w > 0 {
 			cap -= m.cfg.AgingRate
-			for ci, fc := range m.cfg.Failures {
-				src := rng.Derive(seed, "capacity.fail."+fc.Name, uint64(w)^uint64(ci)<<32)
+			for ci := range m.cfg.Failures {
+				fc := &m.cfg.Failures[ci]
+				src := fail[ci].At(uint64(w) ^ uint64(ci)<<32)
 				failures := float64(src.Poisson(fc.WeeklyRate))
 				lost := failures * fc.CoresPerFailure
 				cap -= lost
@@ -235,14 +263,24 @@ func (m *CapacityModel) Series(seed uint64, purchase1, purchase2 int) []float64 
 			// A purchase can arrive in the same week as another; both are
 			// handled above. Arrivals past week 52 simply never land.
 		}
-		caps[w] = cap
+		out[w] = cap
 	}
+}
+
+// Year simulates the full year and returns the per-week capacity,
+// weeks 0..Weeks-1.
+func (m *CapacityModel) Year(seed uint64, purchase1, purchase2 int) []float64 {
+	caps := make([]float64, Weeks)
+	m.simulate(seed, purchase1, purchase2, caps)
 	return caps
 }
 
-// At returns the capacity at week under the given purchase schedule.
+// At returns the capacity at week under the given purchase schedule,
+// simulating only weeks 0..week.
 func (m *CapacityModel) At(seed uint64, week, purchase1, purchase2 int) float64 {
-	return m.Series(seed, purchase1, purchase2)[week]
+	var caps [Weeks]float64
+	m.simulate(seed, purchase1, purchase2, caps[:week+1])
+	return caps[week]
 }
 
 // Generate implements vg.Function.
@@ -251,15 +289,42 @@ func (m *CapacityModel) Generate(seed uint64, args []value.Value) (value.Value, 
 	if err != nil {
 		return value.Null, err
 	}
+	p1, p2, err := purchaseArgs(args)
+	if err != nil {
+		return value.Null, err
+	}
+	return value.Float(m.At(seed, week, p1, p2)), nil
+}
+
+var _ vg.SeriesFunction = (*CapacityModel)(nil)
+
+// SeriesAxis implements vg.SeriesFunction: the week argument indexes the
+// year.
+func (m *CapacityModel) SeriesAxis() (axis, length int) { return 0, Weeks }
+
+// Series implements vg.SeriesFunction: the whole year at seed, one chain.
+func (m *CapacityModel) Series(seed uint64, args []value.Value, out []float64) error {
+	if len(out) != Weeks {
+		return fmt.Errorf("models: CapacityModel series needs %d weeks, got %d", Weeks, len(out))
+	}
+	p1, p2, err := purchaseArgs(args)
+	if err != nil {
+		return err
+	}
+	m.simulate(seed, p1, p2, out)
+	return nil
+}
+
+func purchaseArgs(args []value.Value) (purchase1, purchase2 int, err error) {
 	p1, err := args[1].AsInt()
 	if err != nil {
-		return value.Null, fmt.Errorf("models: CapacityModel purchase1 argument: %v", err)
+		return 0, 0, fmt.Errorf("models: CapacityModel purchase1 argument: %v", err)
 	}
 	p2, err := args[2].AsInt()
 	if err != nil {
-		return value.Null, fmt.Errorf("models: CapacityModel purchase2 argument: %v", err)
+		return 0, 0, fmt.Errorf("models: CapacityModel purchase2 argument: %v", err)
 	}
-	return value.Float(m.At(seed, week, int(p1), int(p2))), nil
+	return int(p1), int(p2), nil
 }
 
 // RevenueConfig calibrates the pricing model used by the revenue example.
@@ -310,7 +375,8 @@ func (m *RevenueModel) Units(seed uint64, week int, price float64) float64 {
 	for i := 0; i < week; i++ {
 		growth *= 1 + m.cfg.GrowthPerWeek
 	}
-	noise := rng.Derive(seed, "revenue.units", uint64(week)).LogNormal(0, m.cfg.Sigma)
+	src := rng.Key(seed, "revenue.units").At(uint64(week))
+	noise := src.LogNormal(0, m.cfg.Sigma)
 	rel := price / m.cfg.ReferencePrice
 	elastic := 1.0
 	if rel > 0 {

@@ -121,8 +121,8 @@ func TestDemandGenerateValidation(t *testing.T) {
 
 func TestCapacityDeterministic(t *testing.T) {
 	m := NewCapacityModel(DefaultCapacityConfig())
-	a := m.Series(42, 16, 32)
-	b := m.Series(42, 16, 32)
+	a := m.Year(42, 16, 32)
+	b := m.Year(42, 16, 32)
 	for w := range a {
 		if a[w] != b[w] {
 			t.Fatalf("capacity not deterministic at week %d", w)
@@ -152,7 +152,7 @@ func TestCapacityPurchaseArrivals(t *testing.T) {
 		if arr1 < 10+cfg.LeadTimeMin {
 			t.Fatalf("arrival %d before minimum lead", arr1)
 		}
-		series := m.Series(seed, 10, 40)
+		series := m.Year(seed, 10, 40)
 		if arr1 < Weeks {
 			jump := series[arr1] - series[arr1-1]
 			if jump < cfg.BatchCores*0.5 {
@@ -175,7 +175,7 @@ func TestCapacityDeclinesWithoutPurchases(t *testing.T) {
 	seeds := worldSeeds(500)
 	var early, late stats.Moments
 	for _, seed := range seeds {
-		s := m.Series(seed, 52, 52) // purchases effectively never arrive
+		s := m.Year(seed, 52, 52) // purchases effectively never arrive
 		early.Add(s[5])
 		late.Add(s[50])
 	}
@@ -194,8 +194,8 @@ func TestCapacityDeclinesWithoutPurchases(t *testing.T) {
 func TestCapacityIdentityBeforePurchase(t *testing.T) {
 	m := NewCapacityModel(DefaultCapacityConfig())
 	for _, seed := range worldSeeds(20) {
-		a := m.Series(seed, 20, 40)
-		b := m.Series(seed, 28, 40)
+		a := m.Year(seed, 20, 40)
+		b := m.Year(seed, 28, 40)
 		// Both schedules are identical until the first arrival of the
 		// earlier schedule (week 20 + min lead at the earliest).
 		limit := 20 + DefaultCapacityConfig().LeadTimeMin
@@ -213,8 +213,8 @@ func TestCapacityIdentityBeforePurchase(t *testing.T) {
 func TestCapacityReconvergesAfterArrivals(t *testing.T) {
 	m := NewCapacityModel(DefaultCapacityConfig())
 	for _, seed := range worldSeeds(20) {
-		a := m.Series(seed, 8, 16)
-		b := m.Series(seed, 12, 16)
+		a := m.Year(seed, 8, 16)
+		b := m.Year(seed, 12, 16)
 		arrA := m.ArrivalWeek(seed, 8, 0)
 		arrB := m.ArrivalWeek(seed, 12, 0)
 		last := arrA
@@ -369,5 +369,65 @@ func TestQuickModelsFinite(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// The scalar form is the year's chain stopped at the requested week:
+// Generate equals Series at that week bit for bit, over a purchase grid
+// that includes arrivals past week 52 and two purchases landing in the same
+// week.
+func TestCapacityGenerateMatchesSeries(t *testing.T) {
+	m := NewCapacityModel(DefaultCapacityConfig())
+	purchases := [][2]int{{16, 32}, {20, 20}, {0, 4}, {8, 52}, {50, 51}}
+	series := make([]float64, Weeks)
+	var sameWeek, pastYear bool
+	for _, seed := range worldSeeds(500) {
+		for _, p := range purchases {
+			args := []value.Value{value.Int(0), value.Int(int64(p[0])), value.Int(int64(p[1]))}
+			if err := m.Series(seed, args, series); err != nil {
+				t.Fatal(err)
+			}
+			arr1, arr2 := m.ArrivalWeek(seed, p[0], 0), m.ArrivalWeek(seed, p[1], 1)
+			sameWeek = sameWeek || (arr1 == arr2 && arr1 < Weeks)
+			pastYear = pastYear || arr1 >= Weeks || arr2 >= Weeks
+			for w := 0; w < Weeks; w++ {
+				args[0] = value.Int(int64(w))
+				v, err := m.Generate(seed, args)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f, _ := v.AsFloat()
+				if math.Float64bits(f) != math.Float64bits(series[w]) {
+					t.Fatalf("seed %d purchases %v week %d: Generate %v, Series %v", seed, p, w, f, series[w])
+				}
+			}
+		}
+	}
+	if !sameWeek || !pastYear {
+		t.Fatalf("grid covered same-week arrivals=%v, arrivals past week %d=%v; want both", sameWeek, Weeks-1, pastYear)
+	}
+	if err := m.Series(1, []value.Value{value.Int(0), value.Int(0), value.Int(0)}, series[:10]); err == nil {
+		t.Error("a short series buffer should error")
+	}
+	if err := m.Series(1, []value.Value{value.Int(0), value.Str("x"), value.Int(0)}, series); err == nil {
+		t.Error("bad purchase1 should error")
+	}
+}
+
+func TestCapacityGenerateAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	m := NewCapacityModel(DefaultCapacityConfig())
+	args := []value.Value{value.Int(52), value.Int(16), value.Int(32)}
+	seed := uint64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		seed++
+		if _, err := m.Generate(seed, args); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("CapacityModel.Generate makes %v allocations per call, want 0", allocs)
 	}
 }

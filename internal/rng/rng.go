@@ -12,7 +12,9 @@
 //
 // Streams and substreams: Derive produces an independent stream from a
 // parent seed and a label, so that "world i, VG call j" gets its own
-// reproducible stream without coordination.
+// reproducible stream without coordination. Key hashes the (seed, label)
+// half once, so a loop over indices — worlds of one site, weeks of one
+// failure class — derives each stream on the stack in two SplitMix64 rounds.
 package rng
 
 import (
@@ -46,23 +48,48 @@ func New(seed uint64) *Source { return NewStream(seed, 0) }
 // NewStream returns a Source seeded from seed on the given stream. Distinct
 // streams with the same seed produce statistically independent sequences.
 func NewStream(seed, stream uint64) *Source {
-	s := &Source{inc: (splitmix64(stream) << 1) | 1}
-	s.state = 0
-	s.next() // advance per PCG reference seeding
-	s.state += splitmix64(seed)
-	s.next()
-	return s
+	s := seeded(splitmix64(seed), stream)
+	return &s
+}
+
+// seeded is PCG reference seeding with the seed already scrambled: start
+// from state 0, advance, add the seed, advance.
+func seeded(scrambledSeed, stream uint64) Source {
+	inc := (splitmix64(stream) << 1) | 1
+	return Source{state: (inc+scrambledSeed)*pcgMultiplier + inc, inc: inc}
+}
+
+// Keyed is a (seed, label) pair with the label already hashed: the family
+// of substreams Derive(seed, label, index) ranges over. Hashing the label
+// costs one SplitMix64 round per byte, so a caller drawing many indices of
+// one family keys it once and pays only At's two-round finish per index.
+type Keyed struct {
+	h         uint64 // seed and label hash
+	scrambled uint64 // splitmix64(h), the substreams' common scrambled seed
+}
+
+// Key hashes label under seed once; Key(seed, label).At(index) is the
+// stream Derive(seed, label, index) returns.
+func Key(seed uint64, label string) Keyed {
+	h := splitmix64(seed)
+	for i := 0; i < len(label); i++ {
+		h = splitmix64(h ^ uint64(label[i])*0x100000001b3)
+	}
+	return Keyed{h: h, scrambled: splitmix64(h)}
+}
+
+// At returns the family's substream at index, by value so it can live on
+// the caller's stack.
+func (k Keyed) At(index uint64) Source {
+	return seeded(k.scrambled, splitmix64(k.h^index*0x9e3779b97f4a7c15))
 }
 
 // Derive returns a new independent Source determined by the parent seed, a
 // string label and an index. It is the substream mechanism used to give each
 // (world, VG invocation) pair its own reproducible stream.
 func Derive(seed uint64, label string, index uint64) *Source {
-	h := splitmix64(seed)
-	for i := 0; i < len(label); i++ {
-		h = splitmix64(h ^ uint64(label[i])*0x100000001b3)
-	}
-	return NewStream(h, splitmix64(h^index*0x9e3779b97f4a7c15))
+	s := Key(seed, label).At(index)
+	return &s
 }
 
 // next advances the state and returns a 32-bit output (PCG-XSH-RR).

@@ -365,6 +365,55 @@ func TestQuickDerivePure(t *testing.T) {
 	}
 }
 
+// referenceDerive is Derive as first written — hash the label, then seed a
+// fresh stream step by step — the oracle Key(...).At(...) must reproduce.
+func referenceDerive(seed uint64, label string, index uint64) *Source {
+	h := splitmix64(seed)
+	for i := 0; i < len(label); i++ {
+		h = splitmix64(h ^ uint64(label[i])*0x100000001b3)
+	}
+	s := &Source{inc: (splitmix64(splitmix64(h^index*0x9e3779b97f4a7c15)) << 1) | 1}
+	s.next()
+	s.state += splitmix64(h)
+	s.next()
+	return s
+}
+
+// Key(seed, label).At(index) is the stream Derive(seed, label, index)
+// always was: same state, same increment, same draws.
+func TestKeyAtMatchesDerive(t *testing.T) {
+	check := func(seed uint64, label string, index uint64) {
+		t.Helper()
+		want := referenceDerive(seed, label, index)
+		got := Key(seed, label).At(index)
+		if got != *want || *Derive(seed, label, index) != *want {
+			t.Fatalf("Key(%d, %q).At(%d) = %+v, Derive = %+v, want %+v",
+				seed, label, index, got, *Derive(seed, label, index), *want)
+		}
+		for i := 0; i < 4; i++ {
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("Key(%d, %q).At(%d) draw %d = %d, want %d", seed, label, index, i, g, w)
+			}
+		}
+	}
+	edges := []uint64{0, 1, 1 << 32, math.MaxUint64}
+	for _, seed := range edges {
+		for _, label := range []string{"", "w", "world.CapacityModel#0", "capacity.fail.disk"} {
+			for _, index := range edges {
+				check(seed, label, index)
+			}
+		}
+	}
+	src := New(20110612)
+	for n := 0; n < 2000; n++ {
+		label := make([]byte, src.Intn(24))
+		for i := range label {
+			label[i] = byte(src.Uint32())
+		}
+		check(src.Uint64(), string(label), src.Uint64())
+	}
+}
+
 // Property: SeedSequence.At is pure.
 func TestQuickSeedSequencePure(t *testing.T) {
 	f := func(base uint64, i uint16) bool {

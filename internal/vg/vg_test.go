@@ -1,6 +1,7 @@
 package vg
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -289,5 +290,114 @@ func TestErrorsMentionFunctionName(t *testing.T) {
 	_, err := r.Invoke("Gamma", 1, []value.Value{value.Float(-1), value.Float(1)})
 	if err == nil || !strings.Contains(err.Error(), "Gamma") {
 		t.Errorf("error should name the function: %v", err)
+	}
+}
+
+// walk is a SeriesFunction fixture: Walk(step, start) is a Gaussian random
+// walk from start. With skew set, its chain draws each step from the next
+// step's stream — deterministic, but disagreeing with its own scalar form.
+type walk struct{ skew uint64 }
+
+func (w *walk) Name() string                   { return "Walk" }
+func (w *walk) Arity() int                     { return 2 }
+func (w *walk) SeriesAxis() (axis, length int) { return 0, 10 }
+
+func (w *walk) Generate(seed uint64, args []value.Value) (value.Value, error) {
+	step, err := args[0].AsInt()
+	if err != nil || step < 0 || step >= 10 {
+		return value.Null, fmt.Errorf("vg: Walk step %v outside [0, 10)", args[0])
+	}
+	var out [10]float64
+	if err := w.run(seed, args, out[:step+1], 0); err != nil {
+		return value.Null, err
+	}
+	return value.Float(out[step]), nil
+}
+
+func (w *walk) Series(seed uint64, args []value.Value, out []float64) error {
+	return w.run(seed, args, out, w.skew)
+}
+
+func (w *walk) run(seed uint64, args []value.Value, out []float64, skew uint64) error {
+	x, err := args[1].AsFloat()
+	if err != nil {
+		return err
+	}
+	steps := rng.Key(seed, "walk")
+	for p := range out {
+		if p > 0 {
+			src := steps.At(uint64(p) + skew)
+			x += src.Norm()
+		}
+		out[p] = x
+	}
+	return nil
+}
+
+func TestCheckDeterminismSeriesContract(t *testing.T) {
+	r := NewRegistry()
+	if err := r.Register(&walk{}); err != nil {
+		t.Fatal(err)
+	}
+	for step := int64(0); step < 10; step++ {
+		if err := r.CheckDeterminism("Walk", 3, []value.Value{value.Int(step), value.Float(1)}); err != nil {
+			t.Errorf("consistent series flagged at step %d: %v", step, err)
+		}
+	}
+	bad := NewRegistry()
+	if err := bad.Register(&walk{skew: 1}); err != nil {
+		t.Fatal(err)
+	}
+	// Step 0 is the start value on both forms; every later step disagrees.
+	if err := bad.CheckDeterminism("Walk", 3, []value.Value{value.Int(0), value.Float(1)}); err != nil {
+		t.Errorf("step 0 agrees on both forms, got %v", err)
+	}
+	err := bad.CheckDeterminism("Walk", 3, []value.Value{value.Int(4), value.Float(1)})
+	if err == nil || !strings.Contains(err.Error(), "disagrees with its scalar form at position 4") {
+		t.Errorf("inconsistent series not caught: %v", err)
+	}
+}
+
+func TestSeriesPosition(t *testing.T) {
+	f := &walk{}
+	cases := []struct {
+		axis value.Value
+		pos  int
+		ok   bool
+	}{
+		{value.Int(0), 0, true},
+		{value.Int(9), 9, true},
+		{value.Int(10), 0, false},
+		{value.Int(-1), 0, false},
+		{value.Float(3), 0, false},
+		{value.Str("3"), 0, false},
+	}
+	for _, c := range cases {
+		pos, ok := SeriesPosition(f, []value.Value{c.axis, value.Float(0)})
+		if pos != c.pos || ok != c.ok {
+			t.Errorf("SeriesPosition(%v) = %d, %v; want %d, %v", c.axis, pos, ok, c.pos, c.ok)
+		}
+	}
+	if _, ok := SeriesPosition(f, nil); ok {
+		t.Error("missing axis argument must not select a position")
+	}
+}
+
+// Bind counts the n samples its caller is about to deliver in one step;
+// Invoke is the n = 1 case.
+func TestBindCountsSamples(t *testing.T) {
+	r := newTestRegistry(t)
+	f, err := r.Bind("Gaussian", 2, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Name() != "Gaussian" || r.Count("Gaussian") != 64 || r.TotalInvocations() != 64 {
+		t.Fatalf("Bind(64) counted %d (total %d)", r.Count("Gaussian"), r.TotalInvocations())
+	}
+	if _, err := r.Bind("Gaussian", 1, 5); err == nil || r.Count("Gaussian") != 64 {
+		t.Errorf("arity mismatch must error without counting: %v, count %d", err, r.Count("Gaussian"))
+	}
+	if _, err := r.Bind("nope", 0, 1); err == nil {
+		t.Error("unknown function should error")
 	}
 }
