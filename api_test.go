@@ -388,8 +388,7 @@ func TestOptimizeSketchOnlyMatchesFull(t *testing.T) {
 // for shard 0 to be served and then cancels the render — a deterministic
 // stand-in for a deadline that expires mid-fan-out.
 type scriptedShards struct {
-	scn  *Scenario
-	fail bool
+	scn *Scenario
 
 	cutAfterFirst context.CancelFunc
 	firstServed   chan struct{}
@@ -402,9 +401,6 @@ func (s *scriptedShards) EvaluateShard(ctx context.Context, req ShardRequest) (*
 	s.mu.Lock()
 	s.reqs = append(s.reqs, req)
 	s.mu.Unlock()
-	if s.fail {
-		return nil, errors.New("worker down")
-	}
 	if s.cutAfterFirst != nil && req.Shard.Index == 1 {
 		<-s.firstServed
 		s.cutAfterFirst()
@@ -423,8 +419,8 @@ func (s *scriptedShards) EvaluateShard(ctx context.Context, req ShardRequest) (*
 
 // TestOpenSessionFromHonoursOptions: a session restored from saved reuse
 // state resolves its options exactly like OpenSession — sketch-only shard
-// requests, weighted shard sizing, the shard-input cache behind a local
-// fallback, and degraded frames — instead of silently dropping them.
+// requests over the equal split and degraded frames — instead of silently
+// dropping them.
 func TestOpenSessionFromHonoursOptions(t *testing.T) {
 	sys := demoSystem(t)
 	scn, err := sys.Compile(figure2)
@@ -445,13 +441,12 @@ func TestOpenSessionFromHonoursOptions(t *testing.T) {
 			return scn.OpenSessionFrom(bytes.NewReader(saved.Bytes()), opts...)
 		},
 	}
-	weights := func() []float64 { return []float64{3, 1} }
 	graphs := map[string]*Graph{}
 	for name, open := range openers {
 		t.Run(name, func(t *testing.T) {
-			// Sketch-only requests over weighted ranges.
+			// Sketch-only requests over the equal split.
 			rec := &scriptedShards{scn: scn}
-			sess, err := open(WithWorlds(80), WithShards(2), WithShardEvaluator(rec), WithShardWeights(weights), WithSketchOnly())
+			sess, err := open(WithWorlds(80), WithShards(2), WithShardEvaluator(rec), WithSketchOnly())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -467,27 +462,9 @@ func TestOpenSessionFromHonoursOptions(t *testing.T) {
 				if !req.SketchOnly {
 					t.Fatalf("shard request %+v is not sketch-only: WithSketchOnly was dropped", req.Shard)
 				}
-				if want := [2]WorldShard{{Lo: 0, Hi: 60}, {Lo: 60, Hi: 80, Index: 1}}[req.Shard.Index]; req.Shard != want {
-					t.Fatalf("shard %+v, want %+v: WithShardWeights was dropped", req.Shard, want)
+				if want := [2]WorldShard{{Lo: 0, Hi: 40}, {Lo: 40, Hi: 80, Index: 1}}[req.Shard.Index]; req.Shard != want {
+					t.Fatalf("shard %+v, want the equal split %+v", req.Shard, want)
 				}
-			}
-
-			// A failing fleet falls back to local self-simulated ranges,
-			// which are served through the shard-input cache.
-			cache, err := NewShardInputCache(0, "", 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cache.Close()
-			sess, err = open(WithWorlds(80), WithShards(2), WithShardEvaluator(&scriptedShards{scn: scn, fail: true}), WithShardInputCache(cache))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sess.Render(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			if st := cache.Stats(); st.Inserted == 0 {
-				t.Errorf("shard-input cache untouched (%+v): WithShardInputCache was dropped", st)
 			}
 
 			// A render cut after its first point's first shard is a degraded

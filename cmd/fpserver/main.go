@@ -54,8 +54,8 @@ func main() {
 		snapshotDir      = flag.String("snapshot-dir", "", "directory for reuse snapshots (empty = no persistence)")
 		snapshotInterval = flag.Duration("snapshot-interval", time.Minute, "how often to persist reuse caches")
 		storeBudget      = flag.Int64("store-budget", 0, "per-scenario basis-store budget in bytes (0 = unbounded)")
-		spillDir         = flag.String("spill-dir", "", "directory for out-of-core basis spill (empty = RAM-only stores)")
-		spillBudget      = flag.Int64("spill-budget", 0, "per-tier spill disk budget in bytes (0 = unbounded)")
+		spillDir         = flag.String("spill-dir", "", "directory for out-of-core basis spill (empty = RAM-only stores; ignored with -worker)")
+		spillBudget      = flag.Int64("spill-budget", 0, "per-scenario basis spill disk budget in bytes (0 = unbounded)")
 		enablePprof      = flag.Bool("pprof", false, "mount net/http/pprof handlers under /debug/pprof/ (do not expose publicly)")
 		workerMode       = flag.Bool("worker", false, "run as a shard worker: serve only POST /shard/render (+ health/metrics)")
 		workerURLs       = flag.String("workers", "", "comma-separated shard-worker base URLs; renders fan out across them")

@@ -421,9 +421,10 @@ func degradedNote(res *mc.PointResult) string {
 type WorldShard struct {
 	Lo int `json:"lo"`
 	Hi int `json:"hi"`
-	// Index is the shard's position within the render's split (0-based).
-	// Coordinators that size shards per worker use it for worker affinity:
-	// shard i was sized by worker i's weight, so it is routed there first.
+	// Index is the shard's position within the render's equal split
+	// (0-based). Coordinators use it for worker affinity: shard i is routed
+	// to worker i first, so a worker sees the same range at every point and
+	// keeps its series chains and pooled evaluators warm.
 	Index int `json:"index,omitempty"`
 }
 

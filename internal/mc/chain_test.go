@@ -224,6 +224,23 @@ func TestChainOncePerWorldPerRender(t *testing.T) {
 		t.Errorf("counted %d CapacityModel invocations, want %d", got, want)
 	}
 
+	// A worker whose range stays fixed across a fleet sweep — shard i of an
+	// equal split, sub-sharded over its cores — also simulates each of its
+	// worlds' chains once.
+	capacity.series.Store(0)
+	worker := NewEvaluator(scn, Options{Worlds: worlds, Shards: 2, Workers: 3})
+	for w := int64(0); w < models.Weeks; w++ {
+		if _, err := worker.EvaluateShard(context.Background(), point(w, 16, 32, 36), WorldRange{Lo: 16, Hi: 32}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := capacity.series.Load(); got != 16 {
+		t.Errorf("worker simulated %d chains, want one per world of its range (16)", got)
+	}
+	if got := capacity.generates.Load(); got != 0 {
+		t.Errorf("worker made %d scalar calls, want 0", got)
+	}
+
 	// An axis value the chain cannot index falls back to Generate, which
 	// reports the error.
 	only, err := scenario.Compile(`

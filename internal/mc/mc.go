@@ -51,27 +51,12 @@ type Options struct {
 	Runner ShardRunner
 	// Reuse enables fingerprint-based computation reuse when non-nil.
 	Reuse *Reuse
-	// ShardInputs, when non-nil, caches self-simulated shard input vectors
-	// keyed by (site, args, seed base, world range) — worker mode's analog
-	// of the basis store. A worker repeatedly rendering the same scenario
-	// points serves shard inputs from the cache (spilling out-of-core when
-	// the store is configured with a spill dir) instead of re-invoking
-	// VG-Functions; determinism of (seed base, site, world) seeds makes the
-	// cached vectors bit-identical to fresh simulation.
-	ShardInputs *storage.Store
 	// SketchOnly makes every range return ONLY its per-column sketch
 	// (Welford moments + t-digest) — PointResult.Columns stays nil and
 	// PointResult.Sketches is the range-ordered merge — so remote shard
 	// responses are O(compression) instead of O(worlds). Moments stay
 	// exact; quantiles carry the t-digest error bound.
 	SketchOnly bool
-	// ShardWeights, when non-nil with a remote Runner, supplies one
-	// positive weight per shard slot just before each point's split; shard
-	// ranges are sized proportionally (SplitWorldsWeighted). The
-	// coordinator uses per-worker latency EWMAs / advertised capacities so
-	// slow workers get small ranges. Invalid weights fall back to the
-	// equal split.
-	ShardWeights func() []float64
 	// AllowDegraded permits an evaluation cut short by its context
 	// deadline to return a partial result instead of the context error:
 	// the sketches of every range that completed before the cut are merged
@@ -469,18 +454,12 @@ func (ev *Evaluator) EvaluatePoint(ctx context.Context, pt guide.Point) (*PointR
 		return nil, err
 	}
 
-	// 2. Ranges. Worker-aware sizing: when the caller supplies per-worker
-	// weights (latency EWMAs, advertised capacities), remote ranges are
-	// sized proportionally so a slow worker gets a small range instead of
-	// stalling the stitch; local ranges all run on the same cores.
+	// 2. Ranges: the equal split, remote and local alike, so range i of
+	// every point is the same window of worlds — what keeps a worker's
+	// series chains and pooled evaluator warm across a sweep.
 	ranges := []WorldRange{{Lo: 0, Hi: n}}
 	if shardable {
 		ranges = SplitWorlds(n, ev.opts.Shards)
-		if remote && ev.opts.ShardWeights != nil {
-			if ws := ev.opts.ShardWeights(); len(ws) > 0 {
-				ranges = SplitWorldsWeighted(n, ws)
-			}
-		}
 	}
 
 	// 3. Run the ranges: materialize, execute the plan, collect columns.

@@ -20,8 +20,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"strconv"
 	"sync"
 
 	"fuzzyprophet/internal/aggregate"
@@ -29,7 +27,6 @@ import (
 	"fuzzyprophet/internal/obs"
 	"fuzzyprophet/internal/scenario"
 	"fuzzyprophet/internal/sqlengine"
-	"fuzzyprophet/internal/storage"
 )
 
 // WorldRange is a half-open shard [Lo, Hi) of a render's world range.
@@ -68,52 +65,6 @@ func SplitWorlds(n, k int) []WorldRange {
 	return out
 }
 
-// SplitWorldsWeighted splits [0, n) into contiguous non-empty ranges in
-// order, one per weight, sized proportionally to the weights — the
-// worker-aware analog of SplitWorlds: a coordinator sizes each worker's
-// shard by its observed throughput or advertised capacity. Invalid input
-// (no weights, a non-finite, NaN or non-positive weight, or a zero sum)
-// falls back to the equal split. When n < len(weights) only the first n
-// ranges exist (each of one world), exactly like SplitWorlds.
-func SplitWorldsWeighted(n int, weights []float64) []WorldRange {
-	if n <= 0 {
-		return nil
-	}
-	var sum float64
-	for _, w := range weights {
-		if math.IsNaN(w) || math.IsInf(w, 0) || w <= 0 {
-			return SplitWorlds(n, len(weights))
-		}
-		sum += w
-	}
-	if len(weights) == 0 || sum <= 0 || math.IsInf(sum, 0) {
-		return SplitWorlds(n, len(weights))
-	}
-	k := len(weights)
-	if k > n {
-		k = n
-	}
-	out := make([]WorldRange, 0, k)
-	lo := 0
-	var cum float64
-	for i := 0; i < k; i++ {
-		cum += weights[i]
-		hi := int(math.Round(float64(n) * cum / sum))
-		// Every range must be non-empty and the remaining ranges must each
-		// get at least one world, no matter how skewed the weights are.
-		if min := lo + 1; hi < min {
-			hi = min
-		}
-		if max := n - (k - 1 - i); hi > max {
-			hi = max
-		}
-		out = append(out, WorldRange{Lo: lo, Hi: hi})
-		lo = hi
-	}
-	out[k-1].Hi = n
-	return out
-}
-
 // ShardTask describes one shard evaluation: the parameter point, the
 // render's total world count and seed base (any worker re-derives the exact
 // per-world samples from these), and the assigned world range.
@@ -122,9 +73,10 @@ type ShardTask struct {
 	Worlds   int
 	SeedBase uint64
 	Range    WorldRange
-	// Index is the shard's position within the render's split. A remote
-	// runner uses it for worker affinity: shard i was sized by worker i's
-	// weight, so routing it there first keeps weighted splits meaningful.
+	// Index is the shard's position within the render's equal split. A
+	// remote runner uses it for worker affinity: shard i goes to worker i
+	// first, so every point of a sweep sends a worker the same range and
+	// its series chains and pooled evaluator stay warm.
 	Index int
 	// SketchOnly asks the shard for merged per-column sketches WITHOUT the
 	// per-world sample vectors — O(compression) response payload instead of
@@ -211,14 +163,6 @@ func (env *shardEnv) siteRange(si, m int) []float64 {
 	return env.siteBuf[si]
 }
 
-// shardInputKey encodes everything a self-simulated shard input vector
-// depends on beyond the site: the argument key, the seed base and the
-// world range.
-func shardInputKey(argKey string, seedBase uint64, lo, hi int) string {
-	return argKey + "|" + strconv.FormatUint(seedBase, 10) + "|" +
-		strconv.Itoa(lo) + ":" + strconv.Itoa(hi)
-}
-
 // runShardLocal is the range executor: it evaluates one world range in
 // process, recording its stage spans under sp. ord holds the range's world
 // ordinals (len task.Range.Len(), absolute values). When siteSamples is
@@ -303,53 +247,20 @@ func (ev *Evaluator) runShardLocal(ctx context.Context, sp *obs.Span, task Shard
 }
 
 // simulateInputs fills env's worlds table with the task range's site
-// vectors, simulated from the task's per-(site, world) seeds or served from
-// the shard-input cache.
+// vectors, simulated from the task's per-(site, world) seeds.
 func (ev *Evaluator) simulateInputs(ctx context.Context, sp *obs.Span, env *shardEnv, task ShardTask, calls []siteCall) error {
 	ssp := sp.Child("simulate")
 	defer ssp.End()
-	inputs := ev.opts.ShardInputs
-	var inputsBefore storage.Stats
-	if ssp != nil && inputs != nil {
-		inputsBefore = inputs.Stats()
-	}
-	var cacheHits int64
 	lo, hi := task.Range.Lo, task.Range.Hi
 	for si, call := range calls {
-		site := &ev.scn.Sites[si]
-		// Worker-mode shard-input cache: a worker re-rendering the same
-		// point serves the range's samples from the store (RAM or spill
-		// tier) instead of re-invoking the VG-Function per world. The key
-		// pins everything the samples depend on — args, seed base and world
-		// range — so a hit is bit-identical by determinism.
-		var cacheKey string
-		if inputs != nil {
-			cacheKey = shardInputKey(call.key, task.SeedBase, lo, hi)
-			if cached, ok := inputs.Get(site.ID, cacheKey); ok && len(cached) == hi-lo {
-				cacheHits++
-				env.columns[si+1].SetFloats(cached)
-				continue
-			}
-		}
 		vec := env.siteRange(si, hi-lo)
 		if err := ev.simulateRange(ctx, call, lo, hi, vec); err != nil {
 			return err
 		}
-		if inputs != nil {
-			inputs.Put(site.ID, cacheKey, vec)
-		}
 		env.columns[si+1].SetFloats(vec)
 	}
-	if ssp != nil {
-		ssp.SetInt("worlds", int64(hi-lo))
-		ssp.SetInt("sites", int64(len(ev.scn.Sites)))
-		if cacheHits > 0 {
-			ssp.SetInt("shard_input_cache_hits", cacheHits)
-		}
-		if inputs != nil {
-			noteSpillDeltas(ssp, inputsBefore, inputs.Stats())
-		}
-	}
+	ssp.SetInt("worlds", int64(hi-lo))
+	ssp.SetInt("sites", int64(len(ev.scn.Sites)))
 	return nil
 }
 

@@ -145,48 +145,3 @@ func TestSpillKillAndReopen(t *testing.T) {
 		t.Fatalf("reopen saw corruption: %+v", st)
 	}
 }
-
-// TestShardInputCacheBitIdentical: worker-mode shard renders with the
-// shard-input cache (spilling) return byte-identical outputs to uncached
-// renders, and the second render serves from the cache.
-func TestShardInputCacheBitIdentical(t *testing.T) {
-	ctx := context.Background()
-	const worlds = 300
-	scn := compileExample(t, "capacityplanning")
-	pt := scn.DefaultPoint()
-	shard := WorldRange{Lo: 50, Hi: 250}
-
-	base := NewEvaluator(scn, Options{Worlds: worlds, Shards: 4})
-	want, err := base.EvaluateShard(ctx, pt, shard)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	inputs, err := storage.Open(storage.Options{BudgetBytes: spillBudget, SpillDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inputs.Close()
-	ev := NewEvaluator(scn, Options{Worlds: worlds, Shards: 4, ShardInputs: inputs})
-	for pass := 0; pass < 2; pass++ {
-		got, err := ev.EvaluateShard(ctx, pt, shard)
-		if err != nil {
-			t.Fatalf("pass %d: %v", pass, err)
-		}
-		for col, fs := range want.Columns {
-			gs, ok := got.Columns[col]
-			if !ok || len(gs) != len(fs) {
-				t.Fatalf("pass %d: column %q shape mismatch", pass, col)
-			}
-			for i := range fs {
-				if gs[i] != fs[i] {
-					t.Fatalf("pass %d: column %q world %d = %v, want %v", pass, col, i, gs[i], fs[i])
-				}
-			}
-		}
-	}
-	st := inputs.Stats()
-	if st.Hits == 0 {
-		t.Fatalf("second render did not hit the shard-input cache: %+v", st)
-	}
-}

@@ -274,13 +274,6 @@ func (m *metrics) writeTo(w io.Writer, s *Server) {
 	gauge("fpserver_spill_bytes", "Bytes held by spill tiers on disk.", spillBytes)
 	gauge("fpserver_spill_entries", "Bases resident in spill tiers.", spillEntries)
 	gauge("fpserver_spill_quarantined", "Spill files quarantined after failing CRC or size checks.", quarantined)
-	if s.shardInputs != nil {
-		st := s.shardInputs.Stats()
-		gauge("fpserver_shard_input_cache_hits", "Shard-input vectors served from the cache.", st.Hits)
-		gauge("fpserver_shard_input_cache_misses", "Shard-input vectors simulated on cache miss.", st.Misses)
-		gauge("fpserver_shard_input_cache_bytes", "Bytes held in RAM by the shard-input cache.", st.UsedBytes)
-		gauge("fpserver_shard_input_cache_spill_bytes", "Bytes spilled out-of-core by the shard-input cache.", st.SpillBytes)
-	}
 	fmt.Fprintf(w, "# HELP fpserver_reuse_outcomes Point evaluations by reuse outcome, across registered caches.\n# TYPE fpserver_reuse_outcomes gauge\n")
 	kinds := make([]string, 0, len(outcomes))
 	for k := range outcomes {

@@ -45,7 +45,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"path/filepath"
-	"runtime"
 	"runtime/debug"
 	rpprof "runtime/pprof"
 	"strconv"
@@ -78,18 +77,17 @@ type Config struct {
 	// <0 disables the ticker, leaving registration-load and Close-save).
 	SnapshotInterval time.Duration
 	// StoreBudget bounds each scenario's basis-distribution store in
-	// bytes (0 = unbounded).
+	// bytes (0 = unbounded). Ignored in WorkerMode, which keeps no bases.
 	StoreBudget int64
 	// SpillDir enables out-of-core basis storage when non-empty: each
 	// scenario's bases evicted from StoreBudget are demoted to
 	// memory-mapped column files under SpillDir/bases/<fingerprint> and
-	// faulted back on demand, and shard renders cache their self-simulated
-	// input vectors under SpillDir/shard-inputs (the worker role's hot
-	// set). Reopened crash-safely: torn or corrupt files are quarantined
-	// and their bases re-simulated. Sessions with a custom seed base stay
-	// RAM-only (their samples are incompatible with the shared tier).
+	// faulted back on demand. Reopened crash-safely: torn or corrupt files
+	// are quarantined and their bases re-simulated. Sessions with a custom
+	// seed base stay RAM-only (their samples are incompatible with the
+	// shared tier). Ignored in WorkerMode, which keeps no bases.
 	SpillDir string
-	// SpillBudget bounds each spill tier's disk usage in bytes (0 =
+	// SpillBudget bounds each basis spill tier's disk usage in bytes (0 =
 	// unbounded). Over-budget column files are dropped least-recently-used.
 	SpillBudget int64
 	// EnablePprof mounts net/http/pprof handlers under /debug/pprof/ so
@@ -220,14 +218,11 @@ type Server struct {
 	// shardCache caches worker-side compiled scenarios by fingerprint;
 	// shardClient is the coordinator-side HTTP client for shard fan-out;
 	// workerStates is the coordinator's per-worker protocol book-keeping
-	// (warm fingerprints, health cool-down, latency EWMA, capacity),
-	// shared by every scenario's worker pool.
+	// (warm fingerprints, health cool-down), shared by every scenario's
+	// worker pool.
 	shardCache   *shardScenarios
 	shardClient  *http.Client
 	workerStates []*workerState
-	// shardInputs caches self-simulated shard input vectors across shard
-	// renders, spilling out-of-core; nil without Config.SpillDir.
-	shardInputs *fp.ShardInputCache
 
 	// gate is the render admission gate (concurrency bound, load shedding,
 	// shutdown draining); shardLatency feeds the adaptive hedge delay with
@@ -271,14 +266,6 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.snapshots = store
-	}
-	if cfg.SpillDir != "" {
-		cache, err := fp.NewShardInputCache(cfg.StoreBudget,
-			filepath.Join(cfg.SpillDir, "shard-inputs"), cfg.SpillBudget)
-		if err != nil {
-			return nil, fmt.Errorf("server: opening shard-input spill tier: %w", err)
-		}
-		s.shardInputs = cache
 	}
 	s.routes()
 	s.startLoops()
@@ -340,16 +327,6 @@ func (s *Server) startLoops() {
 			}
 		}()
 	}
-	if len(s.workerStates) > 0 {
-		// Seed shard-sizing weights from the workers' advertised core
-		// counts before any latency observations exist.
-		s.loops.Add(1)
-		go func() {
-			defer s.loops.Done()
-			defer s.recoverToLog("capacity probe")
-			s.probeWorkerCapacities()
-		}()
-	}
 	if s.snapshots != nil && s.cfg.SnapshotInterval > 0 {
 		s.loops.Add(1)
 		go func() {
@@ -391,11 +368,6 @@ func (s *Server) Close() error {
 		// drained and the final snapshot is written.
 		for _, e := range s.registry.List() {
 			if err := e.Cache.Close(); err != nil && s.closeErr == nil {
-				s.closeErr = err
-			}
-		}
-		if s.shardInputs != nil {
-			if err := s.shardInputs.Close(); err != nil && s.closeErr == nil {
 				s.closeErr = err
 			}
 		}
@@ -975,16 +947,16 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	s.json(w, http.StatusOK, res)
 }
 
+// handleHealthz reports liveness, occupancy and the shard wire protocol
+// version.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.json(w, http.StatusOK, map[string]any{
 		"status":         "ok",
 		"uptime_seconds": int64(time.Since(s.metrics.start).Seconds()),
 		"scenarios":      s.registry.Len(),
 		"sessions":       s.sessions.Len(),
-		// Shard-serving advertisement: protocol version and core count,
-		// read by coordinators to seed worker-aware shard sizing.
-		"shard_proto":    fp.ShardProtocolVersion,
-		"shard_capacity": runtime.GOMAXPROCS(0),
+		// The shard wire protocol version this server speaks.
+		"shard_proto": fp.ShardProtocolVersion,
 	})
 }
 

@@ -18,17 +18,17 @@
 //
 //   - COORDINATOR (fpserver -workers=url1,url2,...): a workerPool
 //     implements fp.ShardEvaluator; session renders and batch evaluates
-//     fan each point's world range out across the configured workers,
-//     sizing each worker's range by its observed throughput (latency EWMA)
-//     or /healthz-advertised capacity. The coordinator tracks, per worker,
-//     which fingerprints are warm (so steady state sends fingerprint-only
-//     requests). A worker failing with a transport error or 5xx trips
-//     its circuit breaker and is only retried after the (jittered,
-//     backoff-doubling) open window lapses — or when every worker's
-//     breaker is open. Slow
-//     shards are hedged: past the hedge delay (the observed P95 by
-//     default) a duplicate request races on a second worker and the first
-//     result wins. A failed shard request is retried on the remaining
+//     fan each point's world range out across the configured workers as
+//     the equal split, shard i to worker i first — so a worker sees the
+//     same range at every point and its series chains and pooled
+//     evaluators stay warm across a sweep. The coordinator tracks, per
+//     worker, which fingerprints are warm (so steady state sends
+//     fingerprint-only requests). A worker failing with a transport error
+//     or 5xx trips its circuit breaker and is only retried after the
+//     (jittered, backoff-doubling) open window lapses — or when every
+//     worker's breaker is open. Slow shards are hedged: past the hedge
+//     delay (the observed P95 by default) a duplicate request races on a
+//     second worker and the first result wins. A failed shard request is retried on the remaining
 //     workers with jittered exponential backoff; when all fail, the Monte
 //     Carlo executor evaluates that shard locally — dying workers degrade
 //     throughput, never correctness or results. Per-attempt deadlines
@@ -59,13 +59,11 @@ import (
 // with the render ID and a trace flag; the worker returns its span tree in
 // shardResponse.Trace and the coordinator grafts it under the requesting
 // shard span — one stitched tree per render across processes. The worker
-// also advertises its protocol version and core count on every shard
-// response.
+// also advertises its protocol version on every shard response.
 const (
 	headerRenderID = "X-FP-Render-ID"
 	headerTrace    = "X-FP-Trace"
 	headerProto    = "X-FP-Shard-Proto"
-	headerCapacity = "X-FP-Shard-Capacity"
 	// headerBudget carries the coordinator attempt's remaining deadline
 	// budget in milliseconds; the worker applies it server-side so an
 	// abandoned shard stops burning cores even if the connection lingers.
@@ -217,19 +215,10 @@ func (c *shardScenarios) get(sys *fp.System, req *shardRequest, mkWorker func(*f
 }
 
 // newShardWorkerFor builds the per-scenario evaluator freelist a worker
-// serves shard requests from: sub-sharded across this machine's cores,
-// with the spillable shard-input cache when configured.
+// serves shard requests from, sub-sharded across this machine's cores so
+// one request saturates it.
 func (s *Server) newShardWorkerFor(scn *fp.Scenario) (*fp.ShardWorker, error) {
-	opts := []fp.EvalOption{
-		// Sub-shard across this worker's cores so one request saturates it.
-		fp.WithShards(runtime.GOMAXPROCS(0)),
-	}
-	if s.shardInputs != nil {
-		// Serve repeated (site, args, seed, range) input vectors from the
-		// spillable cache instead of re-invoking VG-Functions per world.
-		opts = append(opts, fp.WithShardInputCache(s.shardInputs))
-	}
-	return scn.NewShardWorker(opts...)
+	return scn.NewShardWorker(fp.WithShards(runtime.GOMAXPROCS(0)))
 }
 
 // protocolError writes a JSON error body with a machine-readable code, so
@@ -245,7 +234,6 @@ func (s *Server) handleShardRender(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set(headerProto, strconv.Itoa(fp.ShardProtocolVersion))
-	w.Header().Set(headerCapacity, strconv.Itoa(runtime.GOMAXPROCS(0)))
 	if req.Proto > fp.ShardProtocolVersion {
 		s.protocolError(w, http.StatusBadRequest, codeUnsupportedProtocol,
 			fmt.Errorf("unsupported shard protocol %d (this worker speaks <= %d)", req.Proto, fp.ShardProtocolVersion))
@@ -330,13 +318,9 @@ func (s *Server) handleShardRender(w http.ResponseWriter, r *http.Request) {
 
 // ---- coordinator side ----
 
-// ewmaAlpha weighs the newest per-world latency observation in a worker's
-// moving average.
-const ewmaAlpha = 0.3
-
 // workerState is the coordinator's per-worker book-keeping, shared by every
-// scenario's workerPool so warm sets, health and throughput estimates
-// survive across renders and scenarios.
+// scenario's workerPool so warm sets and health survive across renders and
+// scenarios.
 type workerState struct {
 	url string
 	// br is the worker's circuit breaker: opened by consecutive transport
@@ -348,11 +332,6 @@ type workerState struct {
 	// warm records which scenario fingerprints this worker has confirmed
 	// cached, making fingerprint-only (slim) requests safe.
 	warm map[string]bool
-	// ewmaNsPerWorld is the exponentially weighted per-world latency; 0
-	// until the first successful shard.
-	ewmaNsPerWorld float64
-	// capacity is the worker's /healthz-advertised core count (0 unknown).
-	capacity float64
 }
 
 // newWorkerStates builds the shared per-worker book-keeping; threshold and
@@ -398,34 +377,6 @@ func (ws *workerState) markHealthy() {
 	ws.br.onSuccess()
 }
 
-func (ws *workerState) setCapacity(cores float64) {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	ws.capacity = cores
-}
-
-// observe folds one successful shard's per-world latency into the EWMA.
-func (ws *workerState) observe(worlds int, dur time.Duration) {
-	if worlds <= 0 || dur <= 0 {
-		return
-	}
-	nsPerWorld := float64(dur.Nanoseconds()) / float64(worlds)
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	if ws.ewmaNsPerWorld == 0 {
-		ws.ewmaNsPerWorld = nsPerWorld
-		return
-	}
-	ws.ewmaNsPerWorld += ewmaAlpha * (nsPerWorld - ws.ewmaNsPerWorld)
-}
-
-// snapshot returns (ewmaNsPerWorld, capacity) under the lock.
-func (ws *workerState) snapshot() (float64, float64) {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	return ws.ewmaNsPerWorld, ws.capacity
-}
-
 // shardHTTPError is a non-200 worker answer, carrying the machine-readable
 // protocol code when the body had one.
 type shardHTTPError struct {
@@ -441,11 +392,11 @@ func (e *shardHTTPError) Error() string {
 
 // workerPool fans shard evaluations out to the configured workers,
 // implementing fp.ShardEvaluator for one scenario entry over wire protocol
-// v2. Worker selection starts at the shard's index (shard i was sized by
-// worker i's weight), preferring workers whose circuit breaker admits
-// traffic. A slow shard is hedged: after the hedge delay (observed P95 by
-// default) a duplicate request goes to the next candidate and the first
-// result wins. A failed request is retried on every other candidate with
+// v2. Worker selection starts at the shard's index (shard i of the equal
+// split goes to worker i first, keeping each worker's range fixed),
+// preferring workers whose circuit breaker admits traffic. A slow shard is
+// hedged: after the hedge delay (observed P95 by default) a duplicate
+// request goes to the next candidate and the first result wins. A failed request is retried on every other candidate with
 // jittered exponential backoff before reporting failure (upon which the
 // Monte Carlo executor evaluates the shard locally).
 type workerPool struct {
@@ -472,38 +423,6 @@ func (s *Server) newWorkerPool(entry *ScenarioEntry) *workerPool {
 		hedge:        s.cfg.HedgeDelay,
 		retryBackoff: s.cfg.RetryBackoff,
 		latency:      s.shardLatency,
-	}
-}
-
-// weights returns the per-worker shard-sizing weights: inverse per-world
-// latency when every worker has an EWMA, advertised capacities when every
-// worker advertised one, nil (= equal split) otherwise. Mixing the two
-// scales would compare incomparable units.
-func (p *workerPool) weights() []float64 {
-	ewmas := make([]float64, len(p.states))
-	caps := make([]float64, len(p.states))
-	allEwma, allCaps := true, true
-	for i, ws := range p.states {
-		e, c := ws.snapshot()
-		ewmas[i], caps[i] = e, c
-		if e <= 0 {
-			allEwma = false
-		}
-		if c <= 0 {
-			allCaps = false
-		}
-	}
-	switch {
-	case allEwma:
-		out := make([]float64, len(ewmas))
-		for i, e := range ewmas {
-			out[i] = 1 / e
-		}
-		return out
-	case allCaps:
-		return caps
-	default:
-		return nil
 	}
 }
 
@@ -692,7 +611,7 @@ func (p *workerPool) tryWorker(ctx context.Context, ws *workerState, req fp.Shar
 	start := time.Now()
 	res, err := p.post(ctx, ws.url, body)
 	if err == nil {
-		p.recordSuccess(ws, req, start)
+		p.recordSuccess(ws, start)
 		if !useSlim {
 			ws.setWarm(fingerprint, true)
 		}
@@ -715,7 +634,7 @@ func (p *workerPool) tryWorker(ctx context.Context, ws *workerState, req fp.Shar
 		sp.SetInt("cache_miss_resend", 1)
 		start = time.Now()
 		if res, err = p.post(ctx, ws.url, full); err == nil {
-			p.recordSuccess(ws, req, start)
+			p.recordSuccess(ws, start)
 			ws.setWarm(fingerprint, true)
 			sp.SetStr("wire", "full-resend")
 			return res, nil
@@ -736,14 +655,12 @@ func (p *workerPool) tryWorker(ctx context.Context, ws *workerState, req fp.Shar
 	return nil, err
 }
 
-// recordSuccess folds a successful shard into the worker's breaker and
-// throughput state and the pool's hedge-delay latency window.
-func (p *workerPool) recordSuccess(ws *workerState, req fp.ShardRequest, start time.Time) {
-	dur := time.Since(start)
+// recordSuccess folds a successful shard into the worker's breaker and the
+// pool's hedge-delay latency window.
+func (p *workerPool) recordSuccess(ws *workerState, start time.Time) {
 	ws.markHealthy()
-	ws.observe(req.Shard.Hi-req.Shard.Lo, dur)
 	if p.latency != nil {
-		p.latency.observe(dur)
+		p.latency.observe(time.Since(start))
 	}
 }
 
@@ -811,57 +728,15 @@ func (p *workerPool) post(ctx context.Context, base string, body []byte) (*fp.Sh
 }
 
 // shardEvalOptions returns the fan-out options for evaluations of entry
-// when workers are configured (nil otherwise): one shard per worker, sized
-// by the pool's worker weights, evaluated through the entry's worker pool.
+// when workers are configured (nil otherwise): one shard per worker, the
+// equal split, evaluated through the entry's worker pool.
 func (s *Server) shardEvalOptions(entry *ScenarioEntry) []fp.EvalOption {
 	if len(s.cfg.Workers) == 0 {
 		return nil
 	}
-	pool := s.newWorkerPool(entry)
 	return []fp.EvalOption{
 		fp.WithShards(len(s.cfg.Workers)),
-		fp.WithShardEvaluator(pool),
-		fp.WithShardWeights(pool.weights),
-	}
-}
-
-// probeWorkerCapacities asks each worker's /healthz once for its
-// advertised core count, seeding shard-sizing weights before any latency
-// EWMA exists. Failures are benign: sizing falls back to the equal split.
-// The probe window derives from the configured shard timeout (capped at
-// 10s) rather than a hardcoded constant, and Server.Close cancels it.
-func (s *Server) probeWorkerCapacities() {
-	timeout := 10 * time.Second
-	if s.cfg.ShardTimeout > 0 && s.cfg.ShardTimeout < timeout {
-		timeout = s.cfg.ShardTimeout
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	go func() {
-		defer s.recoverToLog("probe canceller")
-		select {
-		case <-s.stop:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-	for _, ws := range s.workerStates {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, ws.url+"/healthz", nil)
-		if err != nil {
-			continue
-		}
-		resp, err := s.shardClient.Do(req)
-		if err != nil {
-			continue
-		}
-		var body struct {
-			ShardCapacity float64 `json:"shard_capacity"`
-		}
-		err = json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&body)
-		resp.Body.Close()
-		if err == nil && body.ShardCapacity > 0 {
-			ws.setCapacity(body.ShardCapacity)
-		}
+		fp.WithShardEvaluator(s.newWorkerPool(entry)),
 	}
 }
 

@@ -1,11 +1,13 @@
 package server
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	fp "fuzzyprophet"
+	"fuzzyprophet/internal/server/protocoltest"
 )
 
 // newWorkerServer starts a shard worker (WorkerMode).
@@ -207,6 +209,53 @@ func TestCoordinatorBatchEvaluate(t *testing.T) {
 			if ws.Mean != gs.Mean || ws.StdDev != gs.StdDev || ws.N != gs.N {
 				t.Errorf("point %d column %s: fanned-out mean/stddev %v/%v != local %v/%v",
 					i, col, gs.Mean, gs.StdDev, ws.Mean, ws.StdDev)
+			}
+		}
+	}
+}
+
+// TestFleetSendsFixedRanges: a coordinator sends shard i of every point to
+// worker i as the equal split, so a worker sees one world range for the
+// whole sweep — the range its series chains and pooled evaluators are keyed
+// by. Hedging is off so no shard is duplicated onto the other worker.
+func TestFleetSendsFixedRanges(t *testing.T) {
+	const worlds = 400
+	var proxies []*protocoltest.Proxy
+	var urls []string
+	for i := 0; i < 2; i++ {
+		proxy := protocoltest.New(newWorkerServer(t).URL)
+		t.Cleanup(proxy.Close)
+		proxies = append(proxies, proxy)
+		urls = append(urls, proxy.URL())
+	}
+	_, coord := newTestServer(t, func(c *Config) {
+		c.Workers = urls
+		c.HedgeDelay = -1
+	})
+
+	scn := registerScenario(t, coord.URL)
+	var weeks []map[string]any
+	for w := 5; w < 9; w++ {
+		weeks = append(weeks, map[string]any{"current": w, "purchase1": 8, "feature": 4})
+	}
+	for run := 0; run < 2; run++ {
+		evaluatePoints(t, coord.URL, scn.ID, evaluateRequest{Points: weeks, Worlds: worlds, SketchOnly: true})
+	}
+
+	for i, proxy := range proxies {
+		want := [2]int{i * worlds / 2, (i + 1) * worlds / 2}
+		ex := proxy.ShardExchanges()
+		if len(ex) != 2*len(weeks) {
+			t.Errorf("worker %d saw %d shard requests, want %d (one per point per run)", i, len(ex), 2*len(weeks))
+		}
+		for j, e := range ex {
+			var req shardRequest
+			if err := json.Unmarshal(e.RequestBody, &req); err != nil {
+				t.Fatalf("worker %d request %d: %v", i, j, err)
+			}
+			if got := [2]int{req.Lo, req.Hi}; got != want {
+				t.Errorf("worker %d request %d (current=%v) asks for [%d,%d), want [%d,%d)",
+					i, j, req.Point["current"], got[0], got[1], want[0], want[1])
 			}
 		}
 	}

@@ -29,7 +29,8 @@ func TestTracedShardedRenderStitchesWorkerTrees(t *testing.T) {
 	w2srv, w2 := newTestServer(t, func(c *Config) { c.WorkerMode = true })
 	_, coord := newTestServer(t, func(c *Config) { c.Workers = []string{w1.URL, w2.URL} })
 
-	id := openTestSession(t, coord.URL, 80)
+	const worlds = 80
+	id := openTestSession(t, coord.URL, worlds)
 	var rr renderResponse
 	if code := call(t, "GET", coord.URL+"/sessions/"+id+"/render?trace=1", nil, &rr); code != http.StatusOK {
 		t.Fatalf("render = %d", code)
@@ -67,20 +68,19 @@ func TestTracedShardedRenderStitchesWorkerTrees(t *testing.T) {
 	if want := 2 * seen["point"]; seen["point"] == 0 || len(workerRoots) != want {
 		t.Fatalf("stitched tree has %d worker-shard subtrees over %d points, want %d", len(workerRoots), seen["point"], want)
 	}
-	// Shard boundaries are throughput-weighted, so exact ranges vary per
-	// point; every point must still split into (at least) two distinct
-	// ranges, one per worker.
-	los := map[any]bool{}
+	// Every point splits its worlds equally, so each point contributes one
+	// worker subtree starting at 0 and one starting at worlds/2.
+	los := map[any]int{}
 	for _, wn := range workerRoots {
-		los[wn.Attrs["lo"]] = true
+		los[wn.Attrs["lo"]]++
 		sub := map[string]int{}
 		wn.Visit(func(_ int, n *obs.Node) { sub[n.Name]++ })
 		if sub["simulate"] == 0 || sub["plan-execute"] == 0 {
 			t.Errorf("worker subtree (lo=%v) lacks worker-side stages; got %v", wn.Attrs["lo"], sub)
 		}
 	}
-	if len(los) < 2 {
-		t.Errorf("worker subtrees cover %d distinct world ranges, want >= 2", len(los))
+	if points := seen["point"]; len(los) != 2 || los[float64(0)] != points || los[float64(worlds/2)] != points {
+		t.Errorf("worker subtree lo counts %v, want lo ∈ {0, %d} once per point (%d)", los, worlds/2, points)
 	}
 	// Both worker processes served shards of this render.
 	for i, wsrv := range []*Server{w1srv, w2srv} {

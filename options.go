@@ -30,14 +30,10 @@ type evalConfig struct {
 	shards        int
 	shardEval     ShardEvaluator
 	sketchOnly    bool
-	shardWeights  func() []float64
 	allowDegraded bool
 	// shared, when set by WithReuseCache, is used instead of a private
 	// reuse engine.
 	shared *mc.Reuse
-	// shardInputs, when set by WithShardInputCache, caches self-simulated
-	// shard input vectors (worker mode).
-	shardInputs *ShardInputCache
 }
 
 func newEvalConfig(opts []EvalOption) evalConfig {
@@ -163,16 +159,6 @@ func WithAllowDegraded() EvalOption {
 	return func(c *evalConfig) { c.allowDegraded = true }
 }
 
-// WithShardWeights supplies per-shard weights, queried just before each
-// point's world-range split: shard i's range is sized proportionally to
-// weights()[i] (worker-aware sizing — fpserver's coordinator feeds
-// per-worker latency EWMAs and advertised capacities so slow workers get
-// small ranges). Only consulted with a shard evaluator set; nil, empty or
-// invalid weights fall back to the equal split.
-func WithShardWeights(weights func() []float64) EvalOption {
-	return func(c *evalConfig) { c.shardWeights = weights }
-}
-
 func (c evalConfig) fingerprint() core.Config {
 	fp := core.DefaultConfig()
 	if c.fpLength > 0 {
@@ -205,10 +191,6 @@ func (c evalConfig) mcOptions() (mc.Options, error) {
 	}
 	if c.shardEval != nil {
 		opts.Runner = shardRunnerFor(c.shardEval)
-		opts.ShardWeights = c.shardWeights
-	}
-	if c.shardInputs != nil {
-		opts.ShardInputs = c.shardInputs.store
 	}
 	if c.shared != nil {
 		opts.Reuse = c.shared

@@ -195,49 +195,3 @@ func WithReuseCache(c *ReuseCache) EvalOption {
 		}
 	}
 }
-
-// ShardInputCache caches self-simulated shard input vectors — worker
-// mode's analog of the basis store. A shard worker repeatedly rendering
-// the same scenario points serves each (site, args, seed base, world
-// range) vector from the cache instead of re-invoking VG-Functions; with a
-// spill dir configured, cold vectors spill out-of-core and fault back as
-// mapped views. Determinism of per-(site, world) seeds makes a cache hit
-// bit-identical to fresh simulation. Safe for concurrent use.
-type ShardInputCache struct {
-	store *storage.Store
-}
-
-// NewShardInputCache creates a shard-input cache. budgetBytes bounds the
-// RAM tier (<= 0 unbounded); spillDir, when non-empty, enables the
-// out-of-core tier (spillBudgetBytes bounds its disk usage, <= 0
-// unbounded).
-func NewShardInputCache(budgetBytes int64, spillDir string, spillBudgetBytes int64) (*ShardInputCache, error) {
-	store, err := storage.Open(storage.Options{
-		BudgetBytes:      budgetBytes,
-		SpillDir:         spillDir,
-		SpillBudgetBytes: spillBudgetBytes,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &ShardInputCache{store: store}, nil
-}
-
-// Stats returns the cache's store counters.
-func (c *ShardInputCache) Stats() StoreStats {
-	return convertStoreStats(c.store.Stats())
-}
-
-// Close releases the cache's spill tier, if any.
-func (c *ShardInputCache) Close() error { return c.store.Close() }
-
-// WithShardInputCache makes self-simulating shard evaluations
-// (EvaluateShard / ShardWorker, and a coordinator's local fallback for a
-// failed remote shard) serve their input vectors from the given cache.
-func WithShardInputCache(c *ShardInputCache) EvalOption {
-	return func(cfg *evalConfig) {
-		if c != nil {
-			cfg.shardInputs = c
-		}
-	}
-}

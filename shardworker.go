@@ -15,13 +15,16 @@ import (
 // of its pool,
 // retargets it at the request's (worlds, seed, sketch mode) via a cheap
 // reconfigure, and returns it after the render, so steady-state shard
-// serving allocates nothing per request beyond the response itself.
+// serving allocates nothing per request beyond the response itself. A
+// coordinator sends a worker the same world range at every point of a
+// sweep, so the pooled evaluator's series chains stay warm too: each
+// world's chain is simulated once per sweep.
 //
 // A ShardWorker is safe for concurrent use: concurrent requests each check
 // out their own evaluator (the pool grows to peak concurrency and is
 // reused thereafter). The options fixed at construction (worker
-// parallelism, in-process sub-shards, shard-input cache) apply to every
-// request; reuse is always disabled (partial vectors are not valid bases).
+// parallelism, in-process sub-shards) apply to every request; reuse is
+// always disabled (partial vectors are not valid bases).
 type ShardWorker struct {
 	scn  *Scenario
 	opts mc.Options
