@@ -19,34 +19,68 @@ import (
 // the earlier P² estimator precisely because P² markers cannot merge).
 // World sharding leans on this: each shard folds its own range, the
 // coordinator merges.
+//
+// Moments are eager; the digest is lazy. EXPECT, EXPECT_STDDEV and PROB —
+// everything a GRAPH clause plots — read only the moments, so AddAll on a
+// stats whose digest is not built yet folds the moments and keeps xs
+// pending. The first Add, second AddAll, Merge (on either side), quantile
+// read or Sketch builds the digest by folding the pending vector through
+// the same TDigest.AddAll an eager fold runs at AddAll time, so centroids,
+// extremes, every quantile and every serialized sketch are bit-identical
+// to folding eagerly; only when the work is paid moves.
+//
+// Ownership: AddAll retains xs until the digest is built; the caller must
+// not modify it before then. Reads are not safe to run concurrently: a
+// quantile read or Sketch may build the digest, and the digest's Quantile
+// mutates it too (it flushes the observation buffer).
 type ColumnStats struct {
 	Moments stats.Moments
-	digest  *stats.TDigest
+	digest  *stats.TDigest // nil until built
+	pending []float64      // AddAll's vector, not yet folded into digest
 }
 
 // NewColumnStats returns an empty aggregator.
 func NewColumnStats() *ColumnStats {
-	return &ColumnStats{digest: stats.NewTDigest(stats.DefaultCompression)}
+	return &ColumnStats{}
 }
 
 // Add folds in one world's value.
 func (c *ColumnStats) Add(x float64) {
 	c.Moments.Add(x)
-	c.digest.Add(x)
+	c.tdigest().Add(x)
 }
 
-// AddAll folds in a whole sample vector.
+// AddAll folds in a whole sample vector: its moments now, its digest
+// insert when the digest is first needed. It retains xs until then.
 func (c *ColumnStats) AddAll(xs []float64) {
 	for _, x := range xs {
-		c.Add(x)
+		c.Moments.Add(x)
 	}
+	if c.digest == nil && c.pending == nil {
+		c.pending = xs
+		return
+	}
+	c.tdigest().AddAll(xs)
+}
+
+// tdigest returns c's digest, first building it from the pending vector.
+func (c *ColumnStats) tdigest() *stats.TDigest {
+	if c.digest == nil {
+		c.digest = stats.NewTDigest(stats.DefaultCompression)
+	}
+	if c.pending != nil {
+		c.digest.AddAll(c.pending)
+		c.pending = nil
+	}
+	return c.digest
 }
 
 // Merge folds another column aggregator into c. Moments merge exactly (up
 // to float rounding); quantile estimates merge within the sketch tolerance.
+// Both digests are built first, so o is written to as well.
 func (c *ColumnStats) Merge(o *ColumnStats) {
 	c.Moments.Merge(&o.Moments)
-	c.digest.Merge(o.digest)
+	c.tdigest().Merge(o.tdigest())
 }
 
 // Expect returns the estimated expectation (EXPECT in scenario SQL).
@@ -65,13 +99,14 @@ func (c *ColumnStats) Median() float64 { return c.quantile(0.5) }
 // P95 returns the running 95th-percentile estimate.
 func (c *ColumnStats) P95() float64 { return c.quantile(0.95) }
 
-// Quantile returns the sketch's q-quantile estimate.
+// Quantile returns the sketch's q-quantile estimate, building the digest
+// on first use.
 func (c *ColumnStats) Quantile(q float64) (float64, error) {
-	return c.digest.Quantile(q)
+	return c.tdigest().Quantile(q)
 }
 
 func (c *ColumnStats) quantile(q float64) float64 {
-	v, err := c.digest.Quantile(q)
+	v, err := c.Quantile(q)
 	if err != nil {
 		return 0
 	}
@@ -118,17 +153,19 @@ type ColumnSketch struct {
 	Centroids   []stats.Centroid `json:"centroids,omitempty"`
 }
 
-// Sketch serializes the aggregator's state.
+// Sketch serializes the aggregator's state, building the digest on first
+// use.
 func (c *ColumnStats) Sketch() ColumnSketch {
 	n, mean, m2, min, max := c.Moments.State()
+	digest := c.tdigest()
 	return ColumnSketch{
 		Count:       n,
 		Mean:        mean,
 		M2:          m2,
 		Min:         min,
 		Max:         max,
-		Compression: c.digest.Compression(),
-		Centroids:   c.digest.Centroids(),
+		Compression: digest.Compression(),
+		Centroids:   digest.Centroids(),
 	}
 }
 

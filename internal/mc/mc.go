@@ -331,7 +331,10 @@ type PointResult struct {
 	// Point is the evaluated parameter point.
 	Point guide.Point
 	// Columns maps each numeric output column to its per-world sample
-	// vector; nil on sketch-only and degraded results.
+	// vector; nil on sketch-only and degraded results. Read-only: a
+	// column's Sketches entry may still build its t-digest from the same
+	// vector on its first quantile read (aggregate.ColumnStats.AddAll
+	// retains its argument).
 	Columns map[string][]float64
 	// Worlds is the number of worlds evaluated.
 	Worlds int
@@ -344,7 +347,9 @@ type PointResult struct {
 	// / CI95 from. With sample vectors it is the world-major fold of each
 	// stitched column the evaluator's caller reads (Evaluator.Reads); on
 	// sketch-only and degraded results it is the range-ordered merge of
-	// the ranges' sketches, over every column.
+	// the ranges' sketches, over every column. A fold's t-digest is built
+	// on its first quantile, sketch or merge read, so reading one entry
+	// from several goroutines at once needs the caller's own lock.
 	Sketches map[string]*aggregate.ColumnStats
 	// Degraded marks a partial result: the context deadline expired before
 	// the full world budget and Options.AllowDegraded harvested the ranges

@@ -1,0 +1,80 @@
+package mc
+
+import (
+	"context"
+	"testing"
+
+	"fuzzyprophet/internal/core"
+	"fuzzyprophet/internal/guide"
+	"fuzzyprophet/internal/storage"
+	"fuzzyprophet/internal/value"
+)
+
+// warmJoinSweep returns a serverfleet evaluator (400 worlds × 4 regions, so
+// 1600-row output columns) reading only its GRAPH columns, and the 53 points
+// of its @current sweep, each evaluated once so every site is cached.
+func warmJoinSweep(tb testing.TB) (*Evaluator, []guide.Point) {
+	tb.Helper()
+	scn := compileExample(tb, "serverfleet")
+	reuse, err := NewReuse(core.DefaultConfig(), storage.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ev := NewEvaluator(scn, Options{Worlds: 400, Reuse: reuse})
+	ev.Reads("strained", "regional_demand")
+	pts := make([]guide.Point, 53)
+	for i := range pts {
+		pt := scn.DefaultPoint()
+		pt["current"] = value.Int(int64(i))
+		pts[i] = pt
+		if _, err := ev.EvaluatePoint(context.Background(), pt); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return ev, pts
+}
+
+// TestWarmJoinPointAllocs pins what a warm render pays per point when its
+// caller plots only moments (EXPECT): no t-digest is built, so reduce adds
+// nothing beyond the moment fold.
+func TestWarmJoinPointAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	ev, pts := warmJoinSweep(t)
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(20, func() {
+		res, err := ev.EvaluatePoint(ctx, pts[30])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cs := range res.Sketches {
+			cs.Expect()
+		}
+	})
+	// Building both columns' digests eagerly costs 34 more.
+	const want = 40
+	if allocs > want {
+		t.Errorf("warm serverfleet point made %v allocations, want <= %d", allocs, want)
+	}
+}
+
+// BenchmarkEvaluatePointJoinWarm is one warm 53-point serverfleet sweep,
+// read as its GRAPH clause reads it.
+func BenchmarkEvaluatePointJoinWarm(b *testing.B) {
+	ev, pts := warmJoinSweep(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, pt := range pts {
+			res, err := ev.EvaluatePoint(ctx, pt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, cs := range res.Sketches {
+				cs.Expect()
+			}
+		}
+	}
+}

@@ -407,7 +407,10 @@ func stitchShards(outs []*ShardOutput) (map[string][]float64, map[string]*aggreg
 // inside the sketch-merge span. With sample vectors that is a world-major
 // fold of each stitched column the caller reads (so the aggregate never
 // depends on the split); without — sketch-only — it is the range-ordered
-// merge stitchShards already produced.
+// merge stitchShards already produced. The fold pays for Welford moments
+// only: a column's t-digest is built from its vector — owned here, as
+// Column.Float64s copies and stitching concatenates — on its first
+// quantile, sketch or merge read, outside this span.
 func (ev *Evaluator) reduce(sp *obs.Span, outs []*ShardOutput) (map[string][]float64, map[string]*aggregate.ColumnStats, error) {
 	msp := sp.Child("sketch-merge")
 	defer msp.End()

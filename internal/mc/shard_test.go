@@ -64,7 +64,7 @@ func TestSplitWorlds(t *testing.T) {
 
 // compileExample compiles one bundled example scenario with its side
 // tables attached.
-func compileExample(t *testing.T, name string) *scenario.Scenario {
+func compileExample(t testing.TB, name string) *scenario.Scenario {
 	t.Helper()
 	reg, err := benchfix.Registry()
 	if err != nil {
