@@ -451,11 +451,14 @@ type ShardResult struct {
 }
 
 // ShardProtocolVersion is the wire protocol version the shard fan-out
-// speaks (fpserver's POST /shard/render): fingerprint-only requests with
-// cache-miss re-send, and the sketch-only response mode. It is the only
-// version; a worker that rejects it fails the shard (which then falls back
-// to local evaluation).
-const ShardProtocolVersion = 2
+// speaks (fpserver's POST /shard/render): JSON requests, fingerprint-only
+// in steady state with a cache-miss re-send; JSON error answers; and every
+// 200 answer — full vectors or sketch-only — as one binary frame carrying
+// this version and a trailing CRC-32C. It is the only version: a worker
+// answers any other with 400 unsupported_protocol, and a coordinator
+// rejects a frame of any other, so a mixed fleet fails those shards (which
+// then evaluate locally) instead of mis-decoding them.
+const ShardProtocolVersion = 3
 
 // ShardRequest describes one world shard of a point render for a
 // ShardEvaluator: the parameter point, the render's total world count and

@@ -1,65 +1,76 @@
 package aggregate
 
 import (
-	"encoding/json"
+	"bytes"
 	"math"
 	"testing"
+
+	"fuzzyprophet/internal/stats"
 )
 
-// FuzzColumnSketchCodec round-trips arbitrary bytes through the ColumnSketch
-// wire codec (JSON, as shipped by POST /shard/render responses), restores an
-// aggregator, merges it with a clean one built from real samples, and reads
-// every derived statistic. The invariant under fuzzing: no input — hostile
-// centroid lists, NaN/±Inf moments, empty or duplicated centroids — may
-// panic, and for any sketch that restores with finite bounds the quantiles
-// it reports must stay inside [Min, Max].
+// FuzzColumnSketchCodec decodes arbitrary bytes with the binary sketch
+// codec (as carried by shard response frames), checks that re-encoding is
+// the identity, restores an aggregator, merges it with a clean one built
+// from real samples, and reads every derived statistic. The invariant under
+// fuzzing: no input — hostile centroid lists, NaN/±Inf moments and
+// centroids, empty or duplicated centroids — may panic, and for any sketch
+// that restores with finite bounds the quantiles it reports must stay
+// inside [Min, Max].
 func FuzzColumnSketchCodec(f *testing.F) {
 	seed := func(vals ...float64) []byte {
 		cs := NewColumnStats()
 		cs.AddAll(vals)
-		raw, err := json.Marshal(cs.Sketch())
-		if err != nil {
-			f.Fatal(err)
-		}
-		return raw
+		return AppendSketch(nil, cs.Sketch())
 	}
 	f.Add(seed(1, 2, 3, 4, 5, 6, 7, 8, 9, 10))
 	f.Add(seed(0))
 	f.Add(seed(-1e150, 1e150, -1e150, 1e150))
+	f.Add(seed(math.Inf(1), math.NaN(), math.Inf(-1), math.Copysign(0, -1)))
 	// Hand-built hostile sketches: empty centroids, inverted bounds,
-	// negative weights, duplicate zero-distance centroids, and extremes
-	// that overflow to ±Inf when merged (JSON itself cannot carry Inf, so
-	// overflow during restore/merge is the only way Inf enters a sketch).
-	f.Add([]byte(`{"count":5,"mean":1,"m2":4,"min":0,"max":2}`))
-	f.Add([]byte(`{"count":3,"mean":1,"m2":-1,"min":9,"max":-9,"compression":200,"centroids":[{"mean":1,"weight":-2}]}`))
-	f.Add([]byte(`{"count":1,"mean":0,"m2":0,"min":0,"max":0,"compression":0.001,"centroids":[{"mean":0,"weight":1},{"mean":0,"weight":1}]}`))
-	f.Add([]byte(`{"count":4,"mean":1e308,"m2":1e308,"min":-1.7e308,"max":1.7e308,"compression":10,"centroids":[{"mean":-1.7e308,"weight":2},{"mean":1.7e308,"weight":2}]}`))
-	f.Add([]byte(`{"count":2,"mean":5,"m2":0,"min":0,"max":2,"compression":200,"centroids":[{"mean":100,"weight":1}]}`))
+	// negative weights, duplicate zero-distance centroids, extremes that
+	// overflow to ±Inf when merged, and non-finite centroids.
+	inf, nan := math.Inf(1), math.NaN()
+	for _, sk := range []ColumnSketch{
+		{Count: 5, Mean: 1, M2: 4, Min: 0, Max: 2},
+		{Count: 3, Mean: 1, M2: -1, Min: 9, Max: -9, Compression: 200, Centroids: []stats.Centroid{{Mean: 1, Weight: -2}}},
+		{Count: 1, Compression: 0.001, Centroids: []stats.Centroid{{Mean: 0, Weight: 1}, {Mean: 0, Weight: 1}}},
+		{Count: 4, Mean: 1e308, M2: 1e308, Min: -1.7e308, Max: 1.7e308, Compression: 10, Centroids: []stats.Centroid{{Mean: -1.7e308, Weight: 2}, {Mean: 1.7e308, Weight: 2}}},
+		{Count: 2, Mean: 5, Min: 0, Max: 2, Compression: 200, Centroids: []stats.Centroid{{Mean: 100, Weight: 1}}},
+		{Count: 3, Mean: inf, M2: nan, Min: nan, Max: inf, Compression: nan, Centroids: []stats.Centroid{{Mean: nan, Weight: 1}, {Mean: -inf, Weight: inf}, {Mean: 1, Weight: nan}}},
+	} {
+		f.Add(AppendSketch(nil, sk))
+	}
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		var sk ColumnSketch
-		if err := json.Unmarshal(raw, &sk); err != nil {
+		sk, rest, err := DecodeSketch(raw)
+		if err != nil {
 			t.Skip()
+		}
+		if enc := AppendSketch(nil, sk); !bytes.Equal(enc, raw[:len(raw)-len(rest)]) {
+			t.Fatalf("re-encoding is not the identity:\n got %x\nwant %x", enc, raw[:len(raw)-len(rest)])
 		}
 		cs := sk.Stats()
 
 		// Re-serialize and restore again: the second generation must not
 		// panic either (serialize → merge → deserialize is the shard
-		// coordinator's steady-state loop). Re-marshal MAY fail — a sketch
-		// whose restored state overflowed to ±Inf has no JSON form — but
-		// never panic.
-		merged := MergeSketches([]ColumnSketch{sk, cs.Sketch()})
-		if raw2, err := json.Marshal(cs.Sketch()); err == nil {
-			var sk2 ColumnSketch
-			if err := json.Unmarshal(raw2, &sk2); err != nil {
-				t.Fatalf("re-unmarshal of our own serialization: %v", err)
-			}
-			merged = MergeSketches([]ColumnSketch{sk, sk2})
+		// coordinator's steady-state loop).
+		sk2, _, err := DecodeSketch(AppendSketch(nil, cs.Sketch()))
+		if err != nil {
+			t.Fatalf("decoding our own encoding: %v", err)
 		}
+		merged := MergeSketches([]ColumnSketch{sk, sk2})
 
 		clean := NewColumnStats()
 		clean.AddAll([]float64{-3, -1, 0, 1, 3})
 		clean.Merge(cs)
+
+		// Centroid weights are observation counts. A sketch with a weight
+		// below 1 or above 2^53 has no producer and degenerates float
+		// weight sums, so it is held only to not panicking.
+		countable := true
+		for _, c := range sk.Centroids {
+			countable = countable && c.Weight >= 1 && c.Weight <= 1<<53
+		}
 
 		for _, c := range []*ColumnStats{cs, merged, clean} {
 			if c == nil {
@@ -74,7 +85,7 @@ func FuzzColumnSketchCodec(f *testing.F) {
 			// must not invent values outside the centroid envelope.
 			lo, errLo := c.Quantile(0)
 			hi, errHi := c.Quantile(1)
-			bounded := errLo == nil && errHi == nil &&
+			bounded := countable && errLo == nil && errHi == nil &&
 				!math.IsNaN(lo) && !math.IsNaN(hi) &&
 				!math.IsInf(lo, 0) && !math.IsInf(hi, 0) && lo <= hi
 			for _, q := range []float64{0.25, 0.5, 0.75, 0.95} {
@@ -83,7 +94,7 @@ func FuzzColumnSketchCodec(f *testing.F) {
 					continue
 				}
 				if bounded && (math.IsNaN(v) || v < lo || v > hi) {
-					t.Fatalf("quantile %g = %v escapes [%v, %v] (sketch %s)", q, v, lo, hi, raw)
+					t.Fatalf("quantile %g = %v escapes [%v, %v] (sketch %+v)", q, v, lo, hi, sk)
 				}
 			}
 		}

@@ -194,16 +194,22 @@ type CapacityModel struct {
 	cfg CapacityConfig
 	// failLabels[ci] is failure class ci's stream label.
 	failLabels []string
+	// failDraws[ci] samples failure class ci's weekly count; leadDraw the
+	// stochastic lead time. Their means are fixed per model.
+	failDraws []rng.Poisson
+	leadDraw  rng.Poisson
 }
 
 // NewCapacityModel returns a capacity model with the given calibration.
 func NewCapacityModel(cfg CapacityConfig) *CapacityModel {
 	cfg.Failures = append([]FailureClass(nil), cfg.Failures...)
 	labels := make([]string, len(cfg.Failures))
+	draws := make([]rng.Poisson, len(cfg.Failures))
 	for ci, fc := range cfg.Failures {
 		labels[ci] = "capacity.fail." + fc.Name
+		draws[ci] = rng.NewPoisson(fc.WeeklyRate)
 	}
-	return &CapacityModel{cfg: cfg, failLabels: labels}
+	return &CapacityModel{cfg: cfg, failLabels: labels, failDraws: draws, leadDraw: rng.NewPoisson(cfg.LeadTimeMean)}
 }
 
 // Name implements vg.Function.
@@ -220,7 +226,7 @@ func (m *CapacityModel) ArrivalWeek(seed uint64, purchaseWeek, ordinal int) int 
 
 func (m *CapacityModel) arrivalWeek(lead rng.Keyed, purchaseWeek, ordinal int) int {
 	src := lead.At(uint64(ordinal))
-	return purchaseWeek + m.cfg.LeadTimeMin + int(src.Poisson(m.cfg.LeadTimeMean))
+	return purchaseWeek + m.cfg.LeadTimeMin + int(m.leadDraw.Sample(&src))
 }
 
 // simulate is the model's one loop body: it runs the year's chain at seed
@@ -245,7 +251,7 @@ func (m *CapacityModel) simulate(seed uint64, purchase1, purchase2 int, out []fl
 			for ci := range m.cfg.Failures {
 				fc := &m.cfg.Failures[ci]
 				src := fail[ci].At(uint64(w) ^ uint64(ci)<<32)
-				failures := float64(src.Poisson(fc.WeeklyRate))
+				failures := float64(m.failDraws[ci].Sample(&src))
 				lost := failures * fc.CoresPerFailure
 				cap -= lost
 				back := w + fc.RepairWeeks

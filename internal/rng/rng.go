@@ -205,45 +205,73 @@ func (s *Source) Bernoulli(p float64) bool {
 	return s.Float64() < p
 }
 
-// Poisson returns a Poisson variate with the given mean. For small means it
-// uses Knuth's product method; for large means the PTRS transformed
-// rejection method of Hörmann (1993), which is exact and fast.
+// Poisson returns a Poisson variate with the given mean. It is
+// NewPoisson(mean).Sample(s); a caller drawing many variates of one mean
+// builds the Poisson once instead.
 func (s *Source) Poisson(mean float64) int64 {
+	return NewPoisson(mean).Sample(s)
+}
+
+// Poisson is a Poisson distribution with its per-mean constants computed
+// once: Knuth's product limit exp(-mean) for small means, the PTRS
+// constants for large ones. Sample draws exactly what Source.Poisson does.
+type Poisson struct {
+	mean float64
+	// l is exp(-mean), Knuth's product limit (mean < 30).
+	l float64
+	// PTRS constants (mean >= 30).
+	b, a, invalpha, vr float64
+}
+
+// NewPoisson precomputes the sampler for mean. It panics if mean < 0.
+func NewPoisson(mean float64) Poisson {
 	if mean < 0 {
 		panic(fmt.Sprintf("rng: negative Poisson mean %g", mean))
 	}
-	if mean == 0 {
+	p := Poisson{mean: mean}
+	if mean < 30 {
+		p.l = math.Exp(-mean)
+		return p
+	}
+	p.b = 0.931 + 2.53*math.Sqrt(mean)
+	p.a = -0.059 + 0.02483*p.b
+	p.invalpha = 1.1239 + 1.1328/(p.b-3.4)
+	p.vr = 0.9277 - 3.6224/(p.b-2)
+	return p
+}
+
+// Sample draws one variate from s. For small means it uses Knuth's product
+// method; for large means the PTRS transformed rejection method of Hörmann
+// (1993), which is exact and fast.
+func (p Poisson) Sample(s *Source) int64 {
+	if p.mean == 0 {
 		return 0
 	}
-	if mean < 30 {
-		l := math.Exp(-mean)
+	if p.mean < 30 {
 		k := int64(0)
-		p := 1.0
+		prod := 1.0
 		for {
-			p *= s.Float64()
-			if p <= l {
+			prod *= s.Float64()
+			if prod <= p.l {
 				return k
 			}
 			k++
 		}
 	}
 	// PTRS (Hörmann): valid for mean >= 10; we use it above 30.
-	b := 0.931 + 2.53*math.Sqrt(mean)
-	a := -0.059 + 0.02483*b
-	invalpha := 1.1239 + 1.1328/(b-3.4)
-	vr := 0.9277 - 3.6224/(b-2)
+	a, b := p.a, p.b
 	for {
 		u := s.Float64() - 0.5
 		v := s.Float64()
 		us := 0.5 - math.Abs(u)
-		k := math.Floor((2*a/us+b)*u + mean + 0.43)
-		if us >= 0.07 && v <= vr {
+		k := math.Floor((2*a/us+b)*u + p.mean + 0.43)
+		if us >= 0.07 && v <= p.vr {
 			return int64(k)
 		}
 		if k < 0 || (us < 0.013 && v > us) {
 			continue
 		}
-		if math.Log(v*invalpha/(a/(us*us)+b)) <= k*math.Log(mean)-mean-logGamma(k+1) {
+		if math.Log(v*p.invalpha/(a/(us*us)+b)) <= k*math.Log(p.mean)-p.mean-logGamma(k+1) {
 			return int64(k)
 		}
 	}

@@ -194,6 +194,67 @@ func TestPoissonZeroAndPanic(t *testing.T) {
 	New(1).Poisson(-1)
 }
 
+// poissonReference is the per-draw sampler Poisson replaced: it recomputes
+// exp(-mean) and the PTRS constants on every call.
+func poissonReference(s *Source, mean float64) int64 {
+	if mean == 0 {
+		return 0
+	}
+	if mean < 30 {
+		l := math.Exp(-mean)
+		k := int64(0)
+		p := 1.0
+		for {
+			p *= s.Float64()
+			if p <= l {
+				return k
+			}
+			k++
+		}
+	}
+	b := 0.931 + 2.53*math.Sqrt(mean)
+	a := -0.059 + 0.02483*b
+	invalpha := 1.1239 + 1.1328/(b-3.4)
+	vr := 0.9277 - 3.6224/(b-2)
+	for {
+		u := s.Float64() - 0.5
+		v := s.Float64()
+		us := 0.5 - math.Abs(u)
+		k := math.Floor((2*a/us+b)*u + mean + 0.43)
+		if us >= 0.07 && v <= vr {
+			return int64(k)
+		}
+		if k < 0 || (us < 0.013 && v > us) {
+			continue
+		}
+		if math.Log(v*invalpha/(a/(us*us)+b)) <= k*math.Log(mean)-mean-logGamma(k+1) {
+			return int64(k)
+		}
+	}
+}
+
+// TestPoissonPrecomputedBitIdentical: a Poisson built once draws exactly
+// the variates — and consumes exactly the stream — of the per-draw sampler,
+// on both sides of the Knuth/PTRS switch at 30.
+func TestPoissonPrecomputedBitIdentical(t *testing.T) {
+	for _, mean := range []float64{0, 1e-300, 0.5, 29.999, 30, 31, 1e6} {
+		p := NewPoisson(mean)
+		for seed := uint64(0); seed < 50; seed++ {
+			got, want := New(seed), New(seed)
+			wrapped := New(seed)
+			for i := 0; i < 40; i++ {
+				g, w, v := p.Sample(got), poissonReference(want, mean), wrapped.Poisson(mean)
+				if g != w || v != w {
+					t.Fatalf("mean %g seed %d draw %d: Sample %d, Source.Poisson %d, reference %d", mean, seed, i, g, v, w)
+				}
+			}
+			if *got != *want || *wrapped != *want {
+				t.Fatalf("mean %g seed %d: stream state diverged", mean, seed)
+			}
+		}
+	}
+}
+
 func TestGammaMoments(t *testing.T) {
 	s := New(17)
 	const n = 100000

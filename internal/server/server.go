@@ -1031,14 +1031,28 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 	return true
 }
 
+// json writes payload as a JSON body. It marshals before writing the
+// status, so a payload that cannot be encoded (a NaN or ±Inf statistic)
+// answers 500 {error, code:"encode"} instead of a success status with an
+// empty body.
 func (s *Server) json(w http.ResponseWriter, status int, payload any) {
+	body, err := json.Marshal(payload)
+	if err != nil {
+		s.encodeError(w, err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(payload); err != nil {
-		s.cfg.Logf("encoding response: %v", err)
-	}
+	w.Write(append(body, '\n'))
+}
+
+// encodeError answers a response that could not be serialized.
+func (s *Server) encodeError(w http.ResponseWriter, err error) {
+	s.cfg.Logf("encoding response: %v", err)
+	s.json(w, http.StatusInternalServerError, map[string]any{
+		"error": "encoding response: " + err.Error(),
+		"code":  codeEncode,
+	})
 }
 
 // error writes a JSON error envelope; compile errors carry line/col.

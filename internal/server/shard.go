@@ -3,10 +3,10 @@
 // A render's Monte Carlo world range is embarrassingly parallel and every
 // sample derives from a per-(site, world) seed, so any fpserver holding the
 // same VG registry can evaluate a world range [lo, hi) of any scenario
-// bit-identically. Two roles cooperate over wire protocol v2:
+// bit-identically. Two roles cooperate over wire protocol v3:
 //
 //   - WORKER (fpserver -worker): serves POST /shard/render. A steady-state
-//     v2 request carries only the scenario FINGERPRINT plus the parameter
+//     request carries only the scenario FINGERPRINT plus the parameter
 //     point, total world count, seed base and world range — no script, no
 //     side tables. The worker resolves the fingerprint in its compiled-
 //     scenario cache; a miss answers 409 {"code":"scenario_not_cached"},
@@ -15,6 +15,8 @@
 //     shards pay only the evaluation. With sketch_only set (body field or
 //     ?sketch_only=1) the response carries merged per-column sketches
 //     instead of per-world sample vectors — O(compression), not O(worlds).
+//     Requests and error answers are JSON; a 200 answer is one checksummed
+//     binary frame (frame.go).
 //
 //   - COORDINATOR (fpserver -workers=url1,url2,...): a workerPool
 //     implements fp.ShardEvaluator; session renders and batch evaluates
@@ -57,7 +59,7 @@ import (
 
 // Trace propagation headers: the coordinator stamps each shard request
 // with the render ID and a trace flag; the worker returns its span tree in
-// shardResponse.Trace and the coordinator grafts it under the requesting
+// the response frame and the coordinator grafts it under the requesting
 // shard span — one stitched tree per render across processes. The worker
 // also advertises its protocol version on every shard response.
 const (
@@ -70,26 +72,28 @@ const (
 	headerBudget = "X-FP-Budget-Ms"
 )
 
-// Error codes carried in the "code" field of shard error bodies, so
+// Error codes carried in the "code" field of JSON error bodies, so
 // coordinators distinguish protocol states from plain failures without
 // parsing prose.
 const (
 	codeScenarioNotCached   = "scenario_not_cached"
 	codeUnsupportedProtocol = "unsupported_protocol"
+	// codeEncode marks a response the server could not serialize.
+	codeEncode = "encode"
 )
 
 // shardRequest is the wire form of one shard evaluation.
 //
-// Protocol v2 (Proto == 2): the steady-state request carries Fingerprint
-// but neither SQL nor Tables; the worker resolves the scenario from its
-// cache and answers 409/scenario_not_cached when it can't, triggering a
-// one-shot full re-send.
+// The steady-state request carries Fingerprint but neither SQL nor Tables;
+// the worker resolves the scenario from its cache and answers
+// 409/scenario_not_cached when it can't, triggering a one-shot full
+// re-send.
 type shardRequest struct {
 	// Proto is the wire protocol version the coordinator speaks. Workers
-	// reject versions above theirs with 400 unsupported_protocol.
+	// answer any version but their own with 400 unsupported_protocol.
 	Proto int `json:"proto,omitempty"`
 	// SQL is the scenario script; Tables its deterministic side tables.
-	// Omitted on steady-state v2 requests.
+	// Omitted on steady-state requests.
 	SQL    string     `json:"sql,omitempty"`
 	Tables []tableDef `json:"tables,omitempty"`
 	// Fingerprint identifies the compiled scenario's content — it keys the
@@ -107,16 +111,6 @@ type shardRequest struct {
 	// SketchOnly asks for merged per-column sketches WITHOUT the per-world
 	// sample vectors (equivalent to the ?sketch_only=1 query parameter).
 	SketchOnly bool `json:"sketch_only,omitempty"`
-}
-
-// shardResponse mirrors fp.ShardResult on the wire.
-type shardResponse struct {
-	Rows     int                        `json:"rows"`
-	Columns  map[string][]float64       `json:"columns,omitempty"`
-	Sketches map[string]fp.ColumnSketch `json:"sketches,omitempty"`
-	// Trace is the worker's span tree for this shard, present only when
-	// the request carried the X-FP-Trace header.
-	Trace *obs.Node `json:"trace,omitempty"`
 }
 
 // shardScenarioCacheMax bounds the worker's compiled-scenario cache.
@@ -144,7 +138,7 @@ func newShardScenarios() *shardScenarios {
 }
 
 // lookup returns the cached entry for a fingerprint without compiling —
-// the v2 steady-state path. A false return means the coordinator must
+// the steady-state path. A false return means the coordinator must
 // re-send the full payload.
 func (c *shardScenarios) lookup(fingerprint string) (*shardScenarioEntry, bool) {
 	c.mu.Lock()
@@ -234,9 +228,9 @@ func (s *Server) handleShardRender(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set(headerProto, strconv.Itoa(fp.ShardProtocolVersion))
-	if req.Proto > fp.ShardProtocolVersion {
+	if req.Proto != fp.ShardProtocolVersion {
 		s.protocolError(w, http.StatusBadRequest, codeUnsupportedProtocol,
-			fmt.Errorf("unsupported shard protocol %d (this worker speaks <= %d)", req.Proto, fp.ShardProtocolVersion))
+			fmt.Errorf("unsupported shard protocol %d (this worker speaks %d)", req.Proto, fp.ShardProtocolVersion))
 		return
 	}
 	if req.Worlds <= 0 || req.Lo < 0 || req.Hi > req.Worlds || req.Lo >= req.Hi {
@@ -249,7 +243,7 @@ func (s *Server) handleShardRender(w http.ResponseWriter, r *http.Request) {
 			s.error(w, http.StatusBadRequest, fmt.Errorf("missing \"sql\""))
 			return
 		}
-		// v2 steady state: fingerprint-only resolution. A miss is the
+		// Steady state: fingerprint-only resolution. A miss is the
 		// protocol's distinguishable cache-miss answer, not a failure: the
 		// coordinator re-sends once with the full payload.
 		var ok bool
@@ -305,7 +299,7 @@ func (s *Server) handleShardRender(w http.ResponseWriter, r *http.Request) {
 	if sketchOnly {
 		s.metrics.shardSketchOnlyServed.Add(1)
 	}
-	resp := shardResponse{Rows: res.Rows, Columns: res.Columns, Sketches: res.Sketches}
+	resp := shardResponse{ShardResult: *res}
 	if tr != nil {
 		tr.End()
 		resp.Trace = tr.Tree()
@@ -313,7 +307,15 @@ func (s *Server) handleShardRender(w http.ResponseWriter, r *http.Request) {
 		// coordinator also observes the stitched tree on its side.
 		s.metrics.observeStages(resp.Trace)
 	}
-	s.json(w, http.StatusOK, resp)
+	frame, err := encodeShardFrame(&resp)
+	if err != nil {
+		s.encodeError(w, err)
+		return
+	}
+	w.Header().Set("Content-Type", shardFrameContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(frame)
 }
 
 // ---- coordinator side ----
@@ -392,7 +394,7 @@ func (e *shardHTTPError) Error() string {
 
 // workerPool fans shard evaluations out to the configured workers,
 // implementing fp.ShardEvaluator for one scenario entry over wire protocol
-// v2. Worker selection starts at the shard's index (shard i of the equal
+// v3. Worker selection starts at the shard's index (shard i of the equal
 // split goes to worker i first, keeping each worker's range fixed),
 // preferring workers whose circuit breaker admits traffic. A slow shard is
 // hedged: after the hedge delay (observed P95 by default) a duplicate
@@ -449,7 +451,7 @@ func (p *workerPool) order(index int) []*workerState {
 	return append(healthy, cooling...)
 }
 
-// EvaluateShard implements fp.ShardEvaluator over HTTP (protocol v2).
+// EvaluateShard implements fp.ShardEvaluator over HTTP (protocol v3).
 func (p *workerPool) EvaluateShard(ctx context.Context, req fp.ShardRequest) (*fp.ShardResult, error) {
 	wire := shardRequest{
 		Proto:       fp.ShardProtocolVersion,
@@ -465,12 +467,14 @@ func (p *workerPool) EvaluateShard(ctx context.Context, req fp.ShardRequest) (*f
 	if err != nil {
 		return nil, err
 	}
-	wire.SQL = p.entry.Source
-	wire.Tables = p.entry.Tables
-	full, err := json.Marshal(wire)
-	if err != nil {
-		return nil, err
-	}
+	// The full payload (script + side tables) is marshalled only when an
+	// attempt needs it — a cold worker or a 409 re-send — and then shared by
+	// every attempt of this shard.
+	full := sync.OnceValues(func() ([]byte, error) {
+		wire.SQL = p.entry.Source
+		wire.Tables = p.entry.Tables
+		return json.Marshal(wire)
+	})
 
 	candidates := p.order(req.Shard.Index)
 	if len(candidates) == 0 {
@@ -597,15 +601,18 @@ func (p *workerPool) hedgeDelay() (time.Duration, bool) {
 // on 409/scenario_not_cached. Any other 4xx — a bad range, a bad point —
 // is the request's fault, not the worker's: it is returned as is, and the
 // worker stays warm.
-func (p *workerPool) tryWorker(ctx context.Context, ws *workerState, req fp.ShardRequest, slim, full []byte) (*fp.ShardResult, error) {
+func (p *workerPool) tryWorker(ctx context.Context, ws *workerState, req fp.ShardRequest, slim []byte, full func() ([]byte, error)) (*fp.ShardResult, error) {
 	sp := obs.SpanFrom(ctx)
 	fingerprint := p.entry.Fingerprint
 	useSlim := ws.isWarm(fingerprint)
-	body := full
+	body := slim
 	if useSlim {
-		body = slim
 		p.metrics.shardSlimRequests.Add(1)
 	} else {
+		var err error
+		if body, err = full(); err != nil {
+			return nil, err
+		}
 		p.metrics.shardFullRequests.Add(1)
 	}
 	start := time.Now()
@@ -632,8 +639,12 @@ func (p *workerPool) tryWorker(ctx context.Context, ws *workerState, req fp.Shar
 		p.metrics.shardCacheMissResends.Add(1)
 		p.metrics.shardFullRequests.Add(1)
 		sp.SetInt("cache_miss_resend", 1)
+		var body []byte
+		if body, err = full(); err != nil {
+			return nil, err
+		}
 		start = time.Now()
-		if res, err = p.post(ctx, ws.url, full); err == nil {
+		if res, err = p.post(ctx, ws.url, body); err == nil {
 			p.recordSuccess(ws, start)
 			ws.setWarm(fingerprint, true)
 			sp.SetStr("wire", "full-resend")
@@ -712,19 +723,32 @@ func (p *workerPool) post(ctx context.Context, base string, body []byte) (*fp.Sh
 		}
 		return nil, he
 	}
-	raw, err := io.ReadAll(resp.Body)
+	raw, err := readBody(resp)
 	if err != nil {
 		return nil, fmt.Errorf("worker %s: reading response: %w", base, err)
 	}
 	p.metrics.shardResponseBytes.Add(int64(len(raw)))
-	var sr shardResponse
-	if err := json.Unmarshal(raw, &sr); err != nil {
+	sr, err := decodeShardFrame(raw)
+	if err != nil {
 		return nil, fmt.Errorf("worker %s: decoding response: %w", base, err)
 	}
 	if sr.Trace != nil {
 		sp.Graft(sr.Trace)
 	}
-	return &fp.ShardResult{Rows: sr.Rows, Columns: sr.Columns, Sketches: sr.Sketches}, nil
+	return &sr.ShardResult, nil
+}
+
+// readBody reads a response body whole, sized up front from its
+// Content-Length when the worker sent one.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n > 0 && n <= maxBodyBytes {
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, buf); err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
+	return io.ReadAll(resp.Body)
 }
 
 // shardEvalOptions returns the fan-out options for evaluations of entry

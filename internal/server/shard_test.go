@@ -1,7 +1,11 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -17,17 +21,43 @@ func newWorkerServer(t *testing.T) *httptest.Server {
 	return ts
 }
 
+// postShard sends one JSON shard request and, on a 200, decodes the
+// response frame.
+func postShard(t *testing.T, base string, req shardRequest) (int, *shardResponse) {
+	t.Helper()
+	resp, err := http.Post(base+"/shard/render", "application/json", bytes.NewReader(mustMarshal(t, req)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		return resp.StatusCode, nil
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != shardFrameContentType {
+		t.Errorf("shard answer Content-Type = %q, want %q", ct, shardFrameContentType)
+	}
+	res, err := decodeShardFrame(raw)
+	if err != nil {
+		t.Fatalf("decoding shard frame: %v", err)
+	}
+	return resp.StatusCode, res
+}
+
 func TestShardWorkerEndpoint(t *testing.T) {
 	ts := newWorkerServer(t)
 
-	var res shardResponse
-	code := call(t, "POST", ts.URL+"/shard/render", shardRequest{
+	code, res := postShard(t, ts.URL, shardRequest{
+		Proto:  fp.ShardProtocolVersion,
 		SQL:    testScenario,
 		Point:  map[string]any{"current": 3, "purchase1": 8, "feature": 4},
 		Worlds: 100,
 		Lo:     25,
 		Hi:     75,
-	}, &res)
+	})
 	if code != http.StatusOK {
 		t.Fatalf("shard render = %d", code)
 	}
@@ -52,21 +82,23 @@ func TestShardWorkerEndpoint(t *testing.T) {
 		{SQL: testScenario, Worlds: 0, Lo: 0, Hi: 1},
 		{Worlds: 100, Lo: 0, Hi: 10},
 	} {
+		bad.Proto = fp.ShardProtocolVersion
 		bad.Point = map[string]any{"current": 0, "purchase1": 0, "feature": 4}
-		if code := call(t, "POST", ts.URL+"/shard/render", bad, nil); code != http.StatusBadRequest {
+		if code, _ := postShard(t, ts.URL, bad); code != http.StatusBadRequest {
 			t.Errorf("bad shard request %+v = %d, want 400", bad, code)
 		}
 	}
 
 	// A wrong fingerprint (coordinator/worker drift) is rejected.
-	code = call(t, "POST", ts.URL+"/shard/render", shardRequest{
+	code, _ = postShard(t, ts.URL, shardRequest{
+		Proto:       fp.ShardProtocolVersion,
 		SQL:         testScenario,
 		Fingerprint: "deadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeef",
 		Point:       map[string]any{"current": 0, "purchase1": 0, "feature": 4},
 		Worlds:      100,
 		Lo:          0,
 		Hi:          10,
-	}, nil)
+	})
 	if code != http.StatusBadRequest {
 		t.Errorf("fingerprint mismatch = %d, want 400", code)
 	}
@@ -77,6 +109,28 @@ func TestShardWorkerEndpoint(t *testing.T) {
 	}
 	if code := call(t, "GET", ts.URL+"/healthz", nil, nil); code != http.StatusOK {
 		t.Errorf("worker-mode /healthz = %d", code)
+	}
+}
+
+// TestShardWorkerRejectsOtherProtocols: a worker answers any protocol
+// version but its own — older, newer or missing — with a JSON
+// 400 unsupported_protocol, so a mixed fleet fails loudly instead of
+// mis-decoding frames.
+func TestShardWorkerRejectsOtherProtocols(t *testing.T) {
+	ts := newWorkerServer(t)
+	for _, proto := range []int{0, fp.ShardProtocolVersion - 1, fp.ShardProtocolVersion + 1} {
+		var body struct{ Error, Code string }
+		code := call(t, "POST", ts.URL+"/shard/render", shardRequest{
+			Proto:  proto,
+			SQL:    testScenario,
+			Point:  map[string]any{"current": 3, "purchase1": 8, "feature": 4},
+			Worlds: 100,
+			Lo:     0,
+			Hi:     50,
+		}, &body)
+		if code != http.StatusBadRequest || body.Code != codeUnsupportedProtocol {
+			t.Errorf("proto %d = %d %+v, want 400 %s", proto, code, body, codeUnsupportedProtocol)
+		}
 	}
 }
 
@@ -257,6 +311,77 @@ func TestFleetSendsFixedRanges(t *testing.T) {
 				t.Errorf("worker %d request %d (current=%v) asks for [%d,%d), want [%d,%d)",
 					i, j, req.Point["current"], got[0], got[1], want[0], want[1])
 			}
+		}
+	}
+}
+
+// overflowScenario's demand overflows to +Inf in every world, so its
+// sketches carry ±Inf extremes and NaN moments.
+const overflowScenario = `
+DECLARE PARAMETER @current AS RANGE 0 TO 12 STEP BY 1;
+DECLARE PARAMETER @feature AS SET (4, 8);
+SELECT DemandModel(@current, @feature) * 1e308 * 10 AS demand INTO results;
+GRAPH OVER @current EXPECT demand;
+`
+
+// TestNonFiniteValuesCrossTheShardHop: non-finite statistics travel the
+// shard hop as bits. A sketch-only evaluate of an overflowing scenario
+// through a worker costs no failed attempt and no breaker cool-down, the
+// worker's sketches and vectors arrive bit-equal to an in-process
+// evaluation of the same range, and /evaluate answers the same
+// 500 {code:"encode"} single-node does — never a 200 with an empty body.
+func TestNonFiniteValuesCrossTheShardHop(t *testing.T) {
+	worker := newWorkerServer(t)
+	coordSrv, coord := newTestServer(t, func(c *Config) { c.Workers = []string{worker.URL} })
+	_, local := newTestServer(t, nil)
+
+	point := map[string]any{"current": 3, "feature": 4}
+	const worlds = 64
+	var scn scenarioJSON
+	for _, base := range []string{local.URL, coord.URL} {
+		if code := call(t, "POST", base+"/scenarios", registerRequest{SQL: overflowScenario}, &scn); code != http.StatusCreated {
+			t.Fatalf("register = %d", code)
+		}
+		var body struct{ Error, Code string }
+		code := call(t, "POST", base+"/scenarios/"+scn.ID+"/evaluate",
+			evaluateRequest{Points: []map[string]any{point}, Worlds: worlds, SketchOnly: true}, &body)
+		if code != http.StatusInternalServerError || body.Code != codeEncode {
+			t.Errorf("%s evaluate = %d %+v, want 500 code %q", base, code, body, codeEncode)
+		}
+	}
+	if n := coordSrv.metrics.shardFanouts.Load(); n == 0 {
+		t.Error("no shard fan-outs recorded")
+	}
+	if n := coordSrv.metrics.shardWorkerFailures.Load(); n != 0 {
+		t.Errorf("%d shards fell back locally", n)
+	}
+	if n := coordSrv.metrics.shardCooldowns.Load(); n != 0 {
+		t.Errorf("the worker's breaker opened %d time(s)", n)
+	}
+
+	entry, ok := coordSrv.registry.Get(scn.ID)
+	if !ok {
+		t.Fatal("scenario not registered on the coordinator")
+	}
+	inproc, err := coordSrv.newShardWorkerFor(entry.Scenario)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sketchOnly := range []bool{true, false} {
+		req := fp.ShardRequest{Point: point, Worlds: worlds, Shard: fp.WorldShard{Lo: 0, Hi: worlds}, SketchOnly: sketchOnly}
+		got, err := coordSrv.newWorkerPool(entry).EvaluateShard(context.Background(), req)
+		if err != nil {
+			t.Fatalf("sketch_only=%v: shard over the wire: %v", sketchOnly, err)
+		}
+		want, err := inproc.EvaluateShard(context.Background(), point, worlds, 0, req.Shard, sketchOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sk := want.Sketches["demand"]; !math.IsInf(sk.Max, 1) {
+			t.Fatalf("demand max = %v, want +Inf (scenario no longer overflows)", sk.Max)
+		}
+		if d := diffShardResult(want, got); d != "" {
+			t.Errorf("sketch_only=%v: wire result differs from in-process: %s", sketchOnly, d)
 		}
 	}
 }

@@ -2,12 +2,18 @@ package server
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
+
+	fp "fuzzyprophet"
+	"fuzzyprophet/internal/obs"
+	"fuzzyprophet/internal/stats"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden wire-format fixtures")
@@ -36,16 +42,16 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// TestWireGoldenFixtures pins the v2 wire format: the steady-state
+// TestWireGoldenFixtures pins the v3 wire format: the steady-state
 // fingerprint-only request, the full-payload re-send, the sketch-only
-// variant, and the worker's distinguishable cache-miss answer. A diff here
-// means the wire protocol changed — bump fp.ShardProtocolVersion and
-// update the coordinator's compatibility path before updating fixtures.
+// variant, the worker's distinguishable cache-miss answer, and the binary
+// response frame. A diff here means the wire protocol changed — bump
+// fp.ShardProtocolVersion before updating fixtures.
 func TestWireGoldenFixtures(t *testing.T) {
 	point := map[string]any{"budget": 12.0, "week": 3.0}
 
 	slim := shardRequest{
-		Proto:       2,
+		Proto:       fp.ShardProtocolVersion,
 		Fingerprint: goldenFP,
 		Point:       point,
 		Worlds:      100000,
@@ -57,7 +63,7 @@ func TestWireGoldenFixtures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "request_v2_slim.json", raw)
+	checkGolden(t, "request_v3_slim.json", raw)
 
 	sketch := slim
 	sketch.SketchOnly = true
@@ -65,7 +71,7 @@ func TestWireGoldenFixtures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "request_v2_sketch_only.json", raw)
+	checkGolden(t, "request_v3_sketch_only.json", raw)
 
 	full := slim
 	full.SQL = "CREATE SCENARIO demo AS SELECT Gaussian(100, 15) AS demand"
@@ -78,7 +84,7 @@ func TestWireGoldenFixtures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "request_v2_full.json", raw)
+	checkGolden(t, "request_v3_full.json", raw)
 
 	// The 409 cache-miss body, produced by a real worker.
 	_, ts := newTestServer(t, func(c *Config) { c.WorkerMode = true })
@@ -96,6 +102,26 @@ func TestWireGoldenFixtures(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "response_409_scenario_not_cached.json", bytes.TrimSpace(body.Bytes()))
+
+	// A 200 answer: one frame with a vector-and-sketch column, a
+	// sketch-only column and a trace, hex-encoded.
+	frame, err := encodeShardFrame(&shardResponse{
+		ShardResult: fp.ShardResult{
+			Rows:    2,
+			Columns: map[string][]float64{"demand": {1.5, math.Inf(1)}},
+			Sketches: map[string]fp.ColumnSketch{
+				"demand": {Count: 2, Mean: math.Inf(1), M2: math.NaN(), Min: 1.5, Max: math.Inf(1), Compression: 200,
+					Centroids: []stats.Centroid{{Mean: 1.5, Weight: 1}, {Mean: math.Inf(1), Weight: 1}}},
+				"overload": {Count: 2, Mean: 0.5, M2: 0.5, Min: 0, Max: 1, Compression: 200,
+					Centroids: []stats.Centroid{{Mean: 0, Weight: 1}, {Mean: 1, Weight: 1}}},
+			},
+		},
+		Trace: &obs.Node{Name: "worker-shard", DurUS: 42, Attrs: map[string]any{"lo": 0, "hi": 2}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "response_200_frame.hex", []byte(hex.EncodeToString(frame)))
 }
 
 func mustMarshal(t *testing.T, v any) []byte {

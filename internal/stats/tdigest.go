@@ -177,12 +177,22 @@ func (t *TDigest) mergeSorted(incoming []Centroid) {
 	for _, c := range merged[1:] {
 		q := (before + cur.Weight + c.Weight) / total
 		if t.kScale(q)-kLeft <= 1 {
-			// Weighted mean keeps the combined centroid exact. The delta is
-			// skipped for equal means so two infinite centroids of the same
-			// sign combine to that infinity instead of Inf-Inf = NaN.
+			// Weighted mean keeps the combined centroid exact. Equal means
+			// need no update, so two infinite centroids of the same sign
+			// combine to that infinity; an infinite mean absorbs a finite
+			// one (the delta form would give Inf-Inf = NaN); finite means
+			// whose weighted delta overflows combine in the convex form.
 			w := cur.Weight + c.Weight
-			if c.Mean != cur.Mean {
-				cur.Mean += (c.Mean - cur.Mean) * c.Weight / w
+			switch {
+			case c.Mean == cur.Mean:
+			case math.IsInf(c.Mean, 0) || math.IsInf(cur.Mean, 0):
+				cur.Mean += c.Mean
+			default:
+				if delta := (c.Mean - cur.Mean) * c.Weight / w; !math.IsInf(delta, 0) {
+					cur.Mean += delta
+				} else {
+					cur.Mean = cur.Mean*(cur.Weight/w) + c.Mean*(c.Weight/w)
+				}
 			}
 			cur.Weight = w
 			continue
@@ -216,10 +226,23 @@ func (t *TDigest) Quantile(q float64) (float64, error) {
 	if q == 1 {
 		return t.max, nil
 	}
+	// Interpolation can round past the envelope; the readout never leaves
+	// the observed [min, max].
+	v := t.interpolate(q)
+	if v < t.min {
+		v = t.min
+	}
+	if v > t.max {
+		v = t.max
+	}
+	return v, nil
+}
+
+// interpolate walks cumulative weight treating each centroid's mass as
+// centered on its mean, interpolating linearly between adjacent centers
+// (the standard t-digest readout) and from min/max at the ends.
+func (t *TDigest) interpolate(q float64) float64 {
 	target := q * t.total
-	// Walk cumulative weight treating each centroid's mass as centered on
-	// its mean, interpolating linearly between adjacent centers (the
-	// standard t-digest readout), clamped to the observed [min, max].
 	var cum float64
 	for i, c := range t.centroids {
 		center := cum + c.Weight/2
@@ -227,12 +250,12 @@ func (t *TDigest) Quantile(q float64) (float64, error) {
 			if i == 0 {
 				// Below the first center: interpolate from the minimum.
 				frac := target / center
-				return t.min + frac*(c.Mean-t.min), nil
+				return lerp(t.min, c.Mean, frac)
 			}
 			prev := t.centroids[i-1]
 			prevCenter := cum - prev.Weight/2
 			frac := (target - prevCenter) / (center - prevCenter)
-			return prev.Mean + frac*(c.Mean-prev.Mean), nil
+			return lerp(prev.Mean, c.Mean, frac)
 		}
 		cum += c.Weight
 	}
@@ -240,10 +263,27 @@ func (t *TDigest) Quantile(q float64) (float64, error) {
 	last := t.centroids[len(t.centroids)-1]
 	lastCenter := t.total - last.Weight/2
 	if t.total == lastCenter {
-		return t.max, nil
+		return t.max
 	}
 	frac := (target - lastCenter) / (t.total - lastCenter)
-	return last.Mean + frac*(t.max-last.Mean), nil
+	return lerp(last.Mean, t.max, frac)
+}
+
+// lerp returns a + f·(b−a) for f in [0, 1]. An infinite endpoint
+// dominates every interior point (the delta form would give Inf-Inf =
+// NaN), and finite endpoints whose span overflows (both near ±MaxFloat64)
+// combine in the convex form a·(1−f) + b·f.
+func lerp(a, b, f float64) float64 {
+	if math.IsInf(a, 0) || math.IsInf(b, 0) {
+		if f >= 1 || (f > 0 && !math.IsInf(a, 0)) {
+			return b
+		}
+		return a
+	}
+	if d := b - a; !math.IsInf(d, 0) {
+		return a + f*d
+	}
+	return a*(1-f) + b*f
 }
 
 // Min and Max return the observed extremes (0 when empty).
@@ -295,15 +335,15 @@ func TDigestFromCentroids(compression float64, centroids []Centroid, min, max fl
 		return t
 	}
 	sort.SliceStable(cs, func(i, j int) bool { return cs[i].Mean < cs[j].Mean })
-	t.mergeSorted(cs)
 	t.min, t.max = min, max
 	// A centroid mean is an average of observations, so min <= smallest
 	// mean and max >= largest mean must hold; repair state that violates it.
-	if lo := t.centroids[0].Mean; math.IsNaN(t.min) || t.min > lo {
+	if lo := cs[0].Mean; math.IsNaN(t.min) || t.min > lo {
 		t.min = lo
 	}
-	if hi := t.centroids[len(t.centroids)-1].Mean; math.IsNaN(t.max) || t.max < hi {
+	if hi := cs[len(cs)-1].Mean; math.IsNaN(t.max) || t.max < hi {
 		t.max = hi
 	}
+	t.mergeSorted(cs)
 	return t
 }

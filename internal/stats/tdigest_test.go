@@ -198,3 +198,49 @@ func TestTDigestCompressionBound(t *testing.T) {
 		t.Errorf("centroid count %d exceeds ~2.5x compression bound", n)
 	}
 }
+
+// TestTDigestQuantileStaysInEnvelope: centroids at ±1.7e308 are more than
+// MaxFloat64 apart, so interpolating between them overflows; the readout
+// must still stay inside the digest's [min, max].
+func TestTDigestQuantileStaysInEnvelope(t *testing.T) {
+	td := TDigestFromCentroids(10, []Centroid{{Mean: -1.7e308, Weight: 2}, {Mean: 1.7e308, Weight: 2}}, -1.7e308, 1.7e308)
+	for _, q := range []float64{0.25, 0.5, 0.75} {
+		v, err := td.Quantile(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.IsNaN(v) || v < -1.7e308 || v > 1.7e308 {
+			t.Errorf("Quantile(%g) = %v escapes [-1.7e308, 1.7e308]", q, v)
+		}
+	}
+}
+
+// TestTDigestInfiniteObservations: a column mixing finite values with ±Inf
+// (an overflowed model output) compresses without NaN centroids: an
+// infinite mean absorbs the finite ones merged into it.
+func TestTDigestInfiniteObservations(t *testing.T) {
+	td := NewTDigest(DefaultCompression)
+	for i := 0; i < 4000; i++ {
+		switch i % 10 {
+		case 0:
+			td.Add(math.Inf(1))
+		case 1:
+			td.Add(math.Inf(-1))
+		default:
+			td.Add(float64(i % 97))
+		}
+	}
+	for _, c := range td.Centroids() {
+		if math.IsNaN(c.Mean) {
+			t.Fatalf("NaN centroid %+v", c)
+		}
+	}
+	for _, q := range []float64{0.01, 0.05, 0.5, 0.95, 0.99} {
+		if v, err := td.Quantile(q); err != nil || math.IsNaN(v) {
+			t.Errorf("Quantile(%g) = %v, %v", q, v, err)
+		}
+	}
+	if v, _ := td.Quantile(0.5); math.IsInf(v, 0) || v < 0 || v > 96 {
+		t.Errorf("median = %v, want within the finite values [0, 96]", v)
+	}
+}
