@@ -455,7 +455,7 @@ type openSessionRequest struct {
 	Params map[string]any `json:"params,omitempty"`
 	// SketchOnly makes the session's sharded renders exchange merged
 	// per-column sketches instead of per-world sample vectors (wire
-	// protocol v2's compressed response mode). Moments are exact,
+	// protocol v3's compressed response mode). Moments are exact,
 	// quantiles carry the t-digest error bound.
 	SketchOnly bool `json:"sketch_only,omitempty"`
 	// AllowDegraded opts the session's renders into graceful degradation:

@@ -313,7 +313,6 @@ func (s *Server) handleShardRender(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", shardFrameContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
 	w.WriteHeader(http.StatusOK)
 	w.Write(frame)
 }
@@ -723,7 +722,7 @@ func (p *workerPool) post(ctx context.Context, base string, body []byte) (*fp.Sh
 		}
 		return nil, he
 	}
-	raw, err := readBody(resp)
+	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return nil, fmt.Errorf("worker %s: reading response: %w", base, err)
 	}
@@ -736,19 +735,6 @@ func (p *workerPool) post(ctx context.Context, base string, body []byte) (*fp.Sh
 		sp.Graft(sr.Trace)
 	}
 	return &sr.ShardResult, nil
-}
-
-// readBody reads a response body whole, sized up front from its
-// Content-Length when the worker sent one.
-func readBody(resp *http.Response) ([]byte, error) {
-	if n := resp.ContentLength; n > 0 && n <= maxBodyBytes {
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(resp.Body, buf); err != nil {
-			return nil, err
-		}
-		return buf, nil
-	}
-	return io.ReadAll(resp.Body)
 }
 
 // shardEvalOptions returns the fan-out options for evaluations of entry

@@ -317,16 +317,16 @@ func (t *TDigest) Centroids() []Centroid {
 // The inverse of Centroids/Min/Max/Compression, used by the HTTP shard
 // protocol to ship partial sketches between workers and the coordinator.
 //
-// Wire state is untrusted: centroids with a NaN mean or a non-positive,
-// NaN or infinite weight are dropped (they cannot correspond to any
-// observation sequence), and min/max are re-clamped against the surviving
+// Wire state is untrusted: centroids with a NaN mean or a weight that is
+// not a plausible observation count (NaN, below 1 or above 2^53) are
+// dropped (they cannot correspond to any observation sequence), and min/max are re-clamped against the surviving
 // centroid means so a hostile or torn sketch can never push quantile
 // readouts outside the centroid envelope.
 func TDigestFromCentroids(compression float64, centroids []Centroid, min, max float64) *TDigest {
 	t := NewTDigest(compression)
 	cs := make([]Centroid, 0, len(centroids))
 	for _, c := range centroids {
-		if math.IsNaN(c.Mean) || math.IsNaN(c.Weight) || math.IsInf(c.Weight, 0) || c.Weight <= 0 {
+		if math.IsNaN(c.Mean) || !(c.Weight >= 1 && c.Weight <= 1<<53) {
 			continue
 		}
 		cs = append(cs, c)

@@ -215,6 +215,32 @@ func TestTDigestQuantileStaysInEnvelope(t *testing.T) {
 	}
 }
 
+// TestTDigestRestoreDropsImplausibleWeights: a centroid weight counts
+// observations, so restore drops weights below 1 or above 2^53. A
+// fractional or huge weight would otherwise reach Quantile (a 1.7e308
+// weight overflows the merged total to +Inf and reads out NaN).
+func TestTDigestRestoreDropsImplausibleWeights(t *testing.T) {
+	td := TDigestFromCentroids(100, []Centroid{
+		{Mean: 1, Weight: 1},
+		{Mean: 2, Weight: 0.5},
+		{Mean: 3, Weight: 5e-324},
+		{Mean: 4, Weight: 1.7e308},
+		{Mean: 5, Weight: 1<<53 + 2},
+		{Mean: 6, Weight: 1 << 53},
+	}, 1, 6)
+	got := td.Centroids()
+	want := []Centroid{{Mean: 1, Weight: 1}, {Mean: 6, Weight: 1 << 53}}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("restored centroids = %+v, want %+v", got, want)
+	}
+	merged := NewTDigest(100)
+	merged.Merge(TDigestFromCentroids(100, []Centroid{{Mean: 1, Weight: 1.7e308}}, 1, 1))
+	merged.Merge(TDigestFromCentroids(100, []Centroid{{Mean: 1, Weight: 1.7e308}}, 1, 1))
+	if v, err := merged.Quantile(0.5); err == nil && math.IsNaN(v) {
+		t.Errorf("Quantile(0.5) of merged huge-weight digests = NaN")
+	}
+}
+
 // TestTDigestInfiniteObservations: a column mixing finite values with ±Inf
 // (an overflowed model output) compresses without NaN centroids: an
 // infinite mean absorbs the finite ones merged into it.

@@ -8,7 +8,7 @@ import (
 )
 
 // ShardWorker serves shard evaluations for ONE scenario with a freelist of
-// warmed evaluators — the worker half of wire protocol v2's per-fingerprint
+// warmed evaluators — the worker half of wire protocol v3's per-fingerprint
 // evaluator pool. Scenario.EvaluateShard builds a fresh worker (and so a
 // fresh Monte Carlo evaluator) per call, repaying the worlds-table and
 // range-env warm-up on every request; a ShardWorker checks an evaluator out
