@@ -223,15 +223,14 @@ func (sc *Scenario) OutputColumns() []string {
 }
 
 // Fingerprint returns a stable hex identity for the scenario: the SHA-256
-// of the canonical printed form of its script. Two scenarios whose scripts
-// differ only in whitespace or comments share a fingerprint, which is
-// exactly the right key for reuse-snapshot caching — basis distributions
-// depend only on the VG call sites, their arguments and the seed base, all
-// of which the script determines. Side tables added with AddTable are NOT
-// part of the fingerprint (they never influence VG sample vectors). The
-// engine also keys its compiled-plan cache off this identity, so
-// re-compiling an identical script (e.g. fpserver re-registration) reuses
-// the warmed execution plan transparently.
+// of the canonical printed form of its script, followed by a canonical
+// encoding of the side tables added with AddTable when there are any. Two
+// scenarios whose scripts differ only in whitespace or comments share a
+// fingerprint; two whose tables hold different rows do not, because the
+// tables change the query's answers. A scenario without tables has the
+// fingerprint of its script alone. The engine keys its compiled-plan cache
+// off this identity, so re-compiling identical content (e.g. fpserver
+// re-registration) reuses the warmed execution plan transparently.
 func (sc *Scenario) Fingerprint() string {
 	return sc.scn.Fingerprint()
 }

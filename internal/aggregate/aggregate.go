@@ -6,6 +6,7 @@
 package aggregate
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -33,15 +34,32 @@ import (
 // not modify it before then. Reads are not safe to run concurrently: a
 // quantile read or Sketch may build the digest, and the digest's Quantile
 // mutates it too (it flushes the observation buffer).
+//
+// A moments-only ColumnStats (MomentsOnly) carries the moments and no
+// samples to build a digest from: EXPECT, EXPECT_STDDEV, PROB, CI95 and
+// Count read as usual, while Quantile and Metric(MEDIAN|P95) return
+// ErrMomentsOnly and Median and P95 return NaN. Merging one into another
+// makes the result moments-only too.
 type ColumnStats struct {
 	Moments stats.Moments
 	digest  *stats.TDigest // nil until built
 	pending []float64      // AddAll's vector, not yet folded into digest
+	// momentsOnly marks stats with no digest and no samples to build one.
+	momentsOnly bool
 }
+
+// ErrMomentsOnly is the error of a quantile read on a moments-only
+// ColumnStats.
+var ErrMomentsOnly = errors.New("aggregate: moments-only column stats hold no quantile sketch")
 
 // NewColumnStats returns an empty aggregator.
 func NewColumnStats() *ColumnStats {
 	return &ColumnStats{}
+}
+
+// MomentsOnly returns a moments-only aggregator holding a copy of m.
+func MomentsOnly(m stats.Moments) *ColumnStats {
+	return &ColumnStats{Moments: m, momentsOnly: true}
 }
 
 // Add folds in one world's value.
@@ -80,6 +98,10 @@ func (c *ColumnStats) tdigest() *stats.TDigest {
 // Both digests are built first, so o is written to as well.
 func (c *ColumnStats) Merge(o *ColumnStats) {
 	c.Moments.Merge(&o.Moments)
+	if c.momentsOnly || o.momentsOnly {
+		c.momentsOnly, c.digest, c.pending = true, nil, nil
+		return
+	}
 	c.tdigest().Merge(o.tdigest())
 }
 
@@ -93,22 +115,25 @@ func (c *ColumnStats) StdDev() float64 { return c.Moments.StdDev() }
 // indicator (PROB); it equals the mean.
 func (c *ColumnStats) Prob() float64 { return c.Moments.Mean() }
 
-// Median returns the running median estimate.
+// Median returns the running median estimate (NaN when moments-only).
 func (c *ColumnStats) Median() float64 { return c.quantile(0.5) }
 
-// P95 returns the running 95th-percentile estimate.
+// P95 returns the running 95th-percentile estimate (NaN when moments-only).
 func (c *ColumnStats) P95() float64 { return c.quantile(0.95) }
 
 // Quantile returns the sketch's q-quantile estimate, building the digest
-// on first use.
+// on first use. A moments-only aggregator returns ErrMomentsOnly.
 func (c *ColumnStats) Quantile(q float64) (float64, error) {
+	if c.momentsOnly {
+		return 0, ErrMomentsOnly
+	}
 	return c.tdigest().Quantile(q)
 }
 
 func (c *ColumnStats) quantile(q float64) float64 {
 	v, err := c.Quantile(q)
 	if err != nil {
-		return 0
+		return math.NaN()
 	}
 	return v
 }
@@ -130,9 +155,9 @@ func (c *ColumnStats) Metric(agg string) (float64, error) {
 	case "PROB":
 		return c.Prob(), nil
 	case "MEDIAN":
-		return c.Median(), nil
+		return c.Quantile(0.5)
 	case "P95":
-		return c.P95(), nil
+		return c.Quantile(0.95)
 	default:
 		return 0, fmt.Errorf("aggregate: unknown metric %q", agg)
 	}

@@ -1,6 +1,7 @@
 package aggregate
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -68,6 +69,39 @@ func TestMetric(t *testing.T) {
 	}
 	if _, err := c.Metric("BOGUS"); err == nil {
 		t.Error("unknown metric should error")
+	}
+}
+
+// TestMomentsOnly: a moments-only aggregate reads its moments like the
+// fold it was copied from, fails every quantile read, and makes whatever
+// it is merged into moments-only too.
+func TestMomentsOnly(t *testing.T) {
+	folded := NewColumnStats()
+	folded.AddAll([]float64{1, 4, 9, 16})
+	c := MomentsOnly(folded.Moments)
+	for _, agg := range []string{"EXPECT", "EXPECT_STDDEV", "PROB"} {
+		want, _ := folded.Metric(agg)
+		if got, err := c.Metric(agg); err != nil || got != want {
+			t.Errorf("Metric(%s) = %v, %v, want %v", agg, got, err, want)
+		}
+	}
+	if c.CI95() != folded.CI95() || c.Count() != folded.Count() {
+		t.Error("CI95 or Count differ from the fold")
+	}
+	for _, agg := range []string{"MEDIAN", "P95"} {
+		if _, err := c.Metric(agg); !errors.Is(err, ErrMomentsOnly) {
+			t.Errorf("Metric(%s) error = %v, want ErrMomentsOnly", agg, err)
+		}
+	}
+	if !math.IsNaN(c.Median()) || !math.IsNaN(c.P95()) {
+		t.Error("Median and P95 of a moments-only aggregate must be NaN")
+	}
+	folded.Merge(c)
+	if folded.Count() != 8 {
+		t.Errorf("merged count = %d, want 8", folded.Count())
+	}
+	if _, err := folded.Quantile(0.5); !errors.Is(err, ErrMomentsOnly) {
+		t.Errorf("quantile of a merge with a moments-only aggregate: error = %v, want ErrMomentsOnly", err)
 	}
 }
 

@@ -122,12 +122,13 @@ func (k ReuseKind) String() string {
 }
 
 // Reuse is the fingerprint-reuse state shared across point evaluations: the
-// fingerprint index plus the basis-distribution store. Safe for concurrent
-// use.
+// fingerprint index, the basis-distribution store and the point memo (see
+// memo.go). Safe for concurrent use.
 type Reuse struct {
 	cfg   core.Config
 	index *core.Index
 	store *storage.Store
+	memo  *pointMemo
 
 	mu        sync.Mutex
 	counts    map[ReuseKind]int
@@ -153,6 +154,7 @@ func NewReuse(cfg core.Config, storeOpts storage.Options) (*Reuse, error) {
 		cfg:    cfg,
 		index:  ix,
 		store:  store,
+		memo:   newPointMemo(),
 		counts: make(map[ReuseKind]int),
 	}, nil
 }
@@ -220,8 +222,14 @@ type Evaluator struct {
 	worldCols []string
 
 	// reads names the output columns EvaluatePoint aggregates (see Reads);
-	// nil means every numeric column.
-	reads map[string]bool
+	// nil means every numeric column. readsKey is its canonical form, part
+	// of the point memo's key.
+	reads    map[string]bool
+	readsKey string
+
+	// scnFingerprint is the scenario's content fingerprint, computed the
+	// first time the point memo needs it.
+	scnFingerprint string
 
 	// ord holds world ordinals 0..cap-1, filled to a high-water mark and
 	// shared read-only by every range env.
@@ -259,17 +267,23 @@ func NewEvaluator(scn *scenario.Scenario, opts Options) *Evaluator {
 }
 
 // Reads declares which output columns the caller will read from
-// PointResult.Sketches, so EvaluatePoint folds only those: a session render
-// names its GRAPH columns, Optimize its constraint columns, a prefetch none.
+// PointResult.Sketches, and that it reads only their moments (EXPECT,
+// EXPECT_STDDEV, PROB, CI95, Count): a session render names its GRAPH
+// columns, Optimize its constraint columns, a prefetch none. EvaluatePoint
+// then folds only those columns, and a local evaluation with a reuse engine
+// consults the point memo: a point whose sites are all exact store hits,
+// still the entries a memoised result was computed from, is answered with
+// moments-only ColumnStats (quantile reads fail) and no Columns.
 // An evaluator on which Reads was never called aggregates every numeric
-// column. Sketch-only and degraded results cover every column regardless:
-// they merge per-range sketches, which a remote worker folds without
-// knowing the reader.
+// column and never consults the memo. Sketch-only and degraded results
+// cover every column regardless: they merge per-range sketches, which a
+// remote worker folds without knowing the reader.
 func (ev *Evaluator) Reads(cols ...string) {
 	ev.reads = make(map[string]bool, len(cols))
 	for _, c := range cols {
 		ev.reads[c] = true
 	}
+	ev.readsKey = readsKey(ev.reads)
 }
 
 // ordRange returns world ordinals [lo, hi) as a slice of the shared,
@@ -331,7 +345,8 @@ type PointResult struct {
 	// Point is the evaluated parameter point.
 	Point guide.Point
 	// Columns maps each numeric output column to its per-world sample
-	// vector; nil on sketch-only and degraded results. Read-only: a
+	// vector; nil on sketch-only and degraded results and when the point
+	// memo answered (see Evaluator.Reads). Read-only: a
 	// column's Sketches entry may still build its t-digest from the same
 	// vector on its first quantile read (aggregate.ColumnStats.AddAll
 	// retains its argument).
@@ -340,14 +355,13 @@ type PointResult struct {
 	Worlds int
 	// SiteOutcome records, per site ID, how its samples were obtained.
 	SiteOutcome map[string]ReuseKind
-	// SQL is the pure TSQL the Query Generator emitted for this point.
-	SQL string
 	// Sketches holds the point's per-column aggregates (Welford moments +
 	// t-digest) — the one place consumers read EXPECT / STDDEV / quantiles
 	// / CI95 from. With sample vectors it is the world-major fold of each
 	// stitched column the evaluator's caller reads (Evaluator.Reads); on
 	// sketch-only and degraded results it is the range-ordered merge of
-	// the ranges' sketches, over every column. A fold's t-digest is built
+	// the ranges' sketches, over every column; from the point memo it is
+	// moments-only copies of the memoised fold. A fold's t-digest is built
 	// on its first quantile, sketch or merge read, so reading one entry
 	// from several goroutines at once needs the caller's own lock.
 	Sketches map[string]*aggregate.ColumnStats
@@ -436,27 +450,37 @@ func (ev *Evaluator) EvaluatePoint(ctx context.Context, pt guide.Point) (*PointR
 		Worlds:      n,
 		SiteOutcome: make(map[string]ReuseKind, len(ev.scn.Sites)),
 	}
-	// Query Generator: the pure TSQL is emitted for diagnostics (the paper's
-	// GUI displays it); the ranges execute the scenario's COMPILED plan with
-	// the point's bindings — semantically identical to parsing and executing
-	// this SQL (the differential suite asserts so) at zero parse cost.
-	var err error
-	if res.SQL, err = ev.scn.GenerateSQL(pt); err != nil {
-		return nil, err
-	}
 
 	// 1. Site vectors. Local ranges slice full [0, Worlds) vectors the
 	// coordinator obtains once (fresh, or re-mapped through the reuse
 	// engine); remote ranges re-derive theirs from per-(site, world) seeds.
+	// The ranges execute the scenario's compiled plan with the point's
+	// bindings — what the Query Generator's TSQL (Scenario.GenerateSQL)
+	// would compute, at zero parse cost.
 	shardable := ev.scn.Plan().Shardable()
 	remote := shardable && ev.opts.Runner != nil
 	var siteSamples [][]float64
+	var gens []uint64
+	var err error
 	if remote {
 		for si := range ev.scn.Sites {
 			res.SiteOutcome[ev.scn.Sites[si].ID] = Computed
 		}
-	} else if siteSamples, err = ev.siteVectors(ctx, psp, pt, res.SiteOutcome); err != nil {
+	} else if siteSamples, gens, err = ev.siteVectors(ctx, psp, pt, res.SiteOutcome); err != nil {
 		return nil, err
+	}
+
+	// The point memo: every site an exact hit on the entries a memoised
+	// result was computed from answers the point without running it.
+	memo := ev.memoizable(res.SiteOutcome)
+	var key memoKey
+	if memo {
+		key = ev.memoKeyFor(pt)
+		if sketches, ok := ev.opts.Reuse.memo.get(key, gens); ok {
+			psp.SetInt("memo_hit", 1)
+			res.Sketches = sketches
+			return res, nil
+		}
 	}
 
 	// 2. Ranges: the equal split, remote and local alike, so range i of
@@ -497,38 +521,50 @@ func (ev *Evaluator) EvaluatePoint(ctx context.Context, pt guide.Point) (*PointR
 	if res.Columns, res.Sketches, err = ev.reduce(psp, outs); err != nil {
 		return nil, err
 	}
+	if memo {
+		ev.opts.Reuse.memo.missed(key, gens, res.Sketches)
+		ev.opts.Reuse.boundMemo()
+	}
 	return res, nil
 }
 
 // siteVectors obtains every site's full [0, Worlds) sample vector at pt
-// (fresh or re-mapped), recording each site's reuse outcome.
-func (ev *Evaluator) siteVectors(ctx context.Context, psp *obs.Span, pt guide.Point, outcome map[string]ReuseKind) ([][]float64, error) {
+// (fresh or re-mapped), recording each site's reuse outcome and, for an
+// exact store hit, the store generation of the entry it read. With a reuse
+// engine it ends by bounding the point memo, after the last store change
+// the evaluation makes.
+func (ev *Evaluator) siteVectors(ctx context.Context, psp *obs.Span, pt guide.Point, outcome map[string]ReuseKind) ([][]float64, []uint64, error) {
 	ssp := psp.Child("simulate")
 	defer ssp.End()
+	r := ev.opts.Reuse
 	var spillBefore storage.Stats
-	if ssp != nil && ev.opts.Reuse != nil {
-		spillBefore = ev.opts.Reuse.store.Stats()
+	if ssp != nil && r != nil {
+		spillBefore = r.store.Stats()
 	}
 	siteSamples := make([][]float64, len(ev.scn.Sites))
+	gens := make([]uint64, len(ev.scn.Sites))
 	for si := range ev.scn.Sites {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		samples, kind, err := ev.samplesFor(ctx, si, pt)
+		samples, kind, gen, err := ev.samplesFor(ctx, si, pt)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		siteSamples[si] = samples
+		siteSamples[si], gens[si] = samples, gen
 		outcome[ev.scn.Sites[si].ID] = kind
+	}
+	if r != nil {
+		r.boundMemo()
 	}
 	if ssp != nil {
 		ssp.SetInt("sites", int64(len(ev.scn.Sites)))
 		recordOutcomes(ssp, outcome)
-		if ev.opts.Reuse != nil {
-			noteSpillDeltas(ssp, spillBefore, ev.opts.Reuse.store.Stats())
+		if r != nil {
+			noteSpillDeltas(ssp, spillBefore, r.store.Stats())
 		}
 	}
-	return siteSamples, nil
+	return siteSamples, gens, nil
 }
 
 // probeCount returns k, the number of world-seed probes used as the
@@ -547,7 +583,8 @@ func (ev *Evaluator) probeCount() int {
 }
 
 // samplesFor produces the per-world sample vector for site si at one
-// point, consulting the reuse engine when configured.
+// point, consulting the reuse engine when configured. For an exact store
+// hit it also returns the entry's generation (0 otherwise).
 //
 // The fingerprint of a point is its output under the first k *world* seeds
 // — a prefix of the very sample vector the point would produce. This keeps
@@ -555,26 +592,26 @@ func (ev *Evaluator) probeCount() int {
 // probes double as validation on real output worlds: a computed point's
 // fingerprint costs nothing extra, and a re-mapped vector is exact at every
 // probed index (the probes overwrite the mapped values).
-func (ev *Evaluator) samplesFor(ctx context.Context, si int, pt guide.Point) ([]float64, ReuseKind, error) {
+func (ev *Evaluator) samplesFor(ctx context.Context, si int, pt guide.Point) ([]float64, ReuseKind, uint64, error) {
 	call, err := ev.callAt(si, pt)
 	if err != nil {
-		return nil, Computed, err
+		return nil, Computed, 0, err
 	}
 	site, key := &ev.scn.Sites[si], call.key
 	r := ev.opts.Reuse
 	if r == nil {
 		samples, err := ev.simulate(ctx, call, 0, ev.opts.Worlds, nil)
-		return samples, Computed, err
+		return samples, Computed, 0, err
 	}
 	if err := r.bindSeedBase(ev.opts.SeedBase); err != nil {
-		return nil, Computed, err
+		return nil, Computed, 0, err
 	}
 
 	// Exact cache hit: this (site, args) pair was already evaluated.
-	if cached, ok := r.store.Get(site.ID, key); ok {
+	if cached, gen, ok := r.store.Lookup(site.ID, key); ok {
 		if len(cached) >= ev.opts.Worlds {
 			r.record(CachedExact)
-			return cached[:ev.opts.Worlds], CachedExact, nil
+			return cached[:ev.opts.Worlds], CachedExact, gen, nil
 		}
 		// Stored run was smaller than requested; fall through to recompute.
 	}
@@ -583,22 +620,22 @@ func (ev *Evaluator) samplesFor(ctx context.Context, si int, pt guide.Point) ([]
 	if ev.opts.Worlds < 2 {
 		samples, err := ev.simulate(ctx, call, 0, ev.opts.Worlds, nil)
 		if err != nil {
-			return nil, Computed, err
+			return nil, Computed, 0, err
 		}
 		r.record(Computed)
-		return samples, Computed, nil
+		return samples, Computed, 0, nil
 	}
 
 	// Probe the target at the first k world seeds (k VG invocations).
 	k := ev.probeCount()
 	probes, err := ev.simulate(ctx, call, 0, k, nil)
 	if err != nil {
-		return nil, Computed, fmt.Errorf("mc: fingerprinting %s%s: %w", site.ID, key, err)
+		return nil, Computed, 0, fmt.Errorf("mc: fingerprinting %s%s: %w", site.ID, key, err)
 	}
 	fp := core.Fingerprint{Outputs: probes}
 	for i, v := range probes {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, Computed, fmt.Errorf("mc: fingerprinting %s%s: non-finite probe %g at world %d", site.ID, key, v, i)
+			return nil, Computed, 0, fmt.Errorf("mc: fingerprinting %s%s: non-finite probe %g at world %d", site.ID, key, v, i)
 		}
 	}
 
@@ -618,7 +655,7 @@ func (ev *Evaluator) samplesFor(ctx context.Context, si int, pt guide.Point) ([]
 					kind = Affine
 				}
 				r.record(kind)
-				return mapped, kind, nil
+				return mapped, kind, 0, nil
 			}
 		}
 		// Basis evicted or unusable: simulate below.
@@ -627,10 +664,10 @@ func (ev *Evaluator) samplesFor(ctx context.Context, si int, pt guide.Point) ([]
 	// Simulate the remaining worlds; the probes are worlds 0..k-1.
 	samples, err := ev.simulate(ctx, call, k, ev.opts.Worlds, probes)
 	if err != nil {
-		return nil, Computed, err
+		return nil, Computed, 0, err
 	}
 	r.install(site.ID, key, samples, fp)
-	return samples, Computed, nil
+	return samples, Computed, 0, nil
 }
 
 // simulate invokes the site's VG-Function for worlds [from, to), in

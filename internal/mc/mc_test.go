@@ -93,8 +93,12 @@ func TestEvaluatePointBasics(t *testing.T) {
 	if math.Abs(dem.Mean()-41500) > 1000 {
 		t.Errorf("week-5 demand mean = %g, want ≈ 41500", dem.Mean())
 	}
-	if !strings.Contains(res.SQL, "__worlds") {
-		t.Errorf("generated SQL missing worlds table: %s", res.SQL)
+	sql, err := scn.GenerateSQL(point(5, 16, 32, 36))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sql, "__worlds") {
+		t.Errorf("generated SQL missing worlds table: %s", sql)
 	}
 	if res.FreshSites() != 2 {
 		t.Errorf("fresh sites = %d, want 2 (no reuse engine)", res.FreshSites())

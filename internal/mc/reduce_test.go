@@ -35,27 +35,45 @@ func warmJoinSweep(tb testing.TB) (*Evaluator, []guide.Point) {
 }
 
 // TestWarmJoinPointAllocs pins what a warm render pays per point when its
-// caller plots only moments (EXPECT): no t-digest is built, so reduce adds
-// nothing beyond the moment fold.
+// caller plots only moments (EXPECT). The first evaluation of a point whose
+// sites are all cached runs the pipeline — no t-digest is built, so reduce
+// adds nothing beyond the moment fold; the second runs it again and
+// memoises the point; every later one is a point-memo hit.
 func TestWarmJoinPointAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
 	ev, pts := warmJoinSweep(t)
 	ctx := context.Background()
-	allocs := testing.AllocsPerRun(20, func() {
-		res, err := ev.EvaluatePoint(ctx, pts[30])
+	eval := func(pt guide.Point, hit bool) {
+		res, err := ev.EvaluatePoint(ctx, pt)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if memoised := res.Columns == nil; memoised != hit {
+			t.Fatalf("point %v: memo hit = %v, want %v", pt, memoised, hit)
 		}
 		for _, cs := range res.Sketches {
 			cs.Expect()
 		}
+	}
+	// AllocsPerRun calls its function once more than it measures: 21 points,
+	// each seen all-cached for the first time.
+	next := 0
+	miss := testing.AllocsPerRun(20, func() {
+		eval(pts[next], false)
+		next++
 	})
-	// Building both columns' digests eagerly costs 34 more.
-	const want = 40
-	if allocs > want {
-		t.Errorf("warm serverfleet point made %v allocations, want <= %d", allocs, want)
+	eval(pts[30], false)
+	eval(pts[30], false)
+	hit := testing.AllocsPerRun(20, func() { eval(pts[30], true) })
+	// Building both columns' digests eagerly would cost 34 more per miss.
+	const wantMiss, wantHit = 28, 17
+	if miss > wantMiss {
+		t.Errorf("first all-cached serverfleet point made %v allocations, want <= %d", miss, wantMiss)
+	}
+	if hit > wantHit {
+		t.Errorf("memoised serverfleet point made %v allocations, want <= %d", hit, wantHit)
 	}
 }
 

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -297,6 +298,62 @@ func TestWeibullMean(t *testing.T) {
 	}
 	if mean := sum / n; math.Abs(mean-2) > 0.05 {
 		t.Errorf("weibull(1,2) mean = %g, want 2", mean)
+	}
+}
+
+// ksDistance is the one-sample Kolmogorov–Smirnov statistic of xs against
+// the distribution whose CDF is cdf: the largest gap between the empirical
+// and the closed-form CDF. It sorts xs.
+func ksDistance(xs []float64, cdf func(float64) float64) float64 {
+	sort.Float64s(xs)
+	n := float64(len(xs))
+	d := 0.0
+	for i, x := range xs {
+		f := cdf(x)
+		d = math.Max(d, math.Max(f-float64(i)/n, float64(i+1)/n-f))
+	}
+	return d
+}
+
+// TestDistributionShapes checks whole shapes, not only means: n draws of
+// each continuous distribution at a fixed seed must sit within the
+// α = 0.001 one-sample KS critical value, 1.95/√n, of the closed-form CDF.
+func TestDistributionShapes(t *testing.T) {
+	const n = 20000
+	critical := 1.95 / math.Sqrt(n)
+	normal := func(mu, sigma float64) func(float64) float64 {
+		return func(x float64) float64 { return 0.5 * math.Erfc(-(x-mu)/(sigma*math.Sqrt2)) }
+	}
+	for i, tc := range []struct {
+		name string
+		draw func(*Source) float64
+		cdf  func(float64) float64
+	}{
+		{"Normal(3, 2)", func(s *Source) float64 { return s.Normal(3, 2) }, normal(3, 2)},
+		{"LogNormal(0.5, 0.75)", func(s *Source) float64 { return s.LogNormal(0.5, 0.75) }, func(x float64) float64 {
+			if x <= 0 {
+				return 0
+			}
+			return normal(0.5, 0.75)(math.Log(x))
+		}},
+		{"Exponential(2.5)", func(s *Source) float64 { return s.Exponential(2.5) }, func(x float64) float64 {
+			return -math.Expm1(-2.5 * math.Max(x, 0))
+		}},
+		{"Weibull(1.7, 3)", func(s *Source) float64 { return s.Weibull(1.7, 3) }, func(x float64) float64 {
+			return -math.Expm1(-math.Pow(math.Max(x, 0)/3, 1.7))
+		}},
+		{"Uniform(-2, 5)", func(s *Source) float64 { return s.Uniform(-2, 5) }, func(x float64) float64 {
+			return math.Min(math.Max((x+2)/7, 0), 1)
+		}},
+	} {
+		s := New(uint64(101 + i))
+		xs := make([]float64, n)
+		for j := range xs {
+			xs[j] = tc.draw(s)
+		}
+		if d := ksDistance(xs, tc.cdf); d > critical {
+			t.Errorf("%s: KS distance %.4f exceeds the α = 0.001 critical value %.4f", tc.name, d, critical)
+		}
 	}
 }
 

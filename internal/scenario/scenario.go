@@ -17,6 +17,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -98,13 +100,45 @@ type Scenario struct {
 	plan     *sqlengine.Plan
 }
 
-// Fingerprint returns a stable hex identity for the scenario's script: the
-// SHA-256 of its canonical printed form. Scenarios whose scripts differ
-// only in whitespace or comments share a fingerprint; reuse snapshots and
-// the compiled-plan cache key off it.
+// Fingerprint returns a stable hex identity for the scenario's content: the
+// SHA-256 of its script's canonical printed form followed, when the
+// scenario has side tables, by a canonical encoding of those tables.
+// Scenarios whose scripts differ only in whitespace or comments share a
+// fingerprint, and so do table-free scenarios with the fingerprint the
+// script alone always had; two scenarios whose tables hold different rows
+// do not. Reuse snapshots, the compiled-plan cache, fleet workers'
+// scenario caches and the reuse engine's point memo key off it.
 func (scn *Scenario) Fingerprint() string {
-	sum := sha256.Sum256([]byte(sqlparser.Print(scn.Script)))
-	return hex.EncodeToString(sum[:])
+	h := sha256.New()
+	h.Write([]byte(sqlparser.Print(scn.Script)))
+	if len(scn.StaticTables) > 0 {
+		h.Write(appendTables([]byte("\x00tables"), scn.StaticTables))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// appendTables appends a canonical encoding of tables to dst: tables in
+// name order, each its length-prefixed name, column names and rows, every
+// value as its kind and its exact literal, so two tables encode alike only
+// when they hold the same values of the same kinds.
+func appendTables(dst []byte, tables []*sqlengine.Table) []byte {
+	sorted := append([]*sqlengine.Table(nil), tables...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
+	for _, t := range sorted {
+		dst = value.AppendStringKey(dst, t.Name)
+		dst = strconv.AppendInt(dst, int64(len(t.Cols)), 10)
+		for _, c := range t.Cols {
+			dst = value.AppendStringKey(dst, c)
+		}
+		dst = strconv.AppendInt(dst, int64(len(t.Rows)), 10)
+		for _, row := range t.Rows {
+			for _, v := range row {
+				dst = append(dst, byte(v.Kind()))
+				dst = value.AppendStringKey(dst, v.String())
+			}
+		}
+	}
+	return dst
 }
 
 // planCache shares compiled plans between scenarios with identical

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -400,6 +402,48 @@ func TestPlanMatchesGeneratedSQL(t *testing.T) {
 			if a.IsNull() != b.IsNull() || (!a.IsNull() && !a.Equal(b)) {
 				t.Fatalf("world %d col %s: plan %v vs generated-SQL %v", i, got.Cols[j], a, b)
 			}
+		}
+	}
+}
+
+// TestFingerprintCoversTables: a scenario without side tables keeps the
+// fingerprint of its script alone; side tables join it canonically, so
+// different rows or value kinds change it and the order tables were added
+// in does not.
+func TestFingerprintCoversTables(t *testing.T) {
+	scn := compileFigure2(t)
+	sum := sha256.Sum256([]byte(sqlparser.Print(scn.Script)))
+	bare := hex.EncodeToString(sum[:])
+	if got := scn.Fingerprint(); got != bare {
+		t.Fatalf("table-free fingerprint %s, want the script's %s", got, bare)
+	}
+	table := func(name string, v value.Value) *sqlengine.Table {
+		tbl, err := sqlengine.NewTable(name, []string{"region", "share"}, [][]value.Value{{value.Str("east"), v}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tbl
+	}
+	with := func(tables ...*sqlengine.Table) string {
+		s := compileFigure2(t)
+		for _, tbl := range tables {
+			if err := s.AddTable(tbl); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s.Fingerprint()
+	}
+	a, b := table("a", value.Float(0.5)), table("b", value.Int(2))
+	ab := with(a, b)
+	if ab == bare {
+		t.Error("adding tables kept the script's fingerprint")
+	}
+	if got := with(b, a); got != ab {
+		t.Error("the order tables were added in changed the fingerprint")
+	}
+	for _, other := range []*sqlengine.Table{table("b", value.Int(3)), table("b", value.Float(2)), table("c", value.Int(2))} {
+		if with(a, other) == ab {
+			t.Errorf("table %s with row %v kept the fingerprint", other.Name, other.Rows[0])
 		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	fp "fuzzyprophet"
+	"fuzzyprophet/internal/sqlparser"
 )
 
 // testScenario is a reduced Figure 2 so tests stay fast.
@@ -344,6 +345,42 @@ func TestRenderSingleFlight(t *testing.T) {
 	if got := ms.Coalesced(); got != burst-1 {
 		t.Errorf("coalesced = %d, want %d", got, burst-1)
 	}
+}
+
+// TestPartlyFailedParamsRerender: a PUT whose first move applies and whose
+// second is rejected answers 400, and the next render shows the applied
+// move — a fresh frame bit-equal to a new session's render at those pins,
+// never the frame cached before the PUT.
+func TestPartlyFailedParamsRerender(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	scn := registerExample(t, ts.URL, "capacityplanning", sqlparser.ExampleScenarios()["capacityplanning"])
+	render := func(sessionID string) renderResponse {
+		t.Helper()
+		var rr renderResponse
+		if code := call(t, "GET", ts.URL+"/sessions/"+sessionID+"/render", nil, &rr); code != http.StatusOK {
+			t.Fatalf("render = %d", code)
+		}
+		return rr
+	}
+	sess := openSession(t, ts.URL, scn.ID, openSessionRequest{})
+	render(sess.ID)
+	// Moves apply in name order: feature=36 is valid, purchase1=3 is off
+	// the grid (step 4).
+	if code := call(t, "PUT", ts.URL+"/sessions/"+sess.ID+"/params",
+		map[string]any{"feature": 36, "purchase1": 3}, nil); code != http.StatusBadRequest {
+		t.Fatalf("partly invalid set params = %d, want 400", code)
+	}
+	got := render(sess.ID)
+	if got.Coalesced {
+		t.Error("the render after an applied move was served the cached frame")
+	}
+
+	fresh := openSession(t, ts.URL, scn.ID, openSessionRequest{})
+	if code := call(t, "PUT", ts.URL+"/sessions/"+fresh.ID+"/params",
+		map[string]any{"feature": 36}, nil); code != http.StatusOK {
+		t.Fatalf("set params = %d", code)
+	}
+	assertSameGraph(t, *render(fresh.ID).Graph, *got.Graph)
 }
 
 // TestReregistration: replacing a scenario keeps in-flight sessions on the

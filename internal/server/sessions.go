@@ -38,9 +38,9 @@ type Session struct {
 	// params mirrors the slider positions for introspection (the library
 	// session validates and owns the authoritative state).
 	params map[string]any
-	// paramVersion increments on every successful SetParams; renders are
-	// keyed by it so a burst of render requests between two slider moves
-	// coalesces into one simulation.
+	// paramVersion increments on every SetParams that succeeded or applied
+	// a move; renders are keyed by it so a burst of render requests between
+	// two slider moves coalesces into one simulation.
 	paramVersion uint64
 	inflight     *renderCall
 	lastGraph    *fp.Graph
@@ -67,7 +67,9 @@ func (s *Session) Touch() {
 
 // SetParams applies slider moves in sorted-name order and bumps the param
 // version. A failed name/value leaves earlier moves applied (they were
-// individually valid) and reports the error.
+// individually valid) and reports the error; the version is bumped
+// whenever any move was applied, so the next render never serves the
+// frame cached before them.
 func (s *Session) SetParams(params map[string]any) error {
 	names := make([]string, 0, len(params))
 	for name := range params {
@@ -76,9 +78,12 @@ func (s *Session) SetParams(params map[string]any) error {
 	sort.Strings(names)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, name := range names {
+	for i, name := range names {
 		val := canonicalNumber(params[name])
 		if err := s.Sess.SetParam(name, val); err != nil {
+			if i > 0 {
+				s.paramVersion++
+			}
 			return err
 		}
 		if s.params == nil {

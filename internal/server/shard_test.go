@@ -12,6 +12,7 @@ import (
 
 	fp "fuzzyprophet"
 	"fuzzyprophet/internal/server/protocoltest"
+	"fuzzyprophet/internal/sqlparser"
 )
 
 // newWorkerServer starts a shard worker (WorkerMode).
@@ -313,6 +314,50 @@ func TestFleetSendsFixedRanges(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFleetReregistrationWithNewTables: re-registering serverfleet with the
+// same SQL and different side-table rows reaches the fleet. The scenario
+// fingerprint covers the tables, so the worker compiles the new
+// registration instead of resolving the old one from its scenario cache,
+// and the fleet render equals a single-node render of the new rows.
+func TestFleetReregistrationWithNewTables(t *testing.T) {
+	_, worker := newTestServer(t, func(c *Config) {
+		c.System = newExampleSystem(t)
+		c.WorkerMode = true
+	})
+	_, coord := newTestServer(t, func(c *Config) {
+		c.System = newExampleSystem(t)
+		c.Workers = []string{worker.URL}
+	})
+	_, local := newTestServer(t, func(c *Config) { c.System = newExampleSystem(t) })
+	sql := sqlparser.ExampleScenarios()["serverfleet"]
+	render := func(base string, regions tableDef) (scenarioJSON, fp.Graph) {
+		t.Helper()
+		var scn scenarioJSON
+		req := registerRequest{SQL: sql, ID: "serverfleet", Tables: []tableDef{regions}}
+		if code := call(t, "POST", base+"/scenarios", req, &scn); code != http.StatusCreated {
+			t.Fatalf("register = %d", code)
+		}
+		sess := openSession(t, base, scn.ID, openSessionRequest{Worlds: 48})
+		var rr renderResponse
+		if code := call(t, "GET", base+"/sessions/"+sess.ID+"/render", nil, &rr); code != http.StatusOK {
+			t.Fatalf("render = %d", code)
+		}
+		return scn, *rr.Graph
+	}
+
+	before, _ := render(coord.URL, regionsTableDef)
+	bigger := tableDef{Name: regionsTableDef.Name, Columns: regionsTableDef.Columns}
+	for _, row := range regionsTableDef.Rows {
+		bigger.Rows = append(bigger.Rows, []any{row[0], row[1], 2 * row[2].(float64)})
+	}
+	after, got := render(coord.URL, bigger)
+	if after.Fingerprint == before.Fingerprint {
+		t.Fatal("new side-table rows kept the scenario fingerprint")
+	}
+	_, want := render(local.URL, bigger)
+	assertSameGraph(t, want, got)
 }
 
 // overflowScenario's demand overflows to +Inf in every world, so its

@@ -223,3 +223,36 @@ func TestRAMOnlyStoreHasNoSpill(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLookupGenerations: a lookup returns the generation its entry was
+// created under — unchanged while the entry lives, new whenever the entry
+// is replaced or promoted back from the spill tier, 0 on a miss.
+func TestLookupGenerations(t *testing.T) {
+	s := openSpillStore(t, 2)
+	s.Put("s", "k00", spillVec(0))
+	_, g1, ok := s.Lookup("s", "k00")
+	if !ok || g1 == 0 {
+		t.Fatalf("Lookup after Put = gen %d, ok %v", g1, ok)
+	}
+	if _, again, _ := s.Lookup("s", "k00"); again != g1 {
+		t.Fatalf("a second lookup of a live entry moved its generation %d -> %d", g1, again)
+	}
+	s.Put("s", "k00", spillVec(0))
+	_, g2, _ := s.Lookup("s", "k00")
+	if g2 == g1 {
+		t.Fatal("replacing an entry kept its generation")
+	}
+	// Two more entries demote k00; the next lookup promotes it.
+	s.Put("s", "k01", spillVec(1))
+	s.Put("s", "k02", spillVec(2))
+	_, g3, ok := s.Lookup("s", "k00")
+	if !ok || s.Stats().Promoted != 1 {
+		t.Fatalf("k00 was not promoted from the spill tier (ok %v, %+v)", ok, s.Stats())
+	}
+	if g3 == g2 || g3 == g1 {
+		t.Fatalf("a promoted entry reused generation %d", g3)
+	}
+	if _, g, ok := s.Lookup("s", "nope"); ok || g != 0 {
+		t.Fatalf("a miss returned generation %d, ok %v", g, ok)
+	}
+}

@@ -63,6 +63,9 @@ type Entry struct {
 	// (promoted from it, or demoted while remaining resident): evicting it
 	// needs no disk write, and its Samples may be a read-only mapped view.
 	onDisk bool
+	// gen is the store-unique generation assigned when the entry was
+	// created (see Lookup).
+	gen uint64
 }
 
 // Per-entry bookkeeping the byte budget charges beyond the sample payload.
@@ -106,6 +109,7 @@ type Store struct {
 	order  *list.List               // front = most recent
 	index  map[string]*list.Element // composite key → element
 	spill  *colstore.Tier           // nil without a spill tier
+	gen    uint64                   // last generation assigned to an entry
 
 	hits     atomic.Int64
 	misses   atomic.Int64
@@ -181,6 +185,8 @@ func (s *Store) Put(site, key string, samples []float64) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.gen++
+	e.gen = s.gen
 	if s.spill != nil && s.spill.Contains(site, key) {
 		s.spill.Drop(site, key)
 	}
@@ -206,6 +212,17 @@ func (s *Store) Put(site, key string, samples []float64) {
 // shared — and possibly a read-only mapping — so callers must not mutate
 // it; mc's consumers never do.
 func (s *Store) Get(site, key string) ([]float64, bool) {
+	samples, _, ok := s.Lookup(site, key)
+	return samples, ok
+}
+
+// Lookup is Get that also returns the entry's generation: a number, unique
+// within the store, assigned whenever an entry is created — by Put, or by
+// a spill promotion. An entry's samples never change, so two lookups that
+// return the same generation returned the same samples; a replaced,
+// evicted or re-promoted basis always comes back under a new one. A miss
+// returns generation 0.
+func (s *Store) Lookup(site, key string) ([]float64, uint64, bool) {
 	var buf [64]byte
 	ck := appendCompositeKey(buf[:0], site, key)
 	s.mu.Lock()
@@ -213,25 +230,27 @@ func (s *Store) Get(site, key string) ([]float64, bool) {
 	if el, ok := s.index[string(ck)]; ok {
 		s.hits.Add(1)
 		s.order.MoveToFront(el)
-		return el.Value.(*Entry).Samples, true
+		e := el.Value.(*Entry)
+		return e.Samples, e.gen, true
 	}
 	if s.spill != nil {
 		t0 := time.Now()
 		samples, ok := s.spill.Get(site, key)
 		s.promoteNanos.Add(time.Since(t0).Nanoseconds())
 		if ok {
-			e := &Entry{Site: site, Key: key, Samples: samples, onDisk: true}
+			s.gen++
+			e := &Entry{Site: site, Key: key, Samples: samples, onDisk: true, gen: s.gen}
 			el := s.order.PushFront(e)
 			s.index[string(appendCompositeKey(buf[:0], site, key))] = el
 			s.used += e.bytes()
 			s.promoted.Add(1)
 			s.hits.Add(1)
 			s.evictLocked()
-			return samples, true
+			return samples, e.gen, true
 		}
 	}
 	s.misses.Add(1)
-	return nil, false
+	return nil, 0, false
 }
 
 // Contains reports whether (site, key) is stored in either tier, without
