@@ -59,15 +59,9 @@ func main() {
 		enablePprof      = flag.Bool("pprof", false, "mount net/http/pprof handlers under /debug/pprof/ (do not expose publicly)")
 		workerMode       = flag.Bool("worker", false, "run as a shard worker: serve only POST /shard/render (+ health/metrics)")
 		workerURLs       = flag.String("workers", "", "comma-separated shard-worker base URLs; renders fan out across them")
-		shardTimeout     = flag.Duration("shard-timeout", 2*time.Minute, "per-shard-request timeout against workers (<0 disables)")
-		workerCooldown   = flag.Duration("worker-cooldown", 5*time.Second, "circuit-breaker base open window for a failed worker (<0 disables)")
-		breakerThreshold = flag.Int("breaker-threshold", 1, "consecutive shard failures that open a worker's circuit breaker")
 		requestTimeout   = flag.Duration("request-timeout", time.Minute, "server-side deadline budget per render/evaluate request; ?timeout= can shorten it (<0 disables)")
 		maxRenders       = flag.Int("max-concurrent-renders", 0, "concurrent render/evaluate limit; excess queues briefly then gets 429 (0 = unbounded)")
-		hedgeDelay       = flag.Duration("hedge-delay", 0, "outstanding time before a shard request is hedged on a second worker (0 = adaptive P95, <0 disables)")
-		retryBackoff     = flag.Duration("retry-backoff", 10*time.Millisecond, "base jittered backoff between shard retries (<0 disables)")
 		slowRender       = flag.Duration("slow-render-threshold", time.Second, "log renders at/above this duration and retain their traces at /debug/traces (<0 disables)")
-		traceBuffer      = flag.Int("trace-buffer", 32, "how many slow-render traces /debug/traces retains")
 		version          = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
@@ -102,15 +96,9 @@ func main() {
 		enablePprof:      *enablePprof,
 		workerMode:       *workerMode,
 		workers:          workers,
-		shardTimeout:     *shardTimeout,
-		workerCooldown:   *workerCooldown,
-		breakerThreshold: *breakerThreshold,
 		requestTimeout:   *requestTimeout,
 		maxRenders:       *maxRenders,
-		hedgeDelay:       *hedgeDelay,
-		retryBackoff:     *retryBackoff,
 		slowRender:       *slowRender,
-		traceBuffer:      *traceBuffer,
 	}); err != nil {
 		cli.Fatal("fpserver", err)
 	}
@@ -129,15 +117,9 @@ type config struct {
 	enablePprof      bool
 	workerMode       bool
 	workers          []string
-	shardTimeout     time.Duration
-	workerCooldown   time.Duration
-	breakerThreshold int
 	requestTimeout   time.Duration
 	maxRenders       int
-	hedgeDelay       time.Duration
-	retryBackoff     time.Duration
 	slowRender       time.Duration
-	traceBuffer      int
 }
 
 func run(ctx context.Context, cfg config) error {
@@ -161,17 +143,11 @@ func run(ctx context.Context, cfg config) error {
 		EnablePprof:          cfg.enablePprof,
 		WorkerMode:           cfg.workerMode,
 		Workers:              cfg.workers,
-		ShardTimeout:         cfg.shardTimeout,
-		WorkerCooldown:       cfg.workerCooldown,
-		BreakerThreshold:     cfg.breakerThreshold,
 		RequestTimeout:       cfg.requestTimeout,
 		MaxConcurrentRenders: cfg.maxRenders,
-		HedgeDelay:           cfg.hedgeDelay,
-		RetryBackoff:         cfg.retryBackoff,
 		Logf:                 logger.Printf,
 		Log:                  slog.New(slog.NewTextHandler(os.Stderr, nil)),
 		SlowRenderThreshold:  cfg.slowRender,
-		TraceBuffer:          cfg.traceBuffer,
 	})
 	if err != nil {
 		return err

@@ -315,9 +315,51 @@ func ksDistance(xs []float64, cdf func(float64) float64) float64 {
 	return d
 }
 
+// chiSquare is Pearson's goodness-of-fit statistic of draws from a
+// distribution on {0, 1, ...} against its pmf, with its degrees of freedom.
+// Neighbouring values share a bin until the bin expects at least 5 draws;
+// the last bin also takes the whole upper tail.
+func chiSquare(draws []int64, pmf func(int64) float64) (float64, int) {
+	n := float64(len(draws))
+	counts := map[int64]float64{}
+	top := int64(0)
+	for _, k := range draws {
+		counts[k]++
+		top = max(top, k)
+	}
+	var obs, exp []float64
+	var o, e, cum float64
+	for k := int64(0); k <= top; k++ {
+		p := pmf(k)
+		o, e, cum = o+counts[k], e+n*p, cum+p
+		// Close the bin only if what is left can still fill one.
+		if e >= 5 && n*(1-cum) >= 5 {
+			obs, exp = append(obs, o), append(exp, e)
+			o, e = 0, 0
+		}
+	}
+	obs, exp = append(obs, o), append(exp, e+n*(1-cum))
+	stat := 0.0
+	for i := range obs {
+		d := obs[i] - exp[i]
+		stat += d * d / exp[i]
+	}
+	return stat, len(obs) - 1
+}
+
+// chiSquareCritical is the α = 0.001 critical value of the chi-square
+// distribution with df degrees of freedom, by the Wilson–Hilferty
+// approximation (z = 3.0902 is the standard normal's 0.999 quantile).
+func chiSquareCritical(df int) float64 {
+	v := 2 / (9 * float64(df))
+	return float64(df) * math.Pow(1-v+3.0902*math.Sqrt(v), 3)
+}
+
 // TestDistributionShapes checks whole shapes, not only means: n draws of
 // each continuous distribution at a fixed seed must sit within the
-// α = 0.001 one-sample KS critical value, 1.95/√n, of the closed-form CDF.
+// α = 0.001 one-sample KS critical value, 1.95/√n, of the closed-form CDF,
+// and n draws of each discrete one within the α = 0.001 chi-square critical
+// value of its closed-form pmf.
 func TestDistributionShapes(t *testing.T) {
 	const n = 20000
 	critical := 1.95 / math.Sqrt(n)
@@ -345,6 +387,11 @@ func TestDistributionShapes(t *testing.T) {
 		{"Uniform(-2, 5)", func(s *Source) float64 { return s.Uniform(-2, 5) }, func(x float64) float64 {
 			return math.Min(math.Max((x+2)/7, 0), 1)
 		}},
+		// Gamma with an integer shape is Erlang: F(x) = 1 - e^(-y) Σ_{i<3} y^i/i!, y = x/θ.
+		{"Gamma(3, 1.5)", func(s *Source) float64 { return s.Gamma(3, 1.5) }, func(x float64) float64 {
+			y := math.Max(x, 0) / 1.5
+			return 1 - math.Exp(-y)*(1+y+y*y/2)
+		}},
 	} {
 		s := New(uint64(101 + i))
 		xs := make([]float64, n)
@@ -353,6 +400,52 @@ func TestDistributionShapes(t *testing.T) {
 		}
 		if d := ksDistance(xs, tc.cdf); d > critical {
 			t.Errorf("%s: KS distance %.4f exceeds the α = 0.001 critical value %.4f", tc.name, d, critical)
+		}
+	}
+
+	poisson := func(mean float64) func(int64) float64 {
+		return func(k int64) float64 {
+			lg, _ := math.Lgamma(float64(k) + 1)
+			return math.Exp(float64(k)*math.Log(mean) - mean - lg)
+		}
+	}
+	binomial := func(trials int, p float64) func(int64) float64 {
+		return func(k int64) float64 {
+			if k > int64(trials) {
+				return 0
+			}
+			n, kf := float64(trials), float64(k)
+			a, _ := math.Lgamma(n + 1)
+			b, _ := math.Lgamma(kf + 1)
+			c, _ := math.Lgamma(n - kf + 1)
+			return math.Exp(a - b - c + kf*math.Log(p) + (n-kf)*math.Log1p(-p))
+		}
+	}
+	for i, tc := range []struct {
+		name string
+		draw func(*Source) int64
+		pmf  func(int64) float64
+	}{
+		{"Poisson(0.5)", func(s *Source) int64 { return s.Poisson(0.5) }, poisson(0.5)},
+		{"Poisson(12)", func(s *Source) int64 { return s.Poisson(12) }, poisson(12)},
+		{"Poisson(60)", func(s *Source) int64 { return s.Poisson(60) }, poisson(60)}, // the PTRS branch
+		{"Binomial(10, 0.3)", func(s *Source) int64 { return s.Binomial(10, 0.3) }, binomial(10, 0.3)},
+		{"Binomial(1000, 0.01)", func(s *Source) int64 { return s.Binomial(1000, 0.01) }, binomial(1000, 0.01)},
+		{"Pick([1, 2, 3])", func(s *Source) int64 { return int64(s.Pick([]float64{1, 2, 3})) }, func(k int64) float64 {
+			return []float64{1, 2, 3}[k] / 6
+		}},
+	} {
+		s := New(uint64(201 + i))
+		ks := make([]int64, n)
+		for j := range ks {
+			ks[j] = tc.draw(s)
+		}
+		stat, df := chiSquare(ks, tc.pmf)
+		if df < 1 {
+			t.Fatalf("%s: %d degrees of freedom", tc.name, df)
+		}
+		if c := chiSquareCritical(df); stat > c {
+			t.Errorf("%s: chi-square %.1f on %d df exceeds the α = 0.001 critical value %.1f", tc.name, stat, df, c)
 		}
 	}
 }

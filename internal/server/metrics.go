@@ -150,8 +150,8 @@ func (m *metrics) observeStages(tree *obs.Node) {
 	})
 }
 
-// writeTo renders the Prometheus exposition for the current server state.
-func (m *metrics) writeTo(w io.Writer, s *Server) {
+// writeTo renders the Prometheus exposition for the server's state at now.
+func (m *metrics) writeTo(w io.Writer, s *Server, now time.Time) {
 	gauge := func(name, help string, v any) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, v)
 	}
@@ -163,7 +163,7 @@ func (m *metrics) writeTo(w io.Writer, s *Server) {
 	fmt.Fprintf(w, "fpserver_build_info{version=%q,go_version=%q} 1\n",
 		buildinfo.Version, buildinfo.GoVersion())
 	gauge("fpserver_uptime_seconds", "Seconds since the server started.",
-		int64(time.Since(m.start).Seconds()))
+		int64(now.Sub(m.start).Seconds()))
 	counter("fpserver_requests_total", "HTTP requests served.", m.requests.Load())
 
 	// Scenario registry.
@@ -203,9 +203,8 @@ func (m *metrics) writeTo(w io.Writer, s *Server) {
 	gauge("fpserver_render_queue_depth", "Renders queued for an admission slot.", queued)
 	if len(s.workerStates) > 0 {
 		fmt.Fprintf(w, "# HELP fpserver_breaker_state Per-worker circuit breaker state (0 closed, 1 half-open, 2 open).\n# TYPE fpserver_breaker_state gauge\n")
-		now := time.Now()
 		for _, ws := range s.workerStates {
-			fmt.Fprintf(w, "fpserver_breaker_state{worker=%q} %d\n", ws.url, ws.br.state(now))
+			fmt.Fprintf(w, "fpserver_breaker_state{worker=%q} %d\n", ws.url, ws.state(now))
 		}
 	}
 

@@ -181,8 +181,8 @@ func TestSlim400LeavesWorkerWarm(t *testing.T) {
 	if n := coordSrv.metrics.shardCooldowns.Load(); n != 0 {
 		t.Errorf("a 400 opened the worker's breaker %d time(s)", n)
 	}
-	if ws := coordSrv.workerStates[0]; !ws.healthy(time.Now()) || ws.br.failures != 0 {
-		t.Errorf("a 400 counted against the worker's breaker (failures = %d)", ws.br.failures)
+	if st := coordSrv.workerStates[0].state(time.Now()); st != breakerClosed {
+		t.Errorf("a 400 counted against the worker's breaker (state = %d)", st)
 	}
 
 	proxy.Reset()
@@ -207,9 +207,10 @@ func TestFlappingWorkerCooldown(t *testing.T) {
 	t.Cleanup(proxy.Close)
 	proxy.SetFault(protocoltest.Drop)
 
+	// The breaker's first open window (5s, jittered to at least 4.5s)
+	// outlasts the three evaluations below.
 	coordSrv, coord := newTestServer(t, func(c *Config) {
 		c.Workers = []string{proxy.URL(), good.URL}
-		c.WorkerCooldown = time.Hour
 	})
 	scn := registerScenario(t, coord.URL)
 	for _, pt := range testPoints {

@@ -1,11 +1,12 @@
 package server
 
 // Resilience primitives for the serving path: request deadline budgets,
-// per-worker circuit breakers, an adaptive hedge-delay tracker, and the
-// render admission gate. The shard fan-out (shard.go) consumes the breaker
-// and latency tracker; the HTTP handlers (server.go) consume the budget
-// helper and the gate. Everything here is deliberately dependency-free and
-// lock-scoped per instance so it composes with the lock-free metrics.
+// per-worker circuit breakers, the shard-latency window the fan-out derives
+// its hedge delay and attempt deadline from, and the render admission gate.
+// The shard fan-out (shard.go) consumes the breaker and the window; the
+// HTTP handlers (server.go) consume the budget helper and the gate.
+// Everything here is deliberately dependency-free and lock-scoped per
+// instance so it composes with the lock-free metrics.
 
 import (
 	"context"
@@ -23,10 +24,6 @@ import (
 // defaultRequestTimeout is the server-side deadline applied to every
 // request when Config.RequestTimeout is unset.
 const defaultRequestTimeout = time.Minute
-
-// defaultRetryBackoff is the base of the jittered exponential backoff
-// between shard retry attempts when Config.RetryBackoff is unset.
-const defaultRetryBackoff = 10 * time.Millisecond
 
 // budgetExceededError is the context cancellation cause when the SERVER's
 // deadline budget — not the client's own context — expired. renderError
@@ -70,144 +67,115 @@ const (
 	breakerOpen     = 2
 )
 
-// breaker is a per-worker circuit breaker generalizing the old binary
-// cool-down: closed → (threshold consecutive failures) → open for a
-// jittered window that doubles on every failed half-open probe, capped.
-// State is derived from (failures, openUntil, now) rather than stored, so
-// open→half-open needs no timer goroutine: once the window passes, the
-// breaker reads half-open and the next attempt is the probe.
-type breaker struct {
-	mu        sync.Mutex
-	threshold int           // consecutive failures to open (>= 1)
-	base      time.Duration // first open window; <= 0 disables opening
-	maxOpen   time.Duration // backoff cap on the open window
+// A worker's breaker opens on its first transport error, timeout or 5xx for
+// a jittered breakerBase window that doubles on every failed half-open probe,
+// up to breakerMaxOpen. While open, the worker moves to the back of the
+// candidate order. The breaker lives in workerState and is derived from
+// (openSpan, openUntil, now) rather than stored, so open→half-open needs no
+// timer goroutine: once the window passes, the breaker reads half-open and
+// the next attempt is the probe. Every transition takes now explicitly.
+const (
+	breakerBase    = 5 * time.Second
+	breakerMaxOpen = 16 * breakerBase
+)
 
-	failures  int
-	openSpan  time.Duration // current un-jittered open window
-	openUntil time.Time
-}
-
-func newBreaker(threshold int, base time.Duration) *breaker {
-	if threshold < 1 {
-		threshold = 1
-	}
-	return &breaker{threshold: threshold, base: base, maxOpen: 16 * base}
-}
-
-// state reports the breaker's position at now.
-func (b *breaker) state(now time.Time) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.stateLocked(now)
-}
-
-func (b *breaker) stateLocked(now time.Time) int {
-	if b.failures < b.threshold || b.base <= 0 {
+// state reports the worker's breaker position at now.
+func (ws *workerState) state(now time.Time) int {
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	switch {
+	case ws.openSpan == 0:
 		return breakerClosed
-	}
-	if now.Before(b.openUntil) {
+	case now.Before(ws.openUntil):
 		return breakerOpen
 	}
 	return breakerHalfOpen
 }
 
-// allow reports whether an attempt should be routed to this worker: true
-// while closed, and true once the open window has lapsed (the attempt is
-// then the half-open probe). Callers may still force an attempt on an open
-// breaker as a last resort; correctness never depends on the breaker.
-func (b *breaker) allow(now time.Time) bool {
-	return b.state(now) != breakerOpen
-}
-
-// onSuccess closes the breaker and resets the backoff.
-func (b *breaker) onSuccess() {
-	b.mu.Lock()
-	b.failures = 0
-	b.openSpan = 0
-	b.openUntil = time.Time{}
-	b.mu.Unlock()
-}
-
-// onFailure records a qualifying failure (transport error or 5xx) and
-// reports whether it opened (or re-opened) the breaker. A failure while
-// half-open is a failed probe: the open window doubles, up to the cap.
-func (b *breaker) onFailure(now time.Time) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	wasHalfOpen := b.stateLocked(now) == breakerHalfOpen
-	b.failures++
-	if b.failures < b.threshold || b.base <= 0 {
-		return false
-	}
+// fail records a transport error, timeout or 5xx at now and (re-)opens the
+// breaker. A failure while half-open is a failed probe: the open window
+// doubles, up to the cap.
+func (ws *workerState) fail(now time.Time) {
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
 	switch {
-	case b.openSpan == 0:
-		b.openSpan = b.base
-	case wasHalfOpen:
-		b.openSpan *= 2
-		if b.maxOpen > 0 && b.openSpan > b.maxOpen {
-			b.openSpan = b.maxOpen
-		}
+	case ws.openSpan == 0:
+		ws.openSpan = breakerBase
+	case !now.Before(ws.openUntil):
+		ws.openSpan = min(2*ws.openSpan, breakerMaxOpen)
 	}
-	b.openUntil = now.Add(jitter(b.openSpan))
-	return true
+	ws.openUntil = now.Add(jitter(ws.openSpan))
+}
+
+// succeed closes the breaker and resets its backoff.
+func (ws *workerState) succeed() {
+	ws.mu.Lock()
+	ws.openSpan, ws.openUntil = 0, time.Time{}
+	ws.mu.Unlock()
 }
 
 // jitter spreads d over [0.9d, 1.1d) so a fleet of breakers (or retry
 // backoffs) opened by one event does not re-probe in lockstep.
 func jitter(d time.Duration) time.Duration {
-	if d <= 0 {
-		return d
-	}
 	return time.Duration(float64(d) * (0.9 + 0.2*rand.Float64()))
 }
 
-// ---- hedge-delay tracking ----
+// ---- shard timings ----
 
-// latencyRingSize bounds the shard-latency sample window the adaptive
-// hedge delay is computed over.
-const latencyRingSize = 256
+const (
+	// latencyWindowSize bounds the shard-latency sample window.
+	latencyWindowSize = 256
+	// minWarmSamples is how many shard latencies the window needs before
+	// its P95 means anything; until then nothing hedges and an attempt may
+	// use the request's whole remaining budget.
+	minWarmSamples = 16
+	// minHedgeDelay floors the hedge delay so microsecond-scale P95s (tiny
+	// test renders) don't hedge every request reflexively.
+	minHedgeDelay = 5 * time.Millisecond
+	// attemptDeadlineFactor × P95 bounds one attempt, floored at
+	// minAttemptDeadline: a healthy fleet's tail sits within a small
+	// multiple of its P95, so 20× only cuts a worker that black-holes, and
+	// the floor keeps a millisecond-scale P95 from cutting a merely slow one.
+	attemptDeadlineFactor = 20
+	minAttemptDeadline    = time.Second
+	// retryBackoff is the base of the jittered exponential backoff between
+	// shard retries; it doubles per retry up to maxRetryBackoff.
+	retryBackoff    = 10 * time.Millisecond
+	maxRetryBackoff = time.Second
+)
 
-// minHedgeSamples is how many shard latencies must be observed before the
-// adaptive P95 enables hedging.
-const minHedgeSamples = 16
-
-// minHedgeDelay floors the adaptive hedge delay so microsecond-scale P95s
-// (tiny test renders) don't hedge every request reflexively.
-const minHedgeDelay = 5 * time.Millisecond
-
-// latencyTracker keeps a ring of recent successful shard latencies and
-// serves their exact P95 — the hedge fires when a shard request has been
-// outstanding longer than 95% of recent ones completed in, the classic
-// tail-latency trade of a little duplicate work for a bounded tail.
-type latencyTracker struct {
+// latencyWindow keeps a ring of recent successful shard latencies and
+// derives the fan-out's timings from their exact P95: the hedge fires when
+// a shard request has been outstanding longer than 95% of recent ones took
+// (the classic tail-latency trade of a little duplicate work for a bounded
+// tail), and an attempt gives up at a multiple of it.
+type latencyWindow struct {
 	mu   sync.Mutex
-	ring [latencyRingSize]time.Duration
+	ring [latencyWindowSize]time.Duration
 	n    int // total observations (ring index = n % size)
 }
 
-func (t *latencyTracker) observe(d time.Duration) {
-	t.mu.Lock()
-	t.ring[t.n%latencyRingSize] = d
-	t.n++
-	t.mu.Unlock()
+func (w *latencyWindow) observe(d time.Duration) {
+	w.mu.Lock()
+	w.ring[w.n%latencyWindowSize] = d
+	w.n++
+	w.mu.Unlock()
 }
 
-// p95 returns the 95th percentile of the recorded window and whether
-// enough samples exist for it to be meaningful.
-func (t *latencyTracker) p95() (time.Duration, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.n < minHedgeSamples {
-		return 0, false
+// timings returns the hedge delay, max(P95, minHedgeDelay), and the
+// per-attempt deadline, max(minAttemptDeadline, attemptDeadlineFactor×P95).
+// warm is false, and both are zero, until minWarmSamples latencies exist.
+func (w *latencyWindow) timings() (hedge, deadline time.Duration, warm bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	k := min(w.n, latencyWindowSize)
+	if k < minWarmSamples {
+		return 0, 0, false
 	}
-	k := t.n
-	if k > latencyRingSize {
-		k = latencyRingSize
-	}
-	window := make([]time.Duration, k)
-	copy(window, t.ring[:k])
+	window := slices.Clone(w.ring[:k])
 	slices.Sort(window)
-	return window[(k-1)*95/100], true
+	p95 := window[(k-1)*95/100]
+	return max(p95, minHedgeDelay), max(attemptDeadlineFactor*p95, minAttemptDeadline), true
 }
 
 // ---- admission gate ----

@@ -1,12 +1,17 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,14 +22,14 @@ import (
 
 // ---- chaos matrix ----
 
-// chaosConfig tunes a coordinator for fast fault recovery in tests: short
-// per-attempt timeouts bound hung shards, a small fixed hedge delay races
-// a duplicate early, and retries back off only briefly.
-func chaosConfig(c *Config) {
-	c.ShardTimeout = 300 * time.Millisecond
-	c.HedgeDelay = 25 * time.Millisecond
-	c.RetryBackoff = time.Millisecond
-	c.WorkerCooldown = 50 * time.Millisecond
+// warmWindow seeds a shard-latency window with minWarmSamples latencies of
+// p95, so the fan-out's derived timings apply from the first shard on: a
+// hedge fires after max(p95, 5ms) and every attempt is bounded by
+// max(1s, 20×p95).
+func warmWindow(w *latencyWindow, p95 time.Duration) {
+	for i := 0; i < minWarmSamples; i++ {
+		w.observe(p95)
+	}
 }
 
 // TestChaosMatrixBitIdentical runs every bundled example scenario through
@@ -59,8 +64,10 @@ func TestChaosMatrixBitIdentical(t *testing.T) {
 			coordSrv, coord := newTestServer(t, func(c *Config) {
 				c.System = newExampleSystem(t)
 				c.Workers = urls
-				chaosConfig(c)
 			})
+			// Hung shards are bounded by the derived attempt deadline, and
+			// a hedge races a duplicate after 25ms.
+			warmWindow(coordSrv.shardLatency, 25*time.Millisecond)
 
 			scn := registerExample(t, coord.URL, name, sql)
 			got := evaluatePoints(t, coord.URL, scn.ID, evaluateRequest{Points: points, Worlds: 48})
@@ -98,7 +105,7 @@ func TestChaosMatrixBitIdentical(t *testing.T) {
 
 // TestHedgeRescuesHungShard: with one worker hung, the hedge timer fires a
 // duplicate on the healthy worker and the render completes bit-identically
-// — without waiting out the shard timeout and without degrading.
+// — without waiting out the attempt deadline and without degrading.
 func TestHedgeRescuesHungShard(t *testing.T) {
 	_, local := newTestServer(t, nil)
 	scnLocal := registerScenario(t, local.URL)
@@ -113,8 +120,8 @@ func TestHedgeRescuesHungShard(t *testing.T) {
 
 	coordSrv, coord := newTestServer(t, func(c *Config) {
 		c.Workers = []string{good.URL, proxy.URL()}
-		c.HedgeDelay = 10 * time.Millisecond
 	})
+	warmWindow(coordSrv.shardLatency, 10*time.Millisecond)
 	scn := registerScenario(t, coord.URL)
 	got := evaluatePoints(t, coord.URL, scn.ID, evaluateRequest{Points: one, Worlds: 64})
 
@@ -146,9 +153,11 @@ func TestDegradedEvaluate(t *testing.T) {
 	t.Cleanup(proxy.Close)
 	proxy.SetFault(protocoltest.Hang)
 
+	// A hedge would rescue the shard, but the latency window stays cold
+	// (under 16 samples) through this batch, and a cold window never
+	// hedges: the budget cuts the hung shard.
 	_, coord := newTestServer(t, func(c *Config) {
 		c.Workers = []string{good.URL, proxy.URL()}
-		c.HedgeDelay = -1 // a hedge would rescue the shard; force the cut
 	})
 	scn := registerScenario(t, coord.URL)
 
@@ -196,9 +205,10 @@ func TestDegradedRenderNotCached(t *testing.T) {
 	t.Cleanup(proxy.Close)
 	proxy.SetFaultWindow(protocoltest.Hang, 1)
 
+	// The latency window is cold when the hung shard starts, and a cold
+	// window never hedges: the budget cuts it.
 	_, coord := newTestServer(t, func(c *Config) {
 		c.Workers = []string{good.URL, proxy.URL()}
-		c.HedgeDelay = -1
 	})
 	scn := registerScenario(t, coord.URL)
 	sess := openSession(t, coord.URL, scn.ID, openSessionRequest{AllowDegraded: true})
@@ -499,42 +509,163 @@ func TestHandlerPanicRecovered(t *testing.T) {
 	evaluatePoints(t, ts.URL, scn.ID, evaluateRequest{Points: testPoints[:1], Worlds: 16})
 }
 
-// ---- breaker unit behavior ----
+// ---- the shard-attempt loop ----
 
-// TestBreakerHalfOpenBackoff exercises the state machine directly: open on
-// threshold, half-open after the window, re-open with a doubled window on
-// a failed probe, and full reset on success.
-func TestBreakerHalfOpenBackoff(t *testing.T) {
-	b := newBreaker(2, time.Hour)
-	now := time.Now()
-	if b.state(now) != breakerClosed {
-		t.Fatal("new breaker not closed")
+// TestBreakerTable drives one worker's breaker through (event, now) rows
+// and reads both its state and the fpserver_breaker_state gauge (0 closed,
+// 1 half-open, 2 open) at each row's now. Open windows are jittered to
+// [0.9, 1.1) of their span, so "open" rows sit just below 0.9× the span and
+// "half-open" rows at 1.1×.
+func TestBreakerTable(t *testing.T) {
+	const url = "http://worker.invalid"
+	srv, _ := newTestServer(t, func(c *Config) { c.Workers = []string{url} })
+	ws := srv.workerStates[0]
+	ms := time.Millisecond
+	t0 := time.Now()
+	for _, row := range []struct {
+		name  string
+		event string // "fail", "succeed" or "" (read only)
+		at    time.Duration
+		want  int
+	}{
+		{"a new worker is closed", "", 0, breakerClosed},
+		{"the first failure opens", "fail", 0, breakerOpen},
+		{"open inside the jittered 5s window", "", 4499 * ms, breakerOpen},
+		{"half-open after it", "", 5500 * ms, breakerHalfOpen},
+		{"a failed probe re-opens", "fail", 5500 * ms, breakerOpen},
+		{"the window doubled to 10s", "", (5500 + 8999) * ms, breakerOpen},
+		{"half-open after 10s", "", (5500 + 11000) * ms, breakerHalfOpen},
+		{"a failed probe doubles it to 20s", "fail", 16500 * ms, breakerOpen},
+		{"half-open after 20s", "", (16500 + 22000) * ms, breakerHalfOpen},
+		{"a failed probe doubles it to 40s", "fail", 38500 * ms, breakerOpen},
+		{"half-open after 40s", "", (38500 + 44000) * ms, breakerHalfOpen},
+		{"a failed probe doubles it to the 80s cap", "fail", 82500 * ms, breakerOpen},
+		{"open inside 80s", "", (82500 + 71999) * ms, breakerOpen},
+		{"half-open after 80s", "", (82500 + 88000) * ms, breakerHalfOpen},
+		{"a failed probe stays at the cap", "fail", 170500 * ms, breakerOpen},
+		{"half-open after 80s, not 160s", "", (170500 + 88000) * ms, breakerHalfOpen},
+		{"a success closes", "succeed", 258500 * ms, breakerClosed},
+		{"the next failure opens again", "fail", 300000 * ms, breakerOpen},
+		{"half-open after 5s: the success reset the backoff", "", 305500 * ms, breakerHalfOpen},
+	} {
+		now := t0.Add(row.at)
+		switch row.event {
+		case "fail":
+			ws.fail(now)
+		case "succeed":
+			ws.succeed()
+		}
+		if got := ws.state(now); got != row.want {
+			t.Errorf("%s: state = %d, want %d", row.name, got, row.want)
+		}
+		var buf bytes.Buffer
+		srv.metrics.writeTo(&buf, srv, now)
+		line := fmt.Sprintf("fpserver_breaker_state{worker=%q} %d\n", url, row.want)
+		if !strings.Contains(buf.String(), line) {
+			t.Errorf("%s: /metrics lacks %q", row.name, line)
+		}
 	}
-	b.onFailure(now)
-	if b.state(now) != breakerClosed {
-		t.Fatal("breaker opened below threshold")
+}
+
+// TestHedgeWinsDuringBackoff pins the loop's event order with scripted
+// attempts over three workers. The hedge goes to the second worker while
+// the primary is in flight; the primary then fails, which owes a retry
+// after the backoff; the hedge succeeds during that backoff. The hedge's
+// result must win at once: no retry is launched on the third worker or
+// counted. The backoff is an hour and each attempt waits for the event
+// before it, so the order does not depend on timing.
+func TestHedgeWinsDuringBackoff(t *testing.T) {
+	states := newWorkerStates([]string{"w0", "w1", "w2"})
+	p := &workerPool{states: states, metrics: newMetrics(), logf: t.Logf, latency: &latencyWindow{}}
+	warmWindow(p.latency, time.Millisecond) // the hedge fires after 5ms
+	want := &fp.ShardResult{Rows: 7}
+	var calls [3]atomic.Int32
+	hedgeStarted := make(chan struct{})
+	attempt := func(ctx context.Context, ws *workerState) (*fp.ShardResult, error) {
+		switch ws {
+		case states[0]: // the primary fails once the hedge is in flight
+			calls[0].Add(1)
+			<-hedgeStarted
+			return nil, errors.New("connection reset")
+		case states[1]: // the hedge succeeds once the loop saw that failure
+			calls[1].Add(1)
+			close(hedgeStarted)
+			for states[0].state(time.Now()) != breakerOpen {
+				time.Sleep(100 * time.Microsecond)
+			}
+			return want, nil
+		default:
+			calls[2].Add(1)
+			return nil, errors.New("a retry reached the third worker")
+		}
 	}
-	if !b.onFailure(now) {
-		t.Fatal("threshold failure did not open")
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	got, err := p.race(ctx, fp.WorldShard{Lo: 0, Hi: 8}, time.Hour, attempt)
+	if err != nil || got != want {
+		t.Fatalf("race = %v, %v; want the hedge's result", got, err)
 	}
-	if b.state(now) != breakerOpen || b.allow(now) {
-		t.Fatal("breaker not open after threshold failures")
+	for i, want := range []int32{1, 1, 0} {
+		if n := calls[i].Load(); n != want {
+			t.Errorf("worker %d attempted %d time(s), want %d", i, n, want)
+		}
 	}
-	// Past the window: half-open, attempts allowed.
-	later := now.Add(2 * time.Hour)
-	if b.state(later) != breakerHalfOpen || !b.allow(later) {
-		t.Fatal("breaker not half-open after the window")
+	m := p.metrics
+	for name, c := range map[string]struct{ got, want int64 }{
+		"retries":         {m.shardRetries.Load(), 0},
+		"hedges":          {m.shardHedges.Load(), 1},
+		"hedge wins":      {m.shardHedgeWins.Load(), 1},
+		"cooldowns":       {m.shardCooldowns.Load(), 1},
+		"worker failures": {m.shardWorkerFailures.Load(), 0},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s counter = %d, want %d", name, c.got, c.want)
+		}
 	}
-	// Failed probe: re-opens with a doubled span.
-	if !b.onFailure(later) {
-		t.Fatal("failed half-open probe did not re-open")
+	if st := states[1].state(time.Now()); st != breakerClosed {
+		t.Errorf("the winning worker's breaker = %d, want closed", st)
 	}
-	if b.openSpan != 2*time.Hour {
-		t.Errorf("open span after failed probe = %v, want doubled to 2h", b.openSpan)
+}
+
+// TestDoubleHangFallsBackLocally: with both workers hung and a warm latency
+// window, the primary and the hedge each give up at the derived attempt
+// deadline (1s here) and the shard is evaluated locally well inside the
+// request's 5s budget — a 200 bit-identical to single-node, not a 504.
+func TestDoubleHangFallsBackLocally(t *testing.T) {
+	_, local := newTestServer(t, nil)
+	scnLocal := registerScenario(t, local.URL)
+	one := []map[string]any{testPoints[0]}
+	want := evaluatePoints(t, local.URL, scnLocal.ID, evaluateRequest{Points: one, Worlds: 64})
+
+	var urls []string
+	for i := 0; i < 2; i++ {
+		_, worker := newTestServer(t, func(c *Config) { c.WorkerMode = true })
+		proxy := protocoltest.New(worker.URL)
+		t.Cleanup(proxy.Close)
+		proxy.SetFault(protocoltest.Hang)
+		urls = append(urls, proxy.URL())
 	}
-	b.onSuccess()
-	if b.state(later) != breakerClosed || b.openSpan != 0 {
-		t.Error("success did not fully reset the breaker")
+	coordSrv, coord := newTestServer(t, func(c *Config) { c.Workers = urls })
+	warmWindow(coordSrv.shardLatency, time.Millisecond)
+	scn := registerScenario(t, coord.URL)
+
+	start := time.Now()
+	var got fp.BatchResult
+	code := call(t, "POST", coord.URL+"/scenarios/"+scn.ID+"/evaluate?timeout=5s",
+		evaluateRequest{Points: one, Worlds: 64}, &got)
+	elapsed := time.Since(start)
+	if code != http.StatusOK {
+		t.Fatalf("evaluate with both workers hung = %d, want 200", code)
+	}
+	if elapsed >= 3*time.Second {
+		t.Errorf("evaluate took %v, want under 3s", elapsed)
+	}
+	if !reflect.DeepEqual(want.Points[0].Summaries, got.Points[0].Summaries) {
+		t.Errorf("local fallback diverged:\nlocal:    %+v\nfallback: %+v",
+			want.Points[0].Summaries, got.Points[0].Summaries)
+	}
+	if n := coordSrv.metrics.shardWorkerFailures.Load(); n == 0 {
+		t.Error("no shard fell back locally")
 	}
 }
 

@@ -97,29 +97,16 @@ type Config struct {
 	// Workers lists shard-worker base URLs (e.g. "http://10.0.0.2:8080").
 	// When non-empty, session renders and batch evaluations fan each
 	// point's world range out across them, one shard per worker, with
-	// per-shard retry on the remaining workers and local fallback when all
-	// fail. The workers must run the same VG model registry (verified per
-	// shard by scenario fingerprint). Empty = evaluate locally.
+	// hedging, per-shard retry on the remaining workers, per-worker circuit
+	// breakers and local fallback when all fail; every timing of that loop
+	// is a constant or derives from observed shard latencies. The workers
+	// must run the same VG model registry (verified per shard by scenario
+	// fingerprint). Empty = evaluate locally.
 	Workers []string
 	// WorkerMode serves ONLY the shard-render endpoint (plus health,
 	// metrics and optional pprof): the fpserver -worker role. Scenario
 	// registration, sessions and snapshots are disabled.
 	WorkerMode bool
-	// ShardTimeout bounds one coordinator→worker shard request (default
-	// 2m; <0 disables the client timeout). The effective per-attempt
-	// timeout is the smaller of this and the request's remaining deadline
-	// budget.
-	ShardTimeout time.Duration
-	// WorkerCooldown is the circuit breaker's base open window: a worker
-	// whose breaker opens (BreakerThreshold consecutive transport/5xx
-	// failures) is skipped in favor of its peers for a jittered window
-	// that doubles on every failed half-open probe (default 5s; <0
-	// disables the breaker).
-	WorkerCooldown time.Duration
-	// BreakerThreshold is how many consecutive shard failures open a
-	// worker's circuit breaker (default 1, preserving the historical
-	// skip-on-first-failure cool-down).
-	BreakerThreshold int
 	// RequestTimeout is the server-side deadline budget applied to every
 	// render/evaluate request (default 1m; <0 disables). A per-request
 	// ?timeout= query parameter can shorten — never extend — it. The
@@ -130,15 +117,6 @@ type Config struct {
 	// once; excess requests queue (deadline-aware, up to 1s) and are then
 	// shed with 429 + Retry-After (default 0 = unbounded).
 	MaxConcurrentRenders int
-	// HedgeDelay controls hedged shard requests: after a shard request has
-	// been outstanding this long, a duplicate is issued to a different
-	// worker and the first result wins. 0 (default) adapts the delay to
-	// the observed shard-latency P95; >0 fixes it; <0 disables hedging.
-	HedgeDelay time.Duration
-	// RetryBackoff is the base for the jittered exponential backoff
-	// between shard retry attempts (default 10ms; <0 disables backoff,
-	// restoring immediate retry).
-	RetryBackoff time.Duration
 	// Logf, when set, receives operational log lines.
 	Logf func(format string, args ...any)
 	// Log receives structured log records (currently the slow-render
@@ -148,9 +126,6 @@ type Config struct {
 	// they are logged via Log with their render ID and retained (full span
 	// tree) in the /debug/traces ring. Default 1s; <0 disables both.
 	SlowRenderThreshold time.Duration
-	// TraceBuffer is the number of slow-render traces /debug/traces
-	// retains (default 32).
-	TraceBuffer int
 }
 
 func (c Config) withDefaults() Config {
@@ -175,31 +150,10 @@ func (c Config) withDefaults() Config {
 	if c.SlowRenderThreshold == 0 {
 		c.SlowRenderThreshold = time.Second
 	}
-	if c.ShardTimeout == 0 {
-		c.ShardTimeout = defaultShardTimeout
-	} else if c.ShardTimeout < 0 {
-		c.ShardTimeout = 0
-	}
-	if c.WorkerCooldown == 0 {
-		c.WorkerCooldown = defaultWorkerCooldown
-	} else if c.WorkerCooldown < 0 {
-		c.WorkerCooldown = 0
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 1
-	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = defaultRequestTimeout
 	} else if c.RequestTimeout < 0 {
 		c.RequestTimeout = 0
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = defaultRetryBackoff
-	} else if c.RetryBackoff < 0 {
-		c.RetryBackoff = 0
-	}
-	if c.TraceBuffer <= 0 {
-		c.TraceBuffer = 32
 	}
 	return c
 }
@@ -218,17 +172,18 @@ type Server struct {
 	// shardCache caches worker-side compiled scenarios by fingerprint;
 	// shardClient is the coordinator-side HTTP client for shard fan-out;
 	// workerStates is the coordinator's per-worker protocol book-keeping
-	// (warm fingerprints, health cool-down), shared by every scenario's
+	// (warm fingerprints, circuit breaker), shared by every scenario's
 	// worker pool.
 	shardCache   *shardScenarios
 	shardClient  *http.Client
 	workerStates []*workerState
 
 	// gate is the render admission gate (concurrency bound, load shedding,
-	// shutdown draining); shardLatency feeds the adaptive hedge delay with
-	// successful shard round-trip times.
+	// shutdown draining); shardLatency holds successful shard round-trip
+	// times, from which the fan-out derives its hedge delay and attempt
+	// deadline.
 	gate         *admission
-	shardLatency *latencyTracker
+	shardLatency *latencyWindow
 
 	stop      chan struct{}
 	loops     sync.WaitGroup
@@ -248,18 +203,17 @@ func New(cfg Config) (*Server, error) {
 		registry:   NewRegistry(),
 		sessions:   NewManager(cfg.MaxSessions, cfg.SessionTTL),
 		metrics:    newMetrics(),
-		traces:     newTraceRing(cfg.TraceBuffer),
+		traces:     &traceRing{},
 		mux:        http.NewServeMux(),
 		shardCache: newShardScenarios(),
 		stop:       make(chan struct{}),
 	}
 	s.gate = newAdmission(cfg.MaxConcurrentRenders)
-	s.shardLatency = &latencyTracker{}
-	// No client-level timeout: per-attempt deadlines derive from the
-	// smaller of ShardTimeout and the request's remaining budget, applied
-	// via the attempt context in the shard fan-out.
+	s.shardLatency = &latencyWindow{}
+	// No client-level timeout: each attempt's deadline is on its context,
+	// derived from the latency window and the request's remaining budget.
 	s.shardClient = &http.Client{}
-	s.workerStates = newWorkerStates(cfg.Workers, cfg.BreakerThreshold, cfg.WorkerCooldown)
+	s.workerStates = newWorkerStates(cfg.Workers)
 	if cfg.SnapshotDir != "" && !cfg.WorkerMode {
 		store, err := NewSnapshotStore(cfg.SnapshotDir)
 		if err != nil {
@@ -962,7 +916,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.writeTo(w, s)
+	s.metrics.writeTo(w, s, time.Now())
 }
 
 // ---- helpers ----

@@ -25,18 +25,19 @@
 //     same range at every point and its series chains and pooled
 //     evaluators stay warm across a sweep. The coordinator tracks, per
 //     worker, which fingerprints are warm (so steady state sends
-//     fingerprint-only requests). A worker failing with a transport error
-//     or 5xx trips its circuit breaker and is only retried after the
-//     (jittered, backoff-doubling) open window lapses — or when every
-//     worker's breaker is open. Slow shards are hedged: past the hedge
-//     delay (the observed P95 by default) a duplicate request races on a
-//     second worker and the first result wins. A failed shard request is retried on the remaining
-//     workers with jittered exponential backoff; when all fail, the Monte
-//     Carlo executor evaluates that shard locally — dying workers degrade
-//     throughput, never correctness or results. Per-attempt deadlines
-//     derive from the request's remaining deadline budget (capped by
-//     ShardTimeout) and propagate to workers via X-FP-Budget-Ms. With no
-//     workers configured everything evaluates locally, unchanged.
+//     fingerprint-only requests). One event loop per shard (race) runs its
+//     attempts. Every timing is a constant or derives from the P95 of
+//     recent shard latencies: past the hedge delay a duplicate request
+//     races on a second worker and the first result wins; a failed
+//     request is retried on the remaining workers after a jittered
+//     exponential backoff; an attempt gives up at max(1s, 20×P95). A
+//     transport error, timeout or 5xx opens the worker's circuit breaker,
+//     which moves it to the back of the order until the jittered,
+//     probe-doubling open window lapses. When every worker fails, the
+//     Monte Carlo executor evaluates the shard locally — dying workers
+//     degrade throughput, never correctness or results. Attempt deadlines
+//     propagate to workers via X-FP-Budget-Ms. With no workers configured
+//     everything evaluates locally, unchanged.
 package server
 
 import (
@@ -320,28 +321,26 @@ func (s *Server) handleShardRender(w http.ResponseWriter, r *http.Request) {
 // ---- coordinator side ----
 
 // workerState is the coordinator's per-worker book-keeping, shared by every
-// scenario's workerPool so warm sets and health survive across renders and
+// scenario's workerPool so warm sets and breakers survive across renders and
 // scenarios.
 type workerState struct {
 	url string
-	// br is the worker's circuit breaker: opened by consecutive transport
-	// errors / 5xx answers, it moves the worker to the back of the retry
-	// order until its (jittered, backoff-doubling) open window lapses.
-	br *breaker
 
 	mu sync.Mutex
 	// warm records which scenario fingerprints this worker has confirmed
 	// cached, making fingerprint-only (slim) requests safe.
 	warm map[string]bool
+	// openSpan is the breaker's current un-jittered open window (0 =
+	// closed) and openUntil the end of the jittered one (resilience.go).
+	openSpan  time.Duration
+	openUntil time.Time
 }
 
-// newWorkerStates builds the shared per-worker book-keeping; threshold and
-// cooldown parameterize each worker's circuit breaker (cooldown <= 0
-// disables opening, restoring always-try behavior).
-func newWorkerStates(urls []string, threshold int, cooldown time.Duration) []*workerState {
+// newWorkerStates builds the shared per-worker book-keeping.
+func newWorkerStates(urls []string) []*workerState {
 	out := make([]*workerState, len(urls))
 	for i, u := range urls {
-		out[i] = &workerState{url: u, br: newBreaker(threshold, cooldown), warm: make(map[string]bool)}
+		out[i] = &workerState{url: u, warm: make(map[string]bool)}
 	}
 	return out
 }
@@ -362,22 +361,6 @@ func (ws *workerState) setWarm(fingerprint string, warm bool) {
 	}
 }
 
-// healthy reports whether the worker's breaker admits an attempt now
-// (closed, or half-open — the attempt doubles as the probe).
-func (ws *workerState) healthy(now time.Time) bool {
-	return ws.br.allow(now)
-}
-
-// markFailed records a qualifying shard failure on the breaker and reports
-// whether it opened (or re-opened).
-func (ws *workerState) markFailed() bool {
-	return ws.br.onFailure(time.Now())
-}
-
-func (ws *workerState) markHealthy() {
-	ws.br.onSuccess()
-}
-
 // shardHTTPError is a non-200 worker answer, carrying the machine-readable
 // protocol code when the body had one.
 type shardHTTPError struct {
@@ -395,41 +378,32 @@ func (e *shardHTTPError) Error() string {
 // implementing fp.ShardEvaluator for one scenario entry over wire protocol
 // v3. Worker selection starts at the shard's index (shard i of the equal
 // split goes to worker i first, keeping each worker's range fixed),
-// preferring workers whose circuit breaker admits traffic. A slow shard is
-// hedged: after the hedge delay (observed P95 by default) a duplicate
-// request goes to the next candidate and the first result wins. A failed request is retried on every other candidate with
-// jittered exponential backoff before reporting failure (upon which the
-// Monte Carlo executor evaluates the shard locally).
+// preferring workers whose circuit breaker is not open; race runs the
+// attempts.
 type workerPool struct {
-	states       []*workerState
-	client       *http.Client
-	entry        *ScenarioEntry
-	metrics      *metrics
-	logf         func(string, ...any)
-	shardTimeout time.Duration // per-attempt cap (0 = request budget only)
-	hedge        time.Duration // 0 adaptive, >0 fixed, <0 disabled
-	retryBackoff time.Duration // base of the jittered exponential backoff
-	latency      *latencyTracker
+	states  []*workerState
+	client  *http.Client
+	entry   *ScenarioEntry
+	metrics *metrics
+	logf    func(string, ...any)
+	latency *latencyWindow
 }
 
 // newWorkerPool builds the fan-out evaluator for one scenario entry.
 func (s *Server) newWorkerPool(entry *ScenarioEntry) *workerPool {
 	return &workerPool{
-		states:       s.workerStates,
-		client:       s.shardClient,
-		entry:        entry,
-		metrics:      s.metrics,
-		logf:         s.cfg.Logf,
-		shardTimeout: s.cfg.ShardTimeout,
-		hedge:        s.cfg.HedgeDelay,
-		retryBackoff: s.cfg.RetryBackoff,
-		latency:      s.shardLatency,
+		states:  s.workerStates,
+		client:  s.shardClient,
+		entry:   entry,
+		metrics: s.metrics,
+		logf:    s.cfg.Logf,
+		latency: s.shardLatency,
 	}
 }
 
 // order returns the workers to try for a shard, starting at its index and
-// rotating, with workers in unhealthy cool-down moved to the back — they
-// are only reached when every healthy worker has failed.
+// rotating, with workers whose breaker is open moved to the back — they
+// are only reached when every other worker has failed.
 func (p *workerPool) order(index int) []*workerState {
 	n := len(p.states)
 	start := 0
@@ -441,7 +415,7 @@ func (p *workerPool) order(index int) []*workerState {
 	var cooling []*workerState
 	for k := 0; k < n; k++ {
 		ws := p.states[(start+k)%n]
-		if ws.healthy(now) {
+		if ws.state(now) != breakerOpen {
 			healthy = append(healthy, ws)
 		} else {
 			cooling = append(cooling, ws)
@@ -475,124 +449,122 @@ func (p *workerPool) EvaluateShard(ctx context.Context, req fp.ShardRequest) (*f
 		return json.Marshal(wire)
 	})
 
-	candidates := p.order(req.Shard.Index)
+	return p.race(ctx, req.Shard, retryBackoff, func(ctx context.Context, ws *workerState) (*fp.ShardResult, error) {
+		return p.tryWorker(ctx, ws, slim, full)
+	})
+}
+
+// race runs one shard's attempts as one event loop over four events:
+// attempt result, hedge timer, backoff timer and ctx.Done. The primary goes
+// to the first candidate; when the hedge timer fires, one duplicate goes to
+// the next; every failure owes one retry on the next candidate, launched
+// when the jittered, doubling backoff timer fires. The first success wins
+// and cancels the rest. The hedge delay and the attempt deadline come from
+// the latency window; an attempt never outlives the request's budget. A
+// transport error, timeout or 5xx opens its worker's breaker; a success
+// closes it and feeds the window. When no candidate is left and nothing is
+// in flight the last error is returned, upon which the Monte Carlo executor
+// evaluates the shard locally.
+func (p *workerPool) race(ctx context.Context, shard fp.WorldShard, backoff time.Duration, attempt func(context.Context, *workerState) (*fp.ShardResult, error)) (*fp.ShardResult, error) {
+	candidates := p.order(shard.Index)
 	if len(candidates) == 0 {
 		return nil, fmt.Errorf("no shard workers configured")
 	}
-
-	// Attempts race on a shared channel: the primary, a possible hedge
-	// (launched when the primary is slower than the hedge delay), and
-	// failure-driven retries. The first success wins; acancel aborts every
-	// losing attempt, and late duplicate completions drain into the
-	// buffered channel and are discarded.
-	type attemptResult struct {
+	hedge, deadline, warm := p.latency.timings()
+	actx, acancel := context.WithCancel(ctx)
+	defer acancel()
+	type outcome struct {
 		ws     *workerState
 		res    *fp.ShardResult
 		err    error
 		hedged bool
+		took   time.Duration
 	}
-	actx, acancel := context.WithCancel(ctx)
-	defer acancel()
-	results := make(chan attemptResult, len(candidates))
-	launch := func(ws *workerState, hedged bool) {
+	// Each candidate is attempted at most once, so with one slot per
+	// candidate a losing attempt reports without blocking after the race.
+	results := make(chan outcome, len(candidates))
+	next, inflight := 0, 0
+	launch := func(hedged bool) {
+		ws := candidates[next]
+		next++
+		inflight++
+		cancel := context.CancelFunc(func() {})
+		attemptCtx := actx
+		if warm {
+			attemptCtx, cancel = context.WithTimeout(actx, deadline)
+		}
 		go func() {
 			var res *fp.ShardResult
 			var err error
+			start := time.Now()
 			// The result send is registered first so it runs after the
-			// recovery: a panicking attempt still reports to the race loop
-			// (as a *PanicError) instead of leaving it waiting forever.
+			// recovery: a panicking attempt still reports to the loop (as a
+			// *PanicError) instead of leaving it waiting forever.
 			defer func() {
-				results <- attemptResult{ws: ws, res: res, err: err, hedged: hedged}
+				cancel()
+				results <- outcome{ws, res, err, hedged, time.Since(start)}
 			}()
 			defer recoverToError(&err, "shard attempt")
-			res, err = p.tryWorker(actx, ws, req, slim, full)
+			res, err = attempt(attemptCtx, ws)
 		}()
 	}
 
-	next := 0
-	launch(candidates[next], false)
-	next++
-
-	// One hedge per shard, and only when a second candidate exists.
-	var hedgeC <-chan time.Time
-	if d, ok := p.hedgeDelay(); ok && next < len(candidates) {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		hedgeC = t.C
+	var hedgeC, backoffC <-chan time.Time
+	if warm && len(candidates) > 1 {
+		hedgeC = time.After(hedge)
 	}
-
-	inflight := 1
-	backoff := p.retryBackoff
-	var lastErr error
+	launch(false)
+	owed := 0 // failures not yet replaced by a retry
 	for {
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		case <-hedgeC:
-			hedgeC = nil
-			if next < len(candidates) {
+			if next+owed < len(candidates) {
 				p.metrics.shardHedges.Add(1)
-				p.logf("shard [%d,%d): hedging on worker %s", req.Shard.Lo, req.Shard.Hi, candidates[next].url)
-				launch(candidates[next], true)
-				next++
-				inflight++
+				p.logf("shard [%d,%d): hedging on worker %s", shard.Lo, shard.Hi, candidates[next].url)
+				launch(true)
+			}
+		case <-backoffC:
+			for ; owed > 0; owed-- {
+				p.metrics.shardRetries.Add(1)
+				launch(false)
 			}
 		case r := <-results:
+			inflight--
 			if r.err == nil {
+				r.ws.succeed()
+				p.latency.observe(r.took)
 				if r.hedged {
 					p.metrics.shardHedgeWins.Add(1)
 				}
 				p.metrics.shardFanouts.Add(1)
 				return r.res, nil
 			}
-			inflight--
-			lastErr = r.err
-			if next < len(candidates) {
-				p.metrics.shardRetries.Add(1)
-				p.logf("shard [%d,%d): worker %s failed (%v), trying next", req.Shard.Lo, req.Shard.Hi, r.ws.url, r.err)
-				if backoff > 0 {
-					t := time.NewTimer(jitter(backoff))
-					select {
-					case <-ctx.Done():
-						t.Stop()
-						return nil, ctx.Err()
-					case <-t.C:
-					}
-					if backoff *= 2; backoff > time.Second {
-						backoff = time.Second
-					}
+			// A transport error, timeout or 5xx opens the worker's breaker so
+			// the next shards prefer its peers; a 4xx (bad input, fingerprint
+			// mismatch) means the worker is alive and would fail again
+			// identically.
+			var he *shardHTTPError
+			if ctx.Err() == nil && (!errors.As(r.err, &he) || he.status >= 500) {
+				r.ws.fail(time.Now())
+				p.metrics.shardCooldowns.Add(1)
+			}
+			switch {
+			case next+owed < len(candidates):
+				p.logf("shard [%d,%d): worker %s failed (%v), trying next", shard.Lo, shard.Hi, r.ws.url, r.err)
+				if owed == 0 {
+					backoffC = time.After(jitter(backoff))
+					backoff = min(2*backoff, maxRetryBackoff)
 				}
-				launch(candidates[next], false)
-				next++
-				inflight++
-			} else if inflight == 0 {
+				owed++
+			case inflight == 0:
 				p.metrics.shardWorkerFailures.Add(1)
-				p.logf("shard [%d,%d): all %d worker(s) failed, evaluating locally: %v", req.Shard.Lo, req.Shard.Hi, len(p.states), lastErr)
-				return nil, lastErr
+				p.logf("shard [%d,%d): all %d worker(s) failed, evaluating locally: %v", shard.Lo, shard.Hi, len(candidates), r.err)
+				return nil, r.err
 			}
 		}
 	}
-}
-
-// hedgeDelay resolves the pool's hedge policy: a fixed configured delay, or
-// — by default — the observed shard-latency P95 once enough samples exist
-// (hedging stays off until then; the first renders have no tail estimate to
-// hedge against). Reports false when hedging is off.
-func (p *workerPool) hedgeDelay() (time.Duration, bool) {
-	switch {
-	case p.hedge < 0:
-		return 0, false
-	case p.hedge > 0:
-		return p.hedge, true
-	}
-	d, ok := p.latency.p95()
-	if !ok {
-		return 0, false
-	}
-	if d < minHedgeDelay {
-		d = minHedgeDelay
-	}
-	return d, true
 }
 
 // tryWorker runs one shard against one worker: slim (fingerprint-only)
@@ -600,11 +572,11 @@ func (p *workerPool) hedgeDelay() (time.Duration, bool) {
 // on 409/scenario_not_cached. Any other 4xx — a bad range, a bad point —
 // is the request's fault, not the worker's: it is returned as is, and the
 // worker stays warm.
-func (p *workerPool) tryWorker(ctx context.Context, ws *workerState, req fp.ShardRequest, slim []byte, full func() ([]byte, error)) (*fp.ShardResult, error) {
+func (p *workerPool) tryWorker(ctx context.Context, ws *workerState, slim []byte, full func() ([]byte, error)) (*fp.ShardResult, error) {
 	sp := obs.SpanFrom(ctx)
 	fingerprint := p.entry.Fingerprint
 	useSlim := ws.isWarm(fingerprint)
-	body := slim
+	body, wire := slim, "slim"
 	if useSlim {
 		p.metrics.shardSlimRequests.Add(1)
 	} else {
@@ -612,78 +584,38 @@ func (p *workerPool) tryWorker(ctx context.Context, ws *workerState, req fp.Shar
 		if body, err = full(); err != nil {
 			return nil, err
 		}
+		wire = "full"
 		p.metrics.shardFullRequests.Add(1)
 	}
-	start := time.Now()
 	res, err := p.post(ctx, ws.url, body)
-	if err == nil {
-		p.recordSuccess(ws, start)
-		if !useSlim {
-			ws.setWarm(fingerprint, true)
-		}
-		if sp != nil {
-			if useSlim {
-				sp.SetStr("wire", "slim")
-			} else {
-				sp.SetStr("wire", "full")
-			}
-		}
-		return res, nil
-	}
 	var he *shardHTTPError
-	if useSlim && errors.As(err, &he) && he.status == http.StatusConflict && he.code == codeScenarioNotCached {
+	if err != nil && useSlim && errors.As(err, &he) && he.status == http.StatusConflict && he.code == codeScenarioNotCached {
 		// The worker lost (or never had) the scenario: one-shot full
 		// re-send, then remember it as warm again.
 		ws.setWarm(fingerprint, false)
 		p.metrics.shardCacheMissResends.Add(1)
 		p.metrics.shardFullRequests.Add(1)
 		sp.SetInt("cache_miss_resend", 1)
-		var body []byte
 		if body, err = full(); err != nil {
 			return nil, err
 		}
-		start = time.Now()
-		if res, err = p.post(ctx, ws.url, body); err == nil {
-			p.recordSuccess(ws, start)
-			ws.setWarm(fingerprint, true)
-			sp.SetStr("wire", "full-resend")
-			return res, nil
-		}
+		useSlim, wire = false, "full-resend"
+		res, err = p.post(ctx, ws.url, body)
 	}
-	// A transport error or server-side failure counts against the worker's
-	// circuit breaker so the next shards prefer its peers; 4xx answers
-	// (bad input, fingerprint mismatch) mean the worker is alive and would
-	// fail again identically.
-	if ctx.Err() == nil {
-		var he2 *shardHTTPError
-		if !errors.As(err, &he2) || he2.status >= 500 {
-			if ws.markFailed() {
-				p.metrics.shardCooldowns.Add(1)
-			}
-		}
+	if err != nil {
+		return nil, err
 	}
-	return nil, err
+	if !useSlim {
+		ws.setWarm(fingerprint, true)
+	}
+	sp.SetStr("wire", wire)
+	return res, nil
 }
 
-// recordSuccess folds a successful shard into the worker's breaker and the
-// pool's hedge-delay latency window.
-func (p *workerPool) recordSuccess(ws *workerState, start time.Time) {
-	ws.markHealthy()
-	if p.latency != nil {
-		p.latency.observe(time.Since(start))
-	}
-}
-
-// post performs one shard request against one worker. The attempt deadline
-// is the smaller of the pool's ShardTimeout and the request's remaining
-// budget (already on ctx), and is propagated to the worker as X-FP-Budget-Ms
+// post performs one shard request against one worker. The attempt's
+// deadline (already on ctx) is propagated to the worker as X-FP-Budget-Ms
 // so it aborts server-side too.
 func (p *workerPool) post(ctx context.Context, base string, body []byte) (*fp.ShardResult, error) {
-	if p.shardTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.shardTimeout)
-		defer cancel()
-	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/shard/render", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
@@ -749,11 +681,3 @@ func (s *Server) shardEvalOptions(entry *ScenarioEntry) []fp.EvalOption {
 		fp.WithShardEvaluator(s.newWorkerPool(entry)),
 	}
 }
-
-// defaultShardTimeout bounds one shard request; the per-request context
-// still cancels earlier when the client goes away.
-const defaultShardTimeout = 2 * time.Minute
-
-// defaultWorkerCooldown is how long a worker that failed with a transport
-// error or 5xx is skipped in favor of its peers.
-const defaultWorkerCooldown = 5 * time.Second

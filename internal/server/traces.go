@@ -29,19 +29,12 @@ type traceRecord struct {
 	Tree       *obs.Node `json:"tree"`
 }
 
-// traceRing retains the last N slow-render traces.
+// traceRing retains the last 32 slow-render traces.
 type traceRing struct {
 	mu   sync.Mutex
-	buf  []traceRecord
+	buf  [32]traceRecord
 	next int // index of the slot the next add overwrites
 	n    int // live records (≤ len(buf))
-}
-
-func newTraceRing(size int) *traceRing {
-	if size <= 0 {
-		size = 1
-	}
-	return &traceRing{buf: make([]traceRecord, size)}
 }
 
 func (r *traceRing) add(rec traceRecord) {
