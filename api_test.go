@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"strings"
 	"sync"
@@ -205,6 +206,53 @@ func TestEvaluateBatchAmortizesReuse(t *testing.T) {
 	}
 }
 
+// TestBatchReuseCountsOnSharedCache: BatchResult.ReuseCounts is the reuse
+// engine's tally when the batch ends. A private engine's is the batch's
+// own; on a ReuseCache — what every fpserver /evaluate passes — it is the
+// cache's lifetime counts, so a second batch over the same points reports
+// the first batch's computed sites again beside its own cached ones.
+func TestBatchReuseCountsOnSharedCache(t *testing.T) {
+	sys := demoSystem(t)
+	scn, err := sys.Compile(figure2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var points []map[string]any
+	for w := 20; w < 24; w++ {
+		points = append(points, map[string]any{"current": w, "purchase1": 8, "purchase2": 40, "feature": 36})
+	}
+	cache, err := NewReuseCache()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	first, err := scn.EvaluateBatch(ctx, points, WithWorlds(64), WithReuseCache(cache))
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := scn.EvaluateBatch(ctx, points, WithWorlds(64), WithReuseCache(cache))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites := 2 * len(points) // DemandModel and CapacityModel at every point
+	if n := first.ReuseCounts["computed"] + first.ReuseCounts["identity"] + first.ReuseCounts["affine"]; n != sites || first.ReuseCounts["cached"] != 0 {
+		t.Fatalf("first batch counts %v, want %d sites none of them cached", first.ReuseCounts, sites)
+	}
+	want := maps.Clone(first.ReuseCounts)
+	want["cached"] += sites
+	if !maps.Equal(second.ReuseCounts, want) || !maps.Equal(second.ReuseCounts, cache.Counts()) {
+		t.Errorf("second batch counts %v, want the cache's lifetime counts %v (= %v)", second.ReuseCounts, want, cache.Counts())
+	}
+
+	private, err := scn.EvaluateBatch(ctx, points, WithWorlds(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !maps.Equal(private.ReuseCounts, first.ReuseCounts) {
+		t.Errorf("a private engine's batch counts %v, want its own %v", private.ReuseCounts, first.ReuseCounts)
+	}
+}
+
 // TestEvaluateBatchCancellation: a cancelled batch stops promptly.
 func TestEvaluateBatchCancellation(t *testing.T) {
 	sys := demoSystem(t)
@@ -397,7 +445,7 @@ type scriptedShards struct {
 	reqs []ShardRequest
 }
 
-func (s *scriptedShards) EvaluateShard(ctx context.Context, req ShardRequest) (*ShardResult, error) {
+func (s *scriptedShards) EvaluateShard(ctx context.Context, req ShardRequest) ([]*ShardResult, error) {
 	s.mu.Lock()
 	s.reqs = append(s.reqs, req)
 	s.mu.Unlock()
@@ -410,11 +458,19 @@ func (s *scriptedShards) EvaluateShard(ctx context.Context, req ShardRequest) (*
 	if req.SketchOnly {
 		opts = append(opts, WithSketchOnly())
 	}
-	res, err := s.scn.EvaluateShard(ctx, req.Point, req.Worlds, req.Seed, req.Shard, opts...)
+	var results []*ShardResult
+	var err error
+	for _, point := range req.Points {
+		var res *ShardResult
+		if res, err = s.scn.EvaluateShard(ctx, point, req.Worlds, req.Seed, req.Shard, opts...); err != nil {
+			break
+		}
+		results = append(results, res)
+	}
 	if s.cutAfterFirst != nil && req.Shard.Index == 0 {
 		close(s.firstServed)
 	}
-	return res, err
+	return results, err
 }
 
 // TestOpenSessionFromHonoursOptions: a session restored from saved reuse

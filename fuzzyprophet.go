@@ -310,9 +310,12 @@ type BatchPoint struct {
 type BatchResult struct {
 	// Points holds one entry per input point, in input order.
 	Points []BatchPoint `json:"points"`
-	// ReuseCounts tallies per-outcome site counts across the whole batch
-	// ("computed", "cached", "identity", "affine"). Empty when reuse is
-	// disabled.
+	// ReuseCounts is the reuse engine's per-outcome site tally
+	// ("computed", "cached", "identity", "affine") when the batch ends.
+	// With a private engine — the default — that is this batch's counts;
+	// with WithReuseCache it is the shared engine's lifetime counts, every
+	// earlier batch and session on the cache included (ReuseCache.Counts).
+	// Empty when reuse is disabled.
 	ReuseCounts map[string]int `json:"reuse_counts,omitempty"`
 	// Elapsed is the wall-clock duration of the batch.
 	Elapsed time.Duration `json:"elapsed_ns"`
@@ -328,7 +331,9 @@ type BatchResult struct {
 // served by identity/affine mappings of the few actually simulated ones.
 // Points evaluate in order; the context is checked before every point (and
 // per world-batch inside), so a cancelled batch stops within one
-// world-batch and returns the context's error.
+// world-batch and returns the context's error. With WithShardEvaluator,
+// each shard is requested once for the whole batch (ShardRequest.Points),
+// not once per point.
 func (sc *Scenario) EvaluateBatch(ctx context.Context, points []map[string]any, opts ...EvalOption) (*BatchResult, error) {
 	start := time.Now()
 	mcOpts, err := newEvalConfig(opts).mcOptions()
@@ -348,18 +353,17 @@ func (sc *Scenario) EvaluateBatch(ctx context.Context, points []map[string]any, 
 		Points:      make([]BatchPoint, 0, len(points)),
 		ReuseCounts: map[string]int{},
 	}
-	for i, pt := range pts {
-		res, err := ev.EvaluatePoint(ctx, pt)
-		if err != nil {
-			// Deadline mid-batch under WithAllowDegraded: the points already
-			// evaluated are complete answers — return them flagged degraded
-			// rather than discarding the whole batch.
-			if mcOpts.AllowDegraded && ctx.Err() != nil && len(out.Points) > 0 {
-				out.Degraded = true
-				break
-			}
+	results, err := ev.EvaluatePoints(ctx, pts)
+	if err != nil {
+		// Deadline mid-batch under WithAllowDegraded: the points already
+		// evaluated are complete answers — return them flagged degraded
+		// rather than discarding the whole batch.
+		if !mcOpts.AllowDegraded || ctx.Err() == nil || len(results) == 0 {
 			return nil, err
 		}
+		out.Degraded = true
+	}
+	for i, res := range results {
 		outcome := make(map[string]string, len(res.SiteOutcome))
 		for site, kind := range res.SiteOutcome {
 			outcome[site] = kind.String()
@@ -435,9 +439,9 @@ type WorldShard struct {
 // sketch tolerance.
 type ColumnSketch = aggregate.ColumnSketch
 
-// ShardResult is a partial render over one world shard: per-column sample
-// vectors for the rows the shard's worlds produced, in world order, plus a
-// mergeable sketch per column.
+// ShardResult is a partial render over one world shard at one point:
+// per-column sample vectors for the rows the shard's worlds produced, in
+// world order, plus a mergeable sketch per column.
 type ShardResult struct {
 	// Rows is the number of output rows the shard produced (equals the
 	// shard's world count for plain scenarios; joins can yield more, WHERE
@@ -450,22 +454,25 @@ type ShardResult struct {
 }
 
 // ShardProtocolVersion is the wire protocol version the shard fan-out
-// speaks (fpserver's POST /shard/render): JSON requests, fingerprint-only
-// in steady state with a cache-miss re-send; JSON error answers; and every
-// 200 answer — full vectors or sketch-only — as one binary frame carrying
-// this version and a trailing CRC-32C. It is the only version: a worker
-// answers any other with 400 unsupported_protocol, and a coordinator
-// rejects a frame of any other, so a mixed fleet fails those shards (which
-// then evaluate locally) instead of mis-decoding them.
-const ShardProtocolVersion = 3
+// speaks (fpserver's POST /shard/render): JSON requests carrying every
+// point of a batch for one world range, fingerprint-only in steady state
+// with a cache-miss re-send; JSON error answers; and every 200 answer —
+// full vectors or sketch-only — as one binary frame carrying this version,
+// one result per point and a trailing CRC-32C. It is the only version: a
+// worker answers any other with 400 unsupported_protocol, and a
+// coordinator rejects a frame of any other, so a mixed fleet fails those
+// shards (which then evaluate locally) instead of mis-decoding them.
+const ShardProtocolVersion = 4
 
-// ShardRequest describes one world shard of a point render for a
-// ShardEvaluator: the parameter point, the render's total world count and
+// ShardRequest describes one world shard of a batch render for a
+// ShardEvaluator: the parameter points, the render's total world count and
 // seed base (a worker re-derives every sample from these), the assigned
-// world range, and whether a sketch-only response suffices.
+// world range — the same at every point — and whether a sketch-only
+// response suffices.
 type ShardRequest struct {
-	// Point is the parameter point being rendered.
-	Point map[string]any
+	// Points are the parameter points being rendered, in batch order. An
+	// evaluator answers one ShardResult per point, in this order.
+	Points []map[string]any
 	// Worlds is the render's TOTAL world count (not the shard's).
 	Worlds int
 	// Seed is the render's seed base (0 means the engine default).
@@ -477,12 +484,14 @@ type ShardRequest struct {
 	SketchOnly bool
 }
 
-// ShardEvaluator evaluates one world shard of a point render, typically on
-// another machine (fpserver's shard fan-out implements it over HTTP).
-// Implementations must be safe for concurrent calls; an error makes the
-// caller re-evaluate the shard locally.
+// ShardEvaluator evaluates one world shard at every point of a request,
+// typically on another machine (fpserver's shard fan-out implements it over
+// HTTP), and returns one result per point in point order. Implementations
+// must be safe for concurrent calls; an error — or a result count other
+// than len(req.Points), or a nil result — makes the caller re-evaluate the
+// shard locally at every point.
 type ShardEvaluator interface {
-	EvaluateShard(ctx context.Context, req ShardRequest) (*ShardResult, error)
+	EvaluateShard(ctx context.Context, req ShardRequest) ([]*ShardResult, error)
 }
 
 // EvaluateShard evaluates ONLY the worlds in shard (within [0, worlds))
@@ -509,7 +518,11 @@ func (sc *Scenario) EvaluateShard(ctx context.Context, point map[string]any, wor
 	if err != nil {
 		return nil, err
 	}
-	return w.EvaluateShard(ctx, point, worlds, seed, shard, cfg.sketchOnly)
+	res, err := w.EvaluateShard(ctx, []map[string]any{point}, worlds, seed, shard, cfg.sketchOnly)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }
 
 // Session is an online-mode exploration (paper §3.2): sliders plus a live

@@ -81,7 +81,7 @@ func reconfigured(steps []chainStep, worlds int, seedBase uint64) []chainStep {
 func TestChainInvalidation(t *testing.T) {
 	ctx := context.Background()
 	scn, oracle := compileFigure2(t), scalarFigure2(t)
-	failing := func(context.Context, ShardTask) (*ShardOutput, error) {
+	failing := func(context.Context, ShardTask) ([]*ShardOutput, error) {
 		return nil, errors.New("worker down")
 	}
 	cases := []struct {
@@ -128,15 +128,15 @@ func TestChainInvalidation(t *testing.T) {
 				var got, want map[string][]float64
 				if len(c.shards) > 0 {
 					shard := c.shards[i%len(c.shards)]
-					g, err := ev.EvaluateShard(ctx, step.pt, shard)
+					g, err := ev.EvaluateShard(ctx, []guide.Point{step.pt}, shard)
 					if err != nil {
 						t.Fatal(err)
 					}
-					w, err := fresh.EvaluateShard(ctx, step.pt, shard)
+					w, err := fresh.EvaluateShard(ctx, []guide.Point{step.pt}, shard)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, want = g.Columns, w.Columns
+					got, want = g[0].Columns, w[0].Columns
 				} else {
 					g, err := ev.EvaluatePoint(ctx, step.pt)
 					if err != nil {
@@ -230,7 +230,7 @@ func TestChainOncePerWorldPerRender(t *testing.T) {
 	capacity.series.Store(0)
 	worker := NewEvaluator(scn, Options{Worlds: worlds, Shards: 2, Workers: 3})
 	for w := int64(0); w < models.Weeks; w++ {
-		if _, err := worker.EvaluateShard(context.Background(), point(w, 16, 32, 36), WorldRange{Lo: 16, Hi: 32}); err != nil {
+		if _, err := worker.EvaluateShard(context.Background(), []guide.Point{point(w, 16, 32, 36)}, WorldRange{Lo: 16, Hi: 32}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -44,10 +44,11 @@ type Options struct {
 	// local range.
 	Shards int
 	// Runner, when non-nil, evaluates the ranges of a Shardable plan
-	// remotely (the HTTP fan-out in internal/server). A range whose runner
-	// call fails is re-evaluated locally by the coordinator, so a dying
-	// worker degrades throughput, not correctness. Remote ranges bypass
-	// fingerprint reuse (workers re-derive samples from seeds).
+	// remotely (the HTTP fan-out in internal/server), one call per range
+	// per EvaluatePoints batch. A range whose runner call fails is
+	// re-evaluated locally by the coordinator, so a dying worker degrades
+	// throughput, not correctness. Remote ranges bypass fingerprint reuse
+	// (workers re-derive samples from seeds).
 	Runner ShardRunner
 	// Reuse enables fingerprint-based computation reuse when non-nil.
 	Reuse *Reuse
@@ -427,7 +428,8 @@ func recoverToError(dst *error, stage string) {
 // on the calling goroutine, with no fan-out — unless Options.Shards > 1 or
 // a Runner is set, and always when the plan is not Shardable; because
 // world seeds derive per (site, world) the stitched columns are
-// bit-identical whatever the split.
+// bit-identical whatever the split. It is EvaluatePoints at one point,
+// without the batch's slices on the local path.
 //
 // The context is checked between sites and once per world-batch during
 // simulation, so cancellation aborts a long evaluation promptly; the first
@@ -436,37 +438,79 @@ func recoverToError(dst *error, stage string) {
 // An Evaluator is not safe for concurrent EvaluatePoint calls; share the
 // Reuse engine and give each goroutine its own Evaluator instead.
 func (ev *Evaluator) EvaluatePoint(ctx context.Context, pt guide.Point) (*PointResult, error) {
+	if !ev.remote() {
+		return ev.evaluateLocal(ctx, pt)
+	}
+	res, err := ev.evaluateRemote(ctx, []guide.Point{pt})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// remote reports whether points evaluate through Options.Runner: a plan
+// that is not Shardable is always one local range.
+func (ev *Evaluator) remote() bool {
+	return ev.opts.Runner != nil && ev.scn.Plan().Shardable()
+}
+
+// EvaluatePoints runs the point pipeline at every point, returning the
+// results in point order. Local evaluation takes the points one after
+// another — site vectors, reuse and the point memo exactly as EvaluatePoint
+// alone would — checking the context before each. With a Runner and a
+// Shardable plan, each range goes out ONCE, carrying every point, so a
+// batch costs one runner call per range rather than one per point per
+// range; the points are then stitched and aggregated one by one. On error
+// EvaluatePoints returns the results of the points before the failing one
+// with it.
+//
+// Like EvaluatePoint, EvaluatePoints is not safe for concurrent calls on
+// one Evaluator.
+func (ev *Evaluator) EvaluatePoints(ctx context.Context, pts []guide.Point) ([]*PointResult, error) {
+	if len(pts) > 0 && ev.remote() {
+		return ev.evaluateRemote(ctx, pts)
+	}
+	out := make([]*PointResult, 0, len(pts))
+	for _, pt := range pts {
+		res, err := ev.evaluateLocal(ctx, pt)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, res)
+	}
+	return out, nil
+}
+
+// pointSpan opens a point's span under parent: it groups the point's stage
+// spans under the render's active span; with no active span every obs call
+// on it is a nil no-op.
+func (ev *Evaluator) pointSpan(parent *obs.Span) *obs.Span {
+	psp := parent.Child("point")
+	psp.SetInt("worlds", int64(ev.opts.Worlds))
+	return psp
+}
+
+// evaluateLocal evaluates one point in process.
+func (ev *Evaluator) evaluateLocal(ctx context.Context, pt guide.Point) (*PointResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	n := ev.opts.Worlds
-	// The point span groups this point's stage spans under the render's
-	// active span; with no active span every obs call below is a nil no-op.
-	psp := obs.SpanFrom(ctx).Child("point")
+	psp := ev.pointSpan(obs.SpanFrom(ctx))
 	defer psp.End()
-	psp.SetInt("worlds", int64(n))
 	res := &PointResult{
 		Point:       pt,
 		Worlds:      n,
 		SiteOutcome: make(map[string]ReuseKind, len(ev.scn.Sites)),
 	}
 
-	// 1. Site vectors. Local ranges slice full [0, Worlds) vectors the
-	// coordinator obtains once (fresh, or re-mapped through the reuse
-	// engine); remote ranges re-derive theirs from per-(site, world) seeds.
-	// The ranges execute the scenario's compiled plan with the point's
-	// bindings — what the Query Generator's TSQL (Scenario.GenerateSQL)
-	// would compute, at zero parse cost.
-	shardable := ev.scn.Plan().Shardable()
-	remote := shardable && ev.opts.Runner != nil
-	var siteSamples [][]float64
-	var gens []uint64
-	var err error
-	if remote {
-		for si := range ev.scn.Sites {
-			res.SiteOutcome[ev.scn.Sites[si].ID] = Computed
-		}
-	} else if siteSamples, gens, err = ev.siteVectors(ctx, psp, pt, res.SiteOutcome); err != nil {
+	// 1. Site vectors: full [0, Worlds) vectors obtained once (fresh, or
+	// re-mapped through the reuse engine) that every range slices. The
+	// ranges execute the scenario's compiled plan with the point's bindings
+	// — what the Query Generator's TSQL (Scenario.GenerateSQL) would
+	// compute, at zero parse cost.
+	siteSamples, gens, err := ev.siteVectors(ctx, psp, pt, res.SiteOutcome)
+	if err != nil {
 		return nil, err
 	}
 
@@ -483,49 +527,124 @@ func (ev *Evaluator) EvaluatePoint(ctx context.Context, pt guide.Point) (*PointR
 		}
 	}
 
-	// 2. Ranges: the equal split, remote and local alike, so range i of
-	// every point is the same window of worlds — what keeps a worker's
-	// series chains and pooled evaluator warm across a sweep.
+	// 2. Ranges: the equal split, as remote ranges use, so range i of every
+	// point is the same window of worlds.
 	ranges := []WorldRange{{Lo: 0, Hi: n}}
-	if shardable {
+	if ev.scn.Plan().Shardable() {
 		ranges = SplitWorlds(n, ev.opts.Shards)
 	}
 
 	// 3. Run the ranges: materialize, execute the plan, collect columns.
-	task := ShardTask{Point: pt, Worlds: n, SeedBase: ev.opts.SeedBase, SketchOnly: ev.opts.SketchOnly}
-	sp, fanOut := psp, remote || len(ranges) > 1
-	if fanOut {
-		sp = psp.Child("shard-fanout")
-		sp.SetInt("shards", int64(len(ranges)))
-		if task.SketchOnly {
-			sp.SetInt("sketch_only", 1)
-		}
+	sp := psp
+	if len(ranges) > 1 {
+		sp = ev.fanoutSpan(psp, len(ranges))
 	}
-	outs, errs := ev.runRanges(ctx, sp, task, ranges, siteSamples, ev.ordRange(0, n), remote)
-	if fanOut {
+	outs, errs := ev.runRanges(ctx, sp, pt, ranges, siteSamples, ev.ordRange(0, n))
+	if len(ranges) > 1 {
 		sp.End()
-	}
-	for _, err := range errs {
-		if err != nil {
-			// Deadline mid-fan-out: with AllowDegraded, the ranges that DID
-			// complete are still a statistically honest (if wider-CI) answer
-			// — merge their sketches instead of failing the render.
-			if ev.opts.AllowDegraded && ctx.Err() != nil && ev.harvestDegraded(res, ranges, outs, errs, psp) {
-				return res, nil
-			}
-			return nil, err
-		}
 	}
 
 	// 4. Stitch in world order and aggregate once (the Result Aggregator).
-	if res.Columns, res.Sketches, err = ev.reduce(psp, outs); err != nil {
+	if err := ev.finish(ctx, psp, res, ranges, outs, errs); err != nil {
 		return nil, err
 	}
-	if memo {
+	if memo && !res.Degraded {
 		ev.opts.Reuse.memo.missed(key, gens, res.Sketches)
 		ev.opts.Reuse.boundMemo()
 	}
 	return res, nil
+}
+
+// evaluateRemote evaluates a batch through Options.Runner: the equal split
+// of [0, Worlds), so range i of every batch is the same window of worlds —
+// what keeps a worker's series chains and pooled evaluator warm across a
+// sweep — with each range sent out once for all the points. Remote ranges
+// re-derive their site vectors from per-(site, world) seeds, so every site
+// is Computed and reuse is bypassed. A one-point batch keeps a single point's
+// span shape: the fan-out under the point's span. A larger batch's fan-out
+// sits beside its point spans.
+func (ev *Evaluator) evaluateRemote(ctx context.Context, pts []guide.Point) ([]*PointResult, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	n := ev.opts.Worlds
+	ranges := SplitWorlds(n, ev.opts.Shards)
+	parent, one := obs.SpanFrom(ctx), (*obs.Span)(nil)
+	if len(pts) == 1 {
+		one = ev.pointSpan(parent)
+		defer one.End()
+		parent = one
+	}
+	fsp := ev.fanoutSpan(parent, len(ranges))
+	if len(pts) > 1 {
+		fsp.SetInt("points", int64(len(pts)))
+	}
+	outs, errs := ev.runRemote(ctx, fsp, pts, ranges)
+	fsp.End()
+
+	results := make([]*PointResult, 0, len(pts))
+	pointOuts := make([]*ShardOutput, len(ranges))
+	pointErrs := make([]error, len(ranges))
+	for p, pt := range pts {
+		res := &PointResult{
+			Point:       pt,
+			Worlds:      n,
+			SiteOutcome: make(map[string]ReuseKind, len(ev.scn.Sites)),
+		}
+		for si := range ev.scn.Sites {
+			res.SiteOutcome[ev.scn.Sites[si].ID] = Computed
+		}
+		// A failed range completed a prefix of the points.
+		for i := range ranges {
+			pointOuts[i], pointErrs[i] = nil, errs[i]
+			if p < len(outs[i]) {
+				pointOuts[i], pointErrs[i] = outs[i][p], nil
+			}
+		}
+		psp := one
+		if psp == nil {
+			psp = ev.pointSpan(parent)
+		}
+		err := ev.finish(ctx, psp, res, ranges, pointOuts, pointErrs)
+		if one == nil {
+			psp.End()
+		}
+		if err != nil {
+			return results, err
+		}
+		results = append(results, res)
+	}
+	return results, nil
+}
+
+// fanoutSpan opens the span a fan-out over the given number of ranges runs
+// under.
+func (ev *Evaluator) fanoutSpan(parent *obs.Span, ranges int) *obs.Span {
+	sp := parent.Child("shard-fanout")
+	sp.SetInt("shards", int64(ranges))
+	if ev.opts.SketchOnly {
+		sp.SetInt("sketch_only", 1)
+	}
+	return sp
+}
+
+// finish completes one point's result from its ranges' outputs and errors:
+// stitch in world order and aggregate once (the Result Aggregator). A range
+// error fails the point — unless the deadline cut the fan-out and
+// Options.AllowDegraded lets the ranges that DID complete answer: a
+// statistically honest (if wider-CI) result from their merged sketches.
+func (ev *Evaluator) finish(ctx context.Context, psp *obs.Span, res *PointResult, ranges []WorldRange, outs []*ShardOutput, errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			if ev.opts.AllowDegraded && ctx.Err() != nil && ev.harvestDegraded(res, ranges, outs, errs, psp) {
+				return nil
+			}
+			return err
+		}
+	}
+	var err error
+	res.Columns, res.Sketches, err = ev.reduce(psp, outs)
+	return err
 }
 
 // siteVectors obtains every site's full [0, Worlds) sample vector at pt

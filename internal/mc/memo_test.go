@@ -200,9 +200,9 @@ func TestPointMemoConsultedOnlyWhenAllowed(t *testing.T) {
 	ctx := context.Background()
 	scn := compileExample(t, "capacityplanning")
 	pt := scn.DefaultPoint()
-	runner := func(ctx context.Context, task ShardTask) (*ShardOutput, error) {
+	runner := func(ctx context.Context, task ShardTask) ([]*ShardOutput, error) {
 		worker := NewEvaluator(scn, Options{Worlds: task.Worlds, SeedBase: task.SeedBase, SketchOnly: task.SketchOnly})
-		return worker.EvaluateShard(ctx, task.Point, task.Range)
+		return worker.EvaluateShard(ctx, task.Points, task.Range)
 	}
 	for _, tc := range []struct {
 		name  string

@@ -14,12 +14,15 @@ package mc
 // per column (Welford moments + t-digest). Concatenating the partial
 // columns in range order is bit-identical whatever the split, because the
 // compiled plan is row-wise over the worlds-major relation
-// (sqlengine.Plan.Shardable); a plan that is not is always one range.
+// (sqlengine.Plan.Shardable); a plan that is not is always one range. A
+// remote fan-out sends each range out once per batch of points, not once
+// per point: the range is the same window of worlds at every point.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"fuzzyprophet/internal/aggregate"
@@ -65,17 +68,20 @@ func SplitWorlds(n, k int) []WorldRange {
 	return out
 }
 
-// ShardTask describes one shard evaluation: the parameter point, the
+// ShardTask describes one shard evaluation: the parameter points, the
 // render's total world count and seed base (any worker re-derives the exact
-// per-world samples from these), and the assigned world range.
+// per-world samples from these), and the assigned world range, which every
+// point shares.
 type ShardTask struct {
-	Point    guide.Point
+	// Points are evaluated in order over Range, so a worker's series chains
+	// stay warm from one point to the next.
+	Points   []guide.Point
 	Worlds   int
 	SeedBase uint64
 	Range    WorldRange
 	// Index is the shard's position within the render's equal split. A
 	// remote runner uses it for worker affinity: shard i goes to worker i
-	// first, so every point of a sweep sends a worker the same range and
+	// first, so every batch of a sweep sends a worker the same range and
 	// its series chains and pooled evaluator stay warm.
 	Index int
 	// SketchOnly asks the shard for merged per-column sketches WITHOUT the
@@ -94,10 +100,13 @@ type ShardOutput struct {
 	Sketches map[string]aggregate.ColumnSketch
 }
 
-// ShardRunner evaluates one shard, typically on another machine (the HTTP
-// fan-out in internal/server). Runners must be safe for concurrent calls.
-// An error return makes the coordinator re-evaluate the shard locally.
-type ShardRunner func(ctx context.Context, task ShardTask) (*ShardOutput, error)
+// ShardRunner evaluates one shard at every point of the task, typically on
+// another machine (the HTTP fan-out in internal/server), and returns one
+// output per point in point order. Runners must be safe for concurrent
+// calls. An error return — or any number of outputs but len(task.Points),
+// or a nil one — makes the coordinator re-evaluate the shard locally at
+// every point.
+type ShardRunner func(ctx context.Context, task ShardTask) ([]*ShardOutput, error)
 
 // shardEnv is one pooled range-execution environment: its own catalog and
 // engine (concurrent ranges must not race on one worlds table), an owned
@@ -163,27 +172,27 @@ func (env *shardEnv) siteRange(si, m int) []float64 {
 	return env.siteBuf[si]
 }
 
-// runShardLocal is the range executor: it evaluates one world range in
+// runShardLocal is the range executor: it evaluates world range r at pt in
 // process, recording its stage spans under sp. ord holds the range's world
-// ordinals (len task.Range.Len(), absolute values). When siteSamples is
-// non-nil it holds full [0, Worlds) per-site vectors (obtained by the
-// coordinator, reuse-aware) and the range just slices them; otherwise the
-// range simulates its own worlds of each site call from the task's seeds —
-// the shard-worker half, and a coordinator's fallback for a failed remote
-// range.
-func (ev *Evaluator) runShardLocal(ctx context.Context, sp *obs.Span, task ShardTask, siteSamples [][]float64, calls []siteCall, ord []int64) (*ShardOutput, error) {
+// ordinals (len r.Len(), absolute values). When siteSamples is non-nil it
+// holds full [0, Worlds) per-site vectors (obtained by the coordinator,
+// reuse-aware) and the range just slices them; otherwise the range
+// simulates its own worlds of each site call from the per-(site, world)
+// seeds — the shard-worker half, and a coordinator's fallback for a failed
+// remote range.
+func (ev *Evaluator) runShardLocal(ctx context.Context, sp *obs.Span, pt guide.Point, r WorldRange, siteSamples [][]float64, calls []siteCall, ord []int64) (*ShardOutput, error) {
 	env, err := ev.acquireEnv()
 	if err != nil {
 		return nil, err
 	}
 	defer ev.releaseEnv(env)
 
-	lo, hi := task.Range.Lo, task.Range.Hi
+	lo, hi := r.Lo, r.Hi
 	if siteSamples != nil {
 		for si := range siteSamples {
 			env.columns[si+1].SetFloats(siteSamples[si][lo:hi])
 		}
-	} else if err := ev.simulateInputs(ctx, sp, env, task, calls); err != nil {
+	} else if err := ev.simulateInputs(ctx, sp, env, r, calls); err != nil {
 		return nil, err
 	}
 
@@ -202,7 +211,7 @@ func (ev *Evaluator) runShardLocal(ctx context.Context, sp *obs.Span, task Shard
 	if xsp != nil {
 		counters = &sqlengine.ExecCounters{}
 	}
-	out, err := ev.scn.Plan().ExecCounted(env.engine, task.Point, counters)
+	out, err := ev.scn.Plan().ExecCounted(env.engine, pt, counters)
 	if err != nil {
 		return nil, fmt.Errorf("mc: executing scenario plan for worlds [%d,%d): %w", lo, hi, err)
 	}
@@ -220,7 +229,8 @@ func (ev *Evaluator) runShardLocal(ctx context.Context, sp *obs.Span, task Shard
 	// skipped here; NULLs or mixed types in a numeric column are errors. A
 	// sketch-only range folds each vector into its sketch and drops it.
 	result := &ShardOutput{}
-	if task.SketchOnly {
+	sketchOnly := ev.opts.SketchOnly
+	if sketchOnly {
 		result.Sketches = make(map[string]aggregate.ColumnSketch, len(ev.scn.OutputCols))
 	} else {
 		result.Columns = make(map[string][]float64, len(ev.scn.OutputCols))
@@ -237,7 +247,7 @@ func (ev *Evaluator) runShardLocal(ctx context.Context, sp *obs.Span, task Shard
 		if err != nil {
 			return nil, fmt.Errorf("mc: output column %q: %w", colName, err)
 		}
-		if task.SketchOnly {
+		if sketchOnly {
 			result.Sketches[colName] = sketchOf(fs)
 		} else {
 			result.Columns[colName] = fs
@@ -246,12 +256,12 @@ func (ev *Evaluator) runShardLocal(ctx context.Context, sp *obs.Span, task Shard
 	return result, nil
 }
 
-// simulateInputs fills env's worlds table with the task range's site
-// vectors, simulated from the task's per-(site, world) seeds.
-func (ev *Evaluator) simulateInputs(ctx context.Context, sp *obs.Span, env *shardEnv, task ShardTask, calls []siteCall) error {
+// simulateInputs fills env's worlds table with range r's site vectors,
+// simulated from the per-(site, world) seeds.
+func (ev *Evaluator) simulateInputs(ctx context.Context, sp *obs.Span, env *shardEnv, r WorldRange, calls []siteCall) error {
 	ssp := sp.Child("simulate")
 	defer ssp.End()
-	lo, hi := task.Range.Lo, task.Range.Hi
+	lo, hi := r.Lo, r.Hi
 	for si, call := range calls {
 		vec := env.siteRange(si, hi-lo)
 		if err := ev.simulateRange(ctx, call, lo, hi, vec); err != nil {
@@ -264,24 +274,23 @@ func (ev *Evaluator) simulateInputs(ctx context.Context, sp *obs.Span, env *shar
 	return nil
 }
 
-// runRanges runs every range through the range executor and returns the
-// outputs (and errors) in range order. A single local range runs inline on
-// the calling goroutine with its stage spans directly under sp — no
-// goroutine, no "shard" span; otherwise each range gets a goroutine and a
-// "shard" span under sp. With remote set, a range goes to Options.Runner
-// first and falls back to local evaluation when the runner fails. ord
-// holds the world ordinals of [ranges[0].Lo, ranges[len-1].Hi). Ranges that
-// may simulate their own worlds share site calls — and series chains —
-// resolved here, before the fan-out.
-func (ev *Evaluator) runRanges(ctx context.Context, sp *obs.Span, task ShardTask, ranges []WorldRange, siteSamples [][]float64, ord []int64, remote bool) ([]*ShardOutput, []error) {
+// runRanges runs every range of one point through the range executor and
+// returns the outputs (and errors) in range order. A single range runs
+// inline on the calling goroutine with its stage spans directly under sp —
+// no goroutine, no "shard" span; otherwise each range gets a goroutine and
+// a "shard" span under sp. ord holds the world ordinals of [ranges[0].Lo,
+// ranges[len-1].Hi). Without siteSamples the ranges simulate their own
+// worlds and share site calls — and series chains — resolved here, before
+// the fan-out.
+func (ev *Evaluator) runRanges(ctx context.Context, sp *obs.Span, pt guide.Point, ranges []WorldRange, siteSamples [][]float64, ord []int64) ([]*ShardOutput, []error) {
 	outs := make([]*ShardOutput, len(ranges))
 	errs := make([]error, len(ranges))
 	base := ranges[0].Lo
 	var calls []siteCall
-	if siteSamples == nil || remote {
+	if siteSamples == nil {
 		calls = make([]siteCall, len(ev.scn.Sites))
 		for si := range calls {
-			call, err := ev.callAt(si, task.Point)
+			call, err := ev.callAt(si, pt)
 			if err != nil {
 				for i := range errs {
 					errs[i] = err
@@ -292,46 +301,82 @@ func (ev *Evaluator) runRanges(ctx context.Context, sp *obs.Span, task ShardTask
 			calls[si] = call
 		}
 	}
-	if len(ranges) == 1 && !remote {
-		task.Range = ranges[0]
-		outs[0], errs[0] = ev.runShardLocal(ctx, sp, task, siteSamples, calls, ord)
+	if len(ranges) == 1 {
+		outs[0], errs[0] = ev.runShardLocal(ctx, sp, pt, ranges[0], siteSamples, calls, ord)
 		return outs, errs
 	}
 	var wg sync.WaitGroup
 	for i, r := range ranges {
-		task.Range, task.Index = r, i
 		wg.Add(1)
-		go func(i int, task ShardTask) {
+		go func() {
 			defer wg.Done()
 			// A panic in a range (bad VG, kernel bug) fails this range only;
 			// wg.Done is registered first so it runs after the recovery.
 			defer recoverToError(&errs[i], "shard")
-			// Each range gets its own child span, carried via ctx so a remote
-			// worker's grafted subtree lands under it.
 			ssp := sp.Child("shard")
 			defer ssp.End()
-			ssp.SetInt("lo", int64(task.Range.Lo))
-			ssp.SetInt("hi", int64(task.Range.Hi))
-			if remote {
-				ssp.SetStr("exec", "remote")
-				out, err := ev.opts.Runner(obs.With(ctx, ssp), task)
-				if err == nil {
-					outs[i] = out
-					return
-				}
-				if ctx.Err() != nil {
-					errs[i] = err
-					return
-				}
-				// Per-range local fallback: a failed worker costs latency,
-				// not the render.
-				ssp.SetStr("exec", "local-fallback")
-			}
-			outs[i], errs[i] = ev.runShardLocal(ctx, ssp, task, siteSamples, calls, ord[task.Range.Lo-base:task.Range.Hi-base])
-		}(i, task)
+			ssp.SetInt("lo", int64(r.Lo))
+			ssp.SetInt("hi", int64(r.Hi))
+			outs[i], errs[i] = ev.runShardLocal(ctx, ssp, pt, r, siteSamples, calls, ord[r.Lo-base:r.Hi-base])
+		}()
 	}
 	wg.Wait()
 	return outs, errs
+}
+
+// runRemote sends each range to Options.Runner once, carrying every point,
+// and returns the outputs indexed [range][point] with one error per range.
+// Each range gets a goroutine and a "shard" span under sp, carried via ctx
+// so a worker's grafted subtree lands under it. A range whose runner call
+// fails falls back to local evaluation of all its points; a range that
+// still fails keeps the outputs of the points it completed before the
+// error, a prefix of pts.
+func (ev *Evaluator) runRemote(ctx context.Context, sp *obs.Span, pts []guide.Point, ranges []WorldRange) ([][]*ShardOutput, []error) {
+	outs := make([][]*ShardOutput, len(ranges))
+	errs := make([]error, len(ranges))
+	var wg sync.WaitGroup
+	for i, r := range ranges {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer recoverToError(&errs[i], "shard")
+			ssp := sp.Child("shard")
+			defer ssp.End()
+			ssp.SetInt("lo", int64(r.Lo))
+			ssp.SetInt("hi", int64(r.Hi))
+			ssp.SetStr("exec", "remote")
+			task := ShardTask{Points: pts, Worlds: ev.opts.Worlds, SeedBase: ev.opts.SeedBase, Range: r, Index: i, SketchOnly: ev.opts.SketchOnly}
+			got, err := ev.opts.Runner(obs.With(ctx, ssp), task)
+			if err == nil && len(got) != len(pts) {
+				err = fmt.Errorf("mc: shard runner answered %d outputs for %d points", len(got), len(pts))
+			} else if err == nil && slices.Contains(got, nil) {
+				err = errors.New("mc: shard runner answered a nil output")
+			}
+			switch {
+			case err == nil:
+				outs[i] = got
+			case ctx.Err() != nil:
+				errs[i] = err
+			default:
+				// Per-range local fallback: a failed worker costs latency, not
+				// the render.
+				ssp.SetStr("exec", "local-fallback")
+				outs[i], errs[i] = ev.fallback(obs.With(ctx, ssp), pts, r)
+			}
+		}()
+	}
+	wg.Wait()
+	return outs, errs
+}
+
+// fallback evaluates range r at every point in process, exactly as a shard
+// worker would: a fresh evaluator self-simulates the range point after
+// point with series chains of its own (the evaluator's chains belong to the
+// coordinating goroutine).
+func (ev *Evaluator) fallback(ctx context.Context, pts []guide.Point, r WorldRange) ([]*ShardOutput, error) {
+	o := ev.opts
+	o.Shards, o.Runner, o.Reuse = 1, nil, nil
+	return NewEvaluator(ev.scn, o).EvaluateShard(ctx, pts, r)
 }
 
 // sketchOf folds one range's sample vector into its serializable sketch.
@@ -477,22 +522,22 @@ func (ev *Evaluator) harvestDegraded(res *PointResult, ranges []WorldRange, outs
 }
 
 // EvaluateShard evaluates ONLY the worlds in shard (within [0,
-// Options.Worlds)) at one parameter point — the worker half of distributed
-// rendering: an HTTP worker receives (scenario, point, seed base, range),
-// self-simulates the range from per-(site, world) seeds and returns the
-// partial columns (unless sketch-only) plus one sketch per column for the
-// coordinator to stitch. It is the same pipeline as EvaluatePoint over a
-// sub-range: the shard is itself split across Options.Shards in-process
-// ranges, so a worker saturates its own cores. Fingerprint reuse is not
-// consulted (partial vectors are not valid bases). Requires a shardable
+// Options.Worlds)) at each parameter point, in order — the worker half of
+// distributed rendering: an HTTP worker receives (scenario, points, seed
+// base, range), self-simulates the range from per-(site, world) seeds and
+// returns, per point, the partial columns (unless sketch-only) plus one
+// sketch per column for the coordinator to stitch. Per point it is the same
+// pipeline as EvaluatePoint over a sub-range: the shard is itself split
+// across Options.Shards in-process ranges, so a worker saturates its own
+// cores, and the evaluator's series chains carry from one point to the
+// next. The context is checked before every point; on error the outputs of
+// the points completed before it are returned with it. Fingerprint reuse is
+// not consulted (partial vectors are not valid bases). Requires a shardable
 // scenario plan.
 //
 // Like EvaluatePoint, EvaluateShard is not safe for concurrent calls on
 // one Evaluator.
-func (ev *Evaluator) EvaluateShard(ctx context.Context, pt guide.Point, shard WorldRange) (*ShardOutput, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+func (ev *Evaluator) EvaluateShard(ctx context.Context, pts []guide.Point, shard WorldRange) ([]*ShardOutput, error) {
 	if shard.Lo < 0 || shard.Hi > ev.opts.Worlds || shard.Lo >= shard.Hi {
 		return nil, fmt.Errorf("mc: shard [%d,%d) outside world range [0,%d)", shard.Lo, shard.Hi, ev.opts.Worlds)
 	}
@@ -512,20 +557,26 @@ func (ev *Evaluator) EvaluateShard(ctx context.Context, pt guide.Point, shard Wo
 		ord[i] = int64(shard.Lo + i)
 	}
 	sp := obs.SpanFrom(ctx)
-	task := ShardTask{Point: pt, Worlds: ev.opts.Worlds, SeedBase: ev.opts.SeedBase, SketchOnly: ev.opts.SketchOnly}
-	outs, errs := ev.runRanges(ctx, sp, task, ranges, nil, ord, false)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	outs := make([]*ShardOutput, 0, len(pts))
+	for _, pt := range pts {
+		if err := ctx.Err(); err != nil {
+			return outs, err
 		}
+		parts, errs := ev.runRanges(ctx, sp, pt, ranges, nil, ord)
+		for _, err := range errs {
+			if err != nil {
+				return outs, err
+			}
+		}
+		columns, sketches, err := ev.reduce(sp, parts)
+		if err != nil {
+			return outs, err
+		}
+		out := &ShardOutput{Columns: columns, Sketches: make(map[string]aggregate.ColumnSketch, len(sketches))}
+		for col, cs := range sketches {
+			out.Sketches[col] = cs.Sketch()
+		}
+		outs = append(outs, out)
 	}
-	columns, sketches, err := ev.reduce(sp, outs)
-	if err != nil {
-		return nil, err
-	}
-	out := &ShardOutput{Columns: columns, Sketches: make(map[string]aggregate.ColumnSketch, len(sketches))}
-	for col, cs := range sketches {
-		out.Sketches[col] = cs.Sketch()
-	}
-	return out, nil
+	return outs, nil
 }

@@ -13,6 +13,7 @@ import (
 	"fuzzyprophet/internal/aggregate"
 	"fuzzyprophet/internal/benchfix"
 	"fuzzyprophet/internal/core"
+	"fuzzyprophet/internal/guide"
 	"fuzzyprophet/internal/obs"
 	"fuzzyprophet/internal/scenario"
 	"fuzzyprophet/internal/sqlengine"
@@ -232,9 +233,9 @@ func TestShardedEvaluationBitIdentical(t *testing.T) {
 
 			// The mode table. The in-process runner is a shard worker
 			// without the HTTP hop: a fresh evaluator per shard.
-			runner := func(ctx context.Context, task ShardTask) (*ShardOutput, error) {
+			runner := func(ctx context.Context, task ShardTask) ([]*ShardOutput, error) {
 				worker := NewEvaluator(scn, Options{Worlds: task.Worlds, SeedBase: task.SeedBase, Shards: 2, SketchOnly: task.SketchOnly})
-				return worker.EvaluateShard(ctx, task.Point, task.Range)
+				return worker.EvaluateShard(ctx, task.Points, task.Range)
 			}
 			for _, shards := range []int{1, 3, 7} {
 				for _, withReuse := range []bool{false, true} {
@@ -392,11 +393,11 @@ func TestEvaluateShardStitch(t *testing.T) {
 			for _, r := range SplitWorlds(worlds, shards) {
 				// A fresh evaluator per shard: workers share nothing.
 				worker := NewEvaluator(scn, Options{Worlds: worlds, Shards: 2})
-				out, err := worker.EvaluateShard(ctx, pt, r)
+				out, err := worker.EvaluateShard(ctx, []guide.Point{pt}, r)
 				if err != nil {
 					t.Fatalf("%s shard %v: %v", name, r, err)
 				}
-				outs = append(outs, out)
+				outs = append(outs, out[0])
 			}
 			columns, _, err := stitchShards(outs)
 			if err != nil {
@@ -498,7 +499,7 @@ func TestEvaluateShardValidation(t *testing.T) {
 	scn := compileExample(t, "capacityplanning")
 	ev := NewEvaluator(scn, Options{Worlds: 100})
 	for _, r := range []WorldRange{{-1, 10}, {0, 101}, {5, 5}, {9, 3}} {
-		if _, err := ev.EvaluateShard(ctx, scn.DefaultPoint(), r); err == nil {
+		if _, err := ev.EvaluateShard(ctx, []guide.Point{scn.DefaultPoint()}, r); err == nil {
 			t.Errorf("EvaluateShard(%v) should reject the range", r)
 		}
 	}
@@ -517,7 +518,7 @@ func TestShardedRunnerFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	var calls atomic.Int32
-	failing := func(ctx context.Context, task ShardTask) (*ShardOutput, error) {
+	failing := func(ctx context.Context, task ShardTask) ([]*ShardOutput, error) {
 		calls.Add(1)
 		return nil, fmt.Errorf("worker down")
 	}
@@ -607,7 +608,7 @@ GRAPH OVER @t EXPECT demand;
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := func(context.Context, ShardTask) (*ShardOutput, error) {
+	runner := func(context.Context, ShardTask) ([]*ShardOutput, error) {
 		t.Error("runner called for a non-shardable plan")
 		return nil, fmt.Errorf("unreachable")
 	}

@@ -30,7 +30,7 @@ func rankOf(sorted []float64, v float64) (float64, float64) {
 // shard counts 1, 2, 7 and 16, quantiles read from the sketch-only
 // evaluation (merged per-shard t-digests, no sample vectors) agree with
 // the exact sample quantiles within sketchQuantileRankTolerance — the
-// regression guard for wire protocol v3's compressed response mode.
+// regression guard for wire protocol v4's compressed response mode.
 func TestSketchOnlyQuantileAccuracy(t *testing.T) {
 	ctx := context.Background()
 	const worlds = 2000

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"slices"
 	"testing"
@@ -19,11 +20,16 @@ import (
 // responses, comparing floats by their bits (NaN payloads, ±Inf and −0
 // included) and traces by their JSON form; "" when they are identical.
 func diffShardResponse(want, got *shardResponse) string {
-	if want.Rows != got.Rows {
-		return fmt.Sprintf("rows %d, want %d", got.Rows, want.Rows)
+	if len(want.Points) != len(got.Points) {
+		return fmt.Sprintf("%d points, want %d", len(got.Points), len(want.Points))
 	}
-	if d := diffShardResult(&want.ShardResult, &got.ShardResult); d != "" {
-		return d
+	for i := range want.Points {
+		if want.Points[i].Rows != got.Points[i].Rows {
+			return fmt.Sprintf("point %d: rows %d, want %d", i, got.Points[i].Rows, want.Points[i].Rows)
+		}
+		if d := diffShardResult(want.Points[i], got.Points[i]); d != "" {
+			return fmt.Sprintf("point %d: %s", i, d)
+		}
 	}
 	wt, _ := json.Marshal(want.Trace)
 	gt, _ := json.Marshal(got.Trace)
@@ -71,17 +77,25 @@ func diffShardResult(want, got *fp.ShardResult) string {
 }
 
 // frameCases are the round-trip fixtures: empty results, sketch-only and
-// full-vector answers, non-finite values, empty columns and a trace.
+// full-vector answers, non-finite values, empty columns, a trace, a
+// multi-point answer and a frame with no points.
 func frameCases() map[string]*shardResponse {
 	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
 	weird := math.Float64frombits(0x7ff4000000000abc) // a NaN with a payload
+	one := func(res fp.ShardResult) []*fp.ShardResult { return []*fp.ShardResult{&res} }
+	vectors := fp.ShardResult{Rows: 3, Columns: map[string][]float64{
+		"demand": {1, 2, 3}, "capacity": {-1e308, 5e-324, 0},
+	}}
+	sketched := fp.ShardResult{
+		Rows:     2,
+		Columns:  map[string][]float64{"demand": {1.5, 2.5}},
+		Sketches: map[string]fp.ColumnSketch{"demand": {Count: 2, Mean: 2, M2: 0.5, Min: 1.5, Max: 2.5, Compression: 200, Centroids: []stats.Centroid{{Mean: 1.5, Weight: 1}, {Mean: 2.5, Weight: 1}}}},
+	}
 	return map[string]*shardResponse{
-		"empty":     {},
-		"rows-only": {ShardResult: fp.ShardResult{Rows: 7}},
-		"vectors": {ShardResult: fp.ShardResult{Rows: 3, Columns: map[string][]float64{
-			"demand": {1, 2, 3}, "capacity": {-1e308, 5e-324, 0},
-		}}},
-		"non-finite": {ShardResult: fp.ShardResult{
+		"empty":     {Points: one(fp.ShardResult{})},
+		"rows-only": {Points: one(fp.ShardResult{Rows: 7})},
+		"vectors":   {Points: one(vectors)},
+		"non-finite": {Points: one(fp.ShardResult{
 			Rows:    4,
 			Columns: map[string][]float64{"x": {nan, inf, -inf, negZero}, "w": {weird}},
 			Sketches: map[string]fp.ColumnSketch{
@@ -89,20 +103,45 @@ func frameCases() map[string]*shardResponse {
 					Centroids: []stats.Centroid{{Mean: -inf, Weight: 1}, {Mean: negZero, Weight: 1}, {Mean: inf, Weight: 1}}},
 				"w": {Count: 1, Mean: weird, M2: negZero, Min: weird, Max: weird},
 			},
-		}},
-		"empty-columns": {ShardResult: fp.ShardResult{
+		})},
+		"empty-columns": {Points: one(fp.ShardResult{
 			Columns:  map[string][]float64{"": {}, "overload": {}},
 			Sketches: map[string]fp.ColumnSketch{"overload": {}, "sketch-only": {Compression: 200}},
-		}},
+		})},
 		"traced": {
-			ShardResult: fp.ShardResult{
-				Rows:     2,
-				Columns:  map[string][]float64{"demand": {1.5, 2.5}},
-				Sketches: map[string]fp.ColumnSketch{"demand": {Count: 2, Mean: 2, M2: 0.5, Min: 1.5, Max: 2.5, Compression: 200, Centroids: []stats.Centroid{{Mean: 1.5, Weight: 1}, {Mean: 2.5, Weight: 1}}}},
-			},
+			Points: one(sketched),
 			Trace: &obs.Node{Name: "worker-shard", StartUS: 3, DurUS: 99, Attrs: map[string]any{"lo": 0.0, "hi": 2.0},
 				Children: []*obs.Node{{Name: "simulate", DurUS: 50}}},
 		},
+		"multi-point": {
+			Points: []*fp.ShardResult{&vectors, {Rows: 7}, &sketched, {}},
+			Trace:  &obs.Node{Name: "worker-shard", DurUS: 7, Attrs: map[string]any{"points": 4.0}},
+		},
+		"zero-point": {},
+	}
+}
+
+// TestShardFrameRejectsPointCountMismatch: a frame whose point count says
+// more or fewer points than its body holds is rejected, even with a valid
+// checksum.
+func TestShardFrameRejectsPointCountMismatch(t *testing.T) {
+	for _, name := range []string{"multi-point", "traced", "zero-point"} {
+		want := frameCases()[name]
+		enc, err := encodeShardFrame(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for count := 0; count <= len(want.Points)+2; count++ {
+			if count == len(want.Points) {
+				continue
+			}
+			lied := bytes.Clone(enc[:len(enc)-4])
+			binary.LittleEndian.PutUint32(lied[len(shardFrameMagic)+1:], uint32(count))
+			lied = binary.LittleEndian.AppendUint32(lied, crc32.Checksum(lied, castagnoli))
+			if got, err := decodeShardFrame(lied); err == nil {
+				t.Errorf("%s: a frame of %d points claiming %d decoded to %d points", name, len(want.Points), count, len(got.Points))
+			}
+		}
 	}
 }
 
@@ -154,7 +193,8 @@ func checkFrameRejections(t *testing.T, enc []byte, mask byte) {
 
 // frameFromBytes builds a shard response from arbitrary fuzz input: its
 // 8-byte words become the float payload of a vector, a sketch's moments
-// and centroids, and an empty column; an odd length adds a trace.
+// and centroids, and an empty column; an odd length adds a trace, and the
+// first byte repeats the point up to three more times.
 func frameFromBytes(data []byte) *shardResponse {
 	var vals []float64
 	for i := 0; i+8 <= len(data); i += 8 {
@@ -170,11 +210,17 @@ func frameFromBytes(data []byte) *shardResponse {
 	for i := 0; i+1 < len(vals); i += 2 {
 		sk.Centroids = append(sk.Centroids, stats.Centroid{Mean: vals[i], Weight: vals[i+1]})
 	}
-	resp := &shardResponse{ShardResult: fp.ShardResult{
+	res := fp.ShardResult{
 		Rows:     len(vals),
 		Columns:  map[string][]float64{"vec": vals, string(data[:min(len(data), 4)]): {}},
 		Sketches: map[string]fp.ColumnSketch{"vec": sk, "only": sk},
-	}}
+	}
+	resp := &shardResponse{Points: []*fp.ShardResult{&res}}
+	if len(data) > 0 {
+		for range data[0] % 4 {
+			resp.Points = append(resp.Points, &res)
+		}
+	}
 	if len(data)%2 == 1 {
 		resp.Trace = &obs.Node{Name: "worker-shard", DurUS: int64(len(data))}
 	}
@@ -199,7 +245,7 @@ func FuzzShardFrame(f *testing.F) {
 		f.Add(enc)
 	}
 	f.Add([]byte(`{"rows":10,"columns":{"margin":[1,2,3]}}`))
-	f.Add([]byte("FPSF\x03"))
+	f.Add(append([]byte(shardFrameMagic), fp.ShardProtocolVersion))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Arbitrary bytes: decode may fail, never panic; whatever decodes

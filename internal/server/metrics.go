@@ -99,7 +99,7 @@ type metrics struct {
 	rendersShed       atomic.Int64
 	degradedRenders   atomic.Int64
 
-	// Wire protocol v3: slim (fingerprint-only) vs full-payload requests,
+	// Wire protocol v4: slim (fingerprint-only) vs full-payload requests,
 	// and cache-miss re-sends (coordinator side), plus the worker-side
 	// miss count and sketch-only renders, and raw wire
 	// bytes both ways.
@@ -208,7 +208,7 @@ func (m *metrics) writeTo(w io.Writer, s *Server, now time.Time) {
 		}
 	}
 
-	// Wire protocol v3.
+	// Wire protocol v4.
 	counter("fpserver_shard_slim_requests_total", "Fingerprint-only shard requests sent (steady state, no script payload).", m.shardSlimRequests.Load())
 	counter("fpserver_shard_full_requests_total", "Full-payload shard requests sent (first contact or cache-miss re-send).", m.shardFullRequests.Load())
 	counter("fpserver_shard_cache_miss_resends_total", "Full re-sends after a worker answered 409 scenario_not_cached.", m.shardCacheMissResends.Load())

@@ -167,7 +167,7 @@ func TestSlim400LeavesWorkerWarm(t *testing.T) {
 	}
 	proxy.Reset()
 	_, err := coordSrv.newWorkerPool(entry).EvaluateShard(context.Background(), fp.ShardRequest{
-		Point:  testPoints[0],
+		Points: []map[string]any{testPoints[0]},
 		Worlds: 64,
 		Shard:  fp.WorldShard{Lo: 40, Hi: 8},
 	})

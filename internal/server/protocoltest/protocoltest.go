@@ -97,7 +97,7 @@ type Exchange struct {
 }
 
 // HasSQLPayload reports whether the exchange's request body carried a
-// scenario script — the thing steady-state v3 requests must NOT do.
+// scenario script — the thing steady-state v4 requests must NOT do.
 func (e Exchange) HasSQLPayload() bool {
 	var probe struct {
 		SQL string `json:"sql"`

@@ -144,17 +144,22 @@ const (
 	maxRetryBackoff = time.Second
 )
 
-// latencyWindow keeps a ring of recent successful shard latencies and
-// derives the fan-out's timings from their exact P95: the hedge fires when
-// a shard request has been outstanding longer than 95% of recent ones took
-// (the classic tail-latency trade of a little duplicate work for a bounded
-// tail), and an attempt gives up at a multiple of it.
+// latencyWindow keeps a ring of recent successful shard latencies PER
+// POINT and derives the fan-out's timings from their exact P95: the hedge
+// fires when a shard request has been outstanding longer than 95% of recent
+// ones took for its point count (the classic tail-latency trade of a
+// little duplicate work for a bounded tail), and an attempt gives up at a
+// multiple of it. A request carries one point (a session render) or a
+// whole batch, so one window serves both only per point: the fan-out
+// records a batch's latency divided by its point count, and its timings
+// scale by it.
 type latencyWindow struct {
 	mu   sync.Mutex
 	ring [latencyWindowSize]time.Duration
 	n    int // total observations (ring index = n % size)
 }
 
+// observe records one per-point latency.
 func (w *latencyWindow) observe(d time.Duration) {
 	w.mu.Lock()
 	w.ring[w.n%latencyWindowSize] = d
@@ -162,10 +167,11 @@ func (w *latencyWindow) observe(d time.Duration) {
 	w.mu.Unlock()
 }
 
-// timings returns the hedge delay, max(P95, minHedgeDelay), and the
-// per-attempt deadline, max(minAttemptDeadline, attemptDeadlineFactor×P95).
-// warm is false, and both are zero, until minWarmSamples latencies exist.
-func (w *latencyWindow) timings() (hedge, deadline time.Duration, warm bool) {
+// timings returns, for a request of the given number of points, the hedge
+// delay, max(points×P95, minHedgeDelay), and the per-attempt deadline,
+// max(minAttemptDeadline, attemptDeadlineFactor×points×P95). warm is
+// false, and both are zero, until minWarmSamples latencies exist.
+func (w *latencyWindow) timings(points int) (hedge, deadline time.Duration, warm bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	k := min(w.n, latencyWindowSize)
@@ -174,7 +180,7 @@ func (w *latencyWindow) timings() (hedge, deadline time.Duration, warm bool) {
 	}
 	window := slices.Clone(w.ring[:k])
 	slices.Sort(window)
-	p95 := window[(k-1)*95/100]
+	p95 := window[(k-1)*95/100] * time.Duration(max(points, 1))
 	return max(p95, minHedgeDelay), max(attemptDeadlineFactor*p95, minAttemptDeadline), true
 }
 

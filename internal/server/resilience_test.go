@@ -581,7 +581,7 @@ func TestHedgeWinsDuringBackoff(t *testing.T) {
 	want := &fp.ShardResult{Rows: 7}
 	var calls [3]atomic.Int32
 	hedgeStarted := make(chan struct{})
-	attempt := func(ctx context.Context, ws *workerState) (*fp.ShardResult, error) {
+	attempt := func(ctx context.Context, ws *workerState) ([]*fp.ShardResult, error) {
 		switch ws {
 		case states[0]: // the primary fails once the hedge is in flight
 			calls[0].Add(1)
@@ -593,7 +593,7 @@ func TestHedgeWinsDuringBackoff(t *testing.T) {
 			for states[0].state(time.Now()) != breakerOpen {
 				time.Sleep(100 * time.Microsecond)
 			}
-			return want, nil
+			return []*fp.ShardResult{want}, nil
 		default:
 			calls[2].Add(1)
 			return nil, errors.New("a retry reached the third worker")
@@ -601,8 +601,8 @@ func TestHedgeWinsDuringBackoff(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	got, err := p.race(ctx, fp.WorldShard{Lo: 0, Hi: 8}, time.Hour, attempt)
-	if err != nil || got != want {
+	got, err := p.race(ctx, fp.WorldShard{Lo: 0, Hi: 8}, 1, time.Hour, attempt)
+	if err != nil || len(got) != 1 || got[0] != want {
 		t.Fatalf("race = %v, %v; want the hedge's result", got, err)
 	}
 	for i, want := range []int32{1, 1, 0} {
@@ -624,6 +624,59 @@ func TestHedgeWinsDuringBackoff(t *testing.T) {
 	}
 	if st := states[1].state(time.Now()); st != breakerClosed {
 		t.Errorf("the winning worker's breaker = %d, want closed", st)
+	}
+}
+
+// TestBatchTimingsScaleWithPoints: the latency window holds per-point
+// latencies and a request's timings scale with its point count. A window
+// warmed with 1-point latencies of 10ms hedges a 1-point request after 10ms,
+// but must not hedge a healthy 53-point batch taking 100ms (a fifth of
+// 53×10ms), whose attempt deadline is 20×53×10ms, not the 1-point floor of
+// 1s. Sixteen 53-point batches of 10ms then warm a fresh window to a
+// per-point P95 under a millisecond, so a 1-point request hedges at the 5ms
+// floor rather than at 10ms.
+func TestBatchTimingsScaleWithPoints(t *testing.T) {
+	const points = 53
+	ctx := context.Background()
+	states := newWorkerStates([]string{"w0", "w1"})
+	p := &workerPool{states: states, metrics: newMetrics(), logf: t.Logf, latency: &latencyWindow{}}
+	warmWindow(p.latency, 10*time.Millisecond)
+	if hedge, deadline, _ := p.latency.timings(1); hedge != 10*time.Millisecond || deadline != time.Second {
+		t.Fatalf("1-point timings = %v, %v; want 10ms, 1s", hedge, deadline)
+	}
+	var budget time.Duration
+	batch := func(ctx context.Context, ws *workerState) ([]*fp.ShardResult, error) {
+		if ws != states[0] {
+			return nil, errors.New("hedged onto the second worker")
+		}
+		if dl, ok := ctx.Deadline(); ok {
+			budget = time.Until(dl)
+		}
+		time.Sleep(100 * time.Millisecond)
+		return make([]*fp.ShardResult, points), nil
+	}
+	if _, err := p.race(ctx, fp.WorldShard{Lo: 0, Hi: 8}, points, retryBackoff, batch); err != nil {
+		t.Fatal(err)
+	}
+	if n := p.metrics.shardHedges.Load(); n != 0 {
+		t.Errorf("a healthy 53-point batch hedged %d time(s)", n)
+	}
+	if want := attemptDeadlineFactor * points * 10 * time.Millisecond; budget < want-time.Second || budget > want {
+		t.Errorf("53-point attempt deadline = %v, want %v", budget, want)
+	}
+
+	fresh := &workerPool{states: states[:1], metrics: newMetrics(), logf: t.Logf, latency: &latencyWindow{}}
+	quick := func(context.Context, *workerState) ([]*fp.ShardResult, error) {
+		time.Sleep(10 * time.Millisecond)
+		return make([]*fp.ShardResult, points), nil
+	}
+	for range minWarmSamples {
+		if _, err := fresh.race(ctx, fp.WorldShard{Lo: 0, Hi: 8}, points, retryBackoff, quick); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hedge, _, warm := fresh.latency.timings(1); !warm || hedge != minHedgeDelay {
+		t.Errorf("after 53-point batches of 10ms, a 1-point hedge delay = %v (warm %v), want the %v floor", hedge, warm, minHedgeDelay)
 	}
 }
 

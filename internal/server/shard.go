@@ -3,31 +3,34 @@
 // A render's Monte Carlo world range is embarrassingly parallel and every
 // sample derives from a per-(site, world) seed, so any fpserver holding the
 // same VG registry can evaluate a world range [lo, hi) of any scenario
-// bit-identically. Two roles cooperate over wire protocol v3:
+// bit-identically. Two roles cooperate over wire protocol v4:
 //
 //   - WORKER (fpserver -worker): serves POST /shard/render. A steady-state
 //     request carries only the scenario FINGERPRINT plus the parameter
-//     point, total world count, seed base and world range — no script, no
+//     points, total world count, seed base and world range — no script, no
 //     side tables. The worker resolves the fingerprint in its compiled-
 //     scenario cache; a miss answers 409 {"code":"scenario_not_cached"},
 //     upon which the coordinator re-sends once with the full payload. Each
 //     cached scenario keeps a freelist of warmed evaluators, so repeat
-//     shards pay only the evaluation. With sketch_only set (body field or
-//     ?sketch_only=1) the response carries merged per-column sketches
-//     instead of per-world sample vectors — O(compression), not O(worlds).
-//     Requests and error answers are JSON; a 200 answer is one checksummed
-//     binary frame (frame.go).
+//     shards pay only the evaluation; one request's points run in order on
+//     one evaluator. With sketch_only set (body field or ?sketch_only=1)
+//     the response carries merged per-column sketches instead of per-world
+//     sample vectors — O(compression), not O(worlds). Requests and error
+//     answers are JSON; a 200 answer is one checksummed binary frame with
+//     one result per point (frame.go).
 //
 //   - COORDINATOR (fpserver -workers=url1,url2,...): a workerPool
 //     implements fp.ShardEvaluator; session renders and batch evaluates
-//     fan each point's world range out across the configured workers as
-//     the equal split, shard i to worker i first — so a worker sees the
-//     same range at every point and its series chains and pooled
-//     evaluators stay warm across a sweep. The coordinator tracks, per
-//     worker, which fingerprints are warm (so steady state sends
-//     fingerprint-only requests). One event loop per shard (race) runs its
-//     attempts. Every timing is a constant or derives from the P95 of
-//     recent shard latencies: past the hedge delay a duplicate request
+//     split the worlds across the configured workers as the equal split,
+//     shard i to worker i first — so a worker sees the same range at every
+//     point and its series chains and pooled evaluators stay warm across a
+//     sweep. A session render sends one point per request; a batch
+//     evaluate sends each worker ONE request carrying every point. The
+//     coordinator tracks, per worker, which fingerprints are warm (so
+//     steady state sends fingerprint-only requests). One event loop per
+//     shard (race) runs its attempts. Every timing is a constant or
+//     derives from the P95 of recent per-point shard latencies, scaled by
+//     the request's point count: past the hedge delay a duplicate request
 //     races on a second worker and the first result wins; a failed
 //     request is retried on the remaining workers after a jittered
 //     exponential backoff; an attempt gives up at max(1s, 20×P95). A
@@ -101,11 +104,12 @@ type shardRequest struct {
 	// worker's scenario cache and guards against coordinator/worker model
 	// drift when a full payload is compiled.
 	Fingerprint string `json:"fingerprint,omitempty"`
-	// Point holds the parameter point; Worlds the render's TOTAL world
-	// count; Seed the seed base (0 = the default).
-	Point  map[string]any `json:"point"`
-	Worlds int            `json:"worlds"`
-	Seed   uint64         `json:"seed,omitempty"`
+	// Points holds the parameter points, evaluated in order over the one
+	// range; Worlds the render's TOTAL world count; Seed the seed base (0 =
+	// the default).
+	Points []map[string]any `json:"points"`
+	Worlds int              `json:"worlds"`
+	Seed   uint64           `json:"seed,omitempty"`
 	// Lo/Hi is the assigned world range [Lo, Hi) within [0, Worlds).
 	Lo int `json:"lo"`
 	Hi int `json:"hi"`
@@ -222,7 +226,8 @@ func (s *Server) protocolError(w http.ResponseWriter, status int, code string, e
 	s.json(w, status, map[string]any{"error": err.Error(), "code": code})
 }
 
-// handleShardRender serves one shard evaluation (worker role).
+// handleShardRender serves one shard evaluation at every point of the
+// request (worker role).
 func (s *Server) handleShardRender(w http.ResponseWriter, r *http.Request) {
 	var req shardRequest
 	if !s.decode(w, r, &req) {
@@ -236,6 +241,10 @@ func (s *Server) handleShardRender(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Worlds <= 0 || req.Lo < 0 || req.Hi > req.Worlds || req.Lo >= req.Hi {
 		s.error(w, http.StatusBadRequest, fmt.Errorf("bad shard range [%d,%d) of %d worlds", req.Lo, req.Hi, req.Worlds))
+		return
+	}
+	if len(req.Points) == 0 {
+		s.error(w, http.StatusBadRequest, fmt.Errorf("no points in shard request"))
 		return
 	}
 	var entry *shardScenarioEntry
@@ -262,9 +271,10 @@ func (s *Server) handleShardRender(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	sketchOnly := req.SketchOnly || r.URL.Query().Get("sketch_only") == "1"
-	point := make(map[string]any, len(req.Point))
-	for k, v := range req.Point {
-		point[k] = canonicalNumber(v)
+	for _, point := range req.Points {
+		for k, v := range point {
+			point[k] = canonicalNumber(v)
+		}
 	}
 	ctx := r.Context()
 	// Honor the coordinator's propagated deadline budget: the shard aborts
@@ -286,11 +296,14 @@ func (s *Server) handleShardRender(w http.ResponseWriter, r *http.Request) {
 		ctx = obs.With(ctx, tr.Root())
 		tr.Root().SetInt("lo", int64(req.Lo))
 		tr.Root().SetInt("hi", int64(req.Hi))
+		if len(req.Points) > 1 {
+			tr.Root().SetInt("points", int64(len(req.Points)))
+		}
 		if sketchOnly {
 			tr.Root().SetInt("sketch_only", 1)
 		}
 	}
-	res, err := entry.worker.EvaluateShard(ctx, point, req.Worlds, req.Seed,
+	results, err := entry.worker.EvaluateShard(ctx, req.Points, req.Worlds, req.Seed,
 		fp.WorldShard{Lo: req.Lo, Hi: req.Hi}, sketchOnly)
 	if err != nil {
 		s.renderError(w, ctx, err)
@@ -300,7 +313,7 @@ func (s *Server) handleShardRender(w http.ResponseWriter, r *http.Request) {
 	if sketchOnly {
 		s.metrics.shardSketchOnlyServed.Add(1)
 	}
-	resp := shardResponse{ShardResult: *res}
+	resp := shardResponse{Points: results}
 	if tr != nil {
 		tr.End()
 		resp.Trace = tr.Tree()
@@ -376,7 +389,7 @@ func (e *shardHTTPError) Error() string {
 
 // workerPool fans shard evaluations out to the configured workers,
 // implementing fp.ShardEvaluator for one scenario entry over wire protocol
-// v3. Worker selection starts at the shard's index (shard i of the equal
+// v4. Worker selection starts at the shard's index (shard i of the equal
 // split goes to worker i first, keeping each worker's range fixed),
 // preferring workers whose circuit breaker is not open; race runs the
 // attempts.
@@ -424,12 +437,13 @@ func (p *workerPool) order(index int) []*workerState {
 	return append(healthy, cooling...)
 }
 
-// EvaluateShard implements fp.ShardEvaluator over HTTP (protocol v3).
-func (p *workerPool) EvaluateShard(ctx context.Context, req fp.ShardRequest) (*fp.ShardResult, error) {
+// EvaluateShard implements fp.ShardEvaluator over HTTP (protocol v4): one
+// request carries every point of req.
+func (p *workerPool) EvaluateShard(ctx context.Context, req fp.ShardRequest) ([]*fp.ShardResult, error) {
 	wire := shardRequest{
 		Proto:       fp.ShardProtocolVersion,
 		Fingerprint: p.entry.Fingerprint,
-		Point:       req.Point,
+		Points:      req.Points,
 		Worlds:      req.Worlds,
 		Seed:        req.Seed,
 		Lo:          req.Shard.Lo,
@@ -449,7 +463,7 @@ func (p *workerPool) EvaluateShard(ctx context.Context, req fp.ShardRequest) (*f
 		return json.Marshal(wire)
 	})
 
-	return p.race(ctx, req.Shard, retryBackoff, func(ctx context.Context, ws *workerState) (*fp.ShardResult, error) {
+	return p.race(ctx, req.Shard, len(req.Points), retryBackoff, func(ctx context.Context, ws *workerState) ([]*fp.ShardResult, error) {
 		return p.tryWorker(ctx, ws, slim, full)
 	})
 }
@@ -460,22 +474,23 @@ func (p *workerPool) EvaluateShard(ctx context.Context, req fp.ShardRequest) (*f
 // the next; every failure owes one retry on the next candidate, launched
 // when the jittered, doubling backoff timer fires. The first success wins
 // and cancels the rest. The hedge delay and the attempt deadline come from
-// the latency window; an attempt never outlives the request's budget. A
-// transport error, timeout or 5xx opens its worker's breaker; a success
-// closes it and feeds the window. When no candidate is left and nothing is
-// in flight the last error is returned, upon which the Monte Carlo executor
-// evaluates the shard locally.
-func (p *workerPool) race(ctx context.Context, shard fp.WorldShard, backoff time.Duration, attempt func(context.Context, *workerState) (*fp.ShardResult, error)) (*fp.ShardResult, error) {
+// the latency window, scaled to the request's point count; an attempt never
+// outlives the request's budget. A transport error, timeout or 5xx opens
+// its worker's breaker; a success closes it and feeds the window its
+// per-point latency. When no candidate is left and nothing is in flight the
+// last error is returned, upon which the Monte Carlo executor evaluates the
+// shard locally.
+func (p *workerPool) race(ctx context.Context, shard fp.WorldShard, points int, backoff time.Duration, attempt func(context.Context, *workerState) ([]*fp.ShardResult, error)) ([]*fp.ShardResult, error) {
 	candidates := p.order(shard.Index)
 	if len(candidates) == 0 {
 		return nil, fmt.Errorf("no shard workers configured")
 	}
-	hedge, deadline, warm := p.latency.timings()
+	hedge, deadline, warm := p.latency.timings(points)
 	actx, acancel := context.WithCancel(ctx)
 	defer acancel()
 	type outcome struct {
 		ws     *workerState
-		res    *fp.ShardResult
+		res    []*fp.ShardResult
 		err    error
 		hedged bool
 		took   time.Duration
@@ -494,7 +509,7 @@ func (p *workerPool) race(ctx context.Context, shard fp.WorldShard, backoff time
 			attemptCtx, cancel = context.WithTimeout(actx, deadline)
 		}
 		go func() {
-			var res *fp.ShardResult
+			var res []*fp.ShardResult
 			var err error
 			start := time.Now()
 			// The result send is registered first so it runs after the
@@ -534,7 +549,7 @@ func (p *workerPool) race(ctx context.Context, shard fp.WorldShard, backoff time
 			inflight--
 			if r.err == nil {
 				r.ws.succeed()
-				p.latency.observe(r.took)
+				p.latency.observe(r.took / time.Duration(max(points, 1)))
 				if r.hedged {
 					p.metrics.shardHedgeWins.Add(1)
 				}
@@ -572,7 +587,7 @@ func (p *workerPool) race(ctx context.Context, shard fp.WorldShard, backoff time
 // on 409/scenario_not_cached. Any other 4xx — a bad range, a bad point —
 // is the request's fault, not the worker's: it is returned as is, and the
 // worker stays warm.
-func (p *workerPool) tryWorker(ctx context.Context, ws *workerState, slim []byte, full func() ([]byte, error)) (*fp.ShardResult, error) {
+func (p *workerPool) tryWorker(ctx context.Context, ws *workerState, slim []byte, full func() ([]byte, error)) ([]*fp.ShardResult, error) {
 	sp := obs.SpanFrom(ctx)
 	fingerprint := p.entry.Fingerprint
 	useSlim := ws.isWarm(fingerprint)
@@ -615,7 +630,7 @@ func (p *workerPool) tryWorker(ctx context.Context, ws *workerState, slim []byte
 // post performs one shard request against one worker. The attempt's
 // deadline (already on ctx) is propagated to the worker as X-FP-Budget-Ms
 // so it aborts server-side too.
-func (p *workerPool) post(ctx context.Context, base string, body []byte) (*fp.ShardResult, error) {
+func (p *workerPool) post(ctx context.Context, base string, body []byte) ([]*fp.ShardResult, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/shard/render", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
@@ -666,7 +681,7 @@ func (p *workerPool) post(ctx context.Context, base string, body []byte) (*fp.Sh
 	if sr.Trace != nil {
 		sp.Graft(sr.Trace)
 	}
-	return &sr.ShardResult, nil
+	return sr.Points, nil
 }
 
 // shardEvalOptions returns the fan-out options for evaluations of entry

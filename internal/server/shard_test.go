@@ -54,7 +54,7 @@ func TestShardWorkerEndpoint(t *testing.T) {
 	code, res := postShard(t, ts.URL, shardRequest{
 		Proto:  fp.ShardProtocolVersion,
 		SQL:    testScenario,
-		Point:  map[string]any{"current": 3, "purchase1": 8, "feature": 4},
+		Points: []map[string]any{{"current": 3, "purchase1": 8, "feature": 4}},
 		Worlds: 100,
 		Lo:     25,
 		Hi:     75,
@@ -62,14 +62,17 @@ func TestShardWorkerEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("shard render = %d", code)
 	}
-	if res.Rows != 50 {
-		t.Errorf("rows = %d, want 50", res.Rows)
+	if len(res.Points) != 1 {
+		t.Fatalf("%d results for one point", len(res.Points))
+	}
+	if res.Points[0].Rows != 50 {
+		t.Errorf("rows = %d, want 50", res.Points[0].Rows)
 	}
 	for _, col := range []string{"demand", "capacity", "overload"} {
-		if len(res.Columns[col]) != 50 {
-			t.Errorf("column %s has %d rows, want 50", col, len(res.Columns[col]))
+		if len(res.Points[0].Columns[col]) != 50 {
+			t.Errorf("column %s has %d rows, want 50", col, len(res.Points[0].Columns[col]))
 		}
-		sk, ok := res.Sketches[col]
+		sk, ok := res.Points[0].Sketches[col]
 		if !ok || sk.Count != 50 {
 			t.Errorf("column %s sketch count = %d, want 50", col, sk.Count)
 		}
@@ -84,7 +87,7 @@ func TestShardWorkerEndpoint(t *testing.T) {
 		{Worlds: 100, Lo: 0, Hi: 10},
 	} {
 		bad.Proto = fp.ShardProtocolVersion
-		bad.Point = map[string]any{"current": 0, "purchase1": 0, "feature": 4}
+		bad.Points = []map[string]any{{"current": 0, "purchase1": 0, "feature": 4}}
 		if code, _ := postShard(t, ts.URL, bad); code != http.StatusBadRequest {
 			t.Errorf("bad shard request %+v = %d, want 400", bad, code)
 		}
@@ -95,7 +98,7 @@ func TestShardWorkerEndpoint(t *testing.T) {
 		Proto:       fp.ShardProtocolVersion,
 		SQL:         testScenario,
 		Fingerprint: "deadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeef",
-		Point:       map[string]any{"current": 0, "purchase1": 0, "feature": 4},
+		Points:      []map[string]any{{"current": 0, "purchase1": 0, "feature": 4}},
 		Worlds:      100,
 		Lo:          0,
 		Hi:          10,
@@ -124,7 +127,7 @@ func TestShardWorkerRejectsOtherProtocols(t *testing.T) {
 		code := call(t, "POST", ts.URL+"/shard/render", shardRequest{
 			Proto:  proto,
 			SQL:    testScenario,
-			Point:  map[string]any{"current": 3, "purchase1": 8, "feature": 4},
+			Points: []map[string]any{{"current": 3, "purchase1": 8, "feature": 4}},
 			Worlds: 100,
 			Lo:     0,
 			Hi:     50,
@@ -269,12 +272,13 @@ func TestCoordinatorBatchEvaluate(t *testing.T) {
 	}
 }
 
-// TestFleetSendsFixedRanges: a coordinator sends shard i of every point to
+// TestFleetSendsFixedRanges: a coordinator sends shard i of every batch to
 // worker i as the equal split, so a worker sees one world range for the
 // whole sweep — the range its series chains and pooled evaluators are keyed
-// by. No shard is duplicated onto the other worker: the 16 shards below
-// leave the latency window cold (under 16 samples) for every shard's
-// start, and a cold window never hedges.
+// by — and one request per batch, carrying the batch's points in order. No
+// shard is duplicated onto the other worker: the 4 shards below leave the
+// latency window cold (under 16 samples) for every shard's start, and a
+// cold window never hedges.
 func TestFleetSendsFixedRanges(t *testing.T) {
 	const worlds = 400
 	var proxies []*protocoltest.Proxy
@@ -301,8 +305,8 @@ func TestFleetSendsFixedRanges(t *testing.T) {
 	for i, proxy := range proxies {
 		want := [2]int{i * worlds / 2, (i + 1) * worlds / 2}
 		ex := proxy.ShardExchanges()
-		if len(ex) != 2*len(weeks) {
-			t.Errorf("worker %d saw %d shard requests, want %d (one per point per run)", i, len(ex), 2*len(weeks))
+		if len(ex) != 2 {
+			t.Errorf("worker %d saw %d shard requests, want 2 (one per batch)", i, len(ex))
 		}
 		for j, e := range ex {
 			var req shardRequest
@@ -310,8 +314,16 @@ func TestFleetSendsFixedRanges(t *testing.T) {
 				t.Fatalf("worker %d request %d: %v", i, j, err)
 			}
 			if got := [2]int{req.Lo, req.Hi}; got != want {
-				t.Errorf("worker %d request %d (current=%v) asks for [%d,%d), want [%d,%d)",
-					i, j, req.Point["current"], got[0], got[1], want[0], want[1])
+				t.Errorf("worker %d request %d asks for [%d,%d), want [%d,%d)",
+					i, j, got[0], got[1], want[0], want[1])
+			}
+			if len(req.Points) != len(weeks) {
+				t.Fatalf("worker %d request %d carries %d points, want %d", i, j, len(req.Points), len(weeks))
+			}
+			for k, pt := range req.Points {
+				if pt["current"] != float64(weeks[k]["current"].(int)) {
+					t.Errorf("worker %d request %d point %d is week %v, want %v", i, j, k, pt["current"], weeks[k]["current"])
+				}
 			}
 		}
 	}
@@ -414,19 +426,19 @@ func TestNonFiniteValuesCrossTheShardHop(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sketchOnly := range []bool{true, false} {
-		req := fp.ShardRequest{Point: point, Worlds: worlds, Shard: fp.WorldShard{Lo: 0, Hi: worlds}, SketchOnly: sketchOnly}
+		req := fp.ShardRequest{Points: []map[string]any{point}, Worlds: worlds, Shard: fp.WorldShard{Lo: 0, Hi: worlds}, SketchOnly: sketchOnly}
 		got, err := coordSrv.newWorkerPool(entry).EvaluateShard(context.Background(), req)
 		if err != nil {
 			t.Fatalf("sketch_only=%v: shard over the wire: %v", sketchOnly, err)
 		}
-		want, err := inproc.EvaluateShard(context.Background(), point, worlds, 0, req.Shard, sketchOnly)
+		want, err := inproc.EvaluateShard(context.Background(), req.Points, worlds, 0, req.Shard, sketchOnly)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sk := want.Sketches["demand"]; !math.IsInf(sk.Max, 1) {
+		if sk := want[0].Sketches["demand"]; !math.IsInf(sk.Max, 1) {
 			t.Fatalf("demand max = %v, want +Inf (scenario no longer overflows)", sk.Max)
 		}
-		if d := diffShardResult(want, got); d != "" {
+		if d := diffShardResult(want[0], got[0]); d != "" {
 			t.Errorf("sketch_only=%v: wire result differs from in-process: %s", sketchOnly, d)
 		}
 	}

@@ -42,18 +42,18 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// TestWireGoldenFixtures pins the v3 wire format: the steady-state
-// fingerprint-only request, the full-payload re-send, the sketch-only
-// variant, the worker's distinguishable cache-miss answer, and the binary
-// response frame. A diff here means the wire protocol changed — bump
-// fp.ShardProtocolVersion before updating fixtures.
+// TestWireGoldenFixtures pins the v4 wire format: the steady-state
+// fingerprint-only request for a two-point batch, the full-payload
+// re-send, the sketch-only variant, the worker's distinguishable cache-miss
+// answer, and the binary response frame. A diff here means the wire
+// protocol changed — bump fp.ShardProtocolVersion before updating fixtures.
 func TestWireGoldenFixtures(t *testing.T) {
-	point := map[string]any{"budget": 12.0, "week": 3.0}
+	points := []map[string]any{{"budget": 12.0, "week": 3.0}, {"budget": 12.0, "week": 4.0}}
 
 	slim := shardRequest{
 		Proto:       fp.ShardProtocolVersion,
 		Fingerprint: goldenFP,
-		Point:       point,
+		Points:      points,
 		Worlds:      100000,
 		Seed:        20110612,
 		Lo:          25000,
@@ -63,7 +63,7 @@ func TestWireGoldenFixtures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "request_v3_slim.json", raw)
+	checkGolden(t, "request_v4_slim.json", raw)
 
 	sketch := slim
 	sketch.SketchOnly = true
@@ -71,7 +71,7 @@ func TestWireGoldenFixtures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "request_v3_sketch_only.json", raw)
+	checkGolden(t, "request_v4_sketch_only.json", raw)
 
 	full := slim
 	full.SQL = "CREATE SCENARIO demo AS SELECT Gaussian(100, 15) AS demand"
@@ -84,7 +84,7 @@ func TestWireGoldenFixtures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "request_v3_full.json", raw)
+	checkGolden(t, "request_v4_full.json", raw)
 
 	// The 409 cache-miss body, produced by a real worker.
 	_, ts := newTestServer(t, func(c *Config) { c.WorkerMode = true })
@@ -103,10 +103,11 @@ func TestWireGoldenFixtures(t *testing.T) {
 	}
 	checkGolden(t, "response_409_scenario_not_cached.json", bytes.TrimSpace(body.Bytes()))
 
-	// A 200 answer: one frame with a vector-and-sketch column, a
-	// sketch-only column and a trace, hex-encoded.
+	// A 200 answer to the two-point request: one frame holding a point with
+	// a vector-and-sketch column and a sketch-only column, a sketch-only
+	// point, and one trace, hex-encoded.
 	frame, err := encodeShardFrame(&shardResponse{
-		ShardResult: fp.ShardResult{
+		Points: []*fp.ShardResult{{
 			Rows:    2,
 			Columns: map[string][]float64{"demand": {1.5, math.Inf(1)}},
 			Sketches: map[string]fp.ColumnSketch{
@@ -115,8 +116,14 @@ func TestWireGoldenFixtures(t *testing.T) {
 				"overload": {Count: 2, Mean: 0.5, M2: 0.5, Min: 0, Max: 1, Compression: 200,
 					Centroids: []stats.Centroid{{Mean: 0, Weight: 1}, {Mean: 1, Weight: 1}}},
 			},
-		},
-		Trace: &obs.Node{Name: "worker-shard", DurUS: 42, Attrs: map[string]any{"lo": 0, "hi": 2}},
+		}, {
+			Rows: 2,
+			Sketches: map[string]fp.ColumnSketch{
+				"overload": {Count: 2, Mean: 1, M2: 0, Min: 1, Max: 1, Compression: 200,
+					Centroids: []stats.Centroid{{Mean: 1, Weight: 2}}},
+			},
+		}},
+		Trace: &obs.Node{Name: "worker-shard", DurUS: 42, Attrs: map[string]any{"lo": 0, "hi": 2, "points": 2}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,11 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -146,6 +149,129 @@ func TestTDigestMergeOrderInvariance(t *testing.T) {
 			if math.Abs(estimates[i]-estimates[0]) > band {
 				t.Errorf("q=%g: merge orders disagree beyond tolerance: %v (band %g)", q, estimates, band)
 			}
+		}
+	}
+}
+
+// tdigestRankBounds pins, per compression δ, the worst rank error
+// TestTDigestRankErrorByCompression measured over its whole table, times
+// 1.5; docs/ARCHITECTURE.md lists them beside sketchQuantileRankTolerance.
+// From δ = 100 up the worst case is the tied data's median: the digest
+// reads a value between two tied values, whose rank interval is the point
+// 0.4971, 0.0029 from q = 0.5. The continuous rows' worst errors are
+// 0.0079 (δ = 50), 0.0021 (100), 0.0014 (200) and 0.0007 (500).
+var tdigestRankBounds = map[float64]float64{
+	50:  0.0471, // measured 0.0314: tied data, 2 parts, q = 0.05
+	100: 0.0044, // measured 0.0029: tied data, q = 0.5
+	200: 0.0044, // measured 0.0029: tied data, q = 0.5
+	500: 0.0044, // measured 0.0029: tied data, q = 0.5
+}
+
+// rankError is the distance from q to the rank interval [fraction < v,
+// fraction <= v] of v within the ascending-sorted xs — an interval because
+// of ties.
+func rankError(sorted []float64, v, q float64) float64 {
+	lo := float64(sort.SearchFloat64s(sorted, v)) / float64(len(sorted))
+	hi := float64(sort.Search(len(sorted), func(i int) bool { return sorted[i] > v })) / float64(len(sorted))
+	return math.Max(0, math.Max(lo-q, q-hi))
+}
+
+// TestTDigestRankErrorByCompression: a digest merged from 1, 2, 7 or 16
+// parts — sequentially, in reverse, shuffled or as a pairwise tree — over
+// normal, exponential, lognormal and tied-discrete data reads every
+// quantile in {0.01, 0.05, 0.5, 0.95, 0.99} within its compression's
+// pinned rank-error bound.
+func TestTDigestRankErrorByCompression(t *testing.T) {
+	const n = 20000
+	rng := rand.New(rand.NewSource(97))
+	type dataset struct {
+		name string
+		xs   []float64
+	}
+	var data []dataset
+	for _, d := range []struct {
+		name string
+		draw func() float64
+	}{
+		{"normal", rng.NormFloat64},
+		{"exponential", rng.ExpFloat64},
+		{"lognormal", func() float64 { return math.Exp(rng.NormFloat64()) }},
+		{"tied-discrete", func() float64 { return float64(rng.Intn(12)) }},
+	} {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = d.draw()
+		}
+		data = append(data, dataset{d.name, xs})
+	}
+	merge := func(delta float64, ds ...*TDigest) *TDigest {
+		m := NewTDigest(delta)
+		for _, d := range ds {
+			m.Merge(d)
+		}
+		return m
+	}
+	orders := []struct {
+		name    string
+		combine func(delta float64, parts []*TDigest) *TDigest
+	}{
+		{"sequential", func(delta float64, parts []*TDigest) *TDigest { return merge(delta, parts...) }},
+		{"reversed", func(delta float64, parts []*TDigest) *TDigest {
+			reversed := slices.Clone(parts)
+			slices.Reverse(reversed)
+			return merge(delta, reversed...)
+		}},
+		{"shuffled", func(delta float64, parts []*TDigest) *TDigest {
+			shuffled := slices.Clone(parts)
+			rand.New(rand.NewSource(int64(len(parts)))).Shuffle(len(shuffled), func(i, j int) {
+				shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+			})
+			return merge(delta, shuffled...)
+		}},
+		{"pairwise-tree", func(delta float64, parts []*TDigest) *TDigest {
+			level := parts
+			for len(level) > 1 {
+				var next []*TDigest
+				for i := 0; i < len(level); i += 2 {
+					next = append(next, merge(delta, level[i:min(i+2, len(level))]...))
+				}
+				level = next
+			}
+			return merge(delta, level...)
+		}},
+	}
+	for delta, bound := range tdigestRankBounds {
+		worst, where := 0.0, ""
+		for _, d := range data {
+			dist, xs := d.name, d.xs
+			sorted := slices.Sorted(slices.Values(xs))
+			distWorst := 0.0
+			for _, k := range []int{1, 2, 7, 16} {
+				parts := make([]*TDigest, k)
+				for p := range parts {
+					parts[p] = NewTDigest(delta)
+					parts[p].AddAll(xs[p*n/k : (p+1)*n/k])
+				}
+				for _, order := range orders {
+					td := order.combine(delta, parts)
+					for _, q := range []float64{0.01, 0.05, 0.5, 0.95, 0.99} {
+						v, err := td.Quantile(q)
+						if err != nil {
+							t.Fatal(err)
+						}
+						e := rankError(sorted, v, q)
+						distWorst = math.Max(distWorst, e)
+						if e > worst {
+							worst, where = e, fmt.Sprintf("%s, %d parts, %s, q=%g", dist, k, order.name, q)
+						}
+					}
+				}
+			}
+			t.Logf("δ=%g %s: worst rank error %.5f", delta, dist, distWorst)
+		}
+		t.Logf("δ=%g: worst rank error %.5f (%s), pinned bound %.5f", delta, worst, where, bound)
+		if worst > bound {
+			t.Errorf("δ=%g: rank error %.5f at %s exceeds the pinned bound %.5f", delta, worst, where, bound)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package fuzzyprophet
 
 import (
 	"context"
-	"fmt"
 
 	"fuzzyprophet/internal/core"
 	"fuzzyprophet/internal/mc"
@@ -124,9 +123,11 @@ func WithShards(n int) EvalOption {
 }
 
 // WithShardEvaluator routes shard evaluations through se — typically
-// fpserver's HTTP fan-out to a fleet of shard workers. A shard whose
-// evaluator call fails is transparently re-evaluated locally, so worker
-// loss degrades throughput, not correctness. With a shard evaluator set,
+// fpserver's HTTP fan-out to a fleet of shard workers. EvaluateBatch sends
+// each shard once with every point of the batch; sessions and Optimize
+// send one point per call. A shard whose evaluator call fails is
+// transparently re-evaluated locally, so worker loss degrades throughput,
+// not correctness. With a shard evaluator set,
 // fingerprint reuse is bypassed (workers re-derive every sample from
 // per-(site, world) seeds). Combine with WithShards to control how many
 // shards each render fans out.
@@ -207,11 +208,16 @@ func (c evalConfig) mcOptions() (mc.Options, error) {
 }
 
 // shardRunnerFor adapts the public ShardEvaluator to the executor's
-// internal runner signature.
+// internal runner signature. The executor checks that one output came back
+// per point; a nil result stays a nil output, which it rejects too.
 func shardRunnerFor(se ShardEvaluator) mc.ShardRunner {
-	return func(ctx context.Context, task mc.ShardTask) (*mc.ShardOutput, error) {
+	return func(ctx context.Context, task mc.ShardTask) ([]*mc.ShardOutput, error) {
+		points := make([]map[string]any, len(task.Points))
+		for i, pt := range task.Points {
+			points[i] = fromPoint(pt)
+		}
 		res, err := se.EvaluateShard(ctx, ShardRequest{
-			Point:      fromPoint(task.Point),
+			Points:     points,
 			Worlds:     task.Worlds,
 			Seed:       task.SeedBase,
 			Shard:      WorldShard{Lo: task.Range.Lo, Hi: task.Range.Hi, Index: task.Index},
@@ -220,9 +226,12 @@ func shardRunnerFor(se ShardEvaluator) mc.ShardRunner {
 		if err != nil {
 			return nil, err
 		}
-		if res == nil {
-			return nil, fmt.Errorf("fuzzyprophet: shard evaluator returned no result")
+		outs := make([]*mc.ShardOutput, len(res))
+		for i, r := range res {
+			if r != nil {
+				outs[i] = &mc.ShardOutput{Columns: r.Columns, Sketches: r.Sketches}
+			}
 		}
-		return &mc.ShardOutput{Columns: res.Columns, Sketches: res.Sketches}, nil
+		return outs, nil
 	}
 }
