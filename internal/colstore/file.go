@@ -13,31 +13,40 @@ import (
 // place — a crash mid-write leaves only a temp file (garbage-collected by
 // Tier on reopen), never a torn file under the final name.
 func WriteFile(path string, c *Column) error {
-	data, err := Encode(c)
+	tmp, err := writeTemp(path, c)
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("colstore: temp file: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("colstore: writing %s: %w", path, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("colstore: syncing %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("colstore: closing %s: %w", path, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	defer os.Remove(tmp)
+	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("colstore: renaming into %s: %w", path, err)
 	}
 	return nil
+}
+
+// writeTemp encodes the column into a fsynced temp file beside path and
+// returns the temp file's name; the caller publishes and removes it.
+func writeTemp(path string, c *Column) (string, error) {
+	data, err := Encode(c)
+	if err != nil {
+		return "", err
+	}
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return "", fmt.Errorf("colstore: temp file: %w", err)
+	}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return "", fmt.Errorf("colstore: writing %s: %w", path, err)
+	}
+	return tmp.Name(), nil
 }
 
 // ReadFile reads and fully verifies a column file, returning copied slices.

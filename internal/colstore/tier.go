@@ -229,8 +229,17 @@ func (t *Tier) removeLocked(e *tierEntry, unlink bool) {
 
 // Put spills one basis vector (a float64 column) under (site, key),
 // replacing any previous spill of the same key. The write is crash-safe
-// (temp + fsync + rename, manifest updated after the file lands); over-
+// (temp + fsync + link, manifest updated after the file lands); over-
 // budget entries are evicted least-recently-used.
+//
+// Put never replaces a column file it did not write: the temp file is
+// published with a hard link, which fails on an existing name, and a taken
+// name moves Put on to the next sequence number. So another tier sharing
+// the directory (a retired cache still in use, or another process) may
+// cost durability, but its files are never overwritten with another key's
+// samples. One window remains: OpenTier sweeps files its manifest does not
+// name, so a tier opened while another is between publishing a file and
+// saving its manifest removes that file, and may later reuse its name.
 func (t *Tier) Put(site, key string, samples []float64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -241,12 +250,25 @@ func (t *Tier) Put(site, key string, samples []float64) error {
 	}
 	t.seq++
 	file := fmt.Sprintf("b%08d.col", t.seq)
-	path := filepath.Join(t.dir, file)
-	if err := WriteFile(path, &Column{Kind: KindFloat64, Floats: samples}); err != nil {
+	tmp, err := writeTemp(filepath.Join(t.dir, file), &Column{Kind: KindFloat64, Floats: samples})
+	if err != nil {
 		t.stats.Errors++
 		return err
 	}
-	fi, err := os.Stat(path)
+	defer os.Remove(tmp)
+	for {
+		err = os.Link(tmp, filepath.Join(t.dir, file))
+		if !os.IsExist(err) {
+			break
+		}
+		t.seq++
+		file = fmt.Sprintf("b%08d.col", t.seq)
+	}
+	if err != nil {
+		t.stats.Errors++
+		return fmt.Errorf("colstore: publishing %s: %w", file, err)
+	}
+	fi, err := os.Stat(tmp)
 	if err != nil {
 		t.stats.Errors++
 		return err

@@ -333,3 +333,41 @@ func fileForKey(t *testing.T, dir, key string) string {
 	t.Fatalf("key %s not in manifest", key)
 	return ""
 }
+
+// TestTwoTiersOneDir: two tiers open on one directory number their files
+// from the same sequence. Neither may publish over a file the other wrote,
+// so each keeps serving its own keys' samples.
+func TestTwoTiersOneDir(t *testing.T) {
+	dir := t.TempDir()
+	a, err := OpenTier(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := OpenTier(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+
+	mustPut(t, a, "s", "k1", vec(1, 64))
+	mustPut(t, b, "s", "k2", vec(2, 64))
+	mustPut(t, a, "s", "k3", vec(3, 64))
+	for _, c := range []struct {
+		tier *Tier
+		key  string
+		seed float64
+	}{{a, "k1", 1}, {b, "k2", 2}, {a, "k3", 3}} {
+		got, ok := c.tier.Get("s", c.key)
+		if !ok {
+			t.Fatalf("%s lost", c.key)
+		}
+		if want := vec(c.seed, 64); got[0] != want[0] {
+			t.Fatalf("%s serves sample 0 = %v, want %v (another key's file)", c.key, got[0], want[0])
+		}
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.col"))
+	if err != nil || len(files) != 3 {
+		t.Fatalf("column files = %v, %v; want one per put", files, err)
+	}
+}

@@ -7,7 +7,10 @@ package mc
 // its caller reads can be kept and served again as long as each of those
 // entries is still the very one they were computed from. Entries are
 // validated by the store's generations (storage.Store.Lookup), never by
-// comparing samples, so the memo holds no sample vectors. A point is
+// comparing samples, so the memo holds no sample vectors. A generation
+// names a payload, not a residency: a basis demoted to the spill tier and
+// promoted back keeps it, so a revisit through the spill tier is still
+// answered here. A point is
 // recorded the second time it misses: a sweep that visits each point once
 // (a first exploration of the parameter space) leaves one hash per point,
 // not a whole entry.
@@ -174,11 +177,13 @@ func (m *pointMemo) removeLocked(el *list.Element) {
 }
 
 // boundMemo evicts memo entries, least recently used first, until the memo
-// is no larger than the basis store's resident bytes — the bound that keeps
-// it from needing a budget of its own.
+// is no larger than the bytes of the bases it can vouch for — those resident
+// in RAM plus those in the spill tier (a spilled basis keeps its
+// generation). That bound keeps it from needing a budget of its own.
 func (r *Reuse) boundMemo() {
 	if r.memo.size() > 0 {
-		r.memo.trim(r.store.Stats().UsedBytes)
+		st := r.store.Stats()
+		r.memo.trim(st.UsedBytes + st.SpillBytes)
 	}
 }
 

@@ -97,9 +97,17 @@ func sameAggregates(t *testing.T, label string, want, got *PointResult) {
 // answer it, and requires the result to equal a fresh evaluator's.
 func assertRecomputed(t *testing.T, label string, scn *scenario.Scenario, ev *Evaluator, pt guide.Point) *PointResult {
 	t.Helper()
+	return assertMemo(t, label, scn, ev, pt, false)
+}
+
+// assertMemo evaluates pt through ev, requires the point memo to answer it
+// exactly when wantHit is set, and requires the result to equal a fresh
+// evaluator's.
+func assertMemo(t *testing.T, label string, scn *scenario.Scenario, ev *Evaluator, pt guide.Point, wantHit bool) *PointResult {
+	t.Helper()
 	got, hit := evalTraced(t, ev, pt)
-	if hit {
-		t.Fatalf("%s: served from the point memo, want a recompute", label)
+	if hit != wantHit {
+		t.Fatalf("%s: point memo hit = %v, want %v", label, hit, wantHit)
 	}
 	want, err := memoEvaluator(t, scn, ev.opts.Worlds, nil).EvaluatePoint(context.Background(), pt)
 	if err != nil {
@@ -109,30 +117,38 @@ func assertRecomputed(t *testing.T, label string, scn *scenario.Scenario, ev *Ev
 	return got
 }
 
+// compileShipped compiles one of shippedSources' scripts, attaching the
+// regions table the serverfleet scripts join.
+func compileShipped(t *testing.T, name, src string) *scenario.Scenario {
+	t.Helper()
+	reg, err := benchfix.Registry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scn, err := scenario.Compile(src, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(name, "serverfleet") {
+		regions, err := benchfix.RegionsTable()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := scn.AddTable(regions); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return scn
+}
+
 // TestPointMemoBitIdentical: on every scenario the repo ships, a sweep's
 // fourth visit is answered by the point memo, and the answer equals, bit for
 // bit, a render through a fresh reuse engine loaded with the same bases.
 func TestPointMemoBitIdentical(t *testing.T) {
 	const worlds = 64
-	reg, err := benchfix.Registry()
-	if err != nil {
-		t.Fatal(err)
-	}
 	for name, src := range shippedSources(t) {
 		t.Run(name, func(t *testing.T) {
-			scn, err := scenario.Compile(src, reg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if strings.Contains(name, "serverfleet") {
-				regions, err := benchfix.RegionsTable()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := scn.AddTable(regions); err != nil {
-					t.Fatal(err)
-				}
-			}
+			scn := compileShipped(t, name, src)
 			points, err := scn.Space.Sweep(scn.Space.Params[0].Name, scn.DefaultPoint())
 			if err != nil {
 				t.Fatal(err)
@@ -283,7 +299,9 @@ SELECT Gaussian(@p, 1) / (__world - 5) AS x;`, reg)
 }
 
 // TestPointMemoInvalidation: every way a site's store entry can change
-// under a memoised point forces a recompute equal to a fresh evaluator.
+// under a memoised point forces a recompute equal to a fresh evaluator; a
+// trip through the spill tier, which brings back the very same entry, does
+// not.
 func TestPointMemoInvalidation(t *testing.T) {
 	const worlds = 64
 	memoised := func(t *testing.T, ev *Evaluator, pt guide.Point) {
@@ -351,7 +369,7 @@ func TestPointMemoInvalidation(t *testing.T) {
 			}
 		}
 		before := reuse.StoreStats().Promoted
-		got := assertRecomputed(t, "after promotion", scn, ev, pt)
+		got := assertMemo(t, "after promotion", scn, ev, pt, true)
 		for site, kind := range got.SiteOutcome {
 			if kind != CachedExact {
 				t.Fatalf("site %s = %v, want cached (served from the spill tier)", site, kind)
@@ -423,7 +441,9 @@ func TestPointMemoQuantileReadsFail(t *testing.T) {
 
 // TestPointMemoBounded: the memo never holds more bytes than the basis
 // store keeps resident, evicting its least recently used points beyond
-// that, and a snapshot carries none of it.
+// that, and a snapshot carries none of it. With a spill tier, the bound
+// counts the spilled bases too, so a working set far beyond the RAM budget
+// is memoised in full.
 func TestPointMemoBounded(t *testing.T) {
 	ctx := context.Background()
 	scn := compileExample(t, "capacityplanning")
@@ -475,4 +495,46 @@ func TestPointMemoBounded(t *testing.T) {
 			t.Fatalf("site %s = %v after loading, want cached", site, kind)
 		}
 	}
+
+	t.Run("spill tier", func(t *testing.T) {
+		// The RAM budget is a seventh of the sweep's bases.
+		full := memoEvaluator(t, scn, 64, nil)
+		for _, pt := range points {
+			if _, err := full.EvaluatePoint(ctx, pt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		budget := full.opts.Reuse.StoreStats().UsedBytes / 7
+		reuse, err := NewReuse(core.DefaultConfig(), storage.Options{BudgetBytes: budget, SpillDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer reuse.Close()
+		ev := memoEvaluator(t, scn, 64, reuse)
+		for _, pt := range points {
+			for visit := 0; visit < 3; visit++ {
+				if _, err := ev.EvaluatePoint(ctx, pt); err != nil {
+					t.Fatal(err)
+				}
+				st := reuse.StoreStats()
+				if memo := reuse.memo.size(); memo > st.UsedBytes+st.SpillBytes {
+					t.Fatalf("point %v: memo holds %d bytes, the store %d in RAM and %d spilled", pt, memo, st.UsedBytes, st.SpillBytes)
+				}
+			}
+		}
+		if n := reuse.memo.order.Len(); n != len(points) {
+			t.Fatalf("memo holds %d of %d points, want all", n, len(points))
+		}
+		if memo, ram := reuse.memo.size(), reuse.StoreStats().UsedBytes; memo <= ram {
+			t.Fatalf("memo holds %d bytes, the RAM tier %d: too small a working set to test the bound", memo, ram)
+		}
+		for _, pt := range points {
+			if _, hit := evalTraced(t, ev, pt); !hit {
+				t.Fatalf("point %v: recomputed, want a memo hit through the spill tier", pt)
+			}
+		}
+		if st := reuse.StoreStats(); st.Promoted == 0 {
+			t.Fatalf("no basis was promoted from the spill tier: %+v", st)
+		}
+	})
 }

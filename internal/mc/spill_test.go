@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"testing"
@@ -73,6 +74,80 @@ func TestSpillDifferentialBitIdentical(t *testing.T) {
 			st := spillReuse.StoreStats()
 			if st.Inserted >= 2 && st.Demoted == 0 {
 				t.Fatalf("working set never spilled: %+v", st)
+			}
+			if st.SpillErrors != 0 || st.Quarantined != 0 {
+				t.Fatalf("spill tier errors: %+v", st)
+			}
+		})
+	}
+}
+
+// TestSpillDifferentialPointMemo is the spill differential for callers that
+// declare Reads: on every scenario the repo ships, a sweep with a RAM budget
+// far below the working set plus a spill tier makes the same memo decisions
+// as unbounded RAM, because a basis keeps its generation through the spill
+// tier. Passes 3 and 4 are memo hits on both, and their count, mean, M2,
+// min and max equal, bit for bit, unbounded RAM's and a fresh evaluator's.
+func TestSpillDifferentialPointMemo(t *testing.T) {
+	const worlds = 300
+	for name, src := range shippedSources(t) {
+		t.Run(name, func(t *testing.T) {
+			scn := compileShipped(t, name, src)
+			points, err := scn.Space.Sweep(scn.Space.Params[0].Name, scn.DefaultPoint())
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := memoEvaluator(t, scn, worlds, nil)
+			spillReuse, err := NewReuse(core.DefaultConfig(), storage.Options{
+				BudgetBytes: spillBudget,
+				SpillDir:    t.TempDir(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer spillReuse.Close()
+			spill := memoEvaluator(t, scn, worlds, spillReuse)
+
+			var fresh *Evaluator
+			for pass := 0; pass < 5; pass++ {
+				if pass == 3 {
+					// A fresh engine over unbounded RAM's bases, with no memo.
+					var snap bytes.Buffer
+					if err := base.opts.Reuse.Save(&snap); err != nil {
+						t.Fatal(err)
+					}
+					loaded, err := LoadReuse(&snap, storage.Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					fresh = memoEvaluator(t, scn, worlds, loaded)
+				}
+				for pi, pt := range points {
+					want, wantHit := evalTraced(t, base, pt)
+					got, hit := evalTraced(t, spill, pt)
+					if hit != wantHit || (pass >= 3 && !hit) {
+						t.Fatalf("pass %d point %d: memo hit = %v spilled, %v in RAM", pass, pi, hit, wantHit)
+					}
+					for site, kind := range want.SiteOutcome {
+						if got.SiteOutcome[site] != kind {
+							t.Fatalf("pass %d point %d: site %s outcome %v, want %v (reuse decisions diverged)",
+								pass, pi, site, got.SiteOutcome[site], kind)
+						}
+					}
+					sameAggregates(t, name, want, got)
+					if fresh != nil {
+						computed, freshHit := evalTraced(t, fresh, pt)
+						if freshHit {
+							t.Fatalf("pass %d point %d: the fresh engine answered from a memo", pass, pi)
+						}
+						sameAggregates(t, name, computed, got)
+					}
+				}
+			}
+
+			st := spillReuse.StoreStats()
+			if st.Demoted == 0 || st.Promoted == 0 {
+				t.Fatalf("the sweep never went through the spill tier: %+v", st)
 			}
 			if st.SpillErrors != 0 || st.Quarantined != 0 {
 				t.Fatalf("spill tier errors: %+v", st)

@@ -120,6 +120,19 @@ func (r *Registry) Get(id string) (*ScenarioEntry, bool) {
 	return e, ok
 }
 
+// ByFingerprint returns a current entry registered with the given content
+// fingerprint, under any id, without taking a ref.
+func (r *Registry) ByFingerprint(fingerprint string) (*ScenarioEntry, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, e := range r.entries {
+		if e.Fingerprint == fingerprint {
+			return e, true
+		}
+	}
+	return nil, false
+}
+
 // Remove unregisters id, dropping the registry's ref. Sessions holding the
 // entry keep working; it reports whether the id was registered.
 func (r *Registry) Remove(id string) bool {

@@ -513,10 +513,12 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	var cache *fp.ReuseCache
 	warm := false
-	// An idempotent re-registration (same content) keeps the live cache:
-	// it is at least as fresh as any disk snapshot, and sessions of both
-	// generations then keep sharing one reuse engine.
-	if old, ok := s.registry.Get(id); ok && old.Fingerprint == fingerprint {
+	// A registration of content some current entry holds — a re-registration
+	// of the same id, or another id — shares that entry's live cache: it is
+	// at least as fresh as any disk snapshot, sessions of every entry keep
+	// sharing one reuse engine, and the spill directory keyed by the
+	// fingerprint keeps one tier.
+	if old, ok := s.registry.ByFingerprint(fingerprint); ok {
 		cache, warm = old.Cache, true
 	}
 	if cache == nil && s.snapshots != nil {

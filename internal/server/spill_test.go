@@ -117,3 +117,46 @@ func TestSpillAcrossRestart(t *testing.T) {
 		t.Fatalf("reopen quarantined spill files: %v", q)
 	}
 }
+
+// TestSpillSameContentTwoIDs: two ids registered with identical content
+// share one reuse cache, and so one spill tier. Rendering one at other
+// slider positions between the other's first visit and its revisit leaves
+// the revisit's graph unchanged.
+func TestSpillSameContentTwoIDs(t *testing.T) {
+	_, ts := newTestServer(t, func(c *Config) {
+		c.SpillDir = t.TempDir()
+		c.StoreBudget = 1 // every basis is demoted as soon as it is stored
+	})
+	register := func(id string) scenarioJSON {
+		t.Helper()
+		var scn scenarioJSON
+		if code := call(t, "POST", ts.URL+"/scenarios", registerRequest{ID: id, SQL: testScenario}, &scn); code != http.StatusCreated {
+			t.Fatalf("register %s = %d", id, code)
+		}
+		return scn
+	}
+	render := func(id string, params map[string]any) renderResponse {
+		t.Helper()
+		sess := openSession(t, ts.URL, id, openSessionRequest{Params: params})
+		var r renderResponse
+		if code := call(t, "GET", ts.URL+"/sessions/"+sess.ID+"/render", nil, &r); code != http.StatusOK {
+			t.Fatalf("render %s = %d", id, code)
+		}
+		return r
+	}
+
+	register("a")
+	if b := register("b"); !b.Warm {
+		t.Error("a registration of content already registered under another id should share its cache")
+	}
+	first := render("a", nil)
+	render("b", map[string]any{"purchase1": 16, "feature": 8})
+	again := render("a", nil)
+	for si, s := range first.Graph.Series {
+		for i, y := range s.Y {
+			if again.Graph.Series[si].Y[i] != y {
+				t.Fatalf("series %d point %d: revisit %v, first visit %v", si, i, again.Graph.Series[si].Y[i], y)
+			}
+		}
+	}
+}

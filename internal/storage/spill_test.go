@@ -2,6 +2,8 @@ package storage
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -225,8 +227,9 @@ func TestRAMOnlyStoreHasNoSpill(t *testing.T) {
 }
 
 // TestLookupGenerations: a lookup returns the generation its entry was
-// created under — unchanged while the entry lives, new whenever the entry
-// is replaced or promoted back from the spill tier, 0 on a miss.
+// stored under — unchanged while the entry lives, also across a demotion
+// and promotion through the spill tier, new whenever the entry is
+// replaced, 0 on a miss.
 func TestLookupGenerations(t *testing.T) {
 	s := openSpillStore(t, 2)
 	s.Put("s", "k00", spillVec(0))
@@ -249,10 +252,189 @@ func TestLookupGenerations(t *testing.T) {
 	if !ok || s.Stats().Promoted != 1 {
 		t.Fatalf("k00 was not promoted from the spill tier (ok %v, %+v)", ok, s.Stats())
 	}
-	if g3 == g2 || g3 == g1 {
-		t.Fatalf("a promoted entry reused generation %d", g3)
+	if g3 != g2 {
+		t.Fatalf("a promoted entry came back under generation %d, want its own %d", g3, g2)
 	}
 	if _, g, ok := s.Lookup("s", "nope"); ok || g != 0 {
 		t.Fatalf("a miss returned generation %d, ok %v", g, ok)
+	}
+}
+
+// TestLookupGenerationsAcrossTiers: per event in a basis's life across the
+// two tiers, whether its generation is kept or renewed. A generation names
+// a payload: it survives every trip through the spill tier that brings back
+// the bytes it was assigned to, and nothing else.
+func TestLookupGenerationsAcrossTiers(t *testing.T) {
+	perEntry := (&Entry{Site: "s", Key: "k00", Samples: make([]float64, 100)}).bytes()
+	// open opens a store over dir whose RAM tier fits one entry; spillFiles
+	// > 0 bounds the spill tier to that many column files.
+	open := func(t *testing.T, dir string, spillFiles int64) *Store {
+		t.Helper()
+		s, err := Open(Options{
+			BudgetBytes:      perEntry + 10,
+			SpillDir:         dir,
+			SpillBudgetBytes: spillFiles * (4096 + 100*8),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	}
+	// spillK00 leaves k00 in the spill tier only: k01 displaces it.
+	spillK00 := func(s *Store) { s.Put("s", "k01", spillVec(1)) }
+	// promoteK00 faults k00 back into RAM and requires it found.
+	promoteK00 := func(t *testing.T, s *Store) {
+		t.Helper()
+		if _, _, ok := s.Lookup("s", "k00"); !ok {
+			t.Fatal("k00 not found")
+		}
+	}
+	// reput stores k00 again, with the same samples, and spills it.
+	reput := func(s *Store) {
+		s.Put("s", "k00", spillVec(0))
+		spillK00(s)
+	}
+
+	for _, tc := range []struct {
+		name string
+		keep bool
+		// event acts on a store holding k00 in RAM and returns the store
+		// to look k00 up in.
+		event func(t *testing.T, s *Store, dir string) *Store
+	}{
+		{"demote then promote", true, func(t *testing.T, s *Store, _ string) *Store {
+			spillK00(s)
+			if st := s.Stats(); st.Demoted != 1 {
+				t.Fatalf("demoted = %d, want 1", st.Demoted)
+			}
+			return s
+		}},
+		{"Sync, evict, promote", true, func(t *testing.T, s *Store, _ string) *Store {
+			if err := s.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			spillK00(s)
+			if st := s.Stats(); st.Demoted != 1 || st.Evicted != 1 {
+				t.Fatalf("demoted = %d, evicted = %d; want k00 evicted free after Sync", st.Demoted, st.Evicted)
+			}
+			return s
+		}},
+		{"promote twice", true, func(t *testing.T, s *Store, _ string) *Store {
+			spillK00(s)
+			promoteK00(t, s)
+			spillK00(s)
+			return s
+		}},
+		{"Put after promotion", false, func(t *testing.T, s *Store, _ string) *Store {
+			spillK00(s)
+			promoteK00(t, s)
+			s.Put("s", "k00", spillVec(0))
+			return s
+		}},
+		{"Put while spilled", false, func(t *testing.T, s *Store, _ string) *Store {
+			spillK00(s)
+			s.Put("s", "k00", spillVec(0))
+			return s
+		}},
+		{"Drop", false, func(t *testing.T, s *Store, _ string) *Store {
+			spillK00(s)
+			s.Drop("s", "k00")
+			reput(s)
+			return s
+		}},
+		{"Clear", false, func(t *testing.T, s *Store, _ string) *Store {
+			spillK00(s)
+			s.Clear()
+			reput(s)
+			return s
+		}},
+		{"dropped by the spill budget", false, func(t *testing.T, _ *Store, dir string) *Store {
+			// A tier of one file: spilling k01 drops k00's file.
+			s := open(t, dir+"-small", 1)
+			s.Put("s", "k00", spillVec(0))
+			spillK00(s)
+			s.Put("s", "k02", spillVec(2))
+			if _, g, ok := s.Lookup("s", "k00"); ok || g != 0 {
+				t.Fatalf("k00 served (gen %d) after the spill budget dropped it", g)
+			}
+			reput(s)
+			return s
+		}},
+		{"quarantined", false, func(t *testing.T, s *Store, dir string) *Store {
+			spillK00(s)
+			files, err := filepath.Glob(filepath.Join(dir, "*.col"))
+			if err != nil || len(files) != 1 {
+				t.Fatalf("spill files = %v, %v; want k00's alone", files, err)
+			}
+			data, err := os.ReadFile(files[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)-1] ^= 0xff
+			if err := os.WriteFile(files[0], data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, g, ok := s.Lookup("s", "k00"); ok || g != 0 {
+				t.Fatalf("a corrupted spill file was served (gen %d)", g)
+			}
+			if q := s.Stats().Quarantined; q != 1 {
+				t.Fatalf("quarantined = %d, want 1", q)
+			}
+			reput(s)
+			return s
+		}},
+		{"reopened", false, func(t *testing.T, s *Store, dir string) *Store {
+			spillK00(s)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re := open(t, dir, 0)
+			// The reopened store counts generations from 1 again: a few
+			// entries first, so a fresh one cannot equal k00's old one by
+			// coincidence.
+			for i := 2; i < 6; i++ {
+				re.Put("s", fmt.Sprintf("k%02d", i), spillVec(float64(i)))
+			}
+			return re
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "spill")
+			s := open(t, dir, 0)
+			s.Put("s", "k00", spillVec(0))
+			_, g0, _ := s.Lookup("s", "k00")
+			s = tc.event(t, s, dir)
+			got, g, ok := s.Lookup("s", "k00")
+			if !ok || g == 0 {
+				t.Fatalf("k00 lost (gen %d, ok %v)", g, ok)
+			}
+			if want := spillVec(0); got[99] != want[99] {
+				t.Fatalf("k00 sample 99 = %v, want %v", got[99], want[99])
+			}
+			if kept := g == g0; kept != tc.keep {
+				t.Fatalf("generation %d -> %d: kept = %v, want %v", g0, g, kept, tc.keep)
+			}
+			if _, again, _ := s.Lookup("s", "k00"); again != g {
+				t.Fatalf("a live entry's generation moved %d -> %d", g, again)
+			}
+		})
+	}
+}
+
+// TestSpilledGensBounded: the generations remembered for spilled bases stay
+// proportional to the spill tier, however many bases its budget drops.
+func TestSpilledGensBounded(t *testing.T) {
+	perEntry := (&Entry{Site: "s", Key: "k00", Samples: make([]float64, 100)}).bytes()
+	s, err := Open(Options{BudgetBytes: perEntry + 10, SpillDir: t.TempDir(), SpillBudgetBytes: 2 * (4096 + 100*8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 300; i++ {
+		s.Put("s", fmt.Sprintf("k%03d", i), spillVec(float64(i)))
+		if n, max := len(s.spilledGens), 2*s.spill.Len()+65; n > max {
+			t.Fatalf("after %d puts: %d generations remembered for a tier of %d", i+1, n, s.spill.Len())
+		}
 	}
 }

@@ -63,8 +63,9 @@ type Entry struct {
 	// (promoted from it, or demoted while remaining resident): evicting it
 	// needs no disk write, and its Samples may be a read-only mapped view.
 	onDisk bool
-	// gen is the store-unique generation assigned when the entry was
-	// created (see Lookup).
+	// gen names the entry's payload (see Lookup): assigned by Put, and
+	// carried through the spill tier when the entry is demoted and
+	// promoted again.
 	gen uint64
 }
 
@@ -109,7 +110,10 @@ type Store struct {
 	order  *list.List               // front = most recent
 	index  map[string]*list.Element // composite key → element
 	spill  *colstore.Tier           // nil without a spill tier
-	gen    uint64                   // last generation assigned to an entry
+	gen    uint64                   // last generation assigned by Put
+	// spilledGens remembers the generation of each entry that left RAM
+	// with its payload in the spill tier, so its promotion restores it.
+	spilledGens map[KeyRef]uint64
 
 	hits     atomic.Int64
 	misses   atomic.Int64
@@ -149,6 +153,7 @@ func Open(opts Options) (*Store, error) {
 		index:  make(map[string]*list.Element),
 	}
 	if opts.SpillDir != "" {
+		s.spilledGens = make(map[KeyRef]uint64)
 		tier, err := colstore.OpenTier(opts.SpillDir, opts.SpillBudgetBytes)
 		if err != nil {
 			return nil, err
@@ -187,8 +192,11 @@ func (s *Store) Put(site, key string, samples []float64) {
 	defer s.mu.Unlock()
 	s.gen++
 	e.gen = s.gen
-	if s.spill != nil && s.spill.Contains(site, key) {
-		s.spill.Drop(site, key)
+	if s.spill != nil {
+		delete(s.spilledGens, KeyRef{Site: site, Key: key})
+		if s.spill.Contains(site, key) {
+			s.spill.Drop(site, key)
+		}
 	}
 	if el, ok := s.index[ck]; ok {
 		old := el.Value.(*Entry)
@@ -217,11 +225,15 @@ func (s *Store) Get(site, key string) ([]float64, bool) {
 }
 
 // Lookup is Get that also returns the entry's generation: a number, unique
-// within the store, assigned whenever an entry is created — by Put, or by
-// a spill promotion. An entry's samples never change, so two lookups that
-// return the same generation returned the same samples; a replaced,
-// evicted or re-promoted basis always comes back under a new one. A miss
-// returns generation 0.
+// within the store, that names the entry's payload. Only Put assigns one.
+// A basis demoted to the spill tier (or evicted after Sync wrote it there)
+// keeps its generation, and its promotion restores it: the promoted samples
+// are the bytes the demotion wrote, CRC-checked at first map. So two lookups
+// that return the same generation returned the same samples. A replaced or
+// dropped basis, one evicted with no spill copy, one whose spill file is
+// gone (dropped for the spill budget or quarantined) and every basis of a
+// reopened spill tier come back under a new generation. A miss returns
+// generation 0.
 func (s *Store) Lookup(site, key string) ([]float64, uint64, bool) {
 	var buf [64]byte
 	ck := appendCompositeKey(buf[:0], site, key)
@@ -237,9 +249,15 @@ func (s *Store) Lookup(site, key string) ([]float64, uint64, bool) {
 		t0 := time.Now()
 		samples, ok := s.spill.Get(site, key)
 		s.promoteNanos.Add(time.Since(t0).Nanoseconds())
+		ref := KeyRef{Site: site, Key: key}
+		gen, kept := s.spilledGens[ref]
+		delete(s.spilledGens, ref)
 		if ok {
-			s.gen++
-			e := &Entry{Site: site, Key: key, Samples: samples, onDisk: true, gen: s.gen}
+			if !kept {
+				s.gen++
+				gen = s.gen
+			}
+			e := &Entry{Site: site, Key: key, Samples: samples, onDisk: true, gen: gen}
 			el := s.order.PushFront(e)
 			s.index[string(appendCompositeKey(buf[:0], site, key))] = el
 			s.used += e.bytes()
@@ -276,6 +294,7 @@ func (s *Store) Drop(site, key string) {
 		s.removeLocked(el)
 	}
 	if s.spill != nil {
+		delete(s.spilledGens, KeyRef{Site: site, Key: key})
 		s.spill.Drop(site, key)
 	}
 }
@@ -291,6 +310,7 @@ func (s *Store) Clear() {
 	s.used = 0
 	if s.spill != nil {
 		s.spill.Clear()
+		s.spilledGens = make(map[KeyRef]uint64)
 	}
 	s.resetStatsLocked()
 }
@@ -327,7 +347,9 @@ func (s *Store) removeLocked(el *list.Element) {
 // evictLocked enforces the RAM budget. With a spill tier, a victim whose
 // payload is not yet on disk is demoted (written as a column file) before
 // leaving RAM; failures to write count as spillErrors and degrade to a
-// plain eviction. Entries already on disk just vanish from RAM.
+// plain eviction. Entries already on disk just vanish from RAM. A victim
+// that leaves with its payload on disk leaves its generation behind for
+// its promotion.
 func (s *Store) evictLocked() {
 	if s.budget <= 0 {
 		return
@@ -343,10 +365,29 @@ func (s *Store) evictLocked() {
 				s.spillErrors.Add(1)
 			} else {
 				s.demoted.Add(1)
+				e.onDisk = true
 			}
+		}
+		if e.onDisk {
+			s.rememberGenLocked(e)
 		}
 		s.removeLocked(el)
 		s.evicted.Add(1)
+	}
+}
+
+// rememberGenLocked records the generation of e, whose payload is in the
+// spill tier, for its promotion. Once the map holds more than twice the
+// tier's entries, the generations of bases the tier has since dropped are
+// pruned, so the map stays proportional to the tier.
+func (s *Store) rememberGenLocked(e *Entry) {
+	s.spilledGens[KeyRef{Site: e.Site, Key: e.Key}] = e.gen
+	if len(s.spilledGens) > 2*s.spill.Len()+64 {
+		for ref := range s.spilledGens {
+			if !s.spill.Contains(ref.Site, ref.Key) {
+				delete(s.spilledGens, ref)
+			}
+		}
 	}
 }
 

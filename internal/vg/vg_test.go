@@ -233,32 +233,72 @@ func TestBuiltinValidation(t *testing.T) {
 	}
 }
 
+// TestBuiltinDistributionShapes: each built-in distribution, drawn 20,000
+// times through Registry.Invoke at fixed seeds, has the closed-form mean and
+// variance within 4 standard errors, at two argument settings per family.
+// The settings are chosen so that a family reading its arguments in the
+// wrong order fails (Uniform and Binomial reject swapped arguments).
 func TestBuiltinDistributionShapes(t *testing.T) {
 	r := newTestRegistry(t)
-	seq := rng.NewSeedSequence(1, "test")
 	const n = 20000
-	var sum float64
-	for i := 0; i < n; i++ {
-		v, err := r.Invoke("Poisson", seq.At(i), []value.Value{value.Float(6)})
-		if err != nil {
-			t.Fatal(err)
+	g := math.Gamma
+	for _, c := range []struct {
+		name       string
+		args       []float64
+		mean, vari float64
+	}{
+		{"Gaussian", []float64{3, 0.5}, 3, 0.25},
+		{"Gaussian", []float64{-2, 4}, -2, 16},
+		{"LogNormal", []float64{0, 0.5}, math.Exp(0.125), (math.Exp(0.25) - 1) * math.Exp(0.25)},
+		{"LogNormal", []float64{1, 0.25}, math.Exp(1 + 0.03125), (math.Exp(0.0625) - 1) * math.Exp(2+0.0625)},
+		{"Poisson", []float64{6}, 6, 6},
+		{"Poisson", []float64{0.7}, 0.7, 0.7},
+		{"Uniform", []float64{2, 5}, 3.5, 9.0 / 12},
+		{"Uniform", []float64{-3, 1}, -1, 16.0 / 12},
+		{"Exponential", []float64{2}, 0.5, 0.25},
+		{"Exponential", []float64{0.25}, 4, 16},
+		{"Bernoulli", []float64{0.2}, 0.2, 0.16},
+		{"Bernoulli", []float64{0.9}, 0.9, 0.09},
+		{"Binomial", []float64{10, 0.3}, 3, 2.1},
+		{"Binomial", []float64{40, 0.75}, 30, 7.5},
+		{"Weibull", []float64{2, 3}, 3 * g(1.5), 9 * (g(2) - g(1.5)*g(1.5))},
+		{"Weibull", []float64{0.8, 1.5}, 1.5 * g(2.25), 2.25 * (g(3.5) - g(2.25)*g(2.25))},
+		{"Gamma", []float64{2, 3}, 6, 18},
+		{"Gamma", []float64{0.5, 4}, 2, 8},
+	} {
+		label := fmt.Sprintf("%s%v", c.name, c.args)
+		args := make([]value.Value, len(c.args))
+		for i, a := range c.args {
+			args[i] = value.Float(a)
 		}
-		f, _ := v.AsFloat()
-		sum += f
-	}
-	if mean := sum / n; math.Abs(mean-6) > 0.1 {
-		t.Errorf("Poisson(6) empirical mean = %g", mean)
-	}
-	var ones int
-	for i := 0; i < n; i++ {
-		v, _ := r.Invoke("Bernoulli", seq.At(i), []value.Value{value.Float(0.2)})
-		iv, _ := v.AsInt()
-		if iv == 1 {
-			ones++
+		seq := rng.NewSeedSequence(7, label)
+		xs := make([]float64, n)
+		var mean float64
+		for i := range xs {
+			v, err := r.Invoke(c.name, seq.At(i), args)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if xs[i], err = v.AsFloat(); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			mean += xs[i]
 		}
-	}
-	if p := float64(ones) / n; math.Abs(p-0.2) > 0.02 {
-		t.Errorf("Bernoulli(0.2) rate = %g", p)
+		mean /= n
+		var m2, m4 float64
+		for _, x := range xs {
+			d := (x - mean) * (x - mean)
+			m2 += d
+			m4 += d * d
+		}
+		m2 /= n - 1
+		m4 /= n
+		if se := math.Sqrt(m2 / n); math.Abs(mean-c.mean) > 4*se {
+			t.Errorf("%s: mean %g, want %g (4 SE = %g)", label, mean, c.mean, 4*se)
+		}
+		if se := math.Sqrt((m4 - m2*m2) / n); math.Abs(m2-c.vari) > 4*se {
+			t.Errorf("%s: variance %g, want %g (4 SE = %g)", label, m2, c.vari, 4*se)
+		}
 	}
 }
 
