@@ -656,9 +656,12 @@ func (ev *Evaluator) siteVectors(ctx context.Context, psp *obs.Span, pt guide.Po
 	ssp := psp.Child("simulate")
 	defer ssp.End()
 	r := ev.opts.Reuse
-	var spillBefore storage.Stats
+	// Spill work during the stage becomes spill spans; a store without a
+	// spill tier has none, and its counters are not read.
+	var spillBefore storage.SpillCounters
+	spilling := false
 	if ssp != nil && r != nil {
-		spillBefore = r.store.Stats()
+		spillBefore, spilling = r.store.SpillCounters()
 	}
 	siteSamples := make([][]float64, len(ev.scn.Sites))
 	gens := make([]uint64, len(ev.scn.Sites))
@@ -679,8 +682,9 @@ func (ev *Evaluator) siteVectors(ctx context.Context, psp *obs.Span, pt guide.Po
 	if ssp != nil {
 		ssp.SetInt("sites", int64(len(ev.scn.Sites)))
 		recordOutcomes(ssp, outcome)
-		if r != nil {
-			noteSpillDeltas(ssp, spillBefore, r.store.Stats())
+		if spilling {
+			spillAfter, _ := r.store.SpillCounters()
+			noteSpillDeltas(ssp, spillBefore, spillAfter)
 		}
 	}
 	return siteSamples, gens, nil

@@ -2,8 +2,8 @@ package mc
 
 // Stage-span helpers for render tracing. Every helper is a no-op when the
 // span is nil, so the untraced hot path pays a nil check and nothing else;
-// snapshotting store stats (which takes the store lock) happens only on
-// traced runs.
+// the store's spill counters are read only on traced runs over a store
+// with a spill tier.
 
 import (
 	"time"
@@ -13,12 +13,21 @@ import (
 	"fuzzyprophet/internal/storage"
 )
 
+// outcomeKeys are the simulate span's per-reuse-kind attribute keys,
+// indexed by ReuseKind.
+var outcomeKeys = [...]string{
+	Computed:    "sites_computed",
+	CachedExact: "sites_cached",
+	Identity:    "sites_identity",
+	Affine:      "sites_affine",
+}
+
 // recordOutcomes attaches per-reuse-kind site counts to a simulate span.
 func recordOutcomes(sp *obs.Span, outcomes map[string]ReuseKind) {
 	if sp == nil {
 		return
 	}
-	var counts [4]int64
+	var counts [len(outcomeKeys)]int64
 	for _, k := range outcomes {
 		if int(k) < len(counts) {
 			counts[k]++
@@ -26,16 +35,16 @@ func recordOutcomes(sp *obs.Span, outcomes map[string]ReuseKind) {
 	}
 	for k, n := range counts {
 		if n > 0 {
-			sp.SetInt("sites_"+ReuseKind(k).String(), n)
+			sp.SetInt(outcomeKeys[k], n)
 		}
 	}
 }
 
-// noteSpillDeltas reports spill-tier work that happened between two store
-// stat snapshots as synthetic completed child spans, attributing demotion
-// (eviction writes) and promotion (mapped fault-backs) time to the stage
-// that triggered it.
-func noteSpillDeltas(sp *obs.Span, before, after storage.Stats) {
+// noteSpillDeltas reports spill-tier work that happened between two reads
+// of the store's spill counters as synthetic completed child spans,
+// attributing demotion (eviction writes) and promotion (mapped fault-backs)
+// time to the stage that triggered it.
+func noteSpillDeltas(sp *obs.Span, before, after storage.SpillCounters) {
 	if sp == nil {
 		return
 	}

@@ -1,13 +1,17 @@
 // Package obs is a zero-dependency, allocation-light span tracer for the
-// render pipeline. A Trace owns a tree of Spans; every method on a nil
-// *Trace or nil *Span is a no-op, so instrumented code paths run with
-// tracing disabled at zero allocations — callers never branch on "is
+// render pipeline. A Trace owns its spans; every method on a nil *Trace or
+// nil *Span is a no-op, so a library caller that attaches no trace runs the
+// instrumented paths at zero allocations — callers never branch on "is
 // tracing on", they just call through a possibly-nil span.
 //
+// Recording is cheap enough to leave on: spans are carved from
+// fixed-capacity chunks the Trace owns and carry their first few attributes
+// inline, so a steady-state span or attribute makes no heap allocation.
 // Spans use the monotonic clock (time.Now's monotonic reading survives
-// wall-clock steps), carry typed attributes, and snapshot to a JSON Node
-// tree for wire transfer. Worker subtrees deserialized from remote
-// processes are stitched in with Graft.
+// wall-clock steps). Walk reads the raw spans (name and duration) without
+// building anything; Tree builds the JSON Node tree on demand, for a reader
+// who asked for it (Export marks such a trace). Worker subtrees
+// deserialized from remote processes are stitched in with Graft.
 package obs
 
 import (
@@ -15,15 +19,36 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// Trace is one render's span tree. All spans of a trace share its mutex,
-// so concurrent shard goroutines may open children of the same parent.
+// chunkSpans is the span capacity of one chunk; inlineAttrs the number of
+// attributes a span holds before spilling to a heap slice.
+const (
+	chunkSpans  = 32
+	inlineAttrs = 3
+)
+
+// spanChunk is one fixed-capacity block of spans. Chunks never move, so a
+// *Span stays valid for the trace's lifetime.
+type spanChunk [chunkSpans]Span
+
+// Trace is one render's spans. All spans of a trace share its mutex, so
+// concurrent shard goroutines may open children of the same parent.
 type Trace struct {
-	mu   sync.Mutex
-	root *Span
-	id   string
+	mu sync.Mutex
+	id string
+	// start is the root span's start; every span keeps its start as an
+	// offset from it, read with one monotonic clock read (time.Since).
+	start time.Time
+	// exported marks a trace whose tree a reader asked for (Export).
+	exported atomic.Bool
+	// first holds the root and the first chunkSpans-1 spans; more holds
+	// later chunks. n counts the spans carved so far, in creation order.
+	first spanChunk
+	more  []*spanChunk
+	n     int
 }
 
 // NewID returns a random 64-bit hex identifier for correlating a render
@@ -41,9 +66,35 @@ func NewID() string {
 // New starts a trace whose root span is named name. id may be empty; use
 // NewID to mint one when the trace crosses process boundaries.
 func New(name, id string) *Trace {
-	t := &Trace{id: id}
-	t.root = &Span{trace: t, name: name, start: time.Now()}
+	t := &Trace{id: id, start: time.Now()}
+	t.spanLocked(name, 0)
 	return t
+}
+
+// spanLocked carves the next span from the trace's chunks. Caller holds mu
+// (or owns the trace exclusively, as New does).
+func (t *Trace) spanLocked(name string, start time.Duration) *Span {
+	sp := t.at(t.n)
+	if sp == nil {
+		c := new(spanChunk)
+		t.more = append(t.more, c)
+		sp = &c[0]
+	}
+	t.n++
+	sp.trace, sp.name, sp.start = t, name, start
+	return sp
+}
+
+// at returns the i'th span slot, or nil when its chunk is not allocated.
+func (t *Trace) at(i int) *Span {
+	if i < chunkSpans {
+		return &t.first[i]
+	}
+	k := i/chunkSpans - 1
+	if k >= len(t.more) {
+		return nil
+	}
+	return &t.more[k][i%chunkSpans]
 }
 
 // ID returns the trace's render ID ("" on a nil trace).
@@ -59,7 +110,17 @@ func (t *Trace) Root() *Span {
 	if t == nil {
 		return nil
 	}
-	return t.root
+	return &t.first[0]
+}
+
+// Export marks the trace as one whose tree a reader asked for: a shard
+// coordinator then asks its workers for their subtrees (Span.Exported).
+// No-op on nil.
+func (t *Trace) Export() {
+	if t == nil {
+		return
+	}
+	t.exported.Store(true)
 }
 
 // End closes the root span if it is still open.
@@ -67,7 +128,7 @@ func (t *Trace) End() {
 	if t == nil {
 		return
 	}
-	t.root.End()
+	t.Root().End()
 }
 
 // Duration reports the root span's duration (elapsed time so far if the
@@ -78,44 +139,75 @@ func (t *Trace) Duration() time.Duration {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.root.dur > 0 {
-		return t.root.dur
-	}
-	return time.Since(t.root.start)
+	return t.Root().durLocked()
 }
 
-// Tree snapshots the whole span tree as a Node tree. Start offsets are
-// microseconds relative to the root span's start. Open spans report their
+// Walk calls fn with the name and duration of every span the trace itself
+// recorded, in creation order; grafted remote subtrees are skipped. It
+// builds nothing: spans are read a chunk's worth at a time into a stack
+// buffer, and fn runs with the trace unlocked. Open spans report their
 // elapsed time so far.
+func (t *Trace) Walk(fn func(name string, dur time.Duration)) {
+	if t == nil {
+		return
+	}
+	type span struct {
+		name string
+		dur  time.Duration
+	}
+	var buf [chunkSpans]span
+	for i := 0; ; {
+		t.mu.Lock()
+		k := 0
+		for ; k < len(buf) && i < t.n; k, i = k+1, i+1 {
+			sp := t.at(i)
+			buf[k] = span{sp.name, sp.durLocked()}
+		}
+		t.mu.Unlock()
+		if k == 0 {
+			return
+		}
+		for _, sp := range buf[:k] {
+			fn(sp.name, sp.dur)
+		}
+	}
+}
+
+// Tree snapshots the whole span tree, grafts included, as a Node tree.
+// Start offsets are microseconds relative to the root span's start. Open
+// spans report their elapsed time so far.
 func (t *Trace) Tree() *Node {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.root.nodeLocked(t.root.start)
+	return t.Root().nodeLocked()
 }
 
-// Span is one timed region of a trace. The zero value is not usable;
-// spans are created by Trace.Root and Span.Child. A nil *Span is the
-// disabled tracer: every method returns immediately.
+// Span is one timed region of a trace. Spans are created by New and
+// Span.Child; a nil *Span is the disabled tracer: every method returns
+// immediately.
 type Span struct {
-	trace    *Trace
-	name     string
-	start    time.Time
-	dur      time.Duration // 0 while open
-	attrs    []Attr
-	children []*Span
-	grafts   []*Node // deserialized remote subtrees
+	trace *Trace
+	name  string
+	start time.Duration // offset from the trace's start
+	dur   time.Duration // 0 while open
+	// attrs[:nattrs] are the first attributes; later ones go to extra.
+	attrs  [inlineAttrs]attr
+	nattrs int
+	extra  []attr
+	// Children form a singly linked list in creation order.
+	firstChild, lastChild, next *Span
+	grafts                      []*Node // deserialized remote subtrees
 }
 
-// Attr is a typed key/value attribute attached to a span.
-type Attr struct {
-	Key  string
-	Kind byte // 's' string, 'i' int64, 'f' float64
-	Str  string
-	Int  int64
-	F    float64
+// attr is a typed key/value attribute attached to a span.
+type attr struct {
+	key  string
+	str  string
+	int  int64
+	kind byte // 's' string, 'i' int64
 }
 
 // Child opens a sub-span. Safe to call from multiple goroutines on the
@@ -124,11 +216,22 @@ func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{trace: s.trace, name: name, start: time.Now()}
+	start := time.Since(s.trace.start)
 	s.trace.mu.Lock()
-	s.children = append(s.children, c)
+	c := s.trace.spanLocked(name, start)
+	s.linkLocked(c)
 	s.trace.mu.Unlock()
 	return c
+}
+
+// linkLocked appends c to s's children. Caller holds trace.mu.
+func (s *Span) linkLocked(c *Span) {
+	if s.lastChild == nil {
+		s.firstChild = c
+	} else {
+		s.lastChild.next = c
+	}
+	s.lastChild = c
 }
 
 // End closes the span. Idempotent; no-op on nil.
@@ -138,12 +241,21 @@ func (s *Span) End() {
 	}
 	s.trace.mu.Lock()
 	if s.dur == 0 {
-		s.dur = time.Since(s.start)
+		s.dur = time.Since(s.trace.start) - s.start
 		if s.dur <= 0 {
 			s.dur = 1 // clock granularity: never leave an ended span "open"
 		}
 	}
 	s.trace.mu.Unlock()
+}
+
+// durLocked is the span's duration, or its elapsed time while open.
+// Caller holds trace.mu.
+func (s *Span) durLocked() time.Duration {
+	if s.dur > 0 {
+		return s.dur
+	}
+	return time.Since(s.trace.start) - s.start
 }
 
 // SetInt attaches an integer attribute. No-op on nil.
@@ -152,7 +264,7 @@ func (s *Span) SetInt(key string, v int64) {
 		return
 	}
 	s.trace.mu.Lock()
-	s.attrs = append(s.attrs, Attr{Key: key, Kind: 'i', Int: v})
+	s.addLocked(attr{key: key, kind: 'i', int: v})
 	s.trace.mu.Unlock()
 }
 
@@ -162,18 +274,18 @@ func (s *Span) SetStr(key, v string) {
 		return
 	}
 	s.trace.mu.Lock()
-	s.attrs = append(s.attrs, Attr{Key: key, Kind: 's', Str: v})
+	s.addLocked(attr{key: key, kind: 's', str: v})
 	s.trace.mu.Unlock()
 }
 
-// SetFloat attaches a float attribute. No-op on nil.
-func (s *Span) SetFloat(key string, v float64) {
-	if s == nil {
+// addLocked stores a, inline while there is room. Caller holds trace.mu.
+func (s *Span) addLocked(a attr) {
+	if s.nattrs < inlineAttrs {
+		s.attrs[s.nattrs] = a
+		s.nattrs++
 		return
 	}
-	s.trace.mu.Lock()
-	s.attrs = append(s.attrs, Attr{Key: key, Kind: 'f', F: v})
-	s.trace.mu.Unlock()
+	s.extra = append(s.extra, a)
 }
 
 // Note records an already-completed child span of duration d ending now.
@@ -186,9 +298,11 @@ func (s *Span) Note(name string, d time.Duration) *Span {
 	if d <= 0 {
 		d = 1
 	}
-	c := &Span{trace: s.trace, name: name, start: time.Now().Add(-d), dur: d}
+	start := time.Since(s.trace.start) - d
 	s.trace.mu.Lock()
-	s.children = append(s.children, c)
+	c := s.trace.spanLocked(name, start)
+	c.dur = d
+	s.linkLocked(c)
 	s.trace.mu.Unlock()
 	return c
 }
@@ -203,10 +317,17 @@ func (s *Span) TraceID() string {
 	return s.trace.id
 }
 
+// Exported reports whether the span's trace is marked for a reader
+// (Trace.Export); false on nil.
+func (s *Span) Exported() bool {
+	return s != nil && s.trace.exported.Load()
+}
+
 // Graft attaches a deserialized remote subtree (e.g. a worker's span tree
 // returned over HTTP) under this span. The subtree's start offsets remain
-// relative to its own root — remote clocks are not reconciled. No-op on
-// nil receiver or nil node.
+// relative to its own root — remote clocks are not reconciled. Walk skips
+// grafts: they are the remote process's spans. No-op on nil receiver or
+// nil node.
 func (s *Span) Graft(n *Node) {
 	if s == nil || n == nil {
 		return
@@ -226,37 +347,41 @@ type Node struct {
 }
 
 // nodeLocked converts the span subtree to Nodes. Caller holds trace.mu.
-func (s *Span) nodeLocked(origin time.Time) *Node {
+func (s *Span) nodeLocked() *Node {
 	n := &Node{
 		Name:    s.name,
-		StartUS: s.start.Sub(origin).Microseconds(),
+		StartUS: s.start.Microseconds(),
+		DurUS:   s.durLocked().Microseconds(),
 	}
-	if s.dur > 0 {
-		n.DurUS = s.dur.Microseconds()
-	} else {
-		n.DurUS = time.Since(s.start).Microseconds()
-	}
-	if len(s.attrs) > 0 {
-		n.Attrs = make(map[string]any, len(s.attrs))
-		for _, a := range s.attrs {
-			switch a.Kind {
-			case 'i':
-				n.Attrs[a.Key] = a.Int
-			case 'f':
-				n.Attrs[a.Key] = a.F
-			default:
-				n.Attrs[a.Key] = a.Str
-			}
+	if na := s.nattrs + len(s.extra); na > 0 {
+		n.Attrs = make(map[string]any, na)
+		for _, a := range s.attrs[:s.nattrs] {
+			n.Attrs[a.key] = a.value()
+		}
+		for _, a := range s.extra {
+			n.Attrs[a.key] = a.value()
 		}
 	}
-	if len(s.children)+len(s.grafts) > 0 {
-		n.Children = make([]*Node, 0, len(s.children)+len(s.grafts))
-		for _, c := range s.children {
-			n.Children = append(n.Children, c.nodeLocked(origin))
+	var kids int
+	for c := s.firstChild; c != nil; c = c.next {
+		kids++
+	}
+	if kids+len(s.grafts) > 0 {
+		n.Children = make([]*Node, 0, kids+len(s.grafts))
+		for c := s.firstChild; c != nil; c = c.next {
+			n.Children = append(n.Children, c.nodeLocked())
 		}
 		n.Children = append(n.Children, s.grafts...)
 	}
 	return n
+}
+
+// value is the attribute's JSON value.
+func (a *attr) value() any {
+	if a.kind == 'i' {
+		return a.int
+	}
+	return a.str
 }
 
 // Visit walks the node tree depth-first, calling fn with each node and

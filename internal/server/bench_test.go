@@ -91,6 +91,33 @@ func BenchmarkHTTP_SliderAdjustRender(b *testing.B) {
 	}
 }
 
+// BenchmarkHTTP_SliderRevisit: a slider moving between positions it has
+// visited often enough that every point is a memo hit — the warm revisit
+// where the HTTP envelope and tracing are most of the cost. Allocations per
+// op are reported so CI's benchmark artifact tracks them.
+func BenchmarkHTTP_SliderRevisit(b *testing.B) {
+	base, stop := benchServer(b)
+	defer stop()
+	var scn scenarioJSON
+	json.Unmarshal(benchJSON(b, "POST", base+"/scenarios", registerRequest{SQL: testScenario}), &scn)
+	var sess sessionJSON
+	json.Unmarshal(benchJSON(b, "POST", base+"/scenarios/"+scn.ID+"/sessions", openSessionRequest{}), &sess)
+	positions := []int{0, 8, 16}
+	move := func(i int) {
+		benchJSON(b, "PUT", base+"/sessions/"+sess.ID+"/params",
+			map[string]any{"purchase1": positions[i%len(positions)]})
+		benchJSON(b, "GET", base+"/sessions/"+sess.ID+"/render", nil)
+	}
+	for i := 0; i < 4*len(positions); i++ { // a position's fourth render on is a memo hit
+		move(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		move(i)
+	}
+}
+
 // BenchmarkHTTP_EvaluateBatch: batch point evaluation through the shared
 // reuse cache.
 func BenchmarkHTTP_EvaluateBatch(b *testing.B) {

@@ -24,7 +24,8 @@ import (
 //	        name length uint32 | name | flags uint8 (frameVector | frameSketch)
 //	        vector: length uint64 | that many float64   (when frameVector)
 //	        sketch: aggregate.AppendSketch encoding       (when frameSketch)
-//	trace length uint32 | the worker's obs.Node as JSON (length 0 = none)
+//	trace length uint32 | the worker's obs.Node as JSON (length 0 = none:
+//	    the normal, untraced case; a tree is sent only for X-FP-Trace)
 //	CRC-32C (Castagnoli) uint32 over every preceding byte
 //
 // One trace and one checksum cover the whole frame. Floats travel as their
@@ -55,7 +56,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // shardResponse is a decoded shard answer: one partial result per point of
 // the request, in request order, plus the worker's span tree, present only
-// when the request carried X-FP-Trace.
+// when the request carried X-FP-Trace (the coordinator's render is
+// ?trace=1); an untraced answer carries trace length 0.
 type shardResponse struct {
 	Points []*fp.ShardResult
 	Trace  *obs.Node

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"fuzzyprophet/internal/buildinfo"
-	"fuzzyprophet/internal/obs"
 )
 
 // renderBuckets are the render-latency histogram bounds in seconds.
@@ -114,7 +113,9 @@ type metrics struct {
 
 	renderLatency *histogram
 	// stageSeconds is one histogram per pipeline stage name, fed from the
-	// span trees of every render. The stage set is fixed at construction,
+	// spans this process recorded for every render, evaluation and served
+	// shard (never from grafted worker subtrees: each process counts the
+	// spans it ran). The stage set is fixed at construction,
 	// bounding label cardinality no matter what spans a trace carries.
 	stageSeconds map[string]*histogram
 }
@@ -139,15 +140,14 @@ func newMetrics() *metrics {
 	return m
 }
 
-// observeStages walks a render's span tree and feeds each known stage
-// span's duration into its histogram. The map is never written after
-// construction, so concurrent renders observe without locking.
-func (m *metrics) observeStages(tree *obs.Node) {
-	tree.Visit(func(_ int, n *obs.Node) {
-		if h, ok := m.stageSeconds[n.Name]; ok {
-			h.observe(float64(n.DurUS) / 1e6)
-		}
-	})
+// observeStage feeds one span's duration into its stage histogram when
+// the name is a known stage, truncated to whole microseconds as in the
+// span tree. The map is never written after construction, so concurrent
+// renders observe without locking.
+func (m *metrics) observeStage(name string, d time.Duration) {
+	if h, ok := m.stageSeconds[name]; ok {
+		h.observe(float64(d.Microseconds()) / 1e6)
+	}
 }
 
 // writeTo renders the Prometheus exposition for the server's state at now.

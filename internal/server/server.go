@@ -693,11 +693,16 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	// Every render carries a trace: it feeds the per-stage histograms and
-	// the slow-render ring whether or not the client asked for ?trace=1.
-	// Coalesced followers share the leader's simulation but not its trace,
-	// so their (empty) trees are discarded below.
+	// Every render records its spans: they feed the per-stage histograms
+	// and the slow-render ring whether or not the client asked for
+	// ?trace=1, which alone exports the trace (its tree, worker subtrees
+	// included, goes into the response). Coalesced followers share the
+	// leader's simulation but not its trace, so theirs are discarded below.
 	tr := obs.New("render", obs.NewID())
+	traced := r.URL.Query().Get("trace") == "1"
+	if traced {
+		tr.Export()
+	}
 	var (
 		g         *fp.Graph
 		coalesced bool
@@ -727,10 +732,9 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 		dur := time.Since(start)
 		s.metrics.rendersTotal.Add(1)
 		s.metrics.renderLatency.observe(dur.Seconds())
-		tree := s.observeTrace("render", sess.Entry.ID, sess.ID, tr, dur)
-		if r.URL.Query().Get("trace") == "1" {
+		resp.Trace = s.observeTrace("render", sess.Entry.ID, sess.ID, tr, dur)
+		if traced {
 			resp.RenderID = tr.ID()
-			resp.Trace = tree
 		}
 	}
 	s.json(w, http.StatusOK, resp)
@@ -877,6 +881,10 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	tr := obs.New("evaluate", obs.NewID())
+	traced := r.URL.Query().Get("trace") == "1"
+	if traced {
+		tr.Export()
+	}
 	var res *fp.BatchResult
 	var err error
 	rpprof.Do(bctx, rpprof.Labels("render_id", tr.ID(), "scenario", entry.ID), func(ctx context.Context) {
@@ -892,7 +900,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	s.metrics.evaluatesTotal.Add(1)
 	s.metrics.pointsEvaluated.Add(int64(len(points)))
 	tree := s.observeTrace("evaluate", entry.ID, "", tr, time.Since(start))
-	if r.URL.Query().Get("trace") == "1" {
+	if traced {
 		s.json(w, http.StatusOK, struct {
 			*fp.BatchResult
 			RenderID string    `json:"render_id"`

@@ -62,7 +62,8 @@ import (
 )
 
 // Trace propagation headers: the coordinator stamps each shard request
-// with the render ID and a trace flag; the worker returns its span tree in
+// with the render ID, and with the trace flag only when a reader asked for
+// the render's tree (?trace=1); the worker then returns its span tree in
 // the response frame and the coordinator grafts it under the requesting
 // shard span — one stitched tree per render across processes. The worker
 // also advertises its protocol version on every shard response.
@@ -288,20 +289,22 @@ func (s *Server) handleShardRender(w http.ResponseWriter, r *http.Request) {
 			defer cancel()
 		}
 	}
-	var tr *obs.Trace
+	// Every shard records its spans under the propagated render ID: they
+	// feed this worker's stage histograms and slow-render ring. The tree
+	// goes back in the response only when the coordinator asked for it.
+	start := time.Now()
+	tr := obs.New("worker-shard", r.Header.Get(headerRenderID))
 	if r.Header.Get(headerTrace) != "" {
-		// The coordinator asked for this shard's span tree: trace under the
-		// propagated render ID and return the tree in the response.
-		tr = obs.New("worker-shard", r.Header.Get(headerRenderID))
-		ctx = obs.With(ctx, tr.Root())
-		tr.Root().SetInt("lo", int64(req.Lo))
-		tr.Root().SetInt("hi", int64(req.Hi))
-		if len(req.Points) > 1 {
-			tr.Root().SetInt("points", int64(len(req.Points)))
-		}
-		if sketchOnly {
-			tr.Root().SetInt("sketch_only", 1)
-		}
+		tr.Export()
+	}
+	ctx = obs.With(ctx, tr.Root())
+	tr.Root().SetInt("lo", int64(req.Lo))
+	tr.Root().SetInt("hi", int64(req.Hi))
+	if len(req.Points) > 1 {
+		tr.Root().SetInt("points", int64(len(req.Points)))
+	}
+	if sketchOnly {
+		tr.Root().SetInt("sketch_only", 1)
 	}
 	results, err := entry.worker.EvaluateShard(ctx, req.Points, req.Worlds, req.Seed,
 		fp.WorldShard{Lo: req.Lo, Hi: req.Hi}, sketchOnly)
@@ -313,13 +316,9 @@ func (s *Server) handleShardRender(w http.ResponseWriter, r *http.Request) {
 	if sketchOnly {
 		s.metrics.shardSketchOnlyServed.Add(1)
 	}
-	resp := shardResponse{Points: results}
-	if tr != nil {
-		tr.End()
-		resp.Trace = tr.Tree()
-		// Worker-side stage histograms see shard work even though the
-		// coordinator also observes the stitched tree on its side.
-		s.metrics.observeStages(resp.Trace)
+	resp := shardResponse{
+		Points: results,
+		Trace:  s.observeTrace("shard", "", "", tr, time.Since(start)),
 	}
 	frame, err := encodeShardFrame(&resp)
 	if err != nil {
@@ -642,11 +641,11 @@ func (p *workerPool) post(ctx context.Context, base string, body []byte) ([]*fp.
 		}
 	}
 	sp := obs.SpanFrom(ctx)
-	if sp != nil {
+	if id := sp.TraceID(); id != "" {
+		req.Header.Set(headerRenderID, id)
+	}
+	if sp.Exported() {
 		req.Header.Set(headerTrace, "1")
-		if id := sp.TraceID(); id != "" {
-			req.Header.Set(headerRenderID, id)
-		}
 	}
 	p.metrics.shardRequestBytes.Add(int64(len(body)))
 	resp, err := p.client.Do(req)

@@ -1,9 +1,12 @@
-// Slow-render trace retention: every non-coalesced render and batch
-// evaluation is traced internally (feeding the per-stage latency
-// histograms); the ones slower than Config.SlowRenderThreshold keep their
-// full span tree in a fixed-size ring served by GET /debug/traces, newest
-// first — a flight recorder for "why was that slider move slow" without
-// re-running anything.
+// Slow-render trace retention: every non-coalesced render, batch
+// evaluation and served shard records its spans (feeding the per-stage
+// latency histograms straight from the raw spans); a span tree is built
+// only for a ?trace=1 request or a request slower than
+// Config.SlowRenderThreshold. Slow ones keep their tree in a fixed-size
+// ring served by GET /debug/traces, newest first — a flight recorder for
+// "why was that slider move slow" without re-running anything. Each
+// process keeps its own ring: a worker retains its slow shards under the
+// coordinator's render ID.
 package server
 
 import (
@@ -19,7 +22,8 @@ type traceRecord struct {
 	// RenderID correlates this record with the slow-render log line and
 	// the X-FP-Render-ID header seen by shard workers.
 	RenderID string `json:"render_id"`
-	// Kind is "render", "render-stream" or "evaluate".
+	// Kind is "render", "render-stream", "evaluate" or, on a shard worker,
+	// "shard".
 	Kind     string    `json:"kind"`
 	Scenario string    `json:"scenario,omitempty"`
 	Session  string    `json:"session,omitempty"`
@@ -67,13 +71,20 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 }
 
 // observeTrace is the post-render common path: feed the per-stage latency
-// histograms, retain + log the trace when the render was slow, and return
-// the snapshotted tree for optional response embedding.
+// histograms from the spans this process recorded, and retain + log the
+// trace when the render was slow. It builds the span tree only for an
+// exported trace (?trace=1) or a slow render, and returns it only for an
+// exported one (nil otherwise).
 func (s *Server) observeTrace(kind, scenario, session string, tr *obs.Trace, dur time.Duration) *obs.Node {
 	tr.End()
+	tr.Walk(s.metrics.observeStage)
+	exported := tr.Root().Exported()
+	slow := s.cfg.SlowRenderThreshold > 0 && dur >= s.cfg.SlowRenderThreshold
+	if !exported && !slow {
+		return nil
+	}
 	tree := tr.Tree()
-	s.metrics.observeStages(tree)
-	if s.cfg.SlowRenderThreshold > 0 && dur >= s.cfg.SlowRenderThreshold {
+	if slow {
 		s.traces.add(traceRecord{
 			RenderID:   tr.ID(),
 			Kind:       kind,
@@ -90,6 +101,9 @@ func (s *Server) observeTrace(kind, scenario, session string, tr *obs.Trace, dur
 			"session", session,
 			"duration_ms", float64(dur)/float64(time.Millisecond),
 			"threshold_ms", float64(s.cfg.SlowRenderThreshold)/float64(time.Millisecond))
+	}
+	if !exported {
+		return nil
 	}
 	return tree
 }

@@ -226,6 +226,27 @@ func TestRAMOnlyStoreHasNoSpill(t *testing.T) {
 	}
 }
 
+// TestSpillCounters: SpillCounters reads the spill fields Stats reports,
+// and reports none for a RAM-only store.
+func TestSpillCounters(t *testing.T) {
+	if _, ok := NewStore(0).SpillCounters(); ok {
+		t.Fatal("a RAM-only store reported spill counters")
+	}
+	s := openSpillStore(t, 2)
+	for i := 0; i < 4; i++ {
+		s.Put("s", fmt.Sprintf("k%02d", i), spillVec(float64(i)))
+	}
+	if _, ok := s.Get("s", "k00"); !ok {
+		t.Fatal("spilled key not faulted back")
+	}
+	c, ok := s.SpillCounters()
+	st := s.Stats()
+	want := SpillCounters{Demoted: st.Demoted, Promoted: st.Promoted, DemoteNanos: st.DemoteNanos, PromoteNanos: st.PromoteNanos}
+	if !ok || c != want || c.Demoted == 0 || c.Promoted != 1 {
+		t.Fatalf("SpillCounters = %+v, %v; Stats has %+v", c, ok, want)
+	}
+}
+
 // TestLookupGenerations: a lookup returns the generation its entry was
 // stored under — unchanged while the entry lives, also across a demotion
 // and promotion through the spill tier, new whenever the entry is

@@ -125,8 +125,8 @@ type Store struct {
 	// dropped like a plain eviction (a lost cache entry, never bad data).
 	spillErrors atomic.Int64
 	// demoteNanos/promoteNanos accumulate wall time spent writing spill
-	// files on eviction and faulting them back on Get. Render tracing
-	// snapshots Stats around a stage and attributes the delta to synthetic
+	// files on eviction and faulting them back on Get. Render tracing reads
+	// SpillCounters around a stage and attributes the delta to synthetic
 	// spill spans — no per-operation callback, no extra locking.
 	demoteNanos  atomic.Int64
 	promoteNanos atomic.Int64
@@ -475,8 +475,8 @@ type Stats struct {
 	Quarantined  int64
 
 	// Wall time spent demoting (writing spill files) and promoting
-	// (mapping them back). Tracing snapshots these around a render stage
-	// and reports the deltas as spill spans.
+	// (mapping them back). Tracing reads these (SpillCounters) around a
+	// render stage and reports the deltas as spill spans.
 	DemoteNanos  int64
 	PromoteNanos int64
 }
@@ -508,6 +508,27 @@ func (s *Store) Stats() Stats {
 		SpillBudget:  ts.Budget,
 		Quarantined:  ts.Quarantined,
 	}
+}
+
+// SpillCounters is a store's cumulative spill-tier work: demotions and
+// promotions, with the wall time spent on each.
+type SpillCounters struct {
+	Demoted, Promoted         int64
+	DemoteNanos, PromoteNanos int64
+}
+
+// SpillCounters reads the four spill counters without the store lock. ok
+// is false for a store without a spill tier, whose counters never change.
+func (s *Store) SpillCounters() (c SpillCounters, ok bool) {
+	if s.spill == nil {
+		return SpillCounters{}, false
+	}
+	return SpillCounters{
+		Demoted:      s.demoted.Load(),
+		Promoted:     s.promoted.Load(),
+		DemoteNanos:  s.demoteNanos.Load(),
+		PromoteNanos: s.promoteNanos.Load(),
+	}, true
 }
 
 // Len returns the number of RAM-resident entries.

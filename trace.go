@@ -3,8 +3,12 @@ package fuzzyprophet
 // Render tracing: the public face of internal/obs. A RenderTrace is
 // attached to the context passed into Render/Evaluate calls; the Monte
 // Carlo executor, the compiled-plan engine and the shard coordinator hang
-// stage spans off it. With no trace on the context the instrumented paths
-// are nil no-ops (0 allocs — asserted by obs.TestNilDisabledPath).
+// stage spans off it. Spans are carved from chunks the trace owns, so
+// recording costs an allocation per chunk of spans, not per span; the
+// tree is built only when Tree or Format is called. With no trace on the
+// context the instrumented paths are nil no-ops (0 allocs — asserted by
+// obs.TestNilDisabledPath). fpserver, by contrast, records every render
+// and builds a tree only for ?trace=1 or a slow render.
 //
 //	rt := fp.NewRenderTrace()
 //	g, err := session.Render(fp.WithTrace(ctx, rt))
