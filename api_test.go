@@ -1,12 +1,12 @@
 package fuzzyprophet
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"maps"
 	"math"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -473,28 +473,35 @@ func (s *scriptedShards) EvaluateShard(ctx context.Context, req ShardRequest) ([
 	return results, err
 }
 
-// TestOpenSessionFromHonoursOptions: a session restored from saved reuse
-// state resolves its options exactly like OpenSession — sketch-only shard
-// requests over the equal split and degraded frames — instead of silently
-// dropping them.
-func TestOpenSessionFromHonoursOptions(t *testing.T) {
+// TestWarmStartedSessionHonoursOptions: a session warm-started from a
+// saved reuse cache resolves its options exactly like a fresh one —
+// sketch-only shard requests over the equal split and degraded frames —
+// instead of silently dropping them.
+func TestWarmStartedSessionHonoursOptions(t *testing.T) {
 	sys := demoSystem(t)
 	scn, err := sys.Compile(figure2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed, err := scn.OpenSession(WithWorlds(80))
+	cache, err := NewReuseCache()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var saved bytes.Buffer
-	if err := seed.SaveReuse(&saved); err != nil {
+	if _, err := scn.OpenSession(WithWorlds(80), WithReuseCache(cache)); err != nil {
+		t.Fatal(err)
+	}
+	saved := filepath.Join(t.TempDir(), "reuse.snap")
+	if err := cache.SaveFile(saved); err != nil {
 		t.Fatal(err)
 	}
 	openers := map[string]func(...EvalOption) (*Session, error){
 		"OpenSession": scn.OpenSession,
-		"OpenSessionFrom": func(opts ...EvalOption) (*Session, error) {
-			return scn.OpenSessionFrom(bytes.NewReader(saved.Bytes()), opts...)
+		"WithReuseCache": func(opts ...EvalOption) (*Session, error) {
+			loaded, err := LoadReuseCacheFile(saved)
+			if err != nil {
+				return nil, err
+			}
+			return scn.OpenSession(append(opts, WithReuseCache(loaded))...)
 		},
 	}
 	graphs := map[string]*Graph{}
@@ -541,7 +548,7 @@ func TestOpenSessionFromHonoursOptions(t *testing.T) {
 			}
 		})
 	}
-	if a, b := graphs["OpenSession"], graphs["OpenSessionFrom"]; a != nil && b != nil {
+	if a, b := graphs["OpenSession"], graphs["WithReuseCache"]; a != nil && b != nil {
 		for i := range a.Series {
 			for j := range a.Series[i].Y {
 				if math.Float64bits(a.Series[i].Y[j]) != math.Float64bits(b.Series[i].Y[j]) {

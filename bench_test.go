@@ -14,6 +14,7 @@ import (
 
 	fp "fuzzyprophet"
 	"fuzzyprophet/internal/core"
+	"fuzzyprophet/internal/mc"
 	"fuzzyprophet/internal/models"
 	"fuzzyprophet/internal/sqlparser"
 )
@@ -331,7 +332,10 @@ func BenchmarkE4_FingerprintLength(b *testing.B) {
 func BenchmarkE5_MarkovAnalyze(b *testing.B) {
 	cm := models.NewCapacityModel(models.DefaultCapacityConfig())
 	cfg := core.DefaultConfig()
-	seeds := cfg.Seeds()
+	seeds := make([]uint64, cfg.Length)
+	for i := range seeds {
+		seeds[i] = mc.WorldSeed(mc.DefaultSeedBase, "CapacityModel#0", i)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

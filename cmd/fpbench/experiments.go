@@ -529,7 +529,7 @@ func runE5() error {
 	section("E5 — ablation: Markovian analysis of the capacity chain")
 	cm := models.NewCapacityModel(models.DefaultCapacityConfig())
 	cfg := core.DefaultConfig()
-	seeds := cfg.Seeds()
+	seeds := capacityWorlds(0, cfg.Length)
 
 	for _, schedule := range [][2]int{{16, 32}, {8, 40}, {52, 52}} {
 		p1, p2 := schedule[0], schedule[1]
@@ -555,10 +555,9 @@ func runE5() error {
 			fmt.Printf("  region weeks %2d..%2d: x_%d ≈ %.4f·x_%d %+0.1f (max step residual %.2g)\n",
 				r.Start, r.End, r.End, r.Fit.A, r.Start, r.Fit.B, r.MaxStepResidual)
 		}
-		// Validate jumps on fresh worlds.
-		probe := core.Config{Length: 16, SeedBase: 99, IdentityTol: cfg.IdentityTol, AffineTol: cfg.AffineTol}
+		// Validate jumps on the next 16 worlds, which the analysis never saw.
 		var maxRel float64
-		for _, s := range probe.Seeds() {
+		for _, s := range capacityWorlds(cfg.Length, cfg.Length+16) {
 			full := cm.Year(s, p1, p2)
 			for _, r := range est.Regions {
 				_, y, ok := est.Jump(r.Start, full[r.Start])
@@ -577,4 +576,14 @@ func runE5() error {
 	fmt.Println("(\"the nondeterministic date when new hardware comes online\", §2); a")
 	fmt.Println("schedule with no purchases (52, 52) yields a single year-long region.")
 	return nil
+}
+
+// capacityWorlds returns the capacity site's world seeds lo..hi-1: the
+// first k of them are the probes its fingerprints are taken at.
+func capacityWorlds(lo, hi int) []uint64 {
+	seeds := make([]uint64, hi-lo)
+	for i := range seeds {
+		seeds[i] = mc.WorldSeed(mc.DefaultSeedBase, "CapacityModel#0", lo+i)
+	}
+	return seeds
 }

@@ -9,8 +9,8 @@
 // from black-box VG-Functions; Monte Carlo simulation turns a scenario plus
 // a parameter point into output distributions. The system's core
 // contribution is *fingerprinting*: parameter points whose VG-Function
-// outputs are correlated are detected by comparing output vectors under a
-// fixed seed sequence, and already-computed sample sets are re-mapped onto
+// outputs are correlated are detected by comparing their outputs at the
+// first k world seeds, and already-computed sample sets are re-mapped onto
 // new points instead of re-simulated. The effect is interactive-speed
 // what-if exploration (online mode) and much cheaper full-space
 // optimization (offline mode).

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"fuzzyprophet/internal/aggregate"
@@ -552,35 +551,6 @@ func (sc *Scenario) openSession(cfg evalConfig) (*Session, error) {
 		return nil, err
 	}
 	return &Session{scn: sc.scn, inner: inner, reuse: mcOpts.Reuse}, nil
-}
-
-// OpenSessionFrom starts the online mode with reuse state previously saved
-// by Session.SaveReuse — the basis distributions and fingerprints carry
-// over, so previously explored slider positions render without fresh
-// simulation even in a new process. The scenario, models and seed base must
-// match the saving session's; a seed-base mismatch is detected and
-// reported on first use.
-func (sc *Scenario) OpenSessionFrom(rd io.Reader, opts ...EvalOption) (*Session, error) {
-	cfg := newEvalConfig(opts)
-	if cfg.disableReuse {
-		return nil, fmt.Errorf("fuzzyprophet: OpenSessionFrom requires reuse enabled")
-	}
-	reuse, err := mc.LoadReuse(rd, cfg.storeOptions())
-	if err != nil {
-		return nil, err
-	}
-	cfg.shared = reuse // every other option resolves exactly as in OpenSession
-	return sc.openSession(cfg)
-}
-
-// SaveReuse serializes the session's reuse state (basis distributions plus
-// fingerprint index) so a later session — possibly in another process — can
-// resume with OpenSessionFrom.
-func (s *Session) SaveReuse(w io.Writer) error {
-	if s.reuse == nil {
-		return fmt.Errorf("fuzzyprophet: session has reuse disabled; nothing to save")
-	}
-	return s.reuse.Save(w)
 }
 
 // Axis returns the graph's X-axis parameter.

@@ -1,9 +1,10 @@
 package fuzzyprophet
 
 import (
-	"bytes"
 	"context"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -346,21 +347,29 @@ func TestSessionPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := scn.OpenSession(WithWorlds(60))
+	cache, err := NewReuseCache()
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := scn.OpenSession(WithWorlds(60), WithReuseCache(cache))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := first.Render(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := first.SaveReuse(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "reuse.snap")
+	if err := cache.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 
 	// A "new process": the same render is served fully from the loaded
 	// state.
-	second, err := scn.OpenSessionFrom(&buf, WithWorlds(60))
+	loaded, err := LoadReuseCacheFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := scn.OpenSession(WithWorlds(60), WithReuseCache(loaded))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,19 +381,13 @@ func TestSessionPersistence(t *testing.T) {
 		t.Errorf("restored session stats = %+v, want all unchanged", g.Stats)
 	}
 
-	// Error paths.
-	noReuse, err := scn.OpenSession(WithWorlds(10), WithoutReuse())
-	if err != nil {
+	// Error path.
+	junk := filepath.Join(t.TempDir(), "junk.snap")
+	if err := os.WriteFile(junk, []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := noReuse.SaveReuse(&bytes.Buffer{}); err == nil {
-		t.Error("saving without reuse should error")
-	}
-	if _, err := scn.OpenSessionFrom(strings.NewReader("junk"), WithWorlds(10)); err == nil {
+	if _, err := LoadReuseCacheFile(junk); err == nil {
 		t.Error("loading junk should error")
-	}
-	if _, err := scn.OpenSessionFrom(&bytes.Buffer{}, WithWorlds(10), WithoutReuse()); err == nil {
-		t.Error("OpenSessionFrom with reuse disabled should error")
 	}
 }
 

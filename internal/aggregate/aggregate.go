@@ -62,12 +62,6 @@ func MomentsOnly(m stats.Moments) *ColumnStats {
 	return &ColumnStats{Moments: m, momentsOnly: true}
 }
 
-// Add folds in one world's value.
-func (c *ColumnStats) Add(x float64) {
-	c.Moments.Add(x)
-	c.tdigest().Add(x)
-}
-
 // AddAll folds in a whole sample vector: its moments now, its digest
 // insert when the digest is first needed. It retains xs until then.
 func (c *ColumnStats) AddAll(xs []float64) {

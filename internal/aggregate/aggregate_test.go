@@ -8,6 +8,12 @@ import (
 	"fuzzyprophet/internal/rng"
 )
 
+// Add folds in one world's value.
+func (c *ColumnStats) Add(x float64) {
+	c.Moments.Add(x)
+	c.tdigest().Add(x)
+}
+
 func TestColumnStatsBasics(t *testing.T) {
 	c := NewColumnStats()
 	for _, x := range []float64{1, 2, 3, 4, 5} {

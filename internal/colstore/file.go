@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,32 +9,17 @@ import (
 	"unsafe"
 )
 
-// WriteFile encodes the column and writes it crash-safely: the image goes
-// to a temp file in the target directory, is fsynced, and is renamed into
-// place — a crash mid-write leaves only a temp file (garbage-collected by
-// Tier on reopen), never a torn file under the final name.
-func WriteFile(path string, c *Column) error {
-	tmp, err := writeTemp(path, c)
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp)
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("colstore: renaming into %s: %w", path, err)
-	}
-	return nil
-}
-
 // writeTemp encodes the column into a fsynced temp file beside path and
-// returns the temp file's name; the caller publishes and removes it.
-func writeTemp(path string, c *Column) (string, error) {
+// returns the temp file's name and the image's payload CRC-32C; the caller
+// publishes and removes the file.
+func writeTemp(path string, c *Column) (string, uint32, error) {
 	data, err := Encode(c)
 	if err != nil {
-		return "", err
+		return "", 0, err
 	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
-		return "", fmt.Errorf("colstore: temp file: %w", err)
+		return "", 0, fmt.Errorf("colstore: temp file: %w", err)
 	}
 	_, err = tmp.Write(data)
 	if err == nil {
@@ -44,18 +30,9 @@ func writeTemp(path string, c *Column) (string, error) {
 	}
 	if err != nil {
 		os.Remove(tmp.Name())
-		return "", fmt.Errorf("colstore: writing %s: %w", path, err)
+		return "", 0, fmt.Errorf("colstore: writing %s: %w", path, err)
 	}
-	return tmp.Name(), nil
-}
-
-// ReadFile reads and fully verifies a column file, returning copied slices.
-func ReadFile(path string) (*Column, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(data)
+	return tmp.Name(), binary.LittleEndian.Uint32(data[offPayloadCRC:]), nil
 }
 
 // Mapped is a memory-mapped column file serving zero-copy views of its
@@ -107,24 +84,6 @@ func OpenMapped(path string) (*Mapped, error) {
 // Kind returns the column kind.
 func (m *Mapped) Kind() Kind { return m.h.kind }
 
-// Len returns the number of values.
-func (m *Mapped) Len() int { return m.h.length }
-
-// SizeBytes returns the file (and mapping) size.
-func (m *Mapped) SizeBytes() int64 { return m.h.totalSize() }
-
-// HasNulls reports whether the column carries a null bitmap.
-func (m *Mapped) HasNulls() bool { return m.h.flags&flagHasNulls != 0 }
-
-// Nulls returns the mapped null bitmap (nil when the column has none).
-// Read-only, like every view.
-func (m *Mapped) Nulls() []byte {
-	if !m.HasNulls() {
-		return nil
-	}
-	return m.data[headerSize+m.h.valueBytes : headerSize+m.h.valueBytes+m.h.nullBytes]
-}
-
 // Float64s returns the value vector of a float64 column. On little-endian
 // hosts this is a zero-copy view of the mapping (page-aligned, so the cast
 // is 8-byte aligned); mutating it is undefined behavior — the pages are
@@ -144,31 +103,6 @@ func (m *Mapped) Float64s() ([]float64, error) {
 		return nil, err
 	}
 	return c.Floats, nil
-}
-
-// Int64s is Float64s for int64 columns.
-func (m *Mapped) Int64s() ([]int64, error) {
-	if m.h.kind != KindInt64 {
-		return nil, fmt.Errorf("colstore: column is %s, not int64", m.h.kind)
-	}
-	if m.h.length == 0 {
-		return nil, nil
-	}
-	if hostLittleEndian {
-		return unsafe.Slice((*int64)(unsafe.Pointer(&m.data[headerSize])), m.h.length), nil
-	}
-	c, err := m.decode()
-	if err != nil {
-		return nil, err
-	}
-	return c.Ints, nil
-}
-
-// Column decodes the mapped file into an owned Column (copying slices) —
-// the non-zero-copy accessor for bool/string columns and for callers that
-// need to outlive the mapping.
-func (m *Mapped) Column() (*Column, error) {
-	return Decode(m.data)
 }
 
 // decode lazily materializes the byte-order-converted copy (big-endian

@@ -98,11 +98,6 @@ func (c *Column) Len() int {
 	}
 }
 
-// IsNull reports whether value i is NULL.
-func (c *Column) IsNull(i int) bool {
-	return i/8 < len(c.Nulls) && c.Nulls[i/8]&(1<<(i%8)) != 0
-}
-
 // File format constants.
 const (
 	// headerSize is one page: the value section starts page-aligned, which

@@ -54,7 +54,7 @@ func assertColumnsEqual(t *testing.T, want, got *Column) {
 		t.Fatalf("kind/len mismatch: got %v/%d, want %v/%d", got.Kind, got.Len(), want.Kind, want.Len())
 	}
 	for i := 0; i < want.Len(); i++ {
-		if got.IsNull(i) != want.IsNull(i) {
+		if isNull(got, i) != isNull(want, i) {
 			t.Fatalf("null[%d] mismatch", i)
 		}
 	}
@@ -151,24 +151,38 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
+func isNull(c *Column, i int) bool {
+	return i/8 < len(c.Nulls) && c.Nulls[i/8]&(1<<(i%8)) != 0
+}
+
+// writeColumn encodes c into a new file at path.
+func writeColumn(t *testing.T, path string, c *Column) {
+	t.Helper()
+	data, err := Encode(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMappedZeroCopyViews(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "c.col")
 	want := []float64{0.5, -1.5, 42, math.SmallestNonzeroFloat64}
-	if err := WriteFile(path, &Column{Kind: KindFloat64, Floats: want}); err != nil {
-		t.Fatal(err)
-	}
+	writeColumn(t, path, &Column{Kind: KindFloat64, Floats: want})
 	m, err := OpenMapped(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if m.Kind() != KindFloat64 || m.Len() != len(want) {
-		t.Fatalf("kind/len = %v/%d", m.Kind(), m.Len())
-	}
 	got, err := m.Float64s()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if m.Kind() != KindFloat64 || len(got) != len(want) {
+		t.Fatalf("kind/len = %v/%d", m.Kind(), len(got))
 	}
 	for i := range want {
 		if got[i] != want[i] {
@@ -187,9 +201,7 @@ func TestMappedZeroCopyViews(t *testing.T) {
 func TestOpenMappedRejectsTornFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "c.col")
-	if err := WriteFile(path, &Column{Kind: KindFloat64, Floats: make([]float64, 1024)}); err != nil {
-		t.Fatal(err)
-	}
+	writeColumn(t, path, &Column{Kind: KindFloat64, Floats: make([]float64, 1024)})
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -36,6 +36,12 @@ type manifestEntry struct {
 	Bytes int64 `json:"bytes"`
 	// Length is the stored value count.
 	Length int `json:"length"`
+	// PayloadCRC is the payload CRC-32C of the file this tier wrote. The
+	// first map checks it against the file's header, so a file that
+	// another tier on the same directory swept as an orphan and then
+	// reused the name of is never served as this entry. Zero in manifests
+	// written before it was recorded: those entries skip the check.
+	PayloadCRC uint32 `json:"payload_crc,omitempty"`
 }
 
 // manifest is the serialized form of a tier's key→file mapping.
@@ -173,9 +179,6 @@ func OpenTier(dir string, budgetBytes int64) (*Tier, error) {
 	return t, nil
 }
 
-// Dir returns the tier's root directory.
-func (t *Tier) Dir() string { return t.dir }
-
 // saveManifestLocked writes the manifest atomically (temp + rename),
 // recording entries in recency order so reopen reproduces the LRU.
 func (t *Tier) saveManifestLocked() error {
@@ -237,9 +240,10 @@ func (t *Tier) removeLocked(e *tierEntry, unlink bool) {
 // name moves Put on to the next sequence number. So another tier sharing
 // the directory (a retired cache still in use, or another process) may
 // cost durability, but its files are never overwritten with another key's
-// samples. One window remains: OpenTier sweeps files its manifest does not
-// name, so a tier opened while another is between publishing a file and
-// saving its manifest removes that file, and may later reuse its name.
+// samples. A tier opened while this one is between publishing a file and
+// saving its manifest sweeps that file as an orphan and may reuse its
+// name; the entry's recorded payload CRC makes the first Get refuse such a
+// file.
 func (t *Tier) Put(site, key string, samples []float64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -250,7 +254,7 @@ func (t *Tier) Put(site, key string, samples []float64) error {
 	}
 	t.seq++
 	file := fmt.Sprintf("b%08d.col", t.seq)
-	tmp, err := writeTemp(filepath.Join(t.dir, file), &Column{Kind: KindFloat64, Floats: samples})
+	tmp, crc, err := writeTemp(filepath.Join(t.dir, file), &Column{Kind: KindFloat64, Floats: samples})
 	if err != nil {
 		t.stats.Errors++
 		return err
@@ -279,10 +283,11 @@ func (t *Tier) Put(site, key string, samples []float64) error {
 		t.removeLocked(old, true)
 	}
 	e := &tierEntry{manifestEntry: manifestEntry{
-		KeyRef: KeyRef{Site: site, Key: key},
-		File:   file,
-		Bytes:  fi.Size(),
-		Length: len(samples),
+		KeyRef:     KeyRef{Site: site, Key: key},
+		File:       file,
+		Bytes:      fi.Size(),
+		Length:     len(samples),
+		PayloadCRC: crc,
 	}}
 	e.el = t.order.PushFront(e)
 	t.entries[ck] = e
@@ -300,9 +305,10 @@ func (t *Tier) Put(site, key string, samples []float64) error {
 
 // Get returns the spilled basis for (site, key) as a zero-copy view of the
 // mapped file (little-endian hosts; a verified copy elsewhere). The first
-// Get of an entry maps and CRC-verifies its file; verification failure
-// quarantines the file and reports a miss, so a corrupt spill degrades to
-// re-simulation, never to garbage samples. The view is read-only and valid
+// Get of an entry maps and CRC-verifies its file, and checks the payload
+// CRC against the one Put recorded; either failure quarantines the file and
+// reports a miss, so a corrupt or foreign spill degrades to re-simulation,
+// never to garbage or another key's samples. The view is read-only and valid
 // until Close.
 func (t *Tier) Get(site, key string) ([]float64, bool) {
 	t.mu.Lock()
@@ -323,7 +329,7 @@ func (t *Tier) Get(site, key string) ([]float64, bool) {
 			t.stats.Misses++
 			return nil, false
 		}
-		if m.Kind() != KindFloat64 {
+		if m.Kind() != KindFloat64 || (e.PayloadCRC != 0 && m.h.payloadCRC != e.PayloadCRC) {
 			m.Close()
 			t.quarantineLocked(e.File)
 			t.removeLocked(e, false)
@@ -389,16 +395,6 @@ func (t *Tier) Stats() TierStats {
 	st.Bytes = t.bytes
 	st.Budget = t.budget
 	return st
-}
-
-// Clear removes every spilled file (quarantined files are kept).
-func (t *Tier) Clear() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for t.order.Len() > 0 {
-		t.removeLocked(t.order.Back().Value.(*tierEntry), true)
-	}
-	return t.saveManifestLocked()
 }
 
 // Close releases every mapping (live and retired) and flushes the

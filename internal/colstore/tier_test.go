@@ -258,17 +258,15 @@ func TestTierDropAndClear(t *testing.T) {
 	if tier.Contains("S", "a") || !tier.Contains("S", "b") {
 		t.Fatal("Drop wrong")
 	}
-	if err := tier.Clear(); err != nil {
-		t.Fatal(err)
-	}
+	tier.Drop("S", "b")
 	if tier.Len() != 0 || tier.Stats().Bytes != 0 {
-		t.Fatalf("Clear left %d entries, %d bytes", tier.Len(), tier.Stats().Bytes)
+		t.Fatalf("Drop left %d entries, %d bytes", tier.Len(), tier.Stats().Bytes)
 	}
 	// Only the manifest remains on disk.
 	entries, _ := os.ReadDir(dir)
 	for _, de := range entries {
 		if de.Name() != manifestName {
-			t.Fatalf("Clear left %s", de.Name())
+			t.Fatalf("Drop left %s", de.Name())
 		}
 	}
 }
@@ -369,5 +367,43 @@ func TestTwoTiersOneDir(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join(dir, "*.col"))
 	if err != nil || len(files) != 3 {
 		t.Fatalf("column files = %v, %v; want one per put", files, err)
+	}
+}
+
+// TestTierRefusesFileReusedAfterOrphanSweep: tier A publishes a file but
+// has not yet saved its manifest when tier B opens the same directory. B
+// sweeps the file as an orphan and its next Put reuses the name. A's first
+// map of that entry must miss, not serve B's samples under A's key.
+func TestTierRefusesFileReusedAfterOrphanSweep(t *testing.T) {
+	dir := t.TempDir()
+	a, err := OpenTier(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	manPath := filepath.Join(dir, manifestName)
+	before, err := os.ReadFile(manPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, a, "S", "K1", vec(1, 64))
+	// Roll the manifest back: A's file is now published but unrecorded.
+	if err := os.WriteFile(manPath, before, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	b, err := OpenTier(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	k2 := vec(1000, 64)
+	mustPut(t, b, "S", "K2", k2)
+
+	if got, ok := a.Get("S", "K1"); ok {
+		if got[0] == k2[0] {
+			t.Fatalf("A served B's K2 samples under K1: %v", got[:4])
+		}
+		t.Fatalf("A served a file it did not write for K1: %v", got[:4])
 	}
 }

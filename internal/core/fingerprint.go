@@ -10,11 +10,14 @@
 // deterministic relationship between correlated outputs of the stochastic
 // functions."
 //
-// Concretely: fingerprint(f, θ) = [f(s₁, θ), …, f(s_k, θ)] for the fixed
-// seed sequence s₁…s_k. If fingerprint(f, θ_b) and fingerprint(f, θ_t) are
-// elementwise equal, the two parameterizations are output-identical for
-// *every* seed that exercises the same code path, so sample sets transfer
-// verbatim (an identity mapping). If they are related by a near-exact
+// Concretely: fingerprint(f, θ) = [f(s₁, θ), …, f(s_k, θ)] for a site's
+// first k world seeds s₁…s_k. A fingerprint is thus a prefix of the point's
+// own sample vector: probes double as exact validation on real output
+// worlds, and re-mapped vectors are exact at every probed index. If
+// fingerprint(f, θ_b) and fingerprint(f, θ_t) are elementwise equal, the
+// two parameterizations are output-identical for *every* seed that
+// exercises the same code path, so sample sets transfer verbatim (an
+// identity mapping). If they are related by a near-exact
 // affine map y ≈ A·x + B (fit by least squares on the k pairs), sample sets
 // transfer through the map. Otherwise the point must be simulated.
 //
@@ -32,7 +35,6 @@ import (
 	"strings"
 	"sync"
 
-	"fuzzyprophet/internal/rng"
 	"fuzzyprophet/internal/stats"
 	"fuzzyprophet/internal/value"
 )
@@ -40,11 +42,9 @@ import (
 // Config holds the fingerprinting parameters. The defaults reflect the
 // fingerprint-length ablation (cmd/fpbench experiment e4).
 type Config struct {
-	// Length is k, the number of fixed seeds in a fingerprint.
+	// Length is k: a fingerprint is a point's outputs at its first k
+	// world seeds.
 	Length int
-	// SeedBase identifies the fixed fingerprint seed sequence. All
-	// fingerprints that are ever compared must share it.
-	SeedBase uint64
 	// IdentityTol is the relative elementwise tolerance under which two
 	// fingerprints count as identical (identity mapping).
 	IdentityTol float64
@@ -53,8 +53,9 @@ type Config struct {
 	AffineTol float64
 }
 
-// DefaultConfig returns the standard configuration: k=32 seeds, near-exact
-// identity detection and a 2% affine residual budget.
+// DefaultConfig returns the standard configuration: fingerprints over the
+// first k=32 world seeds, near-exact identity detection and a 2% affine
+// residual budget.
 //
 // k controls the false-accept risk on event discontinuities: when a random
 // event (e.g. a stochastic hardware-arrival date) splits the worlds into a
@@ -64,7 +65,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Length:      32,
-		SeedBase:    0x66757a7a79, // "fuzzy"
 		IdentityTol: 1e-12,
 		AffineTol:   0.02,
 	}
@@ -80,48 +80,10 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Seeds returns the fixed fingerprint seed sequence for this configuration.
-func (c Config) Seeds() []uint64 {
-	return rng.NewSeedSequence(c.SeedBase, "fingerprint").First(c.Length)
-}
-
-// Fingerprint is the output vector of a stochastic function under the fixed
-// seed sequence.
+// Fingerprint is the output vector of a stochastic function at the first k
+// world seeds.
 type Fingerprint struct {
 	Outputs []float64
-}
-
-// Compute evaluates f once per fixed seed (the config's own sequence) and
-// returns the fingerprint.
-func Compute(cfg Config, f func(seed uint64) (float64, error)) (Fingerprint, error) {
-	if err := cfg.validate(); err != nil {
-		return Fingerprint{}, err
-	}
-	return ComputeAt(cfg.Seeds(), f)
-}
-
-// ComputeAt evaluates f once per given seed and returns the fingerprint.
-// The Monte Carlo executor uses the scenario's *world* seeds here, so the
-// fingerprint is simply a prefix of the point's sample vector: probes then
-// double as exact validation on real output worlds, computed points get
-// their fingerprints for free, and re-mapped sample vectors are exact at
-// every probed index.
-func ComputeAt(seeds []uint64, f func(seed uint64) (float64, error)) (Fingerprint, error) {
-	if len(seeds) < 2 {
-		return Fingerprint{}, fmt.Errorf("core: fingerprint needs at least 2 seeds, got %d", len(seeds))
-	}
-	out := make([]float64, len(seeds))
-	for i, s := range seeds {
-		v, err := f(s)
-		if err != nil {
-			return Fingerprint{}, fmt.Errorf("core: fingerprint evaluation at seed %d: %w", i, err)
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return Fingerprint{}, fmt.Errorf("core: fingerprint evaluation at seed %d produced non-finite value %g", i, v)
-		}
-		out[i] = v
-	}
-	return Fingerprint{Outputs: out}, nil
 }
 
 // MappingKind classifies how one parameter point's output distribution can
@@ -173,19 +135,6 @@ func (m Mapping) Apply(samples []float64) ([]float64, error) {
 		return m.Fit.ApplySlice(samples), nil
 	default:
 		return nil, fmt.Errorf("core: cannot apply a %s mapping", m.Kind)
-	}
-}
-
-// ApplyOne transfers a single value; it returns the input unchanged for
-// identity mappings.
-func (m Mapping) ApplyOne(x float64) (float64, error) {
-	switch m.Kind {
-	case MappingIdentity:
-		return x, nil
-	case MappingAffine:
-		return m.Fit.Apply(x), nil
-	default:
-		return 0, fmt.Errorf("core: cannot apply a %s mapping", m.Kind)
 	}
 }
 
@@ -308,9 +257,6 @@ func NewIndex(cfg Config) (*Index, error) {
 	return &Index{cfg: cfg, entries: make(map[string][]indexEntry)}, nil
 }
 
-// Config returns the index's fingerprint configuration.
-func (ix *Index) Config() Config { return ix.cfg }
-
 // Put records the fingerprint of an explored point. Re-putting the same
 // (label, key) replaces the entry.
 func (ix *Index) Put(label, key string, fp Fingerprint) {
@@ -324,25 +270,6 @@ func (ix *Index) Put(label, key string, fp Fingerprint) {
 		}
 	}
 	ix.entries[label] = append(list, indexEntry{key: key, fp: fp})
-}
-
-// Get returns the stored fingerprint for (label, key).
-func (ix *Index) Get(label, key string) (Fingerprint, bool) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	for _, e := range ix.entries[label] {
-		if e.key == key {
-			return e.fp, true
-		}
-	}
-	return Fingerprint{}, false
-}
-
-// Size returns the number of stored fingerprints under label.
-func (ix *Index) Size(label string) int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.entries[label])
 }
 
 // MatchResult is a successful basis lookup: which stored point to reuse and
@@ -426,11 +353,4 @@ func (ix *Index) Stats() ReuseStats {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return ix.stats
-}
-
-// ResetStats zeroes the reuse counters.
-func (ix *Index) ResetStats() {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.stats = ReuseStats{}
 }

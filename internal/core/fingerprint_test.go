@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -18,52 +17,33 @@ func gauss(mean, stddev float64) func(seed uint64) (float64, error) {
 	}
 }
 
-func TestComputeDeterministic(t *testing.T) {
-	cfg := DefaultConfig()
-	a, err := Compute(cfg, gauss(10, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Compute(cfg, gauss(10, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Outputs) != cfg.Length {
-		t.Fatalf("fingerprint length = %d", len(a.Outputs))
-	}
-	for i := range a.Outputs {
-		if a.Outputs[i] != b.Outputs[i] {
-			t.Fatal("fingerprints of identical functions must be identical")
+// compute fingerprints f at cfg.Length probe seeds, standing in for a
+// point's first k world seeds.
+func compute(cfg Config, f func(seed uint64) (float64, error)) (Fingerprint, error) {
+	seeds := testSeeds(0x66757a7a79, cfg.Length)
+	out := make([]float64, len(seeds))
+	for i, s := range seeds {
+		v, err := f(s)
+		if err != nil {
+			return Fingerprint{}, err
 		}
+		out[i] = v
 	}
+	return Fingerprint{Outputs: out}, nil
 }
 
-func TestComputeErrors(t *testing.T) {
-	cfg := DefaultConfig()
-	sentinel := errors.New("model exploded")
-	_, err := Compute(cfg, func(uint64) (float64, error) { return 0, sentinel })
-	if !errors.Is(err, sentinel) {
-		t.Errorf("error not propagated: %v", err)
+func testSeeds(base uint64, n int) []uint64 {
+	seeds := make([]uint64, n)
+	for i := range seeds {
+		seeds[i] = rng.Derive(base, "probe", uint64(i)).Uint64()
 	}
-	_, err = Compute(cfg, func(uint64) (float64, error) { return math.NaN(), nil })
-	if err == nil {
-		t.Error("NaN output should error")
-	}
-	_, err = Compute(cfg, func(uint64) (float64, error) { return math.Inf(1), nil })
-	if err == nil {
-		t.Error("Inf output should error")
-	}
-	bad := cfg
-	bad.Length = 1
-	if _, err := Compute(bad, gauss(0, 1)); err == nil {
-		t.Error("too-short config should error")
-	}
+	return seeds
 }
 
 func TestMatchIdentity(t *testing.T) {
 	cfg := DefaultConfig()
-	a, _ := Compute(cfg, gauss(5, 1))
-	b, _ := Compute(cfg, gauss(5, 1))
+	a, _ := compute(cfg, gauss(5, 1))
+	b, _ := compute(cfg, gauss(5, 1))
 	m, err := Match(cfg, a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -86,18 +66,14 @@ func TestMatchIdentity(t *testing.T) {
 	if samples[0] == 99 {
 		t.Error("identity Apply must not alias input")
 	}
-	y, err := m.ApplyOne(7)
-	if err != nil || y != 7 {
-		t.Errorf("ApplyOne identity = %g, %v", y, err)
-	}
 }
 
 func TestMatchAffine(t *testing.T) {
 	cfg := DefaultConfig()
-	base, _ := Compute(cfg, gauss(0, 1))
+	base, _ := compute(cfg, gauss(0, 1))
 	// Shifted and scaled versions of the same underlying variate: exact
 	// affine relation y = 3x + 10.
-	shifted, _ := Compute(cfg, func(seed uint64) (float64, error) {
+	shifted, _ := compute(cfg, func(seed uint64) (float64, error) {
 		return 3*rng.New(seed).Normal(0, 1) + 10, nil
 	})
 	m, err := Match(cfg, base, shifted)
@@ -113,17 +89,17 @@ func TestMatchAffine(t *testing.T) {
 	if m.Correlation < 0.999 {
 		t.Errorf("correlation = %g", m.Correlation)
 	}
-	y, err := m.ApplyOne(2)
-	if err != nil || math.Abs(y-16) > 1e-9 {
-		t.Errorf("ApplyOne = %g", y)
+	y, err := m.Apply([]float64{2})
+	if err != nil || math.Abs(y[0]-16) > 1e-9 {
+		t.Errorf("Apply = %v", y)
 	}
 }
 
 func TestMatchNone(t *testing.T) {
 	cfg := DefaultConfig()
-	a, _ := Compute(cfg, gauss(0, 1))
+	a, _ := compute(cfg, gauss(0, 1))
 	// An unrelated stream: different seed derivation breaks correlation.
-	b, _ := Compute(cfg, func(seed uint64) (float64, error) {
+	b, _ := compute(cfg, func(seed uint64) (float64, error) {
 		return rng.Derive(seed, "other", 1).Normal(0, 1), nil
 	})
 	m, err := Match(cfg, a, b)
@@ -136,14 +112,11 @@ func TestMatchNone(t *testing.T) {
 	if _, err := m.Apply([]float64{1}); err == nil {
 		t.Error("applying a none mapping should error")
 	}
-	if _, err := m.ApplyOne(1); err == nil {
-		t.Error("ApplyOne on none mapping should error")
-	}
 }
 
 func TestMatchLengthMismatch(t *testing.T) {
 	cfg := DefaultConfig()
-	a, _ := Compute(cfg, gauss(0, 1))
+	a, _ := compute(cfg, gauss(0, 1))
 	short := Fingerprint{Outputs: []float64{1, 2}}
 	if _, err := Match(cfg, a, short); err == nil {
 		t.Error("length mismatch should error")
@@ -167,11 +140,11 @@ func TestQuickAffineRemapExact(t *testing.T) {
 			x, _ := basisFn(seed)
 			return a*x + b, nil
 		}
-		fpB, err := Compute(cfg, basisFn)
+		fpB, err := compute(cfg, basisFn)
 		if err != nil {
 			return false
 		}
-		fpT, err := Compute(cfg, targetFn)
+		fpT, err := compute(cfg, targetFn)
 		if err != nil {
 			return false
 		}
@@ -180,7 +153,7 @@ func TestQuickAffineRemapExact(t *testing.T) {
 			return false
 		}
 		// Simulate 100 worlds at the basis, remap, compare with direct.
-		worlds := rng.NewSeedSequence(99, "worlds").First(100)
+		worlds := testSeeds(99, 100)
 		basisSamples := make([]float64, len(worlds))
 		directSamples := make([]float64, len(worlds))
 		for i, s := range worlds {
@@ -234,32 +207,24 @@ func TestIndexPutGetAndFind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fpA, _ := Compute(cfg, gauss(0, 1))
-	fpB, _ := Compute(cfg, gauss(100, 30))
+	fpA, _ := compute(cfg, gauss(0, 1))
+	fpB, _ := compute(cfg, gauss(100, 30))
 	ix.Put("capacity", "p=0", fpA)
 	ix.Put("capacity", "p=1", fpB)
-	if ix.Size("capacity") != 2 {
-		t.Errorf("size = %d", ix.Size("capacity"))
-	}
-	got, ok := ix.Get("capacity", "p=0")
-	if !ok || got.Outputs[0] != fpA.Outputs[0] {
-		t.Error("Get failed")
-	}
-	if _, ok := ix.Get("capacity", "p=9"); ok {
-		t.Error("missing key should not resolve")
+	if n := len(ix.entries["capacity"]); n != 2 {
+		t.Errorf("size = %d", n)
 	}
 	// Replacement.
 	ix.Put("capacity", "p=0", fpB)
-	got, _ = ix.Get("capacity", "p=0")
-	if got.Outputs[0] != fpB.Outputs[0] {
+	if got := ix.entries["capacity"][0]; got.key != "p=0" || got.fp.Outputs[0] != fpB.Outputs[0] {
 		t.Error("Put should replace")
 	}
-	if ix.Size("capacity") != 2 {
+	if n := len(ix.entries["capacity"]); n != 2 {
 		t.Error("replace should not grow the index")
 	}
 
 	// Identity lookup.
-	target, _ := Compute(cfg, gauss(100, 30))
+	target, _ := compute(cfg, gauss(100, 30))
 	res, ok := ix.FindMapping("capacity", target)
 	if !ok || res.Mapping.Kind != MappingIdentity {
 		t.Fatalf("find = %+v, %v", res, ok)
@@ -274,14 +239,14 @@ func TestIndexPrefersIdentityOverAffine(t *testing.T) {
 	cfg := DefaultConfig()
 	ix, _ := NewIndex(cfg)
 	base := gauss(0, 1)
-	affineFp, _ := Compute(cfg, func(seed uint64) (float64, error) {
+	affineFp, _ := compute(cfg, func(seed uint64) (float64, error) {
 		x, _ := base(seed)
 		return 2*x + 1, nil
 	})
-	exactFp, _ := Compute(cfg, base)
+	exactFp, _ := compute(cfg, base)
 	ix.Put("out", "affine-basis", affineFp)
 	ix.Put("out", "exact-basis", exactFp)
-	target, _ := Compute(cfg, base)
+	target, _ := compute(cfg, base)
 	res, ok := ix.FindMapping("out", target)
 	if !ok || res.Mapping.Kind != MappingIdentity || res.BasisKey != "exact-basis" {
 		t.Errorf("res = %+v, ok=%v", res, ok)
@@ -291,9 +256,9 @@ func TestIndexPrefersIdentityOverAffine(t *testing.T) {
 func TestIndexNoMatchCountsComputed(t *testing.T) {
 	cfg := DefaultConfig()
 	ix, _ := NewIndex(cfg)
-	fpA, _ := Compute(cfg, gauss(0, 1))
+	fpA, _ := compute(cfg, gauss(0, 1))
 	ix.Put("out", "a", fpA)
-	unrelated, _ := Compute(cfg, func(seed uint64) (float64, error) {
+	unrelated, _ := compute(cfg, func(seed uint64) (float64, error) {
 		return rng.Derive(seed, "unrelated", 7).Normal(0, 1), nil
 	})
 	_, ok := ix.FindMapping("out", unrelated)
@@ -304,21 +269,14 @@ func TestIndexNoMatchCountsComputed(t *testing.T) {
 	if st.Computed != 1 || st.Rejected != 1 {
 		t.Errorf("stats = %+v", st)
 	}
-	ix.ResetStats()
-	if ix.Stats().Total() != 0 {
-		t.Error("ResetStats failed")
-	}
 }
 
 func TestIndexEmptyLabel(t *testing.T) {
 	cfg := DefaultConfig()
 	ix, _ := NewIndex(cfg)
-	fp, _ := Compute(cfg, gauss(0, 1))
+	fp, _ := compute(cfg, gauss(0, 1))
 	if _, ok := ix.FindMapping("nothing", fp); ok {
 		t.Error("empty label should not match")
-	}
-	if ix.Size("nothing") != 0 {
-		t.Error("size of empty label should be 0")
 	}
 }
 
@@ -358,22 +316,5 @@ func TestReuseStats(t *testing.T) {
 	}
 	if s.String() == "" {
 		t.Error("String should be non-empty")
-	}
-}
-
-func TestConfigSeedsStable(t *testing.T) {
-	cfg := DefaultConfig()
-	a := cfg.Seeds()
-	b := cfg.Seeds()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("fingerprint seeds must be stable")
-		}
-	}
-	other := cfg
-	other.SeedBase = 1
-	c := other.Seeds()
-	if a[0] == c[0] {
-		t.Error("different bases must give different seeds")
 	}
 }

@@ -72,16 +72,6 @@ func (e *Estimator) SkipFraction() float64 {
 	return float64(e.SkippableSteps()) / float64(e.StepCount-1)
 }
 
-// RegionFor returns the region containing the given start step, if any.
-func (e *Estimator) RegionFor(step int) (Region, bool) {
-	for _, r := range e.Regions {
-		if r.Start <= step && step < r.End {
-			return r, true
-		}
-	}
-	return Region{}, false
-}
-
 // Jump maps a chain value at fromStep to the end of the surrounding region.
 // It returns (toStep, mapped value, true) when a region covers fromStep and
 // (fromStep, x, false) otherwise — the caller must simulate one step.
@@ -100,7 +90,7 @@ func (e *Estimator) Jump(fromStep int, x float64) (int, float64, bool) {
 }
 
 // AnalyzeChain fingerprint-analyzes a step-wise simulation. outputs[t] is
-// the vector of chain values at step t under the fixed fingerprint seeds;
+// the vector of chain values at step t at the fingerprint seeds;
 // every step must have the same vector length ≥ 2. A transition t-1 → t is
 // "deterministic given the past" when the affine fit of outputs[t] on
 // outputs[t-1] has relative residual ≤ cfg.AffineTol; maximal runs of such

@@ -1,19 +1,17 @@
 // Package guide implements Fuzzy Prophet's Guide component (paper §2,
 // architecture cycle step 1): it "directs scenario evaluation by producing
 // a sequence of instances, each representing a concrete valuation for each
-// parameter and model variable in the scenario", and accepts result
-// feedback to steer its sampling strategy.
+// parameter and model variable in the scenario".
 //
 // The package models the discrete parameter space declared by
 // DECLARE PARAMETER statements and provides the exploration strategies the
 // two modes use: exhaustive sweeps (offline), axis sweeps (the online
 // graph), neighborhood prefetch (the online mode's "proactively being
-// explored anticipating their future usage") and adaptive refinement
-// (uncertainty-directed re-sampling).
+// explored anticipating their future usage") and budgeted random
+// sampling.
 package guide
 
 import (
-	"container/heap"
 	"fmt"
 
 	"fuzzyprophet/internal/rng"
@@ -178,25 +176,6 @@ func (e *Exhaustive) Next() (Point, bool) {
 	return p, true
 }
 
-// Fixed replays a predetermined list of points.
-type Fixed struct {
-	points []Point
-	pos    int
-}
-
-// NewFixed returns a strategy over the given points.
-func NewFixed(points []Point) *Fixed { return &Fixed{points: points} }
-
-// Next implements Strategy.
-func (f *Fixed) Next() (Point, bool) {
-	if f.pos >= len(f.points) {
-		return nil, false
-	}
-	p := f.points[f.pos]
-	f.pos++
-	return p, true
-}
-
 // Random samples grid points uniformly without replacement, for budgeted
 // exploration of very large spaces.
 type Random struct {
@@ -321,56 +300,6 @@ func (n *Neighborhood) Next() (Point, bool) {
 	p := n.queue[n.pos]
 	n.pos++
 	return p, true
-}
-
-// Adaptive is the feedback-driven strategy: candidates are prioritized by a
-// caller-reported urgency (typically the CI half-width of the point's
-// estimate), so the least-converged points are revisited first. It realizes
-// the architecture's "results are fed back to the Guide to direct its
-// sampling strategy".
-type Adaptive struct {
-	h pointHeap
-}
-
-// NewAdaptive returns an empty adaptive strategy; seed it with Report
-// calls.
-func NewAdaptive() *Adaptive { return &Adaptive{} }
-
-// Report (re-)enqueues a point with the given urgency. Higher urgency pops
-// first.
-func (a *Adaptive) Report(p Point, urgency float64) {
-	heap.Push(&a.h, prioritizedPoint{point: p, urgency: urgency})
-}
-
-// Next implements Strategy, popping the highest-urgency point.
-func (a *Adaptive) Next() (Point, bool) {
-	if a.h.Len() == 0 {
-		return nil, false
-	}
-	pp := heap.Pop(&a.h).(prioritizedPoint)
-	return pp.point, true
-}
-
-// Pending returns the number of queued points.
-func (a *Adaptive) Pending() int { return a.h.Len() }
-
-type prioritizedPoint struct {
-	point   Point
-	urgency float64
-}
-
-type pointHeap []prioritizedPoint
-
-func (h pointHeap) Len() int            { return len(h) }
-func (h pointHeap) Less(i, j int) bool  { return h[i].urgency > h[j].urgency }
-func (h pointHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *pointHeap) Push(x interface{}) { *h = append(*h, x.(prioritizedPoint)) }
-func (h *pointHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }
 
 // Collect drains a strategy into a slice (convenience for tests and the

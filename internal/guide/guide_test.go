@@ -137,18 +137,6 @@ func TestExhaustiveEmptySpace(t *testing.T) {
 	}
 }
 
-func TestFixed(t *testing.T) {
-	pts := []Point{{"a": value.Int(1)}, {"a": value.Int(2)}}
-	f := NewFixed(pts)
-	got := Collect(f)
-	if len(got) != 2 || !got[0]["a"].Equal(value.Int(1)) {
-		t.Errorf("fixed = %v", got)
-	}
-	if _, ok := f.Next(); ok {
-		t.Error("exhausted Fixed should return false")
-	}
-}
-
 func TestRandomCoversWithoutReplacement(t *testing.T) {
 	s := demoSpace(t)
 	pts := Collect(NewRandom(s, 0, 42))
@@ -222,28 +210,5 @@ func TestNeighborhoodEdgesAndAxes(t *testing.T) {
 	}
 	if _, err := NewNeighborhood(s, focus, 1, []string{"zzz"}); err == nil {
 		t.Error("unknown axis should error")
-	}
-}
-
-func TestAdaptivePriorityOrder(t *testing.T) {
-	a := NewAdaptive()
-	if _, ok := a.Next(); ok {
-		t.Error("empty adaptive should be exhausted")
-	}
-	a.Report(Point{"p": value.Int(1)}, 0.5)
-	a.Report(Point{"p": value.Int(2)}, 2.0)
-	a.Report(Point{"p": value.Int(3)}, 1.0)
-	if a.Pending() != 3 {
-		t.Errorf("pending = %d", a.Pending())
-	}
-	want := []int64{2, 3, 1}
-	for i, w := range want {
-		p, ok := a.Next()
-		if !ok {
-			t.Fatalf("exhausted at %d", i)
-		}
-		if !p["p"].Equal(value.Int(w)) {
-			t.Errorf("pop %d = %v, want %d", i, p["p"], w)
-		}
 	}
 }

@@ -63,6 +63,7 @@ type Pass struct {
 	Pkg       *types.Package
 	PkgPath   string
 	TypesInfo *types.Info
+	Module    *Module
 
 	diags []Diagnostic
 }
@@ -97,6 +98,7 @@ func Suite() []*Analyzer {
 		AtomicCounterAnalyzer,
 		ShadowAnalyzer,
 		UnusedResultAnalyzer,
+		DeadAnalyzer,
 	}
 }
 
@@ -143,6 +145,7 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 				Pkg:       pkg.Types,
 				PkgPath:   pkg.PkgPath,
 				TypesInfo: pkg.Info,
+				Module:    pkg.Module,
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.PkgPath, err)
@@ -182,16 +185,6 @@ func calleeObject(info *types.Info, call *ast.CallExpr) types.Object {
 		return info.Uses[fn.Sel]
 	}
 	return nil
-}
-
-// isPkgFunc reports whether call invokes the package-level function
-// pkgPath.name (e.g. "time".Now).
-func isPkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
-	obj := calleeObject(info, call)
-	if obj == nil || obj.Pkg() == nil {
-		return false
-	}
-	return obj.Pkg().Path() == pkgPath && obj.Name() == name
 }
 
 // hasMethod reports whether t (or *t) has a method with one of the given

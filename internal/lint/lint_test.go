@@ -23,6 +23,7 @@ func TestFixtures(t *testing.T) {
 		{"atomicfix", lint.AtomicCounterAnalyzer},
 		{"shadowfix", lint.ShadowAnalyzer},
 		{"unusedfix", lint.UnusedResultAnalyzer},
+		{"internal/deadfix", lint.DeadAnalyzer},
 	}
 	for _, tc := range cases {
 		t.Run(tc.a.Name, func(t *testing.T) {
@@ -61,6 +62,36 @@ func TestSuiteNamesUnique(t *testing.T) {
 			t.Errorf("duplicate analyzer name %q", a.Name)
 		}
 		seen[a.Name] = true
+	}
+}
+
+// TestDeadSeesWholeModule: a partial pattern still type-checks every
+// package of the module, so fpdead counts callers outside the pattern and
+// reports nothing a ./... run would not.
+func TestDeadSeesWholeModule(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads export data for the whole module")
+	}
+	pkgs, err := lint.Load("../..", "./internal/stats")
+	if err != nil {
+		t.Fatalf("loading: %v", err)
+	}
+	if len(pkgs) != 1 || pkgs[0].PkgPath != "fuzzyprophet/internal/stats" {
+		t.Fatalf("loaded %d packages for one pattern", len(pkgs))
+	}
+	inView := map[string]bool{}
+	for _, p := range pkgs[0].Module.Packages {
+		inView[p.PkgPath] = true
+	}
+	if !inView["fuzzyprophet/internal/aggregate"] || !inView["fuzzyprophet"] {
+		t.Fatalf("module view misses stats' callers: %v", inView)
+	}
+	diags, err := lint.RunAnalyzers(pkgs, []*lint.Analyzer{lint.DeadAnalyzer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		t.Errorf("%s", d)
 	}
 }
 

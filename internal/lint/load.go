@@ -14,8 +14,10 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
+	"sync"
 )
 
 // Package is one loaded, type-checked package ready for analysis.
@@ -25,6 +27,20 @@ type Package struct {
 	Files   []*ast.File
 	Types   *types.Package
 	Info    *types.Info
+
+	// Module is the whole load this package came from. Whole-program
+	// analyzers (fpdead) read uses from every package in it, so a partial
+	// pattern sees the same callers a ./... run does.
+	Module *Module
+}
+
+// Module is every package of the loaded patterns' module, type-checked
+// from source.
+type Module struct {
+	Packages []*Package
+
+	deadOnce sync.Once
+	dead     *deadIndex
 }
 
 // listEntry is the subset of `go list -json` output the loader consumes.
@@ -36,6 +52,7 @@ type listEntry struct {
 	GoFiles    []string
 	Standard   bool
 	DepOnly    bool
+	Module     *struct{ Path string }
 }
 
 // goList runs `go list` in dir with the given arguments and decodes the
@@ -114,6 +131,9 @@ func parseDirFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File
 // from the toolchain's export data (`go list -export`), so loading works
 // offline and without any dependency beyond the go command itself.
 //
+// Every package of the patterns' module is type-checked, matched or not,
+// and shared through Package.Module; only the matched ones are returned.
+//
 // Only non-test Go files are analyzed: the invariants fplint enforces
 // guard production code paths, and test files routinely (and legitimately)
 // use wall clocks and ad-hoc randomness.
@@ -121,7 +141,22 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	args := append([]string{"list", "-export", "-deps", "-json=ImportPath,Dir,Export,Name,GoFiles,Standard,DepOnly"}, patterns...)
+	matched, err := goList(dir, append([]string{"list", "-json=ImportPath,Module"}, patterns...)...)
+	if err != nil {
+		return nil, err
+	}
+	want := map[string]bool{}
+	var modules []string
+	for _, e := range matched {
+		want[e.ImportPath] = true
+		if e.Module != nil && !slices.Contains(modules, e.Module.Path+"/...") {
+			modules = append(modules, e.Module.Path+"/...")
+		}
+	}
+	if len(modules) == 0 {
+		return nil, nil
+	}
+	args := append([]string{"list", "-export", "-deps", "-json=ImportPath,Dir,Export,Name,GoFiles,Standard,DepOnly"}, modules...)
 	entries, err := goList(dir, args...)
 	if err != nil {
 		return nil, err
@@ -140,6 +175,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 
 	fset := token.NewFileSet()
 	imp := importer.ForCompiler(fset, "gc", exportLookup(exports))
+	mod := &Module{}
 	var pkgs []*Package
 	for _, e := range targets {
 		files, err := parseDirFiles(fset, e.Dir, e.GoFiles)
@@ -150,7 +186,11 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		pkgs = append(pkgs, &Package{PkgPath: e.ImportPath, Fset: fset, Files: files, Types: tpkg, Info: info})
+		pkg := &Package{PkgPath: e.ImportPath, Fset: fset, Files: files, Types: tpkg, Info: info, Module: mod}
+		mod.Packages = append(mod.Packages, pkg)
+		if want[e.ImportPath] {
+			pkgs = append(pkgs, pkg)
+		}
 	}
 	return pkgs, nil
 }
@@ -217,5 +257,7 @@ func LoadFixture(srcRoot, pkgPath string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Package{PkgPath: pkgPath, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
+	pkg := &Package{PkgPath: pkgPath, Fset: fset, Files: files, Types: tpkg, Info: info, Module: &Module{}}
+	pkg.Module.Packages = []*Package{pkg}
+	return pkg, nil
 }

@@ -220,9 +220,6 @@ func TestChainOncePerWorldPerRender(t *testing.T) {
 	if got, want := reg.TotalInvocations(), int64(models.Weeks*2*worlds); got != want {
 		t.Errorf("counted %d invocations, want %d (points × sites × worlds)", got, want)
 	}
-	if got, want := reg.Count("CapacityModel"), int64(models.Weeks*worlds); got != want {
-		t.Errorf("counted %d CapacityModel invocations, want %d", got, want)
-	}
 
 	// A worker whose range stays fixed across a fleet sweep — shard i of an
 	// equal split, sub-sharded over its cores — also simulates each of its

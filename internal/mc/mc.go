@@ -170,9 +170,6 @@ func (r *Reuse) Close() error {
 	return r.store.Close()
 }
 
-// Config returns the fingerprint configuration.
-func (r *Reuse) Config() core.Config { return r.cfg }
-
 // Index exposes the fingerprint index (read access for visualization).
 func (r *Reuse) Index() *core.Index { return r.index }
 
@@ -188,13 +185,6 @@ func (r *Reuse) Counts() map[ReuseKind]int {
 		out[k] = v
 	}
 	return out
-}
-
-// ResetCounts zeroes the outcome counters (not the stored bases).
-func (r *Reuse) ResetCounts() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.counts = make(map[ReuseKind]int)
 }
 
 func (r *Reuse) record(k ReuseKind) {
@@ -321,10 +311,9 @@ func (ev *Evaluator) Reconfigure(worlds int, seedBase uint64, sketchOnly bool) {
 }
 
 // WorldSeed returns the fixed seed for (site, world i) under the given
-// seed base. World seeds are disjoint from fingerprint seeds by
-// construction (different derivation labels). Exported so harnesses
-// (bench/layerprobe) can materialize a worlds table identical to the
-// executor's.
+// seed base; a site's fingerprint probes are its first k world seeds.
+// Exported so harnesses (fpbench, bench/layerprobe) can simulate the same
+// worlds as the executor.
 func WorldSeed(seedBase uint64, siteID string, i int) uint64 {
 	return worldSeed(worldSeeds(seedBase, siteID), i)
 }
@@ -374,17 +363,6 @@ type PointResult struct {
 	// WorldsCompleted is the number of worlds whose samples contributed to
 	// a degraded result's sketches; zero when Degraded is false.
 	WorldsCompleted int
-}
-
-// FreshSites returns how many sites required fresh VG simulation.
-func (p *PointResult) FreshSites() int {
-	n := 0
-	for _, k := range p.SiteOutcome {
-		if k == Computed {
-			n++
-		}
-	}
-	return n
 }
 
 // batchWorlds is how many worlds are simulated between context checks: a

@@ -72,19 +72,10 @@ func TestPointMemoSpillRenewal(t *testing.T) {
 			}
 			return sp.ev
 		}},
-		{"Drop", 0, false, func(t *testing.T, sp *spilledPoint) *Evaluator {
-			for _, k := range pointKeys(t, sp.ev, sp.pt) {
-				sp.reuse.store.Drop(k.Site, k.Key)
-			}
-			return sp.ev
-		}},
-		{"Clear", 0, false, func(t *testing.T, sp *spilledPoint) *Evaluator {
-			sp.reuse.store.Clear()
-			return sp.ev
-		}},
 		{"dropped by the spill budget", 2 * fileBytes, false, func(t *testing.T, sp *spilledPoint) *Evaluator {
+			held := storedKeys(sp.reuse.store)
 			for _, k := range pointKeys(t, sp.ev, sp.pt) {
-				if !sp.reuse.store.Contains(k.Site, k.Key) {
+				if !held[k] {
 					return sp.ev
 				}
 			}
@@ -160,6 +151,15 @@ func TestPointMemoSpillRenewal(t *testing.T) {
 			}
 		})
 	}
+}
+
+// storedKeys returns every key s holds, in either tier.
+func storedKeys(s *storage.Store) map[storage.KeyRef]bool {
+	held := map[storage.KeyRef]bool{}
+	for _, e := range s.Snapshot() {
+		held[storage.KeyRef{Site: e.Site, Key: e.Key}] = true
+	}
+	return held
 }
 
 // flipLastByte corrupts a file's payload in place, without truncating it.

@@ -55,8 +55,9 @@ func TestSnapshotDuringConcurrentEvaluation(t *testing.T) {
 		}
 		// Every index entry in a consistent snapshot must have its basis
 		// present in the store — the torn state the Save lock prevents.
+		held := storedKeys(loaded.store)
 		for _, ie := range loaded.index.Export() {
-			if !loaded.store.Contains(ie.Label, ie.Key) {
+			if !held[storage.KeyRef{Site: ie.Label, Key: ie.Key}] {
 				t.Fatalf("snapshot %d: index entry %s%s has no stored basis", i, ie.Label, ie.Key)
 			}
 		}

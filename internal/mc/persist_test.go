@@ -33,7 +33,7 @@ func TestReuseSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Config().Length != reuse.Config().Length {
+	if loaded.cfg.Length != reuse.cfg.Length {
 		t.Error("config not restored")
 	}
 	// A fresh process with the loaded state: the same point is a pure

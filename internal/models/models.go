@@ -218,12 +218,6 @@ func (m *CapacityModel) Name() string { return "CapacityModel" }
 // Arity implements vg.Function.
 func (m *CapacityModel) Arity() int { return 3 }
 
-// ArrivalWeek returns the stochastic deployment week of the purchase placed
-// at purchaseWeek (ordinal distinguishes the first and second purchase).
-func (m *CapacityModel) ArrivalWeek(seed uint64, purchaseWeek, ordinal int) int {
-	return m.arrivalWeek(rng.Key(seed, "capacity.lead"), purchaseWeek, ordinal)
-}
-
 func (m *CapacityModel) arrivalWeek(lead rng.Keyed, purchaseWeek, ordinal int) int {
 	src := lead.At(uint64(ordinal))
 	return purchaseWeek + m.cfg.LeadTimeMin + int(m.leadDraw.Sample(&src))

@@ -11,8 +11,18 @@ import (
 	"fuzzyprophet/internal/vg"
 )
 
+// ArrivalWeek returns the stochastic deployment week of the purchase placed
+// at purchaseWeek (ordinal distinguishes the first and second purchase).
+func (m *CapacityModel) ArrivalWeek(seed uint64, purchaseWeek, ordinal int) int {
+	return m.arrivalWeek(rng.Key(seed, "capacity.lead"), purchaseWeek, ordinal)
+}
+
 func worldSeeds(n int) []uint64 {
-	return rng.NewSeedSequence(2011, "worlds").First(n)
+	seeds := make([]uint64, n)
+	for i := range seeds {
+		seeds[i] = rng.Derive(2011, "worlds", uint64(i)).Uint64()
+	}
+	return seeds
 }
 
 func TestDemandDeterministic(t *testing.T) {

@@ -106,14 +106,6 @@ func NewSession(scn *scenario.Scenario, opts mc.Options) (*Session, error) {
 // Axis returns the graph's X-axis parameter name.
 func (s *Session) Axis() string { return s.axis }
 
-// Param returns the current position of a slider.
-func (s *Session) Param(name string) (value.Value, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.pins[name]
-	return v, ok
-}
-
 // SetParam moves one slider. The axis parameter cannot be pinned, the value
 // must belong to the parameter's declared space.
 func (s *Session) SetParam(name string, v value.Value) error {
@@ -177,16 +169,6 @@ type RenderStats struct {
 	// sweep, not the per-point budget, was cut). Zero when Degraded is
 	// false.
 	WorldsCompleted int
-}
-
-// RecomputedFraction is the fraction of the graph that needed fresh
-// simulation — the paper's "set of weeks for which the query must be
-// recomputed".
-func (r RenderStats) RecomputedFraction() float64 {
-	if r.Points == 0 {
-		return 0
-	}
-	return float64(r.Recomputed) / float64(r.Points)
 }
 
 // SeriesPoint is one X position of one rendered series.

@@ -82,8 +82,7 @@ func TestSetParamValidation(t *testing.T) {
 	if err := s.SetParam("purchase1", value.Int(8)); err != nil {
 		t.Error(err)
 	}
-	v, ok := s.Param("purchase1")
-	if !ok || !v.Equal(value.Int(8)) {
+	if v, ok := s.pins["purchase1"]; !ok || !v.Equal(value.Int(8)) {
 		t.Errorf("param = %v, %v", v, ok)
 	}
 	if s.Axis() != "current" {
@@ -169,8 +168,7 @@ func TestAdjustmentRecomputesOnlyPortions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frac := g.Stats.RecomputedFraction()
-	if frac >= 0.75 {
+	if frac := float64(g.Stats.Recomputed) / float64(g.Stats.Points); frac >= 0.75 {
 		t.Errorf("recomputed fraction = %g, want well under 1 (stats %+v)", frac, g.Stats)
 	}
 	if g.Stats.Recomputed == 0 {
@@ -298,15 +296,5 @@ func TestChartRendering(t *testing.T) {
 	}
 	if !strings.Contains(out, "recomputed") {
 		t.Errorf("chart missing render stats:\n%s", out)
-	}
-}
-
-func TestRenderStatsFraction(t *testing.T) {
-	r := RenderStats{Points: 50, Recomputed: 10}
-	if got := r.RecomputedFraction(); got != 0.2 {
-		t.Errorf("fraction = %g", got)
-	}
-	if (RenderStats{}).RecomputedFraction() != 0 {
-		t.Error("empty fraction should be 0")
 	}
 }

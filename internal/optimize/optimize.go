@@ -84,20 +84,6 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// Exhaustive reports whether every group was explored.
-func (r *Result) Exhaustive() bool { return r.GroupsExplored == r.GroupsTotal }
-
-// FeasibleCount returns the number of feasible groups.
-func (r *Result) FeasibleCount() int {
-	n := 0
-	for _, row := range r.Rows {
-		if row.Feasible {
-			n++
-		}
-	}
-	return n
-}
-
 // aggTerm is one "outer(inner(column))" term of the constraint.
 type aggTerm struct {
 	sql    string // canonical rendering, used as the metrics key

@@ -106,9 +106,6 @@ func (s *Source) Uint64() uint64 {
 	return uint64(s.next())<<32 | uint64(s.next())
 }
 
-// Uint32 returns a uniformly distributed 32-bit value.
-func (s *Source) Uint32() uint32 { return s.next() }
-
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.
 func (s *Source) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
@@ -375,59 +372,4 @@ func (s *Source) Binomial(n int, p float64) int64 {
 // Uniform returns a uniform variate in [lo, hi).
 func (s *Source) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*s.Float64()
-}
-
-// Pick returns a uniformly chosen index weighted by weights. It panics if
-// weights is empty or sums to a non-positive value.
-func (s *Source) Pick(weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		if w < 0 {
-			panic(fmt.Sprintf("rng: negative weight %g", w))
-		}
-		total += w
-	}
-	if len(weights) == 0 || total <= 0 {
-		panic("rng: Pick needs positive total weight")
-	}
-	x := s.Float64() * total
-	for i, w := range weights {
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
-}
-
-// SeedSequence produces the canonical fixed sequence of seeds used for
-// fingerprinting and world generation: seeds are derived from a base seed
-// and are stable forever (they are part of the reuse contract).
-type SeedSequence struct {
-	base  uint64
-	label string
-}
-
-// NewSeedSequence returns a sequence identified by base and label. The same
-// (base, label) always yields the same seeds.
-func NewSeedSequence(base uint64, label string) *SeedSequence {
-	return &SeedSequence{base: base, label: label}
-}
-
-// At returns the i-th seed in the sequence.
-func (q *SeedSequence) At(i int) uint64 {
-	h := splitmix64(q.base ^ 0xfeedfacecafebeef)
-	for j := 0; j < len(q.label); j++ {
-		h = splitmix64(h ^ uint64(q.label[j])*0x100000001b3)
-	}
-	return splitmix64(h + uint64(i)*0x9e3779b97f4a7c15)
-}
-
-// First returns the first n seeds.
-func (q *SeedSequence) First(n int) []uint64 {
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = q.At(i)
-	}
-	return out
 }

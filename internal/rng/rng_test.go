@@ -431,9 +431,6 @@ func TestDistributionShapes(t *testing.T) {
 		{"Poisson(60)", func(s *Source) int64 { return s.Poisson(60) }, poisson(60)}, // the PTRS branch
 		{"Binomial(10, 0.3)", func(s *Source) int64 { return s.Binomial(10, 0.3) }, binomial(10, 0.3)},
 		{"Binomial(1000, 0.01)", func(s *Source) int64 { return s.Binomial(1000, 0.01) }, binomial(1000, 0.01)},
-		{"Pick([1, 2, 3])", func(s *Source) int64 { return int64(s.Pick([]float64{1, 2, 3})) }, func(k int64) float64 {
-			return []float64{1, 2, 3}[k] / 6
-		}},
 	} {
 		s := New(uint64(201 + i))
 		ks := make([]int64, n)
@@ -509,59 +506,6 @@ func TestUniformRange(t *testing.T) {
 	}
 }
 
-func TestPickWeighted(t *testing.T) {
-	s := New(24)
-	counts := make([]int, 3)
-	const n = 90000
-	for i := 0; i < n; i++ {
-		counts[s.Pick([]float64{1, 2, 3})]++
-	}
-	for i, want := range []float64{n / 6.0, n / 3.0, n / 2.0} {
-		if math.Abs(float64(counts[i])-want) > 0.05*n {
-			t.Errorf("Pick bucket %d count %d, want ~%g", i, counts[i], want)
-		}
-	}
-}
-
-func TestPickPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty Pick should panic")
-		}
-	}()
-	New(1).Pick(nil)
-}
-
-func TestSeedSequenceStable(t *testing.T) {
-	a := NewSeedSequence(99, "fingerprint")
-	b := NewSeedSequence(99, "fingerprint")
-	for i := 0; i < 64; i++ {
-		if a.At(i) != b.At(i) {
-			t.Fatalf("seed sequence not stable at %d", i)
-		}
-	}
-	c := NewSeedSequence(99, "worlds")
-	diff := false
-	for i := 0; i < 16; i++ {
-		if a.At(i) != c.At(i) {
-			diff = true
-		}
-	}
-	if !diff {
-		t.Fatal("labelled sequences should differ")
-	}
-	first := a.First(8)
-	if len(first) != 8 {
-		t.Fatalf("First(8) len = %d", len(first))
-	}
-	for i := range first {
-		if first[i] != a.At(i) {
-			t.Fatalf("First mismatch at %d", i)
-		}
-	}
-}
-
-// Property: Derive is a pure function of its inputs.
 func TestQuickDerivePure(t *testing.T) {
 	f := func(seed, idx uint64, label string) bool {
 		if len(label) > 32 {
@@ -619,20 +563,9 @@ func TestKeyAtMatchesDerive(t *testing.T) {
 	for n := 0; n < 2000; n++ {
 		label := make([]byte, src.Intn(24))
 		for i := range label {
-			label[i] = byte(src.Uint32())
+			label[i] = byte(src.next())
 		}
 		check(src.Uint64(), string(label), src.Uint64())
-	}
-}
-
-// Property: SeedSequence.At is pure.
-func TestQuickSeedSequencePure(t *testing.T) {
-	f := func(base uint64, i uint16) bool {
-		q := NewSeedSequence(base, "x")
-		return q.At(int(i)) == q.At(int(i))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -647,10 +580,6 @@ func TestGoldenStream(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("golden stream mismatch at %d: got %d, want %d", i, got[i], want[i])
 		}
-	}
-	q := NewSeedSequence(0x66757a7a79, "fingerprint")
-	if q.At(0) != 12947133982488511479 || q.At(1) != 17936968149242823031 {
-		t.Fatalf("golden fingerprint seeds changed: %d, %d", q.At(0), q.At(1))
 	}
 	d := Derive(1, "world.CapacityModel#0", 0)
 	if got := d.Uint64(); got != 10662317824455351390 {

@@ -380,25 +380,24 @@ func TestPlanMatchesGeneratedSQL(t *testing.T) {
 		cat.PutColumns(wt)
 		return sqlengine.New(cat)
 	}
-	ref, err := mkEngine().ExecScript(script, nil)
+	ref, err := mkEngine().ExecScriptRow(script, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pres, err := scn.Plan().Exec(mkEngine(), pt)
+	got, err := scn.Plan().ExecCounted(mkEngine(), pt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := pres.Result()
-	pres.Release()
+	defer got.Release()
 	if strings.Join(got.Cols, ",") != strings.Join(ref.Cols, ",") {
 		t.Fatalf("cols %v vs %v", got.Cols, ref.Cols)
 	}
-	if len(got.Rows) != len(ref.Rows) {
-		t.Fatalf("%d vs %d rows", len(got.Rows), len(ref.Rows))
+	if got.NumRows() != len(ref.Rows) {
+		t.Fatalf("%d vs %d rows", got.NumRows(), len(ref.Rows))
 	}
-	for i := range got.Rows {
+	for i := range ref.Rows {
 		for j := range got.Cols {
-			a, b := got.Rows[i][j], ref.Rows[i][j]
+			a, b := got.Columns[j].Value(i), ref.Rows[i][j]
 			if a.IsNull() != b.IsNull() || (!a.IsNull() && !a.Equal(b)) {
 				t.Fatalf("world %d col %s: plan %v vs generated-SQL %v", i, got.Cols[j], a, b)
 			}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"container/list"
 	"context"
 	"net/http"
 	"reflect"
@@ -13,6 +14,14 @@ import (
 	"fuzzyprophet/internal/server/protocoltest"
 	"fuzzyprophet/internal/sqlparser"
 )
+
+// flush drops every cached scenario, forcing a cache-miss storm.
+func (c *shardScenarios) flush() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.byFP = make(map[string]*list.Element)
+	c.order = list.New()
+}
 
 // evaluatePoints runs a batch evaluation against base for an already
 // registered scenario.

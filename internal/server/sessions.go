@@ -303,18 +303,6 @@ func (m *Manager) finish(s *Session) {
 	}
 }
 
-// List returns the open sessions sorted by creation time.
-func (m *Manager) List() []*Session {
-	m.mu.Lock()
-	out := make([]*Session, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		out = append(out, s)
-	}
-	m.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].CreatedAt.Before(out[j].CreatedAt) })
-	return out
-}
-
 // Len returns the number of open sessions.
 func (m *Manager) Len() int {
 	m.mu.Lock()

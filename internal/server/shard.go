@@ -157,14 +157,6 @@ func (c *shardScenarios) lookup(fingerprint string) (*shardScenarioEntry, bool) 
 	return el.Value.(*shardScenarioEntry), true
 }
 
-// flush drops every cached scenario (test hook for cache-miss storms).
-func (c *shardScenarios) flush() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.byFP = make(map[string]*list.Element)
-	c.order = list.New()
-}
-
 // get returns the cached compiled scenario for the request, compiling (and
 // verifying the fingerprint of) a fresh one on miss. mkWorker builds the
 // entry's evaluator freelist from the compiled scenario.

@@ -29,7 +29,6 @@ package sqlengine
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"fuzzyprophet/internal/value"
@@ -66,27 +65,6 @@ func NewTable(name string, cols []string, rows [][]value.Value) (*Table, error) 
 		}
 	}
 	return &Table{Name: name, Cols: cols, Rows: rows}, nil
-}
-
-// ColIndex returns the index of the named column, or -1.
-func (t *Table) ColIndex(name string) int {
-	for i, c := range t.Cols {
-		if c == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// Append adds a row, validating its width. Appending after the table has
-// been installed in a catalog is not supported (the catalog caches a
-// columnar conversion).
-func (t *Table) Append(row []value.Value) error {
-	if len(row) != len(t.Cols) {
-		return fmt.Errorf("sqlengine: table %q append: %d values, want %d", t.Name, len(row), len(t.Cols))
-	}
-	t.Rows = append(t.Rows, row)
-	return nil
 }
 
 // catEntry holds a catalog table in up to two layouts; whichever was not
@@ -172,25 +150,6 @@ func (c *Catalog) GetColumns(name string) (*ColTable, bool) {
 		e.cols = columnsFromRows(e.rows)
 	}
 	return e.cols, true
-}
-
-// Drop removes the named table; it is a no-op when absent.
-func (c *Catalog) Drop(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.tables, name)
-}
-
-// Names returns the table names, sorted.
-func (c *Catalog) Names() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]string, 0, len(c.tables))
-	for n := range c.tables {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // colBinding names one column of an intermediate relation, qualified by the

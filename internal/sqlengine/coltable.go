@@ -53,16 +53,6 @@ func (ct *ColTable) NumRows() int {
 	return ct.Columns[0].Len()
 }
 
-// ColIndex returns the index of the named column, or -1.
-func (ct *ColTable) ColIndex(name string) int {
-	for i, c := range ct.Cols {
-		if c == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // rowsFromColumns boxes a columnar table into the legacy row layout.
 func rowsFromColumns(ct *ColTable) *Table {
 	n := ct.NumRows()

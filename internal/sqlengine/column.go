@@ -114,11 +114,6 @@ func IntColumn(vals []int64) *Column {
 	return &Column{kind: ColInt, n: len(vals), i: vals}
 }
 
-// StringColumn wraps a string vector as a column without copying.
-func StringColumn(vals []string) *Column {
-	return &Column{kind: ColString, n: len(vals), s: vals}
-}
-
 // BoolColumn wraps a bool vector as a column without copying.
 func BoolColumn(vals []bool) *Column {
 	return &Column{kind: ColBool, n: len(vals), b: vals}
@@ -201,9 +196,6 @@ func ValuesColumn(vals []value.Value) *Column {
 
 // Len returns the number of rows.
 func (c *Column) Len() int { return c.n }
-
-// Kind returns the physical representation.
-func (c *Column) Kind() ColKind { return c.kind }
 
 // IsNull reports whether row i is NULL.
 func (c *Column) IsNull(i int) bool {

@@ -3,9 +3,9 @@ package sqlengine
 // ExecCounters collects per-operator statistics from a single plan
 // execution: relation cardinalities through each kernel, the join
 // strategy bindFrom actually took, and per-phase wall time. Pass one to
-// Plan.ExecCounted; a nil *ExecCounters (Plan.Exec) records nothing and
-// the execution path performs no time measurements at all, so the
-// untraced hot path is unchanged.
+// Plan.ExecCounted; a nil *ExecCounters records nothing and the execution
+// path performs no time measurements at all, so the untraced hot path is
+// unchanged.
 //
 // Counters are owned by one execution — they are written without
 // synchronization.

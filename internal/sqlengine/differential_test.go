@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -353,66 +354,102 @@ func randomColumnBool(r *rand.Rand, depth int) sqlparser.Expr {
 // LIMIT, and INTO followed by a re-select — through both paths.
 func TestDifferentialRandomQueries(t *testing.T) {
 	r := rand.New(rand.NewSource(20110612))
-	aggs := []string{"SUM", "AVG", "COUNT", "MIN", "MAX", "STDDEV", "EXPECT", "PROB"}
-	// Joined tables share no column name with t, so the generated
-	// expressions' unqualified references stay unambiguous.
-	froms := []string{
-		"t", "t", "t",
-		"t, allnull",
-		"t LEFT JOIN bigint ON a = v",
-		"t JOIN bigint ON b < v",
-		"t, allnull n LEFT JOIN bigint ON b > bigint.v",
-		"t JOIN bigint ON mixed <> v LEFT JOIN nan ON k = b",
-	}
 	for i := 0; i < 400; i++ {
-		var sb strings.Builder
-		grouped := i%3 == 0
-		from := froms[r.Intn(len(froms))]
-		into := r.Intn(8) == 0
-		if grouped {
-			agg1 := aggs[r.Intn(len(aggs))]
-			agg2 := aggs[r.Intn(len(aggs))]
-			fmt.Fprintf(&sb, "SELECT g, %s(%s) AS m1, %s(%s) AS m2",
-				agg1, randomColumnExpr(r, 2).SQL(), agg2, randomColumnExpr(r, 1).SQL())
-		} else {
-			sb.WriteString("SELECT ")
-			if r.Intn(4) == 0 {
-				sb.WriteString("DISTINCT ")
-			}
-			fmt.Fprintf(&sb, "%s AS x, %s AS y", randomColumnExpr(r, 3).SQL(), randomColumnExpr(r, 2).SQL())
-		}
-		if into {
-			sb.WriteString(" INTO scratch")
-		}
-		fmt.Fprintf(&sb, " FROM %s", from)
-		if r.Intn(2) == 0 {
-			fmt.Fprintf(&sb, " WHERE %s", randomColumnBool(r, 2).SQL())
-		}
-		if grouped {
-			sb.WriteString(" GROUP BY g")
-			if r.Intn(3) == 0 {
-				fmt.Fprintf(&sb, " HAVING COUNT(*) >= %d", r.Intn(3))
-			}
-			if r.Intn(2) == 0 {
-				sb.WriteString(" ORDER BY m1 DESC, g")
-			}
-		} else {
-			switch r.Intn(3) {
-			case 0:
-				sb.WriteString(" ORDER BY x")
-			case 1:
-				sb.WriteString(" ORDER BY y DESC, x")
-			}
-			if r.Intn(4) == 0 {
-				fmt.Fprintf(&sb, " LIMIT %d", r.Intn(5))
-			}
-		}
-		sb.WriteString(";")
-		if into && grouped {
-			sb.WriteString(" SELECT g, m2 FROM scratch, allnull;")
-		} else if into {
-			sb.WriteString(" SELECT y, x FROM scratch WHERE x IS NOT NULL;")
-		}
-		runBothEngines(t, sb.String(), nil)
+		runBothEngines(t, randomQuery(r, i%3 == 0), nil)
 	}
 }
+
+var randomAggs = []string{"SUM", "AVG", "COUNT", "MIN", "MAX", "STDDEV", "EXPECT", "PROB"}
+
+// Joined tables share no column name with t, so the generated
+// expressions' unqualified references stay unambiguous.
+var randomFroms = []string{
+	"t", "t", "t",
+	"t, allnull",
+	"t LEFT JOIN bigint ON a = v",
+	"t JOIN bigint ON b < v",
+	"t, allnull n LEFT JOIN bigint ON b > bigint.v",
+	"t JOIN bigint ON mixed <> v LEFT JOIN nan ON k = b",
+}
+
+// randomQuery builds one SELECT script from r: projections over one to
+// three tables, filters, grouping with aggregates, DISTINCT, ordering,
+// LIMIT, and INTO followed by a re-select.
+func randomQuery(r *rand.Rand, grouped bool) string {
+	var sb strings.Builder
+	from := randomFroms[r.Intn(len(randomFroms))]
+	into := r.Intn(8) == 0
+	if grouped {
+		agg1 := randomAggs[r.Intn(len(randomAggs))]
+		agg2 := randomAggs[r.Intn(len(randomAggs))]
+		fmt.Fprintf(&sb, "SELECT g, %s(%s) AS m1, %s(%s) AS m2",
+			agg1, randomColumnExpr(r, 2).SQL(), agg2, randomColumnExpr(r, 1).SQL())
+	} else {
+		sb.WriteString("SELECT ")
+		if r.Intn(4) == 0 {
+			sb.WriteString("DISTINCT ")
+		}
+		fmt.Fprintf(&sb, "%s AS x, %s AS y", randomColumnExpr(r, 3).SQL(), randomColumnExpr(r, 2).SQL())
+	}
+	if into {
+		sb.WriteString(" INTO scratch")
+	}
+	fmt.Fprintf(&sb, " FROM %s", from)
+	if r.Intn(2) == 0 {
+		fmt.Fprintf(&sb, " WHERE %s", randomColumnBool(r, 2).SQL())
+	}
+	if grouped {
+		sb.WriteString(" GROUP BY g")
+		if r.Intn(3) == 0 {
+			fmt.Fprintf(&sb, " HAVING COUNT(*) >= %d", r.Intn(3))
+		}
+		if r.Intn(2) == 0 {
+			sb.WriteString(" ORDER BY m1 DESC, g")
+		}
+	} else {
+		switch r.Intn(3) {
+		case 0:
+			sb.WriteString(" ORDER BY x")
+		case 1:
+			sb.WriteString(" ORDER BY y DESC, x")
+		}
+		if r.Intn(4) == 0 {
+			fmt.Fprintf(&sb, " LIMIT %d", r.Intn(5))
+		}
+	}
+	sb.WriteString(";")
+	if into && grouped {
+		sb.WriteString(" SELECT g, m2 FROM scratch, allnull;")
+	} else if into {
+		sb.WriteString(" SELECT y, x FROM scratch WHERE x IS NOT NULL;")
+	}
+	return sb.String()
+}
+
+// FuzzPlanMatchesRow drives randomQuery with the fuzz input as its random
+// stream. Whatever query comes out, neither path may panic, and the
+// compiled plan must agree with the row reference: equal results, or both
+// fail.
+func FuzzPlanMatchesRow(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3})
+	f.Add([]byte("SELECT g, SUM(a) FROM t GROUP BY g"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		grouped := len(data) > 0 && data[0]%3 == 0
+		runBothEngines(t, randomQuery(rand.New(&byteSource{data: data}), grouped), nil)
+	})
+}
+
+// byteSource is a rand.Source that reads its stream from a byte slice, so
+// the fuzzer's mutations steer the generator's choices; an exhausted slice
+// reads as zeros.
+type byteSource struct{ data []byte }
+
+func (s *byteSource) Int63() int64 {
+	var b [8]byte
+	n := copy(b[:], s.data)
+	s.data = s.data[n:]
+	return int64(binary.LittleEndian.Uint64(b[:]) >> 1)
+}
+
+func (s *byteSource) Seed(int64) {}

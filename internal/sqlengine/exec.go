@@ -28,57 +28,11 @@ type Result struct {
 	Rows [][]value.Value
 }
 
-// ColIndex returns the index of the named output column, or -1.
-func (r *Result) ColIndex(name string) int {
-	for i, c := range r.Cols {
-		if c == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// Column returns all values of the named column.
-func (r *Result) Column(name string) ([]value.Value, error) {
-	i := r.ColIndex(name)
-	if i < 0 {
-		return nil, fmt.Errorf("sqlengine: result has no column %q", name)
-	}
-	out := make([]value.Value, len(r.Rows))
-	for j, row := range r.Rows {
-		out[j] = row[i]
-	}
-	return out, nil
-}
-
-// ExecScript runs every SELECT statement in the script in order, binding
-// params, and returns the result of the last one (nil when there is none).
-// GRAPH and OPTIMIZE statements are metadata for the surrounding modes and
-// are skipped; DECLARE PARAMETER statements are skipped (parameter binding
-// is the caller's job). It is a convenience over CompileScript: callers that
-// execute a script more than once compile it once and Exec the plan.
-func (e *Engine) ExecScript(script *sqlparser.Script, params map[string]value.Value) (*Result, error) {
-	res, err := CompileScript(script).Exec(e, params)
-	if err != nil || res == nil {
-		return nil, err
-	}
-	defer res.Release()
-	return res.Result(), nil
-}
-
-// ExecSelect evaluates one SELECT with the given parameter bindings. When
-// the statement has an INTO clause the result is also materialized in the
-// catalog under that name.
-func (e *Engine) ExecSelect(sel sqlparser.Select, params map[string]value.Value) (*Result, error) {
-	res, err := CompileSelect(sel).Exec(e, params)
-	if err != nil {
-		return nil, err
-	}
-	defer res.Release()
-	return res.Result(), nil
-}
-
-// ExecScriptRow is ExecScript on the row-at-a-time reference executor.
+// ExecScriptRow runs every SELECT statement of the script in order on the
+// row-at-a-time reference executor, binding params, and returns the result
+// of the last one (nil when there is none). GRAPH, OPTIMIZE and DECLARE
+// PARAMETER statements are skipped. It is the reference the compiled plans
+// are checked against.
 func (e *Engine) ExecScriptRow(script *sqlparser.Script, params map[string]value.Value) (*Result, error) {
 	var last *Result
 	for _, st := range script.Statements {
@@ -95,8 +49,10 @@ func (e *Engine) ExecScriptRow(script *sqlparser.Script, params map[string]value
 	return last, nil
 }
 
-// ExecSelectRow is ExecSelect on the row-at-a-time reference executor: one
-// boxed value at a time, no compilation, no vectors.
+// ExecSelectRow evaluates one SELECT on the row-at-a-time reference
+// executor: one boxed value at a time, no compilation, no vectors. When the
+// statement has an INTO clause the result is also materialized in the
+// catalog under that name.
 func (e *Engine) ExecSelectRow(sel sqlparser.Select, params map[string]value.Value) (*Result, error) {
 	src, err := e.buildFrom(sel.From, params)
 	if err != nil {

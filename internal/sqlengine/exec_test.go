@@ -35,13 +35,24 @@ func testEngine(t *testing.T) *Engine {
 	return New(cat)
 }
 
+// execScript compiles the script and returns the result of its last
+// SELECT (nil when there is none).
+func execScript(e *Engine, script *sqlparser.Script, params map[string]value.Value) (*Result, error) {
+	res, err := CompileScript(script).Exec(e, params)
+	if err != nil || res == nil {
+		return nil, err
+	}
+	defer res.Release()
+	return res.Result(), nil
+}
+
 func runQuery(t *testing.T, e *Engine, src string, params map[string]value.Value) *Result {
 	t.Helper()
 	script, err := sqlparser.Parse(src)
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	res, err := e.ExecScript(script, params)
+	res, err := execScript(e, script, params)
 	if err != nil {
 		t.Fatalf("exec %q: %v", src, err)
 	}
@@ -54,7 +65,7 @@ func wantErr(t *testing.T, e *Engine, src string, fragment string) {
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	_, err = e.ExecScript(script, nil)
+	_, err = execScript(e, script, nil)
 	if err == nil {
 		t.Fatalf("exec %q: expected error containing %q", src, fragment)
 	}
@@ -455,12 +466,8 @@ func TestGroupByExpression(t *testing.T) {
 func TestResultColumnHelpers(t *testing.T) {
 	e := testEngine(t)
 	res := runQuery(t, e, "SELECT n FROM nums ORDER BY n;", nil)
-	col, err := res.Column("n")
-	if err != nil || len(col) != 5 {
-		t.Fatalf("Column = %v, %v", col, err)
-	}
-	if _, err := res.Column("zzz"); err == nil {
-		t.Error("missing column should error")
+	if res.ColIndex("n") != 0 {
+		t.Error("ColIndex for n should be 0")
 	}
 	if res.ColIndex("zzz") != -1 {
 		t.Error("ColIndex for missing should be -1")
@@ -484,14 +491,9 @@ func TestCatalogBasics(t *testing.T) {
 	if _, ok := c.Get("t"); !ok {
 		t.Error("Get after Put failed")
 	}
-	if names := c.Names(); len(names) != 1 || names[0] != "t" {
-		t.Errorf("Names = %v", names)
+	if _, ok := c.Get("u"); ok {
+		t.Error("Get of an absent table should miss")
 	}
-	c.Drop("t")
-	if _, ok := c.Get("t"); ok {
-		t.Error("Drop failed")
-	}
-	c.Drop("t") // no-op
 }
 
 func TestNewTableValidation(t *testing.T) {
@@ -507,17 +509,7 @@ func TestNewTableValidation(t *testing.T) {
 	if _, err := NewTable("t", []string{"a"}, [][]value.Value{{value.Int(1), value.Int(2)}}); err == nil {
 		t.Error("row width mismatch should error")
 	}
-	tbl, err := NewTable("t", []string{"a", "b"}, nil)
-	if err != nil {
+	if _, err := NewTable("t", []string{"a", "b"}, nil); err != nil {
 		t.Fatal(err)
-	}
-	if tbl.ColIndex("b") != 1 || tbl.ColIndex("z") != -1 {
-		t.Error("ColIndex wrong")
-	}
-	if err := tbl.Append([]value.Value{value.Int(1)}); err == nil {
-		t.Error("short append should error")
-	}
-	if err := tbl.Append([]value.Value{value.Int(1), value.Int(2)}); err != nil {
-		t.Error(err)
 	}
 }

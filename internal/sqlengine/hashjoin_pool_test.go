@@ -14,16 +14,16 @@ import (
 func equiJoinFixture(t *testing.T, rows int) (*sqlengine.Engine, *sqlparser.Script) {
 	t.Helper()
 	ord := make([]int64, rows)
-	key := make([]string, rows)
+	key := make([]value.Value, rows)
 	val := make([]float64, rows)
 	regions := []string{"us-east", "us-west", "europe", "asia"}
 	for i := range ord {
 		ord[i] = int64(i)
-		key[i] = regions[i%len(regions)]
+		key[i] = value.Str(regions[i%len(regions)])
 		val[i] = float64(i) * 1.5
 	}
 	fact, err := sqlengine.NewColTable("fact", []string{"w", "region", "load"}, []*sqlengine.Column{
-		sqlengine.IntColumn(ord), sqlengine.StringColumn(key), sqlengine.FloatColumn(val),
+		sqlengine.IntColumn(ord), sqlengine.ValuesColumn(key), sqlengine.FloatColumn(val),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package sqlengine_test
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -24,7 +25,11 @@ func TestPlanOverMappedColumn(t *testing.T) {
 		ord[i] = int64(i)
 	}
 	path := filepath.Join(t.TempDir(), "load.col")
-	if err := colstore.WriteFile(path, &colstore.Column{Kind: colstore.KindFloat64, Floats: heap}); err != nil {
+	data, err := colstore.Encode(&colstore.Column{Kind: colstore.KindFloat64, Floats: heap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	m, err := colstore.OpenMapped(path)

@@ -222,7 +222,7 @@ func TestEngineAgreesWithOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("generated SQL does not parse: %v\n%s", err, src)
 		}
-		res, err := vec.ExecScript(script, nil)
+		res, err := execScript(vec, script, nil)
 		rowRes, rowErr := row.ExecScriptRow(script, nil)
 
 		// Differential: both paths must agree on error-ness and value.

@@ -29,9 +29,9 @@ import (
 // operator (veval.go) over the same relation. The differential suite
 // asserts the Plan against the row reference executor (ExecScriptRow).
 //
-// Plans are immutable after CompileSelect/CompileScript and safe for
-// concurrent Exec: each execution borrows an isolated planState from the
-// plan's pool (concurrent renders of one scenario share one plan).
+// Plans are immutable after CompileSelect and safe for concurrent
+// execution: each execution borrows an isolated planState from the plan's
+// pool (concurrent renders of one scenario share one plan).
 
 // Plan is one SELECT compiled into reusable kernels and buffers.
 type Plan struct {
@@ -90,40 +90,6 @@ func (r *PlanResult) Release() {
 	}
 	r.st = nil
 	st.recycle()
-}
-
-// ScriptPlan is a script compiled statement-by-statement.
-type ScriptPlan struct {
-	plans []*Plan
-}
-
-// CompileScript compiles every SELECT of a script; Exec runs them in order
-// and returns the last result (nil when the script holds no SELECT).
-func CompileScript(script *sqlparser.Script) *ScriptPlan {
-	sp := &ScriptPlan{}
-	for _, stx := range script.Statements {
-		if sel, ok := stx.(sqlparser.Select); ok {
-			sp.plans = append(sp.plans, CompileSelect(sel))
-		}
-	}
-	return sp
-}
-
-// Exec runs the script's statements on the engine. Intermediate results
-// are released; the caller releases the returned one.
-func (sp *ScriptPlan) Exec(e *Engine, params map[string]value.Value) (*PlanResult, error) {
-	var last *PlanResult
-	for _, p := range sp.plans {
-		if last != nil {
-			last.Release()
-		}
-		res, err := p.Exec(e, params)
-		if err != nil {
-			return nil, err
-		}
-		last = res
-	}
-	return last, nil
 }
 
 // CompileSelect compiles one SELECT into a reusable plan.
@@ -199,15 +165,10 @@ func isGrouped(sel sqlparser.Select) bool {
 // concatenation is identical to the single-range execution.
 func (p *Plan) Shardable() bool { return !p.grouped && !p.post }
 
-// Exec runs the plan against an engine's catalog.
-func (p *Plan) Exec(e *Engine, params map[string]value.Value) (*PlanResult, error) {
-	return p.ExecCounted(e, params, nil)
-}
-
-// ExecCounted is Exec with per-operator statistics: when c is non-nil the
-// execution fills it with relation cardinalities, the join strategy and
-// per-phase wall time. With c == nil no measurement happens — Exec's hot
-// path is byte-for-byte the same work as before.
+// ExecCounted runs the plan against an engine's catalog. When c is non-nil
+// the execution fills it with per-operator statistics: relation
+// cardinalities, the join strategy and per-phase wall time. With c == nil
+// no measurement happens.
 func (p *Plan) ExecCounted(e *Engine, params map[string]value.Value, c *ExecCounters) (*PlanResult, error) {
 	st := p.pool.Get().(*planState)
 	st.begin(e, params)

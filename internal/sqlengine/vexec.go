@@ -53,24 +53,6 @@ func (r *ColResult) Column(name string) (*Column, error) {
 	return r.Columns[i], nil
 }
 
-// Result boxes the columnar result into the legacy row layout.
-func (r *ColResult) Result() *Result {
-	n := r.NumRows()
-	out := &Result{Cols: append([]string(nil), r.Cols...)}
-	if n == 0 {
-		return out
-	}
-	out.Rows = make([][]value.Value, n)
-	for i := 0; i < n; i++ {
-		row := make([]value.Value, len(r.Columns))
-		for j, c := range r.Columns {
-			row[j] = c.Value(i)
-		}
-		out.Rows[i] = row
-	}
-	return out
-}
-
 // colResultFromResult converts a boxed row result to columnar form.
 func colResultFromResult(res *Result) *ColResult {
 	out := &ColResult{Cols: append([]string(nil), res.Cols...)}

@@ -41,13 +41,6 @@ func (m *Moments) Add(x float64) {
 	m.m2 += delta * (x - m.mean)
 }
 
-// AddN folds x in n times (used when re-weighting mapped samples).
-func (m *Moments) AddN(x float64, n int64) {
-	for i := int64(0); i < n; i++ {
-		m.Add(x)
-	}
-}
-
 // Merge combines another accumulator into m (parallel Welford merge).
 func (m *Moments) Merge(o *Moments) {
 	if o.n == 0 {
@@ -122,15 +115,6 @@ func (m *Moments) StdErr() float64 {
 // interval for the mean. This drives the online mode's notion of an
 // "accurate guess".
 func (m *Moments) CI95() float64 { return 1.96 * m.StdErr() }
-
-// Converged reports whether the 95% CI half-width is below eps, requiring a
-// minimum sample count to avoid declaring victory on degenerate early runs.
-func (m *Moments) Converged(eps float64, minSamples int64) bool {
-	if m.n < minSamples {
-		return false
-	}
-	return m.CI95() <= eps
-}
 
 // Correlation computes the Pearson correlation coefficient of two equal-
 // length vectors. It returns an error when lengths differ or n < 2, and 0
@@ -249,51 +233,6 @@ func (f AffineFit) ApplySlice(xs []float64) []float64 {
 	return out
 }
 
-// MaxAbsDiff returns the maximum absolute elementwise difference of two
-// equal-length vectors, used for identity-mapping detection.
-func MaxAbsDiff(x, y []float64) (float64, error) {
-	if len(x) != len(y) {
-		return 0, fmt.Errorf("stats: MaxAbsDiff length mismatch %d vs %d", len(x), len(y))
-	}
-	var m float64
-	for i := range x {
-		d := math.Abs(x[i] - y[i])
-		if d > m {
-			m = d
-		}
-	}
-	return m, nil
-}
-
-// KSDistance computes the two-sample Kolmogorov–Smirnov statistic, the
-// maximum distance between empirical CDFs. The fingerprint validator uses
-// it to check that a re-mapped sample set is distributionally close to a
-// directly simulated one.
-func KSDistance(a, b []float64) (float64, error) {
-	if len(a) == 0 || len(b) == 0 {
-		return 0, fmt.Errorf("stats: KSDistance needs non-empty samples")
-	}
-	as := append([]float64(nil), a...)
-	bs := append([]float64(nil), b...)
-	sort.Float64s(as)
-	sort.Float64s(bs)
-	var i, j int
-	var d float64
-	for i < len(as) && j < len(bs) {
-		if as[i] <= bs[j] {
-			i++
-		} else {
-			j++
-		}
-		fa := float64(i) / float64(len(as))
-		fb := float64(j) / float64(len(bs))
-		if diff := math.Abs(fa - fb); diff > d {
-			d = diff
-		}
-	}
-	return d, nil
-}
-
 // Quantile returns the q-quantile (0<=q<=1) of xs by sorting a copy and
 // linearly interpolating. It returns an error on empty input or q outside
 // [0,1].
@@ -317,171 +256,4 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	}
 	frac := pos - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac, nil
-}
-
-// P2Quantile estimates a single quantile online with the P² algorithm
-// (Jain & Chlamtac 1985) in O(1) memory. It is used by the aggregator for
-// live quantile readouts over long Monte Carlo runs.
-type P2Quantile struct {
-	p       float64
-	n       int
-	heights [5]float64
-	pos     [5]float64
-	want    [5]float64
-	incr    [5]float64
-	initial []float64
-}
-
-// NewP2Quantile returns an estimator for the p-quantile (0<p<1).
-func NewP2Quantile(p float64) (*P2Quantile, error) {
-	if p <= 0 || p >= 1 {
-		return nil, fmt.Errorf("stats: P2 quantile p=%g outside (0,1)", p)
-	}
-	q := &P2Quantile{p: p}
-	q.incr = [5]float64{0, p / 2, p, (1 + p) / 2, 1}
-	return q, nil
-}
-
-// Add folds one observation into the estimator.
-func (q *P2Quantile) Add(x float64) {
-	if q.n < 5 {
-		q.initial = append(q.initial, x)
-		q.n++
-		if q.n == 5 {
-			sort.Float64s(q.initial)
-			copy(q.heights[:], q.initial)
-			q.pos = [5]float64{1, 2, 3, 4, 5}
-			q.want = [5]float64{1, 1 + 2*q.p, 1 + 4*q.p, 3 + 2*q.p, 5}
-		}
-		return
-	}
-	q.n++
-	var k int
-	switch {
-	case x < q.heights[0]:
-		q.heights[0] = x
-		k = 0
-	case x >= q.heights[4]:
-		q.heights[4] = x
-		k = 3
-	default:
-		for i := 1; i < 5; i++ {
-			if x < q.heights[i] {
-				k = i - 1
-				break
-			}
-		}
-	}
-	for i := k + 1; i < 5; i++ {
-		q.pos[i]++
-	}
-	for i := 0; i < 5; i++ {
-		q.want[i] += q.incr[i]
-	}
-	for i := 1; i < 4; i++ {
-		d := q.want[i] - q.pos[i]
-		if (d >= 1 && q.pos[i+1]-q.pos[i] > 1) || (d <= -1 && q.pos[i-1]-q.pos[i] < -1) {
-			sign := 1.0
-			if d < 0 {
-				sign = -1.0
-			}
-			h := q.parabolic(i, sign)
-			if q.heights[i-1] < h && h < q.heights[i+1] {
-				q.heights[i] = h
-			} else {
-				q.heights[i] = q.linear(i, sign)
-			}
-			q.pos[i] += sign
-		}
-	}
-}
-
-func (q *P2Quantile) parabolic(i int, d float64) float64 {
-	return q.heights[i] + d/(q.pos[i+1]-q.pos[i-1])*
-		((q.pos[i]-q.pos[i-1]+d)*(q.heights[i+1]-q.heights[i])/(q.pos[i+1]-q.pos[i])+
-			(q.pos[i+1]-q.pos[i]-d)*(q.heights[i]-q.heights[i-1])/(q.pos[i]-q.pos[i-1]))
-}
-
-func (q *P2Quantile) linear(i int, d float64) float64 {
-	di := int(d)
-	return q.heights[i] + d*(q.heights[i+di]-q.heights[i])/(q.pos[i+di]-q.pos[i])
-}
-
-// Value returns the current quantile estimate. Before 5 samples it falls
-// back to the sorted-sample quantile of what it has; with no samples it
-// returns 0.
-func (q *P2Quantile) Value() float64 {
-	if q.n == 0 {
-		return 0
-	}
-	if q.n < 5 {
-		s := append([]float64(nil), q.initial...)
-		sort.Float64s(s)
-		v, err := Quantile(s, q.p)
-		if err != nil {
-			return 0
-		}
-		return v
-	}
-	return q.heights[2]
-}
-
-// Count returns the number of observations folded in.
-func (q *P2Quantile) Count() int { return q.n }
-
-// Histogram is a fixed-bin histogram over [lo, hi) with overflow/underflow
-// buckets, used by the viz package for distribution readouts.
-type Histogram struct {
-	lo, hi   float64
-	bins     []int64
-	under    int64
-	over     int64
-	observed int64
-}
-
-// NewHistogram returns a histogram with n bins over [lo, hi). It returns an
-// error when n <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, n int) (*Histogram, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("stats: histogram needs positive bin count, got %d", n)
-	}
-	if hi <= lo {
-		return nil, fmt.Errorf("stats: histogram range [%g,%g) is empty", lo, hi)
-	}
-	return &Histogram{lo: lo, hi: hi, bins: make([]int64, n)}, nil
-}
-
-// Add folds one observation in.
-func (h *Histogram) Add(x float64) {
-	h.observed++
-	switch {
-	case x < h.lo:
-		h.under++
-	case x >= h.hi:
-		h.over++
-	default:
-		i := int((x - h.lo) / (h.hi - h.lo) * float64(len(h.bins)))
-		if i >= len(h.bins) {
-			i = len(h.bins) - 1
-		}
-		h.bins[i]++
-	}
-}
-
-// Bins returns a copy of the bin counts.
-func (h *Histogram) Bins() []int64 { return append([]int64(nil), h.bins...) }
-
-// Under returns the underflow count.
-func (h *Histogram) Under() int64 { return h.under }
-
-// Over returns the overflow count.
-func (h *Histogram) Over() int64 { return h.over }
-
-// Count returns the total observations.
-func (h *Histogram) Count() int64 { return h.observed }
-
-// BinRange returns the [lo, hi) range of bin i.
-func (h *Histogram) BinRange(i int) (float64, float64) {
-	w := (h.hi - h.lo) / float64(len(h.bins))
-	return h.lo + float64(i)*w, h.lo + float64(i+1)*w
 }

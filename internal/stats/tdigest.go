@@ -286,27 +286,11 @@ func lerp(a, b, f float64) float64 {
 	return a*(1-f) + b*f
 }
 
-// Min and Max return the observed extremes (0 when empty).
-func (t *TDigest) Min() float64 {
-	if t.Count() == 0 {
-		return 0
-	}
-	return t.min
-}
-
-// Max returns the observed maximum (0 when empty).
-func (t *TDigest) Max() float64 {
-	if t.Count() == 0 {
-		return 0
-	}
-	return t.max
-}
-
 // Compression returns the digest's compression parameter δ.
 func (t *TDigest) Compression() float64 { return t.compression }
 
 // Centroids compacts the buffer and returns a copy of the centroid list —
-// the digest's serializable state, alongside Min/Max/Compression.
+// the digest's serializable state, alongside its extremes and Compression.
 func (t *TDigest) Centroids() []Centroid {
 	t.flush()
 	return append([]Centroid(nil), t.centroids...)

@@ -45,7 +45,7 @@ func TestSpillDemoteOnEvict(t *testing.T) {
 	}
 	// Every key is still addressable, wherever it lives.
 	for i := 0; i < 5; i++ {
-		if !s.Contains("s", fmt.Sprintf("k%02d", i)) {
+		if !stored(s, "s", fmt.Sprintf("k%02d", i)) {
 			t.Fatalf("key k%02d lost after demotion", i)
 		}
 	}
@@ -87,7 +87,7 @@ func TestSpillPromoteOnGet(t *testing.T) {
 		t.Fatalf("on-disk entry re-demoted: demoted went %d -> %d, want +1",
 			demotedBefore, after.Demoted)
 	}
-	if !s.Contains("s", "k00") {
+	if !stored(s, "s", "k00") {
 		t.Fatal("k00 lost after free eviction")
 	}
 }
@@ -137,8 +137,8 @@ func TestSpillSyncAndReopen(t *testing.T) {
 		t.Fatalf("SpillKeys after Sync = %d, want 6", len(keys))
 	}
 	// Sync leaves the RAM tier intact.
-	if s.Len() != 6 {
-		t.Fatalf("Sync disturbed RAM tier: len = %d", s.Len())
+	if n := s.Stats().Entries; n != 6 {
+		t.Fatalf("Sync disturbed RAM tier: len = %d", n)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -189,24 +189,6 @@ func TestSnapshotIncludesSpilled(t *testing.T) {
 		if !seen[fmt.Sprintf("k%02d", i)] {
 			t.Fatalf("snapshot missing k%02d", i)
 		}
-	}
-}
-
-func TestSpillDropAndClear(t *testing.T) {
-	s := openSpillStore(t, 1)
-	s.Put("s", "k00", spillVec(1))
-	s.Put("s", "k01", spillVec(2)) // k00 demoted
-	s.Drop("s", "k00")
-	if s.Contains("s", "k00") {
-		t.Fatal("Drop missed the spill copy")
-	}
-	s.Clear()
-	st := s.Stats()
-	if st.Entries != 0 || st.SpillEntries != 0 || st.SpillBytes != 0 {
-		t.Fatalf("Clear left %+v", st)
-	}
-	if st.Demoted != 0 || st.Hits != 0 {
-		t.Fatalf("Clear left counters %+v", st)
 	}
 }
 
@@ -356,18 +338,6 @@ func TestLookupGenerationsAcrossTiers(t *testing.T) {
 		{"Put while spilled", false, func(t *testing.T, s *Store, _ string) *Store {
 			spillK00(s)
 			s.Put("s", "k00", spillVec(0))
-			return s
-		}},
-		{"Drop", false, func(t *testing.T, s *Store, _ string) *Store {
-			spillK00(s)
-			s.Drop("s", "k00")
-			reput(s)
-			return s
-		}},
-		{"Clear", false, func(t *testing.T, s *Store, _ string) *Store {
-			spillK00(s)
-			s.Clear()
-			reput(s)
 			return s
 		}},
 		{"dropped by the spill budget", false, func(t *testing.T, _ *Store, dir string) *Store {

@@ -166,7 +166,7 @@ func Open(opts Options) (*Store, error) {
 // appendCompositeKey appends the unambiguous index encoding of (site, key)
 // to dst: the site length in decimal, then the two strings. It replaces
 // the earlier fmt.Sprintf on the hottest reuse-lookup path — built into a
-// stack buffer and passed to map operations as string(b), Get and Contains
+// stack buffer and passed to map operations as string(b), Get and Lookup
 // perform no allocation at all (the compiler elides the conversion for
 // map lookups); only Put allocates the key it inserts.
 func appendCompositeKey(dst []byte, site, key string) []byte {
@@ -269,71 +269,6 @@ func (s *Store) Lookup(site, key string) ([]float64, uint64, bool) {
 	}
 	s.misses.Add(1)
 	return nil, 0, false
-}
-
-// Contains reports whether (site, key) is stored in either tier, without
-// touching LRU order or mapping any file.
-func (s *Store) Contains(site, key string) bool {
-	var buf [64]byte
-	ck := appendCompositeKey(buf[:0], site, key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.index[string(ck)]; ok {
-		return true
-	}
-	return s.spill != nil && s.spill.Contains(site, key)
-}
-
-// Drop removes (site, key) from both tiers if present.
-func (s *Store) Drop(site, key string) {
-	var buf [64]byte
-	ck := appendCompositeKey(buf[:0], site, key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.index[string(ck)]; ok {
-		s.removeLocked(el)
-	}
-	if s.spill != nil {
-		delete(s.spilledGens, KeyRef{Site: site, Key: key})
-		s.spill.Drop(site, key)
-	}
-}
-
-// Clear removes everything from both tiers and resets the counters — after
-// Clear, Stats describes an empty store, exactly like a fresh one (see
-// Stats). Quarantined spill files are kept on disk for inspection.
-func (s *Store) Clear() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.order.Init()
-	s.index = make(map[string]*list.Element)
-	s.used = 0
-	if s.spill != nil {
-		s.spill.Clear()
-		s.spilledGens = make(map[KeyRef]uint64)
-	}
-	s.resetStatsLocked()
-}
-
-// ResetStats zeroes the hit/miss/eviction/insertion and spill counters
-// without touching the stored entries — for monitoring windows that want
-// per-interval rates.
-func (s *Store) ResetStats() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.resetStatsLocked()
-}
-
-func (s *Store) resetStatsLocked() {
-	s.hits.Store(0)
-	s.misses.Store(0)
-	s.evicted.Store(0)
-	s.inserted.Store(0)
-	s.demoted.Store(0)
-	s.promoted.Store(0)
-	s.spillErrors.Store(0)
-	s.demoteNanos.Store(0)
-	s.promoteNanos.Store(0)
 }
 
 func (s *Store) removeLocked(el *list.Element) {
@@ -448,9 +383,7 @@ func (s *Store) Close() error {
 	return s.spill.Close()
 }
 
-// Stats is a snapshot of store counters. Clear resets every counter along
-// with the entries (a cleared store reports like a fresh one); ResetStats
-// resets the counters alone.
+// Stats is a snapshot of store counters.
 type Stats struct {
 	Entries   int
 	UsedBytes int64
@@ -529,13 +462,6 @@ func (s *Store) SpillCounters() (c SpillCounters, ok bool) {
 		DemoteNanos:  s.demoteNanos.Load(),
 		PromoteNanos: s.promoteNanos.Load(),
 	}, true
-}
-
-// Len returns the number of RAM-resident entries.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.order.Len()
 }
 
 // Snapshot returns a copy of every stored entry, most recently used first:

@@ -43,8 +43,8 @@ func TestReplace(t *testing.T) {
 	if len(got) != 2 || got[0] != 2 {
 		t.Errorf("replace failed: %v", got)
 	}
-	if s.Len() != 1 {
-		t.Errorf("len = %d", s.Len())
+	if n := s.Stats().Entries; n != 1 {
+		t.Errorf("len = %d", n)
 	}
 }
 
@@ -53,8 +53,8 @@ func TestCompositeKeyNoCollision(t *testing.T) {
 	// "ab"+"c" vs "a"+"bc" must be distinct entries.
 	s.Put("ab", "c", []float64{1})
 	s.Put("a", "bc", []float64{2})
-	if s.Len() != 2 {
-		t.Fatalf("len = %d, key collision", s.Len())
+	if n := s.Stats().Entries; n != 2 {
+		t.Fatalf("len = %d, key collision", n)
 	}
 	g1, _ := s.Get("ab", "c")
 	g2, _ := s.Get("a", "bc")
@@ -75,10 +75,10 @@ func TestLRUEviction(t *testing.T) {
 		t.Fatal("a should be present")
 	}
 	s.Put("s", "c", samples)
-	if s.Contains("s", "b") {
+	if stored(s, "s", "b") {
 		t.Error("b should have been evicted")
 	}
-	if !s.Contains("s", "a") || !s.Contains("s", "c") {
+	if !stored(s, "s", "a") || !stored(s, "s", "c") {
 		t.Error("a and c should remain")
 	}
 	st := s.Stats()
@@ -95,27 +95,11 @@ func TestUnboundedNeverEvicts(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		s.Put("s", fmt.Sprintf("k%d", i), make([]float64, 100))
 	}
-	if s.Len() != 1000 {
-		t.Errorf("len = %d", s.Len())
+	if n := s.Stats().Entries; n != 1000 {
+		t.Errorf("len = %d", n)
 	}
 	if s.Stats().Evicted != 0 {
 		t.Error("unbounded store must not evict")
-	}
-}
-
-func TestDropAndClear(t *testing.T) {
-	s := NewStore(0)
-	s.Put("s", "k", []float64{1})
-	s.Drop("s", "k")
-	if s.Contains("s", "k") {
-		t.Error("Drop failed")
-	}
-	s.Drop("s", "k") // no-op
-	s.Put("s", "a", []float64{1})
-	s.Put("s", "b", []float64{1})
-	s.Clear()
-	if s.Len() != 0 || s.Stats().UsedBytes != 0 {
-		t.Error("Clear failed")
 	}
 }
 
@@ -141,19 +125,19 @@ func TestConcurrentAccess(t *testing.T) {
 				key := fmt.Sprintf("k%d", i%20)
 				s.Put("s", key, []float64{float64(i)})
 				s.Get("s", key)
-				s.Contains("s", key)
+				s.Lookup("s", key)
 			}
 		}(w)
 	}
 	wg.Wait()
-	if s.Len() == 0 {
+	if s.Stats().Entries == 0 {
 		t.Error("store empty after concurrent writes")
 	}
 }
 
-// TestLookupAllocationFree: Get and Contains are the hottest reuse-lookup
-// path; the composite key is built in a stack buffer and passed to the map
-// as an elided string conversion, so neither call may allocate.
+// TestLookupAllocationFree: Get is the hottest reuse-lookup path; the
+// composite key is built in a stack buffer and passed to the map as an
+// elided string conversion, so the call may not allocate.
 func TestLookupAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -167,12 +151,6 @@ func TestLookupAllocationFree(t *testing.T) {
 	}); a != 0 {
 		t.Errorf("Get allocates %v per call, want 0", a)
 	}
-	if a := testing.AllocsPerRun(100, func() {
-		s.Contains("CapacityModel#1", "(12,36,44)")
-		s.Contains("CapacityModel#1", "missing")
-	}); a != 0 {
-		t.Errorf("Contains allocates %v per call, want 0", a)
-	}
 }
 
 // TestCompositeKeyLongSiteNames: keys longer than the stack buffer still
@@ -185,13 +163,6 @@ func TestCompositeKeyLongSiteNames(t *testing.T) {
 	got, ok := s.Get(site, key)
 	if !ok || got[0] != 42 {
 		t.Fatalf("long-key round trip failed: %v %v", got, ok)
-	}
-	if !s.Contains(site, key) {
-		t.Error("Contains missed long key")
-	}
-	s.Drop(site, key)
-	if s.Contains(site, key) {
-		t.Error("Drop missed long key")
 	}
 }
 
@@ -223,40 +194,6 @@ func TestEntryBytesAccounting(t *testing.T) {
 	}
 }
 
-// TestClearResetsStats: Clear must reset the counters along with the
-// entries — a cleared store reports like a fresh one. (Previously the
-// counters survived Clear, so post-Clear hit rates were computed against
-// traffic from before the wipe.)
-func TestClearResetsStats(t *testing.T) {
-	s := NewStore(0)
-	s.Put("s", "k", []float64{1})
-	s.Get("s", "k")
-	s.Get("s", "nope")
-	s.Clear()
-	if st := s.Stats(); st != (Stats{}) {
-		t.Fatalf("stats after Clear = %+v, want all zero", st)
-	}
-}
-
-// TestResetStats zeroes counters without touching entries.
-func TestResetStats(t *testing.T) {
-	s := NewStore(0)
-	s.Put("s", "k", []float64{1, 2})
-	s.Get("s", "k")
-	s.Get("s", "nope")
-	s.ResetStats()
-	st := s.Stats()
-	if st.Hits != 0 || st.Misses != 0 || st.Inserted != 0 || st.Evicted != 0 {
-		t.Fatalf("counters not reset: %+v", st)
-	}
-	if st.Entries != 1 || st.UsedBytes == 0 {
-		t.Fatalf("ResetStats disturbed entries: %+v", st)
-	}
-	if got, ok := s.Get("s", "k"); !ok || got[0] != 1 {
-		t.Fatal("entry lost across ResetStats")
-	}
-}
-
 func BenchmarkStoreGet(b *testing.B) {
 	s := NewStore(0)
 	s.Put("CapacityModel#1", "(12,36,44)", make([]float64, 1000))
@@ -267,12 +204,11 @@ func BenchmarkStoreGet(b *testing.B) {
 	}
 }
 
-func BenchmarkStoreContains(b *testing.B) {
-	s := NewStore(0)
-	s.Put("CapacityModel#1", "(12,36,44)", make([]float64, 1000))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Contains("CapacityModel#1", "(12,36,44)")
-	}
+// stored reports whether (site, key) is in either tier, without touching
+// LRU order or mapping a file.
+func stored(s *Store, site, key string) bool {
+	s.mu.Lock()
+	_, ok := s.index[string(appendCompositeKey(nil, site, key))]
+	s.mu.Unlock()
+	return ok || s.spill != nil && s.spill.Contains(site, key)
 }

@@ -346,33 +346,6 @@ func Neg(a Value) (Value, error) {
 	}
 }
 
-// Key returns a comparable representation suitable for use as a Go map key
-// in GROUP BY hashing. Numerically equal INT and FLOAT values share a key.
-func (v Value) Key() Key {
-	switch v.kind {
-	case KindNull:
-		return Key{kind: KindNull}
-	case KindInt:
-		return Key{kind: KindFloat, f: float64(v.i)}
-	case KindFloat:
-		return Key{kind: KindFloat, f: v.f}
-	case KindString:
-		return Key{kind: KindString, s: v.s}
-	case KindBool:
-		return Key{kind: KindBool, b: v.b}
-	default:
-		return Key{kind: KindNull}
-	}
-}
-
-// Key is a comparable (==) projection of a Value.
-type Key struct {
-	kind Kind
-	f    float64
-	s    string
-	b    bool
-}
-
 // AppendKey appends v's canonical key encoding to dst and returns the
 // extended slice. The encoding is shared between the row engine's boxed
 // KeyString and the columnar engine's unboxed key builders (see

@@ -31,7 +31,6 @@ package vg
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -115,13 +114,12 @@ func NewFunc(name string, arity int, fn GenerateFunc) Function {
 	return &funcAdapter{name: name, arity: arity, fn: fn}
 }
 
-// Registry is a thread-safe catalog of VG-Functions plus invocation
-// counters.
+// Registry is a thread-safe catalog of VG-Functions plus an invocation
+// counter.
 type Registry struct {
 	mu     sync.RWMutex
 	scalar map[string]Function
 	table  map[string]TableFunction
-	counts map[string]*atomic.Int64
 	total  atomic.Int64
 }
 
@@ -130,7 +128,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		scalar: make(map[string]Function),
 		table:  make(map[string]TableFunction),
-		counts: make(map[string]*atomic.Int64),
 	}
 }
 
@@ -147,24 +144,6 @@ func (r *Registry) Register(f Function) error {
 		return fmt.Errorf("vg: function %q already registered as a table function", name)
 	}
 	r.scalar[name] = f
-	r.counts[name] = &atomic.Int64{}
-	return nil
-}
-
-// RegisterTable adds a table VG-Function. It returns an error if the name is
-// already taken.
-func (r *Registry) RegisterTable(f TableFunction) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	name := f.Name()
-	if _, ok := r.table[name]; ok {
-		return fmt.Errorf("vg: table function %q already registered", name)
-	}
-	if _, ok := r.scalar[name]; ok {
-		return fmt.Errorf("vg: table function %q already registered as a scalar function", name)
-	}
-	r.table[name] = f
-	r.counts[name] = &atomic.Int64{}
 	return nil
 }
 
@@ -184,28 +163,12 @@ func (r *Registry) LookupTable(name string) (TableFunction, bool) {
 	return f, ok
 }
 
-// Names returns all registered names (both flavors), sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.scalar)+len(r.table))
-	for n := range r.scalar {
-		out = append(out, n)
-	}
-	for n := range r.table {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Bind resolves the named scalar function for a caller about to deliver n
 // of its samples — one site over a range of worlds — checking nargs against
 // its arity and counting the n invocations once.
 func (r *Registry) Bind(name string, nargs, n int) (Function, error) {
 	r.mu.RLock()
 	f, ok := r.scalar[name]
-	c := r.counts[name]
 	r.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("vg: unknown function %q", name)
@@ -213,7 +176,6 @@ func (r *Registry) Bind(name string, nargs, n int) (Function, error) {
 	if f.Arity() >= 0 && nargs != f.Arity() {
 		return nil, fmt.Errorf("vg: function %q expects %d arguments, got %d", name, f.Arity(), nargs)
 	}
-	c.Add(int64(n))
 	r.total.Add(int64(n))
 	return f, nil
 }
@@ -233,7 +195,6 @@ func (r *Registry) Invoke(name string, seed uint64, args []value.Value) (value.V
 func (r *Registry) InvokeTable(name string, seed uint64, args []value.Value) ([][]value.Value, error) {
 	r.mu.RLock()
 	f, ok := r.table[name]
-	c := r.counts[name]
 	r.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("vg: unknown table function %q", name)
@@ -241,32 +202,16 @@ func (r *Registry) InvokeTable(name string, seed uint64, args []value.Value) ([]
 	if f.Arity() >= 0 && len(args) != f.Arity() {
 		return nil, fmt.Errorf("vg: table function %q expects %d arguments, got %d", name, f.Arity(), len(args))
 	}
-	c.Add(1)
 	r.total.Add(1)
 	return f.GenerateTable(seed, args)
-}
-
-// Count returns the number of invocations of the named function.
-func (r *Registry) Count(name string) int64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if c, ok := r.counts[name]; ok {
-		return c.Load()
-	}
-	return 0
 }
 
 // TotalInvocations returns the total invocation count across all functions.
 func (r *Registry) TotalInvocations() int64 { return r.total.Load() }
 
-// ResetCounters zeroes all invocation counters (used between experiment
+// ResetCounters zeroes the invocation counter (used between experiment
 // runs).
 func (r *Registry) ResetCounters() {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, c := range r.counts {
-		c.Store(0)
-	}
 	r.total.Store(0)
 }
 

@@ -308,69 +308,9 @@ func (g *MapGrid) Render() string {
 	return sb.String()
 }
 
-// Table renders rows of columns with simple left alignment.
-type Table struct {
-	Header []string
-	Rows   [][]string
-}
-
-// Add appends a row.
-func (t *Table) Add(cells ...string) {
-	t.Rows = append(t.Rows, cells)
-}
-
-// Render draws the table.
-func (t *Table) Render() string {
-	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
-	}
-	for _, row := range t.Rows {
-		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	var sb strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				sb.WriteString("  ")
-			}
-			sb.WriteString(padRight(c, widths[min(i, len(widths)-1)]))
-		}
-		sb.WriteByte('\n')
-	}
-	writeRow(t.Header)
-	sep := make([]string, len(t.Header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	writeRow(sep)
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-	return sb.String()
-}
-
 func padLeft(s string, w int) string {
 	if len(s) >= w {
 		return s
 	}
 	return strings.Repeat(" ", w-len(s)) + s
-}
-
-func padRight(s string, w int) string {
-	if len(s) >= w {
-		return s
-	}
-	return s + strings.Repeat(" ", w-len(s))
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

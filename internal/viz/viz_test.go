@@ -112,23 +112,3 @@ func TestMapGrid(t *testing.T) {
 		t.Error("legend missing")
 	}
 }
-
-func TestTable(t *testing.T) {
-	tb := &Table{Header: []string{"name", "value"}}
-	tb.Add("alpha", "1")
-	tb.Add("b", "10000")
-	out := tb.Render()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("lines = %d:\n%s", len(lines), out)
-	}
-	if !strings.HasPrefix(lines[0], "name") {
-		t.Errorf("header wrong: %q", lines[0])
-	}
-	if !strings.Contains(lines[1], "-----") {
-		t.Errorf("separator wrong: %q", lines[1])
-	}
-	if !strings.HasPrefix(lines[2], "alpha") {
-		t.Errorf("row wrong: %q", lines[2])
-	}
-}

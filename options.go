@@ -8,17 +8,16 @@ import (
 	"fuzzyprophet/internal/storage"
 )
 
-// EvalOption tunes evaluation: world count, seeding, parallelism and the
+// EvalOption tunes evaluation: world count, seeding, sharding and the
 // fingerprint-reuse machinery. Options apply to Evaluate, EvaluateBatch,
-// OpenSession, OpenSessionFrom and Optimize; an option irrelevant to a call
-// (e.g. WithGroupBudget outside Optimize) is ignored.
+// OpenSession and Optimize; an option irrelevant to a call (e.g.
+// WithGroupBudget outside Optimize) is ignored.
 type EvalOption func(*evalConfig)
 
 // evalConfig is the resolved option set. Zero fields mean "engine default".
 type evalConfig struct {
 	worlds        int
 	seedBase      uint64
-	workers       int
 	disableReuse  bool
 	fpLength      int
 	affineTol     float64
@@ -57,18 +56,14 @@ func WithSeedBase(seed uint64) EvalOption {
 	return func(c *evalConfig) { c.seedBase = seed }
 }
 
-// WithWorkers bounds VG-invocation parallelism (default GOMAXPROCS).
-func WithWorkers(n int) EvalOption {
-	return func(c *evalConfig) { c.workers = n }
-}
-
 // WithoutReuse turns fingerprint reuse off — naive re-simulation, the
 // baseline mode for benchmarks.
 func WithoutReuse() EvalOption {
 	return func(c *evalConfig) { c.disableReuse = true }
 }
 
-// WithFingerprintLength sets the fingerprint seed count k (default 16).
+// WithFingerprintLength sets the fingerprint length k: a fingerprint is a
+// site's outputs at its first k world seeds (default 32).
 func WithFingerprintLength(k int) EvalOption {
 	return func(c *evalConfig) { c.fpLength = k }
 }
@@ -185,7 +180,6 @@ func (c evalConfig) mcOptions() (mc.Options, error) {
 	opts := mc.Options{
 		Worlds:        c.worlds,
 		SeedBase:      c.seedBase,
-		Workers:       c.workers,
 		Shards:        c.shards,
 		SketchOnly:    c.sketchOnly,
 		AllowDegraded: c.allowDegraded,

@@ -1,7 +1,6 @@
 package fuzzyprophet
 
 import (
-	"io"
 	"time"
 
 	"fuzzyprophet/internal/mc"
@@ -44,37 +43,23 @@ func (c *ReuseCache) Close() error {
 	return c.reuse.Close()
 }
 
-// LoadReuseCache reads a snapshot previously written by Save, so a new
-// process warm-starts with the basis distributions and fingerprints of an
-// old one. WithStoreBudget bounds the restored store; the snapshot's
-// fingerprint configuration is restored verbatim. The scenario, models and
-// seed base must match the saving process's; a seed-base mismatch is
-// detected and reported on first use.
-func LoadReuseCache(rd io.Reader, opts ...EvalOption) (*ReuseCache, error) {
-	cfg := newEvalConfig(opts)
-	reuse, err := mc.LoadReuse(rd, cfg.storeOptions())
-	if err != nil {
-		return nil, err
-	}
-	return &ReuseCache{reuse: reuse}, nil
-}
-
-// Save serializes the cache (basis distributions plus fingerprint index)
-// for a later LoadReuseCache, possibly in another process. Concurrent
-// renders are locked out for the duration, so the snapshot is consistent.
-func (c *ReuseCache) Save(w io.Writer) error {
-	return c.reuse.Save(w)
-}
-
-// SaveFile atomically writes the snapshot to path (temp file + rename).
+// SaveFile atomically writes the cache (basis distributions plus
+// fingerprint index) to path (temp file + rename), for a later
+// LoadReuseCacheFile, possibly in another process. Concurrent renders are
+// locked out for the duration, so the snapshot is consistent.
 func (c *ReuseCache) SaveFile(path string) error {
 	return c.reuse.SaveSnapshot(path)
 }
 
-// LoadReuseCacheFile is LoadReuseCache reading from a snapshot file. A
-// snapshot saved by a spill-enabled cache is a manifest (keys only): load
-// it with WithSpillDir pointing at the same directory, or its bases
-// degrade to on-demand re-simulation.
+// LoadReuseCacheFile reads a snapshot previously written by SaveFile, so a
+// new process warm-starts with the basis distributions and fingerprints of
+// an old one; pass the cache to OpenSession or Evaluate with
+// WithReuseCache. WithStoreBudget bounds the restored store; the snapshot's
+// fingerprint configuration is restored verbatim. The scenario, models and
+// seed base must match the saving process's; a seed-base mismatch is
+// detected and reported on first use. A snapshot saved by a spill-enabled
+// cache is a manifest (keys only): load it with WithSpillDir pointing at
+// the same directory, or its bases degrade to on-demand re-simulation.
 func LoadReuseCacheFile(path string, opts ...EvalOption) (*ReuseCache, error) {
 	cfg := newEvalConfig(opts)
 	reuse, err := mc.LoadSnapshot(path, cfg.storeOptions())
@@ -121,14 +106,6 @@ type StoreStats struct {
 	SpillBytes   int64 `json:"spill_bytes,omitempty"`
 	SpillBudget  int64 `json:"spill_budget_bytes,omitempty"`
 	Quarantined  int64 `json:"quarantined,omitempty"`
-}
-
-// HitRate is Hits / (Hits + Misses), or 0 before any lookup.
-func (s StoreStats) HitRate() float64 {
-	if total := s.Hits + s.Misses; total > 0 {
-		return float64(s.Hits) / float64(total)
-	}
-	return 0
 }
 
 func convertStoreStats(st storage.Stats) StoreStats {
