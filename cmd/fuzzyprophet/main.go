@@ -200,7 +200,7 @@ func formatOutcomes(counts map[string]int) string {
 
 // runExplain renders the scenario once under a RenderTrace and prints the
 // merged stage/operator breakdown: where a render's time goes (simulate
-// vs. plan execution vs. merge), per-kernel row counts, spill work.
+// vs. plan execution vs. merge), per-operator row counts, spill work.
 func runExplain(ctx context.Context, scn *fp.Scenario, opts []fp.EvalOption, sets paramFlags) {
 	session, err := scn.OpenSession(opts...)
 	if err != nil {

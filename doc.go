@@ -41,10 +41,10 @@
 // Under the hood the per-point render executes the Query Generator's
 // rewritten query on a columnar engine (internal/sqlengine): Monte Carlo
 // worlds are laid out as typed column vectors and aggregated in tight
-// unboxed loops. Every query runs as a compiled execution plan — pre-bound
-// operator kernels over pooled, reusable column buffers — and each compiled
-// Scenario carries one, shared by all of its Sessions, Evaluate/EvaluateBatch
-// calls and Optimize sweeps. Plan caching is entirely transparent to this API: it is
+// unboxed loops. Every query runs as a compiled execution plan — one
+// vectorized expression operator writing into pooled, reusable column
+// buffers — and each compiled Scenario carries one, shared by all of its
+// Sessions, Evaluate/EvaluateBatch calls and Optimize sweeps. Plan caching is entirely transparent to this API: it is
 // keyed by Scenario.Fingerprint, so compiling an identical script (or
 // re-registering one with fpserver) reuses the warmed plan automatically,
 // and no public type or call changes. See docs/ARCHITECTURE.md ("Plan

@@ -8,7 +8,7 @@
 // an optional null bitmap and, for string columns, an offset-addressed
 // blob. Fixed-width values are little-endian, so on little-endian hosts a
 // mapped file serves zero-copy []float64 / []int64 views that the reuse
-// remapper and the SQL engine's plan kernels run over directly — the page
+// remapper and the SQL engine's plan run over directly — the page
 // cache, not the Go heap, holds cold bases.
 //
 // Crash safety: files are written to a temp name, fsynced and renamed into

@@ -87,7 +87,7 @@ type TierStats struct {
 // out-of-core half of the Storage Manager. All methods are safe for
 // concurrent use. Zero-copy views returned by Get stay valid until Close —
 // evicting or replacing an entry retires its mapping instead of unmapping
-// it, so long-lived readers (plan kernels mid-render) never fault.
+// it, so long-lived readers (a plan mid-render) never fault.
 type Tier struct {
 	dir    string
 	budget int64

@@ -371,7 +371,7 @@ type PointResult struct {
 const batchWorlds = 64
 
 // PanicError reports a panic recovered inside the executor's simulation or
-// shard goroutines. A panicking VG-Function (or a bug in a plan kernel)
+// shard goroutines. A panicking VG-Function (or a bug in the plan executor)
 // fails its own evaluation with this error instead of crashing the process
 // — the point of recovery is that one bad render must not take down the
 // in-flight renders sharing the server.

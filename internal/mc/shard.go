@@ -204,7 +204,7 @@ func (ev *Evaluator) runShardLocal(ctx context.Context, sp *obs.Span, pt guide.P
 	env.catalog.PutColumns(env.worlds)
 	msp.End()
 
-	// Execute the compiled plan: after warm-up its kernels write into pooled
+	// Execute the compiled plan: after warm-up its operators write into pooled
 	// buffers that are recycled on Release below.
 	xsp := sp.Child("plan-execute")
 	var counters *sqlengine.ExecCounters

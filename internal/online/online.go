@@ -19,10 +19,9 @@
 // Two scenario-level caches make repeat renders cheap: the fingerprint
 // reuse engine skips re-simulating unchanged worlds, and the scenario's
 // compiled execution plan (scenario.Plan) is shared by every render and
-// prefetch — a slider move re-executes pre-bound kernels over pooled
-// column buffers instead of re-walking the rewritten query's expression
-// tree, so the per-point SQL cost is parse-free and allocation-free after
-// the first frame.
+// prefetch — a slider move re-executes the plan's vectorized operators
+// over pooled column buffers, so the per-point SQL cost is parse-free and
+// allocation-free after the first frame.
 package online
 
 import (

@@ -159,8 +159,8 @@ var planCache = struct {
 const planCacheMax = 512
 
 // Plan returns the scenario's compiled execution plan: the rewritten query
-// (VG calls already column references) compiled once into reusable
-// kernels. The plan is safe for concurrent execution; every evaluator and
+// (VG calls already column references) compiled once into a reusable
+// plan. The plan is safe for concurrent execution; every evaluator and
 // session of the scenario shares it, so slider moves and concurrent
 // renders reuse its warmed buffer pools. Parameters are bound at execution
 // time, which is semantically identical to executing the Query Generator's
@@ -282,9 +282,6 @@ func (scn *Scenario) extractSites() error {
 			}
 			fn, isVG := scn.Registry.Lookup(call.Name)
 			if !isVG {
-				if _, isTable := scn.Registry.LookupTable(call.Name); isTable {
-					bad = fmt.Errorf("scenario: table VG-Function %s cannot be used in scalar position", call.Name)
-				}
 				return
 			}
 			if fn.Arity() >= 0 && len(call.Args) != fn.Arity() {

@@ -15,9 +15,9 @@
 // queries stay faithful to the paper's surface syntax.
 //
 // Execution is columnar: tables store typed column vectors (Column) with
-// null bitmaps, and every SELECT compiles to a Plan (plan.go) — pre-bound
-// operator kernels over pooled buffers, with a general-expression operator
-// (veval.go) for everything the kernel compiler does not specialize. Filters
+// null bitmaps, and every SELECT compiles to a Plan (plan.go) whose one
+// expression operator (veval.go) evaluates WHERE, select items, ORDER BY
+// keys, join conditions and aggregate arguments into pooled buffers. Filters
 // produce selection vectors instead of copied rows, and expressions and
 // aggregates run over whole vectors in tight loops. The original
 // row-at-a-time executor (exec.go, eval.go) is retained as the semantic

@@ -47,8 +47,6 @@ func (k ColKind) String() string {
 // means row i is NULL.
 type bitmap []uint64
 
-func newBitmap(n int) bitmap { return make(bitmap, (n+63)/64) }
-
 func (b bitmap) get(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 
 func (b bitmap) set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
@@ -114,84 +112,13 @@ func IntColumn(vals []int64) *Column {
 	return &Column{kind: ColInt, n: len(vals), i: vals}
 }
 
-// BoolColumn wraps a bool vector as a column without copying.
-func BoolColumn(vals []bool) *Column {
-	return &Column{kind: ColBool, n: len(vals), b: vals}
-}
-
-// nullColumn returns an all-NULL column of length n.
-func nullColumn(n int) *Column { return &Column{kind: ColNull, n: n} }
-
 // ValuesColumn builds a column from boxed values, choosing the densest
 // representation that preserves every value exactly: a single non-NULL kind
 // yields a typed vector (with a null bitmap when needed); mixed kinds —
 // including INT mixed with FLOAT, whose distinction the row engine
 // preserves — fall back to the boxed representation.
 func ValuesColumn(vals []value.Value) *Column {
-	n := len(vals)
-	kind := ColNull
-	for _, v := range vals {
-		var k ColKind
-		switch v.Kind() {
-		case value.KindNull:
-			continue
-		case value.KindInt:
-			k = ColInt
-		case value.KindFloat:
-			k = ColFloat
-		case value.KindString:
-			k = ColString
-		case value.KindBool:
-			k = ColBool
-		default:
-			k = ColBoxed
-		}
-		if kind == ColNull {
-			kind = k
-		} else if kind != k {
-			kind = ColBoxed
-			break
-		}
-	}
-	switch kind {
-	case ColNull:
-		return nullColumn(n)
-	case ColBoxed:
-		return &Column{kind: ColBoxed, n: n, v: vals}
-	}
-	c := &Column{kind: kind, n: n}
-	var nulls bitmap
-	switch kind {
-	case ColInt:
-		c.i = make([]int64, n)
-	case ColFloat:
-		c.f = make([]float64, n)
-	case ColString:
-		c.s = make([]string, n)
-	case ColBool:
-		c.b = make([]bool, n)
-	}
-	for idx, v := range vals {
-		if v.IsNull() {
-			if nulls == nil {
-				nulls = newBitmap(n)
-			}
-			nulls.set(idx)
-			continue
-		}
-		switch kind {
-		case ColInt:
-			c.i[idx], _ = v.AsInt()
-		case ColFloat:
-			c.f[idx], _ = v.AsFloat()
-		case ColString:
-			c.s[idx] = v.AsString()
-		case ColBool:
-			c.b[idx], _ = v.AsBool()
-		}
-	}
-	c.nulls = nulls
-	return c
+	return new(colSlot).valuesCol(vals)
 }
 
 // Len returns the number of rows.
@@ -324,17 +251,3 @@ func (c *Column) appendKey(dst []byte, i int) []byte {
 
 // isTypedNumeric reports whether the column is an unboxed numeric vector.
 func (c *Column) isTypedNumeric() bool { return c.kind == ColFloat || c.kind == ColInt }
-
-// floats returns the rows as a float64 view: the backing vector for
-// ColFloat (not to be mutated), a converted copy for ColInt. Only valid for
-// typed numeric columns; NULL rows hold unspecified values.
-func (c *Column) floats() []float64 {
-	if c.kind == ColFloat {
-		return c.f
-	}
-	out := make([]float64, c.n)
-	for i, v := range c.i {
-		out[i] = float64(v)
-	}
-	return out
-}

@@ -1,7 +1,7 @@
 package sqlengine
 
 // ExecCounters collects per-operator statistics from a single plan
-// execution: relation cardinalities through each kernel, the join
+// execution: relation cardinalities through each operator, the join
 // strategy bindFrom actually took, and per-phase wall time. Pass one to
 // Plan.ExecCounted; a nil *ExecCounters records nothing and the execution
 // path performs no time measurements at all, so the untraced hot path is
@@ -12,7 +12,7 @@ package sqlengine
 type ExecCounters struct {
 	// Relation flow.
 	RowsIn   int64 // rows in the materialized FROM relation
-	WhereIn  int64 // rows entering the WHERE kernel (0 when no WHERE)
+	WhereIn  int64 // rows entering WHERE (0 when no WHERE)
 	WhereOut int64 // rows surviving WHERE
 	RowsOut  int64 // result rows handed back
 
@@ -27,6 +27,6 @@ type ExecCounters struct {
 
 	// Phase wall time in nanoseconds. Measured only on counted runs.
 	BindNS  int64 // FROM bind + relation materialization (includes joins)
-	WhereNS int64 // WHERE kernel + selection build
-	EvalNS  int64 // item kernels and post-operators / grouped executor
+	WhereNS int64 // WHERE evaluation + selection build
+	EvalNS  int64 // select items and post-operators / grouped executor
 }

@@ -207,6 +207,21 @@ func TestDifferentialFixedQueries(t *testing.T) {
 		"SELECT 1 + 2 AS three, NULL AS nothing, 'x' AS letter;",
 		// Parameters.
 		"SELECT a FROM t WHERE a > @lo ORDER BY a;",
+		"SELECT a + @lo AS x, @lo * b AS y, CASE WHEN a > @lo THEN @lo ELSE a END AS c FROM t;",
+		// The generated scenario shape: alias references, a literal item
+		// and a compare→CASE over them.
+		"SELECT b AS demand, 1.5 AS capacity, CASE WHEN capacity < demand THEN 1 ELSE 0 END AS overload FROM t;",
+		// CASE arms of mixed INT/FLOAT kinds, a NULL arm, no ELSE; an
+		// untaken arm that would divide by zero.
+		"SELECT CASE WHEN b > 1 THEN 1 WHEN b < 0 THEN 2.5 WHEN a = 2 THEN NULL END AS c FROM t;",
+		"SELECT CASE WHEN b <> 0 THEN 1 / b ELSE 0 END AS r FROM t;",
+		"SELECT CASE WHEN b > 1 THEN a WHEN b > 0 THEN 2 WHEN b IS NULL THEN 3 ELSE a END AS c FROM t;",
+		"SELECT CASE WHEN b > 1 THEN a WHEN b > 0 THEN 2 END AS c FROM t;",
+		// Literals on the left of the asymmetric operators; INT columns
+		// against FLOAT literals; negative zero.
+		"SELECT 10 - a AS d, 3 / a AS q, 7 % a AS m, 2.5 - b AS fd, 7.5 % a AS fm FROM t;",
+		"SELECT a, a = 2.0 AS e, a < 1.5 AS lt, 1.5 >= a AS ge FROM t WHERE a > 1.5;",
+		"SELECT a, b, b = -0.0 AS z FROM t WHERE b = -0.0;",
 		// Three- and four-table FROMs in their natural (first-table-major)
 		// order: cross × cross with pruned columns, hash then theta, LEFT
 		// JOINs padding through an empty middle table, NaN keys (hash path
@@ -262,6 +277,9 @@ func TestDifferentialErrors(t *testing.T) {
 		"SELECT a FROM t WHERE s AND flag;",
 		"SELECT a FROM t ORDER BY SUM(a);",
 		"SELECT @missing FROM t;",
+		"SELECT CASE WHEN a > 1 THEN @missing ELSE 0 END AS c FROM t;",
+		"SELECT 1 / b FROM t;",
+		"SELECT b % 0.0 FROM t;",
 		// The same failures past the second table and in the post-operators.
 		"SELECT g FROM t, bigint, dim;", // ambiguous
 		"SELECT t.a FROM t, dim, missing;",

@@ -14,7 +14,7 @@ import (
 // (worlds × dimension) never needs the quadratic intermediate.
 //
 // The hash path must be observationally identical to the quadratic filter,
-// which compares keys through compareColumns/value.Compare. That forces
+// which compares keys through vctx.compare/value.Compare. That forces
 // three guard rails:
 //
 //   - key columns must be of one comparison family (numeric×numeric,
@@ -23,7 +23,7 @@ import (
 //     as the row oracle reports them;
 //   - NULL keys never match (they are skipped on build and probe, matching
 //     NULL = x ⇒ NULL ⇒ not truthy);
-//   - float keys encode -0 as +0 (compareColumns treats them equal) and
+//   - float keys encode -0 as +0 (vctx.compare treats them equal) and
 //     any NaN key aborts the hash path entirely — the engines' two-way
 //     comparison makes NaN compare equal to everything, which no hash key
 //     can express.
@@ -178,7 +178,7 @@ func appendJoinKey(c *Column, i int, dst []byte) ([]byte, bool) {
 			return dst, false
 		}
 		if f == 0 {
-			f = 0 // normalize -0: compareColumns treats -0 = +0
+			f = 0 // normalize -0: vctx.compare treats -0 = +0
 		}
 		return value.AppendFloatKey(dst, f), true
 	case ColInt:
@@ -193,29 +193,28 @@ func appendJoinKey(c *Column, i int, dst []byte) ([]byte, bool) {
 }
 
 // hashEquiJoin evaluates the key expressions over their sides and builds
-// the (outL, outR) gather lists of the inner or left join, appending to the
-// provided buffers; bt is the caller's reusable build-side state (a Plan
-// pools one in its planState). ok=false means the keys turned out
+// the gather lists of the inner or left join into st.joinL/st.joinR, with
+// the state's pooled build table. ok=false means the keys turned out
 // unhashable (kind family mismatch, boxed keys, or a NaN key) and the caller
 // must run the quadratic path; err means key evaluation failed, which the
 // quadratic path would also report.
-func (e *Engine) hashEquiJoin(acc, next *vRel, leftKeyX, rightKeyX sqlparser.Expr, leftJoin bool, params map[string]value.Value, outL, outR []int, bt *buildTable) (gl, gr []int, ok bool, err error) {
+func (st *planState) hashEquiJoin(acc, next *vRel, leftKeyX, rightKeyX sqlparser.Expr, leftJoin bool) (ok bool, err error) {
 	// Evaluate left before right: the quadratic path's evalBinary does the
 	// same, so when both sides error the same one wins.
-	lvc := &vctx{params: params, rel: acc, resolver: e.Resolver}
-	lkey, err := lvc.eval(leftKeyX, fullFrame(acc.n))
+	lvc := vctx{st: st, rel: acc}
+	lkey, err := lvc.eval(leftKeyX, frame{n: acc.n})
 	if err != nil {
-		return nil, nil, false, err
+		return false, err
 	}
-	rvc := &vctx{params: params, rel: next, resolver: e.Resolver}
-	rkey, err := rvc.eval(rightKeyX, fullFrame(next.n))
+	rvc := vctx{st: st, rel: next}
+	rkey, err := rvc.eval(rightKeyX, frame{n: next.n})
 	if err != nil {
-		return nil, nil, false, err
+		return false, err
 	}
 	if !hashableJoinKinds(lkey, rkey) {
-		return nil, nil, false, nil
+		return false, nil
 	}
-	outL, outR = outL[:0], outR[:0]
+	outL, outR, bt := st.joinL[:0], st.joinR[:0], &st.build
 
 	// All-NULL on either side: nothing matches; LEFT JOIN pads everything.
 	if lkey.kind == ColNull || rkey.kind == ColNull {
@@ -225,7 +224,8 @@ func (e *Engine) hashEquiJoin(acc, next *vRel, leftKeyX, rightKeyX sqlparser.Exp
 				outR = append(outR, -1)
 			}
 		}
-		return outL, outR, true, nil
+		st.joinL, st.joinR = outL, outR
+		return true, nil
 	}
 
 	// Build on the right side, preserving right-row order per key so the
@@ -238,7 +238,7 @@ func (e *Engine) hashEquiJoin(acc, next *vRel, leftKeyX, rightKeyX sqlparser.Exp
 		var kok bool
 		bt.keyBuf, kok = appendJoinKey(rkey, r, bt.keyBuf[:0])
 		if !kok {
-			return nil, nil, false, nil
+			return false, nil
 		}
 		bt.insert(r)
 	}
@@ -253,7 +253,7 @@ func (e *Engine) hashEquiJoin(acc, next *vRel, leftKeyX, rightKeyX sqlparser.Exp
 		var kok bool
 		bt.keyBuf, kok = appendJoinKey(lkey, l, bt.keyBuf[:0])
 		if !kok {
-			return nil, nil, false, nil
+			return false, nil
 		}
 		h := bt.lookup()
 		if h < 0 {
@@ -268,5 +268,6 @@ func (e *Engine) hashEquiJoin(acc, next *vRel, leftKeyX, rightKeyX sqlparser.Exp
 			outR = append(outR, int(r))
 		}
 	}
-	return outL, outR, true, nil
+	st.joinL, st.joinR = outL, outR
+	return true, nil
 }

@@ -5,46 +5,24 @@ import (
 	"math"
 )
 
-// This file holds the unboxed elementwise and fold cores shared by the
-// general-expression operator (veval.go) and the compiled plan kernels
-// (plan_kernels.go). Every core is split into a no-nulls plain-slice fast
-// path and a bitmap-masked slow path; the fast paths for + - * are manually
-// 8-lane unrolled (elementwise maps are lane-independent, so unrolling is
+// This file holds the unboxed elementwise and fold cores of the expression
+// operator (veval.go) and the grouped executor (vexec.go). Every core is
+// split into a no-nulls plain-slice fast path and a bitmap-masked slow
+// path; the fast paths for + - * are manually 8-lane unrolled (elementwise maps are lane-independent, so unrolling is
 // bit-exact). Reductions that the row oracle computes sequentially (float
 // SUM, Welford moments) deliberately keep their sequential order — the
 // differential suite asserts bit-identical results between the Plan and
 // the row reference — and win only the removal of the per-element bitmap
 // branch; integer SUM is exact under reassociation and does unroll.
 
-// mergedNulls returns the word-wise OR of two null bitmaps sized for n
-// rows, or nil when both are nil.
-func mergedNulls(n int, l, r bitmap) bitmap {
-	if l == nil && r == nil {
-		return nil
-	}
-	out := newBitmap(n)
-	if l != nil {
-		copy(out, l)
-	}
-	if r != nil {
-		for i := range out {
-			out[i] |= r[i]
-		}
-	}
-	return out
-}
-
-// mergeNullsInto is mergedNulls writing into a reusable buffer (returned
-// possibly re-grown); it still returns nil when both inputs are nil.
+// mergeNullsInto returns the word-wise OR of two null bitmaps sized for n
+// rows, written into a reusable buffer (returned possibly re-grown), or nil
+// when both are nil.
 func mergeNullsInto(buf bitmap, n int, l, r bitmap) (bitmap, bitmap) {
 	if l == nil && r == nil {
 		return nil, buf
 	}
-	words := (n + 63) / 64
-	if cap(buf) < words {
-		buf = make(bitmap, words)
-	}
-	buf = buf[:words]
+	buf = grow(buf, (n+63)/64)
 	if l != nil {
 		copy(buf, l)
 		if r != nil {
@@ -413,223 +391,6 @@ func cmpBoolsInto(op string, dst []bool, a, b []bool) {
 			dst[i] = rank(a[i]) >= rank(b[i])
 		}
 	}
-}
-
-// arithFloatsConstInto applies op between a vector and one scalar without
-// materializing the scalar as a column (the compiled plans' col⊕const
-// specialization). constLeft selects c ⊕ a[i] for the asymmetric ops.
-func arithFloatsConstInto(op byte, dst, a []float64, c float64, constLeft bool, nulls bitmap) error {
-	n := len(dst)
-	a = a[:n]
-	switch op {
-	case '+':
-		for i := 0; i < n; i++ {
-			dst[i] = a[i] + c
-		}
-	case '-':
-		if constLeft {
-			for i := 0; i < n; i++ {
-				dst[i] = c - a[i]
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				dst[i] = a[i] - c
-			}
-		}
-	case '*':
-		for i := 0; i < n; i++ {
-			dst[i] = a[i] * c
-		}
-	case '/':
-		if constLeft {
-			if nulls == nil {
-				for i := 0; i < n; i++ {
-					if a[i] == 0 {
-						return fmt.Errorf("value: division by zero")
-					}
-					dst[i] = c / a[i]
-				}
-			} else {
-				for i := 0; i < n; i++ {
-					if nulls.get(i) {
-						continue
-					}
-					if a[i] == 0 {
-						return fmt.Errorf("value: division by zero")
-					}
-					dst[i] = c / a[i]
-				}
-			}
-		} else {
-			if c == 0 {
-				// The row engine errors on the first non-NULL row; any such
-				// row exists exactly when not every row is NULL.
-				if !allNullRows(n, nulls) {
-					return fmt.Errorf("value: division by zero")
-				}
-				return nil
-			}
-			for i := 0; i < n; i++ {
-				dst[i] = a[i] / c
-			}
-		}
-	case '%':
-		if constLeft {
-			if nulls == nil {
-				for i := 0; i < n; i++ {
-					if a[i] == 0 {
-						return fmt.Errorf("value: modulo by zero")
-					}
-					dst[i] = math.Mod(c, a[i])
-				}
-			} else {
-				for i := 0; i < n; i++ {
-					if nulls.get(i) {
-						continue
-					}
-					if a[i] == 0 {
-						return fmt.Errorf("value: modulo by zero")
-					}
-					dst[i] = math.Mod(c, a[i])
-				}
-			}
-		} else {
-			if c == 0 {
-				if !allNullRows(n, nulls) {
-					return fmt.Errorf("value: modulo by zero")
-				}
-				return nil
-			}
-			for i := 0; i < n; i++ {
-				dst[i] = math.Mod(a[i], c)
-			}
-		}
-	}
-	return nil
-}
-
-// arithIntsConstInto is arithFloatsConstInto for the INT⊕INT ops that stay
-// integral (+ - * %; division always widens to float).
-func arithIntsConstInto(op byte, dst, a []int64, c int64, constLeft bool, nulls bitmap) error {
-	n := len(dst)
-	a = a[:n]
-	switch op {
-	case '+':
-		for i := 0; i < n; i++ {
-			dst[i] = a[i] + c
-		}
-	case '-':
-		if constLeft {
-			for i := 0; i < n; i++ {
-				dst[i] = c - a[i]
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				dst[i] = a[i] - c
-			}
-		}
-	case '*':
-		for i := 0; i < n; i++ {
-			dst[i] = a[i] * c
-		}
-	case '%':
-		if constLeft {
-			if nulls == nil {
-				for i := 0; i < n; i++ {
-					if a[i] == 0 {
-						return fmt.Errorf("value: modulo by zero")
-					}
-					dst[i] = c % a[i]
-				}
-			} else {
-				for i := 0; i < n; i++ {
-					if nulls.get(i) {
-						continue
-					}
-					if a[i] == 0 {
-						return fmt.Errorf("value: modulo by zero")
-					}
-					dst[i] = c % a[i]
-				}
-			}
-		} else {
-			if c == 0 {
-				if !allNullRows(n, nulls) {
-					return fmt.Errorf("value: modulo by zero")
-				}
-				return nil
-			}
-			for i := 0; i < n; i++ {
-				dst[i] = a[i] % c
-			}
-		}
-	}
-	return nil
-}
-
-// cmpFloatsConstInto stores op(a[i], c) — or op(c, a[i]) when constLeft —
-// into dst.
-func cmpFloatsConstInto(op string, dst []bool, a []float64, c float64, constLeft bool) {
-	if constLeft {
-		op = flipCmp(op)
-	}
-	n := len(dst)
-	a = a[:n]
-	switch op {
-	case "=":
-		for i := 0; i < n; i++ {
-			dst[i] = !(a[i] < c) && !(a[i] > c)
-		}
-	case "<>":
-		for i := 0; i < n; i++ {
-			dst[i] = a[i] < c || a[i] > c
-		}
-	case "<":
-		for i := 0; i < n; i++ {
-			dst[i] = a[i] < c
-		}
-	case "<=":
-		for i := 0; i < n; i++ {
-			dst[i] = !(a[i] > c)
-		}
-	case ">":
-		for i := 0; i < n; i++ {
-			dst[i] = a[i] > c
-		}
-	default: // ">="
-		for i := 0; i < n; i++ {
-			dst[i] = !(a[i] < c)
-		}
-	}
-}
-
-// flipCmp mirrors a comparison operator (a op b ⇔ b flip(op) a).
-func flipCmp(op string) string {
-	switch op {
-	case "<":
-		return ">"
-	case "<=":
-		return ">="
-	case ">":
-		return "<"
-	case ">=":
-		return "<="
-	default: // = and <> are symmetric
-		return op
-	}
-}
-
-// allNullRows reports whether every one of n rows is marked NULL.
-func allNullRows(n int, nulls bitmap) bool {
-	if nulls == nil {
-		return n == 0
-	}
-	for i := 0; i < n; i++ {
-		if !nulls.get(i) {
-			return false
-		}
-	}
-	return true
 }
 
 // sumIntsNoNull folds an int64 vector with 8 partial accumulators (exact:

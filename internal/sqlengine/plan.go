@@ -10,30 +10,31 @@ import (
 	"fuzzyprophet/internal/value"
 )
 
-// Compiled scenario plans: a SELECT is compiled ONCE into a Plan — a tree
-// of pre-bound operator kernels — and then executed many times (one graph
-// render evaluates the same rewritten scenario query at every X position
-// over every world). Execution is allocation-free after warm-up: every
-// operator writes into plan-owned column buffers held by a pooled
+// Compiled scenario plans: a SELECT is compiled ONCE into a Plan and then
+// executed many times (one graph render evaluates the same rewritten
+// scenario query at every X position over every world). Execution is
+// allocation-free after warm-up on the scenario shapes: the expression
+// operator (veval.go) writes every column into buffers held by a pooled
 // planState, FROM binds catalog tables by name per execution (so one plan
-// serves every evaluator/catalog of a scenario), joins produce gather
-// index lists into reused buffers, and the result is handed out as a
-// PlanResult that recycles its state on Release.
+// serves every evaluator/catalog of a scenario), joins produce gather index
+// lists into reused buffers, and the result is handed out as a PlanResult
+// that recycles its state on Release.
 //
 // Compilation never fails and every SELECT compiles: the Plan is the
 // engine's only production driver. FROM is a left-deep loop over any number
 // of tables (cross, hash equi-join or theta join per table), non-grouped
 // DISTINCT / ORDER BY / LIMIT run as post-operators over the projected
-// columns, INTO registers the result in the catalog, and any expression the
-// kernel compiler does not cover runs through the general-expression
-// operator (veval.go) over the same relation. The differential suite
-// asserts the Plan against the row reference executor (ExecScriptRow).
+// columns, INTO registers the result in the catalog, and every expression —
+// WHERE, select items, ORDER BY keys, join conditions and keys, grouped
+// aggregate arguments — runs through the one expression operator over the
+// bound relation. The differential suite asserts the Plan against the row
+// reference executor (ExecScriptRow).
 //
 // Plans are immutable after CompileSelect and safe for concurrent
 // execution: each execution borrows an isolated planState from the plan's
 // pool (concurrent renders of one scenario share one plan).
 
-// Plan is one SELECT compiled into reusable kernels and buffers.
+// Plan is one SELECT compiled into a reusable execution.
 type Plan struct {
 	sel     sqlparser.Select
 	grouped bool
@@ -46,29 +47,15 @@ type Plan struct {
 	// it is a single equality, split once at compile time (side resolution
 	// still happens at bind, against the catalog-dependent schema).
 	eqL, eqR []sqlparser.Expr
-	whereK   kernel
-	items    []itemPlan
-	orderK   []kernel // non-grouped ORDER BY keys
 	colNames []string
 
+	// colRefs are the column references of the WHERE, item and ORDER BY
+	// expressions: the relation columns a cross or hash join must
+	// materialize.
 	colRefs []colRefSpec
-	// gatherSlot[i] is the fixed slot colRef spec i gathers through when a
-	// selection is active.
-	gatherSlot []int
-	usedAll    bool // materialize every relation column (grouped plans, deep joins)
-	slots      int  // number of fixed buffer slots
+	usedAll bool // materialize every relation column (grouped plans, deep joins)
 
 	pool sync.Pool
-}
-
-// kernel evaluates one compiled expression over the state's current
-// selection, returning a column of st.n rows (usually backed by a plan
-// buffer, valid until the execution's PlanResult is released).
-type kernel func(st *planState) (*Column, error)
-
-type itemPlan struct {
-	k     kernel
-	alias string
 }
 
 type colRefSpec struct{ table, name string }
@@ -111,28 +98,34 @@ func CompileSelect(sel sqlparser.Select) *Plan {
 		}
 	}
 
-	c := &compiler{p: p, specIDs: map[colRefSpec]int{}}
-	if sel.Where != nil {
-		p.whereK = c.compileRoot(sel.Where, nil)
-	}
 	if p.grouped {
 		// Grouped execution delegates grouping, aggregation and the
-		// per-group scalar glue to the grouped executor over the compiled
-		// FROM/WHERE relation — lazy per-group aggregate argument evaluation
-		// is part of the engines' error semantics.
+		// per-group scalar glue to the grouped executor over the FROM/WHERE
+		// relation — lazy per-group aggregate argument evaluation is part
+		// of the engines' error semantics.
 		p.usedAll = true
 		return p
 	}
-	aliases := map[string]int{}
+	seen := map[colRefSpec]bool{}
+	addRefs := func(x sqlparser.Expr) {
+		sqlparser.WalkExpr(x, func(e sqlparser.Expr) {
+			// An alias-shadowed name may add a base column needlessly; that
+			// costs one extra gather, never correctness.
+			if cr, ok := e.(sqlparser.ColumnRef); ok && !seen[colRefSpec{cr.Table, cr.Name}] {
+				seen[colRefSpec{cr.Table, cr.Name}] = true
+				p.colRefs = append(p.colRefs, colRefSpec{cr.Table, cr.Name})
+			}
+		})
+	}
+	if sel.Where != nil {
+		addRefs(sel.Where)
+	}
 	for i, item := range sel.Items {
-		p.items = append(p.items, itemPlan{k: c.compileRoot(item.Expr, aliases), alias: item.Alias})
+		addRefs(item.Expr)
 		p.colNames = append(p.colNames, outputName(item, i))
-		if item.Alias != "" {
-			aliases[item.Alias] = i
-		}
 	}
 	for _, k := range sel.OrderBy {
-		p.orderK = append(p.orderK, c.compileRoot(k.Expr, aliases))
+		addRefs(k.Expr)
 	}
 	return p
 }
@@ -183,6 +176,8 @@ func (p *Plan) ExecCounted(e *Engine, params map[string]value.Value, c *ExecCoun
 
 // colSlot is one reusable column buffer: typed backing vectors grown on
 // demand and reused across executions, plus the Column header handed out.
+// An index list (idx) rides in the same slot type, so one pool serves
+// every buffer an execution needs.
 type colSlot struct {
 	col   Column
 	f     []float64
@@ -190,50 +185,45 @@ type colSlot struct {
 	s     []string
 	b     []bool
 	v     []value.Value
+	idx   []int
 	nulls bitmap
 }
 
-func (sl *colSlot) floatCol(n int) (*Column, []float64) {
-	if cap(sl.f) < n {
-		sl.f = make([]float64, n)
+// grow returns buf resized to n elements, reallocating only when its
+// capacity is short. The contents are unspecified.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-	sl.f = sl.f[:n]
+	return buf[:n]
+}
+
+func (sl *colSlot) floatCol(n int) (*Column, []float64) {
+	sl.f = grow(sl.f, n)
 	sl.col = Column{kind: ColFloat, n: n, f: sl.f}
 	return &sl.col, sl.f
 }
 
 func (sl *colSlot) intCol(n int) (*Column, []int64) {
-	if cap(sl.i) < n {
-		sl.i = make([]int64, n)
-	}
-	sl.i = sl.i[:n]
+	sl.i = grow(sl.i, n)
 	sl.col = Column{kind: ColInt, n: n, i: sl.i}
 	return &sl.col, sl.i
 }
 
 func (sl *colSlot) boolCol(n int) (*Column, []bool) {
-	if cap(sl.b) < n {
-		sl.b = make([]bool, n)
-	}
-	sl.b = sl.b[:n]
+	sl.b = grow(sl.b, n)
 	sl.col = Column{kind: ColBool, n: n, b: sl.b}
 	return &sl.col, sl.b
 }
 
 func (sl *colSlot) stringCol(n int) (*Column, []string) {
-	if cap(sl.s) < n {
-		sl.s = make([]string, n)
-	}
-	sl.s = sl.s[:n]
+	sl.s = grow(sl.s, n)
 	sl.col = Column{kind: ColString, n: n, s: sl.s}
 	return &sl.col, sl.s
 }
 
 func (sl *colSlot) boxedCol(n int) (*Column, []value.Value) {
-	if cap(sl.v) < n {
-		sl.v = make([]value.Value, n)
-	}
-	sl.v = sl.v[:n]
+	sl.v = grow(sl.v, n)
 	sl.col = Column{kind: ColBoxed, n: n, v: sl.v}
 	return &sl.col, sl.v
 }
@@ -243,38 +233,97 @@ func (sl *colSlot) nullCol(n int) *Column {
 	return &sl.col
 }
 
+// typedCol returns an uninitialized column of the given typed kind.
+func (sl *colSlot) typedCol(kind ColKind, n int) *Column {
+	switch kind {
+	case ColFloat:
+		sl.floatCol(n)
+	case ColInt:
+		sl.intCol(n)
+	case ColString:
+		sl.stringCol(n)
+	default:
+		sl.boolCol(n)
+	}
+	return &sl.col
+}
+
 // clearedBitmap returns the slot's reusable null bitmap, zeroed, sized for
 // n rows.
 func (sl *colSlot) clearedBitmap(n int) bitmap {
-	words := (n + 63) / 64
-	if cap(sl.nulls) < words {
-		sl.nulls = make(bitmap, words)
-	}
-	sl.nulls = sl.nulls[:words]
-	for i := range sl.nulls {
-		sl.nulls[i] = 0
-	}
+	sl.nulls = grow(sl.nulls, (n+63)/64)
+	clear(sl.nulls)
 	return sl.nulls
 }
 
-// floatsInto returns the column's rows as a float64 view, widening int
-// columns into the slot's buffer (no allocation after warm-up). Only valid
-// for typed numeric columns.
+// floatsInto returns an INT column's rows widened into the slot's float
+// buffer.
 func (sl *colSlot) floatsInto(c *Column) []float64 {
-	if c.kind == ColFloat {
-		return c.f
-	}
-	if cap(sl.f) < c.n {
-		sl.f = make([]float64, c.n)
-	}
-	sl.f = sl.f[:c.n]
+	sl.f = grow(sl.f, c.n)
 	intsToFloatsInto(sl.f, c.i)
 	return sl.f
 }
 
-// planState is the per-execution scratch: the bound relation, selection,
-// buffer slots and caches. States are pooled per plan and safe to reuse
-// serially; concurrent executions draw distinct states.
+// valuesCol stores vals as the densest column that preserves every value
+// exactly (the rules of ValuesColumn), using the slot's typed buffers; a
+// boxed result keeps vals itself.
+func (sl *colSlot) valuesCol(vals []value.Value) *Column {
+	n := len(vals)
+	kind := ColNull
+	for _, v := range vals {
+		var k ColKind
+		switch v.Kind() {
+		case value.KindNull:
+			continue
+		case value.KindInt:
+			k = ColInt
+		case value.KindFloat:
+			k = ColFloat
+		case value.KindString:
+			k = ColString
+		case value.KindBool:
+			k = ColBool
+		default:
+			k = ColBoxed
+		}
+		if kind == ColNull {
+			kind = k
+		} else if kind != k {
+			kind = ColBoxed
+			break
+		}
+	}
+	switch kind {
+	case ColNull:
+		return sl.nullCol(n)
+	case ColBoxed:
+		sl.col = Column{kind: ColBoxed, n: n, v: vals}
+		return &sl.col
+	}
+	c := sl.typedCol(kind, n)
+	for idx, v := range vals {
+		switch v.Kind() {
+		case value.KindNull:
+			if c.nulls == nil {
+				c.nulls = sl.clearedBitmap(n)
+			}
+			c.nulls.set(idx)
+		case value.KindInt:
+			c.i[idx], _ = v.AsInt()
+		case value.KindFloat:
+			c.f[idx], _ = v.AsFloat()
+		case value.KindString:
+			c.s[idx] = v.AsString()
+		default:
+			c.b[idx], _ = v.AsBool()
+		}
+	}
+	return c
+}
+
+// planState is the per-execution scratch: the bound relation, selection
+// and buffer slots. States are pooled per plan and safe to reuse serially;
+// concurrent executions draw distinct states.
 type planState struct {
 	plan     *Plan
 	e        *Engine
@@ -291,9 +340,6 @@ type planState struct {
 	nextRel vRel
 	needed  []bool
 
-	colIdx []int     // per colRef spec: resolved schema index (-1: unresolved)
-	baseG  []*Column // per colRef spec: selection-gathered column cache
-
 	sel []int // nil = identity selection over rel
 	n   int
 
@@ -302,88 +348,29 @@ type planState struct {
 	joinR  []int
 	build  buildTable // pooled hash-join build-side state
 
-	fixSlots []*colSlot
-	dynSlots []*colSlot
-	dynNext  int
+	// slots are the execution's buffers, handed out in order from
+	// nextSlot; an execution takes as many as its expressions need, and
+	// the grouped executor returns an aggregate's slots once it is folded.
+	slots    []*colSlot
+	nextSlot int
 
 	itemCols []*Column
 	extras   map[string]*Column
 	pres     PlanResult
-
-	cs caseScratch
-}
-
-// caseScratch is the fused-CASE kernel's per-execution operand scratch.
-// Fused operands are simple (no nested CASE), so one scratch per state
-// suffices.
-type caseScratch struct {
-	condLC, condRC []*Column
-	condLV, condRV []value.Value
-	outC           []*Column
-	outV           []value.Value
-	masks          [][]bool
-	// Primitive output descriptors, precomputed before the pick loop so
-	// the per-row scan touches no boxed values: for arm w, either
-	// outColF/outColI[w] is the source slice, or outConstF/outConstI[w]
-	// holds the constant.
-	outColF   [][]float64
-	outColI   [][]int64
-	outNulls  []bitmap
-	outConstF []float64
-	outConstI []int64
-}
-
-func (cs *caseScratch) reset(nWhens int) {
-	grow := func(n int) {
-		if cap(cs.condLC) < n {
-			cs.condLC = make([]*Column, n)
-			cs.condRC = make([]*Column, n)
-			cs.condLV = make([]value.Value, n)
-			cs.condRV = make([]value.Value, n)
-			cs.outC = make([]*Column, n)
-			cs.outV = make([]value.Value, n)
-			cs.masks = make([][]bool, n)
-			cs.outColF = make([][]float64, n)
-			cs.outColI = make([][]int64, n)
-			cs.outNulls = make([]bitmap, n)
-			cs.outConstF = make([]float64, n)
-			cs.outConstI = make([]int64, n)
-		}
-	}
-	grow(nWhens)
-	cs.condLC = cs.condLC[:nWhens]
-	cs.condRC = cs.condRC[:nWhens]
-	cs.condLV = cs.condLV[:nWhens]
-	cs.condRV = cs.condRV[:nWhens]
-	cs.outC = cs.outC[:nWhens]
-	cs.outV = cs.outV[:nWhens]
-	cs.masks = cs.masks[:nWhens]
-	cs.outColF = cs.outColF[:nWhens]
-	cs.outColI = cs.outColI[:nWhens]
-	cs.outNulls = cs.outNulls[:nWhens]
-	cs.outConstF = cs.outConstF[:nWhens]
-	cs.outConstI = cs.outConstI[:nWhens]
 }
 
 func newPlanState(p *Plan) *planState {
-	st := &planState{
+	return &planState{
 		plan:     p,
-		colIdx:   make([]int, len(p.colRefs)),
-		baseG:    make([]*Column, len(p.colRefs)),
-		fixSlots: make([]*colSlot, p.slots),
-		itemCols: make([]*Column, len(p.items)),
-		extras:   make(map[string]*Column, len(p.items)),
+		itemCols: make([]*Column, len(p.sel.Items)),
+		extras:   make(map[string]*Column, len(p.sel.Items)),
 	}
-	for i := range st.fixSlots {
-		st.fixSlots[i] = &colSlot{}
-	}
-	return st
 }
 
 func (st *planState) begin(e *Engine, params map[string]value.Value) {
 	st.e = e
 	st.params = params
-	st.dynNext = 0
+	st.nextSlot = 0
 	st.sel = nil
 	st.n = 0
 	clear(st.extras)
@@ -397,21 +384,21 @@ func (st *planState) recycle() {
 	st.plan.pool.Put(st)
 }
 
-func (st *planState) slot(id int) *colSlot { return st.fixSlots[id] }
-
-func (st *planState) dynSlot() *colSlot {
-	if st.dynNext == len(st.dynSlots) {
-		st.dynSlots = append(st.dynSlots, &colSlot{})
+// slot hands out the execution's next buffer.
+func (st *planState) slot() *colSlot {
+	if st.nextSlot == len(st.slots) {
+		st.slots = append(st.slots, &colSlot{})
 	}
-	sl := st.dynSlots[st.dynNext]
-	st.dynNext++
+	sl := st.slots[st.nextSlot]
+	st.nextSlot++
 	return sl
 }
 
-func (st *planState) clearGatherCache() {
-	for i := range st.baseG {
-		st.baseG[i] = nil
-	}
+// ints returns an index buffer of n elements with unspecified contents.
+func (st *planState) ints(n int) []int {
+	sl := st.slot()
+	sl.idx = grow(sl.idx, n)
+	return sl.idx
 }
 
 // run executes the plan over the engine bound by begin. Phase timing is
@@ -428,7 +415,6 @@ func (st *planState) run() (*PlanResult, error) {
 		return nil, err
 	}
 	st.sel, st.n = nil, st.rel.n
-	st.clearGatherCache()
 	if c != nil {
 		now := obs.Now()
 		c.BindNS += now.Sub(t0).Nanoseconds()
@@ -436,15 +422,13 @@ func (st *planState) run() (*PlanResult, error) {
 		c.Grouped = p.grouped
 		t0 = now
 	}
-	if p.whereK != nil {
-		cond, err := p.whereK(st)
+	if p.sel.Where != nil {
+		vc := vctx{st: st, rel: &st.rel}
+		cond, err := vc.eval(p.sel.Where, frame{n: st.n})
 		if err != nil {
 			return nil, err
 		}
-		if cap(st.selBuf) < st.n {
-			st.selBuf = make([]int, 0, st.n)
-		}
-		st.selBuf = truthyKeepInto(cond, st.selBuf[:0])
+		st.selBuf = truthyKeepInto(cond, grow(st.selBuf, st.n)[:0])
 		if c != nil {
 			now := obs.Now()
 			c.WhereNS += now.Sub(t0).Nanoseconds()
@@ -454,7 +438,6 @@ func (st *planState) run() (*PlanResult, error) {
 		}
 		st.sel = st.selBuf
 		st.n = len(st.sel)
-		st.clearGatherCache()
 	}
 	var err error
 	if p.grouped {
@@ -475,20 +458,21 @@ func (st *planState) run() (*PlanResult, error) {
 	return &st.pres, nil
 }
 
-// runProject evaluates the item kernels over the filtered relation, then
-// the DISTINCT → ORDER BY → LIMIT post-operators. No shipped scenario uses
-// the post-operators, so they allocate fresh columns instead of drawing on
-// pooled buffers.
+// runProject evaluates the select items over the filtered relation, each
+// seeing the aliases of the items before it, then the DISTINCT → ORDER BY →
+// LIMIT post-operators. No shipped scenario uses the post-operators, so
+// they allocate fresh columns instead of drawing on pooled buffers.
 func (st *planState) runProject() error {
 	p := st.plan
-	for i := range p.items {
-		col, err := p.items[i].k(st)
+	vc := vctx{st: st, rel: &st.rel, extras: st.extras}
+	for i, item := range p.sel.Items {
+		col, err := vc.eval(item.Expr, frame{rows: st.sel, n: st.n})
 		if err != nil {
 			return err
 		}
 		st.itemCols[i] = col
-		if a := p.items[i].alias; a != "" {
-			st.extras[a] = col
+		if item.Alias != "" {
+			st.extras[item.Alias] = col
 		}
 	}
 	st.pres = PlanResult{ColResult: ColResult{Cols: p.colNames, Columns: st.itemCols}, st: st}
@@ -506,13 +490,12 @@ func (st *planState) runProject() error {
 				}
 			}
 			st.sel = keep
-			st.clearGatherCache()
 		}
 	}
-	if len(p.orderK) > 0 {
-		keyCols := make([]*Column, len(p.orderK))
-		for j, k := range p.orderK {
-			col, err := k(st)
+	if len(p.sel.OrderBy) > 0 {
+		keyCols := make([]*Column, len(p.sel.OrderBy))
+		for j, k := range p.sel.OrderBy {
+			col, err := vc.eval(k.Expr, frame{rows: st.sel, n: st.n})
 			if err != nil {
 				return err
 			}
@@ -535,7 +518,7 @@ func (st *planState) runProject() error {
 func (st *planState) gatherItems(idx []int) {
 	for i, c := range st.itemCols {
 		st.itemCols[i] = c.gather(idx)
-		if a := st.plan.items[i].alias; a != "" {
+		if a := st.plan.sel.Items[i].Alias; a != "" {
 			st.extras[a] = st.itemCols[i]
 		}
 	}
@@ -565,8 +548,7 @@ func (st *planState) registerInto() error {
 // ORDER BY contexts.
 func (st *planState) runGrouped() error {
 	p := st.plan
-	fr := frame{rows: st.sel, n: st.n}
-	res, orderEnvs, err := st.e.execGroupedVec(p.sel, &st.rel, fr, st.params)
+	res, orderEnvs, err := st.execGrouped(frame{rows: st.sel, n: st.n})
 	if err != nil {
 		return err
 	}
@@ -586,17 +568,16 @@ func (st *planState) runGrouped() error {
 }
 
 // bindFrom resolves the FROM tables in the engine's catalog, builds the
-// combined schema, resolves the plan's column references against it, and
+// combined schema, marks the columns the plan's expressions use, and
 // materializes the source relation: a single table directly, more tables
-// through a left-deep loop of joins. Only columns the plan actually uses
-// are materialized on the cross and hash paths.
+// through a left-deep loop of joins that materialize only the marked
+// columns.
 func (st *planState) bindFrom() error {
 	p := st.plan
 	st.schema = st.schema[:0]
 	st.tables = st.tables[:0]
 	if len(p.fromRefs) == 0 {
 		st.rel = vRel{n: 1}
-		st.resolveSpecs()
 		return nil
 	}
 	for _, ref := range p.fromRefs {
@@ -613,7 +594,7 @@ func (st *planState) bindFrom() error {
 			st.schema = append(st.schema, colBinding{table: binding, name: c})
 		}
 	}
-	st.resolveSpecs()
+	st.markNeeded()
 
 	first := st.tables[0]
 	if len(st.tables) == 1 {
@@ -663,21 +644,21 @@ func (st *planState) join(i int) error {
 				out = append(out, nil)
 				continue
 			}
-			out = append(out, crossRepeatInto(st.dynSlot(), c, next.n))
+			out = append(out, crossRepeatInto(st.slot(), c, next.n))
 		}
 		for j, c := range next.cols {
 			if !st.needed[nAcc+j] {
 				out = append(out, nil)
 				continue
 			}
-			out = append(out, crossTileInto(st.dynSlot(), c, acc.n))
+			out = append(out, crossTileInto(st.slot(), c, acc.n))
 		}
 		st.cols[i&1] = out
 		*acc = vRel{schema: schema, cols: out, n: acc.n * next.n}
 		return nil
 	case p.eqL[i] != nil && acc.n > 0 && next.n > 0:
 		if lx, rx, ok := equiJoinSides(p.eqL[i], p.eqR[i], schema, nAcc); ok {
-			outL, outR, hashed, err := st.e.hashEquiJoin(acc, next, lx, rx, ref.LeftJoin, st.params, st.joinL[:0], st.joinR[:0], &st.build)
+			hashed, err := st.hashEquiJoin(acc, next, lx, rx, ref.LeftJoin)
 			if err != nil {
 				return err
 			}
@@ -685,25 +666,8 @@ func (st *planState) join(i int) error {
 				if c := st.counters; c != nil {
 					c.JoinKind = "hash"
 				}
-				st.joinL, st.joinR = outL, outR
-				// Gather the needed columns through the plan buffers; -1
-				// right entries pad NULL (LEFT JOIN).
-				for j, c := range acc.cols {
-					if !st.needed[j] {
-						out = append(out, nil)
-						continue
-					}
-					out = append(out, gatherPadInto(st.dynSlot(), c, outL))
-				}
-				for j, c := range next.cols {
-					if !st.needed[nAcc+j] {
-						out = append(out, nil)
-						continue
-					}
-					out = append(out, gatherPadInto(st.dynSlot(), c, outR))
-				}
-				st.cols[i&1] = out
-				*acc = vRel{schema: schema, cols: out, n: len(outL)}
+				st.cols[i&1] = st.gatherSides(out, acc, next, nAcc, st.joinL, st.joinR)
+				*acc = vRel{schema: schema, cols: st.cols[i&1], n: len(st.joinL)}
 				return nil
 			}
 		}
@@ -711,62 +675,51 @@ func (st *planState) join(i int) error {
 	if c := st.counters; c != nil {
 		c.JoinKind = "interpreted"
 	}
-	joined, err := st.e.joinVec(acc, next, schema, ref, st.params)
+	n, err := st.joinVec(acc, next, schema, ref)
 	if err != nil {
 		return err
 	}
-	*acc = *joined
+	st.cols[i&1] = st.gatherSides(out, acc, next, nAcc, st.joinL, st.joinR)
+	*acc = vRel{schema: schema, cols: st.cols[i&1], n: n}
 	return nil
 }
 
-// resolveSpecs binds the plan's column references against the current
-// schema and derives which relation columns must be materialized.
-// Resolution failures are deliberately ignored here: the referencing
-// kernel reports them if and when it actually evaluates, exactly like the
-// interpreted evaluator.
-func (st *planState) resolveSpecs() {
-	p := st.plan
-	if cap(st.needed) < len(st.schema) {
-		st.needed = make([]bool, len(st.schema))
+// gatherSides appends to out the needed columns of the joined relation:
+// acc's gathered by li, next's by ri (-1 pads NULL, the LEFT JOIN).
+func (st *planState) gatherSides(out []*Column, acc, next *vRel, nAcc int, li, ri []int) []*Column {
+	for j, c := range acc.cols {
+		if !st.needed[j] {
+			out = append(out, nil)
+			continue
+		}
+		out = append(out, gatherPadInto(st.slot(), c, li))
 	}
-	st.needed = st.needed[:len(st.schema)]
+	for j, c := range next.cols {
+		if !st.needed[nAcc+j] {
+			out = append(out, nil)
+			continue
+		}
+		out = append(out, gatherPadInto(st.slot(), c, ri))
+	}
+	return out
+}
+
+// markNeeded derives which relation columns must be materialized: every
+// column when the plan uses them all, else those the plan's expressions
+// reference. An unresolvable reference is skipped here; the expression
+// operator reports it if and when it evaluates, exactly like the row
+// engine.
+func (st *planState) markNeeded() {
+	p := st.plan
+	st.needed = grow(st.needed, len(st.schema))
 	for i := range st.needed {
 		st.needed[i] = p.usedAll
 	}
-	for i, spec := range p.colRefs {
-		idx := findBinding(st.schema, spec.table, spec.name)
-		st.colIdx[i] = idx
-		if idx >= 0 {
+	for _, spec := range p.colRefs {
+		if idx := findBinding(st.schema, spec.table, spec.name); idx >= 0 {
 			st.needed[idx] = true
 		}
 	}
-}
-
-// colRefCol resolves one compiled column reference over the current
-// selection, caching the gathered column for the rest of the pass (several
-// expressions usually reference the same base columns).
-func (st *planState) colRefCol(spec int) (*Column, error) {
-	if c := st.baseG[spec]; c != nil {
-		return c, nil
-	}
-	idx := st.colIdx[spec]
-	if idx < 0 {
-		// Unresolved at bind: surface the interpreted path's error now.
-		ref := st.plan.colRefs[spec]
-		_, err := lookupBinding(st.schema, ref.table, ref.name)
-		if err == nil {
-			err = fmt.Errorf("sqlengine: column %q resolved inconsistently", ref.name)
-		}
-		return nil, err
-	}
-	base := st.rel.cols[idx]
-	if st.sel == nil {
-		st.baseG[spec] = base
-		return base, nil
-	}
-	col := gatherPadInto(st.slot(st.plan.gatherSlot[spec]), base, st.sel)
-	st.baseG[spec] = col
-	return col, nil
 }
 
 // gatherPadInto gathers rows idx[0], idx[1], … of c into a slot buffer; -1

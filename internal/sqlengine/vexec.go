@@ -10,9 +10,9 @@ import (
 	"fuzzyprophet/internal/value"
 )
 
-// This file holds the columnar operators a Plan drives besides its compiled
-// kernels: the columnar result, the theta join (gather index vectors instead
-// of copied boxed rows), the DISTINCT and ORDER BY post-operators, and the
+// This file holds the columnar operators a Plan drives besides projection:
+// the columnar result, the theta join (gather index vectors instead of
+// copied boxed rows), the DISTINCT and ORDER BY post-operators, and the
 // grouped executor — GROUP BY hashes pre-computed key columns, aggregates
 // fold typed vectors in tight loops, and the (tiny, per-group) scalar glue
 // evaluates through the row expression evaluator, so grouped semantics are
@@ -67,47 +67,52 @@ func colResultFromResult(res *Result) *ColResult {
 	return out
 }
 
-// joinVec combines acc with next under the ref's join semantics (cross,
-// inner ON, LEFT JOIN) over the combined schema: the condition filters the
-// full nl×nr product, then each column is gathered once. It is the general
-// join — the Plan routes pure cross products and hashable equality
-// conditions around it.
-func (e *Engine) joinVec(acc, next *vRel, schema []colBinding, ref sqlparser.TableRef, params map[string]value.Value) (*vRel, error) {
+// joinVec builds the gather lists of acc joined with next under the ref's
+// join semantics (cross, inner ON, LEFT JOIN) into st.joinL/st.joinR and
+// returns the joined row count: the condition filters the full nl×nr
+// product, evaluated over the combined schema. It is the general join — the
+// Plan routes pure cross products and hashable equality conditions around
+// it.
+func (st *planState) joinVec(acc, next *vRel, schema []colBinding, ref sqlparser.TableRef) (int, error) {
 	nl, nr := acc.n, next.n
-	total := nl * nr
-
-	var keepMask []bool // nil = cross join, everything kept
+	var keep []int // ascending product positions the condition keeps
 	if ref.JoinCond != nil {
-		li := make([]int, total)
-		ri := make([]int, total)
+		total := nl * nr
+		li, ri := st.ints(total), st.ints(total)
 		for l := 0; l < nl; l++ {
 			for r := 0; r < nr; r++ {
 				li[l*nr+r] = l
 				ri[l*nr+r] = r
 			}
 		}
-		combined := &vRel{schema: schema, cols: gatherSides(acc, next, li, ri), n: total}
-		vc := &vctx{params: params, rel: combined, resolver: e.Resolver}
-		cond, err := vc.eval(ref.JoinCond, fullFrame(total))
+		cols := make([]*Column, 0, len(acc.cols)+len(next.cols))
+		for _, c := range acc.cols {
+			cols = append(cols, gatherPadInto(st.slot(), c, li))
+		}
+		for _, c := range next.cols {
+			cols = append(cols, gatherPadInto(st.slot(), c, ri))
+		}
+		vc := vctx{st: st, rel: &vRel{schema: schema, cols: cols, n: total}}
+		cond, err := vc.eval(ref.JoinCond, frame{n: total})
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		keepMask = make([]bool, total)
-		for _, k := range truthyKeep(cond) {
-			keepMask[k] = true
-		}
+		keep = vc.truthyKeep(cond)
 	}
 
-	outL := make([]int, 0, total)
-	outR := make([]int, 0, total)
+	outL, outR := st.joinL[:0], st.joinR[:0]
 	for l := 0; l < nl; l++ {
 		matched := false
 		for r := 0; r < nr; r++ {
-			if keepMask == nil || keepMask[l*nr+r] {
-				matched = true
-				outL = append(outL, l)
-				outR = append(outR, r)
+			if ref.JoinCond != nil {
+				if len(keep) == 0 || keep[0] != l*nr+r {
+					continue
+				}
+				keep = keep[1:]
 			}
+			matched = true
+			outL = append(outL, l)
+			outR = append(outR, r)
 		}
 		if ref.LeftJoin && !matched {
 			// LEFT JOIN: keep the unmatched left row, padding this table's
@@ -116,20 +121,8 @@ func (e *Engine) joinVec(acc, next *vRel, schema []colBinding, ref sqlparser.Tab
 			outR = append(outR, -1)
 		}
 	}
-	return &vRel{schema: schema, cols: gatherSides(acc, next, outL, outR), n: len(outL)}, nil
-}
-
-// gatherSides gathers acc's columns by li and next's by ri (-1 pads NULL)
-// into one combined column list.
-func gatherSides(acc, next *vRel, li, ri []int) []*Column {
-	cols := make([]*Column, 0, len(acc.cols)+len(next.cols))
-	for _, c := range acc.cols {
-		cols = append(cols, c.gather(li))
-	}
-	for _, c := range next.cols {
-		cols = append(cols, c.gather(ri))
-	}
-	return cols
+	st.joinL, st.joinR = outL, outR
+	return len(outL), nil
 }
 
 // distinctKeep returns the first-occurrence positions of distinct value
@@ -238,20 +231,20 @@ func cmpCell(c *Column, a, b int) (int, error) {
 	}
 }
 
-// execGroupedVec evaluates the aggregation path: GROUP BY keys are
-// evaluated as whole columns and hashed unboxed, aggregates fold typed
-// vectors per group, and the remaining per-group scalar glue (HAVING,
-// projections with the aggregates substituted as literals) runs through the
-// row expression evaluator over the group's first row — semantics shared
-// with the row engine by construction.
-func (e *Engine) execGroupedVec(sel sqlparser.Select, rel *vRel, fr frame, params map[string]value.Value) (*Result, []func(sqlparser.Expr) (value.Value, error), error) {
-	vc := &vctx{params: params, rel: rel, resolver: e.Resolver}
-	type vGroup struct {
-		members []int // frame positions
-	}
-	var groups []*vGroup
+// execGrouped evaluates the aggregation path over the frame of st.rel:
+// GROUP BY keys are evaluated as whole columns and hashed unboxed,
+// aggregates fold typed vectors per group, and the remaining per-group
+// scalar glue (HAVING, projections with the aggregates substituted as
+// literals) runs through the row expression evaluator over the group's
+// first row — semantics shared with the row engine by construction.
+func (st *planState) execGrouped(fr frame) (*Result, []func(sqlparser.Expr) (value.Value, error), error) {
+	sel, rel, params, resolver := st.plan.sel, &st.rel, st.params, st.e.Resolver
+	vc := &vctx{st: st, rel: rel}
+	// A group's frame lists its base-relation rows; with no GROUP BY the
+	// one group is the whole frame.
+	var groups []frame
 	if len(sel.GroupBy) == 0 {
-		groups = []*vGroup{{members: identityIdx(fr.n)}}
+		groups = []frame{{rows: fr.rows, n: fr.n}}
 	} else {
 		keyCols := make([]*Column, len(sel.GroupBy))
 		for j, kx := range sel.GroupBy {
@@ -261,21 +254,21 @@ func (e *Engine) execGroupedVec(sel sqlparser.Select, rel *vRel, fr frame, param
 			}
 			keyCols[j] = col
 		}
-		index := map[string]*vGroup{}
+		index := map[string]int{}
 		var buf []byte
 		for i := 0; i < fr.n; i++ {
 			buf = buf[:0]
 			for _, kc := range keyCols {
 				buf = kc.appendKey(buf, i)
 			}
-			ks := string(buf)
-			g, ok := index[ks]
+			g, ok := index[string(buf)]
 			if !ok {
-				g = &vGroup{}
-				index[ks] = g
-				groups = append(groups, g)
+				g = len(groups)
+				index[string(buf)] = g
+				groups = append(groups, frame{})
 			}
-			g.members = append(g.members, i)
+			groups[g].rows = append(groups[g].rows, fr.row(i))
+			groups[g].n++
 		}
 	}
 
@@ -285,20 +278,19 @@ func (e *Engine) execGroupedVec(sel sqlparser.Select, rel *vRel, fr frame, param
 	}
 	rowRel := &relation{schema: rel.schema}
 	var orderEnvs []func(sqlparser.Expr) (value.Value, error)
-	for _, g := range groups {
-		gFr := fr.narrow(g.members)
+	for _, gFr := range groups {
 		var row []value.Value
 		if gFr.n > 0 {
 			row = boxRow(rel, gFr.row(0))
 		}
 		evalInGroup := func(x sqlparser.Expr, extra map[string]value.Value) (value.Value, error) {
 			rewritten, err := substituteAggregatesWith(x, func(fc sqlparser.FuncCall) (value.Value, error) {
-				return vc.computeAggVec(fc, gFr)
+				return vc.computeAgg(fc, gFr)
 			})
 			if err != nil {
 				return value.Null, err
 			}
-			ev := &env{params: params, rel: rowRel, row: row, extra: extra, resolver: e.Resolver}
+			ev := &env{params: params, rel: rowRel, row: row, extra: extra, resolver: resolver}
 			return ev.eval(rewritten)
 		}
 		if sel.Having != nil {
@@ -341,10 +333,13 @@ func boxRow(rel *vRel, base int) []value.Value {
 	return row
 }
 
-// computeAggVec evaluates one aggregate call over the group frame: the
+// computeAgg evaluates one aggregate call over the group frame: the
 // argument is evaluated as a whole column, then folded in a tight loop.
-// NULL inputs are skipped (SQL semantics); COUNT(*) counts rows.
-func (vc *vctx) computeAggVec(f sqlparser.FuncCall, gFr frame) (value.Value, error) {
+// NULL inputs are skipped (SQL semantics); COUNT(*) counts rows. The
+// argument's buffers go back to the state once the fold is done, so the
+// slots an execution holds do not grow with its group count (nor with the
+// ORDER BY comparisons that re-evaluate aggregates).
+func (vc *vctx) computeAgg(f sqlparser.FuncCall, gFr frame) (value.Value, error) {
 	if f.Star {
 		if f.Name != "COUNT" {
 			return value.Null, fmt.Errorf("sqlengine: %s(*) is not supported; only COUNT(*)", f.Name)
@@ -358,6 +353,8 @@ func (vc *vctx) computeAggVec(f sqlparser.FuncCall, gFr frame) (value.Value, err
 	if hasAggregate(arg) {
 		return value.Null, fmt.Errorf("sqlengine: nested aggregate in %s", f.Name)
 	}
+	mark := vc.st.nextSlot
+	defer func() { vc.st.nextSlot = mark }()
 	col, err := vc.eval(arg, gFr)
 	if err != nil {
 		return value.Null, err

@@ -15,7 +15,7 @@
 // (internal/colstore): eviction DEMOTES the basis to a memory-mapped column
 // file instead of discarding it, and a Get that misses RAM faults the basis
 // back as a zero-copy mapped view — read-only consumers (the reuse
-// remapper, the SQL engine's plan kernels) run directly over the mapped
+// remapper, the SQL engine's plan) run directly over the mapped
 // slice, so a working set far beyond the RAM budget stays one page fault
 // away instead of one re-simulation away.
 package storage

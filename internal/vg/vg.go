@@ -48,21 +48,6 @@ type Function interface {
 	Generate(seed uint64, args []value.Value) (value.Value, error)
 }
 
-// TableFunction is a table-generating VG-Function (the form the paper's
-// DemandModel and CapacityModel take in TSQL). The scenario engine invokes
-// it once per world and exposes the rows through the FROM clause.
-type TableFunction interface {
-	// Name is the identifier scenarios use in FROM clauses.
-	Name() string
-	// Arity is the required argument count.
-	Arity() int
-	// Columns names the generated columns.
-	Columns() []string
-	// GenerateTable returns the generated rows. It must be deterministic in
-	// (seed, args) and safe for concurrent use.
-	GenerateTable(seed uint64, args []value.Value) ([][]value.Value, error)
-}
-
 // SeriesFunction is a Function whose outputs along one integer argument,
 // the series axis, are the steps of one simulated chain. Series simulates
 // the whole chain at once; for every position p in [0, length) it must hold
@@ -119,29 +104,22 @@ func NewFunc(name string, arity int, fn GenerateFunc) Function {
 type Registry struct {
 	mu     sync.RWMutex
 	scalar map[string]Function
-	table  map[string]TableFunction
 	total  atomic.Int64
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		scalar: make(map[string]Function),
-		table:  make(map[string]TableFunction),
-	}
+	return &Registry{scalar: make(map[string]Function)}
 }
 
 // Register adds a scalar VG-Function. It returns an error if the name is
-// already taken (by either flavor).
+// already taken.
 func (r *Registry) Register(f Function) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	name := f.Name()
 	if _, ok := r.scalar[name]; ok {
 		return fmt.Errorf("vg: function %q already registered", name)
-	}
-	if _, ok := r.table[name]; ok {
-		return fmt.Errorf("vg: function %q already registered as a table function", name)
 	}
 	r.scalar[name] = f
 	return nil
@@ -152,14 +130,6 @@ func (r *Registry) Lookup(name string) (Function, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	f, ok := r.scalar[name]
-	return f, ok
-}
-
-// LookupTable returns the named table function.
-func (r *Registry) LookupTable(name string) (TableFunction, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	f, ok := r.table[name]
 	return f, ok
 }
 
@@ -188,22 +158,6 @@ func (r *Registry) Invoke(name string, seed uint64, args []value.Value) (value.V
 		return value.Null, err
 	}
 	return f.Generate(seed, args)
-}
-
-// InvokeTable calls the named table function, validating arity and counting
-// the invocation.
-func (r *Registry) InvokeTable(name string, seed uint64, args []value.Value) ([][]value.Value, error) {
-	r.mu.RLock()
-	f, ok := r.table[name]
-	r.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("vg: unknown table function %q", name)
-	}
-	if f.Arity() >= 0 && len(args) != f.Arity() {
-		return nil, fmt.Errorf("vg: table function %q expects %d arguments, got %d", name, f.Arity(), len(args))
-	}
-	r.total.Add(1)
-	return f.GenerateTable(seed, args)
 }
 
 // TotalInvocations returns the total invocation count across all functions.
@@ -236,31 +190,6 @@ func (r *Registry) CheckDeterminism(name string, seed uint64, args []value.Value
 		}
 		if sf, ok := f.(SeriesFunction); ok {
 			return checkSeries(sf, seed, args, a)
-		}
-		return nil
-	}
-	if _, ok := r.LookupTable(name); ok {
-		a, err := r.InvokeTable(name, seed, args)
-		if err != nil {
-			return err
-		}
-		b, err := r.InvokeTable(name, seed, args)
-		if err != nil {
-			return err
-		}
-		if len(a) != len(b) {
-			return fmt.Errorf("vg: table function %q is not deterministic in its seed: %d vs %d rows", name, len(a), len(b))
-		}
-		for i := range a {
-			if len(a[i]) != len(b[i]) {
-				return fmt.Errorf("vg: table function %q row %d width differs between runs", name, i)
-			}
-			for j := range a[i] {
-				if !a[i][j].Equal(b[i][j]) {
-					return fmt.Errorf("vg: table function %q row %d col %d differs between runs: %v vs %v",
-						name, i, j, a[i][j], b[i][j])
-				}
-			}
 		}
 		return nil
 	}

@@ -40,64 +40,6 @@ func TestRegisterAndLookup(t *testing.T) {
 	}
 }
 
-// RegisterTable adds a table VG-Function. It returns an error if the name is
-// already taken.
-func (r *Registry) RegisterTable(f TableFunction) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	name := f.Name()
-	if _, ok := r.table[name]; ok {
-		return fmt.Errorf("vg: table function %q already registered", name)
-	}
-	if _, ok := r.scalar[name]; ok {
-		return fmt.Errorf("vg: table function %q already registered as a scalar function", name)
-	}
-	r.table[name] = f
-	return nil
-}
-
-func TestRegisterCrossFlavorConflict(t *testing.T) {
-	r := NewRegistry()
-	scalar := NewFunc("X", 0, func(uint64, []value.Value) (value.Value, error) { return value.Int(1), nil })
-	table := &testTableFunc{name: "X"}
-	if err := r.Register(scalar); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.RegisterTable(table); err == nil {
-		t.Error("table function colliding with scalar name should error")
-	}
-	r2 := NewRegistry()
-	if err := r2.RegisterTable(table); err != nil {
-		t.Fatal(err)
-	}
-	if err := r2.Register(scalar); err == nil {
-		t.Error("scalar function colliding with table name should error")
-	}
-	if err := r2.RegisterTable(table); err == nil {
-		t.Error("duplicate table registration should error")
-	}
-}
-
-type testTableFunc struct {
-	name string
-}
-
-func (f *testTableFunc) Name() string      { return f.name }
-func (f *testTableFunc) Arity() int        { return 1 }
-func (f *testTableFunc) Columns() []string { return []string{"week", "v"} }
-func (f *testTableFunc) GenerateTable(seed uint64, args []value.Value) ([][]value.Value, error) {
-	n, err := args[0].AsInt()
-	if err != nil {
-		return nil, err
-	}
-	src := rng.New(seed)
-	rows := make([][]value.Value, n)
-	for i := range rows {
-		rows[i] = []value.Value{value.Int(int64(i)), value.Float(src.Float64())}
-	}
-	return rows, nil
-}
-
 func TestInvokeCountsAndArity(t *testing.T) {
 	r := newTestRegistry(t)
 	if _, err := r.Invoke("Gaussian", 1, []value.Value{value.Int(0)}); err == nil {
@@ -122,33 +64,6 @@ func TestInvokeCountsAndArity(t *testing.T) {
 	}
 	if _, err := r.Invoke("nope", 1, nil); err == nil {
 		t.Error("unknown function should error")
-	}
-}
-
-func TestInvokeTable(t *testing.T) {
-	r := NewRegistry()
-	if err := r.RegisterTable(&testTableFunc{name: "Tbl"}); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := r.InvokeTable("Tbl", 42, []value.Value{value.Int(3)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 || len(rows[0]) != 2 {
-		t.Fatalf("rows = %v", rows)
-	}
-	if got := r.TotalInvocations(); got != 1 {
-		t.Errorf("table count = %d", got)
-	}
-	if _, err := r.InvokeTable("Tbl", 42, nil); err == nil {
-		t.Error("wrong table arity should error")
-	}
-	if _, err := r.InvokeTable("missing", 1, nil); err == nil {
-		t.Error("unknown table function should error")
-	}
-	tf, ok := r.LookupTable("Tbl")
-	if !ok || tf.Columns()[0] != "week" {
-		t.Errorf("LookupTable = %v, %v", tf, ok)
 	}
 }
 
@@ -187,16 +102,6 @@ func TestCheckDeterminismCatchesViolation(t *testing.T) {
 	}
 	if err := r.CheckDeterminism("missing", 1, nil); err == nil {
 		t.Error("unknown name should error")
-	}
-}
-
-func TestCheckDeterminismTable(t *testing.T) {
-	r := NewRegistry()
-	if err := r.RegisterTable(&testTableFunc{name: "Tbl"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.CheckDeterminism("Tbl", 7, []value.Value{value.Int(4)}); err != nil {
-		t.Errorf("deterministic table flagged: %v", err)
 	}
 }
 
