@@ -431,6 +431,52 @@ func TestOptimizeSketchOnlyMatchesFull(t *testing.T) {
 	sameRows("Best", full.Best, sketched.Best)
 }
 
+// TestOptimizeOneShardCallPerRangePerGroup: over a shard evaluator,
+// Optimize sends each world range once per group, carrying the group's
+// whole free sweep, and finds the metrics and progress sequence of the
+// single-node run bit for bit.
+func TestOptimizeOneShardCallPerRangePerGroup(t *testing.T) {
+	sys := demoSystem(t)
+	scn, err := sys.Compile(figure2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	run := func(opts ...EvalOption) (*OptimizeResult, []string) {
+		t.Helper()
+		var progress []string
+		res, err := scn.Optimize(ctx, func(done, total int, pt map[string]any, _ map[string]string) {
+			progress = append(progress, fmt.Sprint(done, "/", total, " ", pt))
+		}, append([]EvalOption{WithWorlds(40), WithShards(2), WithoutReuse(), WithGroupBudget(3)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, progress
+	}
+	want, wantProgress := run()
+	rec := &scriptedShards{scn: scn}
+	got, gotProgress := run(WithShardEvaluator(rec))
+	if len(rec.reqs) != 2*got.GroupsExplored {
+		t.Fatalf("%d shard calls for %d groups, want one per range per group", len(rec.reqs), got.GroupsExplored)
+	}
+	for _, req := range rec.reqs {
+		if len(req.Points) != 53 {
+			t.Fatalf("shard call %+v carries %d points, want a group's 53-week sweep", req.Shard, len(req.Points))
+		}
+	}
+	if fmt.Sprint(gotProgress) != fmt.Sprint(wantProgress) {
+		t.Errorf("progress over shards differs from single-node:\n got %v\nwant %v", gotProgress, wantProgress)
+	}
+	for i, w := range want.Rows {
+		g := got.Rows[i]
+		for term, wv := range w.Metrics {
+			if math.Float64bits(g.Metrics[term]) != math.Float64bits(wv) {
+				t.Errorf("group %v %s = %v over shards, %v single-node", w.Group, term, g.Metrics[term], wv)
+			}
+		}
+	}
+}
+
 // scriptedShards is a ShardEvaluator that records every request and serves
 // it in process. With cutAfterFirst set, shard 1 of the first point waits
 // for shard 0 to be served and then cancels the render — a deterministic
@@ -518,10 +564,13 @@ func TestWarmStartedSessionHonoursOptions(t *testing.T) {
 				t.Fatal(err)
 			}
 			graphs[name] = g
-			if len(rec.reqs) != 2*g.Stats.Points {
-				t.Fatalf("%d shard requests for %d points, want two each", len(rec.reqs), g.Stats.Points)
+			if len(rec.reqs) != 2 {
+				t.Fatalf("%d shard requests for one render, want one per shard", len(rec.reqs))
 			}
 			for _, req := range rec.reqs {
+				if len(req.Points) != g.Stats.Points {
+					t.Fatalf("shard request %+v carries %d points, want the render's %d", req.Shard, len(req.Points), g.Stats.Points)
+				}
 				if !req.SketchOnly {
 					t.Fatalf("shard request %+v is not sketch-only: WithSketchOnly was dropped", req.Shard)
 				}
@@ -530,8 +579,9 @@ func TestWarmStartedSessionHonoursOptions(t *testing.T) {
 				}
 			}
 
-			// A render cut after its first point's first shard is a degraded
-			// one-point frame, not an error.
+			// A render cut after its first shard served every point is a
+			// degraded frame of every point over that shard's worlds, not an
+			// error.
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			cut := &scriptedShards{scn: scn, cutAfterFirst: cancel, firstServed: make(chan struct{})}
@@ -543,8 +593,8 @@ func TestWarmStartedSessionHonoursOptions(t *testing.T) {
 			if err != nil {
 				t.Fatalf("cut render: %v (WithAllowDegraded was dropped)", err)
 			}
-			if !g.Stats.Degraded || g.Stats.Points != 1 || g.Stats.WorldsCompleted != 40 {
-				t.Errorf("cut render stats = %+v, want a degraded one-point frame over 40 worlds", g.Stats)
+			if !g.Stats.Degraded || g.Stats.Points != 53 || g.Stats.WorldsCompleted != 40 {
+				t.Errorf("cut render stats = %+v, want a degraded 53-point frame over 40 worlds", g.Stats)
 			}
 		})
 	}

@@ -186,28 +186,32 @@ func runFig4(ctx context.Context, worlds, step int) error {
 		fmt.Sprintf("fingerprint mappings for CapacityModel at @current=%d, @feature=36", week),
 		"p1", "p2", rowLabels, colLabels)
 
-	for i, p1 := range p1Vals {
-		for j, p2 := range p2Vals {
-			pt := guide.Point{
+	var pts []guide.Point
+	for _, p1 := range p1Vals {
+		for _, p2 := range p2Vals {
+			pts = append(pts, guide.Point{
 				"current":   value.Int(week),
 				"purchase1": value.Int(p1),
 				"purchase2": value.Int(p2),
 				"feature":   value.Int(36),
-			}
-			res, err := ev.EvaluatePoint(ctx, pt)
-			if err != nil {
-				return err
-			}
-			switch res.SiteOutcome["CapacityModel#0"] {
-			case mc.Computed:
-				grid.Set(i, j, viz.CellComputed)
-			case mc.Identity:
-				grid.Set(i, j, viz.CellIdentity)
-			case mc.Affine:
-				grid.Set(i, j, viz.CellAffine)
-			case mc.CachedExact:
-				grid.Set(i, j, viz.CellCached)
-			}
+			})
+		}
+	}
+	results, err := ev.EvaluatePoints(ctx, pts)
+	if err != nil {
+		return err
+	}
+	for n, res := range results {
+		i, j := n/len(p2Vals), n%len(p2Vals)
+		switch res.SiteOutcome["CapacityModel#0"] {
+		case mc.Computed:
+			grid.Set(i, j, viz.CellComputed)
+		case mc.Identity:
+			grid.Set(i, j, viz.CellIdentity)
+		case mc.Affine:
+			grid.Set(i, j, viz.CellAffine)
+		case mc.CachedExact:
+			grid.Set(i, j, viz.CellCached)
 		}
 	}
 	fmt.Println(grid.Render())
@@ -446,27 +450,18 @@ func runE4(ctx context.Context, worlds int) error {
 
 	// Ground truth E[overload] per point, simulated directly.
 	direct := mc.NewEvaluator(scn, mc.Options{Worlds: worlds})
-	type pt struct{ w, p1, p2 int64 }
-	var pts []pt
+	var pts []guide.Point
 	for w := int64(0); w < 53; w += 1 {
 		for _, p1 := range []int64{0, 8, 16} {
-			pts = append(pts, pt{w, p1, 32})
+			pts = append(pts, guide.Point{
+				"current": value.Int(w), "purchase1": value.Int(p1),
+				"purchase2": value.Int(32), "feature": value.Int(36),
+			})
 		}
 	}
-	truth := make(map[pt]float64, len(pts))
-	for _, p := range pts {
-		res, err := direct.EvaluatePoint(ctx, guide.Point{
-			"current": value.Int(p.w), "purchase1": value.Int(p.p1),
-			"purchase2": value.Int(p.p2), "feature": value.Int(36),
-		})
-		if err != nil {
-			return err
-		}
-		var m stats.Moments
-		for _, x := range res.Columns["overload"] {
-			m.Add(x)
-		}
-		truth[p] = m.Mean()
+	truth, err := direct.EvaluatePoints(ctx, pts)
+	if err != nil {
+		return err
 	}
 
 	fmt.Println("  k   probe cost   reuse rate   max |err|   mean |err|")
@@ -478,20 +473,13 @@ func runE4(ctx context.Context, worlds int) error {
 			return err
 		}
 		ev := mc.NewEvaluator(scn, mc.Options{Worlds: worlds, Reuse: reuse})
+		results, err := ev.EvaluatePoints(ctx, pts)
+		if err != nil {
+			return err
+		}
 		var maxErr, sumErr float64
-		for _, p := range pts {
-			res, err := ev.EvaluatePoint(ctx, guide.Point{
-				"current": value.Int(p.w), "purchase1": value.Int(p.p1),
-				"purchase2": value.Int(p.p2), "feature": value.Int(36),
-			})
-			if err != nil {
-				return err
-			}
-			var m stats.Moments
-			for _, x := range res.Columns["overload"] {
-				m.Add(x)
-			}
-			errAbs := math.Abs(m.Mean() - truth[p])
+		for i, res := range results {
+			errAbs := math.Abs(overloadMean(res) - overloadMean(truth[i]))
 			sumErr += errAbs
 			if errAbs > maxErr {
 				maxErr = errAbs
@@ -519,6 +507,15 @@ func runE4(ctx context.Context, worlds int) error {
 	fmt.Println("max error near Monte Carlo noise while still probing only a small")
 	fmt.Println("fraction of the worlds.")
 	return nil
+}
+
+// overloadMean is E[overload] over a point's per-world samples.
+func overloadMean(res *mc.PointResult) float64 {
+	var m stats.Moments
+	for _, x := range res.Columns["overload"] {
+		m.Add(x)
+	}
+	return m.Mean()
 }
 
 // runE5 exercises the Markov-chain analyzer of §2: fingerprints of

@@ -278,12 +278,11 @@ func (sc *Scenario) Evaluate(ctx context.Context, point map[string]any, opts ...
 	if err != nil {
 		return nil, err
 	}
-	ev := mc.NewEvaluator(sc.scn, mcOpts)
-	res, err := ev.EvaluatePoint(ctx, pt)
+	res, err := mc.NewEvaluator(sc.scn, mcOpts).EvaluatePoints(ctx, []guide.Point{pt})
 	if err != nil {
 		return nil, err
 	}
-	return summarize(res), nil
+	return summarize(res[0]), nil
 }
 
 // BatchPoint is one point's outcome within an EvaluateBatch call.
@@ -353,15 +352,10 @@ func (sc *Scenario) EvaluateBatch(ctx context.Context, points []map[string]any, 
 		ReuseCounts: map[string]int{},
 	}
 	results, err := ev.EvaluatePoints(ctx, pts)
-	if err != nil {
-		// Deadline mid-batch under WithAllowDegraded: the points already
-		// evaluated are complete answers — return them flagged degraded
-		// rather than discarding the whole batch.
-		if !mcOpts.AllowDegraded || ctx.Err() == nil || len(results) == 0 {
-			return nil, err
-		}
-		out.Degraded = true
+	if err := ev.KeepPrefix(ctx, results, err); err != nil {
+		return nil, err
 	}
+	out.Degraded = len(results) < len(pts)
 	for i, res := range results {
 		outcome := make(map[string]string, len(res.SiteOutcome))
 		for site, kind := range res.SiteOutcome {
@@ -571,92 +565,36 @@ func (s *Session) SetParam(name string, val any) error {
 	return s.inner.SetParam(name, v)
 }
 
-// RenderStats quantifies how much of a render was served by reuse.
-type RenderStats struct {
-	Points     int           `json:"points"`
-	Recomputed int           `json:"recomputed"`
-	Remapped   int           `json:"remapped"`
-	Unchanged  int           `json:"unchanged"`
-	Elapsed    time.Duration `json:"elapsed_ns"`
-	// Degraded marks a frame rendered under a deadline that cut the world
-	// budget (or the point sweep) short with WithAllowDegraded: every point
-	// is present-and-exact or present-and-sketch-estimated, but at least
-	// one covers fewer worlds than requested.
-	Degraded bool `json:"degraded,omitempty"`
-	// WorldsCompleted is the smallest completed world count across the
-	// frame's degraded points; zero when Degraded is false.
-	WorldsCompleted int `json:"worlds_completed,omitempty"`
-}
+// RenderStats quantifies how much of a render was served by reuse. Its
+// Degraded flag marks a frame cut by the deadline under WithAllowDegraded:
+// a local render is cut to a shorter frame of full points; a render over
+// WithShardEvaluator returns the per-point harvest, each point over the
+// world ranges that completed, ending at the first point with none (a cut
+// that leaves the first point no range is the deadline error).
+type RenderStats = online.RenderStats
 
-// RecomputedFraction is the fraction of X positions that needed fresh
-// simulation.
-func (r RenderStats) RecomputedFraction() float64 {
-	if r.Points == 0 {
-		return 0
-	}
-	return float64(r.Recomputed) / float64(r.Points)
-}
-
-// Series is one rendered graph series.
-type Series struct {
-	Name       string    `json:"name"`
-	Agg        string    `json:"agg"`
-	Column     string    `json:"column"`
-	Style      []string  `json:"style,omitempty"`
-	SecondAxis bool      `json:"second_axis,omitempty"`
-	X          []float64 `json:"x"`
-	Y          []float64 `json:"y"`
-	CI95       []float64 `json:"ci95,omitempty"`
-}
+// Series is one rendered graph series: per-X Y values with CI95 bands.
+type Series = online.Series
 
 // Graph is one rendered frame of the online interface (Figure 3). It
 // marshals to the JSON shape cmd/fpserver's render endpoint serves: the
 // axis, X values, per-series Y vectors with CI95 bands, and reuse stats.
-type Graph struct {
-	Axis   string      `json:"axis"`
-	X      []float64   `json:"x"`
-	Series []Series    `json:"series"`
-	Stats  RenderStats `json:"stats"`
-}
+// Every frame is the caller's own: changing it touches no later frame.
+type Graph = online.Graph
 
-// Render evaluates the graph at the current slider positions. The context
-// is checked before every X position and per world-batch inside, so a
-// cancelled render — superseded by a newer slider adjustment, say — aborts
-// within milliseconds.
+// Render evaluates the graph at the current slider positions as one batch
+// of points. The context is checked before every X position and per
+// world-batch inside, so a cancelled render — superseded by a newer slider
+// adjustment, say — aborts within milliseconds.
 func (s *Session) Render(ctx context.Context) (*Graph, error) {
-	g, err := s.inner.Render(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return convertGraph(g), nil
+	return s.inner.Render(ctx)
 }
 
 // Ascii renders the last graph as a Figure 3-style text chart, including
 // each series' 95% confidence band (shaded with ':') and second-axis
 // placement.
 func (s *Session) Ascii(g *Graph, height int) (string, error) {
-	// Rebuild the internal representation for the renderer.
-	ig := &online.Graph{Axis: g.Axis, X: g.X}
-	ig.Stats.Points = g.Stats.Points
-	ig.Stats.Recomputed = g.Stats.Recomputed
-	ig.Stats.Remapped = g.Stats.Remapped
-	ig.Stats.Unchanged = g.Stats.Unchanged
-	ig.Stats.Elapsed = g.Stats.Elapsed
-	for _, srs := range g.Series {
-		is := online.GraphSeries{
-			Name: srs.Name, Agg: srs.Agg, Column: srs.Column,
-			Style: srs.Style, SecondAxis: srs.SecondAxis,
-		}
-		for i := range srs.Y {
-			p := online.SeriesPoint{X: srs.X[i], Y: srs.Y[i]}
-			if i < len(srs.CI95) {
-				p.CI95 = srs.CI95[i]
-			}
-			is.Points = append(is.Points, p)
-		}
-		ig.Series = append(ig.Series, is)
-	}
-	return online.Chart(ig, height)
+	return online.Chart(g, height)
 }
 
 // Prefetch proactively evaluates neighboring slider positions (radius
@@ -672,13 +610,7 @@ func (s *Session) Prefetch(ctx context.Context, axes []string, radius int) (int,
 // refined graph — the paper's "live, progressively refined view". Return
 // false from frame to stop early; the last frame is returned.
 func (s *Session) RenderProgressive(ctx context.Context, startWorlds int, frame func(g *Graph, worlds int) bool) (*Graph, error) {
-	g, err := s.inner.RenderProgressive(ctx, startWorlds, func(ig *online.Graph, worlds int) bool {
-		return frame(convertGraph(ig), worlds)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return convertGraph(g), nil
+	return s.inner.RenderProgressive(ctx, startWorlds, frame)
 }
 
 // ExplorationMap renders the paper's parameter-space exploration grid over
@@ -719,35 +651,6 @@ func (s *Session) ReuseCounts() map[string]int {
 	}
 	for k, v := range s.reuse.Counts() {
 		out[k.String()] = v
-	}
-	return out
-}
-
-func convertGraph(g *online.Graph) *Graph {
-	out := &Graph{
-		Axis: g.Axis,
-		X:    append([]float64(nil), g.X...),
-		Stats: RenderStats{
-			Points:          g.Stats.Points,
-			Recomputed:      g.Stats.Recomputed,
-			Remapped:        g.Stats.Remapped,
-			Unchanged:       g.Stats.Unchanged,
-			Elapsed:         g.Stats.Elapsed,
-			Degraded:        g.Stats.Degraded,
-			WorldsCompleted: g.Stats.WorldsCompleted,
-		},
-	}
-	for _, srs := range g.Series {
-		s := Series{
-			Name: srs.Name, Agg: srs.Agg, Column: srs.Column,
-			Style: append([]string(nil), srs.Style...), SecondAxis: srs.SecondAxis,
-		}
-		for _, p := range srs.Points {
-			s.X = append(s.X, p.X)
-			s.Y = append(s.Y, p.Y)
-			s.CI95 = append(s.CI95, p.CI95)
-		}
-		out.Series = append(out.Series, s)
 	}
 	return out
 }

@@ -195,6 +195,54 @@ func TestSessionFlow(t *testing.T) {
 	}
 }
 
+// TestRenderedFrameIsTheCallers: a caller that rewrites a returned frame —
+// a series' style words, its X values, the frame's axis values — changes
+// neither the next render nor the scenario's GRAPH items it is built from.
+func TestRenderedFrameIsTheCallers(t *testing.T) {
+	sys := demoSystem(t)
+	scn, err := sys.Compile(figure2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	session, err := scn.OpenSession(WithWorlds(40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := session.Render(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range first.Series {
+		first.Series[i].Style[0] = "mutated"
+		first.Series[i].X[0] = -1
+	}
+	first.X[0] = -1
+	for _, g := range []func() (*Graph, error){
+		func() (*Graph, error) { return session.Render(context.Background()) },
+		func() (*Graph, error) {
+			fresh, err := scn.OpenSession(WithWorlds(40))
+			if err != nil {
+				return nil, err
+			}
+			return fresh.Render(context.Background())
+		},
+	} {
+		next, err := g()
+		if err != nil {
+			t.Fatal(err)
+		}
+		styles := [][]string{{"bold", "red"}, {"blue", "y2"}, {"orange", "y2"}}
+		for i, srs := range next.Series {
+			if strings.Join(srs.Style, " ") != strings.Join(styles[i], " ") || srs.X[0] != 0 {
+				t.Errorf("series %s: style %v, X[0] %v after the caller rewrote a frame; want %v, 0", srs.Name, srs.Style, srs.X[0], styles[i])
+			}
+		}
+		if next.X[0] != 0 {
+			t.Errorf("frame X[0] = %v after the caller rewrote a frame, want 0", next.X[0])
+		}
+	}
+}
+
 func TestSessionWithoutReuseStillWorks(t *testing.T) {
 	sys := demoSystem(t)
 	scn, err := sys.Compile(figure2)

@@ -138,11 +138,11 @@ func TestChainInvalidation(t *testing.T) {
 					}
 					got, want = g[0].Columns, w[0].Columns
 				} else {
-					g, err := ev.EvaluatePoint(ctx, step.pt)
+					g, err := ev.evaluatePoint(ctx, step.pt)
 					if err != nil {
 						t.Fatal(err)
 					}
-					w, err := fresh.EvaluatePoint(ctx, step.pt)
+					w, err := fresh.evaluatePoint(ctx, step.pt)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -207,7 +207,7 @@ func TestChainOncePerWorldPerRender(t *testing.T) {
 	const worlds = 32
 	ev := NewEvaluator(scn, Options{Worlds: worlds, Workers: 3})
 	for w := int64(0); w < models.Weeks; w++ {
-		if _, err := ev.EvaluatePoint(context.Background(), point(w, 16, 32, 36)); err != nil {
+		if _, err := ev.evaluatePoint(context.Background(), point(w, 16, 32, 36)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -246,7 +246,7 @@ SELECT CapacityModel(@current, 16, 32) AS capacity;`, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = NewEvaluator(only, Options{Worlds: worlds}).EvaluatePoint(context.Background(), guide.Point{"current": value.Int(models.Weeks)})
+	_, err = NewEvaluator(only, Options{Worlds: worlds}).evaluatePoint(context.Background(), guide.Point{"current": value.Int(models.Weeks)})
 	if err == nil || capacity.generates.Load() == 0 {
 		t.Errorf("week %d: err %v after %d scalar calls; want Generate's range error", models.Weeks, err, capacity.generates.Load())
 	}
@@ -301,11 +301,11 @@ func TestReuseWithFewWorlds(t *testing.T) {
 		direct := NewEvaluator(scn, Options{Worlds: worlds})
 		for w := int64(0); w < models.Weeks; w++ {
 			pt := point(w, 16, 32, 36)
-			got, err := ev.EvaluatePoint(ctx, pt)
+			got, err := ev.evaluatePoint(ctx, pt)
 			if err != nil {
 				t.Fatalf("worlds=%d week %d: %v", worlds, w, err)
 			}
-			want, err := direct.EvaluatePoint(ctx, pt)
+			want, err := direct.evaluatePoint(ctx, pt)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -56,7 +56,7 @@ SELECT Flaky(@p) AS x;`, reg)
 func TestMidRunFailureSurfaces(t *testing.T) {
 	scn, _ := flakyScenario(t, 30) // fails during the first point's worlds
 	ev := NewEvaluator(scn, Options{Worlds: 100, Workers: 1})
-	_, err := ev.EvaluatePoint(context.Background(), guide.Point{"p": value.Int(0)})
+	_, err := ev.evaluatePoint(context.Background(), guide.Point{"p": value.Int(0)})
 	if err == nil {
 		t.Fatal("mid-run VG failure must surface")
 	}
@@ -71,7 +71,7 @@ func TestMidRunFailureSurfaces(t *testing.T) {
 func TestMidRunFailureSurfacesInParallel(t *testing.T) {
 	scn, _ := flakyScenario(t, 30)
 	ev := NewEvaluator(scn, Options{Worlds: 100, Workers: 8})
-	if _, err := ev.EvaluatePoint(context.Background(), guide.Point{"p": value.Int(0)}); err == nil {
+	if _, err := ev.evaluatePoint(context.Background(), guide.Point{"p": value.Int(0)}); err == nil {
 		t.Fatal("parallel mid-run VG failure must surface")
 	}
 }
@@ -83,7 +83,7 @@ func TestFailureDuringFingerprintProbes(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := NewEvaluator(scn, Options{Worlds: 100, Workers: 1, Reuse: reuse})
-	_, err = ev.EvaluatePoint(context.Background(), guide.Point{"p": value.Int(0)})
+	_, err = ev.evaluatePoint(context.Background(), guide.Point{"p": value.Int(0)})
 	if err == nil {
 		t.Fatal("probe failure must surface")
 	}
@@ -95,16 +95,16 @@ func TestFailureDuringFingerprintProbes(t *testing.T) {
 func TestRecoveryAfterFailure(t *testing.T) {
 	scn, f := flakyScenario(t, 30)
 	ev := NewEvaluator(scn, Options{Worlds: 20, Workers: 1})
-	if _, err := ev.EvaluatePoint(context.Background(), guide.Point{"p": value.Int(0)}); err != nil {
+	if _, err := ev.evaluatePoint(context.Background(), guide.Point{"p": value.Int(0)}); err != nil {
 		t.Fatalf("first 20 worlds should succeed: %v", err)
 	}
-	if _, err := ev.EvaluatePoint(context.Background(), guide.Point{"p": value.Int(1)}); err == nil {
+	if _, err := ev.evaluatePoint(context.Background(), guide.Point{"p": value.Int(1)}); err == nil {
 		t.Fatal("second point should hit the failure")
 	}
 	// "Fix the model": the evaluator keeps working.
 	f.failAfter = -1
 	f.calls.Store(0)
-	if _, err := ev.EvaluatePoint(context.Background(), guide.Point{"p": value.Int(1)}); err != nil {
+	if _, err := ev.evaluatePoint(context.Background(), guide.Point{"p": value.Int(1)}); err != nil {
 		t.Fatalf("evaluator should recover once the model is fixed: %v", err)
 	}
 }
@@ -138,14 +138,14 @@ SELECT Nanny(@p) AS x;`, reg)
 		t.Fatal(err)
 	}
 	ev := NewEvaluator(scn, Options{Worlds: 50, Reuse: reuse})
-	if _, err := ev.EvaluatePoint(context.Background(), guide.Point{"p": value.Int(0)}); err != nil {
+	if _, err := ev.evaluatePoint(context.Background(), guide.Point{"p": value.Int(0)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ev.EvaluatePoint(context.Background(), guide.Point{"p": value.Int(3)}); err == nil {
+	if _, err := ev.evaluatePoint(context.Background(), guide.Point{"p": value.Int(3)}); err == nil {
 		t.Fatal("NaN output must be rejected before it poisons the index")
 	}
 	// The index stays clean: other points still work.
-	if _, err := ev.EvaluatePoint(context.Background(), guide.Point{"p": value.Int(4)}); err != nil {
+	if _, err := ev.evaluatePoint(context.Background(), guide.Point{"p": value.Int(4)}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -175,11 +175,11 @@ SELECT Gaussian(@p, 1) AS x;`, reg)
 	// Sweep forward and backward so early points are long evicted.
 	order := []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0, 1, 2}
 	for _, p := range order {
-		got, err := ev.EvaluatePoint(context.Background(), guide.Point{"p": value.Int(p)})
+		got, err := ev.evaluatePoint(context.Background(), guide.Point{"p": value.Int(p)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := direct.EvaluatePoint(context.Background(), guide.Point{"p": value.Int(p)})
+		want, err := direct.evaluatePoint(context.Background(), guide.Point{"p": value.Int(p)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,10 +217,10 @@ SELECT Gaussian(@p, 1) AS x;`, reg)
 	big := NewEvaluator(scn, Options{Worlds: 200, Reuse: reuse})
 	small := NewEvaluator(scn, Options{Worlds: 50, Reuse: reuse})
 	pt := guide.Point{"p": value.Int(2)}
-	if _, err := big.EvaluatePoint(context.Background(), pt); err != nil {
+	if _, err := big.evaluatePoint(context.Background(), pt); err != nil {
 		t.Fatal(err)
 	}
-	res, err := small.EvaluatePoint(context.Background(), pt)
+	res, err := small.evaluatePoint(context.Background(), pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,10 +229,10 @@ SELECT Gaussian(@p, 1) AS x;`, reg)
 	}
 	// The other direction recomputes (no silent truncation).
 	pt2 := guide.Point{"p": value.Int(3)}
-	if _, err := small.EvaluatePoint(context.Background(), pt2); err != nil {
+	if _, err := small.evaluatePoint(context.Background(), pt2); err != nil {
 		t.Fatal(err)
 	}
-	res, err = big.EvaluatePoint(context.Background(), pt2)
+	res, err = big.evaluatePoint(context.Background(), pt2)
 	if err != nil {
 		t.Fatal(err)
 	}

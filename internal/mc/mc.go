@@ -212,7 +212,7 @@ type Evaluator struct {
 	opts      Options
 	worldCols []string
 
-	// reads names the output columns EvaluatePoint aggregates (see Reads);
+	// reads names the output columns EvaluatePoints aggregates (see Reads);
 	// nil means every numeric column. readsKey is its canonical form, part
 	// of the point memo's key.
 	reads    map[string]bool
@@ -229,6 +229,11 @@ type Evaluator struct {
 	// chains holds one series chain per site, used by the sites whose
 	// VG-Function is a vg.SeriesFunction (see chain.go).
 	chains []seriesChain
+
+	// sites and gens are siteVectors' per-site answers, reused from one
+	// point to the next.
+	sites [][]float64
+	gens  []uint64
 
 	// envs pools range-execution environments (own catalog + engine +
 	// worlds table over a world range).
@@ -254,13 +259,15 @@ func NewEvaluator(scn *scenario.Scenario, opts Options) *Evaluator {
 		opts:      opts.WithDefaults(),
 		worldCols: worldsSchema(scn),
 		chains:    make([]seriesChain, len(scn.Sites)),
+		sites:     make([][]float64, len(scn.Sites)),
+		gens:      make([]uint64, len(scn.Sites)),
 	}
 }
 
 // Reads declares which output columns the caller will read from
 // PointResult.Sketches, and that it reads only their moments (EXPECT,
 // EXPECT_STDDEV, PROB, CI95, Count): a session render names its GRAPH
-// columns, Optimize its constraint columns, a prefetch none. EvaluatePoint
+// columns, Optimize its constraint columns, a prefetch none. EvaluatePoints
 // then folds only those columns, and a local evaluation with a reuse engine
 // consults the point memo: a point whose sites are all exact store hits,
 // still the entries a memoised result was computed from, is answered with
@@ -399,51 +406,38 @@ func recoverToError(dst *error, stage string) {
 	}
 }
 
-// EvaluatePoint runs the one point pipeline: obtain the site vectors, split
-// [0, Worlds) into contiguous ranges, run every range through the range
-// executor (runShardLocal, or Options.Runner), stitch the ranges in world
-// order and aggregate once. There is exactly one range — evaluated inline
-// on the calling goroutine, with no fan-out — unless Options.Shards > 1 or
-// a Runner is set, and always when the plan is not Shardable; because
-// world seeds derive per (site, world) the stitched columns are
-// bit-identical whatever the split. It is EvaluatePoints at one point,
-// without the batch's slices on the local path.
-//
-// The context is checked between sites and once per world-batch during
-// simulation, so cancellation aborts a long evaluation promptly; the first
-// error returned after cancellation wraps ctx.Err().
-//
-// An Evaluator is not safe for concurrent EvaluatePoint calls; share the
-// Reuse engine and give each goroutine its own Evaluator instead.
-func (ev *Evaluator) EvaluatePoint(ctx context.Context, pt guide.Point) (*PointResult, error) {
-	if !ev.remote() {
-		return ev.evaluateLocal(ctx, pt)
-	}
-	res, err := ev.evaluateRemote(ctx, []guide.Point{pt})
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
-}
-
 // remote reports whether points evaluate through Options.Runner: a plan
 // that is not Shardable is always one local range.
 func (ev *Evaluator) remote() bool {
 	return ev.opts.Runner != nil && ev.scn.Plan().Shardable()
 }
 
-// EvaluatePoints runs the point pipeline at every point, returning the
-// results in point order. Local evaluation takes the points one after
-// another — site vectors, reuse and the point memo exactly as EvaluatePoint
-// alone would — checking the context before each. With a Runner and a
-// Shardable plan, each range goes out ONCE, carrying every point, so a
-// batch costs one runner call per range rather than one per point per
-// range; the points are then stitched and aggregated one by one. On error
-// EvaluatePoints returns the results of the points before the failing one
-// with it.
+// EvaluatePoints runs the one point pipeline at every point and returns the
+// results in point order. It is the only way to evaluate points: a session
+// render passes its sweep, Optimize each group's free sweep, a single
+// evaluation a one-point batch.
 //
-// Like EvaluatePoint, EvaluatePoints is not safe for concurrent calls on
-// one Evaluator.
+// Per point the pipeline is: obtain the site vectors, split [0, Worlds)
+// into contiguous ranges, run every range through the range executor
+// (runShardLocal, or Options.Runner), stitch the ranges in world order and
+// aggregate once. There is exactly one range — evaluated inline on the
+// calling goroutine, with no fan-out — unless Options.Shards > 1 or a
+// Runner is set, and always when the plan is not Shardable; because world
+// seeds derive per (site, world) the stitched columns are bit-identical
+// whatever the split.
+//
+// Local evaluation takes the points one after another — site vectors,
+// reuse, series chains and the point memo — checking the context before
+// each point, between sites and once per world-batch during simulation.
+// With a Runner and a Shardable plan, each range goes out ONCE, carrying
+// every point, so a batch costs one runner call per range rather than one
+// per point per range; the points are then stitched and aggregated one by
+// one. On error EvaluatePoints returns the results of the points before
+// the failing one with it (see KeepPrefix); an error after cancellation
+// wraps ctx.Err().
+//
+// An Evaluator is not safe for concurrent EvaluatePoints calls; share the
+// Reuse engine and give each goroutine its own Evaluator instead.
 func (ev *Evaluator) EvaluatePoints(ctx context.Context, pts []guide.Point) ([]*PointResult, error) {
 	if len(pts) > 0 && ev.remote() {
 		return ev.evaluateRemote(ctx, pts)
@@ -457,6 +451,18 @@ func (ev *Evaluator) EvaluatePoints(ctx context.Context, pts []guide.Point) ([]*
 		out = append(out, res)
 	}
 	return out, nil
+}
+
+// KeepPrefix is the degraded rule for a batch: when EvaluatePoints failed
+// because the context was cut after at least one point completed, and
+// Options.AllowDegraded is set, the completed prefix stands as the answer —
+// the caller flags it degraded — and KeepPrefix returns nil. Otherwise it
+// returns err unchanged.
+func (ev *Evaluator) KeepPrefix(ctx context.Context, done []*PointResult, err error) error {
+	if err != nil && ev.opts.AllowDegraded && ctx.Err() != nil && len(done) > 0 {
+		return nil
+	}
+	return err
 }
 
 // pointSpan opens a point's span under parent: it groups the point's stage
@@ -538,25 +544,17 @@ func (ev *Evaluator) evaluateLocal(ctx context.Context, pt guide.Point) (*PointR
 // what keeps a worker's series chains and pooled evaluator warm across a
 // sweep — with each range sent out once for all the points. Remote ranges
 // re-derive their site vectors from per-(site, world) seeds, so every site
-// is Computed and reuse is bypassed. A one-point batch keeps a single point's
-// span shape: the fan-out under the point's span. A larger batch's fan-out
-// sits beside its point spans.
+// is Computed and reuse is bypassed. The batch's fan-out span sits beside
+// its point spans.
 func (ev *Evaluator) evaluateRemote(ctx context.Context, pts []guide.Point) ([]*PointResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	n := ev.opts.Worlds
 	ranges := SplitWorlds(n, ev.opts.Shards)
-	parent, one := obs.SpanFrom(ctx), (*obs.Span)(nil)
-	if len(pts) == 1 {
-		one = ev.pointSpan(parent)
-		defer one.End()
-		parent = one
-	}
+	parent := obs.SpanFrom(ctx)
 	fsp := ev.fanoutSpan(parent, len(ranges))
-	if len(pts) > 1 {
-		fsp.SetInt("points", int64(len(pts)))
-	}
+	fsp.SetInt("points", int64(len(pts)))
 	outs, errs := ev.runRemote(ctx, fsp, pts, ranges)
 	fsp.End()
 
@@ -579,14 +577,9 @@ func (ev *Evaluator) evaluateRemote(ctx context.Context, pts []guide.Point) ([]*
 				pointOuts[i], pointErrs[i] = outs[i][p], nil
 			}
 		}
-		psp := one
-		if psp == nil {
-			psp = ev.pointSpan(parent)
-		}
+		psp := ev.pointSpan(parent)
 		err := ev.finish(ctx, psp, res, ranges, pointOuts, pointErrs)
-		if one == nil {
-			psp.End()
-		}
+		psp.End()
 		if err != nil {
 			return results, err
 		}
@@ -627,7 +620,8 @@ func (ev *Evaluator) finish(ctx context.Context, psp *obs.Span, res *PointResult
 
 // siteVectors obtains every site's full [0, Worlds) sample vector at pt
 // (fresh or re-mapped), recording each site's reuse outcome and, for an
-// exact store hit, the store generation of the entry it read. With a reuse
+// exact store hit, the store generation of the entry it read. The returned
+// slices are the evaluator's, valid until its next point. With a reuse
 // engine it ends by bounding the point memo, after the last store change
 // the evaluation makes.
 func (ev *Evaluator) siteVectors(ctx context.Context, psp *obs.Span, pt guide.Point, outcome map[string]ReuseKind) ([][]float64, []uint64, error) {
@@ -641,8 +635,7 @@ func (ev *Evaluator) siteVectors(ctx context.Context, psp *obs.Span, pt guide.Po
 	if ssp != nil && r != nil {
 		spillBefore, spilling = r.store.SpillCounters()
 	}
-	siteSamples := make([][]float64, len(ev.scn.Sites))
-	gens := make([]uint64, len(ev.scn.Sites))
+	siteSamples, gens := ev.sites, ev.gens
 	for si := range ev.scn.Sites {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err

@@ -53,6 +53,15 @@ func compileFigure2(t *testing.T) *scenario.Scenario {
 	return scn
 }
 
+// evaluatePoint evaluates pt as a one-point batch.
+func (ev *Evaluator) evaluatePoint(ctx context.Context, pt guide.Point) (*PointResult, error) {
+	res, err := ev.EvaluatePoints(ctx, []guide.Point{pt})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
 func point(current, p1, p2, feature int64) guide.Point {
 	return guide.Point{
 		"current":   value.Int(current),
@@ -65,7 +74,7 @@ func point(current, p1, p2, feature int64) guide.Point {
 func TestEvaluatePointBasics(t *testing.T) {
 	scn := compileFigure2(t)
 	ev := NewEvaluator(scn, Options{Worlds: 200})
-	res, err := ev.EvaluatePoint(context.Background(), point(5, 16, 32, 36))
+	res, err := ev.evaluatePoint(context.Background(), point(5, 16, 32, 36))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +125,11 @@ func TestEvaluatePointDeterministic(t *testing.T) {
 	a := NewEvaluator(scn, Options{Worlds: 50})
 	b := NewEvaluator(scn, Options{Worlds: 50})
 	pt := point(20, 8, 24, 12)
-	ra, err := a.EvaluatePoint(context.Background(), pt)
+	ra, err := a.evaluatePoint(context.Background(), pt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := b.EvaluatePoint(context.Background(), pt)
+	rb, err := b.evaluatePoint(context.Background(), pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,8 +147,8 @@ func TestSeedBaseChangesSamples(t *testing.T) {
 	a := NewEvaluator(scn, Options{Worlds: 50, SeedBase: 1})
 	b := NewEvaluator(scn, Options{Worlds: 50, SeedBase: 2})
 	pt := point(20, 8, 24, 12)
-	ra, _ := a.EvaluatePoint(context.Background(), pt)
-	rb, _ := b.EvaluatePoint(context.Background(), pt)
+	ra, _ := a.evaluatePoint(context.Background(), pt)
+	rb, _ := b.evaluatePoint(context.Background(), pt)
 	same := 0
 	for i := range ra.Columns["demand"] {
 		if ra.Columns["demand"][i] == rb.Columns["demand"][i] {
@@ -156,11 +165,11 @@ func TestWorkerCountsAgree(t *testing.T) {
 	serial := NewEvaluator(scn, Options{Worlds: 64, Workers: 1})
 	parallel := NewEvaluator(scn, Options{Worlds: 64, Workers: 8})
 	pt := point(30, 12, 28, 44)
-	rs, err := serial.EvaluatePoint(context.Background(), pt)
+	rs, err := serial.evaluatePoint(context.Background(), pt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := parallel.EvaluatePoint(context.Background(), pt)
+	rp, err := parallel.evaluatePoint(context.Background(), pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,14 +190,14 @@ func TestReuseCachedExact(t *testing.T) {
 	}
 	ev := NewEvaluator(scn, Options{Worlds: 100, Reuse: reuse})
 	pt := point(10, 16, 32, 36)
-	r1, err := ev.EvaluatePoint(context.Background(), pt)
+	r1, err := ev.evaluatePoint(context.Background(), pt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.SiteOutcome["DemandModel#0"] != Computed {
 		t.Errorf("first evaluation should compute, got %v", r1.SiteOutcome)
 	}
-	r2, err := ev.EvaluatePoint(context.Background(), pt)
+	r2, err := ev.evaluatePoint(context.Background(), pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,10 +228,10 @@ func TestReuseIdentityAcrossPurchaseMove(t *testing.T) {
 
 	// Evaluate week 5 with purchase1 = 20, then move purchase1 to 28.
 	// Week 5 precedes any arrival, so CapacityModel's outputs coincide.
-	if _, err := ev.EvaluatePoint(context.Background(), point(5, 20, 40, 36)); err != nil {
+	if _, err := ev.evaluatePoint(context.Background(), point(5, 20, 40, 36)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := ev.EvaluatePoint(context.Background(), point(5, 28, 40, 36))
+	res, err := ev.evaluatePoint(context.Background(), point(5, 28, 40, 36))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +246,7 @@ func TestReuseIdentityAcrossPurchaseMove(t *testing.T) {
 
 	// Ground truth: direct simulation without reuse.
 	direct := NewEvaluator(scn, Options{Worlds: 100})
-	want, err := direct.EvaluatePoint(context.Background(), point(5, 28, 40, 36))
+	want, err := direct.evaluatePoint(context.Background(), point(5, 28, 40, 36))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,11 +272,11 @@ func TestReuseSavesVGInvocations(t *testing.T) {
 	const worlds = 200
 	ev := NewEvaluator(scn, Options{Worlds: worlds, Reuse: reuse})
 
-	if _, err := ev.EvaluatePoint(context.Background(), point(5, 20, 40, 36)); err != nil {
+	if _, err := ev.evaluatePoint(context.Background(), point(5, 20, 40, 36)); err != nil {
 		t.Fatal(err)
 	}
 	before := reg.TotalInvocations()
-	if _, err := ev.EvaluatePoint(context.Background(), point(5, 24, 40, 36)); err != nil {
+	if _, err := ev.evaluatePoint(context.Background(), point(5, 24, 40, 36)); err != nil {
 		t.Fatal(err)
 	}
 	after := reg.TotalInvocations()
@@ -289,7 +298,7 @@ func TestReuseStatsAndReset(t *testing.T) {
 	scn := compileFigure2(t)
 	reuse, _ := NewReuse(core.DefaultConfig(), storage.Options{})
 	ev := NewEvaluator(scn, Options{Worlds: 50, Reuse: reuse})
-	if _, err := ev.EvaluatePoint(context.Background(), point(5, 20, 40, 36)); err != nil {
+	if _, err := ev.evaluatePoint(context.Background(), point(5, 20, 40, 36)); err != nil {
 		t.Fatal(err)
 	}
 	if got := reuse.Counts()[Computed]; got != 2 {
@@ -313,11 +322,11 @@ SELECT Gaussian(0, @p) AS g;`, reg)
 	}
 	ev := NewEvaluator(scn, Options{Worlds: 10})
 	// Negative stddev parameter: VG invocation fails, error must surface.
-	if _, err := ev.EvaluatePoint(context.Background(), guide.Point{"p": value.Int(-1)}); err == nil {
+	if _, err := ev.evaluatePoint(context.Background(), guide.Point{"p": value.Int(-1)}); err == nil {
 		t.Error("VG error should propagate")
 	}
 	// Works for the valid part of the space.
-	if _, err := ev.EvaluatePoint(context.Background(), guide.Point{"p": value.Int(1)}); err != nil {
+	if _, err := ev.evaluatePoint(context.Background(), guide.Point{"p": value.Int(1)}); err != nil {
 		t.Error(err)
 	}
 }
@@ -332,7 +341,7 @@ SELECT Gaussian(0, @p) AS g;`, reg)
 	}
 	reuse, _ := NewReuse(core.DefaultConfig(), storage.Options{})
 	ev := NewEvaluator(scn, Options{Worlds: 10, Reuse: reuse})
-	if _, err := ev.EvaluatePoint(context.Background(), guide.Point{"p": value.Int(-1)}); err == nil {
+	if _, err := ev.evaluatePoint(context.Background(), guide.Point{"p": value.Int(-1)}); err == nil {
 		t.Error("VG error should propagate through the fingerprint path")
 	}
 }
@@ -385,7 +394,7 @@ SELECT region, Gaussian(100, 1) * share AS local FROM regions;`, reg)
 		t.Fatal(err)
 	}
 	ev := NewEvaluator(scn, Options{Worlds: 40})
-	res, err := ev.EvaluatePoint(context.Background(), guide.Point{"w": value.Int(0)})
+	res, err := ev.evaluatePoint(context.Background(), guide.Point{"w": value.Int(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,10 +431,10 @@ SELECT UnitsModel(@week, @price) AS units;`, reg)
 	ev := NewEvaluator(scn, Options{Worlds: 300, Reuse: reuse})
 	pt1 := guide.Point{"week": value.Int(3), "price": value.Int(10)}
 	pt2 := guide.Point{"week": value.Int(3), "price": value.Int(12)}
-	if _, err := ev.EvaluatePoint(context.Background(), pt1); err != nil {
+	if _, err := ev.evaluatePoint(context.Background(), pt1); err != nil {
 		t.Fatal(err)
 	}
-	res, err := ev.EvaluatePoint(context.Background(), pt2)
+	res, err := ev.evaluatePoint(context.Background(), pt2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +443,7 @@ SELECT UnitsModel(@week, @price) AS units;`, reg)
 	}
 	// Affine-mapped samples match direct simulation to high precision.
 	direct := NewEvaluator(scn, Options{Worlds: 300})
-	want, err := direct.EvaluatePoint(context.Background(), pt2)
+	want, err := direct.evaluatePoint(context.Background(), pt2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -195,8 +195,8 @@ func readsKey(reads map[string]bool) string {
 // memoizable reports whether the point memo serves and records this
 // evaluation: its caller declared Reads, it runs locally with a reuse
 // engine, it is not sketch-only, and every site resolved to an exact store
-// hit. A result that is degraded is never recorded (EvaluatePoint returns
-// it before the memo step).
+// hit. A result that is degraded is never recorded (evaluateLocal skips
+// the memo step for it).
 func (ev *Evaluator) memoizable(outcome map[string]ReuseKind) bool {
 	if ev.opts.Reuse == nil || ev.reads == nil || ev.opts.Runner != nil || ev.opts.SketchOnly {
 		return false

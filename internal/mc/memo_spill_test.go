@@ -61,13 +61,13 @@ func TestPointMemoSpillRenewal(t *testing.T) {
 	}{
 		{"Put after promotion", 0, false, func(t *testing.T, sp *spilledPoint) *Evaluator {
 			assertMemo(t, "promoted", sp.scn, sp.ev, sp.pt, true)
-			if _, err := memoEvaluator(t, sp.scn, 2*worlds, sp.reuse).EvaluatePoint(context.Background(), sp.pt); err != nil {
+			if _, err := memoEvaluator(t, sp.scn, 2*worlds, sp.reuse).evaluatePoint(context.Background(), sp.pt); err != nil {
 				t.Fatal(err)
 			}
 			return sp.ev
 		}},
 		{"Put while spilled", 0, false, func(t *testing.T, sp *spilledPoint) *Evaluator {
-			if _, err := memoEvaluator(t, sp.scn, 2*worlds, sp.reuse).EvaluatePoint(context.Background(), sp.pt); err != nil {
+			if _, err := memoEvaluator(t, sp.scn, 2*worlds, sp.reuse).evaluatePoint(context.Background(), sp.pt); err != nil {
 				t.Fatal(err)
 			}
 			return sp.ev
@@ -138,7 +138,7 @@ func TestPointMemoSpillRenewal(t *testing.T) {
 			for week := 10; week < 13; week++ {
 				other := sp.scn.DefaultPoint()
 				other["current"] = value.Int(int64(week))
-				if _, err := sp.ev.EvaluatePoint(context.Background(), other); err != nil {
+				if _, err := sp.ev.evaluatePoint(context.Background(), other); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -40,7 +40,7 @@ func memoEvaluator(t *testing.T, scn *scenario.Scenario, worlds int, reuse *Reus
 func evalTraced(t *testing.T, ev *Evaluator, pt guide.Point) (*PointResult, bool) {
 	t.Helper()
 	tr := obs.New("render", obs.NewID())
-	res, err := ev.EvaluatePoint(obs.With(context.Background(), tr.Root()), pt)
+	res, err := ev.evaluatePoint(obs.With(context.Background(), tr.Root()), pt)
 	if err != nil {
 		t.Fatalf("point %v: %v", pt, err)
 	}
@@ -109,7 +109,7 @@ func assertMemo(t *testing.T, label string, scn *scenario.Scenario, ev *Evaluato
 	if hit != wantHit {
 		t.Fatalf("%s: point memo hit = %v, want %v", label, hit, wantHit)
 	}
-	want, err := memoEvaluator(t, scn, ev.opts.Worlds, nil).EvaluatePoint(context.Background(), pt)
+	want, err := memoEvaluator(t, scn, ev.opts.Worlds, nil).evaluatePoint(context.Background(), pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,14 +279,14 @@ SELECT Gaussian(@p, 1) / (__world - 5) AS x;`, reg)
 	ev := NewEvaluator(cut, Options{Worlds: 64, Shards: 2, AllowDegraded: true, Reuse: reuse})
 	ev.Reads("x")
 	p := guide.Point{"p": value.Int(1)}
-	if _, err := ev.EvaluatePoint(ctx, p); err == nil {
+	if _, err := ev.evaluatePoint(ctx, p); err == nil {
 		t.Fatal("dividing by zero in world 5 should fail an undegraded evaluation")
 	}
 	var degraded *PointResult
 	for n := int32(0); n < 16 && degraded == nil; n++ {
 		late := &lateDeadline{Context: ctx}
 		late.n.Store(n)
-		if res, err := ev.EvaluatePoint(late, p); err == nil && res.Degraded {
+		if res, err := ev.evaluatePoint(late, p); err == nil && res.Degraded {
 			degraded = res
 		}
 	}
@@ -330,7 +330,7 @@ func TestPointMemoInvalidation(t *testing.T) {
 		reuse := newReuse(t, storage.Options{})
 		short := memoEvaluator(t, scn, worlds, reuse)
 		memoised(t, short, pt)
-		if _, err := memoEvaluator(t, scn, 2*worlds, reuse).EvaluatePoint(context.Background(), pt); err != nil {
+		if _, err := memoEvaluator(t, scn, 2*worlds, reuse).evaluatePoint(context.Background(), pt); err != nil {
 			t.Fatal(err)
 		}
 		assertRecomputed(t, "after a longer basis", scn, short, pt)
@@ -345,7 +345,7 @@ func TestPointMemoInvalidation(t *testing.T) {
 		for week := 10; week < 13; week++ {
 			other := scn.DefaultPoint()
 			other["current"] = value.Int(int64(week))
-			if _, err := ev.EvaluatePoint(context.Background(), other); err != nil {
+			if _, err := ev.evaluatePoint(context.Background(), other); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -364,7 +364,7 @@ func TestPointMemoInvalidation(t *testing.T) {
 		for week := 10; week < 13; week++ {
 			other := scn.DefaultPoint()
 			other["current"] = value.Int(int64(week))
-			if _, err := ev.EvaluatePoint(context.Background(), other); err != nil {
+			if _, err := ev.evaluatePoint(context.Background(), other); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -460,7 +460,7 @@ func TestPointMemoBounded(t *testing.T) {
 		// Three times: the third visit is the second to find every site
 		// cached, and memoises the point.
 		for visit := 0; visit < 3; visit++ {
-			if _, err := ev.EvaluatePoint(ctx, pt); err != nil {
+			if _, err := ev.evaluatePoint(ctx, pt); err != nil {
 				t.Fatal(err)
 			}
 			if memo, store := reuse.memo.size(), reuse.StoreStats().UsedBytes; memo > store {
@@ -500,7 +500,7 @@ func TestPointMemoBounded(t *testing.T) {
 		// The RAM budget is a seventh of the sweep's bases.
 		full := memoEvaluator(t, scn, 64, nil)
 		for _, pt := range points {
-			if _, err := full.EvaluatePoint(ctx, pt); err != nil {
+			if _, err := full.evaluatePoint(ctx, pt); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -513,7 +513,7 @@ func TestPointMemoBounded(t *testing.T) {
 		ev := memoEvaluator(t, scn, 64, reuse)
 		for _, pt := range points {
 			for visit := 0; visit < 3; visit++ {
-				if _, err := ev.EvaluatePoint(ctx, pt); err != nil {
+				if _, err := ev.evaluatePoint(ctx, pt); err != nil {
 					t.Fatal(err)
 				}
 				st := reuse.StoreStats()

@@ -30,11 +30,11 @@ func TestGoldenSnapshotLoads(t *testing.T) {
 	warm := NewEvaluator(scn, Options{Worlds: 32, Reuse: loaded})
 	cold := NewEvaluator(scn, Options{Worlds: 32, Reuse: fresh})
 	for _, pt := range pts {
-		got, err := warm.EvaluatePoint(context.Background(), pt)
+		got, err := warm.evaluatePoint(context.Background(), pt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := cold.EvaluatePoint(context.Background(), pt)
+		want, err := cold.evaluatePoint(context.Background(), pt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,7 +36,7 @@ func TestSnapshotDuringConcurrentEvaluation(t *testing.T) {
 			ev := NewEvaluator(scn, Options{Worlds: 64, Reuse: reuse})
 			for i := 0; i < rounds; i++ {
 				pt := point(int64(i*4), int64(8*(g%3)), 32, 36)
-				if _, err := ev.EvaluatePoint(context.Background(), pt); err != nil {
+				if _, err := ev.evaluatePoint(context.Background(), pt); err != nil {
 					t.Error(err)
 					return
 				}
@@ -82,7 +82,7 @@ func TestSaveSnapshotAtomicRename(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := NewEvaluator(scn, Options{Worlds: 32, Reuse: reuse})
-	if _, err := ev.EvaluatePoint(context.Background(), point(0, 0, 0, 12)); err != nil {
+	if _, err := ev.evaluatePoint(context.Background(), point(0, 0, 0, 12)); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()

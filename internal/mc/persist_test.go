@@ -19,7 +19,7 @@ func TestReuseSaveLoadRoundTrip(t *testing.T) {
 	}
 	ev := NewEvaluator(scn, Options{Worlds: 80, Reuse: reuse})
 	pt := point(10, 16, 32, 36)
-	original, err := ev.EvaluatePoint(context.Background(), pt)
+	original, err := ev.evaluatePoint(context.Background(), pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestReuseSaveLoadRoundTrip(t *testing.T) {
 	reg := scn.Registry
 	before := reg.TotalInvocations()
 	ev2 := NewEvaluator(scn, Options{Worlds: 80, Reuse: loaded})
-	res, err := ev2.EvaluatePoint(context.Background(), pt)
+	res, err := ev2.evaluatePoint(context.Background(), pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestReuseSaveLoadRoundTrip(t *testing.T) {
 		}
 	}
 	// Fingerprint mappings also survive: a moved purchase still maps.
-	res2, err := ev2.EvaluatePoint(context.Background(), point(10, 20, 32, 36))
+	res2, err := ev2.evaluatePoint(context.Background(), point(10, 20, 32, 36))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,13 +95,13 @@ func TestSeedBaseBindingGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := NewEvaluator(scn, Options{Worlds: 20, SeedBase: 111, Reuse: reuse})
-	if _, err := a.EvaluatePoint(context.Background(), point(5, 16, 32, 36)); err != nil {
+	if _, err := a.evaluatePoint(context.Background(), point(5, 16, 32, 36)); err != nil {
 		t.Fatal(err)
 	}
 	// A second evaluator with a different seed base must be rejected: its
 	// worlds would not correspond to the stored bases.
 	b := NewEvaluator(scn, Options{Worlds: 20, SeedBase: 222, Reuse: reuse})
-	_, err = b.EvaluatePoint(context.Background(), point(5, 16, 32, 36))
+	_, err = b.evaluatePoint(context.Background(), point(5, 16, 32, 36))
 	if err == nil {
 		t.Fatal("mismatched seed base must be rejected")
 	}
@@ -110,7 +110,7 @@ func TestSeedBaseBindingGuard(t *testing.T) {
 	}
 	// Same base keeps working.
 	c := NewEvaluator(scn, Options{Worlds: 20, SeedBase: 111, Reuse: reuse})
-	if _, err := c.EvaluatePoint(context.Background(), point(6, 16, 32, 36)); err != nil {
+	if _, err := c.evaluatePoint(context.Background(), point(6, 16, 32, 36)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -119,7 +119,7 @@ func TestSeedBaseBindingSurvivesSaveLoad(t *testing.T) {
 	scn := compileFigure2(t)
 	reuse, _ := NewReuse(core.DefaultConfig(), storage.Options{})
 	ev := NewEvaluator(scn, Options{Worlds: 20, SeedBase: 111, Reuse: reuse})
-	if _, err := ev.EvaluatePoint(context.Background(), point(5, 16, 32, 36)); err != nil {
+	if _, err := ev.evaluatePoint(context.Background(), point(5, 16, 32, 36)); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -131,7 +131,7 @@ func TestSeedBaseBindingSurvivesSaveLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	wrong := NewEvaluator(scn, Options{Worlds: 20, SeedBase: 999, Reuse: loaded})
-	if _, err := wrong.EvaluatePoint(context.Background(), point(5, 16, 32, 36)); err == nil {
+	if _, err := wrong.evaluatePoint(context.Background(), point(5, 16, 32, 36)); err == nil {
 		t.Fatal("loaded state must keep its seed-base binding")
 	}
 }
@@ -165,7 +165,7 @@ func TestPersistedMappingCorrectness(t *testing.T) {
 	scn := compileFigure2(t)
 	reuse, _ := NewReuse(core.DefaultConfig(), storage.Options{})
 	ev := NewEvaluator(scn, Options{Worlds: 60, Reuse: reuse})
-	if _, err := ev.EvaluatePoint(context.Background(), point(5, 20, 40, 36)); err != nil {
+	if _, err := ev.evaluatePoint(context.Background(), point(5, 20, 40, 36)); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -177,12 +177,12 @@ func TestPersistedMappingCorrectness(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev2 := NewEvaluator(scn, Options{Worlds: 60, Reuse: loaded})
-	got, err := ev2.EvaluatePoint(context.Background(), point(5, 28, 40, 36))
+	got, err := ev2.evaluatePoint(context.Background(), point(5, 28, 40, 36))
 	if err != nil {
 		t.Fatal(err)
 	}
 	direct := NewEvaluator(scn, Options{Worlds: 60})
-	want, err := direct.EvaluatePoint(context.Background(), point(5, 28, 40, 36))
+	want, err := direct.evaluatePoint(context.Background(), point(5, 28, 40, 36))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func warmJoinSweep(tb testing.TB) (*Evaluator, []guide.Point) {
 		pt := scn.DefaultPoint()
 		pt["current"] = value.Int(int64(i))
 		pts[i] = pt
-		if _, err := ev.EvaluatePoint(context.Background(), pt); err != nil {
+		if _, err := ev.evaluatePoint(context.Background(), pt); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -46,7 +46,7 @@ func TestWarmJoinPointAllocs(t *testing.T) {
 	ev, pts := warmJoinSweep(t)
 	ctx := context.Background()
 	eval := func(pt guide.Point, hit bool) {
-		res, err := ev.EvaluatePoint(ctx, pt)
+		res, err := ev.evaluatePoint(ctx, pt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func BenchmarkEvaluatePointJoinWarm(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, pt := range pts {
-			res, err := ev.EvaluatePoint(ctx, pt)
+			res, err := ev.evaluatePoint(ctx, pt)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -527,7 +527,7 @@ func (ev *Evaluator) harvestDegraded(res *PointResult, ranges []WorldRange, outs
 // base, range), self-simulates the range from per-(site, world) seeds and
 // returns, per point, the partial columns (unless sketch-only) plus one
 // sketch per column for the coordinator to stitch. Per point it is the same
-// pipeline as EvaluatePoint over a sub-range: the shard is itself split
+// pipeline as EvaluatePoints over a sub-range: the shard is itself split
 // across Options.Shards in-process ranges, so a worker saturates its own
 // cores, and the evaluator's series chains carry from one point to the
 // next. The context is checked before every point; on error the outputs of
@@ -535,7 +535,7 @@ func (ev *Evaluator) harvestDegraded(res *PointResult, ranges []WorldRange, outs
 // not consulted (partial vectors are not valid bases). Requires a shardable
 // scenario plan.
 //
-// Like EvaluatePoint, EvaluateShard is not safe for concurrent calls on
+// Like EvaluatePoints, EvaluateShard is not safe for concurrent calls on
 // one Evaluator.
 func (ev *Evaluator) EvaluateShard(ctx context.Context, pts []guide.Point, shard WorldRange) ([]*ShardOutput, error) {
 	if shard.Lo < 0 || shard.Hi > ev.opts.Worlds || shard.Lo >= shard.Hi {

@@ -194,7 +194,7 @@ func TestShardedEvaluationBitIdentical(t *testing.T) {
 			}
 			pt := scn.DefaultPoint()
 			base := NewEvaluator(scn, Options{Worlds: worlds})
-			want, err := base.EvaluatePoint(ctx, pt)
+			want, err := base.evaluatePoint(ctx, pt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,7 +203,7 @@ func TestShardedEvaluationBitIdentical(t *testing.T) {
 			}
 			for _, shards := range []int{1, 2, 7, 16} {
 				ev := NewEvaluator(scn, Options{Worlds: worlds, Shards: shards})
-				got, err := ev.EvaluatePoint(ctx, pt)
+				got, err := ev.evaluatePoint(ctx, pt)
 				if err != nil {
 					t.Fatalf("%d shards: %v", shards, err)
 				}
@@ -254,7 +254,7 @@ func TestShardedEvaluationBitIdentical(t *testing.T) {
 						// Twice: with reuse on, the second pass is served
 						// from the basis store.
 						for pass := 0; pass < 2; pass++ {
-							got, err := ev.EvaluatePoint(ctx, pt)
+							got, err := ev.evaluatePoint(ctx, pt)
 							if err != nil {
 								t.Fatalf("%s pass %d: %v", mode, pass, err)
 							}
@@ -341,7 +341,7 @@ func TestShardedEvaluationWithReuse(t *testing.T) {
 	pt := scn.DefaultPoint()
 
 	base := NewEvaluator(scn, Options{Worlds: worlds})
-	want, err := base.EvaluatePoint(ctx, pt)
+	want, err := base.evaluatePoint(ctx, pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestShardedEvaluationWithReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := NewEvaluator(scn, Options{Worlds: worlds, Shards: 4, Reuse: reuse})
-	first, err := ev.EvaluatePoint(ctx, pt)
+	first, err := ev.evaluatePoint(ctx, pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestShardedEvaluationWithReuse(t *testing.T) {
 		}
 	}
 	// Second render at the same point: exact cache hits, same bits.
-	second, err := ev.EvaluatePoint(ctx, pt)
+	second, err := ev.evaluatePoint(ctx, pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestEvaluateShardStitch(t *testing.T) {
 		scn := compileExample(t, name)
 		pt := scn.DefaultPoint()
 		base := NewEvaluator(scn, Options{Worlds: worlds})
-		want, err := base.EvaluatePoint(ctx, pt)
+		want, err := base.evaluatePoint(ctx, pt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -513,7 +513,7 @@ func TestShardedRunnerFallback(t *testing.T) {
 	scn := compileExample(t, "capacityplanning")
 	pt := scn.DefaultPoint()
 	base := NewEvaluator(scn, Options{Worlds: worlds})
-	want, err := base.EvaluatePoint(ctx, pt)
+	want, err := base.evaluatePoint(ctx, pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +523,7 @@ func TestShardedRunnerFallback(t *testing.T) {
 		return nil, fmt.Errorf("worker down")
 	}
 	ev := NewEvaluator(scn, Options{Worlds: worlds, Shards: 3, Runner: failing})
-	got, err := ev.EvaluatePoint(ctx, pt)
+	got, err := ev.evaluatePoint(ctx, pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -553,7 +553,7 @@ GRAPH OVER @t EXPECT demand;
 		t.Fatal(err)
 	}
 	pt := scn.DefaultPoint()
-	want, err := NewEvaluator(scn, Options{Worlds: 10}).EvaluatePoint(ctx, pt)
+	want, err := NewEvaluator(scn, Options{Worlds: 10}).evaluatePoint(ctx, pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -565,7 +565,7 @@ GRAPH OVER @t EXPECT demand;
 	}
 	// With 4 shards of 10 worlds, only shard [0,3) has rows: the others
 	// carry the tag column as empty while shard 0 skips it as categorical.
-	got, err := NewEvaluator(scn, Options{Worlds: 10, Shards: 4}).EvaluatePoint(ctx, pt)
+	got, err := NewEvaluator(scn, Options{Worlds: 10, Shards: 4}).evaluatePoint(ctx, pt)
 	if err != nil {
 		t.Fatalf("sharded render with empty shards: %v", err)
 	}
@@ -597,7 +597,7 @@ GRAPH OVER @t EXPECT demand;
 		t.Fatal("grouped plan reports shardable")
 	}
 	pt := scn.DefaultPoint()
-	want, err := NewEvaluator(scn, Options{Worlds: 50}).EvaluatePoint(ctx, pt)
+	want, err := NewEvaluator(scn, Options{Worlds: 50}).evaluatePoint(ctx, pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -614,7 +614,7 @@ GRAPH OVER @t EXPECT demand;
 	}
 	tr := obs.New("render", "")
 	ev := NewEvaluator(scn, Options{Worlds: 50, Shards: 4, SketchOnly: true, Runner: runner, Reuse: reuse})
-	got, err := ev.EvaluatePoint(obs.With(ctx, tr.Root()), pt)
+	got, err := ev.evaluatePoint(obs.With(ctx, tr.Root()), pt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func TestSketchOnlyQuantileAccuracy(t *testing.T) {
 			scn := compileExample(t, name)
 			pt := scn.DefaultPoint()
 			base := NewEvaluator(scn, Options{Worlds: worlds})
-			exact, err := base.EvaluatePoint(ctx, pt)
+			exact, err := base.evaluatePoint(ctx, pt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,7 +57,7 @@ func TestSketchOnlyQuantileAccuracy(t *testing.T) {
 
 			for _, shards := range []int{1, 2, 7, 16} {
 				ev := NewEvaluator(scn, Options{Worlds: worlds, Shards: shards, SketchOnly: true})
-				got, err := ev.EvaluatePoint(ctx, pt)
+				got, err := ev.evaluatePoint(ctx, pt)
 				if err != nil {
 					t.Fatalf("%d shards: %v", shards, err)
 				}

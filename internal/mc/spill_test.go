@@ -53,11 +53,11 @@ func TestSpillDifferentialBitIdentical(t *testing.T) {
 
 			for pass := 0; pass < 2; pass++ {
 				for pi, pt := range points {
-					want, err := base.EvaluatePoint(ctx, pt)
+					want, err := base.evaluatePoint(ctx, pt)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := spill.EvaluatePoint(ctx, pt)
+					got, err := spill.evaluatePoint(ctx, pt)
 					if err != nil {
 						t.Fatalf("pass %d point %d (spilled): %v", pass, pi, err)
 					}
@@ -181,7 +181,7 @@ func TestSpillKillAndReopen(t *testing.T) {
 	ev := NewEvaluator(scn, Options{Worlds: worlds, Reuse: reuse})
 	want := make([]*PointResult, len(points))
 	for i, pt := range points {
-		if want[i], err = ev.EvaluatePoint(ctx, pt); err != nil {
+		if want[i], err = ev.evaluatePoint(ctx, pt); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -204,7 +204,7 @@ func TestSpillKillAndReopen(t *testing.T) {
 	defer loaded.Close()
 	ev2 := NewEvaluator(scn, Options{Worlds: worlds, Reuse: loaded})
 	for i, pt := range points {
-		got, err := ev2.EvaluatePoint(ctx, pt)
+		got, err := ev2.evaluatePoint(ctx, pt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -76,14 +76,14 @@ func TestTracedEvaluationBitIdentical(t *testing.T) {
 			opts := Options{Worlds: 120, Shards: shards}
 			pt := scn.DefaultPoint()
 
-			plain, err := NewEvaluator(scn, opts).EvaluatePoint(context.Background(), pt)
+			plain, err := NewEvaluator(scn, opts).evaluatePoint(context.Background(), pt)
 			if err != nil {
 				t.Fatalf("%s (shards=%d, untraced): %v", name, shards, err)
 			}
 
 			tr := obs.New("render", obs.NewID())
 			ctx := obs.With(context.Background(), tr.Root())
-			traced, err := NewEvaluator(scn, opts).EvaluatePoint(ctx, pt)
+			traced, err := NewEvaluator(scn, opts).evaluatePoint(ctx, pt)
 			if err != nil {
 				t.Fatalf("%s (shards=%d, traced): %v", name, shards, err)
 			}
@@ -117,7 +117,7 @@ func BenchmarkTraceDisabledOverhead(b *testing.B) {
 		ctx := context.Background()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := ev.EvaluatePoint(ctx, pt); err != nil {
+			if _, err := ev.evaluatePoint(ctx, pt); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -128,7 +128,7 @@ func BenchmarkTraceDisabledOverhead(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			tr := obs.New("render", "")
 			ctx := obs.With(context.Background(), tr.Root())
-			if _, err := ev.EvaluatePoint(ctx, pt); err != nil {
+			if _, err := ev.evaluatePoint(ctx, pt); err != nil {
 				b.Fatal(err)
 			}
 			tr.End()

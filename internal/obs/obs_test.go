@@ -108,7 +108,7 @@ func TestConcurrentChildren(t *testing.T) {
 
 // TestNilDisabledPath asserts that the disabled tracer (nil spans, no span
 // in context) performs zero allocations — the guarantee the instrumented
-// render hot path relies on. The call shapes are the ones mc.EvaluatePoint
+// render hot path relies on. The call shapes are the ones mc.EvaluatePoints
 // makes per point: child spans, attributes, a chained Note, and the child
 // pushed onto the context.
 func TestNilDisabledPath(t *testing.T) {

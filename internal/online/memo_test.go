@@ -24,12 +24,12 @@ func sameFrame(a, b *Graph) bool {
 		return false
 	}
 	for i := range a.Series {
-		pa, pb := a.Series[i].Points, b.Series[i].Points
-		if len(pa) != len(pb) {
+		sa, sb := a.Series[i], b.Series[i]
+		if len(sa.Y) != len(sb.Y) {
 			return false
 		}
-		for j := range pa {
-			if !same(pa[j].X, pb[j].X) || !same(pa[j].Y, pb[j].Y) || !same(pa[j].CI95, pb[j].CI95) {
+		for j := range sa.Y {
+			if !same(sa.X[j], sb.X[j]) || !same(sa.Y[j], sb.Y[j]) || !same(sa.CI95[j], sb.CI95[j]) {
 				return false
 			}
 		}

@@ -27,6 +27,7 @@ package online
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -146,76 +147,73 @@ func (s *Session) markExplored(key string, how byte) {
 // recomputed versus served from the reuse machinery.
 type RenderStats struct {
 	// Points is the number of X-axis positions rendered.
-	Points int
+	Points int `json:"points"`
 	// Recomputed counts positions where at least one VG site required
 	// fresh Monte Carlo simulation.
-	Recomputed int
+	Recomputed int `json:"recomputed"`
 	// Remapped counts positions fully served by fingerprint mappings
 	// (identity or affine; no fresh simulation, only fingerprint probes).
-	Remapped int
+	Remapped int `json:"remapped"`
 	// Unchanged counts positions where every site was an exact cache hit.
-	Unchanged int
+	Unchanged int `json:"unchanged"`
 	// Elapsed is the wall-clock render time.
-	Elapsed time.Duration
+	Elapsed time.Duration `json:"elapsed_ns"`
 	// Degraded marks a frame cut short by the context deadline under
-	// mc.Options.AllowDegraded: at least one point's summary covers fewer
-	// worlds than requested, or the X sweep stopped before the last
-	// position. Degraded frames are honest but lower-confidence; callers
-	// should re-render rather than cache them.
-	Degraded bool
+	// mc.Options.AllowDegraded. A local render (one world range per point)
+	// is cut to a shorter frame: the points evaluated before the deadline,
+	// each over every requested world. A fleet render returns the per-point
+	// harvest: each point keeps the world ranges that completed, so its
+	// summary may cover fewer worlds, and the frame ends at the first point
+	// with no completed range. Degraded frames are honest but
+	// lower-confidence; callers should re-render rather than cache them.
+	Degraded bool `json:"degraded,omitempty"`
 	// WorldsCompleted is the smallest world count backing any rendered
 	// point of a degraded frame (the requested world budget when only the
 	// sweep, not the per-point budget, was cut). Zero when Degraded is
 	// false.
-	WorldsCompleted int
+	WorldsCompleted int `json:"worlds_completed,omitempty"`
 }
 
-// SeriesPoint is one X position of one rendered series.
-type SeriesPoint struct {
-	X float64
-	Y float64
-	// CI95 is the 95% confidence half-width of Y.
-	CI95 float64
+// RecomputedFraction is the fraction of X positions that needed fresh
+// simulation.
+func (r RenderStats) RecomputedFraction() float64 {
+	if r.Points == 0 {
+		return 0
+	}
+	return float64(r.Recomputed) / float64(r.Points)
 }
 
-// GraphSeries is one rendered series (one GRAPH item).
-type GraphSeries struct {
+// Series is one rendered series (one GRAPH item), its values in X order.
+type Series struct {
 	// Name is "AGG column", e.g. "EXPECT overload".
-	Name string
+	Name string `json:"name"`
 	// Agg and Column identify the aggregate and source column.
-	Agg    string
-	Column string
-	// Style carries the scenario's style words verbatim.
-	Style []string
+	Agg    string `json:"agg"`
+	Column string `json:"column"`
+	// Style carries the scenario's style words: a copy, so a caller may
+	// change it without touching the scenario.
+	Style []string `json:"style,omitempty"`
 	// SecondAxis places the series on the right-hand (y2) scale, from the
 	// "y2" style word in the scenario's GRAPH clause.
-	SecondAxis bool
-	// Points holds the series values in X order.
-	Points []SeriesPoint
+	SecondAxis bool      `json:"second_axis,omitempty"`
+	X          []float64 `json:"x"`
+	Y          []float64 `json:"y"`
+	// CI95 holds the 95% confidence half-width of each Y.
+	CI95 []float64 `json:"ci95,omitempty"`
 }
 
-// styleHasY2 reports whether the style words place the series on y2.
-func styleHasY2(style []string) bool {
-	for _, w := range style {
-		if w == "y2" {
-			return true
-		}
-	}
-	return false
-}
-
-// Graph is one rendered frame of the online interface.
+// Graph is one rendered frame of the online interface (Figure 3). It
+// marshals to the JSON shape cmd/fpserver's render endpoint serves: the
+// axis, X values, per-series Y vectors with CI95 bands, and reuse stats.
 type Graph struct {
 	// Axis is the X-axis parameter name.
-	Axis string
+	Axis string `json:"axis"`
 	// X holds the axis values in order.
-	X []float64
+	X []float64 `json:"x"`
 	// Series holds one entry per GRAPH item, in scenario order.
-	Series []GraphSeries
+	Series []Series `json:"series"`
 	// Stats quantifies the render.
-	Stats RenderStats
-	// Pins is a copy of the slider positions the frame was rendered at.
-	Pins guide.Point
+	Stats RenderStats `json:"stats"`
 }
 
 // Render evaluates the graph at the current slider positions. With a warm
@@ -238,62 +236,56 @@ func (s *Session) renderWith(ctx context.Context, opts mc.Options) (*Graph, erro
 	if err != nil {
 		return nil, err
 	}
-	g := &Graph{Axis: s.axis, Pins: clonePoint(pins)}
+	g := &Graph{Axis: s.axis}
 	columns := make([]string, len(s.scn.Graph.Items))
 	for i, item := range s.scn.Graph.Items {
 		columns[i] = item.Column
-		g.Series = append(g.Series, GraphSeries{
+		g.Series = append(g.Series, Series{
 			Name:       item.Agg + " " + item.Column,
 			Agg:        item.Agg,
 			Column:     item.Column,
-			Style:      item.Style,
-			SecondAxis: styleHasY2(item.Style),
+			Style:      slices.Clone(item.Style),
+			SecondAxis: slices.Contains(item.Style, "y2"),
 		})
 	}
 	ev := mc.NewEvaluator(s.scn, opts)
 	ev.Reads(columns...)
+	results, err := ev.EvaluatePoints(ctx, points)
+	if err := ev.KeepPrefix(ctx, results, err); err != nil {
+		return nil, err
+	}
+	g.Stats.Degraded = len(results) < len(points)
+	n := len(results)
+	g.X = make([]float64, 0, n)
+	for i := range g.Series {
+		srs := &g.Series[i]
+		srs.X, srs.Y, srs.CI95 = make([]float64, 0, n), make([]float64, 0, n), make([]float64, 0, n)
+	}
 	minWorlds := opts.Worlds
-	for _, pt := range points {
-		if err := ctx.Err(); err != nil {
-			// Deadline mid-sweep: with AllowDegraded, the positions already
-			// rendered form a valid (shorter) frame — return it flagged
-			// degraded instead of discarding the work.
-			if opts.AllowDegraded && len(g.X) > 0 {
-				g.Stats.Degraded = true
-				break
-			}
-			return nil, err
-		}
-		x, err := pt[s.axis].AsFloat()
+	for _, res := range results {
+		x, err := res.Point[s.axis].AsFloat()
 		if err != nil {
-			return nil, fmt.Errorf("online: non-numeric axis value %s", pt[s.axis].SQLLiteral())
-		}
-		res, err := ev.EvaluatePoint(ctx, pt)
-		if err != nil {
-			if opts.AllowDegraded && ctx.Err() != nil && len(g.X) > 0 {
-				g.Stats.Degraded = true
-				break
-			}
-			return nil, err
+			return nil, fmt.Errorf("online: non-numeric axis value %s", res.Point[s.axis].SQLLiteral())
 		}
 		if res.Degraded {
 			g.Stats.Degraded = true
-			if res.WorldsCompleted < minWorlds {
-				minWorlds = res.WorldsCompleted
-			}
+			minWorlds = min(minWorlds, res.WorldsCompleted)
 		}
 		g.X = append(g.X, x)
 		classify(res, &g.Stats)
 		for i := range g.Series {
-			col, ok := res.Sketches[g.Series[i].Column]
+			srs := &g.Series[i]
+			col, ok := res.Sketches[srs.Column]
 			if !ok {
-				return nil, fmt.Errorf("online: missing column %q", g.Series[i].Column)
+				return nil, fmt.Errorf("online: missing column %q", srs.Column)
 			}
-			y, err := col.Metric(g.Series[i].Agg)
+			y, err := col.Metric(srs.Agg)
 			if err != nil {
 				return nil, err
 			}
-			g.Series[i].Points = append(g.Series[i].Points, SeriesPoint{X: x, Y: y, CI95: col.CI95()})
+			srs.X = append(srs.X, x)
+			srs.Y = append(srs.Y, y)
+			srs.CI95 = append(srs.CI95, col.CI95())
 		}
 	}
 	g.Stats.Points = len(g.X)
@@ -437,10 +429,17 @@ func clonePoint(p guide.Point) guide.Point {
 // Prefetch proactively evaluates the graph at slider positions adjacent to
 // the current ones (radius index steps along the given axes; nil means all
 // sliders), warming the reuse store for the user's likely next adjustments.
-// It returns the number of (point, week) evaluations performed. The context
-// is checked before every evaluated point, so a cancelled prefetch stops
-// promptly, keeping whatever it already warmed.
+// Each neighbour's sweep is one batch. It returns the number of (point,
+// week) evaluations performed. The context is checked before every
+// evaluated point, so a cancelled prefetch stops promptly, keeping whatever
+// it already warmed. The graph axis is not a slider: naming it in axes is
+// an error.
 func (s *Session) Prefetch(ctx context.Context, axes []string, radius int) (int, error) {
+	for _, name := range axes {
+		if name == s.axis {
+			return 0, fmt.Errorf("online: @%s is the graph axis, not a slider", name)
+		}
+	}
 	focus := s.snapshotPins()
 	// Complete the focus with an arbitrary axis value; the axis itself is
 	// excluded from the movable dimensions.
@@ -471,14 +470,10 @@ func (s *Session) Prefetch(ctx context.Context, axes []string, radius int) (int,
 		if err != nil {
 			return evaluated, err
 		}
-		for _, pt := range sweep {
-			if err := ctx.Err(); err != nil {
-				return evaluated, err
-			}
-			if _, err := ev.EvaluatePoint(ctx, pt); err != nil {
-				return evaluated, err
-			}
-			evaluated++
+		done, err := ev.EvaluatePoints(ctx, sweep)
+		evaluated += len(done)
+		if err != nil {
+			return evaluated, err
 		}
 		s.markExplored(core.PointKey(pins), 'p')
 	}
@@ -490,7 +485,8 @@ func (s *Session) Prefetch(ctx context.Context, axes []string, radius int) (int,
 
 // TimeToFirstAccurateGuess runs progressively larger world counts at the
 // current sliders until every series converges (CI95 within eps relative),
-// returning the elapsed time and the world count used. It measures the
+// returning the elapsed time and the world count used (minWorlds is clamped
+// to the session's world count, as in RenderProgressive). It measures the
 // paper's "a few dozen seconds to generate accurate statistics" claim
 // (experiment E1).
 func (s *Session) TimeToFirstAccurateGuess(ctx context.Context, eps float64, minWorlds int) (time.Duration, int, error) {
@@ -505,20 +501,19 @@ func (s *Session) TimeToFirstAccurateGuess(ctx context.Context, eps float64, min
 		worlds = 100
 	}
 	maxWorlds := s.opts.Worlds
+	worlds = min(worlds, maxWorlds)
 	for {
 		opts := s.opts
 		opts.Worlds = worlds
 		probe := mc.NewEvaluator(s.scn, opts)
 		allConverged := true
 		for _, pt := range points {
-			if err := ctx.Err(); err != nil {
-				return 0, 0, err
-			}
-			res, err := probe.EvaluatePoint(ctx, pt)
+			// One-point batches: the pass stops at its first unconverged point.
+			res, err := probe.EvaluatePoints(ctx, []guide.Point{pt})
 			if err != nil {
 				return 0, 0, err
 			}
-			if !aggregate.Converged(res.Sketches, eps, int64(worlds/2)) {
+			if !aggregate.Converged(res[0].Sketches, eps, int64(worlds/2)) {
 				allConverged = false
 				break
 			}
@@ -545,23 +540,10 @@ func Chart(g *Graph, height int) (string, error) {
 		Height: height,
 	}
 	for i, series := range g.Series {
-		ys := make([]float64, len(series.Points))
-		cis := make([]float64, len(series.Points))
-		anyCI := false
-		for j, p := range series.Points {
-			ys[j] = p.Y
-			cis[j] = p.CI95
-			if p.CI95 > 0 {
-				anyCI = true
-			}
-		}
-		if !anyCI {
-			cis = nil
-		}
 		chart.Series = append(chart.Series, viz.Series{
 			Name:       series.Name,
-			Y:          ys,
-			CIHalf:     cis,
+			Y:          series.Y,
+			CIHalf:     series.CI95,
 			Symbol:     symbols[i%len(symbols)],
 			SecondAxis: series.SecondAxis,
 		})

@@ -122,14 +122,14 @@ func TestFirstRenderShape(t *testing.T) {
 		t.Errorf("first render stats = %+v", g.Stats)
 	}
 	// Shape: overload ~0 early.
-	over := g.Series[0].Points
-	if over[2].Y > 0.05 {
-		t.Errorf("early overload = %g", over[2].Y)
+	over := g.Series[0].Y
+	if over[2] > 0.05 {
+		t.Errorf("early overload = %g", over[2])
 	}
 	// Capacity jumps after purchases: late capacity > early capacity.
-	capSeries := g.Series[1].Points
-	if capSeries[50].Y <= capSeries[2].Y {
-		t.Errorf("capacity should grow with purchases: %g vs %g", capSeries[50].Y, capSeries[2].Y)
+	capSeries := g.Series[1].Y
+	if capSeries[50] <= capSeries[2] {
+		t.Errorf("capacity should grow with purchases: %g vs %g", capSeries[50], capSeries[2])
 	}
 }
 
@@ -227,9 +227,9 @@ func TestReusedRenderMatchesColdRender(t *testing.T) {
 		t.Fatal(err)
 	}
 	for si := range gCold.Series {
-		for pi := range gCold.Series[si].Points {
-			a := gWarm.Series[si].Points[pi].Y
-			b := gCold.Series[si].Points[pi].Y
+		for pi := range gCold.Series[si].Y {
+			a := gWarm.Series[si].Y[pi]
+			b := gCold.Series[si].Y[pi]
 			if math.Abs(a-b) > 1e-9*(1+math.Abs(b)) {
 				t.Fatalf("series %s week %d: warm %g vs cold %g",
 					gCold.Series[si].Name, pi, a, b)
@@ -264,6 +264,19 @@ func TestPrefetchWarmsNeighbors(t *testing.T) {
 	}
 }
 
+// TestPrefetchRejectsAxis: the graph axis is not a slider, so naming it
+// among Prefetch's axes is an error, and nothing is evaluated.
+func TestPrefetchRejectsAxis(t *testing.T) {
+	s := newSession(t, 30)
+	n, err := s.Prefetch(context.Background(), []string{"purchase1", "current"}, 1)
+	if err == nil || !strings.Contains(err.Error(), "@current is the graph axis, not a slider") {
+		t.Fatalf("Prefetch over the axis = %d, %v; want the graph-axis error", n, err)
+	}
+	if n != 0 || s.Stats().PrefetchedPoints != 0 {
+		t.Errorf("rejected prefetch evaluated %d points (stats %d)", n, s.Stats().PrefetchedPoints)
+	}
+}
+
 func TestTimeToFirstAccurateGuess(t *testing.T) {
 	s := newSession(t, 400)
 	elapsed, worlds, err := s.TimeToFirstAccurateGuess(context.Background(), 0.25, 50)
@@ -275,6 +288,10 @@ func TestTimeToFirstAccurateGuess(t *testing.T) {
 	}
 	if worlds < 50 || worlds > 400 {
 		t.Errorf("worlds = %d", worlds)
+	}
+	// A minWorlds above the session's world count is clamped to it.
+	if _, worlds, err = s.TimeToFirstAccurateGuess(context.Background(), 0.1, 5000); err != nil || worlds != 400 {
+		t.Errorf("minWorlds 5000 on a 400-world session = %d worlds (err %v), want 400", worlds, err)
 	}
 }
 

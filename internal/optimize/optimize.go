@@ -41,8 +41,9 @@ type Options struct {
 	// MC configures the per-point Monte Carlo evaluation (including the
 	// reuse engine).
 	MC mc.Options
-	// Progress, when non-nil, is called after every evaluated point with
-	// running counts — the live view of §3.3's demo.
+	// Progress, when non-nil, is called for every evaluated point, in sweep
+	// order, with running counts — the live view of §3.3's demo. The calls
+	// for a group come once its batch has been evaluated.
 	Progress func(done, total int, pt guide.Point, res *mc.PointResult)
 	// GroupBudget, when positive, explores only that many groups, sampled
 	// uniformly without replacement (deterministically from BudgetSeed).
@@ -74,7 +75,7 @@ type Result struct {
 	// Best holds the lexicographic optimum among feasible rows; ties on
 	// all goal values are all listed.
 	Best []GroupRow
-	// PointsEvaluated counts EvaluatePoint calls.
+	// PointsEvaluated counts the points evaluated across every group's batch.
 	PointsEvaluated int
 	// GroupsTotal is the size of the grouped space; when GroupsExplored is
 	// smaller (budgeted run), the result is approximate.
@@ -192,8 +193,10 @@ func enclosed(root sqlparser.Expr, target sqlparser.FuncCall) bool {
 }
 
 // Run explores the full parameter space and returns the optimization
-// outcome. The context is checked before every evaluated point (and per
-// world-batch inside the Monte Carlo executor), so cancelling mid-sweep
+// outcome. Each group's free sweep is evaluated as one batch, so over a
+// shard runner a group costs one call per world range. The context is
+// checked before every evaluated point (and per world-batch inside the
+// Monte Carlo executor), so cancelling mid-sweep
 // stops within milliseconds; the reuse engine keeps whatever the aborted
 // sweep already computed, ready for a resumed run.
 func Run(ctx context.Context, scn *scenario.Scenario, opts Options) (*Result, error) {
@@ -266,12 +269,9 @@ func Run(ctx context.Context, scn *scenario.Scenario, opts Options) (*Result, er
 	res.GroupsExplored = len(groups)
 	total := len(groups) * len(freePoints)
 	for _, group := range groups {
-		// Per-term vector across the free sweep.
-		vectors := make(map[string][]float64, len(terms))
-		for _, free := range freePoints {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+		// The group's free sweep is one batch.
+		batch := make([]guide.Point, len(freePoints))
+		for i, free := range freePoints {
 			pt := make(guide.Point, len(group)+len(free))
 			for k, v := range group {
 				pt[k] = v
@@ -279,13 +279,18 @@ func Run(ctx context.Context, scn *scenario.Scenario, opts Options) (*Result, er
 			for k, v := range free {
 				pt[k] = v
 			}
-			pr, err := ev.EvaluatePoint(ctx, pt)
-			if err != nil {
-				return nil, err
-			}
+			batch[i] = pt
+		}
+		prs, err := ev.EvaluatePoints(ctx, batch)
+		if err != nil {
+			return nil, err
+		}
+		// Per-term vector across the free sweep.
+		vectors := make(map[string][]float64, len(terms))
+		for i, pr := range prs {
 			res.PointsEvaluated++
 			if opts.Progress != nil {
-				opts.Progress(res.PointsEvaluated, total, pt, pr)
+				opts.Progress(res.PointsEvaluated, total, batch[i], pr)
 			}
 			for _, term := range terms {
 				cs, ok := pr.Sketches[term.column]

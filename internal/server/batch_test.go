@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 
@@ -252,5 +253,70 @@ func TestBatchOneExchangePerWorker(t *testing.T) {
 	}
 	if ex := proxies[1].ShardExchanges(); len(ex) != 1 || ex[0].HasSQLPayload() || ex[0].Status != http.StatusOK {
 		t.Errorf("warm worker's exchanges = %+v, want one slim 200", ex)
+	}
+}
+
+// TestSessionRenderOneExchangePerWorker is TestBatchOneExchangePerWorker
+// for sessions: one GET /render of a 53-week sweep on a two-worker fleet
+// crosses the wire once per worker, each request carrying all 53 points in
+// axis order, and every series value is bit-equal to a single-node render.
+func TestSessionRenderOneExchangePerWorker(t *testing.T) {
+	const worlds = 64
+	yearScenario := strings.Replace(testScenario, "RANGE 0 TO 12", "RANGE 0 TO 52", 1)
+	render := func(base string) fp.Graph {
+		t.Helper()
+		var scn scenarioJSON
+		if code := call(t, "POST", base+"/scenarios", registerRequest{SQL: yearScenario}, &scn); code != http.StatusCreated {
+			t.Fatalf("register = %d", code)
+		}
+		sess := openSession(t, base, scn.ID, openSessionRequest{Worlds: worlds})
+		var rr renderResponse
+		if code := call(t, "GET", base+"/sessions/"+sess.ID+"/render", nil, &rr); code != http.StatusOK {
+			t.Fatalf("render = %d", code)
+		}
+		return *rr.Graph
+	}
+	var proxies []*protocoltest.Proxy
+	var urls []string
+	for range 2 {
+		_, worker := newTestServer(t, func(c *Config) { c.WorkerMode = true })
+		proxy := protocoltest.New(worker.URL)
+		t.Cleanup(proxy.Close)
+		proxies = append(proxies, proxy)
+		urls = append(urls, proxy.URL())
+	}
+	_, coord := newTestServer(t, func(c *Config) { c.Workers = urls })
+	_, local := newTestServer(t, nil)
+
+	got := render(coord.URL)
+	want := render(local.URL)
+	if len(got.X) != 53 || got.Stats.Degraded {
+		t.Fatalf("fleet frame has %d points (degraded %v), want 53", len(got.X), got.Stats.Degraded)
+	}
+	for i, w := range want.Series {
+		g := got.Series[i]
+		for j := range w.Y {
+			if math.Float64bits(g.Y[j]) != math.Float64bits(w.Y[j]) || math.Float64bits(g.CI95[j]) != math.Float64bits(w.CI95[j]) {
+				t.Fatalf("series %s week %d: fleet %v ± %v, single-node %v ± %v", w.Name, j, g.Y[j], g.CI95[j], w.Y[j], w.CI95[j])
+			}
+		}
+	}
+	for i, proxy := range proxies {
+		ex := proxy.ShardExchanges()
+		if len(ex) != 1 || ex[0].Status != http.StatusOK {
+			t.Fatalf("worker %d: %d exchanges for one render, want one 200", i, len(ex))
+		}
+		var req shardRequest
+		if err := json.Unmarshal(ex[0].RequestBody, &req); err != nil {
+			t.Fatal(err)
+		}
+		if len(req.Points) != 53 {
+			t.Fatalf("worker %d: request carries %d points, want 53", i, len(req.Points))
+		}
+		for k, pt := range req.Points {
+			if pt["current"] != float64(k) {
+				t.Fatalf("worker %d: point %d is week %v, want %d", i, k, pt["current"], k)
+			}
+		}
 	}
 }

@@ -149,10 +149,10 @@ const (
 // fires when a shard request has been outstanding longer than 95% of recent
 // ones took for its point count (the classic tail-latency trade of a
 // little duplicate work for a bounded tail), and an attempt gives up at a
-// multiple of it. A request carries one point (a session render) or a
-// whole batch, so one window serves both only per point: the fan-out
-// records a batch's latency divided by its point count, and its timings
-// scale by it.
+// multiple of it. A request carries a whole batch — a 53-point session
+// sweep, a 4-point evaluate, or a single point — so one window serves them
+// all only per point: the fan-out records a batch's latency divided by its
+// point count, and its timings scale by it.
 type latencyWindow struct {
 	mu   sync.Mutex
 	ring [latencyWindowSize]time.Duration

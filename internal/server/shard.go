@@ -24,8 +24,9 @@
 //     split the worlds across the configured workers as the equal split,
 //     shard i to worker i first — so a worker sees the same range at every
 //     point and its series chains and pooled evaluators stay warm across a
-//     sweep. A session render sends one point per request; a batch
-//     evaluate sends each worker ONE request carrying every point. The
+//     sweep. Every evaluation is a batch: a session render, a batch
+//     evaluate or an Optimize group sends each worker ONE request carrying
+//     every point. The
 //     coordinator tracks, per worker, which fingerprints are warm (so
 //     steady state sends fingerprint-only requests). One event loop per
 //     shard (race) runs its attempts. Every timing is a constant or
@@ -292,9 +293,7 @@ func (s *Server) handleShardRender(w http.ResponseWriter, r *http.Request) {
 	ctx = obs.With(ctx, tr.Root())
 	tr.Root().SetInt("lo", int64(req.Lo))
 	tr.Root().SetInt("hi", int64(req.Hi))
-	if len(req.Points) > 1 {
-		tr.Root().SetInt("points", int64(len(req.Points)))
-	}
+	tr.Root().SetInt("points", int64(len(req.Points)))
 	if sketchOnly {
 		tr.Root().SetInt("sketch_only", 1)
 	}

@@ -55,33 +55,37 @@ func TestTracedShardedRenderStitchesWorkerTrees(t *testing.T) {
 		}
 	}
 
-	// Both workers' subtrees must be grafted in. A session render evaluates
-	// every axis point and fans each point's worlds out in two shards, so
-	// the stitched tree carries one worker-shard root per (point, shard) —
-	// each recorded in the WORKER process with its own simulate and
-	// plan-execute stages.
+	// Both workers' subtrees must be grafted in. A session render is one
+	// batch of every axis point, fanned out once in two shards, so the
+	// stitched tree carries one worker-shard root per shard, each serving
+	// every point and recorded in the WORKER process with its own simulate
+	// and plan-execute stages.
 	var workerRoots []*obs.Node
 	rr.Trace.Visit(func(_ int, n *obs.Node) {
 		if n.Name == "worker-shard" {
 			workerRoots = append(workerRoots, n)
 		}
 	})
-	if want := 2 * seen["point"]; seen["point"] == 0 || len(workerRoots) != want {
-		t.Fatalf("stitched tree has %d worker-shard subtrees over %d points, want %d", len(workerRoots), seen["point"], want)
+	points := seen["point"]
+	if points == 0 || len(workerRoots) != 2 {
+		t.Fatalf("stitched tree has %d worker-shard subtrees over %d points, want 2", len(workerRoots), points)
 	}
-	// Every point splits its worlds equally, so each point contributes one
-	// worker subtree starting at 0 and one starting at worlds/2.
+	// The batch splits its worlds equally: one worker subtree starts at 0,
+	// the other at worlds/2.
 	los := map[any]int{}
 	for _, wn := range workerRoots {
 		los[wn.Attrs["lo"]]++
+		if wn.Attrs["points"] != float64(points) {
+			t.Errorf("worker subtree (lo=%v) serves %v points, want %d", wn.Attrs["lo"], wn.Attrs["points"], points)
+		}
 		sub := map[string]int{}
 		wn.Visit(func(_ int, n *obs.Node) { sub[n.Name]++ })
 		if sub["simulate"] == 0 || sub["plan-execute"] == 0 {
 			t.Errorf("worker subtree (lo=%v) lacks worker-side stages; got %v", wn.Attrs["lo"], sub)
 		}
 	}
-	if points := seen["point"]; len(los) != 2 || los[float64(0)] != points || los[float64(worlds/2)] != points {
-		t.Errorf("worker subtree lo counts %v, want lo ∈ {0, %d} once per point (%d)", los, worlds/2, points)
+	if len(los) != 2 || los[float64(0)] != 1 || los[float64(worlds/2)] != 1 {
+		t.Errorf("worker subtree lo counts %v, want lo ∈ {0, %d} once each", los, worlds/2)
 	}
 	// Both worker processes served shards of this render.
 	for i, wsrv := range []*Server{w1srv, w2srv} {

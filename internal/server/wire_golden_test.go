@@ -129,6 +129,29 @@ func TestWireGoldenFixtures(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "response_200_frame.hex", []byte(hex.EncodeToString(frame)))
+
+	// The render answer's graph: a styled series, a second-axis series and
+	// a series with no points (its vectors encode as null), under a
+	// degraded stats block.
+	graph := fp.Graph{
+		Axis: "current",
+		X:    []float64{0, 1},
+		Series: []fp.Series{{
+			Name: "EXPECT overload", Agg: "EXPECT", Column: "overload", Style: []string{"bold", "red"},
+			X: []float64{0, 1}, Y: []float64{0.25, 0.5}, CI95: []float64{0.125, 0},
+		}, {
+			Name: "EXPECT capacity", Agg: "EXPECT", Column: "capacity", Style: []string{"blue", "y2"}, SecondAxis: true,
+			X: []float64{0, 1}, Y: []float64{1200, 1187.5}, CI95: []float64{3.5, 4},
+		}, {
+			Name: "EXPECT demand", Agg: "EXPECT", Column: "demand",
+		}},
+		Stats: fp.RenderStats{Points: 2, Recomputed: 1, Remapped: 1, Elapsed: 1500000, Degraded: true, WorldsCompleted: 40},
+	}
+	raw, err = json.Marshal(renderResponse{Graph: &graph, Degraded: true, WorldsCompleted: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "render_graph.json", raw)
 }
 
 func mustMarshal(t *testing.T, v any) []byte {

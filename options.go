@@ -118,12 +118,13 @@ func WithShards(n int) EvalOption {
 }
 
 // WithShardEvaluator routes shard evaluations through se — typically
-// fpserver's HTTP fan-out to a fleet of shard workers. EvaluateBatch sends
-// each shard once with every point of the batch; sessions and Optimize
-// send one point per call. A shard whose evaluator call fails is
-// transparently re-evaluated locally, so worker loss degrades throughput,
-// not correctness. With a shard evaluator set,
-// fingerprint reuse is bypassed (workers re-derive every sample from
+// fpserver's HTTP fan-out to a fleet of shard workers. Every evaluation is
+// a batch that sends each shard once with all its points: an
+// EvaluateBatch call, a session render's sweep, one group's free sweep in
+// Optimize, or Evaluate's single point. A shard whose evaluator call fails
+// is transparently re-evaluated locally, so worker loss degrades
+// throughput, not correctness. With a shard evaluator set, fingerprint
+// reuse is bypassed (workers re-derive every sample from
 // per-(site, world) seeds). Combine with WithShards to control how many
 // shards each render fans out.
 func WithShardEvaluator(se ShardEvaluator) EvalOption {
