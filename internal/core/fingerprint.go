@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 
 	"fuzzyprophet/internal/stats"
@@ -192,16 +191,16 @@ func PointKey(params map[string]value.Value) string {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	var sb strings.Builder
+	buf := make([]byte, 0, 64)
 	for i, n := range names {
 		if i > 0 {
-			sb.WriteByte(',')
+			buf = append(buf, ',')
 		}
-		sb.WriteString(n)
-		sb.WriteByte('=')
-		sb.WriteString(params[n].SQLLiteral())
+		buf = append(buf, n...)
+		buf = append(buf, '=')
+		buf = params[n].AppendSQLLiteral(buf)
 	}
-	return sb.String()
+	return string(buf)
 }
 
 // ReuseStats counts reuse decisions, the quantity the paper's offline-mode

@@ -96,9 +96,9 @@ func TestChainInvalidation(t *testing.T) {
 			steps: append(weekSweep(0, 6, 16, 32), reconfigured(weekSweep(4, 10, 16, 32), 64, 7)...)},
 		{name: "worlds grow 64 to 256", opts: Options{Worlds: 64},
 			steps: append(weekSweep(20, 26, 8, 40), reconfigured(weekSweep(24, 30, 8, 40), 256, DefaultSeedBase)...)},
-		{name: "shards 3 x workers 4", opts: Options{Worlds: 64, Shards: 3, Workers: 4}, steps: alternating(30, 36)},
+		{name: "shards 3 x workers 4", opts: Options{Worlds: 256, Shards: 3, Workers: 4}, steps: alternating(30, 36)},
 		{name: "reuse on", opts: Options{Worlds: 64}, reuse: true, steps: append(alternating(0, 8), weekSweep(40, 53, 44, 44)...)},
-		{name: "reuse on, shards 3 x workers 4", opts: Options{Worlds: 64, Shards: 3, Workers: 4}, reuse: true, steps: alternating(14, 22)},
+		{name: "reuse on, shards 3 x workers 4", opts: Options{Worlds: 256, Shards: 3, Workers: 4}, reuse: true, steps: alternating(14, 22)},
 		{name: "local fallback", opts: Options{Worlds: 64, Shards: 3, Runner: failing}, steps: alternating(8, 14)},
 		{name: "worker shard", opts: Options{Worlds: 96, Shards: 2}, shards: []WorldRange{{Lo: 32, Hi: 80}}, steps: alternating(45, 53)},
 		{name: "worker shard moves", opts: Options{Worlds: 96}, shards: []WorldRange{{Lo: 32, Hi: 80}, {Lo: 0, Hi: 48}, {Lo: 40, Hi: 96}},

@@ -3,6 +3,7 @@ package mc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"sync/atomic"
@@ -21,17 +22,19 @@ import (
 // stay usable afterwards, and behave correctly when the basis store is
 // under memory pressure.
 
-// flakyVG fails every invocation once failAfter invocations have happened.
+// flakyVG fails every invocation once failAfter invocations have happened,
+// and, when failSeed is nonzero, every invocation with that world seed.
 type flakyVG struct {
 	calls     atomic.Int64
 	failAfter int64
+	failSeed  uint64
 }
 
 func (f *flakyVG) Name() string { return "Flaky" }
 func (f *flakyVG) Arity() int   { return 1 }
 func (f *flakyVG) Generate(seed uint64, args []value.Value) (value.Value, error) {
 	n := f.calls.Add(1)
-	if f.failAfter >= 0 && n > f.failAfter {
+	if (f.failAfter >= 0 && n > f.failAfter) || (f.failSeed != 0 && seed == f.failSeed) {
 		return value.Null, errors.New("flaky model exploded")
 	}
 	return value.Float(rng.New(seed).Normal(0, 1)), nil
@@ -68,11 +71,23 @@ func TestMidRunFailureSurfaces(t *testing.T) {
 	}
 }
 
+// TestMidRunFailureSurfacesInParallel: world 200 fails, in the fourth of
+// four 64-world chunks, so the error comes back from a goroutine other
+// than the first.
 func TestMidRunFailureSurfacesInParallel(t *testing.T) {
-	scn, _ := flakyScenario(t, 30)
-	ev := NewEvaluator(scn, Options{Worlds: 100, Workers: 8})
-	if _, err := ev.evaluatePoint(context.Background(), guide.Point{"p": value.Int(0)}); err == nil {
+	const worlds, workers, failing = 256, 4, 200
+	if simWorkers(worlds, workers) != workers {
+		t.Fatal("the evaluation would not fan out")
+	}
+	scn, f := flakyScenario(t, -1)
+	f.failSeed = worldSeed(worldSeeds(DefaultSeedBase, scn.Sites[0].ID), failing)
+	ev := NewEvaluator(scn, Options{Worlds: worlds, Workers: workers})
+	_, err := ev.evaluatePoint(context.Background(), guide.Point{"p": value.Int(0)})
+	if err == nil {
 		t.Fatal("parallel mid-run VG failure must surface")
+	}
+	if !strings.Contains(err.Error(), fmt.Sprintf("world %d", failing)) {
+		t.Errorf("error does not name world %d: %v", failing, err)
 	}
 }
 

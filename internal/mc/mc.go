@@ -33,7 +33,9 @@ type Options struct {
 	// SeedBase seeds the fixed world sequence (default 20110612, the
 	// paper's demo week). Changing it changes every sample.
 	SeedBase uint64
-	// Workers bounds VG-invocation parallelism (default: GOMAXPROCS).
+	// Workers bounds VG-invocation parallelism (default: GOMAXPROCS). A
+	// simulation fans out only when each goroutine gets at least one world
+	// batch (64 worlds); smaller ones run inline.
 	Workers int
 	// Shards splits each point's world range [0, Worlds) into this many
 	// contiguous ranges evaluated concurrently, each producing partial
@@ -217,10 +219,6 @@ type Evaluator struct {
 	// of the point memo's key.
 	reads    map[string]bool
 	readsKey string
-
-	// scnFingerprint is the scenario's content fingerprint, computed the
-	// first time the point memo needs it.
-	scnFingerprint string
 
 	// ord holds world ordinals 0..cap-1, filled to a high-water mark and
 	// shared read-only by every range env.
@@ -764,20 +762,20 @@ func (ev *Evaluator) samplesFor(ctx context.Context, si int, pt guide.Point) ([]
 	return samples, Computed, 0, nil
 }
 
-// simulate invokes the site's VG-Function for worlds [from, to), in
-// parallel, returning the full [0, to) vector. prefix supplies the already-
-// computed worlds [0, from) (nil when from is 0). A series site is served
-// from its chain, readied here before the chunks fan out.
+// simulate invokes the site's VG-Function for worlds [from, to), returning
+// the full [0, to) vector. prefix supplies the already-computed worlds
+// [0, from) (nil when from is 0). The worlds fan out across up to
+// Options.Workers goroutines only when each gets at least batchWorlds of
+// them (see simWorkers); a smaller call runs inline on the calling
+// goroutine. A series site is served from its chain, readied here before
+// the chunks fan out.
 func (ev *Evaluator) simulate(ctx context.Context, call siteCall, from, to int, prefix []float64) ([]float64, error) {
 	ev.useChain(&call, 0, to)
 	samples := make([]float64, to)
 	copy(samples, prefix[:from])
 	n := to - from
-	workers := ev.opts.Workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
+	workers := simWorkers(n, ev.opts.Workers)
+	if workers == 1 {
 		if err := ev.simulateRange(ctx, call, from, to, samples[from:]); err != nil {
 			return nil, err
 		}
@@ -819,6 +817,15 @@ func (ev *Evaluator) simulate(ctx context.Context, call siteCall, from, to int, 
 	default:
 	}
 	return samples, nil
+}
+
+// simWorkers returns how many goroutines simulate n worlds given up to
+// workers of them: one per full batchWorlds batch at most, and 1 — inline on
+// the calling goroutine — when n is under two batches. A goroutine with
+// fewer worlds costs more to spawn, schedule and grow a stack for than its
+// share of the VG work saves.
+func simWorkers(n, workers int) int {
+	return max(min(workers, n/batchWorlds), 1)
 }
 
 // simulateRange delivers one site's samples for worlds [lo, hi) into dst

@@ -2,6 +2,7 @@ package mc
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -160,25 +161,64 @@ func TestSeedBaseChangesSamples(t *testing.T) {
 	}
 }
 
-func TestWorkerCountsAgree(t *testing.T) {
-	scn := compileFigure2(t)
-	serial := NewEvaluator(scn, Options{Worlds: 64, Workers: 1})
-	parallel := NewEvaluator(scn, Options{Worlds: 64, Workers: 8})
-	pt := point(30, 12, 28, 44)
-	rs, err := serial.evaluatePoint(context.Background(), pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp, err := parallel.evaluatePoint(context.Background(), pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for col := range rs.Columns {
-		for i := range rs.Columns[col] {
-			if rs.Columns[col][i] != rp.Columns[col][i] {
-				t.Fatalf("parallel evaluation differs at %s[%d]", col, i)
-			}
+// TestSimWorkers pins the split decision: a simulation fans out only when
+// every goroutine gets at least one full world batch.
+func TestSimWorkers(t *testing.T) {
+	for _, c := range []struct{ n, workers, want int }{
+		{16, 8, 1},
+		{63, 8, 1},
+		{64, 8, 1},
+		{127, 8, 1},
+		{128, 2, 2},
+		{368, 2, 2},
+		{368, 1, 1},
+		{1000, 16, 15},
+		{0, 4, 1},
+	} {
+		if got := simWorkers(c.n, c.workers); got != c.want {
+			t.Errorf("simWorkers(%d worlds, %d workers) = %d, want %d", c.n, c.workers, got, c.want)
 		}
+	}
+}
+
+// TestWorkerCountsAgree: a sweep whose simulations fan out (512 worlds over
+// 8 workers: the whole vector in eight chunks, or with reuse on the
+// remainder after the probes in seven) gives the same bits as one simulated
+// on the calling goroutine. figure2's CapacityModel is a series site, so
+// its chain rows are filled by whichever goroutine simulates the world.
+func TestWorkerCountsAgree(t *testing.T) {
+	const worlds, workers = 512, 8
+	if simWorkers(worlds, workers) != workers {
+		t.Fatal("the parallel evaluator would not fan out")
+	}
+	ctx := context.Background()
+	scn := compileFigure2(t)
+	steps := append(weekSweep(0, 6, 16, 32), alternating(6, 9)...)
+	for _, reuse := range []bool{false, true} {
+		t.Run(fmt.Sprintf("reuse %v", reuse), func(t *testing.T) {
+			opts := func(workers int) Options {
+				o := Options{Worlds: worlds, Workers: workers}
+				if reuse {
+					var err error
+					if o.Reuse, err = NewReuse(core.DefaultConfig(), storage.Options{}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return o
+			}
+			serial, parallel := NewEvaluator(scn, opts(1)), NewEvaluator(scn, opts(workers))
+			for i, step := range steps {
+				want, err := serial.evaluatePoint(ctx, step.pt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := parallel.evaluatePoint(ctx, step.pt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameBits(t, fmt.Sprintf("step %d %v", i, step.pt), want.Columns, got.Columns)
+			}
+		})
 	}
 }
 

@@ -209,11 +209,7 @@ func (ev *Evaluator) memoizable(outcome map[string]ReuseKind) bool {
 	return true
 }
 
-// memoKeyFor returns pt's memo key. The scenario fingerprint is computed
-// once per evaluator, the first time it is needed.
+// memoKeyFor returns pt's memo key.
 func (ev *Evaluator) memoKeyFor(pt guide.Point) memoKey {
-	if ev.scnFingerprint == "" {
-		ev.scnFingerprint = ev.scn.Fingerprint()
-	}
-	return memoKey{scenario: ev.scnFingerprint, point: core.PointKey(pt), worlds: ev.opts.Worlds, reads: ev.readsKey}
+	return memoKey{scenario: ev.scn.Fingerprint(), point: core.PointKey(pt), worlds: ev.opts.Worlds, reads: ev.readsKey}
 }

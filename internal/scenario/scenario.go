@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 
 	"fuzzyprophet/internal/guide"
@@ -54,16 +53,19 @@ type Site struct {
 // point and returns the values together with their canonical key.
 func (s *Site) ArgValues(point guide.Point) ([]value.Value, string, error) {
 	vals := make([]value.Value, len(s.Args))
-	parts := make([]string, len(s.Args))
+	key := append(make([]byte, 0, 32), '(')
 	for i, a := range s.Args {
 		v, err := sqlengine.EvalConst(a, point, nil)
 		if err != nil {
 			return nil, "", fmt.Errorf("scenario: site %s argument %d: %w", s.ID, i, err)
 		}
 		vals[i] = v
-		parts[i] = v.SQLLiteral()
+		if i > 0 {
+			key = append(key, ',')
+		}
+		key = v.AppendSQLLiteral(key)
 	}
-	return vals, "(" + strings.Join(parts, ",") + ")", nil
+	return vals, string(append(key, ')')), nil
 }
 
 // Scenario is a compiled scenario script.
@@ -98,6 +100,9 @@ type Scenario struct {
 
 	planOnce sync.Once
 	plan     *sqlengine.Plan
+
+	fpMu        sync.Mutex
+	fingerprint string // Fingerprint's cached value; "" until computed, reset by AddTable
 }
 
 // Fingerprint returns a stable hex identity for the scenario's content: the
@@ -107,14 +112,20 @@ type Scenario struct {
 // fingerprint, and so do table-free scenarios with the fingerprint the
 // script alone always had; two scenarios whose tables hold different rows
 // do not. Reuse snapshots, the compiled-plan cache, fleet workers'
-// scenario caches and the reuse engine's point memo key off it.
+// scenario caches and the reuse engine's point memo key off it. It is
+// computed once and recomputed after AddTable.
 func (scn *Scenario) Fingerprint() string {
-	h := sha256.New()
-	h.Write([]byte(sqlparser.Print(scn.Script)))
-	if len(scn.StaticTables) > 0 {
-		h.Write(appendTables([]byte("\x00tables"), scn.StaticTables))
+	scn.fpMu.Lock()
+	defer scn.fpMu.Unlock()
+	if scn.fingerprint == "" {
+		h := sha256.New()
+		h.Write([]byte(sqlparser.Print(scn.Script)))
+		if len(scn.StaticTables) > 0 {
+			h.Write(appendTables([]byte("\x00tables"), scn.StaticTables))
+		}
+		scn.fingerprint = hex.EncodeToString(h.Sum(nil))
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return scn.fingerprint
 }
 
 // appendTables appends a canonical encoding of tables to dst: tables in
@@ -203,6 +214,9 @@ func (scn *Scenario) AddTable(t *sqlengine.Table) error {
 		}
 	}
 	scn.StaticTables = append(scn.StaticTables, t)
+	scn.fpMu.Lock()
+	scn.fingerprint = ""
+	scn.fpMu.Unlock()
 	return nil
 }
 

@@ -440,6 +440,19 @@ func TestFingerprintCoversTables(t *testing.T) {
 	if got := with(b, a); got != ab {
 		t.Error("the order tables were added in changed the fingerprint")
 	}
+	// A fingerprint read before AddTable does not outlive it.
+	read := compileFigure2(t)
+	if got := read.Fingerprint(); got != bare {
+		t.Fatalf("table-free fingerprint %s, want %s", got, bare)
+	}
+	for _, tbl := range []*sqlengine.Table{a, b} {
+		if err := read.AddTable(tbl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := read.Fingerprint(); got != ab {
+		t.Errorf("fingerprint read before AddTable stayed %s, want %s", got, ab)
+	}
 	for _, other := range []*sqlengine.Table{table("b", value.Int(3)), table("b", value.Float(2)), table("c", value.Int(2))} {
 		if with(a, other) == ab {
 			t.Errorf("table %s with row %v kept the fingerprint", other.Name, other.Rows[0])

@@ -171,22 +171,29 @@ func (v Value) String() string {
 // SQLLiteral renders the value as a literal the parser would accept
 // (strings quoted, NULL as NULL).
 func (v Value) SQLLiteral() string {
-	if v.kind == KindString {
-		return "'" + escapeSingle(v.s) + "'"
-	}
-	return v.String()
+	return string(v.AppendSQLLiteral(make([]byte, 0, 32)))
 }
 
-func escapeSingle(s string) string {
-	out := make([]byte, 0, len(s))
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\'' {
-			out = append(out, '\'', '\'')
-			continue
+// AppendSQLLiteral appends v.SQLLiteral() to dst, so a key of several
+// literals is built in one buffer.
+func (v Value) AppendSQLLiteral(dst []byte) []byte {
+	switch v.kind {
+	case KindInt:
+		return strconv.AppendInt(dst, v.i, 10)
+	case KindFloat:
+		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+	case KindString:
+		dst = append(dst, '\'')
+		for i := 0; i < len(v.s); i++ {
+			if v.s[i] == '\'' {
+				dst = append(dst, '\'')
+			}
+			dst = append(dst, v.s[i])
 		}
-		out = append(out, s[i])
+		return append(dst, '\'')
+	default:
+		return append(dst, v.String()...)
 	}
-	return string(out)
 }
 
 // Equal reports deep equality with numeric widening: Int(3) equals

@@ -2,6 +2,8 @@ package value
 
 import (
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -148,15 +150,43 @@ func TestString(t *testing.T) {
 	}
 }
 
+// TestSQLLiteral pins the literal form of every kind — quotes doubled
+// inside strings, shortest round-trip floats — through both SQLLiteral and
+// AppendSQLLiteral onto a non-empty buffer. Point and site keys are built
+// by appending, and the store, spill manifests and snapshots key on them.
 func TestSQLLiteral(t *testing.T) {
-	if got := Str("it's").SQLLiteral(); got != "'it''s'" {
-		t.Errorf("SQLLiteral = %q", got)
+	check := func(v Value, want string) bool {
+		t.Helper()
+		if got := v.SQLLiteral(); got != want {
+			t.Errorf("SQLLiteral(%#v) = %q, want %q", v, got, want)
+			return false
+		}
+		if got := string(v.AppendSQLLiteral([]byte("k="))); got != "k="+want {
+			t.Errorf("AppendSQLLiteral(%#v) onto a prefix = %q, want %q", v, got, "k="+want)
+			return false
+		}
+		return true
 	}
-	if got := Int(5).SQLLiteral(); got != "5" {
-		t.Errorf("SQLLiteral = %q", got)
+	for _, c := range []struct {
+		v    Value
+		want string
+	}{
+		{Null, "NULL"}, {Bool(true), "TRUE"}, {Bool(false), "FALSE"},
+		{Int(0), "0"}, {Int(-7), "-7"}, {Int(math.MaxInt64), "9223372036854775807"}, {Int(math.MinInt64), "-9223372036854775808"},
+		{Float(0), "0"}, {Float(math.Copysign(0, -1)), "-0"}, {Float(-2.5), "-2.5"}, {Float(1e21), "1e+21"},
+		{Float(1.5e-7), "1.5e-07"}, {Float(-3e300), "-3e+300"}, {Float(0.1), "0.1"},
+		{Float(math.Inf(1)), "+Inf"}, {Float(math.Inf(-1)), "-Inf"}, {Float(math.NaN()), "NaN"},
+		{Str(""), "''"}, {Str("east"), "'east'"}, {Str("it's"), "'it''s'"}, {Str("''"), "''''''"}, {Str("'a'b'"), "'''a''b'''"},
+	} {
+		check(c.v, c.want)
 	}
-	if got := Null.SQLLiteral(); got != "NULL" {
-		t.Errorf("SQLLiteral = %q", got)
+	f := func(i int64, x float64, s string) bool {
+		return check(Int(i), strconv.FormatInt(i, 10)) &&
+			check(Float(x), strconv.FormatFloat(x, 'g', -1, 64)) &&
+			check(Str(s), "'"+strings.ReplaceAll(s, "'", "''")+"'")
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 
