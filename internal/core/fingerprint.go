@@ -150,21 +150,11 @@ func Match(cfg Config, basis, target Fingerprint) (Mapping, error) {
 		return Mapping{Kind: MappingNone}, fmt.Errorf("core: fingerprints too short to match")
 	}
 
-	// Identity: elementwise equality within relative tolerance.
-	identical := true
-	for i := range basis.Outputs {
-		b, t := basis.Outputs[i], target.Outputs[i]
-		scale := math.Max(math.Abs(b), math.Abs(t))
-		if math.Abs(b-t) > cfg.IdentityTol*math.Max(scale, 1) {
-			identical = false
-			break
-		}
-	}
 	corr, err := stats.Correlation(basis.Outputs, target.Outputs)
 	if err != nil {
 		return Mapping{Kind: MappingNone}, err
 	}
-	if identical {
+	if identical(cfg.IdentityTol, basis.Outputs, target.Outputs) {
 		return Mapping{
 			Kind:        MappingIdentity,
 			Fit:         stats.AffineFit{A: 1, B: 0},
@@ -180,6 +170,22 @@ func Match(cfg Config, basis, target Fingerprint) (Mapping, error) {
 		return Mapping{Kind: MappingAffine, Fit: fit, Correlation: corr}, nil
 	}
 	return Mapping{Kind: MappingNone, Correlation: corr}, nil
+}
+
+// identical reports whether two equal-length output vectors agree
+// elementwise within relative tolerance tol. A NaN or ±Inf output never
+// agrees: its difference is NaN (which fails the <= test) or ±Inf.
+func identical(tol float64, basis, target []float64) bool {
+	target = target[:len(basis)]
+	for i, b := range basis {
+		t := target[i]
+		scale := max(math.Abs(b), math.Abs(t))
+		d := math.Abs(b - t)
+		if !(d <= tol*max(scale, 1)) || math.IsInf(d, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // PointKey canonically encodes a parameter assignment so fingerprints can be
@@ -246,6 +252,114 @@ type Index struct {
 type indexEntry struct {
 	key string
 	fp  Fingerprint
+	sum summary
+}
+
+// summary is what FindMapping's one-pass rejection needs of a fingerprint
+// besides its outputs, derived from its mean, centered sum of squares and
+// largest magnitude. Put computes it once per entry.
+type summary struct {
+	mean float64 // summed in order, then divided by n, as stats.FitAffine does
+	root float64 // √(centered sum of squares about mean)
+	cond float64 // largest magnitude / root; large for near-constant vectors
+}
+
+func summarize(xs []float64) summary {
+	var sum, css, maxAbs float64
+	for _, x := range xs {
+		sum += x
+		maxAbs = max(maxAbs, math.Abs(x))
+	}
+	mean := sum / float64(len(xs))
+	for _, x := range xs {
+		d := x - mean
+		css += d * d
+	}
+	root := math.Sqrt(css)
+	return summary{mean: mean, root: root, cond: maxAbs / root}
+}
+
+// boundable reports whether s is inside the range where the rejection's
+// error bound holds: the centered sum of squares (and with it every output
+// and the mean) finite, and neither near overflow nor near the subnormal
+// range. NaN fails too.
+func (s summary) boundable() bool {
+	return s.root >= 0x1p-300 && s.root <= 0x1p300
+}
+
+// rejector rules candidates out for one FindMapping target without running
+// Match, holding what the bound needs of the target and the tolerance.
+//
+// In exact arithmetic FitAffine's RelRMSE² is 1 − r², r the correlation.
+// provablyNone asks for r² < 1 − 4·tol² (RelRMSE > 2·tol) and then for a
+// float lower bound on the RelRMSE FitAffine computes that exceeds tol.
+// With n outputs, u = 2⁻⁵³, γ = 2(n+4)u (twice γ_{n+4}: the doubling and
+// the −γ in L absorb the rounding of evaluating the bound itself; γ < 1e-3
+// for any n below 2⁴⁰), Mx, My the largest magnitudes and sxx, syy, sxy
+// the centered sums as computed here (the stored roots and ratios add a
+// few u more, which the doubling absorbs too):
+//
+//  1. Each float mean is off the true mean by at most γ·M. Any float way
+//     of forming the sums, fused multiply-adds included, stays within
+//     relative γ of the exact sums P about the float means, and sxy within
+//     γ·√(Pxx·Pyy). So the correlation about the float means is at most
+//     ρ = (1+γ)|r| + γ in magnitude, with r = sxy/√(sxx·syy).
+//  2. The least-squares residual over every line a·x+b, relative to Pyy,
+//     is 1 − ρ_P² minus a term from the mean errors of at most
+//     δ² = n(1+γ)·γ²·(Mx/√sxx + My/√syy)². So it is at least
+//     L = 1 − ρ² − δ² − γ.
+//  3. FitAffine's float line (A, B) is one such line. Forming a residual
+//     y − (A·x + B) in floats moves it by at most 4u(My + 2|A|Mx), and
+//     with |r| < 1 that adds at most δ to the relative residual norm.
+//     Summing the squares, dividing and the square roots lose at most a
+//     relative 3γ.
+//
+// So FitAffine's RelRMSE ≥ (1 − 3γ)(√L − δ), and a value above tol means
+// MappingNone. The bound must also exceed γ, so that no residual square it
+// rests on underflows. The test is written L > (δ + max(tol, γ)/(1−3γ))².
+// Zero, tiny, huge or non-finite variance (boundable), near-constant
+// vectors (δ large), r² near 1 and tol ≥ 0.5 all fall through to Match.
+type rejector struct {
+	y     []float64
+	sum   summary
+	g     float64 // γ
+	gk    float64 // γ·√(n(1+γ)), so δ = gk·(Mx/√sxx + My/√syy)
+	r2max float64 // 1 − 4·tol²
+	floor float64 // max(tol, γ)/(1 − 3γ)
+}
+
+func newRejector(tol float64, y []float64) rejector {
+	n := float64(len(y))
+	g := 2 * (n + 4) * 0x1p-53
+	return rejector{
+		y: y, sum: summarize(y),
+		g: g, gk: g * math.Sqrt(n*(1+g)),
+		r2max: 1 - 4*tol*tol, floor: max(tol, g) / (1 - 3*g),
+	}
+}
+
+// provablyNone reports whether Match(cfg, basis, target) is certain to
+// return MappingNone, for a basis x as long as the target, in one pass. A
+// false answer proves nothing: the caller must run Match. Identity is not
+// tested here; the caller does that first.
+func (t *rejector) provablyNone(x []float64, sx summary) bool {
+	if !t.sum.boundable() || !sx.boundable() {
+		return false
+	}
+	y := t.y[:len(x)]
+	mx, my := sx.mean, t.sum.mean
+	var sxy float64
+	for i, xi := range x {
+		sxy += (xi - mx) * (y[i] - my)
+	}
+	r := math.Abs(sxy) / (sx.root * t.sum.root)
+	if !(r*r < t.r2max) {
+		return false
+	}
+	rho := (1+t.g)*r + t.g
+	delta := t.gk * (sx.cond + t.sum.cond)
+	m := delta + t.floor
+	return 1-rho*rho-delta*delta-t.g > m*m
 }
 
 // NewIndex returns an empty index using cfg's tolerances.
@@ -261,14 +375,15 @@ func NewIndex(cfg Config) (*Index, error) {
 func (ix *Index) Put(label, key string, fp Fingerprint) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	e := indexEntry{key: key, fp: fp, sum: summarize(fp.Outputs)}
 	list := ix.entries[label]
 	for i := range list {
 		if list[i].key == key {
-			list[i].fp = fp
+			list[i] = e
 			return
 		}
 	}
-	ix.entries[label] = append(list, indexEntry{key: key, fp: fp})
+	ix.entries[label] = append(list, e)
 }
 
 // MatchResult is a successful basis lookup: which stored point to reuse and
@@ -278,16 +393,32 @@ type MatchResult struct {
 	Mapping  Mapping
 }
 
-// FindMapping scans the stored basis fingerprints under label for the best
-// mapping onto target: identity beats affine; among affine candidates the
-// smallest residual wins. It returns false when no stored point maps within
-// tolerance. Rejections are tallied in the reuse statistics.
+// FindMapping scans the stored basis fingerprints under label, in insertion
+// order, for the best mapping onto target: the first identity wins;
+// otherwise the smallest affine residual, the first of equals. It returns
+// false when no stored point maps within tolerance. Rejections are tallied
+// in the reuse statistics.
+//
+// The result is Match's over every candidate. A candidate of another
+// length, or one the rejector rules out in a single pass, is rejected
+// without running Match; every other one, and so every winner, is decided
+// by Match itself.
 func (ix *Index) FindMapping(label string, target Fingerprint) (MatchResult, bool) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	best := MatchResult{Mapping: Mapping{Kind: MappingNone}}
 	bestRes := math.Inf(1)
-	for _, e := range ix.entries[label] {
+	ys := target.Outputs
+	rej := newRejector(ix.cfg.AffineTol, ys)
+	list := ix.entries[label]
+	for i := range list {
+		e := &list[i]
+		xs := e.fp.Outputs
+		if len(xs) != len(ys) ||
+			!identical(ix.cfg.IdentityTol, xs, ys) && rej.provablyNone(xs, e.sum) {
+			ix.stats.Rejected++
+			continue
+		}
 		m, err := Match(ix.cfg, e.fp, target)
 		if err != nil || m.Kind == MappingNone {
 			ix.stats.Rejected++
@@ -335,12 +466,20 @@ func (ix *Index) Export() []IndexEntry {
 }
 
 // Import inserts exported fingerprints, replacing same-keyed entries.
-// Entries whose length does not match the index's configuration are
-// rejected.
+// Lengths need not equal the configuration's Length, nor each other: a
+// point probes k = min(Length, worlds/2) worlds, and FindMapping compares
+// only equal lengths. An entry shorter than two outputs, or holding a NaN
+// or ±Inf output, is rejected: a snapshot only ever holds checked, finite
+// probes.
 func (ix *Index) Import(entries []IndexEntry) error {
 	for _, e := range entries {
 		if len(e.Outputs) < 2 {
 			return fmt.Errorf("core: imported fingerprint %s/%s too short", e.Label, e.Key)
+		}
+		for _, v := range e.Outputs {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("core: imported fingerprint %s/%s holds non-finite output %g", e.Label, e.Key, v)
+			}
 		}
 		ix.Put(e.Label, e.Key, Fingerprint{Outputs: append([]float64(nil), e.Outputs...)})
 	}

@@ -66,6 +66,16 @@ func TestMatchIdentity(t *testing.T) {
 	if samples[0] == 99 {
 		t.Error("identity Apply must not alias input")
 	}
+
+	// Finite extremes still compare identical; the non-finite cases are
+	// in TestMatchNone.
+	for _, v := range [][]float64{
+		{0, math.Copysign(0, -1), 1}, {math.MaxFloat64, -math.MaxFloat64, 5e-324},
+	} {
+		if m, err := Match(cfg, Fingerprint{Outputs: v}, Fingerprint{Outputs: v}); err != nil || m.Kind != MappingIdentity {
+			t.Errorf("Match(%v, itself) = %v, %v; want identity", v, m.Kind, err)
+		}
+	}
 }
 
 func TestMatchAffine(t *testing.T) {
@@ -111,6 +121,25 @@ func TestMatchNone(t *testing.T) {
 	}
 	if _, err := m.Apply([]float64{1}); err == nil {
 		t.Error("applying a none mapping should error")
+	}
+
+	// A NaN or ±Inf output matches nothing, not even itself.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, pair := range [][2][]float64{
+		{{nan, nan, nan}, {1, 2, 3}},
+		{{1, 2, 3}, {nan, nan, nan}},
+		{{nan, nan, nan}, {nan, nan, nan}},
+		{{1, nan, 3}, {1, 2, 3}},
+		{{1, 2, inf}, {1, 2, 3}},
+		{{1, 2, 3}, {1, 2, -inf}},
+		{{1, 2, inf}, {1, 2, inf}},
+		{{inf, inf, inf}, {inf, inf, inf}},
+		{{1, 2, inf}, {1, 2, -inf}},
+	} {
+		m, err := Match(cfg, Fingerprint{Outputs: pair[0]}, Fingerprint{Outputs: pair[1]})
+		if err != nil || m.Kind != MappingNone {
+			t.Errorf("Match(%v, %v) = %v, %v; want none", pair[0], pair[1], m.Kind, err)
+		}
 	}
 }
 
@@ -268,6 +297,32 @@ func TestIndexNoMatchCountsComputed(t *testing.T) {
 	st := ix.Stats()
 	if st.Computed != 1 || st.Rejected != 1 {
 		t.Errorf("stats = %+v", st)
+	}
+}
+
+func TestIndexImport(t *testing.T) {
+	cfg := DefaultConfig()
+	ix, _ := NewIndex(cfg)
+	// Shorter than Length and of mixed lengths: k = min(Length, worlds/2).
+	ok := []IndexEntry{
+		{Label: "out", Key: "a", Outputs: []float64{1, 2, 3}},
+		{Label: "out", Key: "b", Outputs: []float64{4, 5}},
+	}
+	if err := ix.Import(ok); err != nil {
+		t.Fatal(err)
+	}
+	if res, found := ix.FindMapping("out", Fingerprint{Outputs: []float64{1, 2, 3}}); !found || res.BasisKey != "a" {
+		t.Errorf("find = %+v, %v", res, found)
+	}
+	for _, bad := range [][]float64{
+		{1}, nil, {math.NaN(), math.NaN(), math.NaN()}, {1, math.Inf(1)}, {math.Inf(-1), 2, 3},
+	} {
+		if err := ix.Import([]IndexEntry{{Label: "out", Key: "bad", Outputs: bad}}); err == nil {
+			t.Errorf("Import(%v) accepted", bad)
+		}
+	}
+	if n := len(ix.entries["out"]); n != 2 {
+		t.Errorf("%d entries after rejected imports, want 2", n)
 	}
 }
 
