@@ -29,13 +29,12 @@ var DeadAnalyzer = &Analyzer{
 // Each target is a path fragment (see PathMatches) matched against the
 // declaring package ("internal/benchfix"), its file
 // ("internal/lint/analysistest.go") or its qualified name
-// ("internal/sqlengine.Engine.ExecSelectRow", "internal/obs.Node.Visit").
+// ("internal/sqlparser.ParseExpr", "internal/obs.Node.Visit").
 // Keep it short, and give every entry its reason.
 var deadAllow = []struct{ target, reason string }{
 	{"internal/server/protocoltest", "wire-protocol conformance suite; the package exists for tests"},
 	{"internal/benchfix", "shared benchmark fixtures; the package exists for tests"},
 	{"internal/lint/analysistest.go", "the fixture runner the analyzer tests drive"},
-	{"internal/sqlengine.Engine.ExecScriptRow", "row-at-a-time reference (with ExecSelectRow, which it calls) that the differential tests and FuzzPlanMatchesRow check Plan against"},
 	{"internal/sqlparser.ParseExpr", "expression entry point that sqlengine's tests parse predicates with"},
 	{"internal/sqlparser.ExampleScenarioNames", "tests in other packages iterate the shipped scenarios through it"},
 	{"internal/obs.Node.Visit", "tree walk that tests in other packages inspect span trees with"},

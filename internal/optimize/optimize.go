@@ -26,6 +26,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"fuzzyprophet/internal/guide"
@@ -355,37 +356,83 @@ func Run(ctx context.Context, scn *scenario.Scenario, opts Options) (*Result, er
 	return res, nil
 }
 
-// evalConstraint substitutes the folded aggregate terms (and the group's
-// own parameter values, so constraints may mention @params or bare group
-// columns) into the WHERE expression and evaluates it.
+// evalConstraint evaluates the WHERE constraint for one group: the folded
+// aggregate terms, by their SQL, and the group's parameter values are the
+// parameters of the constraint's compiled plan.
 func evalConstraint(where sqlparser.Expr, metrics map[string]float64, group guide.Point) (bool, error) {
-	substituted, err := sqlparser.RewriteExpr(where, func(e sqlparser.Expr) (sqlparser.Expr, error) {
-		switch n := e.(type) {
-		case sqlparser.FuncCall:
-			if v, ok := metrics[n.SQL()]; ok {
-				return sqlparser.Literal{Val: value.Float(v)}, nil
-			}
-		case sqlparser.ColumnRef:
-			if n.Table == "" {
-				if v, ok := group[n.Name]; ok {
-					return sqlparser.Literal{Val: v}, nil
-				}
-			}
-		case sqlparser.ParamRef:
-			if v, ok := group[n.Name]; ok {
-				return sqlparser.Literal{Val: v}, nil
-			}
-		}
-		return e, nil
-	})
+	plan, err := constraintPlan(where)
 	if err != nil {
 		return false, err
 	}
-	v, err := sqlengine.EvalConst(substituted, nil, nil)
+	params := make(map[string]value.Value, len(metrics)+len(group))
+	for name, v := range group {
+		params[name] = v
+	}
+	for term, v := range metrics {
+		params[term] = value.Float(v)
+	}
+	res, err := plan.ExecCounted(nil, params, nil)
 	if err != nil {
 		return false, fmt.Errorf("optimize: evaluating constraint: %w", err)
 	}
-	return v.Truthy(), nil
+	defer res.Release()
+	return res.Columns[0].Value(0).Truthy(), nil
+}
+
+// constraintPlans holds each constraint compiled once, keyed by its SQL:
+// every group of a run, and every later run of the same constraint,
+// executes one plan.
+var constraintPlans = struct {
+	sync.Mutex
+	m map[string]*sqlengine.Plan
+}{m: map[string]*sqlengine.Plan{}}
+
+// constraintPlanMax bounds constraintPlans; a full cache is emptied.
+const constraintPlanMax = 64
+
+// constraintPlan returns the constraint compiled to a Plan with no FROM.
+// Each aggregate term becomes the parameter its SQL names, and each bare
+// column reference the parameter it names, so constraints may mention
+// @params or bare group columns (the paper writes GROUP BY feature,
+// purchase1 without @).
+func constraintPlan(where sqlparser.Expr) (*sqlengine.Plan, error) {
+	key := where.SQL()
+	constraintPlans.Lock()
+	defer constraintPlans.Unlock()
+	if p, ok := constraintPlans.m[key]; ok {
+		return p, nil
+	}
+	terms, err := extractTerms(where, 0)
+	if err != nil {
+		return nil, err
+	}
+	isTerm := make(map[string]bool, len(terms))
+	for _, t := range terms {
+		isTerm[t.sql] = true
+	}
+	// Terms first: the rewrite runs bottom-up, and a term's SQL names its
+	// column.
+	x, _ := sqlparser.RewriteExpr(where, func(e sqlparser.Expr) (sqlparser.Expr, error) {
+		if n, ok := e.(sqlparser.FuncCall); ok && isTerm[n.SQL()] {
+			return sqlparser.ParamRef{Name: n.SQL()}, nil
+		}
+		return e, nil
+	})
+	x, _ = sqlparser.RewriteExpr(x, func(e sqlparser.Expr) (sqlparser.Expr, error) {
+		if n, ok := e.(sqlparser.ColumnRef); ok && n.Table == "" {
+			return sqlparser.ParamRef{Name: n.Name}, nil
+		}
+		return e, nil
+	})
+	if sqlengine.HasAggregate(x) {
+		return nil, fmt.Errorf("optimize: constraint %s has an aggregate outside its terms", key)
+	}
+	if len(constraintPlans.m) >= constraintPlanMax {
+		clear(constraintPlans.m)
+	}
+	p := sqlengine.CompileSelect(sqlparser.Select{Items: []sqlparser.SelectItem{{Expr: x}}, Limit: -1})
+	constraintPlans.m[key] = p
+	return p, nil
 }
 
 // selectBest returns the lexicographic optimum among feasible rows under

@@ -293,6 +293,28 @@ func TestEvalConstraintWithGroupParams(t *testing.T) {
 	}
 }
 
+// TestEvalConstraintErrors: a constraint naming what the group does not
+// bind — a free parameter, a qualified column, an aggregate that is not one
+// of its terms — fails rather than reading a value.
+func TestEvalConstraintErrors(t *testing.T) {
+	metrics := map[string]float64{"MAX(EXPECT(overload))": 0.001}
+	group := guide.Point{"purchase1": value.Int(8)}
+	for _, src := range []string{
+		"MAX(EXPECT overload) < 0.01 AND @current > 4",
+		"MAX(EXPECT overload) < 0.01 AND current > 4",
+		"MAX(EXPECT overload) < 0.01 AND results.purchase1 > 4",
+		"MAX(EXPECT overload) < 0.01 AND EXPECT(overload) < 0.01",
+	} {
+		e, err := sqlparser.ParseExpr(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := evalConstraint(e, metrics, group); err == nil {
+			t.Errorf("%s: constraint = %v, want an error", src, ok)
+		}
+	}
+}
+
 func TestSelectBestTiesAndErrors(t *testing.T) {
 	rows := []GroupRow{
 		{Group: guide.Point{"a": value.Int(1), "b": value.Int(9)}, Feasible: true},

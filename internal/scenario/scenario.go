@@ -47,23 +47,28 @@ type Site struct {
 	// Column is the generated worlds-table column the call was rewritten
 	// to, e.g. "__vg_1".
 	Column string
+
+	// args is SELECT Args[0], …, Args[n-1] compiled once: a Plan with no
+	// FROM, evaluated over its one row with the point as parameters.
+	args *sqlengine.Plan
 }
 
-// ArgValues resolves the site's argument expressions under a parameter
+// ArgValues evaluates the site's argument expressions under a parameter
 // point and returns the values together with their canonical key.
 func (s *Site) ArgValues(point guide.Point) ([]value.Value, string, error) {
-	vals := make([]value.Value, len(s.Args))
+	res, err := s.args.ExecCounted(nil, point, nil)
+	if err != nil {
+		return nil, "", fmt.Errorf("scenario: site %s arguments: %w", s.ID, err)
+	}
+	defer res.Release()
+	vals := make([]value.Value, len(res.Columns))
 	key := append(make([]byte, 0, 32), '(')
-	for i, a := range s.Args {
-		v, err := sqlengine.EvalConst(a, point, nil)
-		if err != nil {
-			return nil, "", fmt.Errorf("scenario: site %s argument %d: %w", s.ID, i, err)
-		}
-		vals[i] = v
+	for i, col := range res.Columns {
+		vals[i] = col.Value(0)
 		if i > 0 {
 			key = append(key, ',')
 		}
-		key = v.AppendSQLLiteral(key)
+		key = vals[i].AppendSQLLiteral(key)
 	}
 	return vals, string(append(key, ')')), nil
 }
@@ -348,11 +353,16 @@ func (scn *Scenario) extractSites() error {
 		}
 		ord := counts[call.Name]
 		counts[call.Name]++
+		items := make([]sqlparser.SelectItem, len(call.Args))
+		for i, a := range call.Args {
+			items[i] = sqlparser.SelectItem{Expr: a}
+		}
 		site := &Site{
 			ID:     fmt.Sprintf("%s#%d", call.Name, ord),
 			Name:   call.Name,
 			Args:   call.Args,
 			Column: fmt.Sprintf("__vg_%d", len(scn.Sites)),
+			args:   sqlengine.CompileSelect(sqlparser.Select{Items: items, Limit: -1}),
 		}
 		bySQL[key] = site
 		scn.Sites = append(scn.Sites, *site)
@@ -421,6 +431,9 @@ func outputName(item sqlparser.SelectItem, idx int) string {
 // validateSiteArg enforces that VG arguments are deterministic given the
 // parameter point: parameters, literals and scalar builtins only.
 func validateSiteArg(e sqlparser.Expr, registry *vg.Registry) error {
+	if sqlengine.HasAggregate(e) {
+		return fmt.Errorf("aggregate in %s not allowed (arguments must depend only on parameters)", e.SQL())
+	}
 	var bad error
 	sqlparser.WalkExpr(e, func(x sqlparser.Expr) {
 		if bad != nil {
@@ -468,7 +481,7 @@ func (scn *Scenario) validate() error {
 	// The per-world query must be world-wise: aggregation happens in the
 	// GRAPH/OPTIMIZE layer, not inside the scenario query.
 	for _, item := range scn.Query.Items {
-		if containsAggregate(item.Expr) {
+		if sqlengine.HasAggregate(item.Expr) {
 			return fmt.Errorf("scenario: aggregate in scenario query item %q; aggregation belongs to GRAPH/OPTIMIZE", outputNameOf(item))
 		}
 	}
@@ -525,20 +538,6 @@ func outputNameOf(item sqlparser.SelectItem) string {
 		return item.Alias
 	}
 	return item.Expr.SQL()
-}
-
-func containsAggregate(e sqlparser.Expr) bool {
-	found := false
-	sqlparser.WalkExpr(e, func(x sqlparser.Expr) {
-		if f, ok := x.(sqlparser.FuncCall); ok {
-			switch f.Name {
-			case "SUM", "AVG", "COUNT", "MIN", "MAX", "STDDEV",
-				"EXPECT", "EXPECT_STDDEV", "PROB":
-				found = true
-			}
-		}
-	})
-	return found
 }
 
 // validateConstraint checks an OPTIMIZE WHERE expression: the probabilistic

@@ -16,15 +16,15 @@
 //
 // Execution is columnar: tables store typed column vectors (Column) with
 // null bitmaps, and every SELECT compiles to a Plan (plan.go) whose one
-// expression operator (veval.go) evaluates WHERE, select items, ORDER BY
-// keys, join conditions and aggregate arguments into pooled buffers. Filters
-// produce selection vectors instead of copied rows, and expressions and
-// aggregates run over whole vectors in tight loops. The original
-// row-at-a-time executor (exec.go, eval.go) is retained as the semantic
-// reference for differential testing and as the before-measurement of the
-// engine benchmark, reached only through ExecScriptRow / ExecSelectRow; the
-// Table rows API remains as a thin compatibility shim over the columnar
-// storage.
+// expression operator (veval.go) evaluates WHERE, select items, HAVING,
+// ORDER BY keys, join conditions and aggregate arguments into pooled
+// buffers. Filters produce selection vectors instead of copied rows, and
+// expressions and aggregates run over whole vectors in tight loops.
+// Constant expressions — VG site arguments, OPTIMIZE constraints — run as
+// Plans with no FROM, over the one-row relation such a Plan binds. That
+// operator is the only expression evaluator outside tests: the row-at-a-time
+// executor the differential suite checks the Plan against lives in the
+// package's _test.go files.
 package sqlengine
 
 import (
@@ -34,9 +34,9 @@ import (
 	"fuzzyprophet/internal/value"
 )
 
-// Table is a named in-memory relation in the legacy row layout. It remains
-// the convenience construction API (tests, static side tables); the catalog
-// converts it to columnar form on demand and caches both layouts.
+// Table is a named in-memory relation in row layout: the convenience
+// construction API (tests, static side tables). The catalog converts it to
+// columnar form once, when it is put.
 type Table struct {
 	Name string
 	Cols []string
@@ -67,30 +67,21 @@ func NewTable(name string, cols []string, rows [][]value.Value) (*Table, error) 
 	return &Table{Name: name, Cols: cols, Rows: rows}, nil
 }
 
-// catEntry holds a catalog table in up to two layouts; whichever was not
-// supplied at Put time is materialized lazily and cached.
-type catEntry struct {
-	rows *Table
-	cols *ColTable
-}
-
 // Catalog is a thread-safe name → table map over columnar storage.
 type Catalog struct {
 	mu     sync.RWMutex
-	tables map[string]*catEntry
+	tables map[string]*ColTable
 }
 
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
-	return &Catalog{tables: make(map[string]*catEntry)}
+	return &Catalog{tables: make(map[string]*ColTable)}
 }
 
-// Put stores or replaces a table given in row form. The table must not be
-// mutated afterwards.
+// Put stores or replaces a table given in row form, converting it to
+// columns.
 func (c *Catalog) Put(t *Table) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.tables[t.Name] = &catEntry{rows: t}
+	c.PutColumns(columnsFromRows(t))
 }
 
 // PutColumns stores or replaces a table given in columnar form — the
@@ -99,58 +90,25 @@ func (c *Catalog) Put(t *Table) {
 func (c *Catalog) PutColumns(ct *ColTable) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.tables[ct.Name] = &catEntry{cols: ct}
+	c.tables[ct.Name] = ct
 }
 
-// Get returns the named table in row form, converting from columnar
-// storage on first access.
-func (c *Catalog) Get(name string) (*Table, bool) {
-	c.mu.RLock()
-	e, ok := c.tables[name]
-	if ok && e.rows != nil {
-		c.mu.RUnlock()
-		return e.rows, true
-	}
-	c.mu.RUnlock()
-	if !ok {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok = c.tables[name]
-	if !ok {
-		return nil, false
-	}
-	if e.rows == nil {
-		e.rows = rowsFromColumns(e.cols)
-	}
-	return e.rows, true
-}
-
-// GetColumns returns the named table in columnar form, converting from row
-// storage on first access.
+// GetColumns returns the named table.
 func (c *Catalog) GetColumns(name string) (*ColTable, bool) {
 	c.mu.RLock()
-	e, ok := c.tables[name]
-	if ok && e.cols != nil {
-		c.mu.RUnlock()
-		return e.cols, true
-	}
-	c.mu.RUnlock()
-	if !ok {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok = c.tables[name]
-	if !ok {
-		return nil, false
-	}
-	if e.cols == nil {
-		e.cols = columnsFromRows(e.rows)
-	}
-	return e.cols, true
+	defer c.mu.RUnlock()
+	ct, ok := c.tables[name]
+	return ct, ok
 }
+
+// Engine evaluates SELECT statements against a catalog: a Plan executes
+// over the engine it is given, binding its FROM tables by name.
+type Engine struct {
+	Catalog *Catalog
+}
+
+// New returns an engine over the given catalog.
+func New(catalog *Catalog) *Engine { return &Engine{Catalog: catalog} }
 
 // colBinding names one column of an intermediate relation, qualified by the
 // table alias it came from ("" for computed columns).
@@ -160,8 +118,8 @@ type colBinding struct {
 }
 
 // lookupBinding resolves a (table, name) reference against a schema.
-// Unqualified names must be unambiguous. Both the row and the columnar
-// executors resolve through it, so name-resolution errors are identical.
+// Unqualified names must be unambiguous. The Plan and the test-side row
+// executor both resolve through it, so name-resolution errors are identical.
 func lookupBinding(schema []colBinding, table, name string) (int, error) {
 	found := -1
 	for i, b := range schema {
@@ -204,16 +162,4 @@ func findBinding(schema []colBinding, table, name string) int {
 		found = i
 	}
 	return found
-}
-
-// relation is an intermediate result of the row executor: a schema plus
-// boxed rows.
-type relation struct {
-	schema []colBinding
-	rows   [][]value.Value
-}
-
-// lookup resolves a (table, name) reference against the schema.
-func (r *relation) lookup(table, name string) (int, error) {
-	return lookupBinding(r.schema, table, name)
 }

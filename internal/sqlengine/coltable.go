@@ -53,20 +53,6 @@ func (ct *ColTable) NumRows() int {
 	return ct.Columns[0].Len()
 }
 
-// rowsFromColumns boxes a columnar table into the legacy row layout.
-func rowsFromColumns(ct *ColTable) *Table {
-	n := ct.NumRows()
-	rows := make([][]value.Value, n)
-	for i := 0; i < n; i++ {
-		row := make([]value.Value, len(ct.Columns))
-		for j, c := range ct.Columns {
-			row[j] = c.Value(i)
-		}
-		rows[i] = row
-	}
-	return &Table{Name: ct.Name, Cols: append([]string(nil), ct.Cols...), Rows: rows}
-}
-
 // columnsFromRows converts a row table into columnar form, detecting a
 // typed representation per column.
 func columnsFromRows(t *Table) *ColTable {

@@ -424,23 +424,6 @@ func TestCountStarOnlyForCount(t *testing.T) {
 	wantErr(t, e, "SELECT SUM(*) FROM nums;", "COUNT(*)")
 }
 
-func TestResolverTakesPriority(t *testing.T) {
-	e := testEngine(t)
-	e.Resolver = FuncResolverFunc(func(name string, args []value.Value) (value.Value, bool, error) {
-		if name == "Custom" {
-			return value.Int(99), true, nil
-		}
-		return value.Null, false, nil
-	})
-	res := runQuery(t, e, "SELECT Custom() AS c, ABS(-1) AS a;", nil)
-	if intAt(t, res, 0, "c") != 99 {
-		t.Error("resolver not consulted")
-	}
-	if floatAt(t, res, 0, "a") != 1 {
-		t.Error("builtin fallback broken")
-	}
-}
-
 func TestMixedAggregateAndScalarExpression(t *testing.T) {
 	e := testEngine(t)
 	res := runQuery(t, e, "SELECT SUM(n) * 2 + COUNT(*) AS v FROM nums;", nil)

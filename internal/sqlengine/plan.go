@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -22,13 +23,15 @@ import (
 //
 // Compilation never fails and every SELECT compiles: the Plan is the
 // engine's only production driver. FROM is a left-deep loop over any number
-// of tables (cross, hash equi-join or theta join per table), non-grouped
-// DISTINCT / ORDER BY / LIMIT run as post-operators over the projected
-// columns, INTO registers the result in the catalog, and every expression —
-// WHERE, select items, ORDER BY keys, join conditions and keys, grouped
-// aggregate arguments — runs through the one expression operator over the
-// bound relation. The differential suite asserts the Plan against the row
-// reference executor (ExecScriptRow).
+// of tables (cross, hash equi-join or theta join per table), DISTINCT /
+// ORDER BY / LIMIT run as post-operators over the projected columns, INTO
+// registers the result in the catalog, and every expression — WHERE, select
+// items, HAVING, ORDER BY keys, join conditions and keys, GROUP BY keys and
+// aggregate arguments — runs through the one expression operator. A plan
+// with no FROM runs over a one-row relation: that is how constant
+// expressions (site arguments, OPTIMIZE constraints) evaluate. The
+// differential suite asserts the Plan against the row reference executor
+// of the package's tests.
 //
 // Plans are immutable after CompileSelect and safe for concurrent
 // execution: each execution borrows an isolated planState from the plan's
@@ -38,9 +41,6 @@ import (
 type Plan struct {
 	sel     sqlparser.Select
 	grouped bool
-	// post: the result passes through a post-operator (non-grouped DISTINCT,
-	// ORDER BY, LIMIT) or an INTO registration after projection.
-	post bool
 
 	fromRefs []sqlparser.TableRef
 	// eqL[i]/eqR[i] are the two operands of FROM entry i's ON condition when
@@ -48,6 +48,14 @@ type Plan struct {
 	// still happens at bind, against the catalog-dependent schema).
 	eqL, eqR []sqlparser.Expr
 	colNames []string
+
+	// items, having and orderBy are the expressions an execution
+	// evaluates. In a grouped plan every aggregate call in them is lifted
+	// into a reference to the per-group column it folds into; havingAggs,
+	// itemAggs and orderAggs list those folds, one list per phase.
+	items, orderBy                  []sqlparser.Expr
+	having                          sqlparser.Expr
+	havingAggs, itemAggs, orderAggs []aggFold
 
 	// colRefs are the column references of the WHERE, item and ORDER BY
 	// expressions: the relation columns a cross or hash join must
@@ -59,6 +67,13 @@ type Plan struct {
 }
 
 type colRefSpec struct{ table, name string }
+
+// aggFold is one aggregate call of a grouped plan and the name of the
+// extra column its per-group values are bound to.
+type aggFold struct {
+	call sqlparser.FuncCall
+	name string
+}
 
 // PlanResult is the outcome of one Plan or ScriptPlan execution. Its
 // columns may alias plan-owned buffers: read (or copy) everything you need,
@@ -83,7 +98,6 @@ func (r *PlanResult) Release() {
 func CompileSelect(sel sqlparser.Select) *Plan {
 	p := &Plan{sel: sel, fromRefs: sel.From, grouped: isGrouped(sel)}
 	p.pool.New = func() any { return newPlanState(p) }
-	p.post = sel.Into != "" || (!p.grouped && (sel.Distinct || len(sel.OrderBy) > 0 || sel.Limit >= 0))
 
 	p.eqL = make([]sqlparser.Expr, len(sel.From))
 	p.eqR = make([]sqlparser.Expr, len(sel.From))
@@ -97,13 +111,25 @@ func CompileSelect(sel sqlparser.Select) *Plan {
 			p.usedAll = true
 		}
 	}
+	for i, item := range sel.Items {
+		p.items = append(p.items, item.Expr)
+		p.colNames = append(p.colNames, outputName(item, i))
+	}
+	for _, k := range sel.OrderBy {
+		p.orderBy = append(p.orderBy, k.Expr)
+	}
 
 	if p.grouped {
-		// Grouped execution delegates grouping, aggregation and the
-		// per-group scalar glue to the grouped executor over the FROM/WHERE
-		// relation — lazy per-group aggregate argument evaluation is part
-		// of the engines' error semantics.
+		// Grouping keys, aggregate arguments and the per-group expressions
+		// all read the FROM/WHERE relation, so it stays whole.
 		p.usedAll = true
+		p.having = p.liftAggregates(sel.Having, &p.havingAggs)
+		for i, x := range p.items {
+			p.items[i] = p.liftAggregates(x, &p.itemAggs)
+		}
+		for j, x := range p.orderBy {
+			p.orderBy[j] = p.liftAggregates(x, &p.orderAggs)
+		}
 		return p
 	}
 	seen := map[colRefSpec]bool{}
@@ -120,14 +146,37 @@ func CompileSelect(sel sqlparser.Select) *Plan {
 	if sel.Where != nil {
 		addRefs(sel.Where)
 	}
-	for i, item := range sel.Items {
-		addRefs(item.Expr)
-		p.colNames = append(p.colNames, outputName(item, i))
+	for _, x := range p.items {
+		addRefs(x)
 	}
-	for _, k := range sel.OrderBy {
-		addRefs(k.Expr)
+	for _, x := range p.orderBy {
+		addRefs(x)
 	}
 	return p
+}
+
+// liftAggregates replaces every aggregate call in x (not descending into
+// its arguments) with a reference to a fresh extra column and appends the
+// call to folds. No identifier the parser accepts holds a NUL, so the names
+// cannot collide with a column or an alias.
+func (p *Plan) liftAggregates(x sqlparser.Expr, folds *[]aggFold) sqlparser.Expr {
+	lifted, _ := substituteAggregates(x, func(fc sqlparser.FuncCall) (sqlparser.Expr, error) {
+		name := "\x00agg" + strconv.Itoa(len(p.havingAggs)+len(p.itemAggs)+len(p.orderAggs))
+		*folds = append(*folds, aggFold{call: fc, name: name})
+		return sqlparser.ColumnRef{Name: name}, nil
+	})
+	return lifted
+}
+
+// outputName picks the result column name for a select item.
+func outputName(item sqlparser.SelectItem, idx int) string {
+	if item.Alias != "" {
+		return item.Alias
+	}
+	if c, ok := item.Expr.(sqlparser.ColumnRef); ok {
+		return c.Name
+	}
+	return fmt.Sprintf("col%d", idx+1)
 }
 
 // isGrouped reports whether a SELECT takes the aggregation path: GROUP BY,
@@ -137,7 +186,7 @@ func isGrouped(sel sqlparser.Select) bool {
 		return true
 	}
 	for _, item := range sel.Items {
-		if hasAggregate(item.Expr) {
+		if HasAggregate(item.Expr) {
 			return true
 		}
 	}
@@ -156,12 +205,16 @@ func isGrouped(sel sqlparser.Select) bool {
 // Carlo executor keys world sharding off this: a shardable scenario plan
 // evaluated on world ranges [lo,hi) yields partial outputs whose
 // concatenation is identical to the single-range execution.
-func (p *Plan) Shardable() bool { return !p.grouped && !p.post }
+func (p *Plan) Shardable() bool {
+	sel := p.sel
+	return !p.grouped && !sel.Distinct && len(sel.OrderBy) == 0 && sel.Limit < 0 && sel.Into == ""
+}
 
 // ExecCounted runs the plan against an engine's catalog. When c is non-nil
 // the execution fills it with per-operator statistics: relation
 // cardinalities, the join strategy and per-phase wall time. With c == nil
-// no measurement happens.
+// no measurement happens. A plan with no FROM and no INTO reads no
+// catalog, so e may be nil.
 func (p *Plan) ExecCounted(e *Engine, params map[string]value.Value, c *ExecCounters) (*PlanResult, error) {
 	st := p.pool.Get().(*planState)
 	st.begin(e, params)
@@ -458,32 +511,48 @@ func (st *planState) run() (*PlanResult, error) {
 	return &st.pres, nil
 }
 
-// runProject evaluates the select items over the filtered relation, each
-// seeing the aliases of the items before it, then the DISTINCT → ORDER BY →
-// LIMIT post-operators. No shipped scenario uses the post-operators, so
-// they allocate fresh columns instead of drawing on pooled buffers.
+// runProject evaluates the select items over the filtered relation, then
+// the post-operators.
 func (st *planState) runProject() error {
-	p := st.plan
 	vc := vctx{st: st, rel: &st.rel, extras: st.extras}
-	for i, item := range p.sel.Items {
-		col, err := vc.eval(item.Expr, frame{rows: st.sel, n: st.n})
+	if err := st.project(&vc); err != nil {
+		return err
+	}
+	return st.finish(&vc, nil)
+}
+
+// project evaluates the select items over the current rows (st.sel, st.n),
+// each seeing the aliases of the items before it.
+func (st *planState) project(vc *vctx) error {
+	p := st.plan
+	for i, x := range p.items {
+		col, err := vc.eval(x, frame{rows: st.sel, n: st.n})
 		if err != nil {
 			return err
 		}
 		st.itemCols[i] = col
-		if item.Alias != "" {
-			st.extras[item.Alias] = col
+		if a := p.sel.Items[i].Alias; a != "" {
+			st.extras[a] = col
 		}
 	}
 	st.pres = PlanResult{ColResult: ColResult{Cols: p.colNames, Columns: st.itemCols}, st: st}
-	if !p.post {
-		return nil
-	}
+	return nil
+}
+
+// finish runs the DISTINCT → ORDER BY → LIMIT post-operators over the
+// projected rows. On a grouped plan groups are the rows' groups, which the
+// ORDER BY keys' aggregates fold over; it is nil otherwise. No shipped
+// scenario uses the post-operators, so they allocate fresh columns instead
+// of drawing on pooled buffers.
+func (st *planState) finish(vc *vctx, groups []frame) error {
+	p := st.plan
 	if p.sel.Distinct {
 		if keep := distinctKeep(st.itemCols, st.n); len(keep) < st.n {
 			// ORDER BY keys evaluate over the surviving rows only, like
-			// the row reference: narrow the selection and the alias columns.
+			// the row reference: narrow the selection, the groups and the
+			// alias columns.
 			st.gatherItems(keep)
+			groups = pickFrames(groups, keep)
 			if st.sel != nil {
 				for j, k := range keep {
 					keep[j] = st.sel[k]
@@ -492,10 +561,13 @@ func (st *planState) runProject() error {
 			st.sel = keep
 		}
 	}
-	if len(p.sel.OrderBy) > 0 {
-		keyCols := make([]*Column, len(p.sel.OrderBy))
-		for j, k := range p.sel.OrderBy {
-			col, err := vc.eval(k.Expr, frame{rows: st.sel, n: st.n})
+	if len(p.orderBy) > 0 {
+		if err := st.foldAggs(p.orderAggs, groups); err != nil {
+			return err
+		}
+		keyCols := make([]*Column, len(p.orderBy))
+		for j, x := range p.orderBy {
+			col, err := vc.eval(x, frame{rows: st.sel, n: st.n})
 			if err != nil {
 				return err
 			}
@@ -540,30 +612,6 @@ func (st *planState) registerInto() error {
 		return err
 	}
 	st.e.Catalog.PutColumns(ct)
-	return nil
-}
-
-// runGrouped hands the filtered relation to the grouped executor, which
-// owns grouped semantics — lazy per-group aggregate evaluation, HAVING,
-// ORDER BY contexts.
-func (st *planState) runGrouped() error {
-	p := st.plan
-	res, orderEnvs, err := st.execGrouped(frame{rows: st.sel, n: st.n})
-	if err != nil {
-		return err
-	}
-	if p.sel.Distinct {
-		res, orderEnvs = dedupeRows(res, orderEnvs)
-	}
-	if len(p.sel.OrderBy) > 0 {
-		if err := st.e.orderResult(res, orderEnvs, p.sel.OrderBy); err != nil {
-			return err
-		}
-	}
-	if p.sel.Limit >= 0 && int64(len(res.Rows)) > p.sel.Limit {
-		res.Rows = res.Rows[:p.sel.Limit]
-	}
-	st.pres = PlanResult{ColResult: *colResultFromResult(res), st: st}
 	return nil
 }
 

@@ -9,18 +9,11 @@ import (
 	"fuzzyprophet/internal/value"
 )
 
-// Engine evaluates SELECT statements against a catalog. Every statement
-// runs as a compiled Plan; the row-at-a-time executor in this file and
-// eval.go is the semantic reference the differential suite and the engine
-// benchmark compare against, reached only through ExecScriptRow and
-// ExecSelectRow.
-type Engine struct {
-	Catalog  *Catalog
-	Resolver FuncResolver // optional; consulted before scalar builtins
-}
-
-// New returns an engine over the given catalog.
-func New(catalog *Catalog) *Engine { return &Engine{Catalog: catalog} }
+// The row-at-a-time reference executor: one boxed value at a time, no
+// compilation, no vectors. It lives only in tests, as the semantic oracle
+// the differential suite, FuzzPlanMatchesRow and FuzzConstExprMatchesRow
+// check the compiled Plan against; production runs every statement and
+// every constant expression as a Plan.
 
 // Result is the output of a query: named columns plus rows.
 type Result struct {
@@ -63,7 +56,7 @@ func (e *Engine) ExecSelectRow(sel sqlparser.Select, params map[string]value.Val
 	if sel.Where != nil {
 		kept := src.rows[:0:0]
 		for _, row := range src.rows {
-			ev := &env{params: params, rel: src, row: row, resolver: e.Resolver}
+			ev := &env{params: params, rel: src, row: row}
 			v, err := ev.eval(sel.Where)
 			if err != nil {
 				return nil, err
@@ -141,7 +134,7 @@ func (e *Engine) buildFrom(refs []sqlparser.TableRef, params map[string]value.Va
 				row = append(row, l...)
 				row = append(row, r...)
 				if ref.JoinCond != nil {
-					ev := &env{params: params, rel: combined, row: row, resolver: e.Resolver}
+					ev := &env{params: params, rel: combined, row: row}
 					v, err := ev.eval(ref.JoinCond)
 					if err != nil {
 						return nil, err
@@ -166,17 +159,6 @@ func (e *Engine) buildFrom(refs []sqlparser.TableRef, params map[string]value.Va
 	return acc, nil
 }
 
-// outputName picks the result column name for a select item.
-func outputName(item sqlparser.SelectItem, idx int) string {
-	if item.Alias != "" {
-		return item.Alias
-	}
-	if c, ok := item.Expr.(sqlparser.ColumnRef); ok {
-		return c.Name
-	}
-	return fmt.Sprintf("col%d", idx+1)
-}
-
 // execSimple projects each row; aliases of earlier items are visible to
 // later items (the dialect extension Figure 2 relies on).
 func (e *Engine) execSimple(sel sqlparser.Select, src *relation, params map[string]value.Value) (*Result, []func(sqlparser.Expr) (value.Value, error), error) {
@@ -188,7 +170,7 @@ func (e *Engine) execSimple(sel sqlparser.Select, src *relation, params map[stri
 	for _, row := range src.rows {
 		extra := make(map[string]value.Value, len(sel.Items))
 		out := make([]value.Value, len(sel.Items))
-		ev := &env{params: params, rel: src, row: row, extra: extra, resolver: e.Resolver}
+		ev := &env{params: params, rel: src, row: row, extra: extra}
 		for i, item := range sel.Items {
 			v, err := ev.eval(item.Expr)
 			if err != nil {
@@ -203,7 +185,7 @@ func (e *Engine) execSimple(sel sqlparser.Select, src *relation, params map[stri
 		rowCopy := row
 		extraCopy := extra
 		orderEnvs = append(orderEnvs, func(x sqlparser.Expr) (value.Value, error) {
-			oe := &env{params: params, rel: src, row: rowCopy, extra: extraCopy, resolver: e.Resolver}
+			oe := &env{params: params, rel: src, row: rowCopy, extra: extraCopy}
 			return oe.eval(x)
 		})
 	}
@@ -225,7 +207,7 @@ func (e *Engine) execGrouped(sel sqlparser.Select, src *relation, params map[str
 		index := map[string]*group{}
 		for _, row := range src.rows {
 			keyVals := make([]value.Value, len(sel.GroupBy))
-			ev := &env{params: params, rel: src, row: row, resolver: e.Resolver}
+			ev := &env{params: params, rel: src, row: row}
 			for i, kx := range sel.GroupBy {
 				v, err := ev.eval(kx)
 				if err != nil {
@@ -233,7 +215,7 @@ func (e *Engine) execGrouped(sel sqlparser.Select, src *relation, params map[str
 				}
 				keyVals[i] = v
 			}
-			ks := value.KeyString(keyVals)
+			ks := keyString(keyVals)
 			g, ok := index[ks]
 			if !ok {
 				g = &group{keyVals: keyVals}
@@ -251,8 +233,9 @@ func (e *Engine) execGrouped(sel sqlparser.Select, src *relation, params map[str
 	var orderEnvs []func(sqlparser.Expr) (value.Value, error)
 	for _, g := range groups {
 		evalInGroup := func(x sqlparser.Expr, extra map[string]value.Value) (value.Value, error) {
-			rewritten, err := substituteAggregatesWith(x, func(fc sqlparser.FuncCall) (value.Value, error) {
-				return e.computeAggregate(fc, src, g.rows, params)
+			rewritten, err := substituteAggregates(x, func(fc sqlparser.FuncCall) (sqlparser.Expr, error) {
+				v, err := e.computeAggregate(fc, src, g.rows, params)
+				return sqlparser.Literal{Val: v}, err
 			})
 			if err != nil {
 				return value.Null, err
@@ -261,7 +244,7 @@ func (e *Engine) execGrouped(sel sqlparser.Select, src *relation, params map[str
 			if len(g.rows) > 0 {
 				row = g.rows[0]
 			}
-			ev := &env{params: params, rel: src, row: row, extra: extra, resolver: e.Resolver}
+			ev := &env{params: params, rel: src, row: row, extra: extra}
 			return ev.eval(rewritten)
 		}
 		if sel.Having != nil {
@@ -289,8 +272,9 @@ func (e *Engine) execGrouped(sel sqlparser.Select, src *relation, params map[str
 		extraCopy := extra
 		gRows := g.rows
 		orderEnvs = append(orderEnvs, func(x sqlparser.Expr) (value.Value, error) {
-			rewritten, err := substituteAggregatesWith(x, func(fc sqlparser.FuncCall) (value.Value, error) {
-				return e.computeAggregate(fc, src, gRows, params)
+			rewritten, err := substituteAggregates(x, func(fc sqlparser.FuncCall) (sqlparser.Expr, error) {
+				v, err := e.computeAggregate(fc, src, gRows, params)
+				return sqlparser.Literal{Val: v}, err
 			})
 			if err != nil {
 				return value.Null, err
@@ -299,112 +283,11 @@ func (e *Engine) execGrouped(sel sqlparser.Select, src *relation, params map[str
 			if len(gRows) > 0 {
 				row = gRows[0]
 			}
-			ev := &env{params: params, rel: src, row: row, extra: extraCopy, resolver: e.Resolver}
+			ev := &env{params: params, rel: src, row: row, extra: extraCopy}
 			return ev.eval(rewritten)
 		})
 	}
 	return res, orderEnvs, nil
-}
-
-// substituteAggregatesWith rewrites x, replacing every aggregate call with
-// a literal holding the value compute returns for it. The rewritten
-// expression then evaluates with the ordinary scalar evaluator. Both the
-// row and the columnar grouped executors share this rewrite; they differ
-// only in how compute folds the group.
-func substituteAggregatesWith(x sqlparser.Expr, compute func(sqlparser.FuncCall) (value.Value, error)) (sqlparser.Expr, error) {
-	switch n := x.(type) {
-	case sqlparser.FuncCall:
-		if isAggregateName(n.Name) {
-			v, err := compute(n)
-			if err != nil {
-				return nil, err
-			}
-			return sqlparser.Literal{Val: v}, nil
-		}
-		args := make([]sqlparser.Expr, len(n.Args))
-		for i, a := range n.Args {
-			ra, err := substituteAggregatesWith(a, compute)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = ra
-		}
-		return sqlparser.FuncCall{Name: n.Name, Args: args, Star: n.Star}, nil
-	case sqlparser.Unary:
-		rx, err := substituteAggregatesWith(n.X, compute)
-		if err != nil {
-			return nil, err
-		}
-		return sqlparser.Unary{Op: n.Op, X: rx}, nil
-	case sqlparser.Binary:
-		l, err := substituteAggregatesWith(n.L, compute)
-		if err != nil {
-			return nil, err
-		}
-		r, err := substituteAggregatesWith(n.R, compute)
-		if err != nil {
-			return nil, err
-		}
-		return sqlparser.Binary{Op: n.Op, L: l, R: r}, nil
-	case sqlparser.Case:
-		whens := make([]sqlparser.When, len(n.Whens))
-		for i, w := range n.Whens {
-			c, err := substituteAggregatesWith(w.Cond, compute)
-			if err != nil {
-				return nil, err
-			}
-			th, err := substituteAggregatesWith(w.Then, compute)
-			if err != nil {
-				return nil, err
-			}
-			whens[i] = sqlparser.When{Cond: c, Then: th}
-		}
-		var els sqlparser.Expr
-		if n.Else != nil {
-			var err error
-			els, err = substituteAggregatesWith(n.Else, compute)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return sqlparser.Case{Whens: whens, Else: els}, nil
-	case sqlparser.Between:
-		xx, err := substituteAggregatesWith(n.X, compute)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := substituteAggregatesWith(n.Lo, compute)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := substituteAggregatesWith(n.Hi, compute)
-		if err != nil {
-			return nil, err
-		}
-		return sqlparser.Between{X: xx, Lo: lo, Hi: hi, Not: n.Not}, nil
-	case sqlparser.InList:
-		xx, err := substituteAggregatesWith(n.X, compute)
-		if err != nil {
-			return nil, err
-		}
-		items := make([]sqlparser.Expr, len(n.Items))
-		for i, it := range n.Items {
-			ri, err := substituteAggregatesWith(it, compute)
-			if err != nil {
-				return nil, err
-			}
-			items[i] = ri
-		}
-		return sqlparser.InList{X: xx, Items: items, Not: n.Not}, nil
-	case sqlparser.IsNull:
-		xx, err := substituteAggregatesWith(n.X, compute)
-		if err != nil {
-			return nil, err
-		}
-		return sqlparser.IsNull{X: xx, Not: n.Not}, nil
-	default:
-		return x, nil
-	}
 }
 
 // computeAggregate evaluates one aggregate call over the group rows.
@@ -420,12 +303,12 @@ func (e *Engine) computeAggregate(f sqlparser.FuncCall, rel *relation, group [][
 		return value.Null, fmt.Errorf("sqlengine: aggregate %s expects 1 argument, got %d", f.Name, len(f.Args))
 	}
 	arg := f.Args[0]
-	if hasAggregate(arg) {
+	if HasAggregate(arg) {
 		return value.Null, fmt.Errorf("sqlengine: nested aggregate in %s", f.Name)
 	}
 	var vals []value.Value
 	for _, row := range group {
-		ev := &env{params: params, rel: rel, row: row, resolver: e.Resolver}
+		ev := &env{params: params, rel: rel, row: row}
 		v, err := ev.eval(arg)
 		if err != nil {
 			return value.Null, err
@@ -504,7 +387,7 @@ func dedupeRows(res *Result, orderEnvs []func(sqlparser.Expr) (value.Value, erro
 	outRows := res.Rows[:0:0]
 	outEnvs := orderEnvs[:0:0]
 	for i, row := range res.Rows {
-		key := value.KeyString(row)
+		key := keyString(row)
 		if seen[key] {
 			continue
 		}
@@ -562,4 +445,306 @@ func (e *Engine) orderResult(res *Result, orderEnvs []func(sqlparser.Expr) (valu
 		res.Rows[i] = items[i].row
 	}
 	return nil
+}
+
+// EvalConstRow evaluates an expression outside any row context on the row
+// evaluator: parameters, literals and scalar builtins, no columns or
+// aggregates. It is the reference for the one-row Plans that site
+// arguments and OPTIMIZE constraints run as.
+func EvalConstRow(x sqlparser.Expr, params map[string]value.Value) (value.Value, error) {
+	ev := &env{params: params}
+	return ev.eval(x)
+}
+
+// env is the evaluation environment for one expression: parameter bindings,
+// an optional row (with schema) and extra computed bindings (select-item
+// aliases).
+type env struct {
+	params map[string]value.Value
+	rel    *relation
+	row    []value.Value
+	extra  map[string]value.Value // alias → value, visible unqualified
+}
+
+func (e *env) lookupColumn(table, name string) (value.Value, error) {
+	if table == "" && e.extra != nil {
+		if v, ok := e.extra[name]; ok {
+			return v, nil
+		}
+	}
+	if e.rel == nil || e.row == nil {
+		return value.Null, fmt.Errorf("sqlengine: column %q referenced outside a row context", name)
+	}
+	idx, err := e.rel.lookup(table, name)
+	if err != nil {
+		return value.Null, err
+	}
+	return e.row[idx], nil
+}
+
+// eval evaluates a non-aggregate expression. Aggregate calls reaching this
+// path are an error; the grouped executor intercepts them earlier.
+func (e *env) eval(x sqlparser.Expr) (value.Value, error) {
+	switch n := x.(type) {
+	case sqlparser.Literal:
+		return n.Val, nil
+	case sqlparser.ParamRef:
+		if e.params != nil {
+			if v, ok := e.params[n.Name]; ok {
+				return v, nil
+			}
+		}
+		return value.Null, fmt.Errorf("sqlengine: unbound parameter @%s", n.Name)
+	case sqlparser.ColumnRef:
+		return e.lookupColumn(n.Table, n.Name)
+	case sqlparser.Unary:
+		v, err := e.eval(n.X)
+		if err != nil {
+			return value.Null, err
+		}
+		if n.Op == "NOT" {
+			if v.IsNull() {
+				return value.Null, nil
+			}
+			b, err := v.AsBool()
+			if err != nil {
+				return value.Null, err
+			}
+			return value.Bool(!b), nil
+		}
+		return value.Neg(v)
+	case sqlparser.Binary:
+		return e.evalBinary(n)
+	case sqlparser.Case:
+		for _, w := range n.Whens {
+			c, err := e.eval(w.Cond)
+			if err != nil {
+				return value.Null, err
+			}
+			if c.Truthy() {
+				return e.eval(w.Then)
+			}
+		}
+		if n.Else != nil {
+			return e.eval(n.Else)
+		}
+		return value.Null, nil
+	case sqlparser.Between:
+		v, err := e.eval(n.X)
+		if err != nil {
+			return value.Null, err
+		}
+		lo, err := e.eval(n.Lo)
+		if err != nil {
+			return value.Null, err
+		}
+		hi, err := e.eval(n.Hi)
+		if err != nil {
+			return value.Null, err
+		}
+		if v.IsNull() || lo.IsNull() || hi.IsNull() {
+			return value.Null, nil
+		}
+		cl, err := value.Compare(v, lo)
+		if err != nil {
+			return value.Null, err
+		}
+		ch, err := value.Compare(v, hi)
+		if err != nil {
+			return value.Null, err
+		}
+		in := cl >= 0 && ch <= 0
+		if n.Not {
+			in = !in
+		}
+		return value.Bool(in), nil
+	case sqlparser.InList:
+		v, err := e.eval(n.X)
+		if err != nil {
+			return value.Null, err
+		}
+		if v.IsNull() {
+			return value.Null, nil
+		}
+		found := false
+		for _, item := range n.Items {
+			iv, err := e.eval(item)
+			if err != nil {
+				return value.Null, err
+			}
+			if !iv.IsNull() && v.Equal(iv) {
+				found = true
+				break
+			}
+		}
+		if n.Not {
+			found = !found
+		}
+		return value.Bool(found), nil
+	case sqlparser.IsNull:
+		v, err := e.eval(n.X)
+		if err != nil {
+			return value.Null, err
+		}
+		if n.Not {
+			return value.Bool(!v.IsNull()), nil
+		}
+		return value.Bool(v.IsNull()), nil
+	case sqlparser.FuncCall:
+		if isAggregateName(n.Name) {
+			return value.Null, fmt.Errorf("sqlengine: aggregate %s used outside an aggregation context", n.Name)
+		}
+		args := make([]value.Value, len(n.Args))
+		for i, a := range n.Args {
+			v, err := e.eval(a)
+			if err != nil {
+				return value.Null, err
+			}
+			args[i] = v
+		}
+		return callBuiltin(n.Name, args)
+	default:
+		return value.Null, fmt.Errorf("sqlengine: unsupported expression %T", x)
+	}
+}
+
+func (e *env) evalBinary(n sqlparser.Binary) (value.Value, error) {
+	// AND/OR use SQL three-valued logic with short-circuiting on the
+	// determined side.
+	if n.Op == "AND" || n.Op == "OR" {
+		l, err := e.eval(n.L)
+		if err != nil {
+			return value.Null, err
+		}
+		if n.Op == "AND" && !l.IsNull() {
+			if b, err := l.AsBool(); err != nil {
+				return value.Null, err
+			} else if !b {
+				return value.Bool(false), nil
+			}
+		}
+		if n.Op == "OR" && !l.IsNull() {
+			if b, err := l.AsBool(); err != nil {
+				return value.Null, err
+			} else if b {
+				return value.Bool(true), nil
+			}
+		}
+		r, err := e.eval(n.R)
+		if err != nil {
+			return value.Null, err
+		}
+		if l.IsNull() || r.IsNull() {
+			// AND: false∧NULL handled above; true∧NULL = NULL.
+			// OR: true∨NULL handled above; false∨NULL = NULL.
+			if n.Op == "AND" {
+				if !r.IsNull() {
+					if b, _ := r.AsBool(); !b {
+						return value.Bool(false), nil
+					}
+				}
+			} else if !r.IsNull() {
+				if b, _ := r.AsBool(); b {
+					return value.Bool(true), nil
+				}
+			}
+			return value.Null, nil
+		}
+		rb, err := r.AsBool()
+		if err != nil {
+			return value.Null, err
+		}
+		return value.Bool(rb), nil
+	}
+
+	l, err := e.eval(n.L)
+	if err != nil {
+		return value.Null, err
+	}
+	r, err := e.eval(n.R)
+	if err != nil {
+		return value.Null, err
+	}
+	switch n.Op {
+	case "+":
+		return value.Add(l, r)
+	case "-":
+		return value.Sub(l, r)
+	case "*":
+		return value.Mul(l, r)
+	case "/":
+		return value.Div(l, r)
+	case "%":
+		return value.Mod(l, r)
+	case "=", "<>", "<", "<=", ">", ">=":
+		if l.IsNull() || r.IsNull() {
+			return value.Null, nil
+		}
+		c, err := value.Compare(l, r)
+		if err != nil {
+			return value.Null, err
+		}
+		switch n.Op {
+		case "=":
+			return value.Bool(c == 0), nil
+		case "<>":
+			return value.Bool(c != 0), nil
+		case "<":
+			return value.Bool(c < 0), nil
+		case "<=":
+			return value.Bool(c <= 0), nil
+		case ">":
+			return value.Bool(c > 0), nil
+		default:
+			return value.Bool(c >= 0), nil
+		}
+	default:
+		return value.Null, fmt.Errorf("sqlengine: unknown operator %q", n.Op)
+	}
+}
+
+// relation is an intermediate result of the row executor: a schema plus
+// boxed rows.
+type relation struct {
+	schema []colBinding
+	rows   [][]value.Value
+}
+
+// lookup resolves a (table, name) reference against the schema.
+func (r *relation) lookup(table, name string) (int, error) {
+	return lookupBinding(r.schema, table, name)
+}
+
+// Get returns the named table boxed into the row layout the row executor
+// reads, converted afresh on every call.
+func (c *Catalog) Get(name string) (*Table, bool) {
+	ct, ok := c.GetColumns(name)
+	if !ok {
+		return nil, false
+	}
+	return rowsFromColumns(ct), true
+}
+
+// rowsFromColumns boxes a columnar table into the row layout.
+func rowsFromColumns(ct *ColTable) *Table {
+	n := ct.NumRows()
+	rows := make([][]value.Value, n)
+	for i := 0; i < n; i++ {
+		row := make([]value.Value, len(ct.Columns))
+		for j, c := range ct.Columns {
+			row[j] = c.Value(i)
+		}
+		rows[i] = row
+	}
+	return &Table{Name: ct.Name, Cols: append([]string(nil), ct.Cols...), Rows: rows}
+}
+
+// keyString returns the canonical GROUP BY / DISTINCT key of a tuple:
+// value.AppendKey's encoding, which the Plan's unboxed key builders share.
+func keyString(vs []value.Value) string {
+	var key []byte
+	for _, v := range vs {
+		key = value.AppendKey(key, v)
+	}
+	return string(key)
 }

@@ -145,6 +145,76 @@ func TestScenarioSQLDifferential(t *testing.T) {
 	}
 }
 
+// TestPlanMatchesGeneratedSQL asserts executing the compiled plan with
+// parameter bindings is exactly the generated-SQL render: same columns,
+// same per-world values.
+func TestPlanMatchesGeneratedSQL(t *testing.T) {
+	reg, err := benchfix.Registry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scn, err := scenario.Compile(sqlparser.ExampleScenarios()["capacityplanning"], reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt := scn.DefaultPoint()
+	sql, err := scn.GenerateSQL(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	script, err := sqlparser.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A tiny deterministic worlds table: the engine does not care that the
+	// samples came from a test vector.
+	worlds := 16
+	cols := []string{scenario.WorldColumn}
+	ord := make([]int64, worlds)
+	demand := make([]float64, worlds)
+	capacity := make([]float64, worlds)
+	for i := 0; i < worlds; i++ {
+		ord[i] = int64(i)
+		demand[i] = float64(40000 + 1000*i)
+		capacity[i] = float64(52000 - 500*i)
+	}
+	columns := []*sqlengine.Column{sqlengine.IntColumn(ord)}
+	cols = append(cols, scn.Sites[0].Column, scn.Sites[1].Column)
+	columns = append(columns, sqlengine.FloatColumn(demand), sqlengine.FloatColumn(capacity))
+	wt, err := sqlengine.NewColTable(scenario.WorldsTable, cols, columns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mkEngine := func() *sqlengine.Engine {
+		cat := sqlengine.NewCatalog()
+		cat.PutColumns(wt)
+		return sqlengine.New(cat)
+	}
+	ref, err := mkEngine().ExecScriptRow(script, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := scn.Plan().ExecCounted(mkEngine(), pt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer got.Release()
+	if strings.Join(got.Cols, ",") != strings.Join(ref.Cols, ",") {
+		t.Fatalf("cols %v vs %v", got.Cols, ref.Cols)
+	}
+	if got.NumRows() != len(ref.Rows) {
+		t.Fatalf("%d vs %d rows", got.NumRows(), len(ref.Rows))
+	}
+	for i := range ref.Rows {
+		for j := range got.Cols {
+			a, b := got.Columns[j].Value(i), ref.Rows[i][j]
+			if a.IsNull() != b.IsNull() || (!a.IsNull() && !a.Equal(b)) {
+				t.Fatalf("world %d col %s: plan %v vs generated-SQL %v", i, got.Cols[j], a, b)
+			}
+		}
+	}
+}
+
 // TestScenarioPlanConcurrentRenders exercises the render configuration the
 // fpserver session manager runs: many goroutines executing ONE shared
 // compiled plan (each with its own engine/catalog, as mc evaluators have).

@@ -7,9 +7,10 @@ import (
 	"fuzzyprophet/internal/value"
 )
 
-// This file is the Plan's expression operator — the one evaluator behind
-// projection, WHERE, ORDER BY keys, join conditions and keys, and the
-// grouped executor: expressions evaluate to whole Columns over a selection
+// This file is the Plan's expression operator — the one evaluator outside
+// tests, behind projection, WHERE, HAVING, ORDER BY keys, join conditions
+// and keys, GROUP BY keys, aggregate arguments and constant expressions
+// (a Plan with no FROM): expressions evaluate to whole Columns over a selection
 // (frame) instead of one boxed value per row. Laziness-sensitive constructs
 // — AND/OR short-circuiting, CASE arms, IN item lists — narrow the
 // selection before evaluating their conditional sub-expressions, so an
@@ -56,9 +57,10 @@ func (fr frame) epos(k int) int {
 }
 
 // vctx is the evaluation environment of one plan execution: the state that
-// owns the parameters, resolver and buffers, the relation column
-// references resolve against, and the alias columns of earlier select
-// items.
+// owns the parameters and buffers, the relation column references resolve
+// against, and the extra columns unqualified names see first — the alias
+// columns of earlier select items and, in a grouped plan, the folded
+// aggregates.
 type vctx struct {
 	st     *planState
 	rel    *vRel
@@ -90,8 +92,8 @@ func (vc *vctx) gather(col *Column, idx []int) *Column {
 }
 
 // eval evaluates a non-aggregate expression over the frame, returning a
-// column of fr.n rows. Aggregate calls reaching this path are an error; the
-// grouped executor substitutes them earlier.
+// column of fr.n rows. Aggregate calls reaching this path are an error; a
+// grouped plan lifts them out at compile time.
 func (vc *vctx) eval(x sqlparser.Expr, fr frame) (*Column, error) {
 	switch n := x.(type) {
 	case sqlparser.Literal:
@@ -962,9 +964,9 @@ func (vc *vctx) evalInList(n sqlparser.InList, fr frame) (*Column, error) {
 }
 
 // evalFunc evaluates a scalar function call: argument columns are computed
-// vectorized, then the call dispatches per row through the resolver chain
-// and the scalar builtins (the hot render path contains no scalar calls —
-// VG calls were rewritten to column references by the Query Generator).
+// vectorized, then the call dispatches per row to the scalar builtins (the
+// hot render path contains no scalar calls — VG calls were rewritten to
+// column references by the Query Generator).
 func (vc *vctx) evalFunc(n sqlparser.FuncCall, fr frame) (*Column, error) {
 	if isAggregateName(n.Name) {
 		return nil, fmt.Errorf("sqlengine: aggregate %s used outside an aggregation context", n.Name)
@@ -980,20 +982,9 @@ func (vc *vctx) evalFunc(n sqlparser.FuncCall, fr frame) (*Column, error) {
 	_, args := vc.st.slot().boxedCol(len(argCols))
 	sl := vc.st.slot()
 	_, out := sl.boxedCol(fr.n)
-	resolver := vc.st.e.Resolver
 	for i := range out {
 		for j, c := range argCols {
 			args[j] = c.Value(i)
-		}
-		if resolver != nil {
-			v, handled, err := resolver.Call(n.Name, args)
-			if err != nil {
-				return nil, err
-			}
-			if handled {
-				out[i] = v
-				continue
-			}
 		}
 		v, err := callBuiltin(n.Name, args)
 		if err != nil {

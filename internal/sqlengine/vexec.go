@@ -14,13 +14,12 @@ import (
 // the columnar result, the theta join (gather index vectors instead of
 // copied boxed rows), the DISTINCT and ORDER BY post-operators, and the
 // grouped executor — GROUP BY hashes pre-computed key columns, aggregates
-// fold typed vectors in tight loops, and the (tiny, per-group) scalar glue
-// evaluates through the row expression evaluator, so grouped semantics are
-// shared with the row reference by construction.
+// fold typed vectors in tight loops into per-group columns, and HAVING,
+// the items and the ORDER BY keys evaluate over those columns through the
+// one expression operator.
 
 // ColResult is the columnar form of a query result. The Monte Carlo
-// executor consumes it directly (Column.Float64s), avoiding the box/unbox
-// round trip of the legacy row Result.
+// executor consumes it directly (Column.Float64s).
 type ColResult struct {
 	Cols    []string
 	Columns []*Column
@@ -51,20 +50,6 @@ func (r *ColResult) Column(name string) (*Column, error) {
 		return nil, fmt.Errorf("sqlengine: result has no column %q", name)
 	}
 	return r.Columns[i], nil
-}
-
-// colResultFromResult converts a boxed row result to columnar form.
-func colResultFromResult(res *Result) *ColResult {
-	out := &ColResult{Cols: append([]string(nil), res.Cols...)}
-	out.Columns = make([]*Column, len(res.Cols))
-	for j := range res.Cols {
-		vals := make([]value.Value, len(res.Rows))
-		for i, row := range res.Rows {
-			vals[i] = row[j]
-		}
-		out.Columns[j] = ValuesColumn(vals)
-	}
-	return out
 }
 
 // joinVec builds the gather lists of acc joined with next under the ref's
@@ -231,114 +216,239 @@ func cmpCell(c *Column, a, b int) (int, error) {
 	}
 }
 
-// execGrouped evaluates the aggregation path over the frame of st.rel:
-// GROUP BY keys are evaluated as whole columns and hashed unboxed,
-// aggregates fold typed vectors per group, and the remaining per-group
-// scalar glue (HAVING, projections with the aggregates substituted as
-// literals) runs through the row expression evaluator over the group's
-// first row — semantics shared with the row engine by construction.
-func (st *planState) execGrouped(fr frame) (*Result, []func(sqlparser.Expr) (value.Value, error), error) {
-	sel, rel, params, resolver := st.plan.sel, &st.rel, st.params, st.e.Resolver
-	vc := &vctx{st: st, rel: rel}
-	// A group's frame lists its base-relation rows; with no GROUP BY the
-	// one group is the whole frame.
-	var groups []frame
-	if len(sel.GroupBy) == 0 {
-		groups = []frame{{rows: fr.rows, n: fr.n}}
-	} else {
-		keyCols := make([]*Column, len(sel.GroupBy))
-		for j, kx := range sel.GroupBy {
-			col, err := vc.eval(kx, fr)
-			if err != nil {
-				return nil, nil, err
-			}
-			keyCols[j] = col
-		}
-		index := map[string]int{}
-		var buf []byte
-		for i := 0; i < fr.n; i++ {
-			buf = buf[:0]
-			for _, kc := range keyCols {
-				buf = kc.appendKey(buf, i)
-			}
-			g, ok := index[string(buf)]
-			if !ok {
-				g = len(groups)
-				index[string(buf)] = g
-				groups = append(groups, frame{})
-			}
-			groups[g].rows = append(groups[g].rows, fr.row(i))
-			groups[g].n++
-		}
+// runGrouped evaluates a grouped plan in phases over a frame of group
+// representatives: each group's first row, which a column reference
+// outside an aggregate reads. A phase first folds its aggregates into
+// per-group columns (foldAggs) that its lifted expressions reference as
+// extras, so each aggregate folds over exactly the groups whose
+// expressions the row reference evaluates: HAVING's over every group, the
+// items' over the groups HAVING keeps, the ORDER BY keys' over the rows
+// DISTINCT keeps (in finish). Errors therefore surface exactly when the row
+// reference would raise one. When no group is left nothing evaluates.
+func (st *planState) runGrouped() error {
+	p := st.plan
+	groups, err := st.group()
+	if err != nil {
+		return err
 	}
-
-	res := &Result{}
-	for i, item := range sel.Items {
-		res.Cols = append(res.Cols, outputName(item, i))
+	vc := vctx{st: st, rel: &st.rel, extras: st.extras}
+	if len(groups) == 1 && groups[0].n == 0 {
+		// The one group of an aggregate over no rows has no representative
+		// row to read a column from.
+		vc.rel = nil
 	}
-	rowRel := &relation{schema: rel.schema}
-	var orderEnvs []func(sqlparser.Expr) (value.Value, error)
-	for _, gFr := range groups {
-		var row []value.Value
-		if gFr.n > 0 {
-			row = boxRow(rel, gFr.row(0))
+	if p.having != nil && len(groups) > 0 {
+		if err := st.foldAggs(p.havingAggs, groups); err != nil {
+			return err
 		}
-		evalInGroup := func(x sqlparser.Expr, extra map[string]value.Value) (value.Value, error) {
-			rewritten, err := substituteAggregatesWith(x, func(fc sqlparser.FuncCall) (value.Value, error) {
-				return vc.computeAgg(fc, gFr)
-			})
-			if err != nil {
-				return value.Null, err
-			}
-			ev := &env{params: params, rel: rowRel, row: row, extra: extra, resolver: resolver}
-			return ev.eval(rewritten)
+		st.representatives(groups)
+		cond, err := vc.eval(p.having, frame{rows: st.sel, n: st.n})
+		if err != nil {
+			return err
 		}
-		if sel.Having != nil {
-			hv, err := evalInGroup(sel.Having, nil)
-			if err != nil {
-				return nil, nil, err
-			}
-			if !hv.Truthy() {
-				continue
-			}
-		}
-		extra := make(map[string]value.Value, len(sel.Items))
-		out := make([]value.Value, len(sel.Items))
-		for i, item := range sel.Items {
-			v, err := evalInGroup(item.Expr, extra)
-			if err != nil {
-				return nil, nil, err
-			}
-			out[i] = v
-			if item.Alias != "" {
-				extra[item.Alias] = v
-			}
-		}
-		res.Rows = append(res.Rows, out)
-		extraCopy := extra
-		orderEnvs = append(orderEnvs, func(x sqlparser.Expr) (value.Value, error) {
-			return evalInGroup(x, extraCopy)
-		})
+		groups = pickFrames(groups, vc.truthyKeep(cond))
 	}
-	return res, orderEnvs, nil
+	if len(groups) == 0 {
+		for i := range st.itemCols {
+			st.itemCols[i] = st.slot().nullCol(0)
+		}
+		st.n = 0
+		st.pres = PlanResult{ColResult: ColResult{Cols: p.colNames, Columns: st.itemCols}, st: st}
+		return nil
+	}
+	if err := st.foldAggs(p.itemAggs, groups); err != nil {
+		return err
+	}
+	st.representatives(groups)
+	if err := st.project(&vc); err != nil {
+		return err
+	}
+	return st.finish(&vc, groups)
 }
 
-// boxRow boxes one base-relation row (the group representative the scalar
-// glue evaluates against).
-func boxRow(rel *vRel, base int) []value.Value {
-	row := make([]value.Value, len(rel.cols))
-	for j, c := range rel.cols {
-		row[j] = c.Value(base)
+// group partitions the current rows by the GROUP BY keys, evaluated as
+// whole columns and hashed unboxed, in first-seen order. Without GROUP BY
+// the rows are one group, even when there are none.
+func (st *planState) group() ([]frame, error) {
+	fr := frame{rows: st.sel, n: st.n}
+	keys := st.plan.sel.GroupBy
+	if len(keys) == 0 {
+		return []frame{fr}, nil
 	}
-	return row
+	vc := vctx{st: st, rel: &st.rel}
+	keyCols := make([]*Column, len(keys))
+	for j, kx := range keys {
+		col, err := vc.eval(kx, fr)
+		if err != nil {
+			return nil, err
+		}
+		keyCols[j] = col
+	}
+	var groups []frame
+	index := map[string]int{}
+	var buf []byte
+	for i := 0; i < fr.n; i++ {
+		buf = buf[:0]
+		for _, kc := range keyCols {
+			buf = kc.appendKey(buf, i)
+		}
+		g, ok := index[string(buf)]
+		if !ok {
+			g = len(groups)
+			index[string(buf)] = g
+			groups = append(groups, frame{})
+		}
+		groups[g].rows = append(groups[g].rows, fr.row(i))
+		groups[g].n++
+	}
+	return groups, nil
+}
+
+// representatives makes the groups' first rows the current rows.
+func (st *planState) representatives(groups []frame) {
+	reps := st.ints(len(groups))
+	for g, gFr := range groups {
+		reps[g] = 0
+		if gFr.n > 0 {
+			reps[g] = gFr.row(0)
+		}
+	}
+	st.sel, st.n = reps, len(groups)
+}
+
+// pickFrames returns the frames at positions keep (nil for nil frames).
+func pickFrames(frames []frame, keep []int) []frame {
+	if frames == nil {
+		return nil
+	}
+	out := make([]frame, len(keep))
+	for j, k := range keep {
+		out[j] = frames[k]
+	}
+	return out
+}
+
+// foldAggs folds each aggregate over every group and binds the per-group
+// values as the extra column its lifted reference names. Aggregate
+// arguments read the relation alone: no alias is visible to them.
+func (st *planState) foldAggs(folds []aggFold, groups []frame) error {
+	avc := vctx{st: st, rel: &st.rel}
+	for _, f := range folds {
+		sl := st.slot()
+		_, vals := sl.boxedCol(len(groups))
+		for g, gFr := range groups {
+			v, err := avc.computeAgg(f.call, gFr)
+			if err != nil {
+				return err
+			}
+			vals[g] = v
+		}
+		st.extras[f.name] = sl.valuesCol(vals)
+	}
+	return nil
+}
+
+// substituteAggregates rewrites x, replacing every aggregate call (without
+// descending into its arguments) with the expression sub returns for it.
+// The Plan lifts aggregates into column references with it; the test-side
+// row executor substitutes their values as literals.
+func substituteAggregates(x sqlparser.Expr, sub func(sqlparser.FuncCall) (sqlparser.Expr, error)) (sqlparser.Expr, error) {
+	switch n := x.(type) {
+	case sqlparser.FuncCall:
+		if isAggregateName(n.Name) {
+			return sub(n)
+		}
+		args := make([]sqlparser.Expr, len(n.Args))
+		for i, a := range n.Args {
+			ra, err := substituteAggregates(a, sub)
+			if err != nil {
+				return nil, err
+			}
+			args[i] = ra
+		}
+		return sqlparser.FuncCall{Name: n.Name, Args: args, Star: n.Star}, nil
+	case sqlparser.Unary:
+		rx, err := substituteAggregates(n.X, sub)
+		if err != nil {
+			return nil, err
+		}
+		return sqlparser.Unary{Op: n.Op, X: rx}, nil
+	case sqlparser.Binary:
+		l, err := substituteAggregates(n.L, sub)
+		if err != nil {
+			return nil, err
+		}
+		r, err := substituteAggregates(n.R, sub)
+		if err != nil {
+			return nil, err
+		}
+		return sqlparser.Binary{Op: n.Op, L: l, R: r}, nil
+	case sqlparser.Case:
+		whens := make([]sqlparser.When, len(n.Whens))
+		for i, w := range n.Whens {
+			c, err := substituteAggregates(w.Cond, sub)
+			if err != nil {
+				return nil, err
+			}
+			th, err := substituteAggregates(w.Then, sub)
+			if err != nil {
+				return nil, err
+			}
+			whens[i] = sqlparser.When{Cond: c, Then: th}
+		}
+		var els sqlparser.Expr
+		if n.Else != nil {
+			var err error
+			els, err = substituteAggregates(n.Else, sub)
+			if err != nil {
+				return nil, err
+			}
+		}
+		return sqlparser.Case{Whens: whens, Else: els}, nil
+	case sqlparser.Between:
+		xx, err := substituteAggregates(n.X, sub)
+		if err != nil {
+			return nil, err
+		}
+		lo, err := substituteAggregates(n.Lo, sub)
+		if err != nil {
+			return nil, err
+		}
+		hi, err := substituteAggregates(n.Hi, sub)
+		if err != nil {
+			return nil, err
+		}
+		return sqlparser.Between{X: xx, Lo: lo, Hi: hi, Not: n.Not}, nil
+	case sqlparser.InList:
+		xx, err := substituteAggregates(n.X, sub)
+		if err != nil {
+			return nil, err
+		}
+		items := make([]sqlparser.Expr, len(n.Items))
+		for i, it := range n.Items {
+			ri, err := substituteAggregates(it, sub)
+			if err != nil {
+				return nil, err
+			}
+			items[i] = ri
+		}
+		return sqlparser.InList{X: xx, Items: items, Not: n.Not}, nil
+	case sqlparser.IsNull:
+		xx, err := substituteAggregates(n.X, sub)
+		if err != nil {
+			return nil, err
+		}
+		return sqlparser.IsNull{X: xx, Not: n.Not}, nil
+	default:
+		return x, nil
+	}
 }
 
 // computeAgg evaluates one aggregate call over the group frame: the
 // argument is evaluated as a whole column, then folded in a tight loop.
 // NULL inputs are skipped (SQL semantics); COUNT(*) counts rows. The
 // argument's buffers go back to the state once the fold is done, so the
-// slots an execution holds do not grow with its group count (nor with the
-// ORDER BY comparisons that re-evaluate aggregates).
+// slots an execution holds do not grow with its group count.
 func (vc *vctx) computeAgg(f sqlparser.FuncCall, gFr frame) (value.Value, error) {
 	if f.Star {
 		if f.Name != "COUNT" {
@@ -350,7 +460,7 @@ func (vc *vctx) computeAgg(f sqlparser.FuncCall, gFr frame) (value.Value, error)
 		return value.Null, fmt.Errorf("sqlengine: aggregate %s expects 1 argument, got %d", f.Name, len(f.Args))
 	}
 	arg := f.Args[0]
-	if hasAggregate(arg) {
+	if HasAggregate(arg) {
 		return value.Null, fmt.Errorf("sqlengine: nested aggregate in %s", f.Name)
 	}
 	mark := vc.st.nextSlot

@@ -354,10 +354,10 @@ func Neg(a Value) (Value, error) {
 }
 
 // AppendKey appends v's canonical key encoding to dst and returns the
-// extended slice. The encoding is shared between the row engine's boxed
-// KeyString and the columnar engine's unboxed key builders (see
-// sqlengine.Column), so GROUP BY and DISTINCT group identically on both
-// paths: numerically equal INT and FLOAT values share an encoding, strings
+// extended slice. The encoding is shared between boxed values and the
+// columnar engine's unboxed key builders (see sqlengine.Column), so GROUP
+// BY and DISTINCT group identically on every path: numerically equal INT
+// and FLOAT values share an encoding, strings
 // are length-prefixed so embedded separators cannot collide.
 func AppendKey(dst []byte, v Value) []byte {
 	switch v.kind {
@@ -406,16 +406,6 @@ func AppendBoolKey(dst []byte, b bool) []byte {
 
 // AppendNullKey appends the key encoding of NULL.
 func AppendNullKey(dst []byte) []byte { return append(dst, 'n', ';') }
-
-// KeyString returns a canonical string key for a tuple of values, suitable
-// as a composite GROUP BY key. See AppendKey for the encoding.
-func KeyString(vs []Value) string {
-	var sb []byte
-	for _, v := range vs {
-		sb = AppendKey(sb, v)
-	}
-	return string(sb)
-}
 
 // Truthy is a convenience that treats NULL as false (SQL WHERE semantics).
 func (v Value) Truthy() bool {
