@@ -26,7 +26,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"fuzzyprophet/internal/guide"
@@ -247,6 +246,10 @@ func Run(ctx context.Context, scn *scenario.Scenario, opts Options) (*Result, er
 	if err != nil {
 		return nil, err
 	}
+	constraint, err := constraintPlan(opt.Where)
+	if err != nil {
+		return nil, err
+	}
 
 	// The evaluator aggregates only the columns the constraint reads.
 	ev := mc.NewEvaluator(scn, opts.MC)
@@ -340,7 +343,7 @@ func Run(ctx context.Context, scn *scenario.Scenario, opts Options) (*Result, er
 			row.Metrics[term.sql] = folded
 		}
 
-		feasible, err := evalConstraint(opt.Where, row.Metrics, group)
+		feasible, err := evalConstraintPlan(constraint, row.Metrics, group)
 		if err != nil {
 			return nil, err
 		}
@@ -356,14 +359,10 @@ func Run(ctx context.Context, scn *scenario.Scenario, opts Options) (*Result, er
 	return res, nil
 }
 
-// evalConstraint evaluates the WHERE constraint for one group: the folded
-// aggregate terms, by their SQL, and the group's parameter values are the
-// parameters of the constraint's compiled plan.
-func evalConstraint(where sqlparser.Expr, metrics map[string]float64, group guide.Point) (bool, error) {
-	plan, err := constraintPlan(where)
-	if err != nil {
-		return false, err
-	}
+// evalConstraintPlan evaluates a compiled constraint for one group: the
+// folded aggregate terms, by their SQL, and the group's parameter values
+// are the plan's parameters.
+func evalConstraintPlan(plan *sqlengine.Plan, metrics map[string]float64, group guide.Point) (bool, error) {
 	params := make(map[string]value.Value, len(metrics)+len(group))
 	for name, v := range group {
 		params[name] = v
@@ -379,29 +378,12 @@ func evalConstraint(where sqlparser.Expr, metrics map[string]float64, group guid
 	return res.Columns[0].Value(0).Truthy(), nil
 }
 
-// constraintPlans holds each constraint compiled once, keyed by its SQL:
-// every group of a run, and every later run of the same constraint,
-// executes one plan.
-var constraintPlans = struct {
-	sync.Mutex
-	m map[string]*sqlengine.Plan
-}{m: map[string]*sqlengine.Plan{}}
-
-// constraintPlanMax bounds constraintPlans; a full cache is emptied.
-const constraintPlanMax = 64
-
-// constraintPlan returns the constraint compiled to a Plan with no FROM.
-// Each aggregate term becomes the parameter its SQL names, and each bare
-// column reference the parameter it names, so constraints may mention
-// @params or bare group columns (the paper writes GROUP BY feature,
-// purchase1 without @).
+// constraintPlan compiles the constraint to a Plan with no FROM. Each
+// aggregate term becomes the parameter its SQL names, and each bare column
+// reference the parameter it names, so constraints may mention @params or
+// bare group columns (the paper writes GROUP BY feature, purchase1
+// without @).
 func constraintPlan(where sqlparser.Expr) (*sqlengine.Plan, error) {
-	key := where.SQL()
-	constraintPlans.Lock()
-	defer constraintPlans.Unlock()
-	if p, ok := constraintPlans.m[key]; ok {
-		return p, nil
-	}
 	terms, err := extractTerms(where, 0)
 	if err != nil {
 		return nil, err
@@ -425,14 +407,9 @@ func constraintPlan(where sqlparser.Expr) (*sqlengine.Plan, error) {
 		return e, nil
 	})
 	if sqlengine.HasAggregate(x) {
-		return nil, fmt.Errorf("optimize: constraint %s has an aggregate outside its terms", key)
+		return nil, fmt.Errorf("optimize: constraint %s has an aggregate outside its terms", where.SQL())
 	}
-	if len(constraintPlans.m) >= constraintPlanMax {
-		clear(constraintPlans.m)
-	}
-	p := sqlengine.CompileSelect(sqlparser.Select{Items: []sqlparser.SelectItem{{Expr: x}}, Limit: -1})
-	constraintPlans.m[key] = p
-	return p, nil
+	return sqlengine.CompileSelect(sqlparser.Select{Items: []sqlparser.SelectItem{{Expr: x}}, Limit: -1}), nil
 }
 
 // selectBest returns the lexicographic optimum among feasible rows under

@@ -268,6 +268,16 @@ func TestExtractTermsValidation(t *testing.T) {
 	}
 }
 
+// evalConstraint compiles the WHERE constraint and evaluates it for one
+// group, as Run does per group with the plan it compiles once.
+func evalConstraint(where sqlparser.Expr, metrics map[string]float64, group guide.Point) (bool, error) {
+	plan, err := constraintPlan(where)
+	if err != nil {
+		return false, err
+	}
+	return evalConstraintPlan(plan, metrics, group)
+}
+
 func TestEvalConstraintWithGroupParams(t *testing.T) {
 	e, err := sqlparser.ParseExpr("MAX(EXPECT overload) < 0.01 AND @purchase1 > 4")
 	if err != nil {
