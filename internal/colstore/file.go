@@ -5,18 +5,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"unsafe"
 )
 
-// writeTemp encodes the column into a fsynced temp file beside path and
+// writeTemp encodes the values into a fsynced temp file beside path and
 // returns the temp file's name and the image's payload CRC-32C; the caller
 // publishes and removes the file.
-func writeTemp(path string, c *Column) (string, uint32, error) {
-	data, err := Encode(c)
-	if err != nil {
-		return "", 0, err
-	}
+func writeTemp(path string, values []float64) (string, uint32, error) {
+	data := Encode(values)
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return "", 0, fmt.Errorf("colstore: temp file: %w", err)
@@ -35,23 +31,22 @@ func writeTemp(path string, c *Column) (string, uint32, error) {
 	return tmp.Name(), binary.LittleEndian.Uint32(data[offPayloadCRC:]), nil
 }
 
-// Mapped is a memory-mapped column file serving zero-copy views of its
-// value section. The mapping (and every view handed out) stays valid until
-// Close; unlinking the underlying file does not invalidate it.
+// Mapped is a memory-mapped column file serving a zero-copy view of its
+// values. The mapping (and every view handed out) stays valid until Close;
+// unlinking the underlying file does not invalidate it.
 type Mapped struct {
 	data []byte
 	h    header
-
-	// decoded caches a byte-order-converted copy on big-endian hosts,
-	// where the mapped bytes cannot be cast directly.
-	decodeOnce sync.Once
-	decoded    *Column
+	// values is the view Float64s returns: the mapped value section on
+	// little-endian hosts, a byte-order-converted copy elsewhere.
+	values []float64
 }
 
 // OpenMapped maps the column file and verifies both CRCs (one sequential
 // pass over the mapped payload — the contents enter the page cache warm).
-// On any verification failure the mapping is released and an error
-// returned; the caller decides whether to quarantine the file.
+// On any verification failure (a file of another kind included) the
+// mapping is released and an error returned; the caller decides whether
+// to quarantine the file.
 func OpenMapped(path string) (*Mapped, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -78,45 +73,22 @@ func OpenMapped(path string) (*Mapped, error) {
 		munmap(data)
 		return nil, err
 	}
-	return &Mapped{data: data, h: h}, nil
+	m := &Mapped{data: data, h: h}
+	switch {
+	case h.length == 0:
+	case hostLittleEndian:
+		// Page-aligned, so the cast is 8-byte aligned.
+		m.values = unsafe.Slice((*float64)(unsafe.Pointer(&data[headerSize])), h.length)
+	default:
+		m.values = decodeValues(data[headerSize:], h.length)
+	}
+	return m, nil
 }
 
-// Kind returns the column kind.
-func (m *Mapped) Kind() Kind { return m.h.kind }
-
-// Float64s returns the value vector of a float64 column. On little-endian
-// hosts this is a zero-copy view of the mapping (page-aligned, so the cast
-// is 8-byte aligned); mutating it is undefined behavior — the pages are
-// mapped read-only and a write faults. Valid until Close.
-func (m *Mapped) Float64s() ([]float64, error) {
-	if m.h.kind != KindFloat64 {
-		return nil, fmt.Errorf("colstore: column is %s, not float64", m.h.kind)
-	}
-	if m.h.length == 0 {
-		return nil, nil
-	}
-	if hostLittleEndian {
-		return unsafe.Slice((*float64)(unsafe.Pointer(&m.data[headerSize])), m.h.length), nil
-	}
-	c, err := m.decode()
-	if err != nil {
-		return nil, err
-	}
-	return c.Floats, nil
-}
-
-// decode lazily materializes the byte-order-converted copy (big-endian
-// hosts only).
-func (m *Mapped) decode() (*Column, error) {
-	var err error
-	m.decodeOnce.Do(func() {
-		m.decoded, err = Decode(m.data)
-	})
-	if m.decoded == nil && err == nil {
-		err = fmt.Errorf("colstore: mapped column failed to decode")
-	}
-	return m.decoded, err
-}
+// Float64s returns the column's values. On little-endian hosts this is a
+// zero-copy view of the mapping; mutating it is undefined behavior — the
+// pages are mapped read-only and a write faults. Valid until Close.
+func (m *Mapped) Float64s() []float64 { return m.values }
 
 // Close releases the mapping. Every view previously returned becomes
 // invalid; accessing one afterwards faults.

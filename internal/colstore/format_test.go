@@ -1,113 +1,105 @@
 package colstore
 
 import (
+	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 )
 
-// sampleColumns returns one representative column per kind, with and
-// without null bitmaps — the canonical round-trip corpus.
-func sampleColumns() []*Column {
-	return []*Column{
-		{Kind: KindFloat64, Floats: []float64{0, 1.5, -2.25, math.Inf(1), math.Pi}},
-		{Kind: KindFloat64, Floats: []float64{0, 3.5, 0}, Nulls: []byte{0b101}},
-		{Kind: KindInt64, Ints: []int64{0, -1, math.MaxInt64, math.MinInt64}},
-		{Kind: KindInt64, Ints: []int64{7, 0, 9}, Nulls: []byte{0b010}},
-		{Kind: KindBool, Bools: []bool{true, false, true, true}},
-		{Kind: KindBool, Bools: []bool{false, false}, Nulls: []byte{0b11}},
-		{Kind: KindString, Strings: []string{"", "hello", "wörld", "x"}},
-		{Kind: KindString, Strings: []string{"a", "", "c"}, Nulls: []byte{0b010}},
-		{Kind: KindFloat64, Floats: nil},
-		{Kind: KindString, Strings: nil},
+// sampleVectors is the canonical round-trip corpus.
+func sampleVectors() [][]float64 {
+	return [][]float64{
+		{0, 1.5, -2.25, math.Inf(1), math.Pi},
+		{math.Copysign(0, -1), math.NaN(), math.Inf(-1), math.SmallestNonzeroFloat64, -math.MaxFloat64},
+		{42},
+		nil,
+	}
+}
+
+// The testdata images were written by the codec before the format was
+// narrowed to float64 columns, when it also encoded int64, bool and string
+// columns. float64.col holds fixtureFloats; int64.col and string.col are
+// the two kinds no file may carry any more.
+const (
+	fixtureFloat64 = "testdata/float64.col"
+	fixtureInt64   = "testdata/int64.col"
+	fixtureString  = "testdata/string.col"
+)
+
+// fixtureFloats returns the values of fixtureFloat64: -0, a NaN with a
+// payload, ±Inf, two subnormals, MaxFloat64 and 1.5.
+func fixtureFloats() []float64 {
+	return []float64{
+		math.Copysign(0, -1),
+		math.Float64frombits(0x7ff8deadbeef0001),
+		math.Inf(1),
+		math.Inf(-1),
+		math.Float64frombits(0x000fffffffffffff),
+		math.SmallestNonzeroFloat64,
+		math.MaxFloat64,
+		1.5,
+	}
+}
+
+func readFixture(tb testing.TB, path string) []byte {
+	tb.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// decode reads a full file image into a fresh slice, making the checks
+// OpenMapped makes.
+func decode(data []byte) ([]float64, error) {
+	h, err := parseHeader(data)
+	if err == nil {
+		err = verifyPayload(h, data)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return decodeValues(data[headerSize:], h.length), nil
+}
+
+// assertBitsEqual fails unless got and want hold the same IEEE-754 bits.
+func assertBitsEqual(t *testing.T, want, got []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("len = %d, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("value[%d] bits = %016x, want %016x", i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
 	}
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	for i, c := range sampleColumns() {
-		data, err := Encode(c)
-		if err != nil {
-			t.Fatalf("case %d: encode: %v", i, err)
-		}
-		got, err := Decode(data)
+	for i, v := range sampleVectors() {
+		data := Encode(v)
+		got, err := decode(data)
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
-		assertColumnsEqual(t, c, got)
-		// Canonical: re-encoding the decoded column reproduces the bytes.
-		data2, err := Encode(got)
-		if err != nil {
-			t.Fatalf("case %d: re-encode: %v", i, err)
-		}
-		if !reflect.DeepEqual(data, data2) {
+		assertBitsEqual(t, v, got)
+		// Canonical: re-encoding the decoded values reproduces the bytes.
+		if !bytes.Equal(data, Encode(got)) {
 			t.Errorf("case %d: encoding is not canonical", i)
 		}
 	}
-}
-
-func assertColumnsEqual(t *testing.T, want, got *Column) {
-	t.Helper()
-	if got.Kind != want.Kind || got.Len() != want.Len() {
-		t.Fatalf("kind/len mismatch: got %v/%d, want %v/%d", got.Kind, got.Len(), want.Kind, want.Len())
-	}
-	for i := 0; i < want.Len(); i++ {
-		if isNull(got, i) != isNull(want, i) {
-			t.Fatalf("null[%d] mismatch", i)
-		}
-	}
-	switch want.Kind {
-	case KindFloat64:
-		for i := range want.Floats {
-			if math.Float64bits(got.Floats[i]) != math.Float64bits(want.Floats[i]) {
-				t.Fatalf("float[%d] = %v, want %v", i, got.Floats[i], want.Floats[i])
-			}
-		}
-	case KindInt64:
-		if !reflect.DeepEqual(noNilSliceInt(got.Ints), noNilSliceInt(want.Ints)) {
-			t.Fatalf("ints = %v, want %v", got.Ints, want.Ints)
-		}
-	case KindBool:
-		if !reflect.DeepEqual(noNilSliceBool(got.Bools), noNilSliceBool(want.Bools)) {
-			t.Fatalf("bools = %v, want %v", got.Bools, want.Bools)
-		}
-	case KindString:
-		if !reflect.DeepEqual(noNilSliceStr(got.Strings), noNilSliceStr(want.Strings)) {
-			t.Fatalf("strings = %v, want %v", got.Strings, want.Strings)
-		}
-	}
-}
-
-func noNilSliceInt(s []int64) []int64 {
-	if s == nil {
-		return []int64{}
-	}
-	return s
-}
-func noNilSliceBool(s []bool) []bool {
-	if s == nil {
-		return []bool{}
-	}
-	return s
-}
-func noNilSliceStr(s []string) []string {
-	if s == nil {
-		return []string{}
-	}
-	return s
 }
 
 // TestFormatLayout pins the on-disk layout: a float64 column's value
 // section starts at the 4096-byte page boundary with IEEE-754 bits in
 // little-endian order. Changing this breaks every existing spill dir.
 func TestFormatLayout(t *testing.T) {
-	c := &Column{Kind: KindFloat64, Floats: []float64{1.5, -0.25}}
-	data, err := Encode(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := Encode([]float64{1.5, -0.25})
 	if len(data) != headerSize+16 {
 		t.Fatalf("file is %d bytes, want %d", len(data), headerSize+16)
 	}
@@ -122,47 +114,84 @@ func TestFormatLayout(t *testing.T) {
 	}
 }
 
-func TestDecodeRejectsCorruption(t *testing.T) {
-	c := &Column{Kind: KindFloat64, Floats: []float64{1, 2, 3, 4}}
-	data, err := Encode(c)
+// TestFixtureFloat64Image: spill files written before the format was
+// narrowed reopen unchanged. Encode reproduces the committed image byte
+// for byte, and both decode and a mapping read it back bit-exactly.
+func TestFixtureFloat64Image(t *testing.T) {
+	data := readFixture(t, fixtureFloat64)
+	want := fixtureFloats()
+	if !bytes.Equal(Encode(want), data) {
+		t.Fatal("Encode does not reproduce the float64 fixture image")
+	}
+	got, err := decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertBitsEqual(t, want, got)
+
+	m, err := OpenMapped(fixtureFloat64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	assertBitsEqual(t, want, m.Float64s())
+}
+
+// TestFixtureNonFloatImagesRejected: valid images of the retired int64 and
+// string kinds fail both decode and OpenMapped.
+func TestFixtureNonFloatImagesRejected(t *testing.T) {
+	for _, path := range []string{fixtureInt64, fixtureString} {
+		if _, err := decode(readFixture(t, path)); err == nil {
+			t.Errorf("%s: decode accepted a non-float64 image", path)
+		}
+		if m, err := OpenMapped(path); err == nil {
+			m.Close()
+			t.Errorf("%s: OpenMapped accepted a non-float64 image", path)
+		}
+	}
+}
+
+// restampHeader recomputes the header CRC after a header mutation, so the
+// field checks rather than the CRC must catch it.
+func restampHeader(b []byte) {
+	binary.LittleEndian.PutUint32(b[offHeaderCRC:], crc32.Checksum(b[:offHeaderCRC], castagnoli))
+}
+
+func TestDecodeRejectsCorruption(t *testing.T) {
+	data := Encode([]float64{1, 2, 3, 4})
 	cases := map[string]func([]byte){
-		"flip payload bit":  func(b []byte) { b[headerSize+5] ^= 0x40 },
-		"flip header kind":  func(b []byte) { b[offKind] ^= 0x01 },
-		"zero magic":        func(b []byte) { b[0] = 0 },
-		"flip length":       func(b []byte) { b[offLength] ^= 0x01 },
-		"flip payload CRC":  func(b []byte) { b[offPayloadCRC] ^= 0x01 },
-		"flip null bitmap?": func(b []byte) { b[len(b)-1] ^= 0x80 },
+		"flip payload bit":      func(b []byte) { b[headerSize+5] ^= 0x40 },
+		"flip header kind":      func(b []byte) { b[offKind] ^= 0x01 },
+		"zero magic":            func(b []byte) { b[0] = 0 },
+		"flip length":           func(b []byte) { b[offLength] ^= 0x01 },
+		"flip payload CRC":      func(b []byte) { b[offPayloadCRC] ^= 0x01 },
+		"flip last payload bit": func(b []byte) { b[len(b)-1] ^= 0x80 },
+		"int64 kind":            func(b []byte) { b[offKind] = 2; restampHeader(b) },
+		"null flag":             func(b []byte) { b[offFlags] = 1; restampHeader(b) },
+		"null bitmap bytes":     func(b []byte) { b[offNullBytes] = 1; restampHeader(b) },
+		"blob bytes":            func(b []byte) { b[offBlobBytes] = 1; restampHeader(b) },
+		"value bytes":           func(b []byte) { b[offValueBytes] = 24; restampHeader(b) },
+		"header padding":        func(b []byte) { b[headerSize-1] = 1 },
 	}
 	for name, corrupt := range cases {
 		bad := append([]byte(nil), data...)
 		corrupt(bad)
-		if _, err := Decode(bad); err == nil {
+		if _, err := decode(bad); err == nil {
 			t.Errorf("%s: corruption not detected", name)
 		}
 	}
 	// Truncation at every section boundary and mid-payload.
 	for _, n := range []int{0, 7, headerSize - 1, headerSize, headerSize + 9, len(data) - 1} {
-		if _, err := Decode(data[:n]); err == nil {
+		if _, err := decode(data[:n]); err == nil {
 			t.Errorf("truncation to %d bytes not detected", n)
 		}
 	}
 }
 
-func isNull(c *Column, i int) bool {
-	return i/8 < len(c.Nulls) && c.Nulls[i/8]&(1<<(i%8)) != 0
-}
-
-// writeColumn encodes c into a new file at path.
-func writeColumn(t *testing.T, path string, c *Column) {
+// writeColumn encodes values into a new file at path.
+func writeColumn(t *testing.T, path string, values []float64) {
 	t.Helper()
-	data, err := Encode(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.WriteFile(path, Encode(values), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -171,18 +200,15 @@ func TestMappedZeroCopyViews(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "c.col")
 	want := []float64{0.5, -1.5, 42, math.SmallestNonzeroFloat64}
-	writeColumn(t, path, &Column{Kind: KindFloat64, Floats: want})
+	writeColumn(t, path, want)
 	m, err := OpenMapped(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	got, err := m.Float64s()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Kind() != KindFloat64 || len(got) != len(want) {
-		t.Fatalf("kind/len = %v/%d", m.Kind(), len(got))
+	got := m.Float64s()
+	if len(got) != len(want) {
+		t.Fatalf("len = %d", len(got))
 	}
 	for i := range want {
 		if got[i] != want[i] {
@@ -201,7 +227,7 @@ func TestMappedZeroCopyViews(t *testing.T) {
 func TestOpenMappedRejectsTornFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "c.col")
-	writeColumn(t, path, &Column{Kind: KindFloat64, Floats: make([]float64, 1024)})
+	writeColumn(t, path, make([]float64, 1024))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -5,22 +5,27 @@ import (
 	"testing"
 )
 
-// FuzzColumnCodec fuzzes the column-file decoder with arbitrary byte
-// images: Decode must never panic or over-allocate, and any image it
-// accepts must round-trip canonically (re-encoding the decoded column
-// reproduces the accepted bytes exactly — there is exactly one valid
-// encoding of any column). The corpus is seeded with every kind, with and
-// without null bitmaps, plus a handful of adversarial mutations.
+// FuzzColumnCodec fuzzes the column-file checks (the ones OpenMapped
+// makes) with arbitrary byte images: decode must never panic or
+// over-allocate, and any image it accepts must round-trip canonically
+// (re-encoding the decoded values reproduces the accepted bytes exactly —
+// there is exactly one valid image of any float64 column) and bit-exactly. The corpus is seeded with
+// the committed fixture images (a float64 column and the retired int64
+// and string kinds), a few encoded vectors, and near-miss mutants of each.
 func FuzzColumnCodec(f *testing.F) {
-	for _, c := range sampleColumns() {
-		data, err := Encode(c)
-		if err != nil {
-			f.Fatal(err)
-		}
+	images := [][]byte{
+		readFixture(f, fixtureFloat64),
+		readFixture(f, fixtureInt64),
+		readFixture(f, fixtureString),
+	}
+	for _, v := range sampleVectors() {
+		images = append(images, Encode(v))
+	}
+	for _, data := range images {
 		f.Add(data)
 		// Seed near-miss mutants so the fuzzer starts at the rejection
 		// boundaries instead of random noise.
-		for _, i := range []int{0, offKind, offLength, offPayloadCRC, len(data) - 1} {
+		for _, i := range []int{0, offKind, offFlags, offLength, offValueBytes, offNullBytes, offBlobBytes, offPayloadCRC, len(data) - 1} {
 			mut := append([]byte(nil), data...)
 			mut[i] ^= 0xff
 			f.Add(mut)
@@ -31,21 +36,18 @@ func FuzzColumnCodec(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0}, headerSize))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := Decode(data)
+		v, err := decode(data)
 		if err != nil {
 			return // rejected: fine, as long as it did not panic
 		}
-		re, err := Encode(c)
-		if err != nil {
-			t.Fatalf("decoded column failed to re-encode: %v", err)
-		}
+		re := Encode(v)
 		if !bytes.Equal(re, data) {
 			t.Fatalf("codec not canonical: accepted %d bytes, re-encoded to %d different bytes", len(data), len(re))
 		}
-		re2, err := Decode(re)
+		v2, err := decode(re)
 		if err != nil {
 			t.Fatalf("re-encoded column failed to decode: %v", err)
 		}
-		assertColumnsEqual(t, c, re2)
+		assertBitsEqual(t, v, v2)
 	})
 }

@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 )
 
 // manifestName is the key→file mapping at the root of a tier directory.
@@ -58,29 +57,15 @@ type tierEntry struct {
 	m  *Mapped       // open mapping, nil until first Get
 }
 
-// TierStats is a snapshot of a tier's occupancy and lifecycle counters.
+// TierStats is a snapshot of a tier's occupancy.
 type TierStats struct {
 	// Entries and Bytes describe current disk occupancy; Budget is the
 	// configured bound (0 = unbounded).
 	Entries int
 	Bytes   int64
 	Budget  int64
-	// Hits/Misses count Get outcomes; Puts counts spills written; Evicted
-	// counts files dropped by the disk budget; Quarantined counts files
-	// renamed aside after failing verification; Errors counts write/map
-	// failures that were absorbed (the tier is a cache — a failed spill
-	// loses durability, never correctness).
-	Hits        int64
-	Misses      int64
-	Puts        int64
-	Evicted     int64
+	// Quarantined counts files renamed aside after failing verification.
 	Quarantined int64
-	Errors      int64
-	// PutNanos/GetNanos accumulate wall time spent inside Put and Get
-	// (write+fsync+rename and map+verify respectively) so callers can
-	// attribute spill-tier cost in render traces without per-call hooks.
-	PutNanos int64
-	GetNanos int64
 }
 
 // Tier is a directory of column files addressed by (site, key): the
@@ -98,8 +83,9 @@ type Tier struct {
 	bytes   int64
 	seq     uint64
 	retired []*Mapped // mappings kept alive for outstanding views
-	stats   TierStats
-	closed  bool
+	// quarantined counts files renamed aside (TierStats.Quarantined).
+	quarantined int64
+	closed      bool
 }
 
 // compositeKey mirrors the RAM store's unambiguous (site, key) encoding.
@@ -136,7 +122,6 @@ func OpenTier(dir string, budgetBytes int64) (*Tier, error) {
 			// A torn manifest cannot happen through our temp+rename writes,
 			// but defend anyway: start empty, treating every file as orphan.
 			man = manifest{}
-			t.stats.Errors++
 		}
 	}
 	t.seq = man.Seq
@@ -212,7 +197,7 @@ func (t *Tier) saveManifestLocked() error {
 // quarantineLocked renames a failed file aside and counts it.
 func (t *Tier) quarantineLocked(file string) {
 	os.Rename(filepath.Join(t.dir, file), filepath.Join(t.dir, file+quarantineSuffix))
-	t.stats.Quarantined++
+	t.quarantined++
 }
 
 // removeLocked drops an entry: the file is unlinked, an open mapping is
@@ -247,16 +232,13 @@ func (t *Tier) removeLocked(e *tierEntry, unlink bool) {
 func (t *Tier) Put(site, key string, samples []float64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	start := time.Now()
-	defer func() { t.stats.PutNanos += time.Since(start).Nanoseconds() }()
 	if t.closed {
 		return fmt.Errorf("colstore: tier is closed")
 	}
 	t.seq++
 	file := fmt.Sprintf("b%08d.col", t.seq)
-	tmp, crc, err := writeTemp(filepath.Join(t.dir, file), &Column{Kind: KindFloat64, Floats: samples})
+	tmp, crc, err := writeTemp(filepath.Join(t.dir, file), samples)
 	if err != nil {
-		t.stats.Errors++
 		return err
 	}
 	defer os.Remove(tmp)
@@ -269,12 +251,10 @@ func (t *Tier) Put(site, key string, samples []float64) error {
 		file = fmt.Sprintf("b%08d.col", t.seq)
 	}
 	if err != nil {
-		t.stats.Errors++
 		return fmt.Errorf("colstore: publishing %s: %w", file, err)
 	}
 	fi, err := os.Stat(tmp)
 	if err != nil {
-		t.stats.Errors++
 		return err
 	}
 
@@ -292,12 +272,10 @@ func (t *Tier) Put(site, key string, samples []float64) error {
 	e.el = t.order.PushFront(e)
 	t.entries[ck] = e
 	t.bytes += e.Bytes
-	t.stats.Puts++
 
 	if t.budget > 0 {
 		for t.bytes > t.budget && t.order.Len() > 0 {
 			t.removeLocked(t.order.Back().Value.(*tierEntry), true)
-			t.stats.Evicted++
 		}
 	}
 	return t.saveManifestLocked()
@@ -305,48 +283,34 @@ func (t *Tier) Put(site, key string, samples []float64) error {
 
 // Get returns the spilled basis for (site, key) as a zero-copy view of the
 // mapped file (little-endian hosts; a verified copy elsewhere). The first
-// Get of an entry maps and CRC-verifies its file, and checks the payload
-// CRC against the one Put recorded; either failure quarantines the file and
-// reports a miss, so a corrupt or foreign spill degrades to re-simulation,
-// never to garbage or another key's samples. The view is read-only and valid
-// until Close.
+// Get of an entry maps and verifies its file (header, float64 kind, CRCs),
+// and checks the payload CRC against the one Put recorded; either failure
+// quarantines the file and reports a miss, so a corrupt, non-float64 or
+// foreign spill degrades to re-simulation, never to garbage or another
+// key's samples. The view is read-only and valid until Close.
 func (t *Tier) Get(site, key string) ([]float64, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	start := time.Now()
-	defer func() { t.stats.GetNanos += time.Since(start).Nanoseconds() }()
 	e, ok := t.entries[compositeKey(site, key)]
 	if !ok || t.closed {
-		t.stats.Misses++
 		return nil, false
 	}
 	if e.m == nil {
 		m, err := OpenMapped(filepath.Join(t.dir, e.File))
-		if err != nil {
-			t.quarantineLocked(e.File)
-			t.removeLocked(e, false)
-			t.saveManifestLocked()
-			t.stats.Misses++
-			return nil, false
-		}
-		if m.Kind() != KindFloat64 || (e.PayloadCRC != 0 && m.h.payloadCRC != e.PayloadCRC) {
+		foreign := err == nil && e.PayloadCRC != 0 && m.h.payloadCRC != e.PayloadCRC
+		if foreign {
 			m.Close()
+		}
+		if err != nil || foreign {
 			t.quarantineLocked(e.File)
 			t.removeLocked(e, false)
 			t.saveManifestLocked()
-			t.stats.Misses++
 			return nil, false
 		}
 		e.m = m
 	}
-	fs, err := e.m.Float64s()
-	if err != nil {
-		t.stats.Misses++
-		return nil, false
-	}
 	t.order.MoveToFront(e.el)
-	t.stats.Hits++
-	return fs, true
+	return e.m.Float64s(), true
 }
 
 // Contains reports whether (site, key) is spilled, without mapping it or
@@ -386,15 +350,11 @@ func (t *Tier) Len() int {
 	return t.order.Len()
 }
 
-// Stats returns a snapshot of the tier counters.
+// Stats returns a snapshot of the tier's occupancy.
 func (t *Tier) Stats() TierStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	st := t.stats
-	st.Entries = t.order.Len()
-	st.Bytes = t.bytes
-	st.Budget = t.budget
-	return st
+	return TierStats{Entries: t.order.Len(), Bytes: t.bytes, Budget: t.budget, Quarantined: t.quarantined}
 }
 
 // Close releases every mapping (live and retired) and flushes the

@@ -22,10 +22,11 @@ import (
 // base; loading validates both, refusing to mix incompatible state.
 
 // snapshotVersion guards the gob layout; a stream stamped with any other
-// version is rejected and its owner starts from a cold cache. Version 2
-// carries SpillKeys: a store with a spill tier snapshots as a MANIFEST — the
-// spilled keys, with payloads left in their CRC-protected column files —
-// instead of a full payload copy.
+// version is rejected and its owner starts from a cold cache. A version-2
+// stream of a spill-mode engine carries no bases: the spill tier's
+// MANIFEST.json is the one record of them. Streams from builds that also
+// listed the spilled keys (a SpillKeys field) still load — gob skips
+// fields the destination lacks — so the version stays 2.
 const snapshotVersion = 2
 
 type reuseSnapshot struct {
@@ -35,11 +36,6 @@ type reuseSnapshot struct {
 	Bound    bool
 	Bases    []storage.Entry
 	Index    []core.IndexEntry
-	// SpillKeys lists the bases resident in the spill tier at save time
-	// (manifest-mode snapshots only). Loading against the same spill dir
-	// re-addresses them without copying a byte; loading without the spill
-	// dir degrades those bases to on-demand re-simulation.
-	SpillKeys []storage.KeyRef
 }
 
 // Save serializes the reuse engine's basis store and fingerprint index.
@@ -47,11 +43,13 @@ type reuseSnapshot struct {
 //
 // With a spill tier configured, Save is a manifest operation: every
 // RAM-resident basis is first demoted to its column file (Store.Sync), and
-// the snapshot records only the spilled keys — no sample payloads cross
-// the encoder. Such a snapshot is bound to its spill directory; load it
-// with the same SpillDir, or the bases degrade to on-demand re-simulation
-// (the fingerprint index still loads, so re-mapping resumes as bases are
-// recomputed). RAM-only stores snapshot full payloads, as before.
+// the snapshot records only the configuration, seed base and fingerprint
+// index — the tier's MANIFEST.json addresses the bases, and no sample
+// payloads cross the encoder. Such a snapshot is bound to its spill
+// directory; load it with the same SpillDir, or the bases degrade to
+// on-demand re-simulation (the fingerprint index still loads, so
+// re-mapping resumes as bases are recomputed). RAM-only stores snapshot
+// full payloads.
 //
 // The engine lock is held for the duration, and evaluators install each
 // computed basis and its fingerprint under that same lock (Reuse.install),
@@ -73,7 +71,6 @@ func (r *Reuse) Save(w io.Writer) error {
 		if err := r.store.Sync(); err != nil {
 			return fmt.Errorf("mc: syncing basis store to spill tier: %w", err)
 		}
-		snap.SpillKeys = r.store.SpillKeys()
 	} else {
 		snap.Bases = r.store.Snapshot()
 	}

@@ -3,6 +3,7 @@ package mc
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"os"
 	"testing"
 
@@ -218,5 +219,90 @@ func TestSpillKillAndReopen(t *testing.T) {
 	st := loaded.StoreStats()
 	if st.Quarantined != 0 || st.SpillErrors != 0 {
 		t.Fatalf("reopen saw corruption: %+v", st)
+	}
+}
+
+// TestLoadSnapshotWithSpillKeys: snapshots of spill-mode engines once also
+// listed the spilled keys (a SpillKeys field) beside the tier's manifest.
+// A stream in that layout still loads: gob skips the field, the reopened
+// tier's manifest re-addresses every basis, and each serves as an exact
+// cache hit with nothing quarantined.
+func TestLoadSnapshotWithSpillKeys(t *testing.T) {
+	ctx := context.Background()
+	const worlds = 300
+	scn := compileExample(t, "capacityplanning")
+	axis := scn.Space.Params[0].Name
+	points, err := scn.Space.Sweep(axis, scn.DefaultPoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	opts := storage.Options{BudgetBytes: spillBudget, SpillDir: dir}
+	reuse, err := NewReuse(core.DefaultConfig(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := NewEvaluator(scn, Options{Worlds: worlds, Reuse: reuse})
+	want := make([]*PointResult, len(points))
+	for i, pt := range points {
+		if want[i], err = ev.evaluatePoint(ctx, pt); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The older layout, field for field.
+	type spillKeysSnapshot struct {
+		Version   int
+		Config    core.Config
+		SeedBase  uint64
+		Bound     bool
+		Bases     []storage.Entry
+		Index     []core.IndexEntry
+		SpillKeys []storage.KeyRef
+	}
+	if err := reuse.store.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	old := spillKeysSnapshot{
+		Version:  snapshotVersion,
+		Config:   reuse.cfg,
+		SeedBase: reuse.seedBase,
+		Bound:    reuse.seedBound,
+		Index:    reuse.index.Export(),
+	}
+	for _, e := range reuse.store.Snapshot() {
+		old.SpillKeys = append(old.SpillKeys, storage.KeyRef{Site: e.Site, Key: e.Key})
+	}
+	if len(old.SpillKeys) == 0 {
+		t.Fatal("the spill-mode engine stored no bases")
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	if err := reuse.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	loaded, err := LoadReuse(&buf, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	ev2 := NewEvaluator(scn, Options{Worlds: worlds, Reuse: loaded})
+	for i, pt := range points {
+		got, err := ev2.evaluatePoint(ctx, pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameColumns(t, i, want[i], got)
+		for site, kind := range got.SiteOutcome {
+			if kind != CachedExact {
+				t.Fatalf("point %d site %s: outcome %v, want cached", i, site, kind)
+			}
+		}
+	}
+	if st := loaded.StoreStats(); st.Quarantined != 0 || st.SpillErrors != 0 {
+		t.Fatalf("loading the older layout saw corruption: %+v", st)
 	}
 }

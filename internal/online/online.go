@@ -338,19 +338,6 @@ func (s *Session) RenderProgressive(ctx context.Context, startWorlds int, frame 
 	}
 }
 
-// ExplorationCell classifies one cell of the exploration map.
-type ExplorationCell byte
-
-// Exploration map cell states.
-const (
-	// CellUnexplored: never evaluated.
-	CellUnexplored ExplorationCell = '.'
-	// CellRendered: the user rendered the graph at these pins.
-	CellRendered ExplorationCell = 'R'
-	// CellPrefetched: evaluated proactively, anticipating future use.
-	CellPrefetched ExplorationCell = 'p'
-)
-
 // ExplorationMap renders the paper's parameter-space grid ("with which
 // parameter values have already been explored and which values are
 // proactively being explored"): a 2-D slice over two slider parameters,

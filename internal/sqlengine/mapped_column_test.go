@@ -25,11 +25,7 @@ func TestPlanOverMappedColumn(t *testing.T) {
 		ord[i] = int64(i)
 	}
 	path := filepath.Join(t.TempDir(), "load.col")
-	data, err := colstore.Encode(&colstore.Column{Kind: colstore.KindFloat64, Floats: heap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.WriteFile(path, colstore.Encode(heap), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	m, err := colstore.OpenMapped(path)
@@ -37,10 +33,7 @@ func TestPlanOverMappedColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	mapped, err := m.Float64s()
-	if err != nil {
-		t.Fatal(err)
-	}
+	mapped := m.Float64s()
 
 	script, err := sqlparser.Parse("SELECT fact.w, fact.load * 2.0 + 1.0 AS scaled FROM fact WHERE fact.load > 0.0;")
 	if err != nil {

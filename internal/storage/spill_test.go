@@ -133,8 +133,8 @@ func TestSpillSyncAndReopen(t *testing.T) {
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if keys := s.SpillKeys(); len(keys) != 6 {
-		t.Fatalf("SpillKeys after Sync = %d, want 6", len(keys))
+	if n := s.Stats().SpillEntries; n != 6 {
+		t.Fatalf("spill entries after Sync = %d, want 6", n)
 	}
 	// Sync leaves the RAM tier intact.
 	if n := s.Stats().Entries; n != 6 {
@@ -197,8 +197,8 @@ func TestRAMOnlyStoreHasNoSpill(t *testing.T) {
 	if s.HasSpill() {
 		t.Fatal("NewStore configured a spill tier")
 	}
-	if keys := s.SpillKeys(); keys != nil {
-		t.Fatalf("SpillKeys = %v on RAM-only store", keys)
+	if st := s.Stats(); st.SpillEntries != 0 || st.SpillBytes != 0 {
+		t.Fatalf("RAM-only store reports spill occupancy: %+v", st)
 	}
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)

@@ -329,8 +329,9 @@ func (s *Store) rememberGenLocked(e *Entry) {
 // Sync demotes every RAM-resident basis whose payload is not yet on disk
 // to the spill tier, leaving the RAM tier intact (entries stay resident,
 // flagged on-disk). After Sync, the spill tier's manifest addresses the
-// complete basis set, which is what snapshot persistence serializes
-// instead of the payloads. A no-op without a spill tier.
+// complete basis set, so a snapshot of a spill-mode store carries no
+// payloads: reopening the tier re-addresses them. A no-op without a spill
+// tier.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -361,16 +362,6 @@ func (s *Store) Sync() error {
 
 // HasSpill reports whether a spill tier is configured.
 func (s *Store) HasSpill() bool { return s.spill != nil }
-
-// SpillKeys returns the keys resident in the spill tier, most recently
-// used first (nil without a tier). Combined with Sync, this is the
-// manifest form of a snapshot: the payloads stay in their column files.
-func (s *Store) SpillKeys() []KeyRef {
-	if s.spill == nil {
-		return nil
-	}
-	return s.spill.Keys()
-}
 
 // Close releases the spill tier's mappings and flushes its manifest. Views
 // previously returned by Get become invalid; the RAM tier is untouched.
@@ -468,8 +459,8 @@ func (s *Store) SpillCounters() (c SpillCounters, ok bool) {
 // RAM-resident entries in LRU order, then spilled-only entries (their
 // payloads are materialized from the mapped files). Sample slices are
 // copied; the snapshot is safe to serialize. Stores with a spill tier
-// normally persist via Sync + SpillKeys instead — a manifest operation —
-// and use Snapshot only for full exports.
+// normally persist via Sync instead — the tier's manifest is their record
+// — and use Snapshot only for full exports.
 func (s *Store) Snapshot() []Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -58,8 +58,9 @@ func (c *ReuseCache) SaveFile(path string) error {
 // fingerprint configuration is restored verbatim. The scenario, models and
 // seed base must match the saving process's; a seed-base mismatch is
 // detected and reported on first use. A snapshot saved by a spill-enabled
-// cache is a manifest (keys only): load it with WithSpillDir pointing at
-// the same directory, or its bases degrade to on-demand re-simulation.
+// cache carries no bases (the spill directory's manifest records them):
+// load it with WithSpillDir pointing at the same directory, or its bases
+// degrade to on-demand re-simulation.
 func LoadReuseCacheFile(path string, opts ...EvalOption) (*ReuseCache, error) {
 	cfg := newEvalConfig(opts)
 	reuse, err := mc.LoadSnapshot(path, cfg.storeOptions())
