@@ -13,10 +13,14 @@ import (
 	"testing"
 
 	fp "fuzzyprophet"
+	"fuzzyprophet/internal/benchfix"
 	"fuzzyprophet/internal/core"
 	"fuzzyprophet/internal/mc"
 	"fuzzyprophet/internal/models"
+	"fuzzyprophet/internal/optimize"
+	"fuzzyprophet/internal/scenario"
 	"fuzzyprophet/internal/sqlparser"
+	"fuzzyprophet/internal/storage"
 )
 
 const benchScenario = `
@@ -308,18 +312,27 @@ func benchSweep(b *testing.B, disableReuse bool) {
 }
 
 // BenchmarkE4_FingerprintLength: the reuse pipeline under different probe
-// counts k (the E4 ablation's cost axis).
+// counts k (the E4 ablation's cost axis). k is the reuse engine's
+// core.Config, so the sweep runs on the engine directly.
 func BenchmarkE4_FingerprintLength(b *testing.B) {
+	reg, err := benchfix.Registry()
+	if err != nil {
+		b.Fatal(err)
+	}
+	scn, err := scenario.Compile(tinySweep, reg)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, k := range []int{4, 16, 64} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			sys := benchSystem(b)
-			scn, err := sys.Compile(tinySweep)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
+			cfg := core.DefaultConfig()
+			cfg.Length = k
 			for i := 0; i < b.N; i++ {
-				if _, err := scn.Optimize(context.Background(), nil, fp.WithWorlds(200), fp.WithFingerprintLength(k)); err != nil {
+				reuse, err := mc.NewReuse(cfg, storage.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := optimize.Run(context.Background(), scn, optimize.Options{MC: mc.Options{Worlds: 200, Reuse: reuse}}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -32,7 +32,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log"
 	"log/slog"
 	"net/http"
 	"os"
@@ -123,8 +122,8 @@ type config struct {
 }
 
 func run(ctx context.Context, cfg config) error {
-	logger := log.New(os.Stderr, "fpserver: ", log.LstdFlags)
-	logger.Printf("%s", buildinfo.String("fpserver"))
+	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
+	logger.Info("starting", "build", buildinfo.String("fpserver"))
 
 	sys, err := fp.New(fp.WithDemoModels())
 	if err != nil {
@@ -145,8 +144,7 @@ func run(ctx context.Context, cfg config) error {
 		Workers:              cfg.workers,
 		RequestTimeout:       cfg.requestTimeout,
 		MaxConcurrentRenders: cfg.maxRenders,
-		Logf:                 logger.Printf,
-		Log:                  slog.New(slog.NewTextHandler(os.Stderr, nil)),
+		Log:                  logger,
 		SlowRenderThreshold:  cfg.slowRender,
 	})
 	if err != nil {
@@ -158,12 +156,12 @@ func run(ctx context.Context, cfg config) error {
 	go func() {
 		switch {
 		case cfg.workerMode:
-			logger.Printf("listening on %s (shard worker)", cfg.addr)
+			logger.Info("listening", "addr", cfg.addr, "role", "shard worker")
 		case len(cfg.workers) > 0:
-			logger.Printf("listening on %s (coordinator for %d shard worker(s): %s; snapshots: %s)",
-				cfg.addr, len(cfg.workers), strings.Join(cfg.workers, ", "), orNone(cfg.snapshotDir))
+			logger.Info("listening", "addr", cfg.addr, "role", "coordinator",
+				"workers", strings.Join(cfg.workers, ","), "snapshots", orNone(cfg.snapshotDir))
 		default:
-			logger.Printf("listening on %s (snapshots: %s)", cfg.addr, orNone(cfg.snapshotDir))
+			logger.Info("listening", "addr", cfg.addr, "snapshots", orNone(cfg.snapshotDir))
 		}
 		errCh <- httpSrv.ListenAndServe()
 	}()
@@ -175,12 +173,12 @@ func run(ctx context.Context, cfg config) error {
 	case <-ctx.Done():
 	}
 
-	logger.Printf("shutting down")
+	logger.Info("shutting down")
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	shutdownErr := httpSrv.Shutdown(shutdownCtx)
 	if closeErr := srv.Close(); closeErr != nil {
-		logger.Printf("final snapshot: %v", closeErr)
+		logger.Error("final snapshot failed", "err", closeErr)
 		if shutdownErr == nil {
 			shutdownErr = closeErr
 		}
@@ -188,7 +186,7 @@ func run(ctx context.Context, cfg config) error {
 	if shutdownErr != nil && !errors.Is(shutdownErr, http.ErrServerClosed) {
 		return fmt.Errorf("shutdown: %w", shutdownErr)
 	}
-	logger.Printf("bye")
+	logger.Info("bye")
 	return nil
 }
 

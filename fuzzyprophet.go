@@ -565,6 +565,13 @@ func (s *Session) SetParam(name string, val any) error {
 	return s.inner.SetParam(name, v)
 }
 
+// Params returns the current slider positions: every declared parameter
+// but the graph axis, whether or not SetParam moved it, as int64, float64,
+// string or bool values.
+func (s *Session) Params() map[string]any {
+	return fromPoint(s.inner.Pins())
+}
+
 // RenderStats quantifies how much of a render was served by reuse. Its
 // Degraded flag marks a frame cut by the deadline under WithAllowDegraded:
 // a local render is cut to a shorter frame of full points; a render over
@@ -597,14 +604,6 @@ func (s *Session) Ascii(g *Graph, height int) (string, error) {
 	return online.Chart(g, height)
 }
 
-// Prefetch proactively evaluates neighboring slider positions (radius
-// index steps along the given axes; nil = all sliders), anticipating the
-// user's next adjustments. A cancelled context stops the prefetch promptly;
-// whatever it already warmed stays in the reuse store.
-func (s *Session) Prefetch(ctx context.Context, axes []string, radius int) (int, error) {
-	return s.inner.Prefetch(ctx, axes, radius)
-}
-
 // RenderProgressive renders the graph at doubling world counts from
 // startWorlds up to the configured maximum, invoking frame with each
 // refined graph — the paper's "live, progressively refined view". Return
@@ -614,8 +613,8 @@ func (s *Session) RenderProgressive(ctx context.Context, startWorlds int, frame 
 }
 
 // ExplorationMap renders the paper's parameter-space exploration grid over
-// two slider parameters: '#' marks rendered positions, 'o' prefetched ones,
-// '.' unexplored ones (other sliders held at their current values).
+// two slider parameters: '#' marks rendered positions, '.' unexplored ones
+// (other sliders held at their current values).
 func (s *Session) ExplorationMap(rowParam, colParam string) (string, error) {
 	grid, err := s.inner.ExplorationMap(rowParam, colParam)
 	if err != nil {

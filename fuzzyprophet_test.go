@@ -2,6 +2,7 @@ package fuzzyprophet
 
 import (
 	"context"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -190,13 +191,15 @@ func TestSessionFlow(t *testing.T) {
 	if !strings.Contains(chart, "EXPECT overload") {
 		t.Errorf("chart:\n%s", chart)
 	}
-	if n, err := session.Prefetch(context.Background(), []string{"purchase2"}, 1); err != nil || n == 0 {
-		t.Errorf("prefetch = %d, %v", n, err)
+	// Params reads every slider, moved or at its first declared value.
+	want := map[string]any{"purchase1": int64(16), "purchase2": int64(0), "feature": int64(12)}
+	if got := session.Params(); !maps.Equal(got, want) {
+		t.Errorf("params = %v, want %v", got, want)
 	}
 }
 
 // TestRenderedFrameIsTheCallers: a caller that rewrites a returned frame —
-// a series' style words, its X values, the frame's axis values — changes
+// a series' style words and Y values, the frame's axis values — changes
 // neither the next render nor the scenario's GRAPH items it is built from.
 func TestRenderedFrameIsTheCallers(t *testing.T) {
 	sys := demoSystem(t)
@@ -214,7 +217,7 @@ func TestRenderedFrameIsTheCallers(t *testing.T) {
 	}
 	for i := range first.Series {
 		first.Series[i].Style[0] = "mutated"
-		first.Series[i].X[0] = -1
+		first.Series[i].Y[0] = -1
 	}
 	first.X[0] = -1
 	for _, g := range []func() (*Graph, error){
@@ -233,8 +236,8 @@ func TestRenderedFrameIsTheCallers(t *testing.T) {
 		}
 		styles := [][]string{{"bold", "red"}, {"blue", "y2"}, {"orange", "y2"}}
 		for i, srs := range next.Series {
-			if strings.Join(srs.Style, " ") != strings.Join(styles[i], " ") || srs.X[0] != 0 {
-				t.Errorf("series %s: style %v, X[0] %v after the caller rewrote a frame; want %v, 0", srs.Name, srs.Style, srs.X[0], styles[i])
+			if strings.Join(srs.Style, " ") != strings.Join(styles[i], " ") || srs.Y[0] == -1 {
+				t.Errorf("series %s: style %v, Y[0] %v after the caller rewrote a frame; want %v and a rendered Y", srs.Name, srs.Style, srs.Y[0], styles[i])
 			}
 		}
 		if next.X[0] != 0 {

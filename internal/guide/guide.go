@@ -6,9 +6,7 @@
 // The package models the discrete parameter space declared by
 // DECLARE PARAMETER statements and provides the exploration strategies the
 // two modes use: exhaustive sweeps (offline), axis sweeps (the online
-// graph), neighborhood prefetch (the online mode's "proactively being
-// explored anticipating their future usage") and budgeted random
-// sampling.
+// graph) and budgeted random sampling.
 package guide
 
 import (
@@ -220,85 +218,6 @@ func (r *Random) Next() (Point, bool) {
 	if err != nil {
 		return nil, false
 	}
-	return p, true
-}
-
-// Neighborhood explores outward from a focus point in breadth-first rings:
-// first the focus, then all points one index step away in a single
-// dimension, then two steps, and so on up to radius. The online mode uses
-// it to prefetch the points a user is most likely to slide to next.
-type Neighborhood struct {
-	queue []Point
-	pos   int
-}
-
-// NewNeighborhood returns the BFS-prefetch strategy around focus. Axes
-// lists the parameters allowed to move (nil means all).
-func NewNeighborhood(space *Space, focus Point, radius int, axes []string) (*Neighborhood, error) {
-	focusIdx := make([]int, len(space.Params))
-	for i, def := range space.Params {
-		v, ok := focus[def.Name]
-		if !ok {
-			return nil, fmt.Errorf("guide: focus is missing @%s", def.Name)
-		}
-		j := space.IndexOfValue(def.Name, v)
-		if j < 0 {
-			return nil, fmt.Errorf("guide: focus value %v not in @%s's space", v, def.Name)
-		}
-		focusIdx[i] = j
-	}
-	movable := make(map[int]bool)
-	if axes == nil {
-		for i := range space.Params {
-			movable[i] = true
-		}
-	} else {
-		for _, a := range axes {
-			i := space.Index(a)
-			if i < 0 {
-				return nil, fmt.Errorf("guide: unknown prefetch axis @%s", a)
-			}
-			movable[i] = true
-		}
-	}
-	n := &Neighborhood{}
-	seen := map[string]bool{}
-	push := func(indices []int) {
-		key := fmt.Sprint(indices)
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		p, err := space.At(indices)
-		if err == nil {
-			n.queue = append(n.queue, p)
-		}
-	}
-	push(focusIdx)
-	for r := 1; r <= radius; r++ {
-		for dim := range space.Params {
-			if !movable[dim] {
-				continue
-			}
-			for _, d := range []int{-r, r} {
-				idx := append([]int(nil), focusIdx...)
-				idx[dim] += d
-				if idx[dim] >= 0 && idx[dim] < len(space.Params[dim].Values) {
-					push(idx)
-				}
-			}
-		}
-	}
-	return n, nil
-}
-
-// Next implements Strategy.
-func (n *Neighborhood) Next() (Point, bool) {
-	if n.pos >= len(n.queue) {
-		return nil, false
-	}
-	p := n.queue[n.pos]
-	n.pos++
 	return p, true
 }
 

@@ -166,49 +166,3 @@ func TestRandomBudgetAndDeterminism(t *testing.T) {
 		}
 	}
 }
-
-func TestNeighborhoodRings(t *testing.T) {
-	s, err := NewSpace([]ParamDef{
-		{Name: "x", Values: ints(0, 1, 2, 3, 4)},
-		{Name: "y", Values: ints(0, 1, 2)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	focus := Point{"x": value.Int(2), "y": value.Int(1)}
-	n, err := NewNeighborhood(s, focus, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := Collect(n)
-	// Focus + 2 x-neighbors + 2 y-neighbors.
-	if len(pts) != 5 {
-		t.Fatalf("ring points = %d: %v", len(pts), pts)
-	}
-	if !pts[0]["x"].Equal(value.Int(2)) || !pts[0]["y"].Equal(value.Int(1)) {
-		t.Error("focus must come first")
-	}
-}
-
-func TestNeighborhoodEdgesAndAxes(t *testing.T) {
-	s := demoSpace(t)
-	// Focus at a corner: out-of-range neighbors are dropped.
-	focus := Point{"a": value.Int(0), "b": value.Int(10)}
-	n, err := NewNeighborhood(s, focus, 1, []string{"a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := Collect(n)
-	if len(pts) != 2 { // focus + a=1
-		t.Fatalf("points = %v", pts)
-	}
-	if _, err := NewNeighborhood(s, Point{"a": value.Int(0)}, 1, nil); err == nil {
-		t.Error("missing focus coordinate should error")
-	}
-	if _, err := NewNeighborhood(s, Point{"a": value.Int(9), "b": value.Int(10)}, 1, nil); err == nil {
-		t.Error("off-grid focus should error")
-	}
-	if _, err := NewNeighborhood(s, focus, 1, []string{"zzz"}); err == nil {
-		t.Error("unknown axis should error")
-	}
-}

@@ -2,6 +2,7 @@ package unusedfix
 
 import (
 	"fmt"
+	"log/slog"
 	"os"
 	"strings"
 )
@@ -16,6 +17,7 @@ func Good(name string) string {
 	if strings.Contains(name, "x") {
 		return strings.ToLower(name)
 	}
-	status(0).String() // same-package method: outside the cross-package rule
+	status(0).String()             // same-package method: outside the cross-package rule
+	slog.Default().Error("logged") // an Error method with no result to discard
 	return msg
 }

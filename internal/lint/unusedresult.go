@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 )
 
 // UnusedResultAnalyzer is the vet "unusedresult" check with an extended
@@ -33,7 +34,8 @@ var pureFuncs = map[string]map[string]bool{
 }
 
 // pureMethods are conventionally side-effect-free methods: discarding their
-// result is always a bug.
+// result is always a bug. A method of the same name with no result (the
+// logger's Error) has no result to discard and is not flagged.
 var pureMethods = map[string]bool{"Error": true, "String": true}
 
 func runUnusedResult(pass *Pass) error {
@@ -54,7 +56,8 @@ func runUnusedResult(pass *Pass) error {
 			if sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr); isSel {
 				if s, ok := pass.TypesInfo.Selections[sel]; ok && s.Kind() != 0 {
 					// Method call: flag the conventional pure ones.
-					if pureMethods[obj.Name()] && obj.Pkg().Path() != pass.Pkg.Path() {
+					sig, _ := obj.Type().(*types.Signature)
+					if pureMethods[obj.Name()] && sig != nil && sig.Results().Len() > 0 && obj.Pkg().Path() != pass.Pkg.Path() {
 						pass.Reportf(call.Pos(), "result of (%s).%s call is unused", s.Recv(), obj.Name())
 					}
 					return true

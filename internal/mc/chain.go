@@ -5,11 +5,12 @@ package mc
 // as work to skip. A site whose VG-Function is a vg.SeriesFunction (the
 // capacity model over its week argument) produces, per world, one chain of
 // which each swept point reads a single position. Every caller sweeps the
-// series axis innermost — a render, Prefetch, an Optimize group's free
-// sweep, a fleet sweep's consecutive weeks, a worker's LIFO evaluator
-// freelist — so the evaluator keeps one chain per series site, keyed by the
-// non-axis arguments and the seed base, and a sweep simulates each world's
-// chain once instead of once per point.
+// series axis innermost — a render, the passes of a progressive render on
+// their one evaluator, an Optimize group's free sweep, a fleet sweep's
+// consecutive weeks, a worker's LIFO evaluator freelist — so the evaluator
+// keeps one chain per series site, keyed by the non-axis arguments and the
+// seed base, and a sweep simulates each world's chain once instead of once
+// per point.
 
 import (
 	"math"

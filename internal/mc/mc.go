@@ -265,8 +265,8 @@ func NewEvaluator(scn *scenario.Scenario, opts Options) *Evaluator {
 // Reads declares which output columns the caller will read from
 // PointResult.Sketches, and that it reads only their moments (EXPECT,
 // EXPECT_STDDEV, PROB, CI95, Count): a session render names its GRAPH
-// columns, Optimize its constraint columns, a prefetch none. EvaluatePoints
-// then folds only those columns, and a local evaluation with a reuse engine
+// columns, Optimize its constraint columns. EvaluatePoints then folds only
+// those columns, and a local evaluation with a reuse engine
 // consults the point memo: a point whose sites are all exact store hits,
 // still the entries a memoised result was computed from, is answered with
 // moments-only ColumnStats (quantile reads fail) and no Columns.

@@ -25,11 +25,11 @@ func sameFrame(a, b *Graph) bool {
 	}
 	for i := range a.Series {
 		sa, sb := a.Series[i], b.Series[i]
-		if len(sa.Y) != len(sb.Y) {
+		if len(sa.Y) != len(sb.Y) || len(sa.Y) != len(a.X) {
 			return false
 		}
 		for j := range sa.Y {
-			if !same(sa.X[j], sb.X[j]) || !same(sa.Y[j], sb.Y[j]) || !same(sa.CI95[j], sb.CI95[j]) {
+			if !same(a.X[j], b.X[j]) || !same(sa.Y[j], sb.Y[j]) || !same(sa.CI95[j], sb.CI95[j]) {
 				return false
 			}
 		}
@@ -38,10 +38,10 @@ func sameFrame(a, b *Graph) bool {
 }
 
 // TestPointMemoConcurrentSessions: two sessions sharing one reuse engine
-// render concurrently while a prefetch writes new bases, so the point memo
-// is read, recorded and trimmed from several goroutines at once. Every
-// frame equals the session's first render, and a warm frame is served
-// entirely from the memo.
+// render concurrently while a third session renders at other pins and so
+// writes new bases, so the point memo is read, recorded and trimmed from
+// several goroutines at once. Every frame equals the session's first
+// render, and a warm frame is served entirely from the memo.
 func TestPointMemoConcurrentSessions(t *testing.T) {
 	const worlds, renders = 40, 4
 	ctx := context.Background()
@@ -94,10 +94,17 @@ func TestPointMemoConcurrentSessions(t *testing.T) {
 			}
 		}(i, s)
 	}
+	writer, err := NewSession(scn, mc.Options{Worlds: worlds, Reuse: reuse})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writer.SetParam("purchase1", value.Int(4)); err != nil {
+		t.Fatal(err)
+	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, err := sessions[0].Prefetch(ctx, []string{"purchase1"}, 1); err != nil {
+		if _, err := writer.Render(ctx); err != nil {
 			t.Error(err)
 		}
 	}()

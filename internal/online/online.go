@@ -2,13 +2,13 @@
 // interactive session where the user adjusts parameter "sliders" and sees a
 // live graph of the scenario's per-X-value statistics.
 //
-// The session keeps the fingerprint-reuse engine warm across adjustments,
-// so after the first render "only portions of the graph changed by the
-// adjustment are re-rendered (implying that only a small portion of the
-// output statistics is recomputed)" — the RenderStats returned with each
-// graph quantify exactly that claim. The session can also prefetch points
-// around the current slider positions, the paper's "values [that] are
-// proactively being explored anticipating their future usage".
+// The session is the one owner of its exploration state: the slider
+// positions (Pins), the explored pin combinations behind the exploration
+// map, and the cumulative render counters. It keeps the fingerprint-reuse
+// engine warm across adjustments, so after the first render "only portions
+// of the graph changed by the adjustment are re-rendered (implying that
+// only a small portion of the output statistics is recomputed)" — the
+// RenderStats returned with each graph quantify exactly that claim.
 //
 // A Session is safe for concurrent use: slider state is mutex-guarded and
 // every render works from a snapshot of the pins taken at its start, with
@@ -16,17 +16,24 @@
 // from one goroutine never races a Render in another; the render simply
 // reflects whichever pins it snapshotted.
 //
+// A progressive render (RenderProgressive, TimeToFirstAccurateGuess) is
+// one evaluator for all its doubling passes, reconfigured to each pass's
+// world count: the series chains, the ordinal vector and the pooled range
+// environments carry from pass to pass, so each world's series chain is
+// simulated once per progressive render, not once per pass.
+//
 // Two scenario-level caches make repeat renders cheap: the fingerprint
 // reuse engine skips re-simulating unchanged worlds, and the scenario's
-// compiled execution plan (scenario.Plan) is shared by every render and
-// prefetch — a slider move re-executes the plan's vectorized operators
-// over pooled column buffers, so the per-point SQL cost is parse-free and
+// compiled execution plan (scenario.Plan) is shared by every render — a
+// slider move re-executes the plan's vectorized operators over pooled
+// column buffers, so the per-point SQL cost is parse-free and
 // allocation-free after the first frame.
 package online
 
 import (
 	"context"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"time"
@@ -48,19 +55,17 @@ type Session struct {
 
 	mu   sync.Mutex
 	pins guide.Point
-	// explored records pin combinations that have been rendered or
-	// prefetched, keyed by core.PointKey of the pins; the value marks how
-	// ('R' rendered, 'p' prefetched). It feeds the exploration map the
+	// explored records the pin combinations that have been rendered, keyed
+	// by core.PointKey of the pins. It feeds the exploration map the
 	// paper's GUI shows next to the chart.
-	explored map[string]byte
-	// stats accumulates per-session render/prefetch totals for monitoring.
+	explored map[string]bool
+	// stats accumulates per-session render totals for monitoring.
 	stats SessionStats
 }
 
 // SessionStats are cumulative per-session counters: how many renders the
-// session served, the wall-clock simulation time they cost, and how many
-// (point, week) evaluations prefetching performed. A metrics endpoint can
-// derive mean render latency and prefetch pressure from them.
+// session served and the wall-clock time they cost. A metrics endpoint can
+// derive mean render latency from them.
 type SessionStats struct {
 	// Renders counts completed Render/RenderProgressive passes.
 	Renders int64
@@ -68,9 +73,6 @@ type SessionStats struct {
 	RenderElapsed time.Duration
 	// PointsRendered is the total X positions evaluated across renders.
 	PointsRendered int64
-	// PrefetchedPoints is the total (point, week) evaluations done by
-	// Prefetch calls.
-	PrefetchedPoints int64
 }
 
 // Stats returns a snapshot of the session's cumulative counters.
@@ -93,7 +95,7 @@ func NewSession(scn *scenario.Scenario, opts mc.Options) (*Session, error) {
 		opts:     opts.WithDefaults(),
 		axis:     scn.Graph.Over,
 		pins:     guide.Point{},
-		explored: map[string]byte{},
+		explored: map[string]bool{},
 	}
 	for _, def := range scn.Space.Params {
 		if def.Name != s.axis {
@@ -124,23 +126,13 @@ func (s *Session) SetParam(name string, v value.Value) error {
 	return nil
 }
 
-// snapshotPins copies the current slider positions under the lock; renders
-// work from the snapshot so concurrent SetParam calls never race them.
-func (s *Session) snapshotPins() guide.Point {
+// Pins returns a copy of the current slider positions: every parameter
+// but the axis, set or not. Renders work from such a snapshot, so
+// concurrent SetParam calls never race them.
+func (s *Session) Pins() guide.Point {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return clonePoint(s.pins)
-}
-
-// markExplored records how a pin combination was visited. A prefetch never
-// downgrades a rendered cell.
-func (s *Session) markExplored(key string, how byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if how == 'p' && s.explored[key] == 'R' {
-		return
-	}
-	s.explored[key] = how
+	return maps.Clone(s.pins)
 }
 
 // RenderStats quantifies one render: how much of the graph had to be
@@ -195,9 +187,9 @@ type Series struct {
 	Style []string `json:"style,omitempty"`
 	// SecondAxis places the series on the right-hand (y2) scale, from the
 	// "y2" style word in the scenario's GRAPH clause.
-	SecondAxis bool      `json:"second_axis,omitempty"`
-	X          []float64 `json:"x"`
-	Y          []float64 `json:"y"`
+	SecondAxis bool `json:"second_axis,omitempty"`
+	// Y holds one value per Graph.X position.
+	Y []float64 `json:"y"`
 	// CI95 holds the 95% confidence half-width of each Y.
 	CI95 []float64 `json:"ci95,omitempty"`
 }
@@ -221,17 +213,17 @@ type Graph struct {
 // cost fresh simulation. The context is checked before every X position;
 // a cancelled context aborts the render within one world-batch.
 func (s *Session) Render(ctx context.Context) (*Graph, error) {
-	return s.renderWith(ctx, s.opts)
+	return s.renderWith(ctx, mc.NewEvaluator(s.scn, s.opts), s.opts.Worlds)
 }
 
-// renderWith renders one frame under the given options, from a snapshot of
-// the current pins. Each render evaluates through its own mc.Evaluator (the
-// possible-worlds tables are evaluator-local state), told to aggregate only
-// the columns the GRAPH clause plots; only the lock-protected reuse engine
-// is shared, so concurrent renders are safe.
-func (s *Session) renderWith(ctx context.Context, opts mc.Options) (*Graph, error) {
+// renderWith renders one frame of worlds worlds on ev, from a snapshot of
+// the current pins. ev is the caller's own (the possible-worlds tables are
+// evaluator-local state) and is told to aggregate only the columns the
+// GRAPH clause plots; only the lock-protected reuse engine is shared, so
+// concurrent renders are safe.
+func (s *Session) renderWith(ctx context.Context, ev *mc.Evaluator, worlds int) (*Graph, error) {
 	start := time.Now()
-	pins := s.snapshotPins()
+	pins := s.Pins()
 	points, err := s.scn.Space.Sweep(s.axis, pins)
 	if err != nil {
 		return nil, err
@@ -248,7 +240,6 @@ func (s *Session) renderWith(ctx context.Context, opts mc.Options) (*Graph, erro
 			SecondAxis: slices.Contains(item.Style, "y2"),
 		})
 	}
-	ev := mc.NewEvaluator(s.scn, opts)
 	ev.Reads(columns...)
 	results, err := ev.EvaluatePoints(ctx, points)
 	if err := ev.KeepPrefix(ctx, results, err); err != nil {
@@ -259,9 +250,9 @@ func (s *Session) renderWith(ctx context.Context, opts mc.Options) (*Graph, erro
 	g.X = make([]float64, 0, n)
 	for i := range g.Series {
 		srs := &g.Series[i]
-		srs.X, srs.Y, srs.CI95 = make([]float64, 0, n), make([]float64, 0, n), make([]float64, 0, n)
+		srs.Y, srs.CI95 = make([]float64, 0, n), make([]float64, 0, n)
 	}
-	minWorlds := opts.Worlds
+	minWorlds := worlds
 	for _, res := range results {
 		x, err := res.Point[s.axis].AsFloat()
 		if err != nil {
@@ -283,7 +274,6 @@ func (s *Session) renderWith(ctx context.Context, opts mc.Options) (*Graph, erro
 			if err != nil {
 				return nil, err
 			}
-			srs.X = append(srs.X, x)
 			srs.Y = append(srs.Y, y)
 			srs.CI95 = append(srs.CI95, col.CI95())
 		}
@@ -293,8 +283,8 @@ func (s *Session) renderWith(ctx context.Context, opts mc.Options) (*Graph, erro
 		g.Stats.WorldsCompleted = minWorlds
 	}
 	g.Stats.Elapsed = time.Since(start)
-	s.markExplored(core.PointKey(pins), 'R')
 	s.mu.Lock()
+	s.explored[core.PointKey(pins)] = true
 	s.stats.Renders++
 	s.stats.RenderElapsed += g.Stats.Elapsed
 	s.stats.PointsRendered += int64(len(g.X))
@@ -302,46 +292,60 @@ func (s *Session) renderWith(ctx context.Context, opts mc.Options) (*Graph, erro
 	return g, nil
 }
 
+// progressive runs pass at doubling world counts: from first (def when
+// first <= 0, clamped to the session's world count) up to the session's
+// world count, or until pass reports it is done. Every pass runs on one
+// evaluator, reconfigured to the pass's world count, so the series chains,
+// the ordinal vector and the pooled range environments carry from pass to
+// pass: a world's series chain is simulated once per call, not once per
+// pass.
+func (s *Session) progressive(first, def int, pass func(ev *mc.Evaluator, worlds int) (done bool, err error)) error {
+	if first <= 0 {
+		first = def
+	}
+	maxWorlds := s.opts.Worlds
+	worlds := min(first, maxWorlds)
+	ev := mc.NewEvaluator(s.scn, s.opts)
+	for {
+		ev.Reconfigure(worlds, s.opts.SeedBase, s.opts.SketchOnly)
+		done, err := pass(ev, worlds)
+		if err != nil || done || worlds >= maxWorlds {
+			return err
+		}
+		worlds = min(2*worlds, maxWorlds)
+	}
+}
+
 // RenderProgressive delivers the paper's "live, progressively refined view":
 // it renders the graph at increasing world counts (starting at startWorlds,
-// doubling up to the session's configured world count), invoking frame
-// after each pass with the refined graph and the world count used. Return
-// false from frame to stop early. The final rendered frame is returned.
+// default 64, doubling up to the session's configured world count),
+// invoking frame after each pass with the refined graph and the world
+// count used. Every pass's frame equals a fresh Render at its world count.
+// Return false from frame to stop early. The final rendered frame is
+// returned.
 func (s *Session) RenderProgressive(ctx context.Context, startWorlds int, frame func(g *Graph, worlds int) bool) (*Graph, error) {
 	if frame == nil {
 		return nil, fmt.Errorf("online: RenderProgressive needs a frame callback")
 	}
-	maxWorlds := s.opts.Worlds
-	worlds := startWorlds
-	if worlds <= 0 {
-		worlds = 64
-	}
-	if worlds > maxWorlds {
-		worlds = maxWorlds
-	}
 	var last *Graph
-	for {
-		opts := s.opts
-		opts.Worlds = worlds
-		g, err := s.renderWith(ctx, opts)
+	err := s.progressive(startWorlds, 64, func(ev *mc.Evaluator, worlds int) (bool, error) {
+		g, err := s.renderWith(ctx, ev, worlds)
 		if err != nil {
-			return nil, err
+			return true, err
 		}
 		last = g
-		if !frame(g, worlds) || worlds >= maxWorlds {
-			return last, nil
-		}
-		worlds *= 2
-		if worlds > maxWorlds {
-			worlds = maxWorlds
-		}
+		return !frame(g, worlds), nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	return last, nil
 }
 
 // ExplorationMap renders the paper's parameter-space grid ("with which
-// parameter values have already been explored and which values are
-// proactively being explored"): a 2-D slice over two slider parameters,
-// every other slider held at its current position.
+// parameter values have already been explored"): a 2-D slice over two
+// slider parameters, every other slider held at its current position, with
+// the rendered pin combinations marked computed.
 func (s *Session) ExplorationMap(rowParam, colParam string) (*viz.MapGrid, error) {
 	if rowParam == s.axis || colParam == s.axis {
 		return nil, fmt.Errorf("online: the graph axis @%s cannot be a map dimension", s.axis)
@@ -364,22 +368,18 @@ func (s *Session) ExplorationMap(rowParam, colParam string) (*viz.MapGrid, error
 	grid := viz.NewMapGrid(
 		fmt.Sprintf("explored parameter space (@%s × @%s)", rowParam, colParam),
 		"@"+rowParam, "@"+colParam, rowLabels, colLabels)
-	pins := s.snapshotPins()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	cell := maps.Clone(s.pins)
 	for i, rv := range rowVals {
 		for j, cv := range colVals {
-			cell := clonePoint(pins)
 			cell[rowParam] = rv
 			cell[colParam] = cv
-			switch s.explored[core.PointKey(cell)] {
-			case 'R':
-				grid.Set(i, j, viz.CellComputed)
-			case 'p':
-				grid.Set(i, j, viz.CellCached)
-			default:
-				grid.Set(i, j, viz.CellUnexplored)
+			kind := viz.CellUnexplored
+			if s.explored[core.PointKey(cell)] {
+				kind = viz.CellComputed
 			}
+			grid.Set(i, j, kind)
 		}
 	}
 	return grid, nil
@@ -405,114 +405,38 @@ func classify(res *mc.PointResult, stats *RenderStats) {
 	}
 }
 
-func clonePoint(p guide.Point) guide.Point {
-	out := make(guide.Point, len(p))
-	for k, v := range p {
-		out[k] = v
-	}
-	return out
-}
-
-// Prefetch proactively evaluates the graph at slider positions adjacent to
-// the current ones (radius index steps along the given axes; nil means all
-// sliders), warming the reuse store for the user's likely next adjustments.
-// Each neighbour's sweep is one batch. It returns the number of (point,
-// week) evaluations performed. The context is checked before every
-// evaluated point, so a cancelled prefetch stops promptly, keeping whatever
-// it already warmed. The graph axis is not a slider: naming it in axes is
-// an error.
-func (s *Session) Prefetch(ctx context.Context, axes []string, radius int) (int, error) {
-	for _, name := range axes {
-		if name == s.axis {
-			return 0, fmt.Errorf("online: @%s is the graph axis, not a slider", name)
-		}
-	}
-	focus := s.snapshotPins()
-	// Complete the focus with an arbitrary axis value; the axis itself is
-	// excluded from the movable dimensions.
-	focus[s.axis] = s.scn.Space.Params[s.scn.Space.Index(s.axis)].Values[0]
-	movable := axes
-	if movable == nil {
-		for _, def := range s.scn.Space.Params {
-			if def.Name != s.axis {
-				movable = append(movable, def.Name)
-			}
-		}
-	}
-	strategy, err := guide.NewNeighborhood(s.scn.Space, focus, radius, movable)
-	if err != nil {
-		return 0, err
-	}
-	ev := mc.NewEvaluator(s.scn, s.opts)
-	ev.Reads() // warming the reuse store reads no aggregate
-	evaluated := 0
-	for {
-		neighbor, ok := strategy.Next()
-		if !ok {
-			break
-		}
-		pins := clonePoint(neighbor)
-		delete(pins, s.axis)
-		sweep, err := s.scn.Space.Sweep(s.axis, pins)
-		if err != nil {
-			return evaluated, err
-		}
-		done, err := ev.EvaluatePoints(ctx, sweep)
-		evaluated += len(done)
-		if err != nil {
-			return evaluated, err
-		}
-		s.markExplored(core.PointKey(pins), 'p')
-	}
-	s.mu.Lock()
-	s.stats.PrefetchedPoints += int64(evaluated)
-	s.mu.Unlock()
-	return evaluated, nil
-}
-
 // TimeToFirstAccurateGuess runs progressively larger world counts at the
 // current sliders until every series converges (CI95 within eps relative),
-// returning the elapsed time and the world count used (minWorlds is clamped
-// to the session's world count, as in RenderProgressive). It measures the
+// returning the elapsed time and the world count used (minWorlds, default
+// 100, is clamped to the session's world count, as in RenderProgressive,
+// and its passes share one evaluator the same way). It measures the
 // paper's "a few dozen seconds to generate accurate statistics" claim
 // (experiment E1).
 func (s *Session) TimeToFirstAccurateGuess(ctx context.Context, eps float64, minWorlds int) (time.Duration, int, error) {
 	start := time.Now()
-	pins := s.snapshotPins()
-	points, err := s.scn.Space.Sweep(s.axis, pins)
+	points, err := s.scn.Space.Sweep(s.axis, s.Pins())
 	if err != nil {
 		return 0, 0, err
 	}
-	worlds := minWorlds
-	if worlds <= 0 {
-		worlds = 100
-	}
-	maxWorlds := s.opts.Worlds
-	worlds = min(worlds, maxWorlds)
-	for {
-		opts := s.opts
-		opts.Worlds = worlds
-		probe := mc.NewEvaluator(s.scn, opts)
-		allConverged := true
+	used := 0
+	converged := func(ev *mc.Evaluator, worlds int) (bool, error) {
+		used = worlds
 		for _, pt := range points {
 			// One-point batches: the pass stops at its first unconverged point.
-			res, err := probe.EvaluatePoints(ctx, []guide.Point{pt})
+			res, err := ev.EvaluatePoints(ctx, []guide.Point{pt})
 			if err != nil {
-				return 0, 0, err
+				return true, err
 			}
 			if !aggregate.Converged(res[0].Sketches, eps, int64(worlds/2)) {
-				allConverged = false
-				break
+				return false, nil
 			}
 		}
-		if allConverged || worlds >= maxWorlds {
-			return time.Since(start), worlds, nil
-		}
-		worlds *= 2
-		if worlds > maxWorlds {
-			worlds = maxWorlds
-		}
+		return true, nil
 	}
+	if err := s.progressive(minWorlds, 100, converged); err != nil {
+		return 0, 0, err
+	}
+	return time.Since(start), used, nil
 }
 
 // Chart renders a graph frame as an ASCII chart in the style of Figure 3,

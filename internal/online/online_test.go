@@ -238,45 +238,6 @@ func TestReusedRenderMatchesColdRender(t *testing.T) {
 	}
 }
 
-func TestPrefetchWarmsNeighbors(t *testing.T) {
-	s := newSession(t, 30)
-	if _, err := s.Render(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	n, err := s.Prefetch(context.Background(), []string{"purchase1"}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("prefetch evaluated nothing")
-	}
-	// Now moving to the prefetched neighbor renders without any fresh
-	// simulation.
-	if err := s.SetParam("purchase1", value.Int(4)); err != nil {
-		t.Fatal(err)
-	}
-	g, err := s.Render(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Stats.Recomputed != 0 {
-		t.Errorf("after prefetch, recomputed = %d, want 0 (%+v)", g.Stats.Recomputed, g.Stats)
-	}
-}
-
-// TestPrefetchRejectsAxis: the graph axis is not a slider, so naming it
-// among Prefetch's axes is an error, and nothing is evaluated.
-func TestPrefetchRejectsAxis(t *testing.T) {
-	s := newSession(t, 30)
-	n, err := s.Prefetch(context.Background(), []string{"purchase1", "current"}, 1)
-	if err == nil || !strings.Contains(err.Error(), "@current is the graph axis, not a slider") {
-		t.Fatalf("Prefetch over the axis = %d, %v; want the graph-axis error", n, err)
-	}
-	if n != 0 || s.Stats().PrefetchedPoints != 0 {
-		t.Errorf("rejected prefetch evaluated %d points (stats %d)", n, s.Stats().PrefetchedPoints)
-	}
-}
-
 func TestTimeToFirstAccurateGuess(t *testing.T) {
 	s := newSession(t, 400)
 	elapsed, worlds, err := s.TimeToFirstAccurateGuess(context.Background(), 0.25, 50)

@@ -2,10 +2,18 @@ package online
 
 import (
 	"context"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"fuzzyprophet/internal/core"
+	"fuzzyprophet/internal/mc"
+	"fuzzyprophet/internal/models"
+	"fuzzyprophet/internal/scenario"
+	"fuzzyprophet/internal/storage"
 	"fuzzyprophet/internal/value"
+	"fuzzyprophet/internal/vg"
 )
 
 func TestRenderProgressiveRefines(t *testing.T) {
@@ -84,10 +92,6 @@ func TestExplorationMap(t *testing.T) {
 	if _, err := s.Render(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	// A prefetch marks neighbors.
-	if _, err := s.Prefetch(context.Background(), []string{"purchase1"}, 1); err != nil {
-		t.Fatal(err)
-	}
 	grid, err = s.ExplorationMap("purchase1", "purchase2")
 	if err != nil {
 		t.Fatal(err)
@@ -95,9 +99,6 @@ func TestExplorationMap(t *testing.T) {
 	counts = grid.Counts()
 	if counts['#'] != 1 { // rendered cell
 		t.Errorf("rendered cells = %d, want 1 (%v)", counts['#'], counts)
-	}
-	if counts['o'] != 1 { // prefetched neighbor (focus itself is rendered)
-		t.Errorf("prefetched cells = %d, want 1 (%v)", counts['o'], counts)
 	}
 	out := grid.Render()
 	if !strings.Contains(out, "@purchase1") || !strings.Contains(out, "@purchase2") {
@@ -135,5 +136,142 @@ func TestExplorationMapTracksMoves(t *testing.T) {
 	}
 	if got := grid.Counts()['#']; got != 2 {
 		t.Errorf("rendered cells = %d, want 2", got)
+	}
+}
+
+// countingSeries counts the chains a series model simulates.
+type countingSeries struct {
+	*models.CapacityModel
+	series atomic.Int64
+}
+
+func (c *countingSeries) Series(seed uint64, args []value.Value, out []float64) error {
+	c.series.Add(1)
+	return c.CapacityModel.Series(seed, args, out)
+}
+
+// countingScenario compiles figure2 over a registry whose CapacityModel
+// counts its Series calls.
+func countingScenario(t *testing.T) (*scenario.Scenario, *countingSeries) {
+	t.Helper()
+	reg := vg.NewRegistry()
+	if err := reg.Register(models.NewDemandModel(models.DefaultDemandConfig())); err != nil {
+		t.Fatal(err)
+	}
+	capacity := &countingSeries{CapacityModel: models.NewCapacityModel(models.DefaultCapacityConfig())}
+	if err := reg.Register(capacity); err != nil {
+		t.Fatal(err)
+	}
+	scn, err := scenario.Compile(figure2, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return scn, capacity
+}
+
+// TestRenderProgressiveOneEvaluator: the passes of a progressive render
+// share one evaluator, so with reuse off a 50 → 400 render simulates each
+// of the 400 worlds' capacity chains once, not once per pass (750).
+func TestRenderProgressiveOneEvaluator(t *testing.T) {
+	scn, capacity := countingScenario(t)
+	s, err := NewSession(scn, mc.Options{Worlds: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var passes []int
+	if _, err := s.RenderProgressive(context.Background(), 50, func(_ *Graph, worlds int) bool {
+		passes = append(passes, worlds)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(passes, []int{50, 100, 200, 400}) {
+		t.Fatalf("passes = %v, want [50 100 200 400]", passes)
+	}
+	if got := capacity.series.Load(); got != 400 {
+		t.Errorf("a 50 → 400 progressive render simulated %d chains, want 400 (one per world)", got)
+	}
+}
+
+// TestTimeToFirstAccurateGuessOneEvaluator: the same for the convergence
+// probe. An unreachable eps runs every pass, 50 → 400, each stopping at its
+// first point; the chains of that point's 400 worlds are simulated once.
+func TestTimeToFirstAccurateGuessOneEvaluator(t *testing.T) {
+	scn, capacity := countingScenario(t)
+	s, err := NewSession(scn, mc.Options{Worlds: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, worlds, err := s.TimeToFirstAccurateGuess(context.Background(), 1e-12, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if worlds != 400 {
+		t.Fatalf("stopped at %d worlds, want 400", worlds)
+	}
+	if got := capacity.series.Load(); got != 400 {
+		t.Errorf("a 50 → 400 convergence probe simulated %d chains, want 400 (one per world)", got)
+	}
+}
+
+// TestRenderProgressivePassesMatchFreshRenders: every pass of a progressive
+// render, with reuse on and off, is bit for bit the frame a fresh session
+// renders at that pass's world count.
+func TestRenderProgressivePassesMatchFreshRenders(t *testing.T) {
+	reg := vg.NewRegistry()
+	if err := vg.RegisterBuiltins(reg); err != nil {
+		t.Fatal(err)
+	}
+	if err := models.RegisterDefaults(reg); err != nil {
+		t.Fatal(err)
+	}
+	scn, err := scenario.Compile(figure2, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name  string
+		reuse bool
+	}{{"reuse off", false}, {"reuse on", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			open := func(worlds int) *Session {
+				opts := mc.Options{Worlds: worlds}
+				if tc.reuse {
+					reuse, err := mc.NewReuse(core.DefaultConfig(), storage.Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts.Reuse = reuse
+				}
+				s, err := NewSession(scn, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.SetParam("purchase1", value.Int(16)); err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			frames := map[int]*Graph{}
+			if _, err := open(400).RenderProgressive(ctx, 50, func(g *Graph, worlds int) bool {
+				frames[worlds] = g
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if len(frames) != 4 {
+				t.Fatalf("%d passes, want 4", len(frames))
+			}
+			for worlds, got := range frames {
+				want, err := open(worlds).Render(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameFrame(want, got) {
+					t.Errorf("the %d-world pass differs from a fresh %d-world render", worlds, worlds)
+				}
+			}
+		})
 	}
 }

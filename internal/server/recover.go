@@ -7,6 +7,7 @@
 package server
 
 import (
+	"fmt"
 	"runtime/debug"
 
 	fp "fuzzyprophet"
@@ -33,6 +34,6 @@ func recoverToError(dst *error, stage string) {
 func (s *Server) recoverToLog(stage string) {
 	if r := recover(); r != nil {
 		s.metrics.panics.Add(1)
-		s.cfg.Logf("panic in %s (recovered): %v\n%s", stage, r, debug.Stack())
+		s.cfg.Log.Error("panic recovered", "stage", stage, "panic", fmt.Sprint(r), "stack", string(debug.Stack()))
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"reflect"
 	"strings"
@@ -572,6 +573,20 @@ func TestBreakerTable(t *testing.T) {
 	}
 }
 
+// testLog returns a logger whose records go to t.Log.
+func testLog(t *testing.T) *slog.Logger {
+	return slog.New(slog.NewTextHandler(testWriter{t}, nil))
+}
+
+// testWriter writes each slog record as one t.Log line.
+type testWriter struct{ t *testing.T }
+
+func (w testWriter) Write(p []byte) (int, error) {
+	w.t.Helper()
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
+}
+
 // TestHedgeWinsDuringBackoff pins the loop's event order with scripted
 // attempts over three workers. The hedge goes to the second worker while
 // the primary is in flight; the primary then fails, which owes a retry
@@ -581,7 +596,7 @@ func TestBreakerTable(t *testing.T) {
 // before it, so the order does not depend on timing.
 func TestHedgeWinsDuringBackoff(t *testing.T) {
 	states := newWorkerStates([]string{"w0", "w1", "w2"})
-	p := &workerPool{states: states, metrics: newMetrics(), logf: t.Logf, latency: &latencyWindow{}}
+	p := &workerPool{states: states, metrics: newMetrics(), log: testLog(t), latency: &latencyWindow{}}
 	warmWindow(p.latency, time.Millisecond) // the hedge fires after 5ms
 	want := &fp.ShardResult{Rows: 7}
 	var calls [3]atomic.Int32
@@ -644,7 +659,7 @@ func TestBatchTimingsScaleWithPoints(t *testing.T) {
 	const points = 53
 	ctx := context.Background()
 	states := newWorkerStates([]string{"w0", "w1"})
-	p := &workerPool{states: states, metrics: newMetrics(), logf: t.Logf, latency: &latencyWindow{}}
+	p := &workerPool{states: states, metrics: newMetrics(), log: testLog(t), latency: &latencyWindow{}}
 	warmWindow(p.latency, 10*time.Millisecond)
 	if hedge, deadline, _ := p.latency.timings(1); hedge != 10*time.Millisecond || deadline != time.Second {
 		t.Fatalf("1-point timings = %v, %v; want 10ms, 1s", hedge, deadline)
@@ -670,7 +685,7 @@ func TestBatchTimingsScaleWithPoints(t *testing.T) {
 		t.Errorf("53-point attempt deadline = %v, want %v", budget, want)
 	}
 
-	fresh := &workerPool{states: states[:1], metrics: newMetrics(), logf: t.Logf, latency: &latencyWindow{}}
+	fresh := &workerPool{states: states[:1], metrics: newMetrics(), log: testLog(t), latency: &latencyWindow{}}
 	quick := func(context.Context, *workerState) ([]*fp.ShardResult, error) {
 		time.Sleep(10 * time.Millisecond)
 		return make([]*fp.ShardResult, points), nil

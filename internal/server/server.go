@@ -1,7 +1,7 @@
 // Package server is Fuzzy Prophet's multi-tenant HTTP service layer: the
 // paper's interactive what-if exploration (sliders, progressive renders,
-// prefetch-warmed reuse) exposed as a long-running JSON service instead of
-// a library linked into one binary.
+// shared fingerprint reuse) exposed as a long-running JSON service instead
+// of a library linked into one binary.
 //
 // Three components grow the architecture toward the ROADMAP's
 // production-scale goal:
@@ -117,10 +117,9 @@ type Config struct {
 	// once; excess requests queue (deadline-aware, up to 1s) and are then
 	// shed with 429 + Retry-After (default 0 = unbounded).
 	MaxConcurrentRenders int
-	// Logf, when set, receives operational log lines.
-	Logf func(format string, args ...any)
-	// Log receives structured log records (currently the slow-render
-	// line). Default: a discard logger.
+	// Log receives the server's operational log records, each with a fixed
+	// message and fixed attribute keys (docs/ARCHITECTURE.md, "Log
+	// inventory"). Default: a discard logger.
 	Log *slog.Logger
 	// SlowRenderThreshold marks renders at or above this duration as slow:
 	// they are logged via Log with their render ID and retained (full span
@@ -140,9 +139,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SnapshotInterval == 0 {
 		c.SnapshotInterval = time.Minute
-	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
 	}
 	if c.Log == nil {
 		c.Log = slog.New(slog.DiscardHandler)
@@ -275,7 +271,7 @@ func (s *Server) startLoops() {
 					return
 				case now := <-t.C:
 					if n := s.sessions.Sweep(now); n > 0 {
-						s.cfg.Logf("evicted %d idle session(s)", n)
+						s.cfg.Log.Info("idle sessions evicted", "count", n)
 					}
 				}
 			}
@@ -294,7 +290,7 @@ func (s *Server) startLoops() {
 					return
 				case <-t.C:
 					if err := s.snapshots.SaveAll(s.registry.List()); err != nil {
-						s.cfg.Logf("snapshot save: %v", err)
+						s.cfg.Log.Error("snapshot save failed", "err", err)
 					}
 				}
 			}
@@ -350,7 +346,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			panic(rec) // net/http's own "abort this response" signal
 		}
 		s.metrics.panics.Add(1)
-		s.cfg.Logf("panic serving %s %s: %v\n%s", r.Method, r.URL.Path, rec, debug.Stack())
+		s.cfg.Log.Error("panic serving request", "method", r.Method, "path", r.URL.Path, "panic", fmt.Sprint(rec), "stack", string(debug.Stack()))
 		if !rw.wrote {
 			s.json(rw.ResponseWriter, http.StatusInternalServerError, map[string]any{
 				"error": fmt.Sprintf("internal error: %v", rec),
@@ -525,7 +521,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		loaded, found, err := s.snapshots.Load(fingerprint, cacheOpts...)
 		switch {
 		case err != nil:
-			s.cfg.Logf("snapshot for %s unusable, starting cold: %v", id, err)
+			s.cfg.Log.Warn("snapshot unusable, starting cold", "scenario", id, "err", err)
 		case found:
 			cache, warm = loaded, true
 		}
@@ -548,8 +544,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		CreatedAt:   time.Now(),
 	}
 	replaced := s.registry.Register(entry)
-	s.cfg.Logf("registered scenario %s (fingerprint %.12s, warm=%v, replaced=%v)",
-		id, fingerprint, warm, replaced)
+	s.cfg.Log.Info("scenario registered", "scenario", id, "fingerprint", fingerprint, "warm", warm, "replaced", replaced)
 	resp := scenarioToJSON(entry, false)
 	resp.Replaced = replaced
 	s.json(w, http.StatusCreated, resp)
@@ -669,7 +664,7 @@ func (s *Server) handleSetParams(w http.ResponseWriter, r *http.Request) {
 		s.error(w, http.StatusBadRequest, err)
 		return
 	}
-	s.json(w, http.StatusOK, map[string]any{"params": sess.Params()})
+	s.json(w, http.StatusOK, map[string]any{"params": sess.Sess.Params()})
 }
 
 func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
@@ -777,12 +772,14 @@ func (s *Server) renderSSE(w http.ResponseWriter, r *http.Request, sess *Session
 	tr := obs.New("render", obs.NewID())
 	var final *fp.Graph
 	var err error
-	rpprof.Do(r.Context(), rpprof.Labels("render_id", tr.ID(), "scenario", sess.Entry.ID), func(ctx context.Context) {
-		final, err = sess.Sess.RenderProgressive(obs.With(ctx, tr.Root()), startWorlds, func(g *fp.Graph, worlds int) bool {
-			if r.Context().Err() != nil {
-				return false
-			}
-			return emit("frame", map[string]any{"worlds": worlds, "graph": g})
+	sess.stream(func() {
+		rpprof.Do(r.Context(), rpprof.Labels("render_id", tr.ID(), "scenario", sess.Entry.ID), func(ctx context.Context) {
+			final, err = sess.Sess.RenderProgressive(obs.With(ctx, tr.Root()), startWorlds, func(g *fp.Graph, worlds int) bool {
+				if r.Context().Err() != nil {
+					return false
+				}
+				return emit("frame", map[string]any{"worlds": worlds, "graph": g})
+			})
 		})
 	})
 	if err != nil {
@@ -790,7 +787,6 @@ func (s *Server) renderSSE(w http.ResponseWriter, r *http.Request, sess *Session
 		emit("error", map[string]any{"error": err.Error()})
 		return
 	}
-	sess.Touch()
 	dur := time.Since(start)
 	s.metrics.rendersTotal.Add(1)
 	s.metrics.renderLatency.observe(dur.Seconds())
@@ -962,7 +958,7 @@ func sessionToJSON(s *Session) sessionJSON {
 		ScenarioID:  s.Entry.ID,
 		Axis:        s.Sess.Axis(),
 		Worlds:      s.Worlds,
-		Params:      s.Params(),
+		Params:      s.Sess.Params(),
 		Stats:       s.Sess.SessionStats(),
 		Renders:     s.Renders(),
 		Coalesced:   s.Coalesced(),
@@ -1012,7 +1008,7 @@ func (s *Server) json(w http.ResponseWriter, status int, payload any) {
 
 // encodeError answers a response that could not be serialized.
 func (s *Server) encodeError(w http.ResponseWriter, err error) {
-	s.cfg.Logf("encoding response: %v", err)
+	s.cfg.Log.Error("response encoding failed", "err", err)
 	s.json(w, http.StatusInternalServerError, map[string]any{
 		"error": "encoding response: " + err.Error(),
 		"code":  codeEncode,
@@ -1044,7 +1040,7 @@ func (s *Server) renderError(w http.ResponseWriter, ctx context.Context, err err
 		s.error(w, http.StatusBadRequest, err)
 	case errors.As(err, &pe):
 		s.metrics.panics.Add(1)
-		s.cfg.Logf("panic in %s: %v\n%s", pe.Stage, pe.Value, pe.Stack)
+		s.cfg.Log.Error("panic recovered", "stage", pe.Stage, "panic", fmt.Sprint(pe.Value), "stack", string(pe.Stack))
 		s.json(w, http.StatusInternalServerError, map[string]any{
 			"error": err.Error(),
 			"code":  "panic",

@@ -9,8 +9,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -475,6 +477,87 @@ func TestIdleEviction(t *testing.T) {
 	}
 	if srv.sessions.Evicted() != 1 {
 		t.Errorf("evicted counter = %d", srv.sessions.Evicted())
+	}
+}
+
+// TestStreamKeepsSessionFromEviction: a progressive (SSE) render keeps its
+// session busy. While the stream is blocked inside a VG call, a sweep at
+// twice the TTL keeps the session (and with it the scenario pin); once the
+// stream ends, the same sweep evicts it.
+func TestStreamKeepsSessionFromEviction(t *testing.T) {
+	const ttl = time.Minute
+	var armed atomic.Bool
+	entered, release := make(chan struct{}), make(chan struct{})
+	var enter sync.Once
+	srv, ts := newTestServer(t, func(c *Config) {
+		c.SessionTTL = ttl
+		err := c.System.RegisterVG("Blocking", 1, func(seed uint64, args []float64) (float64, error) {
+			if armed.Load() {
+				enter.Do(func() { close(entered) })
+				<-release
+			}
+			return args[0], nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	var scn scenarioJSON
+	sql := `DECLARE PARAMETER @x AS RANGE 0 TO 2 STEP BY 1;
+SELECT Blocking(@x) AS v INTO results;
+GRAPH OVER @x EXPECT v;`
+	if code := call(t, "POST", ts.URL+"/scenarios", registerRequest{SQL: sql}, &scn); code != http.StatusCreated {
+		t.Fatalf("register = %d", code)
+	}
+	sess := openSession(t, ts.URL, scn.ID, openSessionRequest{})
+
+	armed.Store(true)
+	streamed := make(chan struct{})
+	go func() {
+		defer close(streamed)
+		resp, err := http.Get(ts.URL + "/sessions/" + sess.ID + "/render?stream=1&start_worlds=8")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}()
+	<-entered
+	later := time.Now().Add(2 * ttl)
+	if n := srv.sessions.Sweep(later); n != 0 {
+		t.Errorf("a sweep during the stream evicted %d session(s), want 0", n)
+	}
+	close(release)
+	<-streamed
+	if n := srv.sessions.Sweep(later); n != 1 {
+		t.Errorf("a sweep after the stream evicted %d session(s), want 1", n)
+	}
+}
+
+// TestSetParamsEchoesEverySlider: PUT /params answers with every slider's
+// position, the one just moved and those never set, as the library session
+// holds them; the session's JSON shows the same positions.
+func TestSetParamsEchoesEverySlider(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	scn := registerScenario(t, ts.URL)
+	sess := openSession(t, ts.URL, scn.ID, openSessionRequest{})
+	var set struct {
+		Params map[string]any `json:"params"`
+	}
+	if code := call(t, "PUT", ts.URL+"/sessions/"+sess.ID+"/params", map[string]any{"purchase1": 8}, &set); code != http.StatusOK {
+		t.Fatalf("set params = %d", code)
+	}
+	want := map[string]any{"purchase1": float64(8), "feature": float64(4)}
+	if !reflect.DeepEqual(set.Params, want) {
+		t.Errorf("PUT /params echo = %v, want %v", set.Params, want)
+	}
+	var info sessionJSON
+	if code := call(t, "GET", ts.URL+"/sessions/"+sess.ID, nil, &info); code != http.StatusOK {
+		t.Fatalf("get session = %d", code)
+	}
+	if !reflect.DeepEqual(info.Params, want) {
+		t.Errorf("session params = %v, want %v", info.Params, want)
 	}
 }
 

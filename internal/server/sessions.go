@@ -17,9 +17,10 @@ import (
 // the HTTP layer maps it to 429 Too Many Requests.
 var ErrSessionLimit = errors.New("server: session limit reached")
 
-// Session is one managed online session: the library Session plus the
-// bookkeeping the service needs — idle tracking for TTL eviction, the
-// scenario-entry pin, and per-session render single-flight state.
+// Session is one managed online session: the library Session, which owns
+// the slider positions, plus the bookkeeping the service needs — idle
+// tracking for TTL eviction, the scenario-entry pin, and per-session
+// render single-flight state.
 type Session struct {
 	// ID addresses the session in the HTTP API.
 	ID string
@@ -35,9 +36,9 @@ type Session struct {
 	mu       sync.Mutex
 	lastUsed time.Time
 	closed   bool
-	// params mirrors the slider positions for introspection (the library
-	// session validates and owns the authoritative state).
-	params map[string]any
+	// streams counts the progressive (SSE) renders running on the session;
+	// like an in-flight render, a running stream keeps it from eviction.
+	streams int
 	// paramVersion increments on every SetParams that succeeded or applied
 	// a move; renders are keyed by it so a burst of render requests between
 	// two slider moves coalesces into one simulation.
@@ -86,24 +87,24 @@ func (s *Session) SetParams(params map[string]any) error {
 			}
 			return err
 		}
-		if s.params == nil {
-			s.params = map[string]any{}
-		}
-		s.params[name] = val
 	}
 	s.paramVersion++
 	return nil
 }
 
-// Params returns a copy of the slider positions set through the API.
-func (s *Session) Params() map[string]any {
+// stream runs render as one progressive render of the session: the
+// session counts as busy, and so is not evicted, until render returns.
+func (s *Session) stream(render func()) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]any, len(s.params))
-	for k, v := range s.params {
-		out[k] = v
-	}
-	return out
+	s.streams++
+	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		s.streams--
+		s.lastUsed = time.Now()
+		s.mu.Unlock()
+	}()
+	render()
 }
 
 // Render renders the graph at the current slider positions with
@@ -262,7 +263,7 @@ func (m *Manager) Sweep(now time.Time) int {
 	for id, s := range m.sessions {
 		s.mu.Lock()
 		idle := now.Sub(s.lastUsed)
-		busy := s.inflight != nil
+		busy := s.inflight != nil || s.streams > 0
 		s.mu.Unlock()
 		if idle > m.ttl && !busy {
 			delete(m.sessions, id)

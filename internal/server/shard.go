@@ -52,6 +52,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -388,7 +389,7 @@ type workerPool struct {
 	client  *http.Client
 	entry   *ScenarioEntry
 	metrics *metrics
-	logf    func(string, ...any)
+	log     *slog.Logger
 	latency *latencyWindow
 }
 
@@ -399,7 +400,7 @@ func (s *Server) newWorkerPool(entry *ScenarioEntry) *workerPool {
 		client:  s.shardClient,
 		entry:   entry,
 		metrics: s.metrics,
-		logf:    s.cfg.Logf,
+		log:     s.cfg.Log,
 		latency: s.shardLatency,
 	}
 }
@@ -527,7 +528,7 @@ func (p *workerPool) race(ctx context.Context, shard fp.WorldShard, points int, 
 		case <-hedgeC:
 			if next+owed < len(candidates) {
 				p.metrics.shardHedges.Add(1)
-				p.logf("shard [%d,%d): hedging on worker %s", shard.Lo, shard.Hi, candidates[next].url)
+				p.log.Info("shard hedged", "lo", shard.Lo, "hi", shard.Hi, "worker", candidates[next].url)
 				launch(true)
 			}
 		case <-backoffC:
@@ -557,7 +558,7 @@ func (p *workerPool) race(ctx context.Context, shard fp.WorldShard, points int, 
 			}
 			switch {
 			case next+owed < len(candidates):
-				p.logf("shard [%d,%d): worker %s failed (%v), trying next", shard.Lo, shard.Hi, r.ws.url, r.err)
+				p.log.Warn("shard worker failed", "lo", shard.Lo, "hi", shard.Hi, "worker", r.ws.url, "err", r.err)
 				if owed == 0 {
 					backoffC = time.After(jitter(backoff))
 					backoff = min(2*backoff, maxRetryBackoff)
@@ -565,7 +566,7 @@ func (p *workerPool) race(ctx context.Context, shard fp.WorldShard, points int, 
 				owed++
 			case inflight == 0:
 				p.metrics.shardWorkerFailures.Add(1)
-				p.logf("shard [%d,%d): all %d worker(s) failed, evaluating locally: %v", shard.Lo, shard.Hi, len(candidates), r.err)
+				p.log.Warn("shard evaluated locally", "lo", shard.Lo, "hi", shard.Hi, "workers", len(candidates), "err", r.err)
 				return nil, r.err
 			}
 		}

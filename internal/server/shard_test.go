@@ -163,10 +163,10 @@ func assertSameGraph(t *testing.T, want, got fp.Graph) {
 		for j := range w.Y {
 			if w.Y[j] != g.Y[j] {
 				t.Fatalf("series %s x=%g: fanned-out %v != local %v (bit-identity violated)",
-					w.Name, w.X[j], g.Y[j], w.Y[j])
+					w.Name, want.X[j], g.Y[j], w.Y[j])
 			}
 			if w.CI95[j] != g.CI95[j] {
-				t.Fatalf("series %s x=%g: CI95 %v != %v", w.Name, w.X[j], g.CI95[j], w.CI95[j])
+				t.Fatalf("series %s x=%g: CI95 %v != %v", w.Name, want.X[j], g.CI95[j], w.CI95[j])
 			}
 		}
 	}

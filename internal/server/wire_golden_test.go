@@ -138,10 +138,10 @@ func TestWireGoldenFixtures(t *testing.T) {
 		X:    []float64{0, 1},
 		Series: []fp.Series{{
 			Name: "EXPECT overload", Agg: "EXPECT", Column: "overload", Style: []string{"bold", "red"},
-			X: []float64{0, 1}, Y: []float64{0.25, 0.5}, CI95: []float64{0.125, 0},
+			Y: []float64{0.25, 0.5}, CI95: []float64{0.125, 0},
 		}, {
 			Name: "EXPECT capacity", Agg: "EXPECT", Column: "capacity", Style: []string{"blue", "y2"}, SecondAxis: true,
-			X: []float64{0, 1}, Y: []float64{1200, 1187.5}, CI95: []float64{3.5, 4},
+			Y: []float64{1200, 1187.5}, CI95: []float64{3.5, 4},
 		}, {
 			Name: "EXPECT demand", Agg: "EXPECT", Column: "demand",
 		}},

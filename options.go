@@ -19,8 +19,6 @@ type evalConfig struct {
 	worlds        int
 	seedBase      uint64
 	disableReuse  bool
-	fpLength      int
-	affineTol     float64
 	storeBudget   int64
 	spillDir      string
 	spillBudget   int64
@@ -60,18 +58,6 @@ func WithSeedBase(seed uint64) EvalOption {
 // baseline mode for benchmarks.
 func WithoutReuse() EvalOption {
 	return func(c *evalConfig) { c.disableReuse = true }
-}
-
-// WithFingerprintLength sets the fingerprint length k: a fingerprint is a
-// site's outputs at its first k world seeds (default 32).
-func WithFingerprintLength(k int) EvalOption {
-	return func(c *evalConfig) { c.fpLength = k }
-}
-
-// WithAffineTol sets the relative residual budget for affine mappings
-// (default 0.02).
-func WithAffineTol(tol float64) EvalOption {
-	return func(c *evalConfig) { c.affineTol = tol }
 }
 
 // WithStoreBudget bounds the basis-distribution store in bytes (default
@@ -156,17 +142,6 @@ func WithAllowDegraded() EvalOption {
 	return func(c *evalConfig) { c.allowDegraded = true }
 }
 
-func (c evalConfig) fingerprint() core.Config {
-	fp := core.DefaultConfig()
-	if c.fpLength > 0 {
-		fp.Length = c.fpLength
-	}
-	if c.affineTol > 0 {
-		fp.AffineTol = c.affineTol
-	}
-	return fp
-}
-
 // storeOptions resolves the basis-store configuration (RAM budget plus the
 // optional spill tier).
 func (c evalConfig) storeOptions() storage.Options {
@@ -193,7 +168,7 @@ func (c evalConfig) mcOptions() (mc.Options, error) {
 		return opts, nil
 	}
 	if !c.disableReuse {
-		reuse, err := mc.NewReuse(c.fingerprint(), c.storeOptions())
+		reuse, err := mc.NewReuse(core.DefaultConfig(), c.storeOptions())
 		if err != nil {
 			return opts, err
 		}

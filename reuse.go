@@ -3,6 +3,7 @@ package fuzzyprophet
 import (
 	"time"
 
+	"fuzzyprophet/internal/core"
 	"fuzzyprophet/internal/mc"
 	"fuzzyprophet/internal/storage"
 )
@@ -21,15 +22,15 @@ type ReuseCache struct {
 	reuse *mc.Reuse
 }
 
-// NewReuseCache creates an empty shared reuse engine. The relevant options
-// are WithFingerprintLength, WithAffineTol, WithStoreBudget, WithSpillDir
-// and WithSpillBudget; others are ignored. With a spill dir, bases evicted
-// from the RAM budget are demoted to memory-mapped column files and
-// faulted back on demand — close the cache with Close when done so the
-// spill manifest is flushed.
+// NewReuseCache creates an empty shared reuse engine with the default
+// fingerprint configuration (core.DefaultConfig). The relevant options are
+// WithStoreBudget, WithSpillDir and WithSpillBudget; others are ignored.
+// With a spill dir, bases evicted from the RAM budget are demoted to
+// memory-mapped column files and faulted back on demand — close the cache
+// with Close when done so the spill manifest is flushed.
 func NewReuseCache(opts ...EvalOption) (*ReuseCache, error) {
 	cfg := newEvalConfig(opts)
-	reuse, err := mc.NewReuse(cfg.fingerprint(), cfg.storeOptions())
+	reuse, err := mc.NewReuse(core.DefaultConfig(), cfg.storeOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -143,29 +144,27 @@ func (s *Session) StoreStats() StoreStats {
 }
 
 // SessionStats are cumulative per-session counters: renders served, their
-// summed wall-clock cost, X positions evaluated, and prefetched points.
+// summed wall-clock cost and X positions evaluated.
 type SessionStats struct {
-	Renders          int64         `json:"renders"`
-	RenderElapsed    time.Duration `json:"render_elapsed_ns"`
-	PointsRendered   int64         `json:"points_rendered"`
-	PrefetchedPoints int64         `json:"prefetched_points"`
+	Renders        int64         `json:"renders"`
+	RenderElapsed  time.Duration `json:"render_elapsed_ns"`
+	PointsRendered int64         `json:"points_rendered"`
 }
 
-// SessionStats returns the session's cumulative render/prefetch counters.
+// SessionStats returns the session's cumulative render counters.
 func (s *Session) SessionStats() SessionStats {
 	st := s.inner.Stats()
 	return SessionStats{
-		Renders:          st.Renders,
-		RenderElapsed:    st.RenderElapsed,
-		PointsRendered:   st.PointsRendered,
-		PrefetchedPoints: st.PrefetchedPoints,
+		Renders:        st.Renders,
+		RenderElapsed:  st.RenderElapsed,
+		PointsRendered: st.PointsRendered,
 	}
 }
 
 // WithReuseCache makes the evaluation draw from (and contribute to) the
 // given shared reuse engine instead of a private one. It overrides
-// WithoutReuse, WithFingerprintLength, WithAffineTol and WithStoreBudget —
-// those were fixed when the cache was created.
+// WithoutReuse, WithStoreBudget, WithSpillDir and WithSpillBudget — those
+// were fixed when the cache was created.
 func WithReuseCache(c *ReuseCache) EvalOption {
 	return func(cfg *evalConfig) {
 		if c != nil {
