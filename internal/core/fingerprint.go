@@ -192,21 +192,46 @@ func identical(tol float64, basis, target []float64) bool {
 // indexed by parameter-space point. Keys are stable under map iteration
 // order (names are sorted).
 func PointKey(params map[string]value.Value) string {
-	names := make([]string, 0, len(params))
+	return string(AppendPointKey(make([]byte, 0, 64), SortedNames(nil, params), params))
+}
+
+// AppendPointKey appends PointKey(params) to dst, given names, the sorted
+// names of params (SortedNames).
+func AppendPointKey(dst []byte, names []string, params map[string]value.Value) []byte {
+	for i, n := range names {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, n...)
+		dst = append(dst, '=')
+		dst = params[n].AppendSQLLiteral(dst)
+	}
+	return dst
+}
+
+// SortedNames returns the names of params in sorted order. names is nil or
+// an earlier result: it is returned as it is when it lists exactly the
+// names of params, as it does for every point of a sweep after the first,
+// and its storage is reused otherwise.
+func SortedNames(names []string, params map[string]value.Value) []string {
+	if len(names) == len(params) {
+		same := true
+		for _, n := range names {
+			if _, ok := params[n]; !ok {
+				same = false
+				break
+			}
+		}
+		if same {
+			return names
+		}
+	}
+	names = names[:0]
 	for n := range params {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	buf := make([]byte, 0, 64)
-	for i, n := range names {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = append(buf, n...)
-		buf = append(buf, '=')
-		buf = params[n].AppendSQLLiteral(buf)
-	}
-	return string(buf)
+	return names
 }
 
 // ReuseStats counts reuse decisions, the quantity the paper's offline-mode

@@ -228,6 +228,25 @@ func TestPointKey(t *testing.T) {
 	if a != "current=5,feature=12" {
 		t.Errorf("key = %q", a)
 	}
+	// Keys built in one buffer, the names reused while a point names the
+	// same parameters and re-sorted when it does not, equal PointKey.
+	var names []string
+	var buf []byte
+	for _, p := range []map[string]value.Value{
+		{"current": value.Int(5), "feature": value.Int(12)},
+		{"feature": value.Int(44), "current": value.Int(6)},
+		{"current": value.Int(5), "purchase": value.Int(12)},
+		{"current": value.Int(5)},
+		{"b": value.Int(1), "a": value.Int(2), "c": value.Int(3)},
+		nil,
+	} {
+		names = SortedNames(names, p)
+		start := len(buf)
+		buf = AppendPointKey(buf, names, p)
+		if got, want := string(buf[start:]), PointKey(p); got != want {
+			t.Errorf("AppendPointKey(%v) = %q, want %q", p, got, want)
+		}
+	}
 }
 
 func TestIndexPutGetAndFind(t *testing.T) {

@@ -104,7 +104,8 @@ func (s *Space) IndexOfValue(name string, v value.Value) int {
 
 // Sweep returns the points obtained by varying the named axis over all its
 // values while pinning every other parameter to the values in pinned. It is
-// how the online mode renders `GRAPH OVER @axis`.
+// how the online mode renders `GRAPH OVER @axis`. The pins are validated
+// once, before any point is built.
 func (s *Space) Sweep(axis string, pinned Point) ([]Point, error) {
 	ai := s.Index(axis)
 	if ai < 0 {
@@ -118,13 +119,15 @@ func (s *Space) Sweep(axis string, pinned Point) ([]Point, error) {
 			return nil, fmt.Errorf("guide: sweep is missing a pin for @%s", def.Name)
 		}
 	}
+	for name := range pinned {
+		if s.Index(name) < 0 {
+			return nil, fmt.Errorf("guide: pin for undeclared parameter @%s", name)
+		}
+	}
 	out := make([]Point, 0, len(s.Params[ai].Values))
 	for _, v := range s.Params[ai].Values {
 		p := make(Point, len(s.Params))
 		for name, pv := range pinned {
-			if s.Index(name) < 0 {
-				return nil, fmt.Errorf("guide: pin for undeclared parameter @%s", name)
-			}
 			p[name] = pv
 		}
 		p[axis] = v

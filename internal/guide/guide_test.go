@@ -96,14 +96,29 @@ func TestSweep(t *testing.T) {
 			t.Errorf("sweep[%d] = %v", i, p)
 		}
 	}
-	if _, err := s.Sweep("z", Point{}); err == nil {
-		t.Error("unknown axis should error")
+	// A pin for the axis itself is overridden, not an error.
+	pts, err = s.Sweep("b", Point{"a": value.Int(2), "b": value.Int(10)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := s.Sweep("a", Point{}); err == nil {
-		t.Error("missing pin should error")
+	if len(pts) != 2 || !pts[1]["b"].Equal(value.Int(20)) || !pts[1]["a"].Equal(value.Int(2)) {
+		t.Errorf("sweep over b = %v", pts)
 	}
-	if _, err := s.Sweep("a", Point{"b": value.Int(10), "zzz": value.Int(1)}); err == nil {
-		t.Error("pin for undeclared parameter should error")
+	for _, tc := range []struct {
+		axis   string
+		pinned Point
+		want   string
+	}{
+		{"z", Point{}, "guide: unknown sweep axis @z"},
+		{"a", Point{}, "guide: sweep is missing a pin for @b"},
+		{"b", Point{"b": value.Int(10)}, "guide: sweep is missing a pin for @a"},
+		{"a", Point{"b": value.Int(10), "zzz": value.Int(1)}, "guide: pin for undeclared parameter @zzz"},
+		// A missing pin is reported before an undeclared one.
+		{"a", Point{"zzz": value.Int(1)}, "guide: sweep is missing a pin for @b"},
+	} {
+		if _, err := s.Sweep(tc.axis, tc.pinned); err == nil || err.Error() != tc.want {
+			t.Errorf("Sweep(%q, %v) error = %v, want %q", tc.axis, tc.pinned, err, tc.want)
+		}
 	}
 }
 

@@ -190,9 +190,14 @@ func (r *Reuse) Counts() map[ReuseKind]int {
 }
 
 func (r *Reuse) record(k ReuseKind) {
+	r.recordN(k, 1)
+}
+
+// recordN counts n outcomes of kind k.
+func (r *Reuse) recordN(k ReuseKind, n int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.counts[k]++
+	r.counts[k] += n
 }
 
 // install records a freshly computed basis and its fingerprint as one
@@ -228,10 +233,14 @@ type Evaluator struct {
 	// VG-Function is a vg.SeriesFunction (see chain.go).
 	chains []seriesChain
 
-	// sites and gens are siteVectors' per-site answers, reused from one
-	// point to the next.
+	// sites, gens and keys are siteVectors' per-site answers (vector, store
+	// generation, store key), reused from one point to the next.
 	sites [][]float64
 	gens  []uint64
+	keys  []string
+
+	// batch is the point memo's work on the current EvaluatePoints call.
+	batch memoBatch
 
 	// envs pools range-execution environments (own catalog + engine +
 	// worlds table over a world range).
@@ -259,6 +268,7 @@ func NewEvaluator(scn *scenario.Scenario, opts Options) *Evaluator {
 		chains:    make([]seriesChain, len(scn.Sites)),
 		sites:     make([][]float64, len(scn.Sites)),
 		gens:      make([]uint64, len(scn.Sites)),
+		keys:      make([]string, len(scn.Sites)),
 	}
 }
 
@@ -349,6 +359,8 @@ type PointResult struct {
 	// Worlds is the number of worlds evaluated.
 	Worlds int
 	// SiteOutcome records, per site ID, how its samples were obtained.
+	// Read-only: the results the point memo serves in one batch share one
+	// map.
 	SiteOutcome map[string]ReuseKind
 	// Sketches holds the point's per-column aggregates (Welford moments +
 	// t-digest) — the one place consumers read EXPECT / STDDEV / quantiles
@@ -424,9 +436,11 @@ func (ev *Evaluator) remote() bool {
 // seeds derive per (site, world) the stitched columns are bit-identical
 // whatever the split.
 //
-// Local evaluation takes the points one after another — site vectors,
-// reuse, series chains and the point memo — checking the context before
-// each point, between sites and once per world-batch during simulation.
+// Local evaluation first answers every point the point memo can serve, in
+// one pass over the batch (memoPass), then takes the other points one
+// after another — site vectors, reuse, series chains — checking the
+// context before each point, between sites and once per world-batch during
+// simulation.
 // With a Runner and a Shardable plan, each range goes out ONCE, carrying
 // every point, so a batch costs one runner call per range rather than one
 // per point per range; the points are then stitched and aggregated one by
@@ -440,13 +454,23 @@ func (ev *Evaluator) EvaluatePoints(ctx context.Context, pts []guide.Point) ([]*
 	if len(pts) > 0 && ev.remote() {
 		return ev.evaluateRemote(ctx, pts)
 	}
-	out := make([]*PointResult, 0, len(pts))
-	for _, pt := range pts {
-		res, err := ev.evaluateLocal(ctx, pt)
-		if err != nil {
-			return out, err
+	out := make([]*PointResult, len(pts))
+	if ev.memoOn() && len(pts) > 0 {
+		if err := ev.memoPass(ctx, pts, out); err != nil {
+			return out[:0], err
 		}
-		out = append(out, res)
+	}
+	parent := obs.SpanFrom(ctx)
+	for p, pt := range pts {
+		if out[p] != nil {
+			ev.traceHit(parent, p)
+			continue
+		}
+		res, err := ev.evaluateLocal(ctx, pt, p)
+		if err != nil {
+			return out[:p], err
+		}
+		out[p] = res
 	}
 	return out, nil
 }
@@ -472,8 +496,9 @@ func (ev *Evaluator) pointSpan(parent *obs.Span) *obs.Span {
 	return psp
 }
 
-// evaluateLocal evaluates one point in process.
-func (ev *Evaluator) evaluateLocal(ctx context.Context, pt guide.Point) (*PointResult, error) {
+// evaluateLocal evaluates point p of the batch in process. With the memo
+// on, ev.batch holds the memo pass's work on the point.
+func (ev *Evaluator) evaluateLocal(ctx context.Context, pt guide.Point, p int) (*PointResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -491,22 +516,13 @@ func (ev *Evaluator) evaluateLocal(ctx context.Context, pt guide.Point) (*PointR
 	// ranges execute the scenario's compiled plan with the point's bindings
 	// — what the Query Generator's TSQL (Scenario.GenerateSQL) would
 	// compute, at zero parse cost.
-	siteSamples, gens, err := ev.siteVectors(ctx, psp, pt, res.SiteOutcome)
+	var pre []storage.Found
+	if ev.memoOn() {
+		pre = ev.batch.lookups(p, len(ev.scn.Sites))
+	}
+	siteSamples, gens, err := ev.siteVectors(ctx, psp, pt, res.SiteOutcome, pre)
 	if err != nil {
 		return nil, err
-	}
-
-	// The point memo: every site an exact hit on the entries a memoised
-	// result was computed from answers the point without running it.
-	memo := ev.memoizable(res.SiteOutcome)
-	var key memoKey
-	if memo {
-		key = ev.memoKeyFor(pt)
-		if sketches, ok := ev.opts.Reuse.memo.get(key, gens); ok {
-			psp.SetInt("memo_hit", 1)
-			res.Sketches = sketches
-			return res, nil
-		}
 	}
 
 	// 2. Ranges: the equal split, as remote ranges use, so range i of every
@@ -530,8 +546,8 @@ func (ev *Evaluator) evaluateLocal(ctx context.Context, pt guide.Point) (*PointR
 	if err := ev.finish(ctx, psp, res, ranges, outs, errs); err != nil {
 		return nil, err
 	}
-	if memo && !res.Degraded {
-		ev.opts.Reuse.memo.missed(key, gens, res.Sketches)
+	if ev.memoizable(res.SiteOutcome) && !res.Degraded {
+		ev.opts.Reuse.memo.missed(ev.batch.hashes[p], ev.batch.key(p), ev.keys, gens, res.Sketches)
 		ev.opts.Reuse.boundMemo()
 	}
 	return res, nil
@@ -617,12 +633,14 @@ func (ev *Evaluator) finish(ctx context.Context, psp *obs.Span, res *PointResult
 }
 
 // siteVectors obtains every site's full [0, Worlds) sample vector at pt
-// (fresh or re-mapped), recording each site's reuse outcome and, for an
-// exact store hit, the store generation of the entry it read. The returned
+// (fresh or re-mapped), recording each site's reuse outcome and store key
+// (ev.keys) and, for an exact store hit, the store generation of the entry
+// it read. pre, when non-nil, holds the memo pass's store lookups of the
+// point's sites, read instead of looking them up again. The returned
 // slices are the evaluator's, valid until its next point. With a reuse
 // engine it ends by bounding the point memo, after the last store change
 // the evaluation makes.
-func (ev *Evaluator) siteVectors(ctx context.Context, psp *obs.Span, pt guide.Point, outcome map[string]ReuseKind) ([][]float64, []uint64, error) {
+func (ev *Evaluator) siteVectors(ctx context.Context, psp *obs.Span, pt guide.Point, outcome map[string]ReuseKind, pre []storage.Found) ([][]float64, []uint64, error) {
 	ssp := psp.Child("simulate")
 	defer ssp.End()
 	r := ev.opts.Reuse
@@ -638,11 +656,19 @@ func (ev *Evaluator) siteVectors(ctx context.Context, psp *obs.Span, pt guide.Po
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		samples, kind, gen, err := ev.samplesFor(ctx, si, pt)
+		call, err := ev.callAt(si, pt)
 		if err != nil {
 			return nil, nil, err
 		}
-		siteSamples[si], gens[si] = samples, gen
+		var looked *storage.Found
+		if pre != nil {
+			looked = &pre[si]
+		}
+		samples, kind, gen, err := ev.samplesFor(ctx, call, looked)
+		if err != nil {
+			return nil, nil, err
+		}
+		siteSamples[si], gens[si], ev.keys[si] = samples, gen, call.key
 		outcome[ev.scn.Sites[si].ID] = kind
 	}
 	if r != nil {
@@ -674,9 +700,10 @@ func (ev *Evaluator) probeCount() int {
 	return k
 }
 
-// samplesFor produces the per-world sample vector for site si at one
+// samplesFor produces the per-world sample vector for one site's call at a
 // point, consulting the reuse engine when configured. For an exact store
-// hit it also returns the entry's generation (0 otherwise).
+// hit it also returns the entry's generation (0 otherwise). looked, when
+// non-nil, is the store's answer for the call's key, already looked up.
 //
 // The fingerprint of a point is its output under the first k *world* seeds
 // — a prefix of the very sample vector the point would produce. This keeps
@@ -684,12 +711,8 @@ func (ev *Evaluator) probeCount() int {
 // probes double as validation on real output worlds: a computed point's
 // fingerprint costs nothing extra, and a re-mapped vector is exact at every
 // probed index (the probes overwrite the mapped values).
-func (ev *Evaluator) samplesFor(ctx context.Context, si int, pt guide.Point) ([]float64, ReuseKind, uint64, error) {
-	call, err := ev.callAt(si, pt)
-	if err != nil {
-		return nil, Computed, 0, err
-	}
-	site, key := &ev.scn.Sites[si], call.key
+func (ev *Evaluator) samplesFor(ctx context.Context, call siteCall, looked *storage.Found) ([]float64, ReuseKind, uint64, error) {
+	site, key := &ev.scn.Sites[call.si], call.key
 	r := ev.opts.Reuse
 	if r == nil {
 		samples, err := ev.simulate(ctx, call, 0, ev.opts.Worlds, nil)
@@ -700,10 +723,16 @@ func (ev *Evaluator) samplesFor(ctx context.Context, si int, pt guide.Point) ([]
 	}
 
 	// Exact cache hit: this (site, args) pair was already evaluated.
-	if cached, gen, ok := r.store.Lookup(site.ID, key); ok {
-		if len(cached) >= ev.opts.Worlds {
+	var hit storage.Found
+	if looked != nil {
+		hit = *looked
+	} else {
+		hit.Samples, hit.Gen, hit.OK = r.store.Lookup(site.ID, key)
+	}
+	if hit.OK {
+		if len(hit.Samples) >= ev.opts.Worlds {
 			r.record(CachedExact)
-			return cached[:ev.opts.Worlds], CachedExact, gen, nil
+			return hit.Samples[:ev.opts.Worlds], CachedExact, hit.Gen, nil
 		}
 		// Stored run was smaller than requested; fall through to recompute.
 	}

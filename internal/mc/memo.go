@@ -6,17 +6,20 @@ package mc
 // point, the world count and the store entries just read — so the moments
 // its caller reads can be kept and served again as long as each of those
 // entries is still the very one they were computed from. Entries are
-// validated by the store's generations (storage.Store.Lookup), never by
+// validated by the store's generations (storage.Store.LookupBatch), never by
 // comparing samples, so the memo holds no sample vectors. A generation
 // names a payload, not a residency: a basis demoted to the spill tier and
 // promoted back keeps it, so a revisit through the spill tier is still
-// answered here. A point is
-// recorded the second time it misses: a sweep that visits each point once
-// (a first exploration of the parameter space) leaves one hash per point,
-// not a whole entry.
+// answered here. An entry also keeps each site's store key, so a batch's
+// memoised points are answered in one pass (memoPass) that evaluates no
+// site argument. A point is recorded the second time it misses: a sweep
+// that visits each point once (a first exploration of the parameter space)
+// leaves one hash per point, not a whole entry.
 
 import (
 	"container/list"
+	"context"
+	"encoding/binary"
 	"hash/maphash"
 	"maps"
 	"slices"
@@ -27,7 +30,9 @@ import (
 	"fuzzyprophet/internal/aggregate"
 	"fuzzyprophet/internal/core"
 	"fuzzyprophet/internal/guide"
+	"fuzzyprophet/internal/obs"
 	"fuzzyprophet/internal/stats"
+	"fuzzyprophet/internal/storage"
 )
 
 // memoKey addresses one memoised point.
@@ -38,12 +43,14 @@ type memoKey struct {
 	reads    string // the caller's read columns, sorted, NUL-separated
 }
 
-// memoEntry is one memoised point: the store generation each site's
-// vector was read at, and the moments of each read column (cols, sorted,
-// and moments are parallel).
+// memoEntry is one memoised point: each site's store key and the store
+// generation its vector was read at (keys and gens are parallel, in site
+// order), and the moments of each read column (cols, sorted, and moments
+// are parallel).
 type memoEntry struct {
 	key     memoKey
 	hash    uint64
+	keys    []string
 	gens    []uint64
 	cols    []string
 	moments []stats.Moments
@@ -55,8 +62,12 @@ type memoEntry struct {
 const memoEntryOverhead = int64(unsafe.Sizeof(memoEntry{})+unsafe.Sizeof(list.Element{})) + 24
 
 func (e *memoEntry) bytes() int64 {
-	return memoEntryOverhead + int64(len(e.key.point)) + 8*int64(len(e.gens)) +
+	n := memoEntryOverhead + int64(len(e.key.point)) + 8*int64(len(e.gens)) +
 		int64(len(e.moments))*int64(unsafe.Sizeof(stats.Moments{}))
+	for _, k := range e.keys {
+		n += int64(unsafe.Sizeof(k)) + int64(len(k))
+	}
+	return n
 }
 
 // seenBytes approximates what one missed-once hash costs in its map.
@@ -87,40 +98,63 @@ func newPointMemo() *pointMemo {
 	}
 }
 
-// get returns fresh moments-only stats of the memoised point key, provided
-// gens are the generations it was recorded under. An entry recorded under
-// other generations can never be served again — generations are never
-// reused — so it is dropped.
-func (m *pointMemo) get(key memoKey, gens []uint64) (map[string]*aggregate.ColumnStats, bool) {
-	h := maphash.Comparable(m.seed, key)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	el, ok := m.index[h]
-	if !ok {
-		return nil, false
-	}
-	e := el.Value.(*memoEntry)
-	if e.key != key {
-		return nil, false
-	}
-	if !slices.Equal(e.gens, gens) {
-		m.removeLocked(el)
-		return nil, false
-	}
-	m.order.MoveToFront(el)
-	out := make(map[string]*aggregate.ColumnStats, len(e.cols))
-	for i, col := range e.cols {
-		out[col] = aggregate.MomentsOnly(e.moments[i])
-	}
-	return out, true
+// hash returns the index hash of the memo key (scenario, point, worlds,
+// reads), point being the bytes of its core.PointKey.
+func (m *pointMemo) hash(scenario string, point []byte, worlds int, reads string) uint64 {
+	var h maphash.Hash
+	h.SetSeed(m.seed)
+	h.WriteString(scenario)
+	h.WriteByte(0)
+	h.Write(point)
+	h.WriteByte(0)
+	h.WriteString(reads)
+	var w [8]byte
+	binary.LittleEndian.PutUint64(w[:], uint64(worlds))
+	h.Write(w[:])
+	return h.Sum64()
 }
 
-// missed reports that point key, after get missed, was evaluated to
-// sketches from site vectors of generations gens. The first miss only
-// remembers the key's hash; the next one records the moments of sketches,
-// replacing any earlier record under the hash.
-func (m *pointMemo) missed(key memoKey, gens []uint64, sketches map[string]*aggregate.ColumnStats) {
-	h := maphash.Comparable(m.seed, key)
+// find looks up every point of b under one acquisition of the memo lock,
+// setting b.entries[p] to point p's entry or nil. Each entry found becomes
+// the most recently used, in point order.
+func (m *pointMemo) find(b *memoBatch) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for p, h := range b.hashes {
+		b.entries[p] = nil
+		el, ok := m.index[h]
+		if !ok {
+			continue
+		}
+		e := el.Value.(*memoEntry)
+		k := &e.key
+		if k.point != string(b.point(p)) || k.scenario != b.scenario || k.worlds != b.worlds || k.reads != b.reads {
+			continue
+		}
+		m.order.MoveToFront(el)
+		b.entries[p] = e
+	}
+}
+
+// drop removes entries whose sites no longer hold the generations they were
+// recorded under. Generations are never reused, so such an entry can never
+// be served again.
+func (m *pointMemo) drop(stale []*memoEntry) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, e := range stale {
+		if el, ok := m.index[e.hash]; ok && el.Value.(*memoEntry) == e {
+			m.removeLocked(el)
+		}
+	}
+}
+
+// missed reports that the point of memo key key and index hash h, after
+// its batch's memo pass found no entry to serve it, was evaluated to
+// sketches from site vectors of store keys keys and generations gens. The
+// first miss only remembers the hash; the next one records the moments of
+// sketches, replacing any earlier record under the hash.
+func (m *pointMemo) missed(h uint64, key memoKey, keys []string, gens []uint64, sketches map[string]*aggregate.ColumnStats) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, again := m.seen[h]; !again {
@@ -143,7 +177,7 @@ func (m *pointMemo) missed(key memoKey, gens []uint64, sketches map[string]*aggr
 	if el, ok := m.index[h]; ok {
 		m.removeLocked(el)
 	}
-	e := &memoEntry{key: key, hash: h, gens: slices.Clone(gens), cols: cols, moments: moments}
+	e := &memoEntry{key: key, hash: h, keys: slices.Clone(keys), gens: slices.Clone(gens), cols: cols, moments: moments}
 	m.index[h] = m.order.PushFront(e)
 	m.used += e.bytes()
 }
@@ -192,13 +226,19 @@ func readsKey(reads map[string]bool) string {
 	return strings.Join(slices.Sorted(maps.Keys(reads)), "\x00")
 }
 
-// memoizable reports whether the point memo serves and records this
-// evaluation: its caller declared Reads, it runs locally with a reuse
-// engine, it is not sketch-only, and every site resolved to an exact store
-// hit. A result that is degraded is never recorded (evaluateLocal skips
-// the memo step for it).
+// memoOn reports whether the point memo serves and records this
+// evaluator's points: its caller declared Reads, and it runs locally with a
+// reuse engine, not sketch-only.
+func (ev *Evaluator) memoOn() bool {
+	return ev.opts.Reuse != nil && ev.reads != nil && ev.opts.Runner == nil && !ev.opts.SketchOnly
+}
+
+// memoizable reports whether a point the memo pass did not serve is
+// recorded: the memo is on, and every site resolved to an exact store hit.
+// A result that is degraded is never recorded (evaluateLocal skips the
+// memo step for it).
 func (ev *Evaluator) memoizable(outcome map[string]ReuseKind) bool {
-	if ev.opts.Reuse == nil || ev.reads == nil || ev.opts.Runner != nil || ev.opts.SketchOnly {
+	if !ev.memoOn() {
 		return false
 	}
 	for _, k := range outcome {
@@ -209,7 +249,215 @@ func (ev *Evaluator) memoizable(outcome map[string]ReuseKind) bool {
 	return true
 }
 
-// memoKeyFor returns pt's memo key.
-func (ev *Evaluator) memoKeyFor(pt guide.Point) memoKey {
-	return memoKey{scenario: ev.scn.Fingerprint(), point: core.PointKey(pt), worlds: ev.opts.Worlds, reads: ev.readsKey}
+// memoBatch is the point memo's work on one EvaluatePoints call, in buffers
+// the evaluator keeps from batch to batch.
+type memoBatch struct {
+	// scenario, worlds and reads are the batch's memo key, but the point.
+	scenario string
+	worlds   int
+	reads    string
+
+	names   []string     // the sorted parameter names of the last point keyed
+	keys    []byte       // every point's core.PointKey, back to back
+	ends    []int        // point p's key ends at keys[ends[p]]
+	hashes  []uint64     // point p's index hash
+	entries []*memoEntry // point p's entry the pass serves, or nil
+	// at[p] is where point p's site lookups start in refs and found, or -1
+	// when the memo held no entry for it.
+	at    []int
+	refs  []storage.KeyRef
+	found []storage.Found
+	// spill[p] holds the store's spill counters before and after point p's
+	// lookups, on a traced batch over a store with a spill tier (traced).
+	spill  [][2]storage.SpillCounters
+	traced bool
+}
+
+// point returns point p's core.PointKey, as bytes of b.keys.
+func (b *memoBatch) point(p int) []byte {
+	lo := 0
+	if p > 0 {
+		lo = b.ends[p-1]
+	}
+	return b.keys[lo:b.ends[p]]
+}
+
+// key returns point p's memo key.
+func (b *memoBatch) key(p int) memoKey {
+	return memoKey{scenario: b.scenario, point: string(b.point(p)), worlds: b.worlds, reads: b.reads}
+}
+
+// lookups returns the pass's store answers for point p's sites, nil when
+// it made none.
+func (b *memoBatch) lookups(p, sites int) []storage.Found {
+	if b.at[p] < 0 {
+		return nil
+	}
+	return b.found[b.at[p] : b.at[p]+sites]
+}
+
+// resize returns s with length n, reusing its storage when it is large
+// enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// memoPass answers, before any other point of the batch runs, every point
+// of pts whose memo entry's generations are those its sites' store entries
+// still have, setting out[p] for each. It does each step once per batch:
+// every point's key is built in one buffer, the entries are found under one
+// memo lock, their sites are looked up under one store lock
+// (storage.Store.LookupBatch, with exactly the effects of one Lookup per
+// site), the cached sites are counted under one engine lock, and the
+// results are carved from slabs. A point with no entry, or whose entry is
+// stale, is left to the per-point pipeline: a stale entry is dropped, and
+// its point reads its sites from the pass's answers (memoBatch.lookups)
+// instead of looking them up again.
+func (ev *Evaluator) memoPass(ctx context.Context, pts []guide.Point, out []*PointResult) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	r, b := ev.opts.Reuse, &ev.batch
+	b.scenario, b.worlds, b.reads = ev.scn.Fingerprint(), ev.opts.Worlds, ev.readsKey
+	b.keys = b.keys[:0]
+	b.ends = slices.Grow(b.ends[:0], len(pts))
+	b.hashes = slices.Grow(b.hashes[:0], len(pts))
+	for _, pt := range pts {
+		lo := len(b.keys)
+		b.names = core.SortedNames(b.names, pt)
+		b.keys = core.AppendPointKey(b.keys, b.names, pt)
+		b.ends = append(b.ends, len(b.keys))
+		b.hashes = append(b.hashes, r.memo.hash(b.scenario, b.keys[lo:], b.worlds, b.reads))
+	}
+	b.entries = resize(b.entries, len(pts))
+	r.memo.find(b)
+
+	sites := ev.scn.Sites
+	b.at = resize(b.at, len(pts))
+	held := 0
+	for _, e := range b.entries {
+		if e != nil {
+			held++
+		}
+	}
+	b.refs = slices.Grow(b.refs[:0], held*len(sites))
+	for p, e := range b.entries {
+		b.at[p] = -1
+		if e == nil {
+			continue
+		}
+		b.at[p] = len(b.refs)
+		for si, k := range e.keys {
+			b.refs = append(b.refs, storage.KeyRef{Site: sites[si].ID, Key: k})
+		}
+	}
+	if held == 0 {
+		return nil
+	}
+	if len(sites) > 0 {
+		if err := r.bindSeedBase(ev.opts.SeedBase); err != nil {
+			return err
+		}
+	}
+	b.found = resize(b.found, len(b.refs))
+	before, spilling := r.store.SpillCounters()
+	b.traced = spilling && obs.SpanFrom(ctx) != nil
+	if b.traced {
+		// Each point's spill work becomes its own spill spans.
+		b.spill = resize(b.spill, len(pts))
+		for p, at := range b.at {
+			if at >= 0 {
+				b.spill[p][0], _ = r.store.SpillCounters()
+				r.store.LookupBatch(b.refs[at:at+len(sites)], b.found[at:at+len(sites)])
+				b.spill[p][1], _ = r.store.SpillCounters()
+			}
+		}
+	} else {
+		r.store.LookupBatch(b.refs, b.found)
+	}
+	if after, _ := r.store.SpillCounters(); after.Promoted != before.Promoted {
+		// A promotion may have evicted, which moves the memo's bound.
+		r.boundMemo()
+	}
+
+	var stale []*memoEntry
+	hits, cols := 0, 0
+	for p, e := range b.entries {
+		if e == nil {
+			continue
+		}
+		if !sameGens(b.lookups(p, len(sites)), e.gens) {
+			stale = append(stale, e)
+			b.entries[p] = nil
+			continue
+		}
+		hits++
+		cols += len(e.cols)
+	}
+	if len(stale) > 0 {
+		r.memo.drop(stale)
+	}
+	if hits == 0 {
+		return nil
+	}
+	r.recordN(CachedExact, hits*len(sites))
+	results := make([]PointResult, hits)
+	slab := make([]aggregate.ColumnStats, cols)
+	outcome := make(map[string]ReuseKind, len(sites))
+	for si := range sites {
+		outcome[sites[si].ID] = CachedExact
+	}
+	for p, e := range b.entries {
+		if e == nil {
+			continue
+		}
+		res := &results[0]
+		results = results[1:]
+		res.Point, res.Worlds, res.SiteOutcome = pts[p], ev.opts.Worlds, outcome
+		res.Sketches = make(map[string]*aggregate.ColumnStats, len(e.cols))
+		for i, col := range e.cols {
+			cs := &slab[0]
+			slab = slab[1:]
+			*cs = *aggregate.MomentsOnly(e.moments[i])
+			res.Sketches[col] = cs
+		}
+		out[p] = res
+	}
+	return nil
+}
+
+// sameGens reports whether every lookup hit at the generation gens names.
+func sameGens(found []storage.Found, gens []uint64) bool {
+	for i, f := range found {
+		if !f.OK || f.Gen != gens[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// traceHit records memo hit p's spans under parent, the shape its
+// per-point evaluation had: a point span marked memo_hit over a simulate
+// span that counts the cached sites and notes the spill work of their
+// lookups.
+func (ev *Evaluator) traceHit(parent *obs.Span, p int) {
+	if parent == nil {
+		return
+	}
+	psp := ev.pointSpan(parent)
+	ssp := psp.Child("simulate")
+	n := int64(len(ev.scn.Sites))
+	ssp.SetInt("sites", n)
+	if n > 0 {
+		ssp.SetInt(outcomeKeys[CachedExact], n)
+	}
+	if ev.batch.traced {
+		noteSpillDeltas(ssp, ev.batch.spill[p][0], ev.batch.spill[p][1])
+	}
+	ssp.End()
+	psp.SetInt("memo_hit", 1)
+	psp.End()
 }

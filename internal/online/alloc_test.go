@@ -56,3 +56,53 @@ func TestColdRenderAllocs(t *testing.T) {
 		t.Fatalf("a cold 32-world render allocates %v times, want <= %v", allocs, 1.05*inlineAllocs)
 	}
 }
+
+// TestRevisitRenderAllocs pins what a render the point memo answers in
+// full allocates: the fourth render of a 400-world capacityplanning session
+// on its reuse engine, where every one of the 53 points is a memo hit. When
+// each hit evaluated its site arguments, built its key string and
+// allocated its own result and outcome map, such a render allocated 886
+// times; answering the batch's hits in one pass allocates 277. The bound is
+// that count plus 5 %.
+func TestRevisitRenderAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	reg, err := benchfix.Registry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scn, err := scenario.Compile(sqlparser.ExampleScenarios()["capacityplanning"], reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reuse, err := mc.NewReuse(core.DefaultConfig(), storage.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSession(scn, mc.Options{Worlds: 400, Workers: 2, Reuse: reuse})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	// The first render computes the sites, the next two find them cached
+	// and memoise every point.
+	for i := 0; i < 3; i++ {
+		if _, err := s.Render(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	render := func() {
+		g, err := s.Render(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(g.X) != 53 || g.Stats.Unchanged != 53 {
+			t.Fatalf("rendered %d points, %d unchanged; want 53 and 53", len(g.X), g.Stats.Unchanged)
+		}
+	}
+	const revisitAllocs = 277
+	if allocs := testing.AllocsPerRun(20, render); allocs > 1.05*revisitAllocs {
+		t.Fatalf("a memo-hit render allocates %v times, want <= %v", allocs, 1.05*revisitAllocs)
+	}
+}

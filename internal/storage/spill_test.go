@@ -429,3 +429,145 @@ func TestSpilledGensBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestLookupBatchMatchesLookup: LookupBatch answers and acts as the same
+// Lookups made one by one. Two stores are driven alike, one through each;
+// they agree on every answer and generation, every counter and the LRU
+// order, through RAM hits, misses, repeated refs, evictions, promotions
+// and quarantined spill files.
+func TestLookupBatchMatchesLookup(t *testing.T) {
+	perEntry := (&Entry{Site: "s", Key: "k00", Samples: make([]float64, 100)}).bytes()
+	for _, tc := range []struct {
+		name  string
+		spill bool
+	}{{"RAM only", false}, {"spill tier", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var dirs [2]string
+			var stores [2]*Store
+			for i := range stores {
+				opts := Options{BudgetBytes: 3*perEntry + 10}
+				if tc.spill {
+					dirs[i] = t.TempDir()
+					opts.SpillDir = dirs[i]
+				}
+				s, err := Open(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { s.Close() })
+				stores[i] = s
+			}
+			batch, seq := stores[0], stores[1]
+			put := func(keys ...int) {
+				for _, k := range keys {
+					for _, s := range stores {
+						s.Put("s", fmt.Sprintf("k%02d", k), spillVec(float64(k)))
+					}
+				}
+			}
+			lookup := func(label string, keys ...int) {
+				t.Helper()
+				refs := make([]KeyRef, len(keys))
+				for i, k := range keys {
+					refs[i] = KeyRef{Site: "s", Key: fmt.Sprintf("k%02d", k)}
+				}
+				out := make([]Found, len(refs))
+				batch.LookupBatch(refs, out)
+				for i, ref := range refs {
+					samples, gen, ok := seq.Lookup(ref.Site, ref.Key)
+					got := out[i]
+					if got.OK != ok || got.Gen != gen || len(got.Samples) != len(samples) {
+						t.Fatalf("%s: ref %d (%s): batch = ok %v gen %d len %d, Lookup = ok %v gen %d len %d",
+							label, i, ref.Key, got.OK, got.Gen, len(got.Samples), ok, gen, len(samples))
+					}
+					for j := range samples {
+						if got.Samples[j] != samples[j] {
+							t.Fatalf("%s: ref %d (%s) sample %d = %v, want %v", label, i, ref.Key, j, got.Samples[j], samples[j])
+						}
+					}
+				}
+				bs, ss := batch.Stats(), seq.Stats()
+				bs.DemoteNanos, bs.PromoteNanos, ss.DemoteNanos, ss.PromoteNanos = 0, 0, 0, 0
+				if bs != ss {
+					t.Fatalf("%s: batch store stats %+v, sequential %+v", label, bs, ss)
+				}
+				var order [2][]string
+				for i, s := range stores {
+					for _, e := range s.Snapshot() {
+						order[i] = append(order[i], e.Key)
+					}
+				}
+				if fmt.Sprint(order[0]) != fmt.Sprint(order[1]) {
+					t.Fatalf("%s: batch store LRU order %v, sequential %v", label, order[0], order[1])
+				}
+			}
+
+			put(0, 1, 2, 3, 4, 5)
+			// Hits, misses and repeats; on the spill tier k00..k02 are
+			// promoted, each displacing a resident entry.
+			lookup("first", 0, 9, 1, 1, 5, 2, 0, 4)
+			put(1, 6)
+			lookup("after puts", 6, 3, 1, 2, 3, 9, 0)
+			if st := batch.Stats(); st.Hits == 0 || st.Misses == 0 || tc.spill && st.Promoted == 0 {
+				t.Fatalf("the lookups hit, missed and promoted too little to compare: %+v", st)
+			}
+			if !tc.spill {
+				return
+			}
+			// Fresh demotions write files nothing has mapped yet; flipping
+			// their last byte quarantines them on first promotion.
+			var before [2]map[string]bool
+			for i, dir := range dirs {
+				before[i] = colFiles(t, dir)
+			}
+			put(10, 11, 12, 13, 14)
+			for i, dir := range dirs {
+				for f := range colFiles(t, dir) {
+					if !before[i][f] {
+						flipLast(t, filepath.Join(dir, f))
+					}
+				}
+			}
+			lookup("quarantined", 10, 12, 14, 10, 3)
+			if q := batch.Stats().Quarantined; q == 0 {
+				t.Fatal("no spill file was quarantined")
+			}
+		})
+	}
+}
+
+// colFiles returns the names of the column files in dir.
+func colFiles(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*.col"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]bool, len(paths))
+	for _, p := range paths {
+		out[filepath.Base(p)] = true
+	}
+	return out
+}
+
+// flipLast corrupts a file's last byte in place, without truncating it.
+func flipLast(t *testing.T, path string) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, fi.Size()-1); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xff
+	if _, err := f.WriteAt(b, fi.Size()-1); err != nil {
+		t.Fatal(err)
+	}
+}

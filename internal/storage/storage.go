@@ -235,10 +235,36 @@ func (s *Store) Get(site, key string) ([]float64, bool) {
 // reopened spill tier come back under a new generation. A miss returns
 // generation 0.
 func (s *Store) Lookup(site, key string) ([]float64, uint64, bool) {
-	var buf [64]byte
-	ck := appendCompositeKey(buf[:0], site, key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.lookupLocked(site, key)
+}
+
+// Found is one lookup's answer: a hit's samples and generation, or OK
+// false for a miss.
+type Found struct {
+	Samples []float64
+	Gen     uint64
+	OK      bool
+}
+
+// LookupBatch answers refs in order, ref i into out[i] (out is at least as
+// long as refs), under one acquisition of the store lock. Each ref has
+// exactly the effects of its own Lookup: the hit or miss count, the LRU
+// touch, and a spilled basis's promotion, a quarantined one counting as a
+// miss.
+func (s *Store) LookupBatch(refs []KeyRef, out []Found) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, ref := range refs {
+		f := &out[i]
+		f.Samples, f.Gen, f.OK = s.lookupLocked(ref.Site, ref.Key)
+	}
+}
+
+func (s *Store) lookupLocked(site, key string) ([]float64, uint64, bool) {
+	var buf [64]byte
+	ck := appendCompositeKey(buf[:0], site, key)
 	if el, ok := s.index[string(ck)]; ok {
 		s.hits.Add(1)
 		s.order.MoveToFront(el)
