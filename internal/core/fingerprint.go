@@ -209,23 +209,9 @@ func AppendPointKey(dst []byte, names []string, params map[string]value.Value) [
 	return dst
 }
 
-// SortedNames returns the names of params in sorted order. names is nil or
-// an earlier result: it is returned as it is when it lists exactly the
-// names of params, as it does for every point of a sweep after the first,
-// and its storage is reused otherwise.
+// SortedNames returns the names of params in sorted order, in the storage
+// of names (nil or an earlier result).
 func SortedNames(names []string, params map[string]value.Value) []string {
-	if len(names) == len(params) {
-		same := true
-		for _, n := range names {
-			if _, ok := params[n]; !ok {
-				same = false
-				break
-			}
-		}
-		if same {
-			return names
-		}
-	}
 	names = names[:0]
 	for n := range params {
 		names = append(names, n)

@@ -228,8 +228,8 @@ func TestPointKey(t *testing.T) {
 	if a != "current=5,feature=12" {
 		t.Errorf("key = %q", a)
 	}
-	// Keys built in one buffer, the names reused while a point names the
-	// same parameters and re-sorted when it does not, equal PointKey.
+	// Keys built in one buffer, with one names slice reused from point to
+	// point, equal PointKey.
 	var names []string
 	var buf []byte
 	for _, p := range []map[string]value.Value{

@@ -516,11 +516,7 @@ func (ev *Evaluator) evaluateLocal(ctx context.Context, pt guide.Point, p int) (
 	// ranges execute the scenario's compiled plan with the point's bindings
 	// — what the Query Generator's TSQL (Scenario.GenerateSQL) would
 	// compute, at zero parse cost.
-	var pre []storage.Found
-	if ev.memoOn() {
-		pre = ev.batch.lookups(p, len(ev.scn.Sites))
-	}
-	siteSamples, gens, err := ev.siteVectors(ctx, psp, pt, res.SiteOutcome, pre)
+	siteSamples, gens, err := ev.siteVectors(ctx, psp, pt, p, res.SiteOutcome)
 	if err != nil {
 		return nil, err
 	}
@@ -632,24 +628,34 @@ func (ev *Evaluator) finish(ctx context.Context, psp *obs.Span, res *PointResult
 	return err
 }
 
-// siteVectors obtains every site's full [0, Worlds) sample vector at pt
-// (fresh or re-mapped), recording each site's reuse outcome and store key
-// (ev.keys) and, for an exact store hit, the store generation of the entry
-// it read. pre, when non-nil, holds the memo pass's store lookups of the
-// point's sites, read instead of looking them up again. The returned
-// slices are the evaluator's, valid until its next point. With a reuse
-// engine it ends by bounding the point memo, after the last store change
-// the evaluation makes.
-func (ev *Evaluator) siteVectors(ctx context.Context, psp *obs.Span, pt guide.Point, outcome map[string]ReuseKind, pre []storage.Found) ([][]float64, []uint64, error) {
+// siteVectors obtains every site's full [0, Worlds) sample vector at pt,
+// point p of the batch (fresh or re-mapped), recording each site's reuse
+// outcome and store key (ev.keys) and, for an exact store hit, the store
+// generation of the entry it read. A site the memo pass found in the store
+// for the point is read from the pass's answer instead of being looked up
+// again; a site the pass missed is looked up again, since an earlier point
+// of the batch may have stored it since. The returned slices are the
+// evaluator's, valid until its next point. With a reuse engine it ends by
+// bounding the point memo, after the last store change the evaluation
+// makes.
+func (ev *Evaluator) siteVectors(ctx context.Context, psp *obs.Span, pt guide.Point, p int, outcome map[string]ReuseKind) ([][]float64, []uint64, error) {
 	ssp := psp.Child("simulate")
 	defer ssp.End()
 	r := ev.opts.Reuse
+	var pre []storage.Found
+	if ev.memoOn() {
+		pre = ev.batch.lookups(p, len(ev.scn.Sites))
+	}
 	// Spill work during the stage becomes spill spans; a store without a
-	// spill tier has none, and its counters are not read.
+	// spill tier has none, and its counters are not read. The spill work of
+	// the pass's lookups of the point counts as the stage's.
 	var spillBefore storage.SpillCounters
 	spilling := false
 	if ssp != nil && r != nil {
 		spillBefore, spilling = r.store.SpillCounters()
+		if spilling && pre != nil {
+			spillBefore = ev.batch.beforePass(p, spillBefore)
+		}
 	}
 	siteSamples, gens := ev.sites, ev.gens
 	for si := range ev.scn.Sites {
@@ -661,7 +667,7 @@ func (ev *Evaluator) siteVectors(ctx context.Context, psp *obs.Span, pt guide.Po
 			return nil, nil, err
 		}
 		var looked *storage.Found
-		if pre != nil {
+		if pre != nil && pre[si].OK {
 			looked = &pre[si]
 		}
 		samples, kind, gen, err := ev.samplesFor(ctx, call, looked)
@@ -703,7 +709,7 @@ func (ev *Evaluator) probeCount() int {
 // samplesFor produces the per-world sample vector for one site's call at a
 // point, consulting the reuse engine when configured. For an exact store
 // hit it also returns the entry's generation (0 otherwise). looked, when
-// non-nil, is the store's answer for the call's key, already looked up.
+// non-nil, is the store's hit for the call's key, already looked up.
 //
 // The fingerprint of a point is its output under the first k *world* seeds
 // — a prefix of the very sample vector the point would produce. This keeps

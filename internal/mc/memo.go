@@ -267,8 +267,9 @@ type memoBatch struct {
 	at    []int
 	refs  []storage.KeyRef
 	found []storage.Found
-	// spill[p] holds the store's spill counters before and after point p's
-	// lookups, on a traced batch over a store with a spill tier (traced).
+	// spill[p] holds the store's spill counters before and after the pass's
+	// lookups of point p, on a traced batch over a store with a spill tier
+	// (traced).
 	spill  [][2]storage.SpillCounters
 	traced bool
 }
@@ -296,6 +297,18 @@ func (b *memoBatch) lookups(p, sites int) []storage.Found {
 	return b.found[b.at[p] : b.at[p]+sites]
 }
 
+// beforePass returns spill counters c moved back by the spill work of the
+// pass's lookups of point p, on a traced batch, so that the deltas from c
+// count that work too.
+func (b *memoBatch) beforePass(p int, c storage.SpillCounters) storage.SpillCounters {
+	lo, hi := b.spill[p][0], b.spill[p][1]
+	c.Demoted -= hi.Demoted - lo.Demoted
+	c.Promoted -= hi.Promoted - lo.Promoted
+	c.DemoteNanos -= hi.DemoteNanos - lo.DemoteNanos
+	c.PromoteNanos -= hi.PromoteNanos - lo.PromoteNanos
+	return c
+}
+
 // resize returns s with length n, reusing its storage when it is large
 // enough.
 func resize[T any](s []T, n int) []T {
@@ -307,15 +320,15 @@ func resize[T any](s []T, n int) []T {
 
 // memoPass answers, before any other point of the batch runs, every point
 // of pts whose memo entry's generations are those its sites' store entries
-// still have, setting out[p] for each. It does each step once per batch:
-// every point's key is built in one buffer, the entries are found under one
-// memo lock, their sites are looked up under one store lock
-// (storage.Store.LookupBatch, with exactly the effects of one Lookup per
-// site), the cached sites are counted under one engine lock, and the
-// results are carved from slabs. A point with no entry, or whose entry is
-// stale, is left to the per-point pipeline: a stale entry is dropped, and
-// its point reads its sites from the pass's answers (memoBatch.lookups)
-// instead of looking them up again.
+// still have, setting out[p] for each. Every point's key is built in one
+// buffer and the entries are found under one memo lock; each entry's sites
+// are looked up under one store lock (storage.Store.LookupBatch, with
+// exactly the effects of one Lookup per site); the cached sites are counted
+// under one engine lock, and the results are carved from slabs. A point
+// with no entry, or whose entry is stale, is left to the per-point
+// pipeline: a stale entry is dropped, and its point reads the sites the
+// pass found from the pass's answers (memoBatch.lookups) and looks up
+// again only those the pass missed.
 func (ev *Evaluator) memoPass(ctx context.Context, pts []guide.Point, out []*PointResult) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -364,19 +377,23 @@ func (ev *Evaluator) memoPass(ctx context.Context, pts []guide.Point, out []*Poi
 	}
 	b.found = resize(b.found, len(b.refs))
 	before, spilling := r.store.SpillCounters()
+	// On a traced render, each point's spill work becomes its own spill
+	// spans.
 	b.traced = spilling && obs.SpanFrom(ctx) != nil
 	if b.traced {
-		// Each point's spill work becomes its own spill spans.
 		b.spill = resize(b.spill, len(pts))
-		for p, at := range b.at {
-			if at >= 0 {
-				b.spill[p][0], _ = r.store.SpillCounters()
-				r.store.LookupBatch(b.refs[at:at+len(sites)], b.found[at:at+len(sites)])
-				b.spill[p][1], _ = r.store.SpillCounters()
-			}
+	}
+	for p, at := range b.at {
+		if at < 0 {
+			continue
 		}
-	} else {
-		r.store.LookupBatch(b.refs, b.found)
+		if b.traced {
+			b.spill[p][0], _ = r.store.SpillCounters()
+		}
+		r.store.LookupBatch(b.refs[at:at+len(sites)], b.found[at:at+len(sites)])
+		if b.traced {
+			b.spill[p][1], _ = r.store.SpillCounters()
+		}
 	}
 	if after, _ := r.store.SpillCounters(); after.Promoted != before.Promoted {
 		// A promotion may have evicted, which moves the memo's bound.

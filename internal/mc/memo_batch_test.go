@@ -20,8 +20,10 @@ import (
 // the memo. Its deltas in the reuse counts and the store's hits and
 // promotions are those of one by one, and those of its sites' store
 // lookups made one at a time on a third engine: every site cached, once
-// per point. Each case runs untraced and traced, since a traced batch over
-// a spill tier looks its points' sites up one point at a time.
+// per point. When a basis the batch's points share was evicted, one by one
+// is the reference: the first point recomputes it and the others hit it.
+// Each case runs untraced and traced, since a traced batch over a spill
+// tier notes each point's spill work under that point.
 func TestPointMemoBatch(t *testing.T) {
 	const worlds = 64
 	ctx := context.Background()
@@ -33,11 +35,27 @@ func TestPointMemoBatch(t *testing.T) {
 	sweep = sweep[:12]
 	// Two points' bases fit in this RAM budget, three do not.
 	const budget = 3000
+	// Along @purchase1 every point shares its DemandModel(@current,
+	// @feature) basis. The seven points' bases fit in evictBudget with room
+	// to spare.
+	shared, err := scn.Space.Sweep("purchase1", scn.DefaultPoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const evictBudget = 8000
+	replace := func(t *testing.T, reuse *Reuse) {
+		if _, err := memoEvaluator(t, scn, 2*worlds, reuse).evaluatePoint(ctx, sweep[3]); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	for _, tc := range []struct {
 		name  string
 		spill bool
-		batch []int // indices into sweep
+		// evicted runs the batch along shared, on a RAM-only store of
+		// budget evictBudget, after the event evicted the shared basis.
+		evicted bool
+		batch   []int // indices into sweep, or into shared when evicted
 		// event acts on a warmed engine before the batch.
 		event func(t *testing.T, reuse *Reuse)
 		// seedBase, when non-zero, is the batch's seed base.
@@ -46,13 +64,13 @@ func TestPointMemoBatch(t *testing.T) {
 		recompute []int
 	}{
 		{name: "whole sweep", batch: []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}},
-		{name: "one basis replaced", batch: []int{0, 1, 2, 3, 4, 5}, recompute: []int{3},
-			event: func(t *testing.T, reuse *Reuse) {
-				if _, err := memoEvaluator(t, scn, 2*worlds, reuse).evaluatePoint(ctx, sweep[3]); err != nil {
-					t.Fatal(err)
-				}
-			}},
+		{name: "one basis replaced", batch: []int{0, 1, 2, 3, 4, 5}, recompute: []int{3}, event: replace},
 		{name: "spilled and promoted", spill: true, batch: []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}},
+		{name: "spilled, one basis replaced", spill: true, batch: []int{0, 1, 2, 3, 4, 5}, recompute: []int{3}, event: replace},
+		{name: "shared basis evicted", evicted: true, batch: []int{0, 1, 2, 3, 4, 5, 6},
+			recompute: []int{0, 1, 2, 3, 4, 5, 6}, event: func(t *testing.T, reuse *Reuse) {
+				evictShared(t, memoEvaluator(t, scn, worlds, reuse), shared, evictBudget)
+			}},
 		{name: "duplicates", batch: []int{2, 5, 2, 2, 7, 5}},
 		{name: "one point", batch: []int{4}},
 		{name: "empty", batch: nil},
@@ -64,9 +82,13 @@ func TestPointMemoBatch(t *testing.T) {
 				name += "/traced"
 			}
 			t.Run(name, func(t *testing.T) {
+				from := sweep
+				if tc.evicted {
+					from = shared
+				}
 				pts := make([]guide.Point, len(tc.batch))
 				for i, p := range tc.batch {
-					pts[i] = sweep[p]
+					pts[i] = from[p]
 				}
 				// Three engines brought to the same state: every point of
 				// the sweep memoised, then the case's event.
@@ -75,6 +97,8 @@ func TestPointMemoBatch(t *testing.T) {
 					opts := storage.Options{}
 					if tc.spill {
 						opts = storage.Options{BudgetBytes: budget, SpillDir: t.TempDir()}
+					} else if tc.evicted {
+						opts = storage.Options{BudgetBytes: evictBudget}
 					}
 					reuse, err := NewReuse(core.DefaultConfig(), opts)
 					if err != nil {
@@ -83,7 +107,7 @@ func TestPointMemoBatch(t *testing.T) {
 					t.Cleanup(func() { reuse.Close() })
 					warm := memoEvaluator(t, scn, worlds, reuse)
 					for visit := 0; visit < 3; visit++ {
-						if _, err := warm.EvaluatePoints(ctx, sweep); err != nil {
+						if _, err := warm.EvaluatePoints(ctx, from); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -125,7 +149,7 @@ func TestPointMemoBatch(t *testing.T) {
 				// What the points' site lookups do to a store, one at a time;
 				// each site that hits counts as cached.
 				want := reuseCounters{counts: map[ReuseKind]int{}}
-				if berr == nil {
+				if berr == nil && !tc.evicted {
 					for _, pt := range pts {
 						for _, k := range pointKeys(t, lookups, pt) {
 							if _, _, ok := lookups.opts.Reuse.store.Lookup(k.Site, k.Key); ok {
@@ -136,7 +160,13 @@ func TestPointMemoBatch(t *testing.T) {
 				}
 				ld := reuseState(lookups.opts.Reuse).minus(lBefore)
 				want.hits, want.promoted = ld.hits, ld.promoted
-				if berr == nil && want.hits != int64(len(pts)*len(scn.Sites)) {
+				if tc.evicted {
+					// Only the first point recomputes the shared basis.
+					want = reuseState(seq.opts.Reuse).minus(sBefore)
+					if n := len(pts)*len(scn.Sites) - want.counts[CachedExact]; n != 1 {
+						t.Fatalf("one by one obtained %d site vectors other than from the store (counts %v), want 1", n, want.counts)
+					}
+				} else if berr == nil && want.hits != int64(len(pts)*len(scn.Sites)) {
 					t.Fatalf("%d of the batch's %d site lookups hit, want all", want.hits, len(pts)*len(scn.Sites))
 				}
 				if bd, sd := reuseState(batch.opts.Reuse).minus(bBefore), reuseState(seq.opts.Reuse).minus(sBefore); !bd.equal(want) || !sd.equal(want) {
@@ -202,6 +232,52 @@ func TestPointMemoBatch(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// evictShared leaves pts memoised on ev's engine, a RAM-only store of the
+// given budget, with every basis in RAM but the one the points share: it
+// looks every other basis up, so that the shared one is least recently
+// used, stores a filler just large enough to evict it alone, then shrinks
+// the filler so that the shared basis fits again once recomputed.
+func evictShared(t *testing.T, ev *Evaluator, pts []guide.Point, budget int64) {
+	t.Helper()
+	r := ev.opts.Reuse
+	if n := r.memo.order.Len(); n != len(pts) {
+		t.Fatalf("%d memo entries, want one per point (%d)", n, len(pts))
+	}
+	first, second := pointKeys(t, ev, pts[0]), pointKeys(t, ev, pts[1])
+	var gone storage.KeyRef
+	for si := range first {
+		if first[si] == second[si] {
+			gone = first[si]
+		}
+	}
+	var keep []storage.KeyRef
+	for _, pt := range pts {
+		for _, k := range pointKeys(t, ev, pt) {
+			if k != gone {
+				keep = append(keep, k)
+				if _, _, ok := r.store.Lookup(k.Site, k.Key); !ok {
+					t.Fatalf("basis %v is not stored", k)
+				}
+			}
+		}
+	}
+	free := budget - r.store.Stats().UsedBytes
+	r.store.Put("filler", "", make([]float64, free/8+1))
+	r.store.Put("filler", "", nil)
+	held := map[storage.KeyRef]bool{}
+	for _, e := range r.store.Snapshot() {
+		held[storage.KeyRef{Site: e.Site, Key: e.Key}] = true
+	}
+	if held[gone] || gone.Site == "" {
+		t.Fatalf("the shared basis %v was not evicted", gone)
+	}
+	for _, k := range keep {
+		if !held[k] {
+			t.Fatalf("basis %v was evicted with the shared one", k)
 		}
 	}
 }
