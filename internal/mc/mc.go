@@ -463,7 +463,7 @@ func (ev *Evaluator) EvaluatePoints(ctx context.Context, pts []guide.Point) ([]*
 	parent := obs.SpanFrom(ctx)
 	for p, pt := range pts {
 		if out[p] != nil {
-			ev.traceHit(parent, p)
+			ev.traceHit(parent)
 			continue
 		}
 		res, err := ev.evaluateLocal(ctx, pt, p)
@@ -497,7 +497,7 @@ func (ev *Evaluator) pointSpan(parent *obs.Span) *obs.Span {
 }
 
 // evaluateLocal evaluates point p of the batch in process. With the memo
-// on, ev.batch holds the memo pass's work on the point.
+// on, ev.batch holds the point's memo key, under which it is recorded.
 func (ev *Evaluator) evaluateLocal(ctx context.Context, pt guide.Point, p int) (*PointResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -516,7 +516,7 @@ func (ev *Evaluator) evaluateLocal(ctx context.Context, pt guide.Point, p int) (
 	// ranges execute the scenario's compiled plan with the point's bindings
 	// — what the Query Generator's TSQL (Scenario.GenerateSQL) would
 	// compute, at zero parse cost.
-	siteSamples, gens, err := ev.siteVectors(ctx, psp, pt, p, res.SiteOutcome)
+	siteSamples, gens, err := ev.siteVectors(ctx, psp, pt, res.SiteOutcome)
 	if err != nil {
 		return nil, err
 	}
@@ -628,34 +628,22 @@ func (ev *Evaluator) finish(ctx context.Context, psp *obs.Span, res *PointResult
 	return err
 }
 
-// siteVectors obtains every site's full [0, Worlds) sample vector at pt,
-// point p of the batch (fresh or re-mapped), recording each site's reuse
-// outcome and store key (ev.keys) and, for an exact store hit, the store
-// generation of the entry it read. A site the memo pass found in the store
-// for the point is read from the pass's answer instead of being looked up
-// again; a site the pass missed is looked up again, since an earlier point
-// of the batch may have stored it since. The returned slices are the
-// evaluator's, valid until its next point. With a reuse engine it ends by
-// bounding the point memo, after the last store change the evaluation
-// makes.
-func (ev *Evaluator) siteVectors(ctx context.Context, psp *obs.Span, pt guide.Point, p int, outcome map[string]ReuseKind) ([][]float64, []uint64, error) {
+// siteVectors obtains every site's full [0, Worlds) sample vector at pt
+// (fresh or re-mapped), recording each site's reuse outcome and store key
+// (ev.keys) and, for an exact store hit, the store generation of the entry
+// it read. The returned slices are the evaluator's, valid until its next
+// point. With a reuse engine it ends by bounding the point memo, after the
+// last store change the evaluation makes.
+func (ev *Evaluator) siteVectors(ctx context.Context, psp *obs.Span, pt guide.Point, outcome map[string]ReuseKind) ([][]float64, []uint64, error) {
 	ssp := psp.Child("simulate")
 	defer ssp.End()
 	r := ev.opts.Reuse
-	var pre []storage.Found
-	if ev.memoOn() {
-		pre = ev.batch.lookups(p, len(ev.scn.Sites))
-	}
 	// Spill work during the stage becomes spill spans; a store without a
-	// spill tier has none, and its counters are not read. The spill work of
-	// the pass's lookups of the point counts as the stage's.
+	// spill tier has none, and its counters are not read.
 	var spillBefore storage.SpillCounters
 	spilling := false
 	if ssp != nil && r != nil {
 		spillBefore, spilling = r.store.SpillCounters()
-		if spilling && pre != nil {
-			spillBefore = ev.batch.beforePass(p, spillBefore)
-		}
 	}
 	siteSamples, gens := ev.sites, ev.gens
 	for si := range ev.scn.Sites {
@@ -666,11 +654,7 @@ func (ev *Evaluator) siteVectors(ctx context.Context, psp *obs.Span, pt guide.Po
 		if err != nil {
 			return nil, nil, err
 		}
-		var looked *storage.Found
-		if pre != nil && pre[si].OK {
-			looked = &pre[si]
-		}
-		samples, kind, gen, err := ev.samplesFor(ctx, call, looked)
+		samples, kind, gen, err := ev.samplesFor(ctx, call)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -708,8 +692,7 @@ func (ev *Evaluator) probeCount() int {
 
 // samplesFor produces the per-world sample vector for one site's call at a
 // point, consulting the reuse engine when configured. For an exact store
-// hit it also returns the entry's generation (0 otherwise). looked, when
-// non-nil, is the store's hit for the call's key, already looked up.
+// hit it also returns the entry's generation (0 otherwise).
 //
 // The fingerprint of a point is its output under the first k *world* seeds
 // — a prefix of the very sample vector the point would produce. This keeps
@@ -717,7 +700,7 @@ func (ev *Evaluator) probeCount() int {
 // probes double as validation on real output worlds: a computed point's
 // fingerprint costs nothing extra, and a re-mapped vector is exact at every
 // probed index (the probes overwrite the mapped values).
-func (ev *Evaluator) samplesFor(ctx context.Context, call siteCall, looked *storage.Found) ([]float64, ReuseKind, uint64, error) {
+func (ev *Evaluator) samplesFor(ctx context.Context, call siteCall) ([]float64, ReuseKind, uint64, error) {
 	site, key := &ev.scn.Sites[call.si], call.key
 	r := ev.opts.Reuse
 	if r == nil {
@@ -729,16 +712,10 @@ func (ev *Evaluator) samplesFor(ctx context.Context, call siteCall, looked *stor
 	}
 
 	// Exact cache hit: this (site, args) pair was already evaluated.
-	var hit storage.Found
-	if looked != nil {
-		hit = *looked
-	} else {
-		hit.Samples, hit.Gen, hit.OK = r.store.Lookup(site.ID, key)
-	}
-	if hit.OK {
-		if len(hit.Samples) >= ev.opts.Worlds {
+	if cached, gen, ok := r.store.Lookup(site.ID, key); ok {
+		if len(cached) >= ev.opts.Worlds {
 			r.record(CachedExact)
-			return hit.Samples[:ev.opts.Worlds], CachedExact, hit.Gen, nil
+			return cached[:ev.opts.Worlds], CachedExact, gen, nil
 		}
 		// Stored run was smaller than requested; fall through to recompute.
 	}

@@ -6,11 +6,11 @@ package mc
 // point, the world count and the store entries just read — so the moments
 // its caller reads can be kept and served again as long as each of those
 // entries is still the very one they were computed from. Entries are
-// validated by the store's generations (storage.Store.LookupBatch), never by
-// comparing samples, so the memo holds no sample vectors. A generation
-// names a payload, not a residency: a basis demoted to the spill tier and
-// promoted back keeps it, so a revisit through the spill tier is still
-// answered here. An entry also keeps each site's store key, so a batch's
+// validated by the store's generations (storage.Store.Gens), never by
+// comparing samples, so the memo holds no sample vectors and its check
+// reads no payload. A generation names a payload, not a residency: a basis
+// demoted to the spill tier keeps it, so a revisit through the spill tier
+// is still answered here, without promoting the basis. An entry also keeps each site's store key, so a batch's
 // memoised points are answered in one pass (memoPass) that evaluates no
 // site argument. A point is recorded the second time it misses: a sweep
 // that visits each point once (a first exploration of the parameter space)
@@ -257,21 +257,13 @@ type memoBatch struct {
 	worlds   int
 	reads    string
 
-	names   []string     // the sorted parameter names of the last point keyed
-	keys    []byte       // every point's core.PointKey, back to back
-	ends    []int        // point p's key ends at keys[ends[p]]
-	hashes  []uint64     // point p's index hash
-	entries []*memoEntry // point p's entry the pass serves, or nil
-	// at[p] is where point p's site lookups start in refs and found, or -1
-	// when the memo held no entry for it.
-	at    []int
-	refs  []storage.KeyRef
-	found []storage.Found
-	// spill[p] holds the store's spill counters before and after the pass's
-	// lookups of point p, on a traced batch over a store with a spill tier
-	// (traced).
-	spill  [][2]storage.SpillCounters
-	traced bool
+	names   []string         // the sorted parameter names of the last point keyed
+	keys    []byte           // every point's core.PointKey, back to back
+	ends    []int            // point p's key ends at keys[ends[p]]
+	hashes  []uint64         // point p's index hash
+	entries []*memoEntry     // point p's entry the pass serves, or nil
+	refs    []storage.KeyRef // the sites of the entries found, entry after entry
+	gens    []uint64         // the generation each of refs holds now
 }
 
 // point returns point p's core.PointKey, as bytes of b.keys.
@@ -288,27 +280,6 @@ func (b *memoBatch) key(p int) memoKey {
 	return memoKey{scenario: b.scenario, point: string(b.point(p)), worlds: b.worlds, reads: b.reads}
 }
 
-// lookups returns the pass's store answers for point p's sites, nil when
-// it made none.
-func (b *memoBatch) lookups(p, sites int) []storage.Found {
-	if b.at[p] < 0 {
-		return nil
-	}
-	return b.found[b.at[p] : b.at[p]+sites]
-}
-
-// beforePass returns spill counters c moved back by the spill work of the
-// pass's lookups of point p, on a traced batch, so that the deltas from c
-// count that work too.
-func (b *memoBatch) beforePass(p int, c storage.SpillCounters) storage.SpillCounters {
-	lo, hi := b.spill[p][0], b.spill[p][1]
-	c.Demoted -= hi.Demoted - lo.Demoted
-	c.Promoted -= hi.Promoted - lo.Promoted
-	c.DemoteNanos -= hi.DemoteNanos - lo.DemoteNanos
-	c.PromoteNanos -= hi.PromoteNanos - lo.PromoteNanos
-	return c
-}
-
 // resize returns s with length n, reusing its storage when it is large
 // enough.
 func resize[T any](s []T, n int) []T {
@@ -321,14 +292,12 @@ func resize[T any](s []T, n int) []T {
 // memoPass answers, before any other point of the batch runs, every point
 // of pts whose memo entry's generations are those its sites' store entries
 // still have, setting out[p] for each. Every point's key is built in one
-// buffer and the entries are found under one memo lock; each entry's sites
-// are looked up under one store lock (storage.Store.LookupBatch, with
-// exactly the effects of one Lookup per site); the cached sites are counted
-// under one engine lock, and the results are carved from slabs. A point
-// with no entry, or whose entry is stale, is left to the per-point
-// pipeline: a stale entry is dropped, and its point reads the sites the
-// pass found from the pass's answers (memoBatch.lookups) and looks up
-// again only those the pass missed.
+// buffer and the entries are found under one memo lock; the generations of
+// every entry's sites are read under one store lock (storage.Store.Gens,
+// which reads no payload); the cached sites are counted under one engine
+// lock, and the results are carved from slabs. A point with no entry, or
+// whose entry is stale, is left to the per-point pipeline; a stale entry
+// is dropped.
 func (ev *Evaluator) memoPass(ctx context.Context, pts []guide.Point, out []*PointResult) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -349,64 +318,41 @@ func (ev *Evaluator) memoPass(ctx context.Context, pts []guide.Point, out []*Poi
 	r.memo.find(b)
 
 	sites := ev.scn.Sites
-	b.at = resize(b.at, len(pts))
 	held := 0
 	for _, e := range b.entries {
 		if e != nil {
 			held++
 		}
 	}
+	if held == 0 {
+		return nil
+	}
 	b.refs = slices.Grow(b.refs[:0], held*len(sites))
-	for p, e := range b.entries {
-		b.at[p] = -1
+	for _, e := range b.entries {
 		if e == nil {
 			continue
 		}
-		b.at[p] = len(b.refs)
 		for si, k := range e.keys {
 			b.refs = append(b.refs, storage.KeyRef{Site: sites[si].ID, Key: k})
 		}
-	}
-	if held == 0 {
-		return nil
 	}
 	if len(sites) > 0 {
 		if err := r.bindSeedBase(ev.opts.SeedBase); err != nil {
 			return err
 		}
 	}
-	b.found = resize(b.found, len(b.refs))
-	before, spilling := r.store.SpillCounters()
-	// On a traced render, each point's spill work becomes its own spill
-	// spans.
-	b.traced = spilling && obs.SpanFrom(ctx) != nil
-	if b.traced {
-		b.spill = resize(b.spill, len(pts))
-	}
-	for p, at := range b.at {
-		if at < 0 {
-			continue
-		}
-		if b.traced {
-			b.spill[p][0], _ = r.store.SpillCounters()
-		}
-		r.store.LookupBatch(b.refs[at:at+len(sites)], b.found[at:at+len(sites)])
-		if b.traced {
-			b.spill[p][1], _ = r.store.SpillCounters()
-		}
-	}
-	if after, _ := r.store.SpillCounters(); after.Promoted != before.Promoted {
-		// A promotion may have evicted, which moves the memo's bound.
-		r.boundMemo()
-	}
+	b.gens = resize(b.gens, len(b.refs))
+	r.store.Gens(b.refs, b.gens)
 
 	var stale []*memoEntry
-	hits, cols := 0, 0
+	hits, cols, at := 0, 0, 0
 	for p, e := range b.entries {
 		if e == nil {
 			continue
 		}
-		if !sameGens(b.lookups(p, len(sites)), e.gens) {
+		now := b.gens[at : at+len(sites)]
+		at += len(sites)
+		if !slices.Equal(now, e.gens) {
 			stale = append(stale, e)
 			b.entries[p] = nil
 			continue
@@ -446,21 +392,10 @@ func (ev *Evaluator) memoPass(ctx context.Context, pts []guide.Point, out []*Poi
 	return nil
 }
 
-// sameGens reports whether every lookup hit at the generation gens names.
-func sameGens(found []storage.Found, gens []uint64) bool {
-	for i, f := range found {
-		if !f.OK || f.Gen != gens[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// traceHit records memo hit p's spans under parent, the shape its
+// traceHit records a memo hit's spans under parent, the shape its
 // per-point evaluation had: a point span marked memo_hit over a simulate
-// span that counts the cached sites and notes the spill work of their
-// lookups.
-func (ev *Evaluator) traceHit(parent *obs.Span, p int) {
+// span that counts the cached sites.
+func (ev *Evaluator) traceHit(parent *obs.Span) {
 	if parent == nil {
 		return
 	}
@@ -470,9 +405,6 @@ func (ev *Evaluator) traceHit(parent *obs.Span, p int) {
 	ssp.SetInt("sites", n)
 	if n > 0 {
 		ssp.SetInt(outcomeKeys[CachedExact], n)
-	}
-	if ev.batch.traced {
-		noteSpillDeltas(ssp, ev.batch.spill[p][0], ev.batch.spill[p][1])
 	}
 	ssp.End()
 	psp.SetInt("memo_hit", 1)

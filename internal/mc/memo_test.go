@@ -375,8 +375,11 @@ func TestPointMemoInvalidation(t *testing.T) {
 				t.Fatalf("site %s = %v, want cached (served from the spill tier)", site, kind)
 			}
 		}
-		if reuse.StoreStats().Promoted == before {
-			t.Fatal("no basis was promoted from the spill tier")
+		if d := reuse.StoreStats().Promoted - before; d != 0 {
+			t.Fatalf("the memo hit promoted %d bases from the spill tier, want 0", d)
+		}
+		if promotions(t, reuse, pointKeys(t, ev, pt)) == 0 {
+			t.Fatal("none of the point's bases was in the spill tier alone")
 		}
 	})
 
@@ -528,13 +531,14 @@ func TestPointMemoBounded(t *testing.T) {
 		if memo, ram := reuse.memo.size(), reuse.StoreStats().UsedBytes; memo <= ram {
 			t.Fatalf("memo holds %d bytes, the RAM tier %d: too small a working set to test the bound", memo, ram)
 		}
+		before := reuse.StoreStats()
 		for _, pt := range points {
 			if _, hit := evalTraced(t, ev, pt); !hit {
 				t.Fatalf("point %v: recomputed, want a memo hit through the spill tier", pt)
 			}
 		}
-		if st := reuse.StoreStats(); st.Promoted == 0 {
-			t.Fatalf("no basis was promoted from the spill tier: %+v", st)
+		if st := reuse.StoreStats(); st.Promoted != before.Promoted {
+			t.Fatalf("the memo hits promoted %d bases from the spill tier, want 0: %+v", st.Promoted-before.Promoted, st)
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -430,110 +431,159 @@ func TestSpilledGensBounded(t *testing.T) {
 	}
 }
 
-// TestLookupBatchMatchesLookup: LookupBatch answers and acts as the same
-// Lookups made one by one. Two stores are driven alike, one through each;
-// they agree on every answer and generation, every counter and the LRU
-// order, through RAM hits, misses, repeated refs, evictions, promotions
-// and quarantined spill files.
-func TestLookupBatchMatchesLookup(t *testing.T) {
+// TestGensMatchLookup: Gens reads the generation each key holds: exactly
+// the one a Lookup made right after it returns, or 0 where that Lookup
+// misses or assigns a new generation. It changes no counter and no tier:
+// only a RAM-resident entry is touched, becoming the most recently used.
+// A spill file corrupted since its demotion is the one difference: Gens,
+// which reads no payload, returns the generation it was written under,
+// and the Lookup after it quarantines the file and misses.
+func TestGensMatchLookup(t *testing.T) {
 	perEntry := (&Entry{Site: "s", Key: "k00", Samples: make([]float64, 100)}).bytes()
-	for _, tc := range []struct {
-		name  string
-		spill bool
-	}{{"RAM only", false}, {"spill tier", true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			var dirs [2]string
-			var stores [2]*Store
-			for i := range stores {
-				opts := Options{BudgetBytes: 3*perEntry + 10}
-				if tc.spill {
-					dirs[i] = t.TempDir()
-					opts.SpillDir = dirs[i]
-				}
-				s, err := Open(opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { s.Close() })
-				stores[i] = s
-			}
-			batch, seq := stores[0], stores[1]
-			put := func(keys ...int) {
-				for _, k := range keys {
-					for _, s := range stores {
-						s.Put("s", fmt.Sprintf("k%02d", k), spillVec(float64(k)))
-					}
-				}
-			}
-			lookup := func(label string, keys ...int) {
-				t.Helper()
-				refs := make([]KeyRef, len(keys))
-				for i, k := range keys {
-					refs[i] = KeyRef{Site: "s", Key: fmt.Sprintf("k%02d", k)}
-				}
-				out := make([]Found, len(refs))
-				batch.LookupBatch(refs, out)
-				for i, ref := range refs {
-					samples, gen, ok := seq.Lookup(ref.Site, ref.Key)
-					got := out[i]
-					if got.OK != ok || got.Gen != gen || len(got.Samples) != len(samples) {
-						t.Fatalf("%s: ref %d (%s): batch = ok %v gen %d len %d, Lookup = ok %v gen %d len %d",
-							label, i, ref.Key, got.OK, got.Gen, len(got.Samples), ok, gen, len(samples))
-					}
-					for j := range samples {
-						if got.Samples[j] != samples[j] {
-							t.Fatalf("%s: ref %d (%s) sample %d = %v, want %v", label, i, ref.Key, j, got.Samples[j], samples[j])
-						}
-					}
-				}
-				bs, ss := batch.Stats(), seq.Stats()
-				bs.DemoteNanos, bs.PromoteNanos, ss.DemoteNanos, ss.PromoteNanos = 0, 0, 0, 0
-				if bs != ss {
-					t.Fatalf("%s: batch store stats %+v, sequential %+v", label, bs, ss)
-				}
-				var order [2][]string
-				for i, s := range stores {
-					for _, e := range s.Snapshot() {
-						order[i] = append(order[i], e.Key)
-					}
-				}
-				if fmt.Sprint(order[0]) != fmt.Sprint(order[1]) {
-					t.Fatalf("%s: batch store LRU order %v, sequential %v", label, order[0], order[1])
-				}
-			}
+	// open opens a store over dir whose RAM tier fits two entries; spillFiles
+	// > 0 bounds the spill tier to that many column files.
+	open := func(t *testing.T, dir string, spillFiles int64) *Store {
+		t.Helper()
+		s, err := Open(Options{
+			BudgetBytes:      2*perEntry + 10,
+			SpillDir:         dir,
+			SpillBudgetBytes: spillFiles * (4096 + 100*8),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	}
+	put := func(s *Store, keys ...int) {
+		for _, k := range keys {
+			s.Put("s", fmt.Sprintf("k%02d", k), spillVec(float64(k)))
+		}
+	}
+	lru := func(s *Store) []string {
+		var keys []string
+		for el := s.order.Front(); el != nil; el = el.Next() {
+			keys = append(keys, el.Value.(*Entry).Key)
+		}
+		return keys
+	}
 
-			put(0, 1, 2, 3, 4, 5)
-			// Hits, misses and repeats; on the spill tier k00..k02 are
-			// promoted, each displacing a resident entry.
-			lookup("first", 0, 9, 1, 1, 5, 2, 0, 4)
-			put(1, 6)
-			lookup("after puts", 6, 3, 1, 2, 3, 9, 0)
-			if st := batch.Stats(); st.Hits == 0 || st.Misses == 0 || tc.spill && st.Promoted == 0 {
-				t.Fatalf("the lookups hit, missed and promoted too little to compare: %+v", st)
+	for _, tc := range []struct {
+		name string
+		// store returns a store in the state to read k00 in.
+		store func(t *testing.T, dir string) *Store
+		// want is how k00's Lookup after the read answers: "kept" a hit at
+		// a generation already assigned, "new" a hit at a new one, "miss".
+		want string
+	}{
+		{"RAM-resident", func(t *testing.T, dir string) *Store {
+			s := open(t, dir, 0)
+			put(s, 0, 1)
+			return s
+		}, "kept"},
+		{"spilled with a kept generation", func(t *testing.T, dir string) *Store {
+			s := open(t, dir, 0)
+			put(s, 0, 1, 2)
+			return s
+		}, "kept"},
+		{"dropped by the spill budget", func(t *testing.T, dir string) *Store {
+			// A tier of one file: spilling k01 drops k00's file.
+			s := open(t, dir, 1)
+			put(s, 0, 1, 2, 3)
+			return s
+		}, "miss"},
+		{"replaced by Put", func(t *testing.T, dir string) *Store {
+			s := open(t, dir, 0)
+			put(s, 0, 1, 2, 0)
+			return s
+		}, "kept"},
+		{"replaced by Put while spilled", func(t *testing.T, dir string) *Store {
+			s := open(t, dir, 0)
+			put(s, 0, 1, 2, 0, 3, 4)
+			return s
+		}, "kept"},
+		{"never stored", func(t *testing.T, dir string) *Store {
+			s := open(t, dir, 0)
+			put(s, 1, 2, 3)
+			return s
+		}, "miss"},
+		{"reopened tier", func(t *testing.T, dir string) *Store {
+			s := open(t, dir, 0)
+			put(s, 0, 1, 2)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
 			}
-			if !tc.spill {
-				return
+			re := open(t, dir, 0)
+			// The reopened store counts generations from 1 again: a few
+			// entries first, so k00's old generation is assigned again.
+			put(re, 3, 4, 5, 6)
+			return re
+		}, "new"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.store(t, filepath.Join(t.TempDir(), "spill"))
+			ref := KeyRef{Site: "s", Key: "k00"}
+			before, order := s.Stats(), lru(s)
+			gens := []uint64{^uint64(0)}
+			s.Gens([]KeyRef{ref}, gens)
+			if after := s.Stats(); after != before {
+				t.Fatalf("Gens moved the store's stats %+v -> %+v", before, after)
 			}
-			// Fresh demotions write files nothing has mapped yet; flipping
-			// their last byte quarantines them on first promotion.
-			var before [2]map[string]bool
-			for i, dir := range dirs {
-				before[i] = colFiles(t, dir)
+			// A resident k00 moves to the front, as a Lookup would move it.
+			if i := slices.Index(order, "k00"); i >= 0 {
+				order = append(append([]string{"k00"}, order[:i]...), order[i+1:]...)
 			}
-			put(10, 11, 12, 13, 14)
-			for i, dir := range dirs {
-				for f := range colFiles(t, dir) {
-					if !before[i][f] {
-						flipLast(t, filepath.Join(dir, f))
-					}
-				}
+			if got := lru(s); !slices.Equal(got, order) {
+				t.Fatalf("RAM tier LRU order %v after Gens, want %v", got, order)
 			}
-			lookup("quarantined", 10, 12, 14, 10, 3)
-			if q := batch.Stats().Quarantined; q == 0 {
-				t.Fatal("no spill file was quarantined")
+			last := s.gen
+			_, g, ok := s.Lookup(ref.Site, ref.Key)
+			got := "miss"
+			if ok && g > last {
+				got = "new"
+			} else if ok {
+				got = "kept"
+			}
+			if got != tc.want {
+				t.Fatalf("the Lookup after Gens: %s (gen %d, last assigned %d), want %s", got, g, last, tc.want)
+			}
+			want := g
+			if got != "kept" {
+				want = 0
+			}
+			if gens[0] != want {
+				t.Fatalf("Gens = %d, the Lookup after it %s at %d: want %d", gens[0], got, g, want)
 			}
 		})
 	}
+
+	t.Run("quarantined", func(t *testing.T) {
+		dir := filepath.Join(t.TempDir(), "spill")
+		s := open(t, dir, 0)
+		put(s, 0)
+		_, g0, _ := s.Lookup("s", "k00")
+		put(s, 1, 2)
+		files := colFiles(t, dir)
+		if len(files) != 1 {
+			t.Fatalf("spill files %v, want k00's alone", files)
+		}
+		for f := range files {
+			flipLast(t, filepath.Join(dir, f))
+		}
+		before := s.Stats()
+		gens := make([]uint64, 1)
+		s.Gens([]KeyRef{{Site: "s", Key: "k00"}}, gens)
+		if after := s.Stats(); after != before || gens[0] != g0 {
+			t.Fatalf("Gens over a corrupted spill file = %d, stats %+v -> %+v; want %d and no change", gens[0], before, after, g0)
+		}
+		if _, g, ok := s.Lookup("s", "k00"); ok || g != 0 || s.Stats().Quarantined != 1 {
+			t.Fatalf("the Lookup after Gens = gen %d, ok %v, %d quarantined; want a miss quarantining the file", g, ok, s.Stats().Quarantined)
+		}
+		s.Gens([]KeyRef{{Site: "s", Key: "k00"}}, gens)
+		if gens[0] != 0 {
+			t.Fatalf("Gens after quarantine = %d, want 0", gens[0])
+		}
+	})
 }
 
 // colFiles returns the names of the column files in dir.

@@ -240,25 +240,26 @@ func (s *Store) Lookup(site, key string) ([]float64, uint64, bool) {
 	return s.lookupLocked(site, key)
 }
 
-// Found is one lookup's answer: a hit's samples and generation, or OK
-// false for a miss.
-type Found struct {
-	Samples []float64
-	Gen     uint64
-	OK      bool
-}
-
-// LookupBatch answers refs in order, ref i into out[i] (out is at least as
-// long as refs), under one acquisition of the store lock. Each ref has
-// exactly the effects of its own Lookup: the hit or miss count, the LRU
-// touch, and a spilled basis's promotion, a quarantined one counting as a
-// miss.
-func (s *Store) LookupBatch(refs []KeyRef, out []Found) {
+// Gens reads, under one acquisition of the store lock, the generation each
+// ref's key holds now into out[i] (out is at least as long as refs): a
+// RAM-resident entry's, which it also marks recently used as a Lookup
+// would; for a basis out of RAM whose spill file the tier still holds, the
+// generation its promotion would restore; 0 for any other key. It reads
+// no payload: it counts no hit or miss, maps no file and promotes nothing.
+// So where a Lookup made right after it would quarantine the spill file,
+// Gens still returns the generation the file was written under.
+func (s *Store) Gens(refs []KeyRef, out []uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	var buf [64]byte
 	for i, ref := range refs {
-		f := &out[i]
-		f.Samples, f.Gen, f.OK = s.lookupLocked(ref.Site, ref.Key)
+		out[i] = 0
+		if el, ok := s.index[string(appendCompositeKey(buf[:0], ref.Site, ref.Key))]; ok {
+			s.order.MoveToFront(el)
+			out[i] = el.Value.(*Entry).gen
+		} else if gen, kept := s.spilledGens[ref]; kept && s.spill.Contains(ref.Site, ref.Key) {
+			out[i] = gen
+		}
 	}
 }
 
