@@ -1,14 +1,13 @@
-// Package colstore is the out-of-core tier of the Storage Manager: a
-// memory-mapped file format for float64 basis vectors plus a
-// directory-level spill tier (Tier) that the in-RAM basis store demotes
-// cold entries into and faults them back from.
+// Package colstore is the out-of-core tier of the Storage Manager: a file
+// format for float64 basis vectors plus a directory-level spill tier (Tier)
+// that the in-RAM basis store demotes cold entries into and reads them back
+// from.
 //
-// One basis lives in one file: a page-aligned header (magic, kind, length,
-// section sizes, CRC-32C checksums) followed by the value section. Values
-// are little-endian IEEE-754 bits, so on little-endian hosts a mapped file
-// serves a zero-copy []float64 view that the reuse remapper and the SQL
-// engine's plan run over directly — the page cache, not the Go heap, holds
-// cold bases.
+// One basis lives in one file: a page-sized header (magic, kind, length,
+// section sizes, CRC-32C checksums) followed by the value section, the
+// values' little-endian IEEE-754 bits. Every read checks the header and the
+// payload CRC, then copies the values into a fresh heap slice that the
+// caller owns.
 //
 // Crash safety: files are written to a temp name, fsynced and published
 // under their final name, so a reader never observes a torn file there;
@@ -22,14 +21,13 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"unsafe"
 )
 
 // File format constants.
 const (
-	// headerSize is one page: the value section starts page-aligned, which
-	// both keeps mapped []float64 casts 8-byte aligned and lets the value
-	// section start on its own page of the OS page cache.
+	// headerSize is one page: the value section starts at byte 4096.
+	// TestFormatLayout pins it, so spill directories written earlier stay
+	// readable.
 	headerSize = 4096
 	// magic identifies a colstore column file, version 1.
 	magic = "FPCOL001"
@@ -56,14 +54,6 @@ const (
 // castagnoli is the CRC-32C table (the iSCSI polynomial, hardware-
 // accelerated on amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// hostLittleEndian reports whether the host's native byte order matches
-// the on-disk little-endian format — when true, mapped value sections are
-// served as zero-copy []float64 slices.
-var hostLittleEndian = func() bool {
-	var x uint16 = 1
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}()
 
 // header is the decoded fixed header.
 type header struct {
@@ -120,12 +110,27 @@ func parseHeader(data []byte) (header, error) {
 	return h, nil
 }
 
-// verifyPayload checks the payload CRC of a parsed file image.
-func verifyPayload(h header, data []byte) error {
-	if got := crc32.Checksum(data[headerSize:], castagnoli); got != h.payloadCRC {
-		return fmt.Errorf("colstore: payload CRC mismatch (got %08x, want %08x)", got, h.payloadCRC)
+// decode verifies a full column-file image and returns its values in a
+// fresh slice. It makes every check a read of a spill file makes: the
+// header's (parseHeader), the payload CRC and, when payloadCRC is nonzero,
+// that the image's payload CRC is the one its writer recorded, so a file
+// another writer published under the same name is refused.
+func decode(data []byte, payloadCRC uint32) ([]float64, error) {
+	h, err := parseHeader(data)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	if got := crc32.Checksum(data[headerSize:], castagnoli); got != h.payloadCRC {
+		return nil, fmt.Errorf("colstore: payload CRC mismatch (got %08x, want %08x)", got, h.payloadCRC)
+	}
+	if payloadCRC != 0 && h.payloadCRC != payloadCRC {
+		return nil, fmt.Errorf("colstore: payload CRC %08x, want the recorded %08x", h.payloadCRC, payloadCRC)
+	}
+	values := make([]float64, h.length)
+	for i := range values {
+		values[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[headerSize+8*i:]))
+	}
+	return values, nil
 }
 
 // Encode serializes the values into the file-format byte image (header +
@@ -142,14 +147,4 @@ func Encode(values []float64) []byte {
 	binary.LittleEndian.PutUint32(buf[offPayloadCRC:], crc32.Checksum(buf[headerSize:], castagnoli))
 	binary.LittleEndian.PutUint32(buf[offHeaderCRC:], crc32.Checksum(buf[:offHeaderCRC], castagnoli))
 	return buf
-}
-
-// decodeValues converts n little-endian values to a fresh slice: the
-// mapped read path of big-endian hosts.
-func decodeValues(values []byte, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(values[i*8:]))
-	}
-	return out
 }

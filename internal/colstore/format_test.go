@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -54,19 +53,6 @@ func readFixture(tb testing.TB, path string) []byte {
 	return data
 }
 
-// decode reads a full file image into a fresh slice, making the checks
-// OpenMapped makes.
-func decode(data []byte) ([]float64, error) {
-	h, err := parseHeader(data)
-	if err == nil {
-		err = verifyPayload(h, data)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return decodeValues(data[headerSize:], h.length), nil
-}
-
 // assertBitsEqual fails unless got and want hold the same IEEE-754 bits.
 func assertBitsEqual(t *testing.T, want, got []float64) {
 	t.Helper()
@@ -83,7 +69,7 @@ func assertBitsEqual(t *testing.T, want, got []float64) {
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for i, v := range sampleVectors() {
 		data := Encode(v)
-		got, err := decode(data)
+		got, err := decode(data, 0)
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
@@ -116,37 +102,26 @@ func TestFormatLayout(t *testing.T) {
 
 // TestFixtureFloat64Image: spill files written before the format was
 // narrowed reopen unchanged. Encode reproduces the committed image byte
-// for byte, and both decode and a mapping read it back bit-exactly.
+// for byte, and decode reads it back bit-exactly.
 func TestFixtureFloat64Image(t *testing.T) {
 	data := readFixture(t, fixtureFloat64)
 	want := fixtureFloats()
 	if !bytes.Equal(Encode(want), data) {
 		t.Fatal("Encode does not reproduce the float64 fixture image")
 	}
-	got, err := decode(data)
+	got, err := decode(data, binary.LittleEndian.Uint32(data[offPayloadCRC:]))
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertBitsEqual(t, want, got)
-
-	m, err := OpenMapped(fixtureFloat64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	assertBitsEqual(t, want, m.Float64s())
 }
 
 // TestFixtureNonFloatImagesRejected: valid images of the retired int64 and
-// string kinds fail both decode and OpenMapped.
+// string kinds fail decode.
 func TestFixtureNonFloatImagesRejected(t *testing.T) {
 	for _, path := range []string{fixtureInt64, fixtureString} {
-		if _, err := decode(readFixture(t, path)); err == nil {
+		if _, err := decode(readFixture(t, path), 0); err == nil {
 			t.Errorf("%s: decode accepted a non-float64 image", path)
-		}
-		if m, err := OpenMapped(path); err == nil {
-			m.Close()
-			t.Errorf("%s: OpenMapped accepted a non-float64 image", path)
 		}
 	}
 }
@@ -176,75 +151,34 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	for name, corrupt := range cases {
 		bad := append([]byte(nil), data...)
 		corrupt(bad)
-		if _, err := decode(bad); err == nil {
+		if _, err := decode(bad, 0); err == nil {
 			t.Errorf("%s: corruption not detected", name)
 		}
 	}
 	// Truncation at every section boundary and mid-payload.
 	for _, n := range []int{0, 7, headerSize - 1, headerSize, headerSize + 9, len(data) - 1} {
-		if _, err := decode(data[:n]); err == nil {
+		if _, err := decode(data[:n], 0); err == nil {
 			t.Errorf("truncation to %d bytes not detected", n)
 		}
 	}
 }
 
-// writeColumn encodes values into a new file at path.
-func writeColumn(t *testing.T, path string, values []float64) {
-	t.Helper()
-	if err := os.WriteFile(path, Encode(values), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMappedZeroCopyViews(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "c.col")
-	want := []float64{0.5, -1.5, 42, math.SmallestNonzeroFloat64}
-	writeColumn(t, path, want)
-	m, err := OpenMapped(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	got := m.Float64s()
-	if len(got) != len(want) {
-		t.Fatalf("len = %d", len(got))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("mapped[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	// The view survives unlinking the file (pages are referenced).
-	if err := os.Remove(path); err != nil {
-		t.Fatal(err)
-	}
-	if got[2] != 42 {
-		t.Fatal("view invalid after unlink")
-	}
-}
-
-func TestOpenMappedRejectsTornFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "c.col")
-	writeColumn(t, path, make([]float64, 1024))
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Truncate mid-payload: the header describes more bytes than exist.
-	if err := os.WriteFile(path, data[:headerSize+100], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenMapped(path); err == nil {
+// TestDecodeRejectsTornFile: a file cut short mid-payload, one with a
+// flipped payload bit at full length, and an intact file whose payload CRC
+// is not the one its writer recorded all fail decode.
+func TestDecodeRejectsTornFile(t *testing.T) {
+	data := Encode(make([]float64, 1024))
+	crc := binary.LittleEndian.Uint32(data[offPayloadCRC:])
+	// Truncated mid-payload: the header describes more bytes than exist.
+	if _, err := decode(data[:headerSize+100], crc); err == nil {
 		t.Fatal("torn file not rejected")
+	}
+	if _, err := decode(data, crc^1); err == nil {
+		t.Fatal("file with another writer's payload CRC not rejected")
 	}
 	// Bit flip mid-payload at full length: caught by the payload CRC.
 	data[headerSize+512] ^= 0x10
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenMapped(path); err == nil {
+	if _, err := decode(data, crc); err == nil {
 		t.Fatal("payload corruption not rejected")
 	}
 }

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// FuzzColumnCodec fuzzes the column-file checks (the ones OpenMapped
-// makes) with arbitrary byte images: decode must never panic or
+// FuzzColumnCodec fuzzes the column-file checks (the ones every spill
+// read makes) with arbitrary byte images: decode must never panic or
 // over-allocate, and any image it accepts must round-trip canonically
 // (re-encoding the decoded values reproduces the accepted bytes exactly —
 // there is exactly one valid image of any float64 column) and bit-exactly. The corpus is seeded with
@@ -36,7 +36,7 @@ func FuzzColumnCodec(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0}, headerSize))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		v, err := decode(data)
+		v, err := decode(data, 0)
 		if err != nil {
 			return // rejected: fine, as long as it did not panic
 		}
@@ -44,7 +44,7 @@ func FuzzColumnCodec(f *testing.F) {
 		if !bytes.Equal(re, data) {
 			t.Fatalf("codec not canonical: accepted %d bytes, re-encoded to %d different bytes", len(data), len(re))
 		}
-		v2, err := decode(re)
+		v2, err := decode(re, 0)
 		if err != nil {
 			t.Fatalf("re-encoded column failed to decode: %v", err)
 		}

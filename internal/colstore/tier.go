@@ -2,8 +2,10 @@ package colstore
 
 import (
 	"container/list"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -31,15 +33,15 @@ type manifestEntry struct {
 	// File is the column file's name within the tier directory.
 	File string `json:"file"`
 	// Bytes is the expected file size — a cheap truncation check at reopen,
-	// ahead of the CRC verification at first map.
+	// ahead of the CRC verification at every read.
 	Bytes int64 `json:"bytes"`
 	// Length is the stored value count.
 	Length int `json:"length"`
-	// PayloadCRC is the payload CRC-32C of the file this tier wrote. The
-	// first map checks it against the file's header, so a file that
-	// another tier on the same directory swept as an orphan and then
-	// reused the name of is never served as this entry. Zero in manifests
-	// written before it was recorded: those entries skip the check.
+	// PayloadCRC is the payload CRC-32C of the file this tier wrote. Every
+	// read checks it against the file's header, so a file that another
+	// tier on the same directory swept as an orphan and then reused the
+	// name of is never served as this entry. Zero in manifests written
+	// before it was recorded: those entries skip the check.
 	PayloadCRC uint32 `json:"payload_crc,omitempty"`
 }
 
@@ -54,7 +56,6 @@ type manifest struct {
 type tierEntry struct {
 	manifestEntry
 	el *list.Element // position in the tier LRU
-	m  *Mapped       // open mapping, nil until first Get
 }
 
 // TierStats is a snapshot of a tier's occupancy.
@@ -70,9 +71,7 @@ type TierStats struct {
 
 // Tier is a directory of column files addressed by (site, key): the
 // out-of-core half of the Storage Manager. All methods are safe for
-// concurrent use. Zero-copy views returned by Get stay valid until Close —
-// evicting or replacing an entry retires its mapping instead of unmapping
-// it, so long-lived readers (a plan mid-render) never fault.
+// concurrent use.
 type Tier struct {
 	dir    string
 	budget int64
@@ -82,7 +81,6 @@ type Tier struct {
 	order   *list.List            // front = most recently used
 	bytes   int64
 	seq     uint64
-	retired []*Mapped // mappings kept alive for outstanding views
 	// quarantined counts files renamed aside (TierStats.Quarantined).
 	quarantined int64
 	closed      bool
@@ -98,7 +96,7 @@ func compositeKey(site, key string) string {
 // manifest entries whose file is missing are dropped, entries whose file
 // size disagrees with the manifest are quarantined, temp files from
 // interrupted writes and orphan column files (written but never recorded)
-// are removed. Payload CRCs are verified lazily, at first map.
+// are removed. Payload CRCs are verified at every read.
 func OpenTier(dir string, budgetBytes int64) (*Tier, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("colstore: spill dir: %w", err)
@@ -200,16 +198,11 @@ func (t *Tier) quarantineLocked(file string) {
 	t.quarantined++
 }
 
-// removeLocked drops an entry: the file is unlinked, an open mapping is
-// retired (views stay valid until Close), and the byte count shrinks.
+// removeLocked drops an entry, unlinking its file when unlink is set.
 func (t *Tier) removeLocked(e *tierEntry, unlink bool) {
 	t.order.Remove(e.el)
 	delete(t.entries, compositeKey(e.Site, e.Key))
 	t.bytes -= e.Bytes
-	if e.m != nil {
-		t.retired = append(t.retired, e.m)
-		e.m = nil
-	}
 	if unlink {
 		os.Remove(filepath.Join(t.dir, e.File))
 	}
@@ -227,8 +220,7 @@ func (t *Tier) removeLocked(e *tierEntry, unlink bool) {
 // cost durability, but its files are never overwritten with another key's
 // samples. A tier opened while this one is between publishing a file and
 // saving its manifest sweeps that file as an orphan and may reuse its
-// name; the entry's recorded payload CRC makes the first Get refuse such a
-// file.
+// name; the entry's recorded payload CRC makes Get refuse such a file.
 func (t *Tier) Put(site, key string, samples []float64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -281,13 +273,12 @@ func (t *Tier) Put(site, key string, samples []float64) error {
 	return t.saveManifestLocked()
 }
 
-// Get returns the spilled basis for (site, key) as a zero-copy view of the
-// mapped file (little-endian hosts; a verified copy elsewhere). The first
-// Get of an entry maps and verifies its file (header, float64 kind, CRCs),
-// and checks the payload CRC against the one Put recorded; either failure
-// quarantines the file and reports a miss, so a corrupt, non-float64 or
-// foreign spill degrades to re-simulation, never to garbage or another
-// key's samples. The view is read-only and valid until Close.
+// Get reads the spilled basis for (site, key) into a fresh slice the
+// caller owns. Every Get verifies the file (size, header, float64 kind,
+// CRCs) and checks its payload CRC against the one Put recorded; either
+// failure quarantines the file and reports a miss, so a corrupt,
+// non-float64 or foreign spill degrades to re-simulation, never to garbage
+// or another key's samples.
 func (t *Tier) Get(site, key string) ([]float64, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -295,25 +286,32 @@ func (t *Tier) Get(site, key string) ([]float64, bool) {
 	if !ok || t.closed {
 		return nil, false
 	}
-	if e.m == nil {
-		m, err := OpenMapped(filepath.Join(t.dir, e.File))
-		foreign := err == nil && e.PayloadCRC != 0 && m.h.payloadCRC != e.PayloadCRC
-		if foreign {
-			m.Close()
+	var values []float64
+	f, err := os.Open(filepath.Join(t.dir, e.File))
+	if err == nil {
+		// One read asks for a byte past the size Put recorded, so a file
+		// grown since comes back at a length no image has (headerSize plus
+		// a multiple of 8 bytes). decode refuses that, and a shrunk file,
+		// by the length its header describes.
+		data := make([]byte, e.Bytes+1)
+		var n int
+		n, err = f.ReadAt(data, 0)
+		f.Close()
+		if err == nil || err == io.EOF {
+			values, err = decode(data[:n], e.PayloadCRC)
 		}
-		if err != nil || foreign {
-			t.quarantineLocked(e.File)
-			t.removeLocked(e, false)
-			t.saveManifestLocked()
-			return nil, false
-		}
-		e.m = m
+	}
+	if err != nil {
+		t.quarantineLocked(e.File)
+		t.removeLocked(e, false)
+		t.saveManifestLocked()
+		return nil, false
 	}
 	t.order.MoveToFront(e.el)
-	return e.m.Float64s(), true
+	return values, true
 }
 
-// Contains reports whether (site, key) is spilled, without mapping it or
+// Contains reports whether (site, key) is spilled, without reading it or
 // touching LRU order.
 func (t *Tier) Contains(site, key string) bool {
 	t.mu.Lock()
@@ -357,8 +355,7 @@ func (t *Tier) Stats() TierStats {
 	return TierStats{Entries: t.order.Len(), Bytes: t.bytes, Budget: t.budget, Quarantined: t.quarantined}
 }
 
-// Close releases every mapping (live and retired) and flushes the
-// manifest. Views handed out by Get become invalid.
+// Close flushes the manifest; later calls to the tier miss or fail.
 func (t *Tier) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -366,24 +363,28 @@ func (t *Tier) Close() error {
 		return nil
 	}
 	t.closed = true
-	var first error
-	for el := t.order.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*tierEntry)
-		if e.m != nil {
-			if err := e.m.Close(); err != nil && first == nil {
-				first = err
-			}
-			e.m = nil
-		}
+	return t.saveManifestLocked()
+}
+
+// writeTemp encodes the values into a fsynced temp file beside path and
+// returns the temp file's name and the image's payload CRC-32C; the caller
+// publishes and removes the file.
+func writeTemp(path string, values []float64) (string, uint32, error) {
+	data := Encode(values)
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return "", 0, fmt.Errorf("colstore: temp file: %w", err)
 	}
-	for _, m := range t.retired {
-		if err := m.Close(); err != nil && first == nil {
-			first = err
-		}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	t.retired = nil
-	if err := t.saveManifestLocked(); err != nil && first == nil {
-		first = err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	return first
+	if err != nil {
+		os.Remove(tmp.Name())
+		return "", 0, fmt.Errorf("colstore: writing %s: %w", path, err)
+	}
+	return tmp.Name(), binary.LittleEndian.Uint32(data[offPayloadCRC:]), nil
 }

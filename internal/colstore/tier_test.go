@@ -338,6 +338,94 @@ func TestTierReplaceKeepsOldViewsValid(t *testing.T) {
 	}
 }
 
+// TestTierVerifiesEveryRead: a file whose bytes change after a Get has
+// read it is refused by the next Get. The check is not made once per file:
+// every read verifies the CRCs and the size.
+func TestTierVerifiesEveryRead(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		spoil func(t *testing.T, dir, key string) string
+	}{
+		{"payload bit flipped", corruptOneEntry},
+		{"byte appended", func(t *testing.T, dir, key string) string {
+			name := fileForKey(t, dir, key)
+			f, err := os.OpenFile(filepath.Join(dir, name), os.O_APPEND|os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = f.Write([]byte{0})
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return name
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			tier, err := OpenTier(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tier.Close()
+			mustPut(t, tier, "S", "k", vec(1, 64))
+			if _, ok := tier.Get("S", "k"); !ok {
+				t.Fatal("Get missed a just-spilled key")
+			}
+			name := tc.spoil(t, dir, "k")
+			if got, ok := tier.Get("S", "k"); ok {
+				t.Fatalf("a file changed after its first read was served: %v", got[:4])
+			}
+			if q := tier.Stats().Quarantined; q != 1 {
+				t.Fatalf("quarantined = %d, want 1", q)
+			}
+			if _, err := os.Stat(filepath.Join(dir, name+quarantineSuffix)); err != nil {
+				t.Fatalf("quarantine file missing: %v", err)
+			}
+		})
+	}
+}
+
+// TestTierDropsReleaseFiles: a file the spill budget drops leaves nothing of
+// itself open in the process. 200 Put+Get pairs under a budget of five
+// files leave no line of /proc/self/maps naming a file of the tier.
+func TestTierDropsReleaseFiles(t *testing.T) {
+	if _, err := os.ReadFile("/proc/self/maps"); err != nil {
+		t.Skipf("no /proc/self/maps: %v", err)
+	}
+	dir := t.TempDir()
+	tier, err := OpenTier(dir, 5*(headerSize+8*64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tier.Close()
+	for i := 0; i < 200; i++ {
+		key := fmt.Sprintf("(%d)", i)
+		mustPut(t, tier, "S", key, vec(float64(i), 64))
+		if _, ok := tier.Get("S", key); !ok {
+			t.Fatalf("Get missed %s", key)
+		}
+	}
+	if n := tier.Len(); n != 5 {
+		t.Fatalf("tier holds %d entries, want 5", n)
+	}
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held []string
+	for _, line := range strings.Split(string(maps), "\n") {
+		if strings.Contains(line, dir) {
+			held = append(held, line)
+		}
+	}
+	if len(held) > 0 {
+		t.Fatalf("%d mappings of tier files remain, e.g. %s", len(held), held[0])
+	}
+}
+
 // corruptOneEntry flips a payload bit in the file backing (S, key) and
 // returns its file name.
 func corruptOneEntry(t *testing.T, dir, key string) string {

@@ -141,9 +141,9 @@ type Reuse struct {
 
 // NewReuse returns a reuse engine with the given fingerprint configuration
 // and basis-store options. With storeOpts.SpillDir set, the basis store
-// spills evicted bases to memory-mapped column files and faults them back
-// on demand, so the working set may exceed the RAM budget without falling
-// back to re-simulation.
+// spills evicted bases to column files and reads them back on demand, so
+// the working set may exceed the RAM budget without falling back to
+// re-simulation.
 func NewReuse(cfg core.Config, storeOpts storage.Options) (*Reuse, error) {
 	ix, err := core.NewIndex(cfg)
 	if err != nil {
@@ -162,10 +162,8 @@ func NewReuse(cfg core.Config, storeOpts storage.Options) (*Reuse, error) {
 	}, nil
 }
 
-// Close releases the basis store's spill tier (mapped files, manifest).
-// Sample slices previously returned by evaluations may reference mapped
-// memory, so Close only after in-flight renders finish. A no-op for
-// RAM-only stores.
+// Close flushes the basis store's spill manifest; later evaluations find
+// only the RAM tier. A no-op for RAM-only stores.
 func (r *Reuse) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()

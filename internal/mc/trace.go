@@ -42,7 +42,7 @@ func recordOutcomes(sp *obs.Span, outcomes map[string]ReuseKind) {
 
 // noteSpillDeltas reports spill-tier work that happened between two reads
 // of the store's spill counters as synthetic completed child spans,
-// attributing demotion (eviction writes) and promotion (mapped fault-backs)
+// attributing demotion (eviction writes) and promotion (reads back from disk)
 // time to the stage that triggered it.
 func noteSpillDeltas(sp *obs.Span, before, after storage.SpillCounters) {
 	if sp == nil {

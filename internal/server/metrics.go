@@ -268,7 +268,7 @@ func (m *metrics) writeTo(w io.Writer, s *Server, now time.Time) {
 
 	// Out-of-core spill tier (all zero without -spill-dir).
 	gauge("fpserver_spill_demotions", "Bases demoted to spill-tier column files on eviction.", demoted)
-	gauge("fpserver_spill_promotions", "Bases faulted back from the spill tier as mapped views.", promoted)
+	gauge("fpserver_spill_promotions", "Bases read back from the spill tier into RAM, CRC-checked.", promoted)
 	gauge("fpserver_spill_errors", "Demotions that failed to write (degraded to plain evictions).", spillErrors)
 	gauge("fpserver_spill_bytes", "Bytes held by spill tiers on disk.", spillBytes)
 	gauge("fpserver_spill_entries", "Bases resident in spill tiers.", spillEntries)

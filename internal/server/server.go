@@ -80,10 +80,10 @@ type Config struct {
 	// bytes (0 = unbounded). Ignored in WorkerMode, which keeps no bases.
 	StoreBudget int64
 	// SpillDir enables out-of-core basis storage when non-empty: each
-	// scenario's bases evicted from StoreBudget are demoted to
-	// memory-mapped column files under SpillDir/bases/<fingerprint> and
-	// faulted back on demand. Reopened crash-safely: torn or corrupt files
-	// are quarantined and their bases re-simulated. Sessions with a custom
+	// scenario's bases evicted from StoreBudget are demoted to column
+	// files under SpillDir/bases/<fingerprint> and read back on demand,
+	// CRC-checked at every read. Reopened crash-safely: torn or corrupt
+	// files are quarantined and their bases re-simulated. Sessions with a custom
 	// seed base stay RAM-only (their samples are incompatible with the
 	// shared tier). Ignored in WorkerMode, which keeps no bases.
 	SpillDir string
@@ -314,7 +314,7 @@ func (s *Server) Close() error {
 		if s.snapshots != nil {
 			s.closeErr = s.snapshots.SaveAll(s.registry.List())
 		}
-		// Release spill tiers (mapped files, manifests) after sessions are
+		// Flush spill-tier manifests after sessions are
 		// drained and the final snapshot is written.
 		for _, e := range s.registry.List() {
 			if err := e.Cache.Close(); err != nil && s.closeErr == nil {

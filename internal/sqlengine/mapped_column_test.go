@@ -1,39 +1,51 @@
+//go:build unix
+
 package sqlengine_test
 
 import (
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
+	"unsafe"
 
-	"fuzzyprophet/internal/colstore"
 	"fuzzyprophet/internal/sqlengine"
 	"fuzzyprophet/internal/sqlparser"
 )
 
-// TestPlanOverMappedColumn: a float column backed by a memory-mapped
-// spill-tier view (colstore.Mapped.Float64s — a read-only PROT_READ
-// mapping on unix) executes through a compiled plan identically to the
-// same data in a heap slice. This is the contract the storage spill tier
-// relies on when it feeds promoted bases straight into the worlds table:
-// plan kernels only READ input columns, so zero-copy views are safe.
+// TestPlanOverMappedColumn: a float column backed by a read-only
+// (PROT_READ) mapping executes through a compiled plan identically to the
+// same data in a heap slice. Plan kernels only READ input columns: a write
+// would fault here. The basis store relies on this when it shares its
+// resident sample slices with every plan that reads them.
 func TestPlanOverMappedColumn(t *testing.T) {
 	const rows = 512
 	heap := make([]float64, rows)
 	ord := make([]int64, rows)
+	raw := make([]byte, 8*rows)
 	for i := range heap {
 		heap[i] = float64(i)*0.25 - 30
 		ord[i] = int64(i)
+		binary.NativeEndian.PutUint64(raw[8*i:], math.Float64bits(heap[i]))
 	}
-	path := filepath.Join(t.TempDir(), "load.col")
-	if err := os.WriteFile(path, colstore.Encode(heap), 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "load.bin")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m, err := colstore.OpenMapped(path)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
-	mapped := m.Float64s()
+	region, err := syscall.Mmap(int(f.Fd()), 0, len(raw), syscall.PROT_READ, syscall.MAP_SHARED)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer syscall.Munmap(region)
+	// A mapping is page-aligned, so the cast is 8-byte aligned.
+	mapped := unsafe.Slice((*float64)(unsafe.Pointer(&region[0])), rows)
 
 	script, err := sqlparser.Parse("SELECT fact.w, fact.load * 2.0 + 1.0 AS scaled FROM fact WHERE fact.load > 0.0;")
 	if err != nil {

@@ -586,6 +586,43 @@ func TestGensMatchLookup(t *testing.T) {
 	})
 }
 
+// TestSpillVerifiesEveryPromotion: a basis promoted once, then evicted for
+// free (its payload is on disk, so nothing is rewritten), is checked again
+// at its next promotion. A spill file corrupted in between is quarantined
+// and the lookup misses.
+func TestSpillVerifiesEveryPromotion(t *testing.T) {
+	dir := t.TempDir()
+	perEntry := (&Entry{Site: "s", Key: "k00", Samples: make([]float64, 100)}).bytes()
+	s, err := Open(Options{BudgetBytes: perEntry + 10, SpillDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Put("s", "k00", spillVec(0))
+	s.Put("s", "k01", spillVec(1))
+	files := colFiles(t, dir)
+	if len(files) != 1 {
+		t.Fatalf("spill files %v, want k00's alone", files)
+	}
+	if _, ok := s.Get("s", "k00"); !ok {
+		t.Fatal("k00 not promoted")
+	}
+	demoted := s.Stats().Demoted
+	s.Put("s", "k02", spillVec(2))
+	if st := s.Stats(); st.Demoted != demoted || !stored(s, "s", "k00") {
+		t.Fatalf("evicting promoted k00: demoted %d -> %d, want it evicted free and still spilled", demoted, st.Demoted)
+	}
+	for f := range files {
+		flipLast(t, filepath.Join(dir, f))
+	}
+	if got, _, ok := s.Lookup("s", "k00"); ok {
+		t.Fatalf("a spill file corrupted after its first promotion was served: sample 99 = %v", got[99])
+	}
+	if q := s.Stats().Quarantined; q != 1 {
+		t.Fatalf("quarantined = %d, want 1", q)
+	}
+}
+
 // colFiles returns the names of the column files in dir.
 func colFiles(t *testing.T, dir string) map[string]bool {
 	t.Helper()

@@ -12,12 +12,10 @@
 // with LRU ordering. Without a spill tier, eviction drops the basis
 // (classic bounded cache). With a spill tier configured (Options.SpillDir),
 // the RAM tier becomes the hot cache above an out-of-core columnar tier
-// (internal/colstore): eviction DEMOTES the basis to a memory-mapped column
-// file instead of discarding it, and a Get that misses RAM faults the basis
-// back as a zero-copy mapped view — read-only consumers (the reuse
-// remapper, the SQL engine's plan) run directly over the mapped
-// slice, so a working set far beyond the RAM budget stays one page fault
-// away instead of one re-simulation away.
+// (internal/colstore): eviction DEMOTES the basis to a column file instead
+// of discarding it, and a Get that misses RAM reads the basis back into the
+// heap, CRC-checked, so a working set far beyond the RAM budget stays one
+// file read away instead of one re-simulation away.
 package storage
 
 import (
@@ -39,9 +37,9 @@ type Options struct {
 	// BudgetBytes bounds the RAM tier (<= 0 means unbounded).
 	BudgetBytes int64
 	// SpillDir, when non-empty, enables the out-of-core tier rooted at
-	// that directory: evictions demote to memory-mapped column files and
-	// misses fault them back. The directory is created if absent and
-	// reopened crash-safely (CRC-verified, torn files quarantined).
+	// that directory: evictions demote to column files and misses read
+	// them back. The directory is created if absent and reopened
+	// crash-safely (CRC-verified, torn files quarantined).
 	SpillDir string
 	// SpillBudgetBytes bounds the spill tier's disk usage (<= 0 means
 	// unbounded). Over-budget spill files are dropped least-recently-used;
@@ -61,7 +59,7 @@ type Entry struct {
 
 	// onDisk marks an entry whose payload already lives in the spill tier
 	// (promoted from it, or demoted while remaining resident): evicting it
-	// needs no disk write, and its Samples may be a read-only mapped view.
+	// needs no disk write.
 	onDisk bool
 	// gen names the entry's payload (see Lookup): assigned by Put, and
 	// carried through the spill tier when the entry is demoted and
@@ -125,7 +123,7 @@ type Store struct {
 	// dropped like a plain eviction (a lost cache entry, never bad data).
 	spillErrors atomic.Int64
 	// demoteNanos/promoteNanos accumulate wall time spent writing spill
-	// files on eviction and faulting them back on Get. Render tracing reads
+	// files on eviction and reading them back on Get. Render tracing reads
 	// SpillCounters around a stage and attributes the delta to synthetic
 	// spill spans — no per-operation callback, no extra locking.
 	demoteNanos  atomic.Int64
@@ -214,11 +212,10 @@ func (s *Store) Put(site, key string, samples []float64) {
 }
 
 // Get returns the samples for (site, key), marking the entry recently used.
-// A RAM miss consults the spill tier: a spilled basis is returned as a
-// zero-copy mapped view and promoted back into the RAM tier (flagged as
-// on-disk, so its later eviction costs nothing). The returned slice is
-// shared — and possibly a read-only mapping — so callers must not mutate
-// it; mc's consumers never do.
+// A RAM miss consults the spill tier: a spilled basis is read back, CRC-
+// checked, and promoted into the RAM tier (flagged as on-disk, so its later
+// eviction costs nothing). The returned slice is shared with the store, so
+// callers must not mutate it; mc's consumers never do.
 func (s *Store) Get(site, key string) ([]float64, bool) {
 	samples, _, ok := s.Lookup(site, key)
 	return samples, ok
@@ -228,7 +225,7 @@ func (s *Store) Get(site, key string) ([]float64, bool) {
 // within the store, that names the entry's payload. Only Put assigns one.
 // A basis demoted to the spill tier (or evicted after Sync wrote it there)
 // keeps its generation, and its promotion restores it: the promoted samples
-// are the bytes the demotion wrote, CRC-checked at first map. So two lookups
+// are the bytes the demotion wrote, CRC-checked at every read. So two lookups
 // that return the same generation returned the same samples. A replaced or
 // dropped basis, one evicted with no spill copy, one whose spill file is
 // gone (dropped for the spill budget or quarantined) and every basis of a
@@ -245,7 +242,7 @@ func (s *Store) Lookup(site, key string) ([]float64, uint64, bool) {
 // RAM-resident entry's, which it also marks recently used as a Lookup
 // would; for a basis out of RAM whose spill file the tier still holds, the
 // generation its promotion would restore; 0 for any other key. It reads
-// no payload: it counts no hit or miss, maps no file and promotes nothing.
+// no payload: it counts no hit or miss, reads no file and promotes nothing.
 // So where a Lookup made right after it would quarantine the spill file,
 // Gens still returns the generation the file was written under.
 func (s *Store) Gens(refs []KeyRef, out []uint64) {
@@ -390,8 +387,8 @@ func (s *Store) Sync() error {
 // HasSpill reports whether a spill tier is configured.
 func (s *Store) HasSpill() bool { return s.spill != nil }
 
-// Close releases the spill tier's mappings and flushes its manifest. Views
-// previously returned by Get become invalid; the RAM tier is untouched.
+// Close flushes the spill tier's manifest; later lookups find only the RAM
+// tier, which is untouched.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -413,7 +410,7 @@ type Stats struct {
 
 	// Spill-tier telemetry (zero without a spill tier). Demoted counts
 	// evictions written out as column files; Promoted counts RAM misses
-	// served by mapping a spilled basis back in; SpillErrors counts failed
+	// served by reading a spilled basis back in; SpillErrors counts failed
 	// demotions (degraded to plain evictions). SpillEntries/SpillBytes/
 	// SpillBudget describe current disk occupancy, and Quarantined counts
 	// files renamed aside after failing CRC or size verification.
@@ -426,7 +423,7 @@ type Stats struct {
 	Quarantined  int64
 
 	// Wall time spent demoting (writing spill files) and promoting
-	// (mapping them back). Tracing reads these (SpillCounters) around a
+	// (reading them back). Tracing reads these (SpillCounters) around a
 	// render stage and reports the deltas as spill spans.
 	DemoteNanos  int64
 	PromoteNanos int64
@@ -484,8 +481,8 @@ func (s *Store) SpillCounters() (c SpillCounters, ok bool) {
 
 // Snapshot returns a copy of every stored entry, most recently used first:
 // RAM-resident entries in LRU order, then spilled-only entries (their
-// payloads are materialized from the mapped files). Sample slices are
-// copied; the snapshot is safe to serialize. Stores with a spill tier
+// payloads read from the spill files). Sample slices are copies the store
+// does not share; the snapshot is safe to serialize. Stores with a spill tier
 // normally persist via Sync instead — the tier's manifest is their record
 // — and use Snapshot only for full exports.
 func (s *Store) Snapshot() []Entry {
@@ -509,11 +506,7 @@ func (s *Store) Snapshot() []Entry {
 				continue
 			}
 			if samples, ok := s.spill.Get(kr.Site, kr.Key); ok {
-				out = append(out, Entry{
-					Site:    kr.Site,
-					Key:     kr.Key,
-					Samples: append([]float64(nil), samples...),
-				})
+				out = append(out, Entry{Site: kr.Site, Key: kr.Key, Samples: samples})
 			}
 		}
 	}

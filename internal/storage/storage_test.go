@@ -205,7 +205,7 @@ func BenchmarkStoreGet(b *testing.B) {
 }
 
 // stored reports whether (site, key) is in either tier, without touching
-// LRU order or mapping a file.
+// LRU order or reading a file.
 func stored(s *Store, site, key string) bool {
 	s.mu.Lock()
 	_, ok := s.index[string(appendCompositeKey(nil, site, key))]

@@ -67,12 +67,11 @@ func WithStoreBudget(bytes int64) EvalOption {
 }
 
 // WithSpillDir enables the out-of-core spill tier for the basis store,
-// rooted at dir: bases evicted from the RAM budget are demoted to
-// memory-mapped column files there and faulted back on demand as zero-copy
-// views, so the basis working set may exceed WithStoreBudget without
-// falling back to re-simulation. The directory is created if absent and
-// reopened crash-safely (every file is CRC-checked; torn or corrupt files
-// are quarantined and their bases re-simulated). Combine with
+// rooted at dir: bases evicted from the RAM budget are demoted to column
+// files there and read back on demand, so the basis working set may exceed
+// WithStoreBudget without falling back to re-simulation. The directory is
+// created if absent and reopened crash-safely (every read is CRC-checked;
+// torn or corrupt files are quarantined and their bases re-simulated). Combine with
 // WithStoreBudget to size the hot RAM tier; without it nothing ever
 // spills, since the RAM tier never evicts.
 func WithSpillDir(dir string) EvalOption {

@@ -26,8 +26,8 @@ type ReuseCache struct {
 // fingerprint configuration (core.DefaultConfig). The relevant options are
 // WithStoreBudget, WithSpillDir and WithSpillBudget; others are ignored.
 // With a spill dir, bases evicted from the RAM budget are demoted to
-// memory-mapped column files and faulted back on demand — close the cache
-// with Close when done so the spill manifest is flushed.
+// column files and read back on demand — close the cache with Close when
+// done so the spill manifest is flushed.
 func NewReuseCache(opts ...EvalOption) (*ReuseCache, error) {
 	cfg := newEvalConfig(opts)
 	reuse, err := mc.NewReuse(core.DefaultConfig(), cfg.storeOptions())
@@ -37,9 +37,8 @@ func NewReuseCache(opts ...EvalOption) (*ReuseCache, error) {
 	return &ReuseCache{reuse: reuse}, nil
 }
 
-// Close releases the cache's spill tier, if any: live file mappings are
-// unmapped and the manifest is flushed. Call it only after in-flight
-// renders finish. A no-op for RAM-only caches.
+// Close flushes the cache's spill manifest, if any; later renders find
+// only the RAM tier. A no-op for RAM-only caches.
 func (c *ReuseCache) Close() error {
 	return c.reuse.Close()
 }
@@ -96,8 +95,8 @@ type StoreStats struct {
 	Evicted  int64 `json:"evicted"`
 	Inserted int64 `json:"inserted"`
 	// Spill-tier telemetry (all zero without WithSpillDir): Demoted counts
-	// evictions written out-of-core, Promoted counts bases faulted back as
-	// mapped views, SpillErrors counts failed demotions (degraded to plain
+	// evictions written out-of-core, Promoted counts bases read back into
+	// RAM, SpillErrors counts failed demotions (degraded to plain
 	// evictions). SpillEntries/SpillBytes describe disk occupancy under
 	// SpillBudget, and Quarantined counts files set aside after failing
 	// CRC or size verification.
