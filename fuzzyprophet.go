@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"fuzzyprophet/internal/aggregate"
@@ -563,6 +565,25 @@ func (s *Session) SetParam(name string, val any) error {
 		return err
 	}
 	return s.inner.SetParam(name, v)
+}
+
+// SetParams moves several sliders at once, all or none: when any name is
+// not a slider or any value is outside its parameter's declared space, it
+// reports an error (an undeclared name as a *UnknownParamError) and no
+// slider moves.
+func (s *Session) SetParams(params map[string]any) error {
+	moves := make(guide.Point, len(params))
+	for _, name := range slices.Sorted(maps.Keys(params)) {
+		if s.scn.Space.Index(name) < 0 {
+			return &UnknownParamError{Name: name}
+		}
+		v, err := toValue(params[name])
+		if err != nil {
+			return err
+		}
+		moves[name] = v
+	}
+	return s.inner.SetParams(moves)
 }
 
 // Params returns the current slider positions: every declared parameter

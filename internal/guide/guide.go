@@ -11,6 +11,7 @@ package guide
 
 import (
 	"fmt"
+	"slices"
 
 	"fuzzyprophet/internal/rng"
 	"fuzzyprophet/internal/value"
@@ -105,8 +106,16 @@ func (s *Space) IndexOfValue(name string, v value.Value) int {
 // Sweep returns the points obtained by varying the named axis over all its
 // values while pinning every other parameter to the values in pinned. It is
 // how the online mode renders `GRAPH OVER @axis`. The pins are validated
-// once, before any point is built.
+// once, before any point is built. Sweep is SweepInto(nil, axis, pinned).
 func (s *Space) Sweep(axis string, pinned Point) ([]Point, error) {
+	return s.SweepInto(nil, axis, pinned)
+}
+
+// SweepInto is Sweep into the storage of dst, an earlier result: each of
+// its maps is cleared and refilled in place, and only the points dst lacks
+// are allocated. The points it returns alias dst's maps, so they are valid
+// until the next SweepInto on the same dst.
+func (s *Space) SweepInto(dst []Point, axis string, pinned Point) ([]Point, error) {
 	ai := s.Index(axis)
 	if ai < 0 {
 		return nil, fmt.Errorf("guide: unknown sweep axis @%s", axis)
@@ -124,16 +133,21 @@ func (s *Space) Sweep(axis string, pinned Point) ([]Point, error) {
 			return nil, fmt.Errorf("guide: pin for undeclared parameter @%s", name)
 		}
 	}
-	out := make([]Point, 0, len(s.Params[ai].Values))
-	for _, v := range s.Params[ai].Values {
-		p := make(Point, len(s.Params))
+	values := s.Params[ai].Values
+	dst = slices.Grow(dst[:0], len(values))[:len(values)]
+	for i, v := range values {
+		p := dst[i]
+		if p == nil {
+			p = make(Point, len(s.Params))
+			dst[i] = p
+		}
+		clear(p)
 		for name, pv := range pinned {
 			p[name] = pv
 		}
 		p[axis] = v
-		out = append(out, p)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Strategy produces a sequence of points to evaluate.

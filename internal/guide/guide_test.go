@@ -1,6 +1,9 @@
 package guide
 
 import (
+	"maps"
+	"reflect"
+	"slices"
 	"testing"
 
 	"fuzzyprophet/internal/value"
@@ -119,6 +122,50 @@ func TestSweep(t *testing.T) {
 		if _, err := s.Sweep(tc.axis, tc.pinned); err == nil || err.Error() != tc.want {
 			t.Errorf("Sweep(%q, %v) error = %v, want %q", tc.axis, tc.pinned, err, tc.want)
 		}
+	}
+}
+
+// TestSweepInto: a sweep into an earlier result refills its maps in place —
+// the same maps, holding exactly the new sweep's keys.
+func TestSweepInto(t *testing.T) {
+	s := demoSpace(t)
+	// Sweeping b (two values) over a result of three points keeps the third
+	// map, beyond the returned length, for a later sweep.
+	first, err := s.Sweep("a", Point{"b": value.Int(10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := slices.Clone(first)
+	pts, err := s.SweepInto(first, "b", Point{"a": value.Int(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) != 2 {
+		t.Fatalf("sweep points = %d", len(pts))
+	}
+	for i, p := range pts {
+		if reflect.ValueOf(p).UnsafePointer() != reflect.ValueOf(held[i]).UnsafePointer() {
+			t.Errorf("sweep[%d] is a new map, want the held one", i)
+		}
+		want, _ := s.Sweep("b", Point{"a": value.Int(2)})
+		if !maps.EqualFunc(p, want[i], value.Value.Equal) {
+			t.Errorf("sweep[%d] = %v, want %v", i, p, want[i])
+		}
+	}
+	again, err := s.SweepInto(pts, "a", Point{"b": value.Int(20)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range again {
+		if reflect.ValueOf(p).UnsafePointer() != reflect.ValueOf(held[i]).UnsafePointer() {
+			t.Errorf("second refill: sweep[%d] is a new map, want the held one", i)
+		}
+		if len(p) != 2 || !p["a"].Equal(value.Int(int64(i))) || !p["b"].Equal(value.Int(20)) {
+			t.Errorf("second refill: sweep[%d] = %v", i, p)
+		}
+	}
+	if _, err := s.SweepInto(again, "z", Point{}); err == nil {
+		t.Error("an unknown axis should error")
 	}
 }
 

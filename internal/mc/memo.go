@@ -257,7 +257,7 @@ type memoBatch struct {
 	worlds   int
 	reads    string
 
-	names   []string         // the sorted parameter names of the last point keyed
+	names   []string         // the sorted parameter names of the points keyed last
 	keys    []byte           // every point's core.PointKey, back to back
 	ends    []int            // point p's key ends at keys[ends[p]]
 	hashes  []uint64         // point p's index hash
@@ -278,6 +278,20 @@ func (b *memoBatch) point(p int) []byte {
 // key returns point p's memo key.
 func (b *memoBatch) key(p int) memoKey {
 	return memoKey{scenario: b.scenario, point: string(b.point(p)), worlds: b.worlds, reads: b.reads}
+}
+
+// sameNames reports whether pt's parameter names are exactly names: a
+// sweep's points share one name set, so a batch sorts its names once.
+func sameNames(names []string, pt guide.Point) bool {
+	if len(names) != len(pt) {
+		return false
+	}
+	for _, n := range names {
+		if _, ok := pt[n]; !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // resize returns s with length n, reusing its storage when it is large
@@ -309,7 +323,9 @@ func (ev *Evaluator) memoPass(ctx context.Context, pts []guide.Point, out []*Poi
 	b.hashes = slices.Grow(b.hashes[:0], len(pts))
 	for _, pt := range pts {
 		lo := len(b.keys)
-		b.names = core.SortedNames(b.names, pt)
+		if !sameNames(b.names, pt) {
+			b.names = core.SortedNames(b.names, pt)
+		}
 		b.keys = core.AppendPointKey(b.keys, b.names, pt)
 		b.ends = append(b.ends, len(b.keys))
 		b.hashes = append(b.hashes, r.memo.hash(b.scenario, b.keys[lo:], b.worlds, b.reads))

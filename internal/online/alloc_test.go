@@ -7,6 +7,7 @@ import (
 	"fuzzyprophet/internal/benchfix"
 	"fuzzyprophet/internal/core"
 	"fuzzyprophet/internal/mc"
+	"fuzzyprophet/internal/obs"
 	"fuzzyprophet/internal/scenario"
 	"fuzzyprophet/internal/sqlparser"
 	"fuzzyprophet/internal/storage"
@@ -62,11 +63,17 @@ func TestColdRenderAllocs(t *testing.T) {
 // on its reuse engine, where every one of the 53 points is a memo hit. When
 // each hit evaluated its site arguments, built its key string and
 // allocated its own result and outcome map, such a render allocated 886
-// times; answering the batch's hits in one pass allocates 276. The bound is
-// that count plus 5 %. It holds as well over a spill tier whose RAM budget
-// is a seventh of the bases, since a memo hit reads generations, not
-// payloads: when each hit promoted its bases, that render allocated 595
-// times.
+// times; answering the batch's hits in one pass took that to 276, and
+// keeping the session's evaluator and sweep buffers from render to render
+// (one Point map per swept point and one evaluator per render before), with
+// the frame's values carved from one slab, to 117: the frame itself, the
+// batch's result slabs and outcome map, and one moments-only Sketches map
+// per point. The bound is that count plus 5 %. It holds as well over a
+// spill tier whose RAM budget is a seventh of the bases, since a memo hit
+// reads generations, not payloads: when each hit promoted its bases, that
+// render allocated 595 times. A render that records its spans, as every
+// fpserver render does, allocates 125 times: the memo hits' point and
+// simulate spans come from the trace's span chunks.
 func TestRevisitRenderAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -102,19 +109,27 @@ func TestRevisitRenderAllocs(t *testing.T) {
 	}
 	ram := session(storage.Options{})
 	bases := ram.opts.Reuse.StoreStats().UsedBytes
+	const revisitAllocs, tracedAllocs = 117, 125
 	for _, tc := range []struct {
-		name string
-		s    *Session
+		name   string
+		s      *Session
+		traced bool
+		want   float64
 	}{
-		{"RAM only", ram},
-		{"spill tier", session(storage.Options{BudgetBytes: bases / 7, SpillDir: t.TempDir()})},
+		{"RAM only", ram, false, revisitAllocs},
+		{"spill tier", session(storage.Options{BudgetBytes: bases / 7, SpillDir: t.TempDir()}), false, revisitAllocs},
+		{"traced", ram, true, tracedAllocs},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if st := tc.s.opts.Reuse.StoreStats(); st.Budget > 0 && st.SpillEntries == 0 {
 				t.Fatalf("nothing was spilled: %+v", st)
 			}
 			render := func() {
-				g, err := tc.s.Render(ctx)
+				rctx := ctx
+				if tc.traced {
+					rctx = obs.With(ctx, obs.New("render", "").Root())
+				}
+				g, err := tc.s.Render(rctx)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -122,9 +137,8 @@ func TestRevisitRenderAllocs(t *testing.T) {
 					t.Fatalf("rendered %d points, %d unchanged; want 53 and 53", len(g.X), g.Stats.Unchanged)
 				}
 			}
-			const revisitAllocs = 276
-			if allocs := testing.AllocsPerRun(20, render); allocs > 1.05*revisitAllocs {
-				t.Fatalf("a memo-hit render allocates %v times, want <= %v", allocs, 1.05*revisitAllocs)
+			if allocs := testing.AllocsPerRun(20, render); allocs > 1.05*tc.want {
+				t.Fatalf("a memo-hit render allocates %v times, want <= %v", allocs, 1.05*tc.want)
 			}
 		})
 	}

@@ -10,17 +10,32 @@
 // only a small portion of the output statistics is recomputed)" — the
 // RenderStats returned with each graph quantify exactly that claim.
 //
-// A Session is safe for concurrent use: slider state is mutex-guarded and
-// every render works from a snapshot of the pins taken at its start, with
-// its own evaluator over the shared (lock-protected) reuse engine. SetParam
-// from one goroutine never races a Render in another; the render simply
-// reflects whichever pins it snapshotted.
+// A Session keeps one render state for its life: an evaluator that reads
+// the GRAPH columns, plus the buffers of the pins snapshot and the sweep's
+// points. The first render builds it; every later render, each pass of a
+// progressive render included, checks it out under the session lock and
+// reconfigures the evaluator to its world count, so the memo batch
+// buffers, the ordinal vector, the pooled range environments and the
+// series chains carry from one slider move to the next, and a revisit
+// allocates little beyond its answer. A render that fails (an error, a
+// recovered panic, a cancellation) or is degraded drops the state instead
+// of checking it in; the next render builds a fresh one.
 //
-// A progressive render (RenderProgressive, TimeToFirstAccurateGuess) is
-// one evaluator for all its doubling passes, reconfigured to each pass's
-// world count: the series chains, the ordinal vector and the pooled range
-// environments carry from pass to pass, so each world's series chain is
-// simulated once per progressive render, not once per pass.
+// A Session is safe for concurrent use: slider state is mutex-guarded and
+// every render works from a snapshot of the pins taken at its start, over
+// the shared (lock-protected) reuse engine. A render that finds the state
+// checked out by another builds its own, and at check-in one of the two is
+// kept. SetParam from one goroutine never races a Render in another; the
+// render simply reflects whichever pins it snapshotted. The points a render
+// evaluates alias its state's sweep buffers, so an mc.PointResult.Point
+// from a session render is valid only until that state's next render; the
+// session hands none out.
+//
+// A progressive render (RenderProgressive) runs all its doubling passes on
+// the session's state, reconfigured to each pass's world count, so each
+// world's series chain is simulated once per progressive render, not once
+// per pass. TimeToFirstAccurateGuess does the same on an evaluator of its
+// own, which aggregates every column.
 //
 // Two scenario-level caches make repeat renders cheap: the fingerprint
 // reuse engine skips re-simulating unchanged worlds, and the scenario's
@@ -52,9 +67,15 @@ type Session struct {
 	scn  *scenario.Scenario
 	opts mc.Options // effective (defaults applied); Reuse is shared
 	axis string
+	// series holds each GRAPH item's series with no values: a frame's
+	// series are copies, Style cloned.
+	series []Series
 
 	mu   sync.Mutex
 	pins guide.Point
+	// state is the render state between renders; nil while a render has it
+	// checked out, or before the first render.
+	state *renderState
 	// explored records the pin combinations that have been rendered, keyed
 	// by core.PointKey of the pins. It feeds the exploration map the
 	// paper's GUI shows next to the chart.
@@ -97,6 +118,15 @@ func NewSession(scn *scenario.Scenario, opts mc.Options) (*Session, error) {
 		pins:     guide.Point{},
 		explored: map[string]bool{},
 	}
+	for _, item := range scn.Graph.Items {
+		s.series = append(s.series, Series{
+			Name:       item.Agg + " " + item.Column,
+			Agg:        item.Agg,
+			Column:     item.Column,
+			Style:      item.Style,
+			SecondAxis: slices.Contains(item.Style, "y2"),
+		})
+	}
 	for _, def := range scn.Space.Params {
 		if def.Name != s.axis {
 			s.pins[def.Name] = def.Values[0]
@@ -108,21 +138,30 @@ func NewSession(scn *scenario.Scenario, opts mc.Options) (*Session, error) {
 // Axis returns the graph's X-axis parameter name.
 func (s *Session) Axis() string { return s.axis }
 
-// SetParam moves one slider. The axis parameter cannot be pinned, the value
-// must belong to the parameter's declared space.
+// SetParam moves one slider: SetParams with one move.
 func (s *Session) SetParam(name string, v value.Value) error {
-	if name == s.axis {
-		return fmt.Errorf("online: @%s is the graph axis, not a slider", name)
-	}
-	if s.scn.Space.Index(name) < 0 {
-		return fmt.Errorf("online: unknown parameter @%s", name)
-	}
-	if s.scn.Space.IndexOfValue(name, v) < 0 {
-		return fmt.Errorf("online: value %s is outside @%s's declared space", v.SQLLiteral(), name)
+	return s.SetParams(guide.Point{name: v})
+}
+
+// SetParams moves several sliders at once, all or none: every name must be
+// a slider (a declared parameter other than the axis) and every value must
+// belong to its parameter's declared space, or no slider moves. Names are
+// checked in sorted order, so the error reported names the first bad one.
+func (s *Session) SetParams(moves guide.Point) error {
+	for _, name := range slices.Sorted(maps.Keys(moves)) {
+		if name == s.axis {
+			return fmt.Errorf("online: @%s is the graph axis, not a slider", name)
+		}
+		if s.scn.Space.Index(name) < 0 {
+			return fmt.Errorf("online: unknown parameter @%s", name)
+		}
+		if v := moves[name]; s.scn.Space.IndexOfValue(name, v) < 0 {
+			return fmt.Errorf("online: value %s is outside @%s's declared space", v.SQLLiteral(), name)
+		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.pins[name] = v
+	maps.Copy(s.pins, moves)
 	return nil
 }
 
@@ -208,49 +247,94 @@ type Graph struct {
 	Stats RenderStats `json:"stats"`
 }
 
+// renderState is what a render works in, kept by the session from one
+// render to the next (see the package doc): the evaluator, which reads only
+// the GRAPH columns, the pins snapshot, the sweep's points, and the
+// buffers of the pins' exploration key.
+type renderState struct {
+	ev     *mc.Evaluator
+	pins   guide.Point
+	points []guide.Point
+	names  []string
+	key    []byte
+}
+
+// checkout takes the session's render state, or builds one when there is
+// none: before the first render, or while another render holds it.
+func (s *Session) checkout() *renderState {
+	s.mu.Lock()
+	st := s.state
+	s.state = nil
+	s.mu.Unlock()
+	if st == nil {
+		st = &renderState{ev: mc.NewEvaluator(s.scn, s.opts), pins: guide.Point{}}
+		columns := make([]string, len(s.series))
+		for i, srs := range s.series {
+			columns[i] = srs.Column
+		}
+		st.ev.Reads(columns...)
+	}
+	return st
+}
+
+// checkin hands st back after a render that succeeded in full. When another
+// render checked its own state in first, that one is kept and st dropped.
+func (s *Session) checkin(st *renderState) {
+	s.mu.Lock()
+	if s.state == nil {
+		s.state = st
+	}
+	s.mu.Unlock()
+}
+
 // Render evaluates the graph at the current slider positions. With a warm
 // reuse engine, only X positions genuinely affected by prior adjustments
 // cost fresh simulation. The context is checked before every X position;
 // a cancelled context aborts the render within one world-batch.
 func (s *Session) Render(ctx context.Context) (*Graph, error) {
-	return s.renderWith(ctx, mc.NewEvaluator(s.scn, s.opts), s.opts.Worlds)
+	st := s.checkout()
+	st.ev.Reconfigure(s.opts.Worlds, s.opts.SeedBase, s.opts.SketchOnly)
+	g, err := s.renderWith(ctx, st, s.opts.Worlds)
+	if err == nil && !g.Stats.Degraded {
+		s.checkin(st)
+	}
+	return g, err
 }
 
-// renderWith renders one frame of worlds worlds on ev, from a snapshot of
-// the current pins. ev is the caller's own (the possible-worlds tables are
-// evaluator-local state) and is told to aggregate only the columns the
-// GRAPH clause plots; only the lock-protected reuse engine is shared, so
-// concurrent renders are safe.
-func (s *Session) renderWith(ctx context.Context, ev *mc.Evaluator, worlds int) (*Graph, error) {
+// renderWith renders one frame of worlds worlds on st, checked out by the
+// caller and configured to that world count, from a snapshot of the current
+// pins. Only the lock-protected reuse engine is shared, so concurrent
+// renders are safe.
+func (s *Session) renderWith(ctx context.Context, st *renderState, worlds int) (*Graph, error) {
 	start := time.Now()
-	pins := s.Pins()
-	points, err := s.scn.Space.Sweep(s.axis, pins)
+	s.mu.Lock()
+	clear(st.pins)
+	maps.Copy(st.pins, s.pins)
+	s.mu.Unlock()
+	points, err := s.scn.Space.SweepInto(st.points, s.axis, st.pins)
 	if err != nil {
 		return nil, err
 	}
-	g := &Graph{Axis: s.axis}
-	columns := make([]string, len(s.scn.Graph.Items))
-	for i, item := range s.scn.Graph.Items {
-		columns[i] = item.Column
-		g.Series = append(g.Series, Series{
-			Name:       item.Agg + " " + item.Column,
-			Agg:        item.Agg,
-			Column:     item.Column,
-			Style:      slices.Clone(item.Style),
-			SecondAxis: slices.Contains(item.Style, "y2"),
-		})
-	}
-	ev.Reads(columns...)
-	results, err := ev.EvaluatePoints(ctx, points)
-	if err := ev.KeepPrefix(ctx, results, err); err != nil {
+	st.points = points
+	results, err := st.ev.EvaluatePoints(ctx, points)
+	if err := st.ev.KeepPrefix(ctx, results, err); err != nil {
 		return nil, err
 	}
+	g := &Graph{Axis: s.axis, Series: slices.Clone(s.series)}
 	g.Stats.Degraded = len(results) < len(points)
+	// X and every series' Y and CI95 are carved from one slab.
 	n := len(results)
-	g.X = make([]float64, 0, n)
+	slab := make([]float64, n*(1+2*len(g.Series)))
+	carve := func() []float64 {
+		v := slab[:0:n]
+		slab = slab[n:]
+		return v
+	}
+	g.X = carve()
 	for i := range g.Series {
 		srs := &g.Series[i]
-		srs.Y, srs.CI95 = make([]float64, 0, n), make([]float64, 0, n)
+		srs.Style = slices.Clone(srs.Style)
+		srs.Y, srs.CI95 = carve(), carve()
 	}
 	minWorlds := worlds
 	for _, res := range results {
@@ -283,8 +367,12 @@ func (s *Session) renderWith(ctx context.Context, ev *mc.Evaluator, worlds int) 
 		g.Stats.WorldsCompleted = minWorlds
 	}
 	g.Stats.Elapsed = time.Since(start)
+	st.names = core.SortedNames(st.names, st.pins)
+	st.key = core.AppendPointKey(st.key[:0], st.names, st.pins)
 	s.mu.Lock()
-	s.explored[core.PointKey(pins)] = true
+	if !s.explored[string(st.key)] {
+		s.explored[string(st.key)] = true
+	}
 	s.stats.Renders++
 	s.stats.RenderElapsed += g.Stats.Elapsed
 	s.stats.PointsRendered += int64(len(g.X))
@@ -294,21 +382,19 @@ func (s *Session) renderWith(ctx context.Context, ev *mc.Evaluator, worlds int) 
 
 // progressive runs pass at doubling world counts: from first (def when
 // first <= 0, clamped to the session's world count) up to the session's
-// world count, or until pass reports it is done. Every pass runs on one
-// evaluator, reconfigured to the pass's world count, so the series chains,
-// the ordinal vector and the pooled range environments carry from pass to
-// pass: a world's series chain is simulated once per call, not once per
-// pass.
-func (s *Session) progressive(first, def int, pass func(ev *mc.Evaluator, worlds int) (done bool, err error)) error {
+// world count, or until pass reports it is done. Every pass runs on ev,
+// reconfigured to the pass's world count, so the series chains, the ordinal
+// vector and the pooled range environments carry from pass to pass: a
+// world's series chain is simulated once per call, not once per pass.
+func (s *Session) progressive(ev *mc.Evaluator, first, def int, pass func(worlds int) (done bool, err error)) error {
 	if first <= 0 {
 		first = def
 	}
 	maxWorlds := s.opts.Worlds
 	worlds := min(first, maxWorlds)
-	ev := mc.NewEvaluator(s.scn, s.opts)
 	for {
 		ev.Reconfigure(worlds, s.opts.SeedBase, s.opts.SketchOnly)
-		done, err := pass(ev, worlds)
+		done, err := pass(worlds)
 		if err != nil || done || worlds >= maxWorlds {
 			return err
 		}
@@ -322,22 +408,29 @@ func (s *Session) progressive(first, def int, pass func(ev *mc.Evaluator, worlds
 // invoking frame after each pass with the refined graph and the world
 // count used. Every pass's frame equals a fresh Render at its world count.
 // Return false from frame to stop early. The final rendered frame is
-// returned.
+// returned. The passes run on the session's render state, which is checked
+// in afterwards only when no pass failed or was degraded.
 func (s *Session) RenderProgressive(ctx context.Context, startWorlds int, frame func(g *Graph, worlds int) bool) (*Graph, error) {
 	if frame == nil {
 		return nil, fmt.Errorf("online: RenderProgressive needs a frame callback")
 	}
+	st := s.checkout()
 	var last *Graph
-	err := s.progressive(startWorlds, 64, func(ev *mc.Evaluator, worlds int) (bool, error) {
-		g, err := s.renderWith(ctx, ev, worlds)
+	degraded := false
+	err := s.progressive(st.ev, startWorlds, 64, func(worlds int) (bool, error) {
+		g, err := s.renderWith(ctx, st, worlds)
 		if err != nil {
 			return true, err
 		}
 		last = g
+		degraded = degraded || g.Stats.Degraded
 		return !frame(g, worlds), nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	if !degraded {
+		s.checkin(st)
 	}
 	return last, nil
 }
@@ -409,9 +502,9 @@ func classify(res *mc.PointResult, stats *RenderStats) {
 // current sliders until every series converges (CI95 within eps relative),
 // returning the elapsed time and the world count used (minWorlds, default
 // 100, is clamped to the session's world count, as in RenderProgressive,
-// and its passes share one evaluator the same way). It measures the
-// paper's "a few dozen seconds to generate accurate statistics" claim
-// (experiment E1).
+// and its passes share one evaluator the same way: its own, which folds
+// every column the convergence test reads). It measures the paper's "a few
+// dozen seconds to generate accurate statistics" claim (experiment E1).
 func (s *Session) TimeToFirstAccurateGuess(ctx context.Context, eps float64, minWorlds int) (time.Duration, int, error) {
 	start := time.Now()
 	points, err := s.scn.Space.Sweep(s.axis, s.Pins())
@@ -419,7 +512,8 @@ func (s *Session) TimeToFirstAccurateGuess(ctx context.Context, eps float64, min
 		return 0, 0, err
 	}
 	used := 0
-	converged := func(ev *mc.Evaluator, worlds int) (bool, error) {
+	ev := mc.NewEvaluator(s.scn, s.opts)
+	converged := func(worlds int) (bool, error) {
 		used = worlds
 		for _, pt := range points {
 			// One-point batches: the pass stops at its first unconverged point.
@@ -433,7 +527,7 @@ func (s *Session) TimeToFirstAccurateGuess(ctx context.Context, eps float64, min
 		}
 		return true, nil
 	}
-	if err := s.progressive(minWorlds, 100, converged); err != nil {
+	if err := s.progressive(ev, minWorlds, 100, converged); err != nil {
 		return 0, 0, err
 	}
 	return time.Since(start), used, nil

@@ -349,42 +349,6 @@ func TestRenderSingleFlight(t *testing.T) {
 	}
 }
 
-// TestPartlyFailedParamsRerender: a PUT whose first move applies and whose
-// second is rejected answers 400, and the next render shows the applied
-// move — a fresh frame bit-equal to a new session's render at those pins,
-// never the frame cached before the PUT.
-func TestPartlyFailedParamsRerender(t *testing.T) {
-	_, ts := newTestServer(t, nil)
-	scn := registerExample(t, ts.URL, "capacityplanning", sqlparser.ExampleScenarios()["capacityplanning"])
-	render := func(sessionID string) renderResponse {
-		t.Helper()
-		var rr renderResponse
-		if code := call(t, "GET", ts.URL+"/sessions/"+sessionID+"/render", nil, &rr); code != http.StatusOK {
-			t.Fatalf("render = %d", code)
-		}
-		return rr
-	}
-	sess := openSession(t, ts.URL, scn.ID, openSessionRequest{})
-	render(sess.ID)
-	// Moves apply in name order: feature=36 is valid, purchase1=3 is off
-	// the grid (step 4).
-	if code := call(t, "PUT", ts.URL+"/sessions/"+sess.ID+"/params",
-		map[string]any{"feature": 36, "purchase1": 3}, nil); code != http.StatusBadRequest {
-		t.Fatalf("partly invalid set params = %d, want 400", code)
-	}
-	got := render(sess.ID)
-	if got.Coalesced {
-		t.Error("the render after an applied move was served the cached frame")
-	}
-
-	fresh := openSession(t, ts.URL, scn.ID, openSessionRequest{})
-	if code := call(t, "PUT", ts.URL+"/sessions/"+fresh.ID+"/params",
-		map[string]any{"feature": 36}, nil); code != http.StatusOK {
-		t.Fatalf("set params = %d", code)
-	}
-	assertSameGraph(t, *render(fresh.ID).Graph, *got.Graph)
-}
-
 // TestReregistration: replacing a scenario keeps in-flight sessions on the
 // old compilation (ref-counted) while new sessions get the new one.
 func TestReregistration(t *testing.T) {
@@ -559,6 +523,57 @@ func TestSetParamsEchoesEverySlider(t *testing.T) {
 	if !reflect.DeepEqual(info.Params, want) {
 		t.Errorf("session params = %v, want %v", info.Params, want)
 	}
+}
+
+// TestSetParamsAllOrNothing: a PUT /params body with one bad value answers
+// 400 and moves no slider, not even the valid move beside it, and keeps the
+// param version, so the next render is still served the cached frame. The
+// valid move made on its own then renders a fresh frame, bit-equal to a new
+// session's render at those pins.
+func TestSetParamsAllOrNothing(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	scn := registerExample(t, ts.URL, "capacityplanning", sqlparser.ExampleScenarios()["capacityplanning"])
+	render := func(sessionID string) renderResponse {
+		t.Helper()
+		var rr renderResponse
+		if code := call(t, "GET", ts.URL+"/sessions/"+sessionID+"/render", nil, &rr); code != http.StatusOK {
+			t.Fatalf("render = %d", code)
+		}
+		return rr
+	}
+	sess := openSession(t, ts.URL, scn.ID, openSessionRequest{})
+	render(sess.ID)
+	var before sessionJSON
+	if code := call(t, "GET", ts.URL+"/sessions/"+sess.ID, nil, &before); code != http.StatusOK {
+		t.Fatalf("get session = %d", code)
+	}
+	// feature=36 is valid, purchase1=999 is outside its declared range.
+	body := map[string]any{"feature": 36, "purchase1": 999}
+	if code := call(t, "PUT", ts.URL+"/sessions/"+sess.ID+"/params", body, nil); code != http.StatusBadRequest {
+		t.Fatalf("PUT /params %v = %d, want 400", body, code)
+	}
+	var after sessionJSON
+	if code := call(t, "GET", ts.URL+"/sessions/"+sess.ID, nil, &after); code != http.StatusOK {
+		t.Fatalf("get session = %d", code)
+	}
+	if !reflect.DeepEqual(after.Params, before.Params) {
+		t.Errorf("after a rejected PUT the session params = %v, want %v", after.Params, before.Params)
+	}
+	if !render(sess.ID).Coalesced {
+		t.Error("a rejected PUT bumped the param version: the next render was not served the cached frame")
+	}
+
+	fresh := openSession(t, ts.URL, scn.ID, openSessionRequest{})
+	for _, id := range []string{sess.ID, fresh.ID} {
+		if code := call(t, "PUT", ts.URL+"/sessions/"+id+"/params", map[string]any{"feature": 36}, nil); code != http.StatusOK {
+			t.Fatalf("set params = %d", code)
+		}
+	}
+	got := render(sess.ID)
+	if got.Coalesced {
+		t.Error("the render after an applied move was served the cached frame")
+	}
+	assertSameGraph(t, *render(fresh.ID).Graph, *got.Graph)
 }
 
 // TestSSEProgressiveRender: the streaming variant delivers at least one

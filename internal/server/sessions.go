@@ -5,7 +5,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,9 +38,9 @@ type Session struct {
 	// streams counts the progressive (SSE) renders running on the session;
 	// like an in-flight render, a running stream keeps it from eviction.
 	streams int
-	// paramVersion increments on every SetParams that succeeded or applied
-	// a move; renders are keyed by it so a burst of render requests between
-	// two slider moves coalesces into one simulation.
+	// paramVersion increments on every SetParams that succeeded; renders
+	// are keyed by it so a burst of render requests between two slider
+	// moves coalesces into one simulation.
 	paramVersion uint64
 	inflight     *renderCall
 	lastGraph    *fp.Graph
@@ -66,27 +65,19 @@ func (s *Session) Touch() {
 	s.mu.Unlock()
 }
 
-// SetParams applies slider moves in sorted-name order and bumps the param
-// version. A failed name/value leaves earlier moves applied (they were
-// individually valid) and reports the error; the version is bumped
-// whenever any move was applied, so the next render never serves the
-// frame cached before them.
+// SetParams applies slider moves all or none and bumps the param version.
+// Every name and value is checked before any slider moves, so a failed
+// name or value leaves every slider where it was, reports the error and
+// keeps the version: the cached frame still matches the sliders.
 func (s *Session) SetParams(params map[string]any) error {
-	names := make([]string, 0, len(params))
-	for name := range params {
-		names = append(names, name)
+	moves := make(map[string]any, len(params))
+	for name, v := range params {
+		moves[name] = canonicalNumber(v)
 	}
-	sort.Strings(names)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, name := range names {
-		val := canonicalNumber(params[name])
-		if err := s.Sess.SetParam(name, val); err != nil {
-			if i > 0 {
-				s.paramVersion++
-			}
-			return err
-		}
+	if err := s.Sess.SetParams(moves); err != nil {
+		return err
 	}
 	s.paramVersion++
 	return nil
