@@ -385,6 +385,23 @@ func TestAsciiCarriesCIAndSecondAxis(t *testing.T) {
 	}
 }
 
+// figure2Groups8 is the paper's demo scenario with its grouped space cut to
+// 2×2×2 groups, so an Optimize test sweeps every group in little time.
+const figure2Groups8 = `
+DECLARE PARAMETER @current AS RANGE 0 TO 52 STEP BY 1;
+DECLARE PARAMETER @purchase1 AS RANGE 8 TO 40 STEP BY 32;
+DECLARE PARAMETER @purchase2 AS RANGE 16 TO 48 STEP BY 32;
+DECLARE PARAMETER @feature AS SET (12,36);
+SELECT DemandModel(@current, @feature) AS demand,
+       CapacityModel(@current, @purchase1, @purchase2) AS capacity,
+       CASE WHEN capacity < demand THEN 1 ELSE 0 END AS overload
+INTO results;
+GRAPH OVER @current EXPECT overload WITH bold red, EXPECT capacity WITH blue y2, EXPECT_STDDEV demand WITH orange y2;
+OPTIMIZE SELECT @feature, @purchase1, @purchase2 FROM results
+WHERE MAX(EXPECT overload) < 0.01 GROUP BY feature, purchase1, purchase2
+FOR MAX @purchase1, MAX @purchase2;
+`
+
 // TestOptimizeSketchOnlyMatchesFull: Optimize reads the point's aggregates,
 // never the sample vectors, so a sketch-only sweep (no vectors at all)
 // finds the same feasible set and optimum as the full one. With one range
@@ -392,13 +409,12 @@ func TestAsciiCarriesCIAndSecondAxis(t *testing.T) {
 // agree to float rounding.
 func TestOptimizeSketchOnlyMatchesFull(t *testing.T) {
 	sys := demoSystem(t)
-	scn, err := sys.Compile(figure2)
+	scn, err := sys.Compile(figure2Groups8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	// A budgeted sweep: the same seeded sample of groups on both runs.
-	opts := []EvalOption{WithWorlds(60), WithGroupBudget(8)}
+	opts := []EvalOption{WithWorlds(60)}
 	full, err := scn.Optimize(ctx, nil, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -425,7 +441,7 @@ func TestOptimizeSketchOnlyMatchesFull(t *testing.T) {
 		}
 	}
 	if len(full.Rows) != 8 {
-		t.Fatalf("budgeted sweep explored %d groups, want 8", len(full.Rows))
+		t.Fatalf("sweep explored %d groups, want 8", len(full.Rows))
 	}
 	sameRows("Rows", full.Rows, sketched.Rows)
 	sameRows("Best", full.Best, sketched.Best)
@@ -437,7 +453,7 @@ func TestOptimizeSketchOnlyMatchesFull(t *testing.T) {
 // single-node run bit for bit.
 func TestOptimizeOneShardCallPerRangePerGroup(t *testing.T) {
 	sys := demoSystem(t)
-	scn, err := sys.Compile(figure2)
+	scn, err := sys.Compile(figure2Groups8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +463,7 @@ func TestOptimizeOneShardCallPerRangePerGroup(t *testing.T) {
 		var progress []string
 		res, err := scn.Optimize(ctx, func(done, total int, pt map[string]any, _ map[string]string) {
 			progress = append(progress, fmt.Sprint(done, "/", total, " ", pt))
-		}, append([]EvalOption{WithWorlds(40), WithShards(2), WithoutReuse(), WithGroupBudget(3)}, opts...)...)
+		}, append([]EvalOption{WithWorlds(40), WithShards(2), WithoutReuse()}, opts...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -456,8 +472,8 @@ func TestOptimizeOneShardCallPerRangePerGroup(t *testing.T) {
 	want, wantProgress := run()
 	rec := &scriptedShards{scn: scn}
 	got, gotProgress := run(WithShardEvaluator(rec))
-	if len(rec.reqs) != 2*got.GroupsExplored {
-		t.Fatalf("%d shard calls for %d groups, want one per range per group", len(rec.reqs), got.GroupsExplored)
+	if len(rec.reqs) != 2*got.GroupsTotal {
+		t.Fatalf("%d shard calls for %d groups, want one per range per group", len(rec.reqs), got.GroupsTotal)
 	}
 	for _, req := range rec.reqs {
 		if len(req.Points) != 53 {

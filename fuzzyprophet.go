@@ -428,25 +428,19 @@ type WorldShard struct {
 
 // ColumnSketch is the serializable mergeable aggregate of one output
 // column over one world range: raw Welford moments plus a t-digest
-// centroid list. Shard workers return sketches alongside partial sample
-// vectors; merging sketches in shard order reproduces the whole range's
-// moments exactly (up to float rounding) and its quantiles within the
-// sketch tolerance.
+// centroid list. A sketch-only shard answers sketches instead of partial
+// sample vectors; merging sketches in shard order reproduces the whole
+// range's moments exactly (up to float rounding) and its quantiles within
+// the sketch tolerance.
 type ColumnSketch = aggregate.ColumnSketch
 
-// ShardResult is a partial render over one world shard at one point:
-// per-column sample vectors for the rows the shard's worlds produced, in
-// world order, plus a mergeable sketch per column.
-type ShardResult struct {
-	// Rows is the number of output rows the shard produced (equals the
-	// shard's world count for plain scenarios; joins can yield more, WHERE
-	// fewer).
-	Rows int `json:"rows"`
-	// Columns maps each numeric output column to its partial sample vector.
-	Columns map[string][]float64 `json:"columns"`
-	// Sketches maps each column to its mergeable aggregate.
-	Sketches map[string]ColumnSketch `json:"sketches,omitempty"`
-}
+// ShardResult is a partial render over one world shard at one point, the
+// exact input of the coordinator's stitch: Rows, the number of output rows
+// the shard produced (its world count for plain scenarios; joins can yield
+// more, WHERE fewer), and either Columns, each numeric output column's
+// partial sample vector in world order, or — sketch-only — Sketches, one
+// mergeable aggregate per column. A result never carries both.
+type ShardResult = mc.ShardOutput
 
 // ShardProtocolVersion is the wire protocol version the shard fan-out
 // speaks (fpserver's POST /shard/render): JSON requests carrying every
@@ -474,8 +468,8 @@ type ShardRequest struct {
 	Seed uint64
 	// Shard is the assigned world range.
 	Shard WorldShard
-	// SketchOnly asks for merged per-column sketches without the per-world
-	// sample vectors — O(compression) instead of O(worlds) response size.
+	// SketchOnly asks for one sketch per column instead of the per-world
+	// sample vectors — O(compression) instead of O(worlds) per column.
 	SketchOnly bool
 }
 
@@ -499,8 +493,10 @@ type ShardEvaluator interface {
 // saturate a worker's cores). Fingerprint reuse is not consulted — partial
 // vectors are not valid bases. The scenario's query must be shardable
 // (non-grouped, no DISTINCT / ORDER BY / LIMIT); others are rejected.
-// Zero worlds or seed take the options' values. To serve many shards of one
-// scenario, keep a ShardWorker instead: this builds a fresh one per call.
+// Zero worlds or seed take the options' values. With WithSketchOnly the
+// result carries one sketch per column instead of the vectors. To serve
+// many shards of one scenario, keep a ShardWorker instead: this builds a
+// fresh one per call.
 func (sc *Scenario) EvaluateShard(ctx context.Context, point map[string]any, worlds int, seed uint64, shard WorldShard, opts ...EvalOption) (*ShardResult, error) {
 	cfg := newEvalConfig(opts)
 	if worlds <= 0 {
@@ -690,14 +686,9 @@ type OptimizeResult struct {
 	Best            []OptimizeRow
 	PointsEvaluated int
 	GroupsTotal     int
-	GroupsExplored  int
 	Elapsed         time.Duration
 	ReuseCounts     map[string]int
 }
-
-// Exhaustive reports whether the whole grouped space was explored (false
-// under a WithGroupBudget).
-func (r *OptimizeResult) Exhaustive() bool { return r.GroupsExplored == r.GroupsTotal }
 
 // Progress reports offline-mode progress: done/total points plus the
 // reuse outcome of the last point's sites (keyed by site ID).
@@ -715,7 +706,7 @@ func (sc *Scenario) Optimize(ctx context.Context, progress Progress, opts ...Eva
 	if err != nil {
 		return nil, err
 	}
-	runOpts := optimize.Options{MC: mcOpts, GroupBudget: cfg.groupBudget}
+	runOpts := optimize.Options{MC: mcOpts}
 	if progress != nil {
 		runOpts.Progress = func(done, total int, pt guide.Point, res *mc.PointResult) {
 			outcome := make(map[string]string, len(res.SiteOutcome))
@@ -734,7 +725,6 @@ func (sc *Scenario) Optimize(ctx context.Context, progress Progress, opts ...Eva
 		FreeParams:      res.FreeParams,
 		PointsEvaluated: res.PointsEvaluated,
 		GroupsTotal:     res.GroupsTotal,
-		GroupsExplored:  res.GroupsExplored,
 		Elapsed:         res.Elapsed,
 		ReuseCounts:     map[string]int{},
 	}

@@ -178,21 +178,3 @@ func TestIntegrationReuseInvisibleToUser(t *testing.T) {
 		t.Errorf("reuse visibly changed the graphs: max relative diff %g", maxDiff)
 	}
 }
-
-func TestIntegrationBudgetedOptimizeFacade(t *testing.T) {
-	sys := demoSystem(t)
-	scn, err := sys.Compile(figure2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := scn.Optimize(context.Background(), nil, WithWorlds(30), WithGroupBudget(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Exhaustive() {
-		t.Error("budgeted run should not be exhaustive")
-	}
-	if res.GroupsExplored != 5 || res.GroupsTotal != 14*14*3 {
-		t.Errorf("explored %d/%d", res.GroupsExplored, res.GroupsTotal)
-	}
-}

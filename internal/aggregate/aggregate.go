@@ -159,9 +159,10 @@ func (c *ColumnStats) Metric(agg string) (float64, error) {
 
 // ColumnSketch is the serializable form of a ColumnStats: raw Welford
 // moments plus the t-digest centroid list. It is what the HTTP shard
-// protocol ships — a worker folds its world range into a ColumnStats,
-// serializes it with Sketch, and the coordinator restores and merges the
-// partial sketches without ever seeing the worker's raw sample vector.
+// protocol ships under sketch-only — a worker folds its world range into
+// a ColumnStats, serializes it with Sketch, and the coordinator restores
+// and merges the partial sketches without ever seeing the worker's raw
+// sample vector.
 type ColumnSketch struct {
 	Count       int64            `json:"count"`
 	Mean        float64          `json:"mean"`

@@ -220,3 +220,40 @@ func TestColumnSketchRoundTrip(t *testing.T) {
 		t.Error("MergeSketches(nil) should be nil")
 	}
 }
+
+// TestMergeOneSketchIsIdentity pins what lets a one-range shard answer its
+// range's sketches as built: merging a single sketch and serializing the
+// result gives back the same sketch, bit for bit — moments, extremes,
+// compression and every centroid — over generated vectors of 1–400 values
+// from a symmetric, a skewed and a tie-heavy distribution.
+func TestMergeOneSketchIsIdentity(t *testing.T) {
+	s := rng.New(45)
+	bits := math.Float64bits
+	for i := 0; i < 2000; i++ {
+		fs := make([]float64, 1+s.Intn(400))
+		for j := range fs {
+			switch i % 3 {
+			case 0:
+				fs[j] = s.Normal(10, 3)
+			case 1:
+				fs[j] = s.LogNormal(0, 1.5)
+			default:
+				fs[j] = float64(s.Poisson(2))
+			}
+		}
+		cs := NewColumnStats()
+		cs.AddAll(fs)
+		want := cs.Sketch()
+		got := MergeSketches([]ColumnSketch{want}).Sketch()
+		if got.Count != want.Count || bits(got.Mean) != bits(want.Mean) || bits(got.M2) != bits(want.M2) ||
+			bits(got.Min) != bits(want.Min) || bits(got.Max) != bits(want.Max) ||
+			bits(got.Compression) != bits(want.Compression) || len(got.Centroids) != len(want.Centroids) {
+			t.Fatalf("vector %d (%d values): merged %+v, want %+v", i, len(fs), got, want)
+		}
+		for k, w := range want.Centroids {
+			if g := got.Centroids[k]; bits(g.Mean) != bits(w.Mean) || bits(g.Weight) != bits(w.Weight) {
+				t.Fatalf("vector %d (%d values): centroid %d = %+v, want %+v", i, len(fs), k, g, w)
+			}
+		}
+	}
+}

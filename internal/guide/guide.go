@@ -4,16 +4,14 @@
 // parameter and model variable in the scenario".
 //
 // The package models the discrete parameter space declared by
-// DECLARE PARAMETER statements and provides the exploration strategies the
-// two modes use: exhaustive sweeps (offline), axis sweeps (the online
-// graph) and budgeted random sampling.
+// DECLARE PARAMETER statements and provides the two sequences the modes
+// use: the full grid (offline) and axis sweeps (the online graph).
 package guide
 
 import (
 	"fmt"
 	"slices"
 
-	"fuzzyprophet/internal/rng"
 	"fuzzyprophet/internal/value"
 )
 
@@ -72,21 +70,6 @@ func (s *Space) Index(name string) int {
 // Point is a concrete valuation of every parameter (the paper's
 // "instance"; a possible-world seed completes it into a possible world).
 type Point map[string]value.Value
-
-// At returns the point for the given per-parameter value indices.
-func (s *Space) At(indices []int) (Point, error) {
-	if len(indices) != len(s.Params) {
-		return nil, fmt.Errorf("guide: got %d indices for %d parameters", len(indices), len(s.Params))
-	}
-	p := make(Point, len(s.Params))
-	for i, def := range s.Params {
-		if indices[i] < 0 || indices[i] >= len(def.Values) {
-			return nil, fmt.Errorf("guide: index %d out of range for @%s", indices[i], def.Name)
-		}
-		p[def.Name] = def.Values[indices[i]]
-	}
-	return p, nil
-}
 
 // IndexOfValue returns the position of v in the named parameter's value
 // list, or -1.
@@ -150,103 +133,33 @@ func (s *Space) SweepInto(dst []Point, axis string, pinned Point) ([]Point, erro
 	return dst, nil
 }
 
-// Strategy produces a sequence of points to evaluate.
-type Strategy interface {
-	// Next returns the next point; ok is false when the strategy is
-	// exhausted.
-	Next() (p Point, ok bool)
-}
-
-// Exhaustive enumerates the full grid in odometer order (last declared
-// parameter varies fastest), matching the offline mode's full-space sweep.
-type Exhaustive struct {
-	space   *Space
-	indices []int
-	done    bool
-}
-
-// NewExhaustive returns a full-grid strategy.
-func NewExhaustive(space *Space) *Exhaustive {
-	return &Exhaustive{space: space, indices: make([]int, len(space.Params)), done: space.Size() == 0}
-}
-
-// Next implements Strategy.
-func (e *Exhaustive) Next() (Point, bool) {
-	if e.done {
-		return nil, false
+// Points enumerates the full grid in odometer order (last declared
+// parameter varies fastest): the offline mode's full-space sweep. An empty
+// space has no points.
+func (s *Space) Points() []Point {
+	n := s.Size()
+	if n == 0 {
+		return nil
 	}
-	p, err := e.space.At(e.indices)
-	if err != nil {
-		return nil, false
-	}
-	// Advance the odometer.
-	for i := len(e.indices) - 1; i >= 0; i-- {
-		e.indices[i]++
-		if e.indices[i] < len(e.space.Params[i].Values) {
-			return p, true
-		}
-		e.indices[i] = 0
-	}
-	e.done = true
-	return p, true
-}
-
-// Random samples grid points uniformly without replacement, for budgeted
-// exploration of very large spaces.
-type Random struct {
-	space *Space
-	perm  []int
-	pos   int
-}
-
-// NewRandom returns a random-order strategy over at most budget points
-// (budget <= 0 means the whole grid), using a deterministic seed.
-func NewRandom(space *Space, budget int, seed uint64) *Random {
-	n := space.Size()
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	src := rng.New(seed)
-	for i := n - 1; i > 0; i-- {
-		j := src.Intn(i + 1)
-		perm[i], perm[j] = perm[j], perm[i]
-	}
-	if budget > 0 && budget < n {
-		perm = perm[:budget]
-	}
-	return &Random{space: space, perm: perm}
-}
-
-// Next implements Strategy.
-func (r *Random) Next() (Point, bool) {
-	if r.pos >= len(r.perm) {
-		return nil, false
-	}
-	flat := r.perm[r.pos]
-	r.pos++
-	indices := make([]int, len(r.space.Params))
-	for i := len(r.space.Params) - 1; i >= 0; i-- {
-		n := len(r.space.Params[i].Values)
-		indices[i] = flat % n
-		flat /= n
-	}
-	p, err := r.space.At(indices)
-	if err != nil {
-		return nil, false
-	}
-	return p, true
-}
-
-// Collect drains a strategy into a slice (convenience for tests and the
-// offline mode).
-func Collect(s Strategy) []Point {
-	var out []Point
+	out := make([]Point, 0, n)
+	indices := make([]int, len(s.Params))
 	for {
-		p, ok := s.Next()
-		if !ok {
-			return out
+		p := make(Point, len(s.Params))
+		for i, def := range s.Params {
+			p[def.Name] = def.Values[indices[i]]
 		}
 		out = append(out, p)
+		// Advance the odometer.
+		i := len(indices) - 1
+		for ; i >= 0; i-- {
+			indices[i]++
+			if indices[i] < len(s.Params[i].Values) {
+				break
+			}
+			indices[i] = 0
+		}
+		if i < 0 {
+			return out
+		}
 	}
 }

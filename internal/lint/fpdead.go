@@ -39,6 +39,7 @@ var deadAllow = []struct{ target, reason string }{
 	{"internal/sqlparser.ExampleScenarioNames", "tests in other packages iterate the shipped scenarios through it"},
 	{"internal/obs.Node.Visit", "tree walk that tests in other packages inspect span trees with"},
 	{"internal/stats.Quantile", "exact sorted-sample quantile that t-digest accuracy tests in stats and mc measure against"},
+	{"internal/rng.Source.Intn", "bounded draw that generated-input tests in rng, stats and aggregate use"},
 	{"internal/rng.Derive", "called only by bench/layerprobe, a separate module behind a build tag"},
 	{"internal/scenario.Scenario.DefaultPoint", "called only by bench/layerprobe, a separate module behind a build tag"},
 	{"internal/storage.NewStore", "called only by bench/layerprobe, a separate module behind a build tag"},

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"fuzzyprophet/internal/core"
-	"fuzzyprophet/internal/guide"
 	"fuzzyprophet/internal/storage"
 )
 
@@ -18,7 +17,7 @@ import (
 // evaluator's.
 func TestGoldenSnapshotLoads(t *testing.T) {
 	scn := compileExample(t, "quickstart")
-	pts := guide.Collect(guide.NewExhaustive(scn.Space))[:4]
+	pts := scn.Space.Points()[:4]
 	loaded, err := LoadSnapshot("testdata/quickstart-v2.snap", storage.Options{})
 	if err != nil {
 		t.Fatal(err)

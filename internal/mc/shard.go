@@ -11,12 +11,14 @@ package mc
 // simulates its own from seeds), materializes a range-local worlds table,
 // executes the scenario's compiled plan over it and returns its partial
 // output columns in world order — or, sketch-only, one mergeable sketch
-// per column (Welford moments + t-digest). Concatenating the partial
-// columns in range order is bit-identical whatever the split, because the
-// compiled plan is row-wise over the worlds-major relation
+// per column (Welford moments + t-digest) instead. Concatenating the
+// partial columns in range order is bit-identical whatever the split,
+// because the compiled plan is row-wise over the worlds-major relation
 // (sqlengine.Plan.Shardable); a plan that is not is always one range. A
 // remote fan-out sends each range out once per batch of points, not once
-// per point: the range is the same window of worlds at every point.
+// per point: the range is the same window of worlds at every point. A
+// worker answers its range in this same shape; only the coordinator
+// aggregates.
 
 import (
 	"context"
@@ -90,14 +92,21 @@ type ShardTask struct {
 	SketchOnly bool
 }
 
-// ShardOutput is one range's partial render: per-column sample vectors for
-// the rows its world range produced (in world order; joins may yield more
-// rows than worlds, WHERE fewer) and/or a mergeable sketch per column. A
-// local range carries vectors, or — sketch-only — sketches; a worker's
-// response carries both unless sketch-only was asked for.
+// ShardOutput is one range's partial render, exactly what the coordinator's
+// stitch reads: per-column sample vectors for the rows its world range
+// produced (in world order; joins may yield more rows than worlds, WHERE
+// fewer) or — sketch-only — one mergeable sketch per column, never both.
+// A local range, a worker's answer and a wire frame all carry this one
+// shape.
 type ShardOutput struct {
-	Columns  map[string][]float64
-	Sketches map[string]aggregate.ColumnSketch
+	// Rows is the number of output rows the range produced.
+	Rows int `json:"rows"`
+	// Columns maps each numeric output column to its partial sample vector
+	// (nil when sketch-only).
+	Columns map[string][]float64 `json:"columns"`
+	// Sketches maps each numeric output column to its mergeable aggregate
+	// (nil unless sketch-only).
+	Sketches map[string]aggregate.ColumnSketch `json:"sketches,omitempty"`
 }
 
 // ShardRunner evaluates one shard at every point of the task, typically on
@@ -228,7 +237,7 @@ func (ev *Evaluator) runShardLocal(ctx context.Context, sp *obs.Span, pt guide.P
 	// in the SQL result but have no distribution to aggregate, so they are
 	// skipped here; NULLs or mixed types in a numeric column are errors. A
 	// sketch-only range folds each vector into its sketch and drops it.
-	result := &ShardOutput{}
+	result := &ShardOutput{Rows: out.NumRows()}
 	sketchOnly := ev.opts.SketchOnly
 	if sketchOnly {
 		result.Sketches = make(map[string]aggregate.ColumnSketch, len(ev.scn.OutputCols))
@@ -525,15 +534,17 @@ func (ev *Evaluator) harvestDegraded(res *PointResult, ranges []WorldRange, outs
 // Options.Worlds)) at each parameter point, in order — the worker half of
 // distributed rendering: an HTTP worker receives (scenario, points, seed
 // base, range), self-simulates the range from per-(site, world) seeds and
-// returns, per point, the partial columns (unless sketch-only) plus one
-// sketch per column for the coordinator to stitch. Per point it is the same
-// pipeline as EvaluatePoints over a sub-range: the shard is itself split
-// across Options.Shards in-process ranges, so a worker saturates its own
-// cores, and the evaluator's series chains carry from one point to the
-// next. The context is checked before every point; on error the outputs of
-// the points completed before it are returned with it. Fingerprint reuse is
-// not consulted (partial vectors are not valid bases). Requires a shardable
-// scenario plan.
+// returns, per point, the input of the coordinator's stitch: the partial
+// columns, or sketch-only one sketch per column. Per point it is the same
+// pipeline as EvaluatePoints over a sub-range, without the aggregation: the
+// shard is itself split across Options.Shards in-process ranges, so a
+// worker saturates its own cores, and the evaluator's series chains carry
+// from one point to the next. A one-range shard answers its range's output
+// as it is; several ranges are stitched (stitchOutput). The context is
+// checked before every point; on error the outputs of the points completed
+// before it are returned with it. Fingerprint reuse is not consulted
+// (partial vectors are not valid bases). Requires a shardable scenario
+// plan.
 //
 // Like EvaluatePoints, EvaluateShard is not safe for concurrent calls on
 // one Evaluator.
@@ -568,15 +579,38 @@ func (ev *Evaluator) EvaluateShard(ctx context.Context, pts []guide.Point, shard
 				return outs, err
 			}
 		}
-		columns, sketches, err := ev.reduce(sp, parts)
-		if err != nil {
-			return outs, err
-		}
-		out := &ShardOutput{Columns: columns, Sketches: make(map[string]aggregate.ColumnSketch, len(sketches))}
-		for col, cs := range sketches {
-			out.Sketches[col] = cs.Sketch()
+		out := parts[0]
+		if len(parts) > 1 {
+			var err error
+			if out, err = stitchOutput(sp, parts); err != nil {
+				return outs, err
+			}
 		}
 		outs = append(outs, out)
 	}
 	return outs, nil
+}
+
+// stitchOutput stitches a worker's in-process ranges into the one output
+// its answer carries, inside a sketch-merge span: vectors concatenated in
+// range order, or sketch-only the range-ordered merge, serialized once.
+// The row counts add up.
+func stitchOutput(sp *obs.Span, parts []*ShardOutput) (*ShardOutput, error) {
+	msp := sp.Child("sketch-merge")
+	defer msp.End()
+	columns, merged, err := stitchShards(parts)
+	if err != nil {
+		return nil, err
+	}
+	out := &ShardOutput{Columns: columns}
+	for _, part := range parts {
+		out.Rows += part.Rows
+	}
+	if merged != nil {
+		out.Sketches = make(map[string]aggregate.ColumnSketch, len(merged))
+		for col, cs := range merged {
+			out.Sketches[col] = cs.Sketch()
+		}
+	}
+	return out, nil
 }

@@ -644,3 +644,60 @@ GRAPH OVER @t EXPECT demand;
 		t.Errorf("one local range must not fan out; got %v", seen)
 	}
 }
+
+// TestDegradedHarvestOverVectorAnswers: a worker's vector answer carries no
+// sketch, so the coordinator's degraded harvest folds the vectors itself.
+// That must give the merged aggregate the harvest gave when the answer also
+// carried the sketch the worker folded from the same stitched vectors,
+// bit for bit.
+func TestDegradedHarvestOverVectorAnswers(t *testing.T) {
+	ctx := context.Background()
+	scn := compileExample(t, "capacityplanning")
+	pt := scn.DefaultPoint()
+	const worlds = 120
+	ranges := SplitWorlds(worlds, 2)
+	worker := NewEvaluator(scn, Options{Worlds: worlds, Shards: 3})
+	got, err := worker.EvaluateShard(ctx, []guide.Point{pt}, ranges[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	vectorOnly := got[0]
+	if vectorOnly.Sketches != nil || len(vectorOnly.Columns) == 0 {
+		t.Fatalf("vector answer carries %d vectors and %d sketches", len(vectorOnly.Columns), len(vectorOnly.Sketches))
+	}
+	withSketches := &ShardOutput{Rows: vectorOnly.Rows, Columns: vectorOnly.Columns, Sketches: map[string]aggregate.ColumnSketch{}}
+	for col, fs := range vectorOnly.Columns {
+		cs := aggregate.NewColumnStats()
+		cs.AddAll(fs)
+		withSketches.Sketches[col] = cs.Sketch()
+	}
+	harvest := func(out *ShardOutput) map[string]*aggregate.ColumnStats {
+		t.Helper()
+		ev := NewEvaluator(scn, Options{Worlds: worlds, Shards: 2, AllowDegraded: true})
+		res := &PointResult{}
+		if !ev.harvestDegraded(res, ranges, []*ShardOutput{out, nil}, []error{nil, context.DeadlineExceeded}, nil) {
+			t.Fatal("nothing harvested from the completed range")
+		}
+		if !res.Degraded || res.WorldsCompleted != ranges[0].Len() {
+			t.Fatalf("harvest = degraded %v over %d worlds, want %d", res.Degraded, res.WorldsCompleted, ranges[0].Len())
+		}
+		return res.Sketches
+	}
+	want, have := harvest(withSketches), harvest(vectorOnly)
+	if len(have) != len(want) {
+		t.Fatalf("%d harvested columns, want %d", len(have), len(want))
+	}
+	bits := math.Float64bits
+	for col, w := range want {
+		g, ws := have[col].Sketch(), w.Sketch()
+		if g.Count != ws.Count || bits(g.Mean) != bits(ws.Mean) || bits(g.M2) != bits(ws.M2) ||
+			bits(g.Min) != bits(ws.Min) || bits(g.Max) != bits(ws.Max) || len(g.Centroids) != len(ws.Centroids) {
+			t.Fatalf("column %q: harvested %+v, want %+v", col, g, ws)
+		}
+		for k, c := range ws.Centroids {
+			if gc := g.Centroids[k]; bits(gc.Mean) != bits(c.Mean) || bits(gc.Weight) != bits(c.Weight) {
+				t.Fatalf("column %q centroid %d = %+v, want %+v", col, k, gc, c)
+			}
+		}
+	}
+}

@@ -45,13 +45,6 @@ type Options struct {
 	// order, with running counts — the live view of §3.3's demo. The calls
 	// for a group come once its batch has been evaluated.
 	Progress func(done, total int, pt guide.Point, res *mc.PointResult)
-	// GroupBudget, when positive, explores only that many groups, sampled
-	// uniformly without replacement (deterministically from BudgetSeed).
-	// The result is then approximate: the true optimum may lie in an
-	// unexplored group. Zero means exhaustive.
-	GroupBudget int
-	// BudgetSeed seeds the budgeted sampling order (default 1).
-	BudgetSeed uint64
 }
 
 // GroupRow is the outcome for one grouped-parameter assignment.
@@ -77,10 +70,8 @@ type Result struct {
 	Best []GroupRow
 	// PointsEvaluated counts the points evaluated across every group's batch.
 	PointsEvaluated int
-	// GroupsTotal is the size of the grouped space; when GroupsExplored is
-	// smaller (budgeted run), the result is approximate.
-	GroupsTotal    int
-	GroupsExplored int
+	// GroupsTotal is the size of the grouped space: every group is explored.
+	GroupsTotal int
 	// Elapsed is the wall-clock duration of the run.
 	Elapsed time.Duration
 }
@@ -239,7 +230,7 @@ func Run(ctx context.Context, scn *scenario.Scenario, opts Options) (*Result, er
 		if err != nil {
 			return nil, err
 		}
-		freePoints = guide.Collect(guide.NewExhaustive(freeSpace))
+		freePoints = freeSpace.Points()
 	}
 
 	terms, err := extractTerms(opt.Where, len(freeDefs))
@@ -260,17 +251,7 @@ func Run(ctx context.Context, scn *scenario.Scenario, opts Options) (*Result, er
 	ev.Reads(columns...)
 	res := &Result{GroupParams: groupNames, FreeParams: freeNames, GroupsTotal: groupSpace.Size()}
 
-	var groups []guide.Point
-	if opts.GroupBudget > 0 && opts.GroupBudget < groupSpace.Size() {
-		seed := opts.BudgetSeed
-		if seed == 0 {
-			seed = 1
-		}
-		groups = guide.Collect(guide.NewRandom(groupSpace, opts.GroupBudget, seed))
-	} else {
-		groups = guide.Collect(guide.NewExhaustive(groupSpace))
-	}
-	res.GroupsExplored = len(groups)
+	groups := groupSpace.Points()
 	total := len(groups) * len(freePoints)
 	for _, group := range groups {
 		// The group's free sweep is one batch.

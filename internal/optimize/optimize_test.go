@@ -372,58 +372,6 @@ func TestSelectBestTiesAndErrors(t *testing.T) {
 	}
 }
 
-func TestBudgetedExploration(t *testing.T) {
-	scn := compileReduced(t)
-	reuse, err := mc.NewReuse(core.DefaultConfig(), storage.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(context.Background(), scn, Options{
-		MC:          mc.Options{Worlds: 80, Reuse: reuse},
-		GroupBudget: 10,
-		BudgetSeed:  7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.GroupsExplored != 10 || res.GroupsTotal != 50 {
-		t.Errorf("explored %d/%d", res.GroupsExplored, res.GroupsTotal)
-	}
-	if res.GroupsExplored == res.GroupsTotal {
-		t.Error("budgeted run must not claim exhaustiveness")
-	}
-	if len(res.Rows) != 10 {
-		t.Errorf("rows = %d", len(res.Rows))
-	}
-	if res.PointsEvaluated != 10*53 {
-		t.Errorf("points = %d", res.PointsEvaluated)
-	}
-	// Deterministic in the seed.
-	res2, err := Run(context.Background(), scn, Options{
-		MC:          mc.Options{Worlds: 80},
-		GroupBudget: 10,
-		BudgetSeed:  7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range res.Rows {
-		for _, p := range res.GroupParams {
-			if !res.Rows[i].Group[p].Equal(res2.Rows[i].Group[p]) {
-				t.Fatal("budgeted sampling not deterministic")
-			}
-		}
-	}
-	// A budget covering the space degrades to exhaustive.
-	res3, err := Run(context.Background(), scn, Options{MC: mc.Options{Worlds: 20}, GroupBudget: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res3.GroupsExplored != res3.GroupsTotal {
-		t.Error("budget >= space should be exhaustive")
-	}
-}
-
 func TestGroupByMismatchRejected(t *testing.T) {
 	// GROUP BY repeats a parameter: compile passes (names are declared)
 	// but Run rejects the degenerate partition.

@@ -80,7 +80,7 @@ func (f Fault) String() string {
 
 // Exchange records one proxied request/response pair.
 type Exchange struct {
-	// Path and Query identify the route ("/shard/render", "sketch_only=1").
+	// Path and Query identify the route ("/shard/render" and its raw query).
 	Path  string
 	Query string
 	// Fault is the fault applied to this exchange (None for pass-through).

@@ -647,6 +647,58 @@ func TestHedgeWinsDuringBackoff(t *testing.T) {
 	}
 }
 
+// TestRaceOwnsItsAttempts: race returns only after every attempt it
+// launched has reported. The primary blocks until it is cancelled, then
+// takes a while to wind down and records that it finished; the hedge wins
+// at once. race must cancel the primary (not wait out its attempt
+// deadline) and return only after it recorded, and the drained failure
+// must move no breaker and no counter.
+func TestRaceOwnsItsAttempts(t *testing.T) {
+	states := newWorkerStates([]string{"w0", "w1"})
+	p := &workerPool{states: states, metrics: newMetrics(), log: testLog(t), latency: &latencyWindow{}}
+	warmWindow(p.latency, time.Millisecond) // the hedge fires after 5ms
+	want := &fp.ShardResult{Rows: 7}
+	var finished atomic.Bool
+	var cause error
+	attempt := func(ctx context.Context, ws *workerState) ([]*fp.ShardResult, error) {
+		if ws == states[1] {
+			return []*fp.ShardResult{want}, nil
+		}
+		<-ctx.Done()
+		cause = ctx.Err()
+		time.Sleep(20 * time.Millisecond)
+		finished.Store(true)
+		return nil, ctx.Err()
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	got, err := p.race(ctx, fp.WorldShard{Lo: 0, Hi: 8}, 1, time.Hour, attempt)
+	if !finished.Load() {
+		t.Fatal("race returned while the losing attempt was still running")
+	}
+	if err != nil || len(got) != 1 || got[0] != want {
+		t.Fatalf("race = %v, %v; want the hedge's result", got, err)
+	}
+	if !errors.Is(cause, context.Canceled) {
+		t.Errorf("the losing attempt ended with %v, want it cancelled", cause)
+	}
+	m := p.metrics
+	for name, c := range map[string]struct{ got, want int64 }{
+		"hedges":          {m.shardHedges.Load(), 1},
+		"hedge wins":      {m.shardHedgeWins.Load(), 1},
+		"cooldowns":       {m.shardCooldowns.Load(), 0},
+		"retries":         {m.shardRetries.Load(), 0},
+		"worker failures": {m.shardWorkerFailures.Load(), 0},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s counter = %d, want %d", name, c.got, c.want)
+		}
+	}
+	if st := states[0].state(time.Now()); st != breakerClosed {
+		t.Errorf("the losing worker's breaker = %d, want closed", st)
+	}
+}
+
 // TestBatchTimingsScaleWithPoints: the latency window holds per-point
 // latencies and a request's timings scale with its point count. A window
 // warmed with 1-point latencies of 10ms hedges a 1-point request after 10ms,

@@ -473,23 +473,10 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		s.error(w, http.StatusBadRequest, fmt.Errorf("missing \"sql\""))
 		return
 	}
-	scn, err := s.cfg.System.Compile(req.SQL)
+	scn, err := compileScenario(s.cfg.System, req.SQL, req.Tables)
 	if err != nil {
 		s.error(w, http.StatusBadRequest, err)
 		return
-	}
-	for _, t := range req.Tables {
-		rows := make([][]any, len(t.Rows))
-		for i, row := range t.Rows {
-			rows[i] = make([]any, len(row))
-			for j, v := range row {
-				rows[i][j] = canonicalNumber(v)
-			}
-		}
-		if err := scn.AddTable(t.Name, t.Columns, rows); err != nil {
-			s.error(w, http.StatusBadRequest, err)
-			return
-		}
 	}
 	fingerprint := scn.Fingerprint()
 	id := req.ID
@@ -965,6 +952,29 @@ func sessionToJSON(s *Session) sessionJSON {
 		ReuseCounts: s.Sess.ReuseCounts(),
 		CreatedAt:   s.CreatedAt,
 	}
+}
+
+// compileScenario compiles a scenario payload — a script plus its side
+// tables, each cell canonicalized — as registration and a worker's cache
+// miss both receive it.
+func compileScenario(sys *fp.System, sql string, tables []tableDef) (*fp.Scenario, error) {
+	scn, err := sys.Compile(sql)
+	if err != nil {
+		return nil, err
+	}
+	for _, t := range tables {
+		rows := make([][]any, len(t.Rows))
+		for i, row := range t.Rows {
+			rows[i] = make([]any, len(row))
+			for j, v := range row {
+				rows[i][j] = canonicalNumber(v)
+			}
+		}
+		if err := scn.AddTable(t.Name, t.Columns, rows); err != nil {
+			return nil, err
+		}
+	}
+	return scn, nil
 }
 
 // canonicalNumber converts whole JSON numbers (always decoded as float64)

@@ -13,9 +13,10 @@
 //     upon which the coordinator re-sends once with the full payload. Each
 //     cached scenario keeps a freelist of warmed evaluators, so repeat
 //     shards pay only the evaluation; one request's points run in order on
-//     one evaluator. With sketch_only set (body field or ?sketch_only=1)
-//     the response carries merged per-column sketches instead of per-world
-//     sample vectors — O(compression), not O(worlds). Requests and error
+//     one evaluator. Each point's result is what the coordinator stitches,
+//     built once: the shard's per-world sample vectors, or with the
+//     request's sketch_only field set one sketch per column instead —
+//     O(compression), not O(worlds), per column. Requests and error
 //     answers are JSON; a 200 answer is one checksummed binary frame with
 //     one result per point (frame.go).
 //
@@ -116,8 +117,8 @@ type shardRequest struct {
 	// Lo/Hi is the assigned world range [Lo, Hi) within [0, Worlds).
 	Lo int `json:"lo"`
 	Hi int `json:"hi"`
-	// SketchOnly asks for merged per-column sketches WITHOUT the per-world
-	// sample vectors (equivalent to the ?sketch_only=1 query parameter).
+	// SketchOnly asks for one sketch per column INSTEAD of the per-world
+	// sample vectors.
 	SketchOnly bool `json:"sketch_only,omitempty"`
 }
 
@@ -168,21 +169,9 @@ func (c *shardScenarios) get(sys *fp.System, req *shardRequest, mkWorker func(*f
 			return e, nil
 		}
 	}
-	scn, err := sys.Compile(req.SQL)
+	scn, err := compileScenario(sys, req.SQL, req.Tables)
 	if err != nil {
 		return nil, err
-	}
-	for _, t := range req.Tables {
-		rows := make([][]any, len(t.Rows))
-		for i, row := range t.Rows {
-			rows[i] = make([]any, len(row))
-			for j, v := range row {
-				rows[i][j] = canonicalNumber(v)
-			}
-		}
-		if err := scn.AddTable(t.Name, t.Columns, rows); err != nil {
-			return nil, err
-		}
 	}
 	got := scn.Fingerprint()
 	if req.Fingerprint != "" && got != req.Fingerprint {
@@ -265,7 +254,6 @@ func (s *Server) handleShardRender(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	sketchOnly := req.SketchOnly || r.URL.Query().Get("sketch_only") == "1"
 	for _, point := range req.Points {
 		for k, v := range point {
 			point[k] = canonicalNumber(v)
@@ -295,17 +283,17 @@ func (s *Server) handleShardRender(w http.ResponseWriter, r *http.Request) {
 	tr.Root().SetInt("lo", int64(req.Lo))
 	tr.Root().SetInt("hi", int64(req.Hi))
 	tr.Root().SetInt("points", int64(len(req.Points)))
-	if sketchOnly {
+	if req.SketchOnly {
 		tr.Root().SetInt("sketch_only", 1)
 	}
 	results, err := entry.worker.EvaluateShard(ctx, req.Points, req.Worlds, req.Seed,
-		fp.WorldShard{Lo: req.Lo, Hi: req.Hi}, sketchOnly)
+		fp.WorldShard{Lo: req.Lo, Hi: req.Hi}, req.SketchOnly)
 	if err != nil {
 		s.renderError(w, ctx, err)
 		return
 	}
 	s.metrics.shardRendersServed.Add(1)
-	if sketchOnly {
+	if req.SketchOnly {
 		s.metrics.shardSketchOnlyServed.Add(1)
 	}
 	resp := shardResponse{
@@ -463,14 +451,19 @@ func (p *workerPool) EvaluateShard(ctx context.Context, req fp.ShardRequest) ([]
 // attempt result, hedge timer, backoff timer and ctx.Done. The primary goes
 // to the first candidate; when the hedge timer fires, one duplicate goes to
 // the next; every failure owes one retry on the next candidate, launched
-// when the jittered, doubling backoff timer fires. The first success wins
-// and cancels the rest. The hedge delay and the attempt deadline come from
-// the latency window, scaled to the request's point count; an attempt never
-// outlives the request's budget. A transport error, timeout or 5xx opens
-// its worker's breaker; a success closes it and feeds the window its
-// per-point latency. When no candidate is left and nothing is in flight the
-// last error is returned, upon which the Monte Carlo executor evaluates the
-// shard locally.
+// when the jittered, doubling backoff timer fires. The first success wins.
+// The hedge delay and the attempt deadline come from the latency window,
+// scaled to the request's point count; an attempt never outlives the
+// request's budget. A transport error, timeout or 5xx opens its worker's
+// breaker; a success closes it and feeds the window its per-point latency.
+// When no candidate is left and nothing is in flight the last error is
+// returned, upon which the Monte Carlo executor evaluates the shard
+// locally. Whatever ends the race — a success, the last failure or
+// ctx.Done — it cancels every attempt still in flight and waits for each
+// to report before it returns, so no attempt outlives its shard call: a
+// losing tryWorker never writes to the render's spans after the render
+// answered. A drained outcome touches no breaker, latency window or
+// metric.
 func (p *workerPool) race(ctx context.Context, shard fp.WorldShard, points int, backoff time.Duration, attempt func(context.Context, *workerState) ([]*fp.ShardResult, error)) ([]*fp.ShardResult, error) {
 	candidates := p.order(shard.Index)
 	if len(candidates) == 0 {
@@ -487,9 +480,16 @@ func (p *workerPool) race(ctx context.Context, shard fp.WorldShard, points int, 
 		took   time.Duration
 	}
 	// Each candidate is attempted at most once, so with one slot per
-	// candidate a losing attempt reports without blocking after the race.
+	// candidate no attempt blocks on its report.
 	results := make(chan outcome, len(candidates))
 	next, inflight := 0, 0
+	done := func(res []*fp.ShardResult, err error) ([]*fp.ShardResult, error) {
+		acancel()
+		for ; inflight > 0; inflight-- {
+			<-results
+		}
+		return res, err
+	}
 	launch := func(hedged bool) {
 		ws := candidates[next]
 		next++
@@ -524,7 +524,7 @@ func (p *workerPool) race(ctx context.Context, shard fp.WorldShard, points int, 
 	for {
 		select {
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return done(nil, ctx.Err())
 		case <-hedgeC:
 			if next+owed < len(candidates) {
 				p.metrics.shardHedges.Add(1)
@@ -545,7 +545,7 @@ func (p *workerPool) race(ctx context.Context, shard fp.WorldShard, points int, 
 					p.metrics.shardHedgeWins.Add(1)
 				}
 				p.metrics.shardFanouts.Add(1)
-				return r.res, nil
+				return done(r.res, nil)
 			}
 			// A transport error, timeout or 5xx opens the worker's breaker so
 			// the next shards prefer its peers; a 4xx (bad input, fingerprint
@@ -567,7 +567,7 @@ func (p *workerPool) race(ctx context.Context, shard fp.WorldShard, points int, 
 			case inflight == 0:
 				p.metrics.shardWorkerFailures.Add(1)
 				p.log.Warn("shard evaluated locally", "lo", shard.Lo, "hi", shard.Hi, "workers", len(candidates), "err", r.err)
-				return nil, r.err
+				return done(nil, r.err)
 			}
 		}
 	}

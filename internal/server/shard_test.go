@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	fp "fuzzyprophet"
@@ -72,10 +73,9 @@ func TestShardWorkerEndpoint(t *testing.T) {
 		if len(res.Points[0].Columns[col]) != 50 {
 			t.Errorf("column %s has %d rows, want 50", col, len(res.Points[0].Columns[col]))
 		}
-		sk, ok := res.Points[0].Sketches[col]
-		if !ok || sk.Count != 50 {
-			t.Errorf("column %s sketch count = %d, want 50", col, sk.Count)
-		}
+	}
+	if n := len(res.Points[0].Sketches); n != 0 {
+		t.Errorf("a vector answer carries %d sketches, want none", n)
 	}
 
 	// Bad ranges are rejected.
@@ -435,11 +435,61 @@ func TestNonFiniteValuesCrossTheShardHop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sk := want[0].Sketches["demand"]; !math.IsInf(sk.Max, 1) {
-			t.Fatalf("demand max = %v, want +Inf (scenario no longer overflows)", sk.Max)
+		max := want[0].Sketches["demand"].Max
+		if !sketchOnly {
+			max = slices.Max(want[0].Columns["demand"])
+		}
+		if !math.IsInf(max, 1) {
+			t.Fatalf("demand max = %v, want +Inf (scenario no longer overflows)", max)
 		}
 		if d := diffShardResult(want[0], got[0]); d != "" {
 			t.Errorf("sketch_only=%v: wire result differs from in-process: %s", sketchOnly, d)
+		}
+	}
+}
+
+// TestShardAnswerShapeOverHTTP: through the coordinator's workerPool, a
+// vector-mode answer arrives with the shard's vectors and no sketch — the
+// frame decoder builds a Sketches map only for a column flagged
+// frameSketch, so a nil map means no column carried one — and a
+// sketch-only answer with one sketch per column and no vector. Each
+// arrives bit-equal to the in-process ShardWorker's answer.
+func TestShardAnswerShapeOverHTTP(t *testing.T) {
+	worker := newWorkerServer(t)
+	coordSrv, coord := newTestServer(t, func(c *Config) { c.Workers = []string{worker.URL} })
+	scn := registerScenario(t, coord.URL)
+	entry, ok := coordSrv.registry.Get(scn.ID)
+	if !ok {
+		t.Fatal("scenario not registered on the coordinator")
+	}
+	inproc, err := coordSrv.newShardWorkerFor(entry.Scenario)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const worlds = 90
+	columns := len(entry.Scenario.OutputColumns())
+	for _, sketchOnly := range []bool{false, true} {
+		req := fp.ShardRequest{Points: testPoints, Worlds: worlds, Shard: fp.WorldShard{Lo: 30, Hi: worlds}, SketchOnly: sketchOnly}
+		got, err := coordSrv.newWorkerPool(entry).EvaluateShard(context.Background(), req)
+		if err != nil {
+			t.Fatalf("sketch_only=%v: %v", sketchOnly, err)
+		}
+		want, err := inproc.EvaluateShard(context.Background(), req.Points, worlds, 0, req.Shard, sketchOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, res := range got {
+			vectors, sketches := len(res.Columns), len(res.Sketches)
+			if sketchOnly && (res.Columns != nil || sketches != columns) ||
+				!sketchOnly && (res.Sketches != nil || vectors != columns) {
+				t.Errorf("sketch_only=%v, point %d: %d vectors and %d sketches for %d columns", sketchOnly, i, vectors, sketches, columns)
+			}
+			if res.Rows != 60 {
+				t.Errorf("sketch_only=%v, point %d: %d rows, want 60", sketchOnly, i, res.Rows)
+			}
+			if d := diffShardResult(want[i], res); d != "" {
+				t.Errorf("sketch_only=%v, point %d: wire result differs from in-process: %s", sketchOnly, i, d)
+			}
 		}
 	}
 }

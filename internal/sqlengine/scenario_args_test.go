@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"fuzzyprophet/internal/benchfix"
-	"fuzzyprophet/internal/guide"
 	"fuzzyprophet/internal/scenario"
 	"fuzzyprophet/internal/sqlengine"
 	"fuzzyprophet/internal/sqlparser"
@@ -35,7 +34,7 @@ func compileExample(tb testing.TB, name string) *scenario.Scenario {
 func TestSiteArgValuesMatchRowEvaluator(t *testing.T) {
 	for _, name := range sqlparser.ExampleScenarioNames() {
 		scn := compileExample(t, name)
-		points := guide.Collect(guide.NewExhaustive(scn.Space))
+		points := scn.Space.Points()
 		for _, pt := range points {
 			for i := range scn.Sites {
 				site := &scn.Sites[i]

@@ -11,7 +11,7 @@ import (
 // EvalOption tunes evaluation: world count, seeding, sharding and the
 // fingerprint-reuse machinery. Options apply to Evaluate, EvaluateBatch,
 // OpenSession and Optimize; an option irrelevant to a call (e.g.
-// WithGroupBudget outside Optimize) is ignored.
+// WithSpillBudget without WithSpillDir) is ignored.
 type EvalOption func(*evalConfig)
 
 // evalConfig is the resolved option set. Zero fields mean "engine default".
@@ -22,7 +22,6 @@ type evalConfig struct {
 	storeBudget   int64
 	spillDir      string
 	spillBudget   int64
-	groupBudget   int
 	shards        int
 	shardEval     ShardEvaluator
 	sketchOnly    bool
@@ -85,13 +84,6 @@ func WithSpillBudget(bytes int64) EvalOption {
 	return func(c *evalConfig) { c.spillBudget = bytes }
 }
 
-// WithGroupBudget makes Optimize explore only that many randomly sampled
-// groups instead of the whole grouped space (the result is then
-// approximate; see OptimizeResult.Exhaustive).
-func WithGroupBudget(groups int) EvalOption {
-	return func(c *evalConfig) { c.groupBudget = groups }
-}
-
 // WithShards splits each point's Monte Carlo world range into n contiguous
 // ranges evaluated concurrently and stitched back in world order (default
 // 1: one range, evaluated inline). World seeds derive per (site, world) and
@@ -118,8 +110,11 @@ func WithShardEvaluator(se ShardEvaluator) EvalOption {
 
 // WithSketchOnly makes every world range return ONLY its per-column sketch
 // (Welford moments + t-digest centroids) instead of per-world sample
-// vectors, so each remote shard response is O(compression) bytes instead of
-// O(worlds) — the wire protocol's compressed response mode. Results are
+// vectors, so each column of a remote shard answer is O(compression) bytes
+// instead of O(worlds) — the wire protocol's compressed response mode. It
+// shrinks the answer only past a few hundred worlds per range (about 240 on
+// capacityplanning's figure-2 sweep; see docs/ARCHITECTURE.md, "Where
+// sketch-only is smaller"). Results are
 // the range-ordered merge of those sketches: moments (mean, stddev, CI95)
 // are exact, quantiles (median, P95) carry the t-digest error bound. It
 // applies to every evaluation — Evaluate, sessions, Optimize — with or
@@ -177,30 +172,22 @@ func (c evalConfig) mcOptions() (mc.Options, error) {
 }
 
 // shardRunnerFor adapts the public ShardEvaluator to the executor's
-// internal runner signature. The executor checks that one output came back
-// per point; a nil result stays a nil output, which it rejects too.
+// internal runner signature: the points go out as maps, and the results
+// come back as they are (a ShardResult is the executor's ShardOutput). The
+// executor checks that one output came back per point and that none is
+// nil.
 func shardRunnerFor(se ShardEvaluator) mc.ShardRunner {
 	return func(ctx context.Context, task mc.ShardTask) ([]*mc.ShardOutput, error) {
 		points := make([]map[string]any, len(task.Points))
 		for i, pt := range task.Points {
 			points[i] = fromPoint(pt)
 		}
-		res, err := se.EvaluateShard(ctx, ShardRequest{
+		return se.EvaluateShard(ctx, ShardRequest{
 			Points:     points,
 			Worlds:     task.Worlds,
 			Seed:       task.SeedBase,
 			Shard:      WorldShard{Lo: task.Range.Lo, Hi: task.Range.Hi, Index: task.Index},
 			SketchOnly: task.SketchOnly,
 		})
-		if err != nil {
-			return nil, err
-		}
-		outs := make([]*mc.ShardOutput, len(res))
-		for i, r := range res {
-			if r != nil {
-				outs[i] = &mc.ShardOutput{Columns: r.Columns, Sketches: r.Sketches}
-			}
-		}
-		return outs, nil
 	}
 }

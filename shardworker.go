@@ -10,16 +10,16 @@ import (
 
 // ShardWorker serves shard evaluations for ONE scenario with a freelist of
 // warmed evaluators — the worker half of wire protocol v4's per-fingerprint
-// evaluator pool. Scenario.EvaluateShard builds a fresh worker (and so a
-// fresh Monte Carlo evaluator) per call, repaying the worlds-table and
-// range-env warm-up on every request; a ShardWorker checks an evaluator out
-// of its pool, retargets it at the request's (worlds, seed, sketch mode)
-// via a cheap reconfigure, evaluates every point of the request on it, and
-// returns it after the render, so steady-state shard serving allocates
-// nothing per request beyond the response itself. A coordinator sends a
-// worker the same world range at every batch of a sweep, so the pooled
-// evaluator's series chains stay warm too: each world's chain is simulated
-// once per sweep.
+// evaluator pool, and the one worker entry point (Scenario.EvaluateShard is
+// a one-call wrapper around a fresh ShardWorker). Building an evaluator
+// repays the worlds-table and range-env warm-up; a ShardWorker instead
+// checks an evaluator out of its pool, retargets it at the request's
+// (worlds, seed, sketch mode) via a cheap reconfigure, evaluates every
+// point of the request on it, and returns it after the render, so
+// steady-state shard serving allocates nothing per request beyond the
+// response itself. A coordinator sends a worker the same world range at
+// every batch of a sweep, so the pooled evaluator's series chains stay
+// warm too: each world's chain is simulated once per sweep.
 //
 // A ShardWorker is safe for concurrent use: concurrent requests each check
 // out their own evaluator (the pool grows to peak concurrency and is
@@ -56,8 +56,8 @@ func (sc *Scenario) newShardWorker(cfg evalConfig) (*ShardWorker, error) {
 // seed take the engine defaults), and returns one result per point. The
 // points share the evaluator's series chains, so a sweep's consecutive
 // points re-simulate nothing; the context is checked before every point.
-// With sketchOnly set each result carries only merged per-column sketches
-// (Columns nil), the compressed response mode.
+// Each result carries the shard's sample vectors, or with sketchOnly set
+// one sketch per column instead — the compressed response mode.
 func (w *ShardWorker) EvaluateShard(ctx context.Context, points []map[string]any, worlds int, seed uint64, shard WorldShard, sketchOnly bool) ([]*ShardResult, error) {
 	pts := make([]guide.Point, len(points))
 	for i, point := range points {
@@ -68,7 +68,7 @@ func (w *ShardWorker) EvaluateShard(ctx context.Context, points []map[string]any
 	}
 	ev := w.checkout()
 	ev.Reconfigure(worlds, seed, sketchOnly)
-	outs, err := ev.EvaluateShard(ctx, pts, mc.WorldRange{Lo: shard.Lo, Hi: shard.Hi})
+	results, err := ev.EvaluateShard(ctx, pts, mc.WorldRange{Lo: shard.Lo, Hi: shard.Hi})
 	if err != nil {
 		// Discard the evaluator: after a failure — especially a recovered
 		// panic mid-kernel — its pooled shard envs may hold inconsistent
@@ -77,22 +77,6 @@ func (w *ShardWorker) EvaluateShard(ctx context.Context, points []map[string]any
 		return nil, err
 	}
 	w.checkin(ev)
-	results := make([]*ShardResult, len(outs))
-	for i, out := range outs {
-		res := &ShardResult{Columns: out.Columns, Sketches: out.Sketches}
-		for _, fs := range out.Columns {
-			res.Rows = len(fs)
-			break
-		}
-		if len(out.Columns) == 0 {
-			// Sketch-only: the row count survives in the sketches' counts.
-			for _, sk := range out.Sketches {
-				res.Rows = int(sk.Count)
-				break
-			}
-		}
-		results[i] = res
-	}
 	return results, nil
 }
 
