@@ -11,6 +11,14 @@ package mc
 // keeps one chain per series site, keyed by the non-axis arguments and the
 // seed base, and a sweep simulates each world's chain once instead of once
 // per point.
+//
+// A series function that is a vg.OverlayFunction skips more: its chain is
+// an overlay over a base that depends on the seed alone (the capacity
+// model's failure schedule, against its purchase schedule). The chain keeps
+// each world's base, keyed by the seed base and the window start, so a
+// change of non-axis arguments — a purchase move, a fleet sweep's next
+// purchase pair — replays only overlays, bit for bit the rows Series would
+// give.
 
 import (
 	"math"
@@ -26,14 +34,21 @@ import (
 // args. Rows are filled lazily, one world at a time, by whichever chunk or
 // range simulates that world; chunks and ranges are disjoint, so filling
 // needs no lock. Memory is bounded by worlds × length × 8 B.
+// For a vg.OverlayFunction it also keeps each world's base, which belongs
+// to the window (seed base, lo), not to args, and costs worlds × BaseLen
+// bytes; a row is then the overlay of args over its world's base.
 type seriesChain struct {
 	fn       vg.SeriesFunction
-	args     []value.Value // the rows' arguments; the axis slot is ignored
+	over     vg.OverlayFunction // fn as an overlay function, or nil
+	args     []value.Value      // the rows' arguments; the axis slot is ignored
 	seedBase uint64
 	lo       int
 	length   int
 	rows     []float64 // world lo+r's series is rows[r*length : (r+1)*length]
 	filled   []bool
+	baseLen  int
+	bases    []byte // world lo+r's base is bases[r*baseLen : (r+1)*baseLen]
+	drawn    []bool
 }
 
 // siteCall is one site's VG call at a point: its argument values and their
@@ -76,30 +91,66 @@ func (ev *Evaluator) useChain(c *siteCall, lo, hi int) {
 }
 
 // prepare makes the chain serve worlds [lo, hi) of fn at args under
-// seedBase: a different seed base, window start or non-axis argument resets
-// every row, and a longer window grows the rows, keeping those filled.
+// seedBase: a different seed base or window start resets every base and
+// row, a different non-axis argument every row, and a longer window grows
+// both, keeping those filled.
 func (c *seriesChain) prepare(fn vg.SeriesFunction, args []value.Value, seedBase uint64, lo, hi int) {
 	axis, length := fn.SeriesAxis()
-	if c.seedBase != seedBase || c.lo != lo || c.length != length || !sameArgs(c.args, args, axis) {
+	if c.seedBase != seedBase || c.lo != lo || c.length != length {
 		c.fn, c.seedBase, c.lo, c.length = fn, seedBase, lo, length
+		c.over, _ = fn.(vg.OverlayFunction)
+		if c.over != nil {
+			c.baseLen = c.over.BaseLen()
+		}
 		c.args = append(c.args[:0], args...)
-		c.rows = c.rows[:0]
-		c.filled = c.filled[:0]
+		c.rows, c.filled = c.rows[:0], c.filled[:0]
+		c.bases, c.drawn = c.bases[:0], c.drawn[:0]
+	} else if !sameArgs(c.args, args, axis) {
+		c.args = append(c.args[:0], args...)
+		clear(c.filled)
 	}
 	if n := hi - lo; n > len(c.filled) {
-		c.filled = append(c.filled, make([]bool, n-len(c.filled))...)
-		c.rows = append(c.rows, make([]float64, n*length-len(c.rows))...)
+		c.filled, c.rows = grow(c.filled, n), grow(c.rows, n*length)
+		if c.over != nil {
+			c.drawn, c.bases = grow(c.drawn, n), grow(c.bases, n*c.baseLen)
+		}
 	}
 }
 
+// grow returns s lengthened to n with its contents kept and the rest zero,
+// in place when its capacity allows and otherwise in a new array of exactly
+// n: a window is sized to its worlds, not by append's doubling.
+func grow[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		old := len(s)
+		s = s[:n]
+		clear(s[old:])
+		return s
+	}
+	grown := make([]T, n)
+	copy(grown, s)
+	return grown
+}
+
 // sample returns world i's value at position pos, simulating the world's
-// chain first when its row is not filled yet. worlds is the site's
-// per-world seed family.
+// chain first when its row is not filled yet: over the world's base for an
+// overlay function, drawing the base first when it is not drawn yet, and
+// by Series otherwise. worlds is the site's per-world seed family.
 func (c *seriesChain) sample(worlds rng.Keyed, i, pos int) (float64, error) {
 	r := i - c.lo
 	row := c.rows[r*c.length : (r+1)*c.length]
 	if !c.filled[r] {
-		if err := c.fn.Series(worldSeed(worlds, i), c.args, row); err != nil {
+		seed := worldSeed(worlds, i)
+		if c.over != nil {
+			base := c.bases[r*c.baseLen : (r+1)*c.baseLen]
+			if !c.drawn[r] {
+				c.over.Base(seed, base)
+				c.drawn[r] = true
+			}
+			if err := c.over.Overlay(seed, c.args, base, row); err != nil {
+				return 0, err
+			}
+		} else if err := c.fn.Series(seed, c.args, row); err != nil {
 			return 0, err
 		}
 		c.filled[r] = true

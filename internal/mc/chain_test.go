@@ -172,10 +172,11 @@ func assertSameBits(t *testing.T, what string, want, got map[string][]float64) {
 	}
 }
 
-// countingSeries counts how a series model is evaluated.
+// countingSeries counts how a series model is evaluated: scalar calls,
+// whole chains, bases drawn and overlays replayed over them.
 type countingSeries struct {
 	*models.CapacityModel
-	generates, series atomic.Int64
+	generates, series, bases, overlays atomic.Int64
 }
 
 func (c *countingSeries) Generate(seed uint64, args []value.Value) (value.Value, error) {
@@ -186,6 +187,28 @@ func (c *countingSeries) Generate(seed uint64, args []value.Value) (value.Value,
 func (c *countingSeries) Series(seed uint64, args []value.Value, out []float64) error {
 	c.series.Add(1)
 	return c.CapacityModel.Series(seed, args, out)
+}
+
+func (c *countingSeries) Base(seed uint64, out []byte) {
+	c.bases.Add(1)
+	c.CapacityModel.Base(seed, out)
+}
+
+func (c *countingSeries) Overlay(seed uint64, args []value.Value, base []byte, out []float64) error {
+	c.overlays.Add(1)
+	return c.CapacityModel.Overlay(seed, args, base, out)
+}
+
+// counts returns how many bases, overlays and whole chains c has run.
+func (c *countingSeries) counts() [3]int64 {
+	return [3]int64{c.bases.Load(), c.overlays.Load(), c.series.Load()}
+}
+
+// reset zeroes c's counters.
+func (c *countingSeries) reset() {
+	for _, n := range []*atomic.Int64{&c.generates, &c.series, &c.bases, &c.overlays} {
+		n.Store(0)
+	}
 }
 
 // A render sweeps the week innermost, so it simulates each world's capacity
@@ -211,8 +234,8 @@ func TestChainOncePerWorldPerRender(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := capacity.series.Load(); got != worlds {
-		t.Errorf("%d chains simulated, want one per world (%d)", got, worlds)
+	if got, want := capacity.counts(), [3]int64{worlds, worlds, 0}; got != want {
+		t.Errorf("[bases overlays series] = %v, want one base and one overlay per world %v", got, want)
 	}
 	if got := capacity.generates.Load(); got != 0 {
 		t.Errorf("%d scalar calls, want 0", got)
@@ -224,15 +247,15 @@ func TestChainOncePerWorldPerRender(t *testing.T) {
 	// A worker whose range stays fixed across a fleet sweep — shard i of an
 	// equal split, sub-sharded over its cores — also simulates each of its
 	// worlds' chains once.
-	capacity.series.Store(0)
+	capacity.reset()
 	worker := NewEvaluator(scn, Options{Worlds: worlds, Shards: 2, Workers: 3})
 	for w := int64(0); w < models.Weeks; w++ {
 		if _, err := worker.EvaluateShard(context.Background(), []guide.Point{point(w, 16, 32, 36)}, WorldRange{Lo: 16, Hi: 32}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := capacity.series.Load(); got != 16 {
-		t.Errorf("worker simulated %d chains, want one per world of its range (16)", got)
+	if got, want := capacity.counts(), [3]int64{16, 16, 0}; got != want {
+		t.Errorf("worker [bases overlays series] = %v, want one base and one overlay per world of its range %v", got, want)
 	}
 	if got := capacity.generates.Load(); got != 0 {
 		t.Errorf("worker made %d scalar calls, want 0", got)

@@ -19,7 +19,11 @@
 // independent — so a model keys each label once per call and derives the
 // per-index streams on the stack, and CapacityModel's scalar form and its
 // whole-year chain (vg.SeriesFunction) are the same loop stopped at
-// different weeks, bit for bit.
+// different weeks, bit for bit. It also lets CapacityModel draw its failure
+// schedule, which no purchase date touches, apart from the purchase
+// schedule: the chain is an overlay of the lead times over a per-seed base
+// of failure counts (vg.OverlayFunction), and that one loop is how every
+// form — At, Generate, Series and Overlay — computes the year.
 package models
 
 import (
@@ -189,7 +193,14 @@ func DefaultCapacityConfig() CapacityConfig {
 //
 // The model is a vg.SeriesFunction over its week argument: Series simulates
 // the whole year as one chain, so a render sweeping the weeks runs each
-// world's chain once.
+// world's chain once. It is also a vg.OverlayFunction: the year splits into
+// a base, the world's failure schedule (one count per (week, class), drawn
+// from the seed alone), and an overlay, which draws the two lead times and
+// replays the week-by-week accumulation over the schedule. Nearly all of a
+// chain's cost is the schedule's Poisson draws, so an executor that keeps a
+// world's base re-runs a new purchase schedule for a fraction of a chain.
+// Series, At and Generate are the overlay over the base too, so all forms
+// agree bit for bit.
 type CapacityModel struct {
 	cfg CapacityConfig
 	// failLabels[ci] is failure class ci's stream label.
@@ -223,18 +234,39 @@ func (m *CapacityModel) arrivalWeek(lead rng.Keyed, purchaseWeek, ordinal int) i
 	return purchaseWeek + m.cfg.LeadTimeMin + int(m.leadDraw.Sample(&src))
 }
 
-// simulate is the model's one loop body: it runs the year's chain at seed
-// under the purchase schedule and writes weeks [0, len(out)) into out,
-// stopping there (len(out) <= Weeks).
-func (m *CapacityModel) simulate(seed uint64, purchase1, purchase2 int, out []float64) {
+// redrawCount marks a base cell whose failure count does not fit a byte:
+// the overlay draws that cell's count again from its stream.
+const redrawCount = math.MaxUint8
+
+// failCount draws failure class ci's count at week w from the class's
+// stream fail.
+func (m *CapacityModel) failCount(fail rng.Keyed, w, ci int) int64 {
+	src := fail.At(uint64(w) ^ uint64(ci)<<32)
+	return m.failDraws[ci].Sample(&src)
+}
+
+// base draws the failure schedule of weeks [1, weeks) at seed into out:
+// failure class ci's count at week w is out[(w-1)*classes+ci], or
+// redrawCount when it does not fit below that. Week 0 has no failures.
+func (m *CapacityModel) base(seed uint64, out []byte, weeks int) {
+	classes := len(m.failLabels)
+	for ci, label := range m.failLabels {
+		fail := rng.Key(seed, label)
+		for w := 1; w < weeks; w++ {
+			out[(w-1)*classes+ci] = byte(min(m.failCount(fail, w, ci), redrawCount))
+		}
+	}
+}
+
+// overlay is the model's one loop body: it replays the year's chain at
+// seed under the purchase schedule over the failure schedule base, which
+// base drew at the same seed for at least len(out) weeks, and writes weeks
+// [0, len(out)) into out, stopping there (len(out) <= Weeks).
+func (m *CapacityModel) overlay(seed uint64, purchase1, purchase2 int, base []byte, out []float64) {
 	lead := rng.Key(seed, "capacity.lead")
 	arr1 := m.arrivalWeek(lead, purchase1, 0)
 	arr2 := m.arrivalWeek(lead, purchase2, 1)
-	var keyBuf [8]rng.Keyed // more failure classes than this spill to the heap
-	fail := keyBuf[:0]
-	for _, label := range m.failLabels {
-		fail = append(fail, rng.Key(seed, label))
-	}
+	classes := len(m.cfg.Failures)
 
 	// pendingRepair[w] is capacity scheduled to return at week w.
 	var pendingRepair [Weeks + 8]float64
@@ -242,10 +274,13 @@ func (m *CapacityModel) simulate(seed uint64, purchase1, purchase2 int, out []fl
 	for w := range out {
 		if w > 0 {
 			cap -= m.cfg.AgingRate
+			counts := base[(w-1)*classes : w*classes]
 			for ci := range m.cfg.Failures {
 				fc := &m.cfg.Failures[ci]
-				src := fail[ci].At(uint64(w) ^ uint64(ci)<<32)
-				failures := float64(m.failDraws[ci].Sample(&src))
+				failures := float64(counts[ci])
+				if counts[ci] == redrawCount {
+					failures = float64(m.failCount(rng.Key(seed, m.failLabels[ci]), w, ci))
+				}
 				lost := failures * fc.CoresPerFailure
 				cap -= lost
 				back := w + fc.RepairWeeks
@@ -265,6 +300,18 @@ func (m *CapacityModel) simulate(seed uint64, purchase1, purchase2 int, out []fl
 		}
 		out[w] = cap
 	}
+}
+
+// simulate runs the year's chain at seed under the purchase schedule for
+// weeks [0, len(out)): the overlay over a base drawn for those weeks only.
+func (m *CapacityModel) simulate(seed uint64, purchase1, purchase2 int, out []float64) {
+	var buf [(Weeks - 1) * 8]byte // more failure classes than this spill to the heap
+	base := buf[:]
+	if n := m.BaseLen(); n > len(buf) {
+		base = make([]byte, n)
+	}
+	m.base(seed, base, len(out))
+	m.overlay(seed, purchase1, purchase2, base, out)
 }
 
 // Year simulates the full year and returns the per-week capacity,
@@ -296,8 +343,6 @@ func (m *CapacityModel) Generate(seed uint64, args []value.Value) (value.Value, 
 	return value.Float(m.At(seed, week, p1, p2)), nil
 }
 
-var _ vg.SeriesFunction = (*CapacityModel)(nil)
-
 // SeriesAxis implements vg.SeriesFunction: the week argument indexes the
 // year.
 func (m *CapacityModel) SeriesAxis() (axis, length int) { return 0, Weeks }
@@ -312,6 +357,32 @@ func (m *CapacityModel) Series(seed uint64, args []value.Value, out []float64) e
 		return err
 	}
 	m.simulate(seed, p1, p2, out)
+	return nil
+}
+
+var _ vg.OverlayFunction = (*CapacityModel)(nil)
+
+// BaseLen implements vg.OverlayFunction: one byte per (week, failure
+// class) of weeks 1..52.
+func (m *CapacityModel) BaseLen() int { return (Weeks - 1) * len(m.cfg.Failures) }
+
+// Base implements vg.OverlayFunction: the year's failure schedule at seed.
+func (m *CapacityModel) Base(seed uint64, out []byte) { m.base(seed, out, Weeks) }
+
+// Overlay implements vg.OverlayFunction: the whole year at seed, replayed
+// under the purchase schedule over the failure schedule base.
+func (m *CapacityModel) Overlay(seed uint64, args []value.Value, base []byte, out []float64) error {
+	if len(out) != Weeks {
+		return fmt.Errorf("models: CapacityModel series needs %d weeks, got %d", Weeks, len(out))
+	}
+	if len(base) != m.BaseLen() {
+		return fmt.Errorf("models: CapacityModel base needs %d bytes, got %d", m.BaseLen(), len(base))
+	}
+	p1, p2, err := purchaseArgs(args)
+	if err != nil {
+		return err
+	}
+	m.overlay(seed, p1, p2, base, out)
 	return nil
 }
 

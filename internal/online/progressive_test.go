@@ -139,10 +139,11 @@ func TestExplorationMapTracksMoves(t *testing.T) {
 	}
 }
 
-// countingSeries counts the chains a series model simulates.
+// countingSeries counts the chains a series model simulates: whole chains,
+// bases drawn and overlays replayed over them.
 type countingSeries struct {
 	*models.CapacityModel
-	series atomic.Int64
+	series, bases, overlays atomic.Int64
 }
 
 func (c *countingSeries) Series(seed uint64, args []value.Value, out []float64) error {
@@ -150,8 +151,23 @@ func (c *countingSeries) Series(seed uint64, args []value.Value, out []float64) 
 	return c.CapacityModel.Series(seed, args, out)
 }
 
+func (c *countingSeries) Base(seed uint64, out []byte) {
+	c.bases.Add(1)
+	c.CapacityModel.Base(seed, out)
+}
+
+func (c *countingSeries) Overlay(seed uint64, args []value.Value, base []byte, out []float64) error {
+	c.overlays.Add(1)
+	return c.CapacityModel.Overlay(seed, args, base, out)
+}
+
+// counts returns how many bases, overlays and whole chains c has run.
+func (c *countingSeries) counts() [3]int64 {
+	return [3]int64{c.bases.Load(), c.overlays.Load(), c.series.Load()}
+}
+
 // countingScenario compiles figure2 over a registry whose CapacityModel
-// counts its Series calls.
+// counts its Series, Base and Overlay calls.
 func countingScenario(t *testing.T) (*scenario.Scenario, *countingSeries) {
 	t.Helper()
 	reg := vg.NewRegistry()
@@ -188,8 +204,8 @@ func TestRenderProgressiveOneEvaluator(t *testing.T) {
 	if !slices.Equal(passes, []int{50, 100, 200, 400}) {
 		t.Fatalf("passes = %v, want [50 100 200 400]", passes)
 	}
-	if got := capacity.series.Load(); got != 400 {
-		t.Errorf("a 50 → 400 progressive render simulated %d chains, want 400 (one per world)", got)
+	if got, want := capacity.counts(), [3]int64{400, 400, 0}; got != want {
+		t.Errorf("a 50 → 400 progressive render ran [bases overlays series] = %v, want %v (one base and overlay per world)", got, want)
 	}
 }
 
@@ -209,8 +225,8 @@ func TestTimeToFirstAccurateGuessOneEvaluator(t *testing.T) {
 	if worlds != 400 {
 		t.Fatalf("stopped at %d worlds, want 400", worlds)
 	}
-	if got := capacity.series.Load(); got != 400 {
-		t.Errorf("a 50 → 400 convergence probe simulated %d chains, want 400 (one per world)", got)
+	if got, want := capacity.counts(), [3]int64{400, 400, 0}; got != want {
+		t.Errorf("a 50 → 400 convergence probe ran [bases overlays series] = %v, want %v (one base and overlay per world)", got, want)
 	}
 }
 

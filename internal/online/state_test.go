@@ -57,7 +57,8 @@ func (f *fault) hit() error {
 	return nil
 }
 
-// faultyCapacity is the capacity series model behind a fault.
+// faultyCapacity is the capacity series model behind a fault, in each of
+// the ways a chain is simulated: whole, as a base, or as an overlay.
 type faultyCapacity struct {
 	*models.CapacityModel
 	f *fault
@@ -68,6 +69,21 @@ func (c *faultyCapacity) Series(seed uint64, args []value.Value, out []float64) 
 		return err
 	}
 	return c.CapacityModel.Series(seed, args, out)
+}
+
+// Base has no error to return, so an injected error panics.
+func (c *faultyCapacity) Base(seed uint64, out []byte) {
+	if err := c.f.hit(); err != nil {
+		panic(err)
+	}
+	c.CapacityModel.Base(seed, out)
+}
+
+func (c *faultyCapacity) Overlay(seed uint64, args []value.Value, base []byte, out []float64) error {
+	if err := c.f.hit(); err != nil {
+		return err
+	}
+	return c.CapacityModel.Overlay(seed, args, base, out)
 }
 
 // faultyDemand is the demand model behind a fault.
@@ -211,7 +227,8 @@ func TestHeldStateAfterFailedRender(t *testing.T) {
 // TestSessionKeepsChainsAcrossMoves: a session's renders share one
 // evaluator, so with reuse off a feature move, which leaves the capacity
 // site's non-axis arguments as they were, simulates none of its 400 chains
-// again, while a purchase1 move simulates them all.
+// again, while a purchase1 move replays all 400 overlays over the bases the
+// first render drew.
 func TestSessionKeepsChainsAcrossMoves(t *testing.T) {
 	scn, capacity := countingScenario(t)
 	s, err := NewSession(scn, mc.Options{Worlds: 400})
@@ -219,18 +236,18 @@ func TestSessionKeepsChainsAcrossMoves(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, step := range []struct {
-		move   string
-		val    int64
-		chains int64
-	}{{"", 0, 400}, {"feature", 36, 400}, {"purchase1", 16, 800}} {
+		move            string
+		val             int64
+		bases, overlays int64
+	}{{"", 0, 400, 400}, {"feature", 36, 400, 400}, {"purchase1", 16, 400, 800}} {
 		if step.move != "" {
 			if err := s.SetParam(step.move, value.Int(step.val)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		mustRender(t, s)
-		if got := capacity.series.Load(); got != step.chains {
-			t.Errorf("after the %q move: %d chains simulated, want %d", step.move, got, step.chains)
+		if got, want := capacity.counts(), [3]int64{step.bases, step.overlays, 0}; got != want {
+			t.Errorf("after the %q move: [bases overlays series] = %v, want %v", step.move, got, want)
 		}
 	}
 }

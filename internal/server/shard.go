@@ -55,7 +55,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -198,10 +197,11 @@ func (c *shardScenarios) get(sys *fp.System, req *shardRequest, mkWorker func(*f
 }
 
 // newShardWorkerFor builds the per-scenario evaluator freelist a worker
-// serves shard requests from, sub-sharded across this machine's cores so
-// one request saturates it.
+// serves shard requests from. A request runs as one in-process range: with
+// series chains replayed over kept bases, splitting it across the cores
+// made sketch-only answers slower and vector answers no faster.
 func (s *Server) newShardWorkerFor(scn *fp.Scenario) (*fp.ShardWorker, error) {
-	return scn.NewShardWorker(fp.WithShards(runtime.GOMAXPROCS(0)))
+	return scn.NewShardWorker()
 }
 
 // protocolError writes a JSON error body with a machine-readable code, so

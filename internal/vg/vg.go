@@ -20,6 +20,14 @@
 // one position, bit for bit: Generate(seed, args) == out[args[axis]] after
 // Series(seed, args, out). CheckDeterminism asserts it too.
 //
+// A chain whose expensive draws depend on the seed alone may split further
+// into an OverlayFunction: a per-seed base (CapacityModel's failure
+// schedule) and a cheap overlay that replays the chain over it under the
+// arguments (the purchase schedule). The executor then draws each world's
+// base once and re-runs only overlays when a non-axis argument moves. The
+// contract is that Series is Overlay over Base, bit for bit, which
+// CheckDeterminism asserts as well.
+//
 // The package also counts invocations. The paper's headline benefit is
 // avoided VG-Function work, so the experiment harness reads these counters
 // to report "VG invocations saved". A count is a sample delivered — one
@@ -62,6 +70,30 @@ type SeriesFunction interface {
 	// has len length; args[axis] is ignored. It must be deterministic in
 	// (seed, the other args) and safe for concurrent use.
 	Series(seed uint64, args []value.Value, out []float64) error
+}
+
+// OverlayFunction is a SeriesFunction whose chain splits in two: a base,
+// the draws that depend on the seed alone (CapacityModel's failure
+// schedule), and an overlay that replays the chain over the base under the
+// arguments (the purchase schedule). An executor draws a world's base once
+// and re-runs only the overlay when the non-axis arguments change. The
+// contract is that Series is exactly Overlay over Base, bit for bit: for
+// every seed and args, Series(seed, args, out) and Base(seed, b) then
+// Overlay(seed, args, b, out) write the same out. CheckDeterminism asserts
+// it too.
+type OverlayFunction interface {
+	SeriesFunction
+	// BaseLen returns the length of a base in bytes.
+	BaseLen() int
+	// Base writes the seed's base into out, which has len BaseLen. It reads
+	// no argument, must be deterministic in seed and safe for concurrent
+	// use.
+	Base(seed uint64, out []byte)
+	// Overlay writes positions [0, length) at (seed, args) into out, which
+	// has len length, from base, which Base wrote at the same seed;
+	// args[axis] is ignored. It must be deterministic in (seed, base, the
+	// other args) and safe for concurrent use.
+	Overlay(seed uint64, args []value.Value, base []byte, out []float64) error
 }
 
 // SeriesPosition returns the position args select on f's series — args[axis]
@@ -174,7 +206,9 @@ func (r *Registry) ResetCounters() {
 // violation that silently poisons fingerprint reuse. For a SeriesFunction
 // it also checks that the chain Series simulates agrees, at the position
 // args select, with Generate bit for bit: a chain that disagrees with its
-// scalar form would silently change every render that reads it.
+// scalar form would silently change every render that reads it. For an
+// OverlayFunction it checks that Overlay over Base is that chain, every
+// position bit for bit.
 func (r *Registry) CheckDeterminism(name string, seed uint64, args []value.Value) error {
 	if f, ok := r.Lookup(name); ok {
 		a, err := r.Invoke(name, seed, args)
@@ -215,6 +249,28 @@ func checkSeries(f SeriesFunction, seed uint64, args []value.Value, scalar value
 	if math.Float64bits(out[p]) != math.Float64bits(want) {
 		return fmt.Errorf("vg: series function %q disagrees with its scalar form at position %d: Series %v, Generate %v",
 			f.Name(), p, out[p], want)
+	}
+	if of, ok := f.(OverlayFunction); ok {
+		return checkOverlay(of, seed, args, out)
+	}
+	return nil
+}
+
+// checkOverlay asserts the OverlayFunction contract at one (seed, args):
+// Overlay over Base writes the chain Series wrote, every position bit for
+// bit.
+func checkOverlay(f OverlayFunction, seed uint64, args []value.Value, series []float64) error {
+	base := make([]byte, f.BaseLen())
+	f.Base(seed, base)
+	out := make([]float64, len(series))
+	if err := f.Overlay(seed, args, base, out); err != nil {
+		return fmt.Errorf("vg: series function %q overlay: %w", f.Name(), err)
+	}
+	for p := range out {
+		if math.Float64bits(out[p]) != math.Float64bits(series[p]) {
+			return fmt.Errorf("vg: series function %q: overlay over its base disagrees with Series at position %d: Overlay %v, Series %v",
+				f.Name(), p, out[p], series[p])
+		}
 	}
 	return nil
 }

@@ -296,6 +296,90 @@ func TestCheckDeterminismSeriesContract(t *testing.T) {
 	}
 }
 
+// lattice is an OverlayFunction fixture: Lattice(step, start) is a walk
+// on the integers from start whose base is its steps, one byte each (0..4
+// for -2..+2). With broken set, its overlay reads each step from the next
+// cell of the base — deterministic, but not the chain Series simulates.
+type lattice struct{ broken bool }
+
+func (l *lattice) Name() string                   { return "Lattice" }
+func (l *lattice) Arity() int                     { return 2 }
+func (l *lattice) SeriesAxis() (axis, length int) { return 0, 10 }
+func (l *lattice) BaseLen() int                   { return 9 }
+
+func (l *lattice) Generate(seed uint64, args []value.Value) (value.Value, error) {
+	step, err := args[0].AsInt()
+	if err != nil || step < 0 || step >= 10 {
+		return value.Null, fmt.Errorf("vg: Lattice step %v outside [0, 10)", args[0])
+	}
+	var out [10]float64
+	if err := l.Series(seed, args, out[:]); err != nil {
+		return value.Null, err
+	}
+	return value.Float(out[step]), nil
+}
+
+func (l *lattice) Series(seed uint64, args []value.Value, out []float64) error {
+	var base [9]byte
+	l.Base(seed, base[:])
+	return l.replay(args, base[:], out, 0)
+}
+
+func (l *lattice) Base(seed uint64, out []byte) {
+	steps := rng.Key(seed, "lattice")
+	for p := range out {
+		src := steps.At(uint64(p))
+		out[p] = byte(src.Intn(5))
+	}
+}
+
+func (l *lattice) Overlay(seed uint64, args []value.Value, base []byte, out []float64) error {
+	skew := 0
+	if l.broken {
+		skew = 1
+	}
+	return l.replay(args, base, out, skew)
+}
+
+func (l *lattice) replay(args []value.Value, base []byte, out []float64, skew int) error {
+	x, err := args[1].AsFloat()
+	if err != nil {
+		return err
+	}
+	for p := range out {
+		if p > 0 {
+			x += float64(base[(p-1+skew)%len(base)]) - 2
+		}
+		out[p] = x
+	}
+	return nil
+}
+
+func TestCheckDeterminismOverlayContract(t *testing.T) {
+	r := NewRegistry()
+	if err := r.Register(&lattice{}); err != nil {
+		t.Fatal(err)
+	}
+	for step := int64(0); step < 10; step++ {
+		if err := r.CheckDeterminism("Lattice", 3, []value.Value{value.Int(step), value.Float(1)}); err != nil {
+			t.Errorf("consistent overlay flagged at step %d: %v", step, err)
+		}
+	}
+	// A broken overlay agrees with Generate, which reads Series, so only
+	// the overlay check can catch it — at every step, since it compares
+	// whole chains.
+	bad := NewRegistry()
+	if err := bad.Register(&lattice{broken: true}); err != nil {
+		t.Fatal(err)
+	}
+	for step := int64(0); step < 10; step++ {
+		err := bad.CheckDeterminism("Lattice", 3, []value.Value{value.Int(step), value.Float(1)})
+		if err == nil || !strings.Contains(err.Error(), "overlay over its base disagrees with Series") {
+			t.Fatalf("broken overlay not caught at step %d: %v", step, err)
+		}
+	}
+}
+
 func TestSeriesPosition(t *testing.T) {
 	f := &walk{}
 	cases := []struct {

@@ -19,7 +19,9 @@ import (
 // steady-state shard serving allocates nothing per request beyond the
 // response itself. A coordinator sends a worker the same world range at
 // every batch of a sweep, so the pooled evaluator's series chains stay
-// warm too: each world's chain is simulated once per sweep.
+// warm too: each world's chain is simulated once per sweep, and its base
+// (CapacityModel's failure schedule) once per range and seed base, so a
+// batch at a new purchase pair replays only overlays.
 //
 // A ShardWorker is safe for concurrent use: concurrent requests each check
 // out their own evaluator (the pool grows to peak concurrency and is

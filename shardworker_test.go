@@ -4,7 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
+
+	"fuzzyprophet/internal/models"
+	"fuzzyprophet/internal/value"
 )
 
 // TestShardAnswerShape: a worker answers exactly what the coordinator
@@ -93,6 +97,106 @@ func TestShardAnswerShape(t *testing.T) {
 			}
 			if shards == 1 {
 				oneRange = got
+			}
+		}
+	}
+}
+
+// countingCapacity counts the failure-schedule bases the capacity model
+// draws and the purchase-schedule overlays it replays over them.
+type countingCapacity struct {
+	*models.CapacityModel
+	bases, overlays atomic.Int64
+}
+
+func (c *countingCapacity) Base(seed uint64, out []byte) {
+	c.bases.Add(1)
+	c.CapacityModel.Base(seed, out)
+}
+
+func (c *countingCapacity) Overlay(seed uint64, args []value.Value, base []byte, out []float64) error {
+	c.overlays.Add(1)
+	return c.CapacityModel.Overlay(seed, args, base, out)
+}
+
+// TestShardWorkerDrawsBasesOnce: a worker serving one world range keeps
+// each world's failure schedule across requests, so a request at a new
+// purchase pair replays only overlays — 200 bases over two pairs, not 400
+// — while a new seed base or range start draws them again. Over one local
+// range and over two, the answers are those of a fresh worker.
+func TestShardWorkerDrawsBasesOnce(t *testing.T) {
+	sys, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	capacity := &countingCapacity{CapacityModel: models.NewCapacityModel(models.DefaultCapacityConfig())}
+	if err := sys.registry.Register(models.NewDemandModel(models.DefaultDemandConfig())); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.registry.Register(capacity); err != nil {
+		t.Fatal(err)
+	}
+	scn, err := sys.Compile(figure2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := demoSystem(t)
+	oracle, err := ref.Compile(figure2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	sweep := func(p1, p2 int) []map[string]any {
+		var points []map[string]any
+		for week := 0; week < models.Weeks; week++ {
+			points = append(points, map[string]any{"current": week, "purchase1": p1, "purchase2": p2, "feature": 36})
+		}
+		return points
+	}
+	const worlds = 400
+	for _, shards := range []int{1, 2} {
+		capacity.bases.Store(0)
+		capacity.overlays.Store(0)
+		w, err := scn.NewShardWorker(WithShards(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, step := range []struct {
+			p1, p2          int
+			seed            uint64
+			shard           WorldShard
+			bases, overlays int64
+		}{
+			{16, 32, 0, WorldShard{Lo: 200, Hi: 400}, 200, 200},
+			{24, 40, 0, WorldShard{Lo: 200, Hi: 400}, 200, 400},
+			{24, 40, 7, WorldShard{Lo: 200, Hi: 400}, 400, 600},
+			{16, 32, 7, WorldShard{Lo: 0, Hi: 200}, 600, 800},
+		} {
+			label := fmt.Sprintf("%d ranges, purchases (%d, %d), seed %d, %+v", shards, step.p1, step.p2, step.seed, step.shard)
+			points := sweep(step.p1, step.p2)
+			got, err := w.EvaluateShard(ctx, points, worlds, step.seed, step.shard, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b, o := capacity.bases.Load(), capacity.overlays.Load(); b != step.bases || o != step.overlays {
+				t.Errorf("%s: %d bases and %d overlays in all, want %d and %d", label, b, o, step.bases, step.overlays)
+			}
+			fresh, err := oracle.NewShardWorker(WithShards(shards))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.EvaluateShard(ctx, points, worlds, step.seed, step.shard, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				for col, vec := range want[i].Columns {
+					for k := range vec {
+						if math.Float64bits(got[i].Columns[col][k]) != math.Float64bits(vec[k]) {
+							t.Fatalf("%s, point %d: %s[%d] = %v, a fresh worker's %v", label, i, col, k, got[i].Columns[col][k], vec[k])
+						}
+					}
+				}
 			}
 		}
 	}
