@@ -489,8 +489,10 @@ type ShardEvaluator interface {
 // returned partial vectors are bit-identical to the corresponding rows of
 // a full local evaluation; a coordinator concatenates shard results in
 // world order to reproduce the unsharded render exactly. The shard is
-// split across WithShards-many in-process ranges (pass GOMAXPROCS to
-// saturate a worker's cores). Fingerprint reuse is not consulted — partial
+// evaluated as one range, whose simulation already spreads across
+// GOMAXPROCS cores; splitting it further made sketch-only answers slower
+// and vector answers no faster. Fingerprint
+// reuse is not consulted — partial
 // vectors are not valid bases. The scenario's query must be shardable
 // (non-grouped, no DISTINCT / ORDER BY / LIMIT); others are rejected.
 // Zero worlds or seed take the options' values. With WithSketchOnly the

@@ -2,7 +2,7 @@ package mc
 
 // Series chains: the paper (§2) points at Markovian simulations — "a series
 // of steps, each depending on the simulation's output for the prior step" —
-// as work to skip. A site whose VG-Function is a vg.SeriesFunction (the
+// as work to skip. A site whose VG-Function is a vg.OverlayFunction (the
 // capacity model over its week argument) produces, per world, one chain of
 // which each swept point reads a single position. Every caller sweeps the
 // series axis innermost — a render, the passes of a progressive render on
@@ -12,13 +12,12 @@ package mc
 // seed base, and a sweep simulates each world's chain once instead of once
 // per point.
 //
-// A series function that is a vg.OverlayFunction skips more: its chain is
-// an overlay over a base that depends on the seed alone (the capacity
-// model's failure schedule, against its purchase schedule). The chain keeps
-// each world's base, keyed by the seed base and the window start, so a
-// change of non-axis arguments — a purchase move, a fleet sweep's next
-// purchase pair — replays only overlays, bit for bit the rows Series would
-// give.
+// The chain skips more: it is an overlay over a base that depends on the
+// seed alone (the capacity model's failure schedule, against its purchase
+// schedule). The evaluator keeps each world's base, keyed by the seed base
+// and the window start, so a change of non-axis arguments — a purchase
+// move, a fleet sweep's next purchase pair — replays only overlays, bit for
+// bit the rows Series would give.
 
 import (
 	"math"
@@ -33,14 +32,13 @@ import (
 // whole series its site's function simulates at each world's seed under
 // args. Rows are filled lazily, one world at a time, by whichever chunk or
 // range simulates that world; chunks and ranges are disjoint, so filling
-// needs no lock. Memory is bounded by worlds × length × 8 B.
-// For a vg.OverlayFunction it also keeps each world's base, which belongs
-// to the window (seed base, lo), not to args, and costs worlds × BaseLen
-// bytes; a row is then the overlay of args over its world's base.
+// needs no lock. Memory is bounded by worlds × length × 8 B. It also keeps
+// each world's base, which belongs to the window (seed base, lo), not to
+// args, and costs worlds × BaseLen bytes; a row is the overlay of args over
+// its world's base.
 type seriesChain struct {
-	fn       vg.SeriesFunction
-	over     vg.OverlayFunction // fn as an overlay function, or nil
-	args     []value.Value      // the rows' arguments; the axis slot is ignored
+	fn       vg.OverlayFunction
+	args     []value.Value // the rows' arguments; the axis slot is ignored
 	seedBase uint64
 	lo       int
 	length   int
@@ -69,7 +67,7 @@ func (ev *Evaluator) callAt(si int, pt guide.Point) (siteCall, error) {
 }
 
 // useChain attaches the site's chain to c, readied to serve worlds [lo, hi),
-// when the site's function is a series function and c's axis argument
+// when the site's function is an overlay function and c's axis argument
 // selects a position; otherwise c keeps calling Generate, which reports any
 // error. It must run on the coordinating goroutine before any fan-out.
 func (ev *Evaluator) useChain(c *siteCall, lo, hi int) {
@@ -77,7 +75,7 @@ func (ev *Evaluator) useChain(c *siteCall, lo, hi int) {
 	if !ok {
 		return
 	}
-	sf, ok := f.(vg.SeriesFunction)
+	sf, ok := f.(vg.OverlayFunction)
 	if !ok {
 		return
 	}
@@ -94,14 +92,10 @@ func (ev *Evaluator) useChain(c *siteCall, lo, hi int) {
 // seedBase: a different seed base or window start resets every base and
 // row, a different non-axis argument every row, and a longer window grows
 // both, keeping those filled.
-func (c *seriesChain) prepare(fn vg.SeriesFunction, args []value.Value, seedBase uint64, lo, hi int) {
+func (c *seriesChain) prepare(fn vg.OverlayFunction, args []value.Value, seedBase uint64, lo, hi int) {
 	axis, length := fn.SeriesAxis()
 	if c.seedBase != seedBase || c.lo != lo || c.length != length {
-		c.fn, c.seedBase, c.lo, c.length = fn, seedBase, lo, length
-		c.over, _ = fn.(vg.OverlayFunction)
-		if c.over != nil {
-			c.baseLen = c.over.BaseLen()
-		}
+		c.fn, c.seedBase, c.lo, c.length, c.baseLen = fn, seedBase, lo, length, fn.BaseLen()
 		c.args = append(c.args[:0], args...)
 		c.rows, c.filled = c.rows[:0], c.filled[:0]
 		c.bases, c.drawn = c.bases[:0], c.drawn[:0]
@@ -111,9 +105,7 @@ func (c *seriesChain) prepare(fn vg.SeriesFunction, args []value.Value, seedBase
 	}
 	if n := hi - lo; n > len(c.filled) {
 		c.filled, c.rows = grow(c.filled, n), grow(c.rows, n*length)
-		if c.over != nil {
-			c.drawn, c.bases = grow(c.drawn, n), grow(c.bases, n*c.baseLen)
-		}
+		c.drawn, c.bases = grow(c.drawn, n), grow(c.bases, n*c.baseLen)
 	}
 }
 
@@ -133,24 +125,20 @@ func grow[T any](s []T, n int) []T {
 }
 
 // sample returns world i's value at position pos, simulating the world's
-// chain first when its row is not filled yet: over the world's base for an
-// overlay function, drawing the base first when it is not drawn yet, and
-// by Series otherwise. worlds is the site's per-world seed family.
+// chain first when its row is not filled yet: the overlay over the world's
+// base, drawing the base first when it is not drawn yet. worlds is the
+// site's per-world seed family.
 func (c *seriesChain) sample(worlds rng.Keyed, i, pos int) (float64, error) {
 	r := i - c.lo
 	row := c.rows[r*c.length : (r+1)*c.length]
 	if !c.filled[r] {
 		seed := worldSeed(worlds, i)
-		if c.over != nil {
-			base := c.bases[r*c.baseLen : (r+1)*c.baseLen]
-			if !c.drawn[r] {
-				c.over.Base(seed, base)
-				c.drawn[r] = true
-			}
-			if err := c.over.Overlay(seed, c.args, base, row); err != nil {
-				return 0, err
-			}
-		} else if err := c.fn.Series(seed, c.args, row); err != nil {
+		base := c.bases[r*c.baseLen : (r+1)*c.baseLen]
+		if !c.drawn[r] {
+			c.fn.Base(seed, base)
+			c.drawn[r] = true
+		}
+		if err := c.fn.Overlay(seed, c.args, base, row); err != nil {
 			return 0, err
 		}
 		c.filled[r] = true

@@ -228,7 +228,7 @@ type Evaluator struct {
 	ord []int64
 
 	// chains holds one series chain per site, used by the sites whose
-	// VG-Function is a vg.SeriesFunction (see chain.go).
+	// VG-Function is a vg.OverlayFunction (see chain.go).
 	chains []seriesChain
 
 	// sites, gens and keys are siteVectors' per-site answers (vector, store

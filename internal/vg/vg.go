@@ -14,19 +14,19 @@
 // simulations — "a series of steps, each depending on the simulation's
 // output for the prior step" — and a VG-Function of that shape may also
 // implement SeriesFunction. It names one integer argument as the series
-// position (CapacityModel's week) and simulates every position in one pass;
-// the executor then runs a world's chain once per render instead of once per
-// swept position. The contract is that the scalar form is the chain read at
-// one position, bit for bit: Generate(seed, args) == out[args[axis]] after
+// position (CapacityModel's week) and simulates every position in one pass.
+// The contract is that the scalar form is the chain read at one position,
+// bit for bit: Generate(seed, args) == out[args[axis]] after
 // Series(seed, args, out). CheckDeterminism asserts it too.
 //
-// A chain whose expensive draws depend on the seed alone may split further
-// into an OverlayFunction: a per-seed base (CapacityModel's failure
-// schedule) and a cheap overlay that replays the chain over it under the
-// arguments (the purchase schedule). The executor then draws each world's
-// base once and re-runs only overlays when a non-axis argument moves. The
-// contract is that Series is Overlay over Base, bit for bit, which
-// CheckDeterminism asserts as well.
+// The executor chains an OverlayFunction, a series function whose chain
+// splits into a per-seed base (CapacityModel's failure schedule) and a
+// cheap overlay that replays the chain over it under the arguments (the
+// purchase schedule). It draws each world's base once, runs a world's
+// overlay once per render instead of once per swept position, and re-runs
+// only overlays when a non-axis argument moves. The contract is that Series
+// is Overlay over Base, bit for bit, which CheckDeterminism asserts as
+// well.
 //
 // The package also counts invocations. The paper's headline benefit is
 // avoided VG-Function work, so the experiment harness reads these counters

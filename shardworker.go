@@ -26,8 +26,9 @@ import (
 // A ShardWorker is safe for concurrent use: concurrent requests each check
 // out their own evaluator (the pool grows to peak concurrency and is
 // reused thereafter). The options fixed at construction (worker
-// parallelism, in-process sub-shards) apply to every request; reuse is
-// always disabled (partial vectors are not valid bases).
+// parallelism, which spreads each request's one range across the cores)
+// apply to every request; reuse is always disabled (partial vectors are
+// not valid bases).
 type ShardWorker struct {
 	scn  *Scenario
 	opts mc.Options
