@@ -450,7 +450,8 @@ func TestOptimizeSketchOnlyMatchesFull(t *testing.T) {
 // TestOptimizeOneShardCallPerRangePerGroup: over a shard evaluator,
 // Optimize sends each world range once per group, carrying the group's
 // whole free sweep, and finds the metrics and progress sequence of the
-// single-node run bit for bit.
+// single-node run bit for bit. A shard count of 0 or 1 is one range,
+// [0, worlds).
 func TestOptimizeOneShardCallPerRangePerGroup(t *testing.T) {
 	sys := demoSystem(t)
 	scn, err := sys.Compile(figure2Groups8)
@@ -463,31 +464,37 @@ func TestOptimizeOneShardCallPerRangePerGroup(t *testing.T) {
 		var progress []string
 		res, err := scn.Optimize(ctx, func(done, total int, pt map[string]any, _ map[string]string) {
 			progress = append(progress, fmt.Sprint(done, "/", total, " ", pt))
-		}, append([]EvalOption{WithWorlds(40), WithShards(2), WithoutReuse()}, opts...)...)
+		}, append([]EvalOption{WithWorlds(40), WithoutReuse()}, opts...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res, progress
 	}
 	want, wantProgress := run()
-	rec := &scriptedShards{scn: scn}
-	got, gotProgress := run(WithShardEvaluator(rec))
-	if len(rec.reqs) != 2*got.GroupsTotal {
-		t.Fatalf("%d shard calls for %d groups, want one per range per group", len(rec.reqs), got.GroupsTotal)
-	}
-	for _, req := range rec.reqs {
-		if len(req.Points) != 53 {
-			t.Fatalf("shard call %+v carries %d points, want a group's 53-week sweep", req.Shard, len(req.Points))
+	for _, shards := range []int{0, 1, 2} {
+		rec := &scriptedShards{scn: scn}
+		got, gotProgress := run(WithShardEvaluator(rec, shards))
+		ranges := max(shards, 1)
+		if len(rec.reqs) != ranges*got.GroupsTotal {
+			t.Fatalf("shards=%d: %d shard calls for %d groups, want one per range per group", shards, len(rec.reqs), got.GroupsTotal)
 		}
-	}
-	if fmt.Sprint(gotProgress) != fmt.Sprint(wantProgress) {
-		t.Errorf("progress over shards differs from single-node:\n got %v\nwant %v", gotProgress, wantProgress)
-	}
-	for i, w := range want.Rows {
-		g := got.Rows[i]
-		for term, wv := range w.Metrics {
-			if math.Float64bits(g.Metrics[term]) != math.Float64bits(wv) {
-				t.Errorf("group %v %s = %v over shards, %v single-node", w.Group, term, g.Metrics[term], wv)
+		for _, req := range rec.reqs {
+			if len(req.Points) != 53 {
+				t.Fatalf("shards=%d: shard call %+v carries %d points, want a group's 53-week sweep", shards, req.Shard, len(req.Points))
+			}
+			if ranges == 1 && req.Shard != (WorldShard{Lo: 0, Hi: 40}) {
+				t.Fatalf("shards=%d: shard call covers %+v, want [0, 40)", shards, req.Shard)
+			}
+		}
+		if fmt.Sprint(gotProgress) != fmt.Sprint(wantProgress) {
+			t.Errorf("shards=%d: progress over shards differs from single-node:\n got %v\nwant %v", shards, gotProgress, wantProgress)
+		}
+		for i, w := range want.Rows {
+			g := got.Rows[i]
+			for term, wv := range w.Metrics {
+				if math.Float64bits(g.Metrics[term]) != math.Float64bits(wv) {
+					t.Errorf("shards=%d: group %v %s = %v over shards, %v single-node", shards, w.Group, term, g.Metrics[term], wv)
+				}
 			}
 		}
 	}
@@ -571,7 +578,7 @@ func TestWarmStartedSessionHonoursOptions(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			// Sketch-only requests over the equal split.
 			rec := &scriptedShards{scn: scn}
-			sess, err := open(WithWorlds(80), WithShards(2), WithShardEvaluator(rec), WithSketchOnly())
+			sess, err := open(WithWorlds(80), WithShardEvaluator(rec, 2), WithSketchOnly())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -601,7 +608,7 @@ func TestWarmStartedSessionHonoursOptions(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			cut := &scriptedShards{scn: scn, cutAfterFirst: cancel, firstServed: make(chan struct{})}
-			sess, err = open(WithWorlds(80), WithShards(2), WithShardEvaluator(cut), WithAllowDegraded())
+			sess, err = open(WithWorlds(80), WithShardEvaluator(cut, 2), WithAllowDegraded())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"slices"
 	"strings"
 )
 
@@ -12,17 +13,20 @@ import (
 // method, exported or not, declared under internal/ or cmd/ that no
 // non-test file of the module uses. A use inside the function's own body
 // (recursion) does not count, and methods that satisfy an interface are
-// never reported — their callers reach them through the interface.
+// never reported — their callers reach them through the interface. In a
+// module's root package, the public API, it reports only the functions
+// that return an option (a type named EvalOption or Option): an option no
+// shipped program sets, examples/ and cmd/ included, is a knob nothing
+// justifies.
 //
 // The check needs the whole module: it reads uses from Pass.Module, which
 // Load fills with every package of the module whatever the patterns, so
 // `fplint ./internal/mc/...` reports exactly the mc subset of `./...`.
 // Deleting a finding can expose more (its callees), so sweep until clean.
 var DeadAnalyzer = &Analyzer{
-	Name:     "fpdead",
-	Doc:      "flag functions and methods under internal/ and cmd/ that no non-test file of the module uses",
-	Packages: []string{"internal", "cmd"},
-	Run:      runDead,
+	Name: "fpdead",
+	Doc:  "flag functions and methods under internal/ and cmd/, and root-package options, that no non-test file of the module uses",
+	Run:  runDead,
 }
 
 // deadAllow is the one place to keep a declaration fpdead would report.
@@ -55,6 +59,11 @@ type deadIndex struct {
 
 func runDead(pass *Pass) error {
 	mod := pass.Module
+	scoped := PathMatches(pass.PkgPath, "internal") || PathMatches(pass.PkgPath, "cmd")
+	root := !scoped && slices.Contains(mod.Roots, pass.PkgPath)
+	if !scoped && !root {
+		return nil
+	}
 	mod.deadOnce.Do(func() { mod.dead = indexModule(mod) })
 	idx := mod.dead
 	for _, f := range pass.Files {
@@ -71,8 +80,15 @@ func runDead(pass *Pass) error {
 			if !ok {
 				continue
 			}
+			if root && !returnsOption(fn) {
+				continue
+			}
 			key := funcKey(fn)
 			if usedOutside(idx.uses[key], fd) || deadAllowed(pass.PkgPath, file, key) {
+				continue
+			}
+			if root {
+				pass.Reportf(fd.Name.Pos(), "option %s has no use outside tests", fn.Name())
 				continue
 			}
 			recv := recvNamed(fn)
@@ -87,6 +103,21 @@ func runDead(pass *Pass) error {
 		}
 	}
 	return nil
+}
+
+// returnsOption reports whether fn is a plain function whose one result is
+// a type named EvalOption or Option declared in its own package.
+func returnsOption(fn *types.Func) bool {
+	sig := fn.Signature()
+	if sig.Recv() != nil || sig.Results().Len() != 1 {
+		return false
+	}
+	n, ok := sig.Results().At(0).Type().(*types.Named)
+	if !ok || n.Obj().Pkg() != fn.Pkg() {
+		return false
+	}
+	name := n.Obj().Name()
+	return name == "EvalOption" || name == "Option"
 }
 
 func usedOutside(uses []token.Pos, fd *ast.FuncDecl) bool {

@@ -24,6 +24,7 @@ func TestFixtures(t *testing.T) {
 		{"shadowfix", lint.ShadowAnalyzer},
 		{"unusedfix", lint.UnusedResultAnalyzer},
 		{"internal/deadfix", lint.DeadAnalyzer},
+		{"optfix", lint.DeadAnalyzer},
 	}
 	for _, tc := range cases {
 		t.Run(tc.a.Name, func(t *testing.T) {

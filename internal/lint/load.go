@@ -17,6 +17,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -38,6 +39,9 @@ type Package struct {
 // from source.
 type Module struct {
 	Packages []*Package
+	// Roots are the import paths of the modules' root packages, their
+	// public API.
+	Roots []string
 
 	deadOnce sync.Once
 	dead     *deadIndex
@@ -176,6 +180,9 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	fset := token.NewFileSet()
 	imp := importer.ForCompiler(fset, "gc", exportLookup(exports))
 	mod := &Module{}
+	for _, m := range modules {
+		mod.Roots = append(mod.Roots, strings.TrimSuffix(m, "/..."))
+	}
 	var pkgs []*Package
 	for _, e := range targets {
 		files, err := parseDirFiles(fset, e.Dir, e.GoFiles)
@@ -197,9 +204,9 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 
 // LoadFixture loads one analysis fixture: the package rooted at
 // srcRoot/pkgPath (the analysistest testdata/src convention), type-checked
-// under import path pkgPath. Fixture imports are limited to the standard
-// library; their export data is resolved through `go list -export` exactly
-// as in Load.
+// under import path pkgPath as the root package of its own module.
+// Fixture imports are limited to the standard library; their export data is
+// resolved through `go list -export` exactly as in Load.
 func LoadFixture(srcRoot, pkgPath string) (*Package, error) {
 	dir := filepath.Join(srcRoot, filepath.FromSlash(pkgPath))
 	des, err := os.ReadDir(dir)
@@ -257,7 +264,7 @@ func LoadFixture(srcRoot, pkgPath string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	pkg := &Package{PkgPath: pkgPath, Fset: fset, Files: files, Types: tpkg, Info: info, Module: &Module{}}
+	pkg := &Package{PkgPath: pkgPath, Fset: fset, Files: files, Types: tpkg, Info: info, Module: &Module{Roots: []string{pkgPath}}}
 	pkg.Module.Packages = []*Package{pkg}
 	return pkg, nil
 }

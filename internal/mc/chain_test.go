@@ -76,8 +76,10 @@ func reconfigured(steps []chainStep, worlds int, seedBase uint64) []chainStep {
 // One evaluator keeps its chains across points; a fresh evaluator per point
 // over the scalar registry never has one. Whatever invalidates a chain —
 // new non-axis arguments, a Reconfigure to a new seed base, more worlds —
-// and whatever splits the worlds — chunks, ranges, a failed remote range's
-// local fallback, a worker's shard — every sample must be the same bits.
+// and whatever splits the worlds — chunks, remote ranges over in-process
+// workers, a failed remote range's local fallback, a worker's shard — every
+// sample must be the same bits. A remote row's reference is the one-range
+// local render without reuse, as remote ranges bypass it.
 func TestChainInvalidation(t *testing.T) {
 	ctx := context.Background()
 	scn, oracle := compileFigure2(t), scalarFigure2(t)
@@ -88,6 +90,7 @@ func TestChainInvalidation(t *testing.T) {
 		name   string
 		opts   Options
 		reuse  bool
+		remote bool         // fan out to workerRunner's in-process workers
 		shards []WorldRange // evaluate only these shards in turn, as a worker
 		steps  []chainStep
 	}{
@@ -96,11 +99,11 @@ func TestChainInvalidation(t *testing.T) {
 			steps: append(weekSweep(0, 6, 16, 32), reconfigured(weekSweep(4, 10, 16, 32), 64, 7)...)},
 		{name: "worlds grow 64 to 256", opts: Options{Worlds: 64},
 			steps: append(weekSweep(20, 26, 8, 40), reconfigured(weekSweep(24, 30, 8, 40), 256, DefaultSeedBase)...)},
-		{name: "shards 3 x workers 4", opts: Options{Worlds: 256, Shards: 3, Workers: 4}, steps: alternating(30, 36)},
+		{name: "shards 3 x workers 4", opts: Options{Worlds: 256, Shards: 3, Workers: 4}, remote: true, steps: alternating(30, 36)},
 		{name: "reuse on", opts: Options{Worlds: 64}, reuse: true, steps: append(alternating(0, 8), weekSweep(40, 53, 44, 44)...)},
-		{name: "reuse on, shards 3 x workers 4", opts: Options{Worlds: 256, Shards: 3, Workers: 4}, reuse: true, steps: alternating(14, 22)},
+		{name: "reuse on, shards 3 x workers 4", opts: Options{Worlds: 256, Shards: 3, Workers: 4}, reuse: true, remote: true, steps: alternating(14, 22)},
 		{name: "local fallback", opts: Options{Worlds: 64, Shards: 3, Runner: failing}, steps: alternating(8, 14)},
-		{name: "worker shard", opts: Options{Worlds: 96, Shards: 2}, shards: []WorldRange{{Lo: 32, Hi: 80}}, steps: alternating(45, 53)},
+		{name: "worker shard", opts: Options{Worlds: 96}, shards: []WorldRange{{Lo: 32, Hi: 80}}, steps: alternating(45, 53)},
 		{name: "worker shard moves", opts: Options{Worlds: 96}, shards: []WorldRange{{Lo: 32, Hi: 80}, {Lo: 0, Hi: 48}, {Lo: 40, Hi: 96}},
 			steps: weekSweep(20, 29, 12, 12)},
 	}
@@ -108,15 +111,20 @@ func TestChainInvalidation(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			opts, ref := c.opts, c.opts
 			if c.reuse {
-				// The oracle replays the same points through its own reuse
-				// engine, so both see the same fingerprint decisions.
 				var err error
 				if opts.Reuse, err = NewReuse(core.DefaultConfig(), storage.Options{}); err != nil {
 					t.Fatal(err)
 				}
-				if ref.Reuse, err = NewReuse(core.DefaultConfig(), storage.Options{}); err != nil {
-					t.Fatal(err)
+				// The oracle replays the same points through its own reuse
+				// engine, so both see the same fingerprint decisions.
+				if !c.remote {
+					if ref.Reuse, err = NewReuse(core.DefaultConfig(), storage.Options{}); err != nil {
+						t.Fatal(err)
+					}
 				}
+			}
+			if c.remote {
+				opts.Runner = workerRunner(scn, Options{Workers: c.opts.Workers})
 			}
 			ev := NewEvaluator(scn, opts)
 			for i, step := range c.steps {
@@ -245,10 +253,9 @@ func TestChainOncePerWorldPerRender(t *testing.T) {
 	}
 
 	// A worker whose range stays fixed across a fleet sweep — shard i of an
-	// equal split, sub-sharded over its cores — also simulates each of its
-	// worlds' chains once.
+	// equal split — also simulates each of its worlds' chains once.
 	capacity.reset()
-	worker := NewEvaluator(scn, Options{Worlds: worlds, Shards: 2, Workers: 3})
+	worker := NewEvaluator(scn, Options{Worlds: worlds, Workers: 3})
 	for w := int64(0); w < models.Weeks; w++ {
 		if _, err := worker.EvaluateShard(context.Background(), []guide.Point{point(w, 16, 32, 36)}, WorldRange{Lo: 16, Hi: 32}); err != nil {
 			t.Fatal(err)

@@ -37,20 +37,19 @@ type Options struct {
 	// simulation fans out only when each goroutine gets at least one world
 	// batch (64 worlds); smaller ones run inline.
 	Workers int
-	// Shards splits each point's world range [0, Worlds) into this many
-	// contiguous ranges evaluated concurrently, each producing partial
-	// column vectors that the coordinator stitches back in world order
-	// (default 1: one range, evaluated inline). Because world seeds derive
-	// per (site, world), the stitched result is bit-identical whatever the
-	// range count. A plan that is not Shardable always evaluates as one
-	// local range.
+	// Shards is the number of contiguous world ranges a Runner fans each
+	// batch out to (default 1), stitched back in world order. Because world
+	// seeds derive per (site, world), the stitched result is bit-identical
+	// whatever the range count. Without a Runner it is not read: an
+	// in-process point is always one range.
 	Shards int
-	// Runner, when non-nil, evaluates the ranges of a Shardable plan
-	// remotely (the HTTP fan-out in internal/server), one call per range
-	// per EvaluatePoints batch. A range whose runner call fails is
+	// Runner, when non-nil, evaluates the Shards ranges of a Shardable
+	// plan remotely (the HTTP fan-out in internal/server), one call per
+	// range per EvaluatePoints batch. A range whose runner call fails is
 	// re-evaluated locally by the coordinator, so a dying worker degrades
 	// throughput, not correctness. Remote ranges bypass fingerprint reuse
-	// (workers re-derive samples from seeds).
+	// (workers re-derive samples from seeds). A plan that is not Shardable
+	// is always evaluated locally.
 	Runner ShardRunner
 	// Reuse enables fingerprint-based computation reuse when non-nil.
 	Reuse *Reuse
@@ -60,7 +59,7 @@ type Options struct {
 	// responses are O(compression) instead of O(worlds). Moments stay
 	// exact; quantiles carry the t-digest error bound.
 	SketchOnly bool
-	// AllowDegraded permits an evaluation cut short by its context
+	// AllowDegraded permits a remote fan-out cut short by its context
 	// deadline to return a partial result instead of the context error:
 	// the sketches of every range that completed before the cut are merged
 	// and the result carries Degraded=true with WorldsCompleted < Worlds.
@@ -68,7 +67,9 @@ type Options struct {
 	// be stitched), so consumers read the sketches. Degradation granularity
 	// is one shard; if no shard completed, the context error is returned as
 	// usual, and a shard that failed with a recovered panic always fails
-	// the point (deterministic bugs must surface, not degrade).
+	// the point (deterministic bugs must surface, not degrade). An
+	// in-process point is one range, so it completes or fails; a batch cut
+	// after some of its points keeps them (KeepPrefix).
 	AllowDegraded bool
 }
 
@@ -240,10 +241,9 @@ type Evaluator struct {
 	// batch is the point memo's work on the current EvaluatePoints call.
 	batch memoBatch
 
-	// envs pools range-execution environments (own catalog + engine +
-	// worlds table over a world range).
-	envMu sync.Mutex
-	envs  []*shardEnv
+	// env is the range-execution environment (own catalog + engine +
+	// worlds table over a world range), built on first use.
+	env *shardEnv
 }
 
 // worldsSchema returns the worlds-table column names: the world ordinal
@@ -290,25 +290,24 @@ func (ev *Evaluator) Reads(cols ...string) {
 	ev.readsKey = readsKey(ev.reads)
 }
 
-// ordRange returns world ordinals [lo, hi) as a slice of the shared,
-// fill-once ordinal vector, growing it to hi when needed. Callers only read
-// the slice; growth happens on the coordinating goroutine before range
-// goroutines start.
-func (ev *Evaluator) ordRange(lo, hi int) []int64 {
-	if hi > len(ev.ord) {
-		grown := make([]int64, hi)
+// ordinals returns world ordinals [0, n) as a slice of the evaluator's
+// fill-once ordinal vector, growing it to n when needed. Callers only read
+// the slice.
+func (ev *Evaluator) ordinals(n int) []int64 {
+	if n > len(ev.ord) {
+		grown := make([]int64, n)
 		copy(grown, ev.ord)
-		for i := len(ev.ord); i < hi; i++ {
+		for i := len(ev.ord); i < n; i++ {
 			grown[i] = int64(i)
 		}
 		ev.ord = grown
 	}
-	return ev.ord[lo:hi]
+	return ev.ord[:n]
 }
 
 // Reconfigure retargets the evaluator at a new (worlds, seed base, sketch
 // mode) triple without discarding its warmed state — the compiled plan,
-// pooled range envs and grown ordinal vector all carry over, and so do the
+// range env and grown ordinal vector all carry over, and so do the
 // series chains while the seed base stays the same. This is what
 // makes a per-fingerprint evaluator freelist worthwhile on a shard worker:
 // consecutive requests for the same scenario differ only in these render
@@ -425,14 +424,13 @@ func (ev *Evaluator) remote() bool {
 // render passes its sweep, Optimize each group's free sweep, a single
 // evaluation a one-point batch.
 //
-// Per point the pipeline is: obtain the site vectors, split [0, Worlds)
-// into contiguous ranges, run every range through the range executor
-// (runShardLocal, or Options.Runner), stitch the ranges in world order and
-// aggregate once. There is exactly one range — evaluated inline on the
-// calling goroutine, with no fan-out — unless Options.Shards > 1 or a
-// Runner is set, and always when the plan is not Shardable; because world
-// seeds derive per (site, world) the stitched columns are bit-identical
-// whatever the split.
+// Per point the pipeline is: obtain the site vectors, run the world range
+// through the range executor, stitch in world order and aggregate once. In
+// process that is one range, [0, Worlds), evaluated inline on the calling
+// goroutine (runShardLocal); with a Runner and a Shardable plan it is the
+// Options.Shards ranges of the equal split, evaluated remotely. Because
+// world seeds derive per (site, world) the stitched columns are
+// bit-identical whatever the split.
 //
 // Local evaluation first answers every point the point memo can serve, in
 // one pass over the batch (memoPass), then takes the other points one
@@ -510,37 +508,26 @@ func (ev *Evaluator) evaluateLocal(ctx context.Context, pt guide.Point, p int) (
 	}
 
 	// 1. Site vectors: full [0, Worlds) vectors obtained once (fresh, or
-	// re-mapped through the reuse engine) that every range slices. The
-	// ranges execute the scenario's compiled plan with the point's bindings
-	// — what the Query Generator's TSQL (Scenario.GenerateSQL) would
-	// compute, at zero parse cost.
+	// re-mapped through the reuse engine). The range executes the
+	// scenario's compiled plan with the point's bindings — what the Query
+	// Generator's TSQL (Scenario.GenerateSQL) would compute, at zero parse
+	// cost.
 	siteSamples, gens, err := ev.siteVectors(ctx, psp, pt, res.SiteOutcome)
 	if err != nil {
 		return nil, err
 	}
 
-	// 2. Ranges: the equal split, as remote ranges use, so range i of every
-	// point is the same window of worlds.
-	ranges := []WorldRange{{Lo: 0, Hi: n}}
-	if ev.scn.Plan().Shardable() {
-		ranges = SplitWorlds(n, ev.opts.Shards)
-	}
-
-	// 3. Run the ranges: materialize, execute the plan, collect columns.
-	sp := psp
-	if len(ranges) > 1 {
-		sp = ev.fanoutSpan(psp, len(ranges))
-	}
-	outs, errs := ev.runRanges(ctx, sp, pt, ranges, siteSamples, ev.ordRange(0, n))
-	if len(ranges) > 1 {
-		sp.End()
-	}
-
-	// 4. Stitch in world order and aggregate once (the Result Aggregator).
-	if err := ev.finish(ctx, psp, res, ranges, outs, errs); err != nil {
+	// 2. Run the one range: materialize, execute the plan, collect columns.
+	out, err := ev.runShardLocal(ctx, psp, pt, WorldRange{Lo: 0, Hi: n}, siteSamples, nil, ev.ordinals(n))
+	if err != nil {
 		return nil, err
 	}
-	if ev.memoizable(res.SiteOutcome) && !res.Degraded {
+
+	// 3. Aggregate once (the Result Aggregator).
+	if res.Columns, res.Sketches, err = ev.reduce(psp, []*ShardOutput{out}); err != nil {
+		return nil, err
+	}
+	if ev.memoizable(res.SiteOutcome) {
 		ev.opts.Reuse.memo.missed(ev.batch.hashes[p], ev.batch.key(p), ev.keys, gens, res.Sketches)
 		ev.opts.Reuse.boundMemo()
 	}
@@ -561,7 +548,11 @@ func (ev *Evaluator) evaluateRemote(ctx context.Context, pts []guide.Point) ([]*
 	n := ev.opts.Worlds
 	ranges := SplitWorlds(n, ev.opts.Shards)
 	parent := obs.SpanFrom(ctx)
-	fsp := ev.fanoutSpan(parent, len(ranges))
+	fsp := parent.Child("shard-fanout")
+	fsp.SetInt("shards", int64(len(ranges)))
+	if ev.opts.SketchOnly {
+		fsp.SetInt("sketch_only", 1)
+	}
 	fsp.SetInt("points", int64(len(pts)))
 	outs, errs := ev.runRemote(ctx, fsp, pts, ranges)
 	fsp.End()
@@ -596,20 +587,9 @@ func (ev *Evaluator) evaluateRemote(ctx context.Context, pts []guide.Point) ([]*
 	return results, nil
 }
 
-// fanoutSpan opens the span a fan-out over the given number of ranges runs
-// under.
-func (ev *Evaluator) fanoutSpan(parent *obs.Span, ranges int) *obs.Span {
-	sp := parent.Child("shard-fanout")
-	sp.SetInt("shards", int64(ranges))
-	if ev.opts.SketchOnly {
-		sp.SetInt("sketch_only", 1)
-	}
-	return sp
-}
-
-// finish completes one point's result from its ranges' outputs and errors:
-// stitch in world order and aggregate once (the Result Aggregator). A range
-// error fails the point — unless the deadline cut the fan-out and
+// finish completes one point's result from its remote ranges' outputs and
+// errors: stitch in world order and aggregate once (the Result Aggregator).
+// A range error fails the point — unless the deadline cut the fan-out and
 // Options.AllowDegraded lets the ranges that DID complete answer: a
 // statistically honest (if wider-CI) result from their merged sketches.
 func (ev *Evaluator) finish(ctx context.Context, psp *obs.Span, res *PointResult, ranges []WorldRange, outs []*ShardOutput, errs []error) error {

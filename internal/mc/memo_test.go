@@ -6,7 +6,6 @@ import (
 	"errors"
 	"math"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"fuzzyprophet/internal/aggregate"
@@ -194,26 +193,10 @@ func TestPointMemoBitIdentical(t *testing.T) {
 	}
 }
 
-// lateDeadline is a context whose deadline passes after its first n Err
-// calls, so an evaluation sees it expire between two of its own checks.
-type lateDeadline struct {
-	context.Context
-	n atomic.Int32
-}
-
-func (c *lateDeadline) Err() error {
-	if c.n.Add(-1) < 0 {
-		return context.DeadlineExceeded
-	}
-	return nil
-}
-
 // TestPointMemoConsultedOnlyWhenAllowed: the memo serves and records only
 // a local evaluation with a reuse engine, whose caller declared Reads,
-// that is not sketch-only, whose sites are all exact store hits and whose
-// result is not degraded.
+// that is not sketch-only and whose sites are all exact store hits.
 func TestPointMemoConsultedOnlyWhenAllowed(t *testing.T) {
-	ctx := context.Background()
 	scn := compileExample(t, "capacityplanning")
 	pt := scn.DefaultPoint()
 	runner := func(ctx context.Context, task ShardTask) ([]*ShardOutput, error) {
@@ -257,44 +240,6 @@ func TestPointMemoConsultedOnlyWhenAllowed(t *testing.T) {
 				t.Errorf("memo holds %d bytes, want none", reuse.memo.size())
 			}
 		})
-	}
-
-	// A degraded result is never recorded. World 5 divides by zero, so the
-	// first of two ranges always fails; a deadline that passes during the
-	// fan-out turns the second range into a degraded answer.
-	reg, err := benchfix.Registry()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cut, err := scenario.Compile(`
-DECLARE PARAMETER @p AS RANGE 0 TO 3 STEP BY 1;
-SELECT Gaussian(@p, 1) / (__world - 5) AS x;`, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reuse, err := NewReuse(core.DefaultConfig(), storage.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := NewEvaluator(cut, Options{Worlds: 64, Shards: 2, AllowDegraded: true, Reuse: reuse})
-	ev.Reads("x")
-	p := guide.Point{"p": value.Int(1)}
-	if _, err := ev.evaluatePoint(ctx, p); err == nil {
-		t.Fatal("dividing by zero in world 5 should fail an undegraded evaluation")
-	}
-	var degraded *PointResult
-	for n := int32(0); n < 16 && degraded == nil; n++ {
-		late := &lateDeadline{Context: ctx}
-		late.n.Store(n)
-		if res, err := ev.evaluatePoint(late, p); err == nil && res.Degraded {
-			degraded = res
-		}
-	}
-	if degraded == nil {
-		t.Fatal("no deadline position produced a degraded result")
-	}
-	if size := reuse.memo.size(); size != 0 {
-		t.Errorf("a degraded result was memoised (%d bytes)", size)
 	}
 }
 

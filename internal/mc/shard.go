@@ -1,24 +1,24 @@
 package mc
 
 // The range pipeline: every point evaluation — single-node or fleet — is
-// "split [0, Worlds) into contiguous ranges, run each range, stitch in
-// world order, aggregate once", with exactly one range unless sharding is
-// asked for. The Monte Carlo loop is embarrassingly parallel across
-// possible worlds, and world seeds derive per (site, world), so any
-// executor, in-process or on another machine, reproduces exactly the
-// samples the coordinator would have computed for a range [lo, hi). One
-// range slices the coordinator's site vectors (or, on a shard worker,
-// simulates its own from seeds), materializes a range-local worlds table,
-// executes the scenario's compiled plan over it and returns its partial
-// output columns in world order — or, sketch-only, one mergeable sketch
-// per column (Welford moments + t-digest) instead. Concatenating the
-// partial columns in range order is bit-identical whatever the split,
-// because the compiled plan is row-wise over the worlds-major relation
-// (sqlengine.Plan.Shardable); a plan that is not is always one range. A
-// remote fan-out sends each range out once per batch of points, not once
-// per point: the range is the same window of worlds at every point. A
-// worker answers its range in this same shape; only the coordinator
-// aggregates.
+// "run world ranges, stitch them in world order, aggregate once". In
+// process a point is exactly one range, [0, Worlds) or a worker's shard;
+// the only split is the fan-out of a Shardable plan to Options.Runner. The
+// Monte Carlo loop is embarrassingly parallel across possible worlds, and
+// world seeds derive per (site, world), so any executor, in-process or on
+// another machine, reproduces exactly the samples the coordinator would
+// have computed for a range [lo, hi). One range slices the coordinator's
+// site vectors (or, on a shard worker, simulates its own from seeds),
+// materializes a range-local worlds table, executes the scenario's
+// compiled plan over it and returns its partial output columns in world
+// order — or, sketch-only, one mergeable sketch per column (Welford
+// moments + t-digest) instead. Concatenating the partial columns in range
+// order is bit-identical whatever the split, because the compiled plan is
+// row-wise over the worlds-major relation (sqlengine.Plan.Shardable); a
+// plan that is not is always evaluated locally. A remote fan-out sends
+// each range out once per batch of points, not once per point: the range
+// is the same window of worlds at every point. A worker answers its range
+// in this same shape; only the coordinator stitches and aggregates.
 
 import (
 	"context"
@@ -117,12 +117,11 @@ type ShardOutput struct {
 // every point.
 type ShardRunner func(ctx context.Context, task ShardTask) ([]*ShardOutput, error)
 
-// shardEnv is one pooled range-execution environment: its own catalog and
-// engine (concurrent ranges must not race on one worlds table), an owned
-// worlds table whose column headers are repointed per evaluation
-// (SetInts/SetFloats) — so the compiled plan's zero-allocation execution is
-// not surrounded by per-point table garbage — and per-site simulation
-// buffers for self-simulated ranges.
+// shardEnv is an evaluator's range-execution environment: its own catalog
+// and engine, an owned worlds table whose column headers are repointed per
+// evaluation (SetInts/SetFloats) — so the compiled plan's zero-allocation
+// execution is not surrounded by per-point table garbage — and per-site
+// simulation buffers for self-simulated ranges.
 type shardEnv struct {
 	catalog *sqlengine.Catalog
 	engine  *sqlengine.Engine
@@ -131,7 +130,12 @@ type shardEnv struct {
 	siteBuf [][]float64
 }
 
-func (ev *Evaluator) newShardEnv() (*shardEnv, error) {
+// rangeEnv returns the evaluator's range environment, built on first use.
+// An evaluator runs one range at a time, so one environment serves them all.
+func (ev *Evaluator) rangeEnv() (*shardEnv, error) {
+	if ev.env != nil {
+		return ev.env, nil
+	}
 	cat := sqlengine.NewCatalog()
 	for _, t := range ev.scn.StaticTables {
 		cat.Put(t)
@@ -145,31 +149,14 @@ func (ev *Evaluator) newShardEnv() (*shardEnv, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &shardEnv{
+	ev.env = &shardEnv{
 		catalog: cat,
 		engine:  sqlengine.New(cat),
 		columns: columns,
 		worlds:  worlds,
 		siteBuf: make([][]float64, len(ev.scn.Sites)),
-	}, nil
-}
-
-func (ev *Evaluator) acquireEnv() (*shardEnv, error) {
-	ev.envMu.Lock()
-	if n := len(ev.envs); n > 0 {
-		env := ev.envs[n-1]
-		ev.envs = ev.envs[:n-1]
-		ev.envMu.Unlock()
-		return env, nil
 	}
-	ev.envMu.Unlock()
-	return ev.newShardEnv()
-}
-
-func (ev *Evaluator) releaseEnv(env *shardEnv) {
-	ev.envMu.Lock()
-	ev.envs = append(ev.envs, env)
-	ev.envMu.Unlock()
+	return ev.env, nil
 }
 
 // siteRange returns env's buffer for site si sized for m worlds.
@@ -190,11 +177,10 @@ func (env *shardEnv) siteRange(si, m int) []float64 {
 // seeds — the shard-worker half, and a coordinator's fallback for a failed
 // remote range.
 func (ev *Evaluator) runShardLocal(ctx context.Context, sp *obs.Span, pt guide.Point, r WorldRange, siteSamples [][]float64, calls []siteCall, ord []int64) (*ShardOutput, error) {
-	env, err := ev.acquireEnv()
+	env, err := ev.rangeEnv()
 	if err != nil {
 		return nil, err
 	}
-	defer ev.releaseEnv(env)
 
 	lo, hi := r.Lo, r.Hi
 	if siteSamples != nil {
@@ -283,56 +269,6 @@ func (ev *Evaluator) simulateInputs(ctx context.Context, sp *obs.Span, env *shar
 	return nil
 }
 
-// runRanges runs every range of one point through the range executor and
-// returns the outputs (and errors) in range order. A single range runs
-// inline on the calling goroutine with its stage spans directly under sp —
-// no goroutine, no "shard" span; otherwise each range gets a goroutine and
-// a "shard" span under sp. ord holds the world ordinals of [ranges[0].Lo,
-// ranges[len-1].Hi). Without siteSamples the ranges simulate their own
-// worlds and share site calls — and series chains — resolved here, before
-// the fan-out.
-func (ev *Evaluator) runRanges(ctx context.Context, sp *obs.Span, pt guide.Point, ranges []WorldRange, siteSamples [][]float64, ord []int64) ([]*ShardOutput, []error) {
-	outs := make([]*ShardOutput, len(ranges))
-	errs := make([]error, len(ranges))
-	base := ranges[0].Lo
-	var calls []siteCall
-	if siteSamples == nil {
-		calls = make([]siteCall, len(ev.scn.Sites))
-		for si := range calls {
-			call, err := ev.callAt(si, pt)
-			if err != nil {
-				for i := range errs {
-					errs[i] = err
-				}
-				return outs, errs
-			}
-			ev.useChain(&call, base, ranges[len(ranges)-1].Hi)
-			calls[si] = call
-		}
-	}
-	if len(ranges) == 1 {
-		outs[0], errs[0] = ev.runShardLocal(ctx, sp, pt, ranges[0], siteSamples, calls, ord)
-		return outs, errs
-	}
-	var wg sync.WaitGroup
-	for i, r := range ranges {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// A panic in a range (bad VG, kernel bug) fails this range only;
-			// wg.Done is registered first so it runs after the recovery.
-			defer recoverToError(&errs[i], "shard")
-			ssp := sp.Child("shard")
-			defer ssp.End()
-			ssp.SetInt("lo", int64(r.Lo))
-			ssp.SetInt("hi", int64(r.Hi))
-			outs[i], errs[i] = ev.runShardLocal(ctx, ssp, pt, r, siteSamples, calls, ord[r.Lo-base:r.Hi-base])
-		}()
-	}
-	wg.Wait()
-	return outs, errs
-}
-
 // runRemote sends each range to Options.Runner once, carrying every point,
 // and returns the outputs indexed [range][point] with one error per range.
 // Each range gets a goroutine and a "shard" span under sp, carried via ctx
@@ -384,7 +320,7 @@ func (ev *Evaluator) runRemote(ctx context.Context, sp *obs.Span, pts []guide.Po
 // coordinating goroutine).
 func (ev *Evaluator) fallback(ctx context.Context, pts []guide.Point, r WorldRange) ([]*ShardOutput, error) {
 	o := ev.opts
-	o.Shards, o.Runner, o.Reuse = 1, nil, nil
+	o.Runner, o.Reuse = nil, nil
 	return NewEvaluator(ev.scn, o).EvaluateShard(ctx, pts, r)
 }
 
@@ -536,15 +472,12 @@ func (ev *Evaluator) harvestDegraded(res *PointResult, ranges []WorldRange, outs
 // base, range), self-simulates the range from per-(site, world) seeds and
 // returns, per point, the input of the coordinator's stitch: the partial
 // columns, or sketch-only one sketch per column. Per point it is the same
-// pipeline as EvaluatePoints over a sub-range, without the aggregation: the
-// shard is itself split across Options.Shards in-process ranges, so a
-// worker saturates its own cores, and the evaluator's series chains carry
-// from one point to the next. A one-range shard answers its range's output
-// as it is; several ranges are stitched (stitchOutput). The context is
-// checked before every point; on error the outputs of the points completed
-// before it are returned with it. Fingerprint reuse is not consulted
-// (partial vectors are not valid bases). Requires a shardable scenario
-// plan.
+// pipeline as EvaluatePoints over one sub-range, without the aggregation,
+// and the evaluator's series chains carry from one point to the next. The
+// context is checked before every point; on error the outputs of the
+// points completed before it are returned with it. Fingerprint reuse is
+// not consulted (partial vectors are not valid bases). Requires a
+// shardable scenario plan.
 //
 // Like EvaluatePoints, EvaluateShard is not safe for concurrent calls on
 // one Evaluator.
@@ -555,11 +488,6 @@ func (ev *Evaluator) EvaluateShard(ctx context.Context, pts []guide.Point, shard
 	if !ev.scn.Plan().Shardable() {
 		return nil, fmt.Errorf("mc: scenario plan is not shardable (grouped, DISTINCT, ORDER BY, LIMIT or INTO query)")
 	}
-	ranges := SplitWorlds(shard.Len(), ev.opts.Shards)
-	for i := range ranges {
-		ranges[i].Lo += shard.Lo
-		ranges[i].Hi += shard.Lo
-	}
 	// A shard-local ordinal vector: a worker evaluator serves one request,
 	// so filling the shared [0, Hi) vector would cost O(total worlds) per
 	// request; this costs O(shard length).
@@ -568,49 +496,25 @@ func (ev *Evaluator) EvaluateShard(ctx context.Context, pts []guide.Point, shard
 		ord[i] = int64(shard.Lo + i)
 	}
 	sp := obs.SpanFrom(ctx)
+	calls := make([]siteCall, len(ev.scn.Sites))
 	outs := make([]*ShardOutput, 0, len(pts))
 	for _, pt := range pts {
 		if err := ctx.Err(); err != nil {
 			return outs, err
 		}
-		parts, errs := ev.runRanges(ctx, sp, pt, ranges, nil, ord)
-		for _, err := range errs {
+		for si := range calls {
+			call, err := ev.callAt(si, pt)
 			if err != nil {
 				return outs, err
 			}
+			ev.useChain(&call, shard.Lo, shard.Hi)
+			calls[si] = call
 		}
-		out := parts[0]
-		if len(parts) > 1 {
-			var err error
-			if out, err = stitchOutput(sp, parts); err != nil {
-				return outs, err
-			}
+		out, err := ev.runShardLocal(ctx, sp, pt, shard, nil, calls, ord)
+		if err != nil {
+			return outs, err
 		}
 		outs = append(outs, out)
 	}
 	return outs, nil
-}
-
-// stitchOutput stitches a worker's in-process ranges into the one output
-// its answer carries, inside a sketch-merge span: vectors concatenated in
-// range order, or sketch-only the range-ordered merge, serialized once.
-// The row counts add up.
-func stitchOutput(sp *obs.Span, parts []*ShardOutput) (*ShardOutput, error) {
-	msp := sp.Child("sketch-merge")
-	defer msp.End()
-	columns, merged, err := stitchShards(parts)
-	if err != nil {
-		return nil, err
-	}
-	out := &ShardOutput{Columns: columns}
-	for _, part := range parts {
-		out.Rows += part.Rows
-	}
-	if merged != nil {
-		out.Sketches = make(map[string]aggregate.ColumnSketch, len(merged))
-		for col, cs := range merged {
-			out.Sketches[col] = cs.Sketch()
-		}
-	}
-	return out, nil
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -87,6 +88,26 @@ func compileExample(t testing.TB, name string) *scenario.Scenario {
 	return scn
 }
 
+// workerRunner is an in-process ShardRunner: one worker evaluator per
+// shard index, kept across calls and retargeted at each task as a pooled
+// shard worker is, so its series chains stay warm over a sweep. opts sets
+// what a task does not (Workers).
+func workerRunner(scn *scenario.Scenario, opts Options) ShardRunner {
+	var mu sync.Mutex
+	workers := map[int]*Evaluator{}
+	return func(ctx context.Context, task ShardTask) ([]*ShardOutput, error) {
+		mu.Lock()
+		w, ok := workers[task.Index]
+		if !ok {
+			w = NewEvaluator(scn, opts)
+			workers[task.Index] = w
+		}
+		mu.Unlock()
+		w.Reconfigure(task.Worlds, task.SeedBase, task.SketchOnly)
+		return w.EvaluateShard(ctx, task.Points, task.Range)
+	}
+}
+
 // threeTableSources are serverfleet with a third FROM table, so the plan
 // joins worlds × regions × tiers: once as two cross products, once with the
 // tiers hash-joined to their home region (us-east holds two tiers, asia none).
@@ -146,14 +167,15 @@ func compileThreeTable(t *testing.T, name string) *scenario.Scenario {
 
 // TestShardedEvaluationBitIdentical: for every shipped scenario (the five
 // bundled examples and the benchmark's two copies), and for the three-table
-// scenarios, sharded evaluation at 2, 7 and 16 shards produces byte-for-byte
-// the same per-world output vectors — and therefore bit-identical EXPECT /
-// EXPECT_STDDEV / PROB — as the one-range evaluation, and the point's
-// aggregates agree with exact quantiles within the sketch tolerance. Then
-// the whole mode table — shards {1, 3, 7} × reuse {on, off} × {local,
-// in-process Runner} — must return those same columns AND aggregates that
-// are, bit for bit, one sequential fold of the one-range column: no split,
-// reuse outcome or executor may leak into a full-vector point's statistics.
+// scenarios, evaluation fanned out to in-process workers at 1, 2, 7 and 16
+// shards produces byte-for-byte the same per-world output vectors — and
+// therefore bit-identical EXPECT / EXPECT_STDDEV / PROB — as the one-range
+// local evaluation, and the point's aggregates agree with exact quantiles
+// within the sketch tolerance. Then the mode table — local at one range,
+// and in-process Runner at shards {1, 3, 7}, × reuse {on, off} — must
+// return those same columns AND aggregates that are, bit for bit, one
+// sequential fold of the one-range column: no split, reuse outcome or
+// executor may leak into a full-vector point's statistics.
 func TestShardedEvaluationBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	const worlds = 500
@@ -202,7 +224,7 @@ func TestShardedEvaluationBitIdentical(t *testing.T) {
 				t.Fatalf("%s: no output columns", name)
 			}
 			for _, shards := range []int{1, 2, 7, 16} {
-				ev := NewEvaluator(scn, Options{Worlds: worlds, Shards: shards})
+				ev := NewEvaluator(scn, Options{Worlds: worlds, Shards: shards, Runner: workerRunner(scn, Options{})})
 				got, err := ev.evaluatePoint(ctx, pt)
 				if err != nil {
 					t.Fatalf("%d shards: %v", shards, err)
@@ -234,12 +256,15 @@ func TestShardedEvaluationBitIdentical(t *testing.T) {
 			// The mode table. The in-process runner is a shard worker
 			// without the HTTP hop: a fresh evaluator per shard.
 			runner := func(ctx context.Context, task ShardTask) ([]*ShardOutput, error) {
-				worker := NewEvaluator(scn, Options{Worlds: task.Worlds, SeedBase: task.SeedBase, Shards: 2, SketchOnly: task.SketchOnly})
+				worker := NewEvaluator(scn, Options{Worlds: task.Worlds, SeedBase: task.SeedBase, SketchOnly: task.SketchOnly})
 				return worker.EvaluateShard(ctx, task.Points, task.Range)
 			}
 			for _, shards := range []int{1, 3, 7} {
 				for _, withReuse := range []bool{false, true} {
 					for _, remote := range []bool{false, true} {
+						if !remote && shards > 1 {
+							continue // in process a point is one range
+						}
 						mode := fmt.Sprintf("shards=%d reuse=%v remote=%v", shards, withReuse, remote)
 						opts := Options{Worlds: worlds, Shards: shards}
 						if withReuse {
@@ -331,9 +356,10 @@ func assertSequentialFold(t *testing.T, mode string, want, got *PointResult) {
 	}
 }
 
-// TestShardedEvaluationWithReuse: sharding composes with the fingerprint
-// reuse engine — the coordinator computes reuse-aware site vectors, shards
-// slice them, and the stitched output still matches bit for bit.
+// TestShardedEvaluationWithReuse: the range pipeline composes with the
+// fingerprint reuse engine — the coordinator computes reuse-aware site
+// vectors, its one range reads them, and the output still matches bit for
+// bit.
 func TestShardedEvaluationWithReuse(t *testing.T) {
 	ctx := context.Background()
 	const worlds = 400
@@ -350,12 +376,12 @@ func TestShardedEvaluationWithReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := NewEvaluator(scn, Options{Worlds: worlds, Shards: 4, Reuse: reuse})
+	ev := NewEvaluator(scn, Options{Worlds: worlds, Reuse: reuse})
 	first, err := ev.evaluatePoint(ctx, pt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameColumns(t, 4, want, first)
+	assertSameColumns(t, 1, want, first)
 	for site, kind := range first.SiteOutcome {
 		if kind != Computed {
 			t.Errorf("first render site %s = %v, want computed", site, kind)
@@ -366,7 +392,7 @@ func TestShardedEvaluationWithReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameColumns(t, 4, want, second)
+	assertSameColumns(t, 1, want, second)
 	for site, kind := range second.SiteOutcome {
 		if kind != CachedExact {
 			t.Errorf("second render site %s = %v, want cached", site, kind)
@@ -392,7 +418,7 @@ func TestEvaluateShardStitch(t *testing.T) {
 			outs := make([]*ShardOutput, 0, shards)
 			for _, r := range SplitWorlds(worlds, shards) {
 				// A fresh evaluator per shard: workers share nothing.
-				worker := NewEvaluator(scn, Options{Worlds: worlds, Shards: 2})
+				worker := NewEvaluator(scn, Options{Worlds: worlds})
 				out, err := worker.EvaluateShard(ctx, []guide.Point{pt}, r)
 				if err != nil {
 					t.Fatalf("%s shard %v: %v", name, r, err)
@@ -565,7 +591,7 @@ GRAPH OVER @t EXPECT demand;
 	}
 	// With 4 shards of 10 worlds, only shard [0,3) has rows: the others
 	// carry the tag column as empty while shard 0 skips it as categorical.
-	got, err := NewEvaluator(scn, Options{Worlds: 10, Shards: 4}).evaluatePoint(ctx, pt)
+	got, err := NewEvaluator(scn, Options{Worlds: 10, Shards: 4, Runner: workerRunner(scn, Options{})}).evaluatePoint(ctx, pt)
 	if err != nil {
 		t.Fatalf("sharded render with empty shards: %v", err)
 	}
@@ -578,7 +604,9 @@ GRAPH OVER @t EXPECT demand;
 // TestNonShardablePlanIsOneLocalRange: a grouped scenario query cannot be
 // split, so whatever the options ask for — four shards, sketch-only, a
 // remote runner — it evaluates as one local range (reuse-aware, the runner
-// never called) and still returns its aggregates.
+// never called) and still returns its aggregates. A shardable plan asked
+// for three shards without a runner is one local range too, bit-identical
+// to one shard.
 func TestNonShardablePlanIsOneLocalRange(t *testing.T) {
 	ctx := context.Background()
 	reg, err := benchfix.Registry()
@@ -633,16 +661,36 @@ GRAPH OVER @t EXPECT demand;
 	}
 	// One local range: the stage spans sit directly under the point, with
 	// no fan-out.
-	seen := map[string]int{}
-	tr.Tree().Visit(func(_ int, n *obs.Node) { seen[n.Name]++ })
-	for _, stage := range []string{"point", "simulate", "worlds-materialize", "plan-execute", "sketch-merge"} {
-		if seen[stage] != 1 {
-			t.Errorf("trace has %d %q spans, want 1; got %v", seen[stage], stage, seen)
+	oneLocalRange := func(what string, tr *obs.Trace) {
+		t.Helper()
+		seen := map[string]int{}
+		tr.Tree().Visit(func(_ int, n *obs.Node) { seen[n.Name]++ })
+		for _, stage := range []string{"point", "simulate", "worlds-materialize", "plan-execute", "sketch-merge"} {
+			if seen[stage] != 1 {
+				t.Errorf("%s: trace has %d %q spans, want 1; got %v", what, seen[stage], stage, seen)
+			}
+		}
+		if seen["shard-fanout"]+seen["shard"] != 0 {
+			t.Errorf("%s: one local range must not fan out; got %v", what, seen)
 		}
 	}
-	if seen["shard-fanout"]+seen["shard"] != 0 {
-		t.Errorf("one local range must not fan out; got %v", seen)
+	oneLocalRange("grouped plan", tr)
+
+	shardable := compileExample(t, "capacityplanning")
+	spt := shardable.DefaultPoint()
+	one, err := NewEvaluator(shardable, Options{Worlds: 50, Shards: 1}).evaluatePoint(ctx, spt)
+	if err != nil {
+		t.Fatal(err)
 	}
+	tr = obs.New("render", "")
+	three, err := NewEvaluator(shardable, Options{Worlds: 50, Shards: 3}).evaluatePoint(obs.With(ctx, tr.Root()), spt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.End()
+	assertSameColumns(t, 3, one, three)
+	assertSequentialFold(t, "shards=3 without a runner", one, three)
+	oneLocalRange("shards=3 without a runner", tr)
 }
 
 // TestDegradedHarvestOverVectorAnswers: a worker's vector answer carries no
@@ -656,7 +704,7 @@ func TestDegradedHarvestOverVectorAnswers(t *testing.T) {
 	pt := scn.DefaultPoint()
 	const worlds = 120
 	ranges := SplitWorlds(worlds, 2)
-	worker := NewEvaluator(scn, Options{Worlds: worlds, Shards: 3})
+	worker := NewEvaluator(scn, Options{Worlds: worlds})
 	got, err := worker.EvaluateShard(ctx, []guide.Point{pt}, ranges[0])
 	if err != nil {
 		t.Fatal(err)
@@ -673,7 +721,7 @@ func TestDegradedHarvestOverVectorAnswers(t *testing.T) {
 	}
 	harvest := func(out *ShardOutput) map[string]*aggregate.ColumnStats {
 		t.Helper()
-		ev := NewEvaluator(scn, Options{Worlds: worlds, Shards: 2, AllowDegraded: true})
+		ev := NewEvaluator(scn, Options{Worlds: worlds, AllowDegraded: true})
 		res := &PointResult{}
 		if !ev.harvestDegraded(res, ranges, []*ShardOutput{out, nil}, []error{nil, context.DeadlineExceeded}, nil) {
 			t.Fatal("nothing harvested from the completed range")

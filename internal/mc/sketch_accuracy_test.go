@@ -27,8 +27,9 @@ func rankOf(sorted []float64, v float64) (float64, float64) {
 }
 
 // TestSketchOnlyQuantileAccuracy: for every bundled example scenario and
-// shard counts 1, 2, 7 and 16, quantiles read from the sketch-only
-// evaluation (merged per-shard t-digests, no sample vectors) agree with
+// shard counts 1, 2, 7 and 16 over in-process workers, quantiles read from
+// the sketch-only evaluation (merged per-shard t-digests, no sample
+// vectors) agree with
 // the exact sample quantiles within sketchQuantileRankTolerance — the
 // regression guard for wire protocol v4's compressed response mode.
 func TestSketchOnlyQuantileAccuracy(t *testing.T) {
@@ -56,7 +57,7 @@ func TestSketchOnlyQuantileAccuracy(t *testing.T) {
 			}
 
 			for _, shards := range []int{1, 2, 7, 16} {
-				ev := NewEvaluator(scn, Options{Worlds: worlds, Shards: shards, SketchOnly: true})
+				ev := NewEvaluator(scn, Options{Worlds: worlds, Shards: shards, SketchOnly: true, Runner: workerRunner(scn, Options{})})
 				got, err := ev.evaluatePoint(ctx, pt)
 				if err != nil {
 					t.Fatalf("%d shards: %v", shards, err)

@@ -14,8 +14,8 @@ import (
 // Differential tests: tracing must observe a render, never change it. The
 // five bundled example scenarios are evaluated twice — once with no span
 // on the context (the disabled path) and once under a live trace — and the
-// outputs must be bit-identical, on both the single-range and the sharded
-// path.
+// outputs must be bit-identical, on both the single-range path and a
+// fan-out to in-process workers.
 
 // compileExamples compiles the bundled example scenarios against the bench
 // fixture registry (real VG models with deterministic seeds).
@@ -74,6 +74,9 @@ func TestTracedEvaluationBitIdentical(t *testing.T) {
 	for name, scn := range compileExamples(t) {
 		for _, shards := range []int{1, 4} {
 			opts := Options{Worlds: 120, Shards: shards}
+			if shards > 1 {
+				opts.Runner = workerRunner(scn, Options{})
+			}
 			pt := scn.DefaultPoint()
 
 			plain, err := NewEvaluator(scn, opts).evaluatePoint(context.Background(), pt)

@@ -97,8 +97,9 @@ func diffSummaries(want, got map[string]fp.ColumnSummary) string {
 // TestBatchFanOutBitIdentical: EvaluateBatch over 1, 4 and 53 points, full
 // and sketch-only, through 1, 2 and 3 shard workers — healthy, and with one
 // worker failing so its range falls back locally — answers every point
-// bit-equal to the single-node evaluation and to the same batch sent one
-// point per request, while each worker is asked exactly once per batch.
+// bit-equal to the single-node evaluation (sketch-only: to the same split
+// over healthy workers) and to the same batch sent one point per request,
+// while each worker is asked exactly once per batch.
 func TestBatchFanOutBitIdentical(t *testing.T) {
 	sys, err := fp.New(fp.WithDemoModels())
 	if err != nil {
@@ -113,18 +114,25 @@ func TestBatchFanOutBitIdentical(t *testing.T) {
 		points := gridPoints(n)
 		for _, sketchOnly := range []bool{false, true} {
 			for workers := 1; workers <= 3; workers++ {
-				opts := []fp.EvalOption{fp.WithWorlds(64), fp.WithoutReuse(), fp.WithShards(workers)}
+				opts := []fp.EvalOption{fp.WithWorlds(64), fp.WithoutReuse()}
 				if sketchOnly {
 					opts = append(opts, fp.WithSketchOnly())
 				}
-				want, err := scn.EvaluateBatch(ctx, points, opts...)
+				ref := opts
+				if sketchOnly {
+					// A sketch-only point is the range-ordered merge of its
+					// ranges' sketches, so its reference is the same split
+					// over healthy in-process workers.
+					ref = append(opts, fp.WithShardEvaluator(newInprocFleet(t, scn, workers, -1), workers))
+				}
+				want, err := scn.EvaluateBatch(ctx, points, ref...)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, failing := range []int{-1, workers - 1} {
 					name := fmt.Sprintf("points=%d sketch_only=%v workers=%d failing=%d", n, sketchOnly, workers, failing)
 					batch := newInprocFleet(t, scn, workers, failing)
-					got, err := scn.EvaluateBatch(ctx, points, append(opts, fp.WithShardEvaluator(batch))...)
+					got, err := scn.EvaluateBatch(ctx, points, append(opts, fp.WithShardEvaluator(batch, workers))...)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
@@ -133,7 +141,7 @@ func TestBatchFanOutBitIdentical(t *testing.T) {
 						if d := diffSummaries(want.Points[i].Summaries, got.Points[i].Summaries); d != "" {
 							t.Fatalf("%s: point %d differs from single-node: %s", name, i, d)
 						}
-						one, err := scn.EvaluateBatch(ctx, points[i:i+1], append(opts, fp.WithShardEvaluator(perPoint))...)
+						one, err := scn.EvaluateBatch(ctx, points[i:i+1], append(opts, fp.WithShardEvaluator(perPoint, workers))...)
 						if err != nil {
 							t.Fatal(err)
 						}

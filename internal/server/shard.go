@@ -683,7 +683,6 @@ func (s *Server) shardEvalOptions(entry *ScenarioEntry) []fp.EvalOption {
 		return nil
 	}
 	return []fp.EvalOption{
-		fp.WithShards(len(s.cfg.Workers)),
-		fp.WithShardEvaluator(s.newWorkerPool(entry)),
+		fp.WithShardEvaluator(s.newWorkerPool(entry), len(s.cfg.Workers)),
 	}
 }

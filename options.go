@@ -8,7 +8,7 @@ import (
 	"fuzzyprophet/internal/storage"
 )
 
-// EvalOption tunes evaluation: world count, seeding, sharding and the
+// EvalOption tunes evaluation: world count, seeding, the shard fan-out and the
 // fingerprint-reuse machinery. Options apply to Evaluate, EvaluateBatch,
 // OpenSession and Optimize; an option irrelevant to a call (e.g.
 // WithSpillBudget without WithSpillDir) is ignored.
@@ -84,28 +84,23 @@ func WithSpillBudget(bytes int64) EvalOption {
 	return func(c *evalConfig) { c.spillBudget = bytes }
 }
 
-// WithShards splits each point's Monte Carlo world range into n contiguous
-// ranges evaluated concurrently and stitched back in world order (default
-// 1: one range, evaluated inline). World seeds derive per (site, world) and
-// statistics are folded from the stitched columns, so results are
-// bit-identical regardless of n. A scenario whose query is not shardable
-// (grouped, DISTINCT, ORDER BY or LIMIT) always evaluates as one range.
-func WithShards(n int) EvalOption {
-	return func(c *evalConfig) { c.shards = n }
-}
-
 // WithShardEvaluator routes shard evaluations through se — typically
-// fpserver's HTTP fan-out to a fleet of shard workers. Every evaluation is
-// a batch that sends each shard once with all its points: an
-// EvaluateBatch call, a session render's sweep, one group's free sweep in
-// Optimize, or Evaluate's single point. A shard whose evaluator call fails
-// is transparently re-evaluated locally, so worker loss degrades
-// throughput, not correctness. With a shard evaluator set, fingerprint
-// reuse is bypassed (workers re-derive every sample from
-// per-(site, world) seeds). Combine with WithShards to control how many
-// shards each render fans out.
-func WithShardEvaluator(se ShardEvaluator) EvalOption {
-	return func(c *evalConfig) { c.shardEval = se }
+// fpserver's HTTP fan-out to a fleet of shard workers — splitting each
+// point's Monte Carlo world range into shards contiguous ranges (shards < 1
+// means 1), stitched back in world order. Every evaluation is a batch that
+// sends each shard once with all its points: an EvaluateBatch call, a
+// session render's sweep, one group's free sweep in Optimize, or
+// Evaluate's single point. World seeds derive per (site, world) and
+// statistics are folded from the stitched columns, so results are
+// bit-identical to a local evaluation whatever the shard count. A shard
+// whose evaluator call fails is transparently re-evaluated locally, so
+// worker loss degrades throughput, not correctness. With a shard evaluator
+// set, fingerprint reuse is bypassed (workers re-derive every sample from
+// per-(site, world) seeds). A scenario whose query is not shardable
+// (grouped, DISTINCT, ORDER BY or LIMIT) is always evaluated locally.
+// Without a shard evaluator a point is evaluated in process as one range.
+func WithShardEvaluator(se ShardEvaluator, shards int) EvalOption {
+	return func(c *evalConfig) { c.shardEval, c.shards = se, shards }
 }
 
 // WithSketchOnly makes every world range return ONLY its per-column sketch

@@ -25,10 +25,9 @@ import (
 //
 // A ShardWorker is safe for concurrent use: concurrent requests each check
 // out their own evaluator (the pool grows to peak concurrency and is
-// reused thereafter). The options fixed at construction (worker
-// parallelism, which spreads each request's one range across the cores)
-// apply to every request; reuse is always disabled (partial vectors are
-// not valid bases).
+// reused thereafter). Each request's shard is evaluated as one range, whose
+// simulation spreads across GOMAXPROCS cores; reuse is always disabled
+// (partial vectors are not valid bases).
 type ShardWorker struct {
 	scn  *Scenario
 	opts mc.Options
@@ -40,8 +39,8 @@ type ShardWorker struct {
 // NewShardWorker returns a shard-serving evaluator pool for the scenario.
 // The scenario's query must be shardable for requests to succeed (the
 // check happens per call).
-func (sc *Scenario) NewShardWorker(opts ...EvalOption) (*ShardWorker, error) {
-	return sc.newShardWorker(newEvalConfig(opts))
+func (sc *Scenario) NewShardWorker() (*ShardWorker, error) {
+	return sc.newShardWorker(evalConfig{})
 }
 
 func (sc *Scenario) newShardWorker(cfg evalConfig) (*ShardWorker, error) {
