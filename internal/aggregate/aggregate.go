@@ -62,6 +62,14 @@ func MomentsOnly(m stats.Moments) *ColumnStats {
 	return &ColumnStats{Moments: m, momentsOnly: true}
 }
 
+// FoldedColumnStats returns the aggregator NewColumnStats followed by
+// AddAll(xs) returns, given m, the moments an earlier fold of xs produced:
+// it folds no value now and, like AddAll, retains xs as the pending vector
+// its digest is built from on first use.
+func FoldedColumnStats(m stats.Moments, xs []float64) *ColumnStats {
+	return &ColumnStats{Moments: m, pending: xs}
+}
+
 // AddAll folds in a whole sample vector: its moments now, its digest
 // insert when the digest is first needed. It retains xs until then.
 func (c *ColumnStats) AddAll(xs []float64) {

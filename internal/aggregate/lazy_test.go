@@ -83,6 +83,24 @@ var foldSequences = []struct {
 		fold(c, b)
 		return []*ColumnStats{c}
 	}},
+	{"known.Merge(known)", func(fold foldFunc, a, b []float64) []*ColumnStats {
+		p, q := known(fold, a), known(fold, b)
+		p.Merge(q)
+		return []*ColumnStats{p, q}
+	}},
+}
+
+// known folds xs into a fresh aggregator with fold, and then, in the lazy
+// run, rebuilds it the way a stored basis's moments are reused: from the
+// moments that fold produced and xs pending (FoldedColumnStats). So the
+// lazy run holds the rebuilt aggregator up to the eager reference.
+func known(fold foldFunc, xs []float64) *ColumnStats {
+	c := NewColumnStats()
+	fold(c, xs)
+	if c.digest == nil {
+		return FoldedColumnStats(c.Moments, xs)
+	}
+	return c
 }
 
 // lazyEagerDiff runs every fold sequence over (a, b) lazily and eagerly
@@ -176,6 +194,54 @@ func TestColumnStatsLazyDigestBitIdentical(t *testing.T) {
 			a, b := sampleVector(kind, n, 1), sampleVector(kind, n, 2)
 			if d := lazyEagerDiff(a, b); d != "" {
 				t.Errorf("n=%d %s: %s", n, kind, d)
+			}
+		}
+	}
+}
+
+// TestFoldedColumnStats: an aggregator rebuilt from the moments of an
+// earlier fold and the folded vector pending is the aggregator NewColumnStats
+// and AddAll build over the same vector: the same moments, quantiles and
+// sketch, bit for bit, and the same result when merged on either side.
+func TestFoldedColumnStats(t *testing.T) {
+	for _, n := range []int{0, 1, 511, 512, 513, 1600} {
+		for _, kind := range []string{"indicator", "continuous", "nan", "inf", "duplicates"} {
+			xs, other := sampleVector(kind, n, 1), sampleVector(kind, n, 2)
+			build := func(folded bool) *ColumnStats {
+				c := NewColumnStats()
+				c.AddAll(xs)
+				if folded {
+					return FoldedColumnStats(c.Moments, xs)
+				}
+				return c
+			}
+			with := func(xs []float64) *ColumnStats {
+				c := NewColumnStats()
+				c.AddAll(xs)
+				return c
+			}
+			for _, op := range []struct {
+				name string
+				run  func(c *ColumnStats) *ColumnStats
+			}{
+				{"as built", func(c *ColumnStats) *ColumnStats { return c }},
+				{"merged into", func(c *ColumnStats) *ColumnStats { c.Merge(with(other)); return c }},
+				{"merged from", func(c *ColumnStats) *ColumnStats { o := with(other); o.Merge(c); return o }},
+			} {
+				got, want := op.run(build(true)), op.run(build(false))
+				if gm, wm := fmt.Sprint(got.Moments.State()), fmt.Sprint(want.Moments.State()); gm != wm {
+					t.Fatalf("n=%d %s %s: moments %s, want %s", n, kind, op.name, gm, wm)
+				}
+				for _, q := range []float64{0, 0.05, 0.5, 0.95, 1} {
+					gv, _ := got.Quantile(q)
+					wv, _ := want.Quantile(q)
+					if math.Float64bits(gv) != math.Float64bits(wv) {
+						t.Fatalf("n=%d %s %s: quantile %g = %v, want %v", n, kind, op.name, q, gv, wv)
+					}
+				}
+				if d := sketchDiff(got.Sketch(), want.Sketch()); d != "" {
+					t.Fatalf("n=%d %s %s: %s", n, kind, op.name, d)
+				}
 			}
 		}
 	}

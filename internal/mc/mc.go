@@ -203,13 +203,15 @@ func (r *Reuse) recordN(k ReuseKind, n int) {
 // atomic step under the engine lock — the same lock Save holds while
 // capturing the store and index, so a snapshot can never contain an index
 // entry whose basis it lacks (the store write always lands in the same
-// critical section as its index entry).
-func (r *Reuse) install(site, key string, samples []float64, fp core.Fingerprint) {
+// critical section as its index entry). It returns the basis's store
+// generation.
+func (r *Reuse) install(site, key string, samples []float64, fp core.Fingerprint) uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.store.Put(site, key, samples)
+	gen := r.store.Put(site, key, samples)
 	r.index.Put(site, key, fp)
 	r.counts[Computed]++
+	return gen
 }
 
 // Evaluator evaluates scenario points.
@@ -233,10 +235,18 @@ type Evaluator struct {
 	chains []seriesChain
 
 	// sites, gens and keys are siteVectors' per-site answers (vector, store
-	// generation, store key), reused from one point to the next.
-	sites [][]float64
-	gens  []uint64
-	keys  []string
+	// generation of an exact hit, store key), reused from one point to the
+	// next. payloads holds the store generation of every site vector that
+	// is a stored payload, whatever its outcome (0 for one that is not):
+	// reduce reads it, the point memo reads gens.
+	sites    [][]float64
+	gens     []uint64
+	keys     []string
+	payloads []uint64
+
+	// passes maps each output column that passes a site's vector through
+	// verbatim (scenario.Scenario.PassThrough) to that site's index.
+	passes map[string]int
 
 	// batch is the point memo's work on the current EvaluatePoints call.
 	batch memoBatch
@@ -259,7 +269,7 @@ func worldsSchema(scn *scenario.Scenario) []string {
 
 // NewEvaluator returns an evaluator for the compiled scenario.
 func NewEvaluator(scn *scenario.Scenario, opts Options) *Evaluator {
-	return &Evaluator{
+	ev := &Evaluator{
 		scn:       scn,
 		opts:      opts.WithDefaults(),
 		worldCols: worldsSchema(scn),
@@ -267,7 +277,17 @@ func NewEvaluator(scn *scenario.Scenario, opts Options) *Evaluator {
 		sites:     make([][]float64, len(scn.Sites)),
 		gens:      make([]uint64, len(scn.Sites)),
 		keys:      make([]string, len(scn.Sites)),
+		payloads:  make([]uint64, len(scn.Sites)),
 	}
+	for i, si := range scn.PassThrough {
+		if si >= 0 {
+			if ev.passes == nil {
+				ev.passes = make(map[string]int)
+			}
+			ev.passes[scn.OutputCols[i]] = si
+		}
+	}
+	return ev
 }
 
 // Reads declares which output columns the caller will read from
@@ -523,8 +543,13 @@ func (ev *Evaluator) evaluateLocal(ctx context.Context, pt guide.Point, p int) (
 		return nil, err
 	}
 
-	// 3. Aggregate once (the Result Aggregator).
-	if res.Columns, res.Sketches, err = ev.reduce(psp, []*ShardOutput{out}); err != nil {
+	// 3. Aggregate once (the Result Aggregator), from the stored moments of
+	// the site payloads the columns pass through where it can.
+	var payloads []uint64
+	if ev.opts.Reuse != nil {
+		payloads = ev.payloads
+	}
+	if res.Columns, res.Sketches, err = ev.reduce(psp, []*ShardOutput{out}, payloads); err != nil {
 		return nil, err
 	}
 	if ev.memoizable(res.SiteOutcome) {
@@ -602,16 +627,17 @@ func (ev *Evaluator) finish(ctx context.Context, psp *obs.Span, res *PointResult
 		}
 	}
 	var err error
-	res.Columns, res.Sketches, err = ev.reduce(psp, outs)
+	res.Columns, res.Sketches, err = ev.reduce(psp, outs, nil)
 	return err
 }
 
 // siteVectors obtains every site's full [0, Worlds) sample vector at pt
-// (fresh or re-mapped), recording each site's reuse outcome and store key
-// (ev.keys) and, for an exact store hit, the store generation of the entry
-// it read. The returned slices are the evaluator's, valid until its next
-// point. With a reuse engine it ends by bounding the point memo, after the
-// last store change the evaluation makes.
+// (fresh or re-mapped), recording each site's reuse outcome, store key
+// (ev.keys) and payload generation (ev.payloads) and, for an exact store
+// hit, the store generation of the entry it read. The returned slices are
+// the evaluator's, valid until its next point. With a reuse engine it ends
+// by bounding the point memo, after the last store change the evaluation
+// makes.
 func (ev *Evaluator) siteVectors(ctx context.Context, psp *obs.Span, pt guide.Point, outcome map[string]ReuseKind) ([][]float64, []uint64, error) {
 	ssp := psp.Child("simulate")
 	defer ssp.End()
@@ -636,7 +662,11 @@ func (ev *Evaluator) siteVectors(ctx context.Context, psp *obs.Span, pt guide.Po
 		if err != nil {
 			return nil, nil, err
 		}
-		siteSamples[si], gens[si], ev.keys[si] = samples, gen, call.key
+		siteSamples[si], ev.payloads[si], ev.keys[si] = samples, gen, call.key
+		gens[si] = 0
+		if kind == CachedExact {
+			gens[si] = gen
+		}
 		outcome[ev.scn.Sites[si].ID] = kind
 	}
 	if r != nil {
@@ -669,8 +699,10 @@ func (ev *Evaluator) probeCount() int {
 }
 
 // samplesFor produces the per-world sample vector for one site's call at a
-// point, consulting the reuse engine when configured. For an exact store
-// hit it also returns the entry's generation (0 otherwise).
+// point, consulting the reuse engine when configured. It also returns the
+// store generation of the payload the vector is a prefix of: the entry an
+// exact hit read, or the one a computed or mapped vector was stored as (0
+// when the vector was not stored).
 //
 // The fingerprint of a point is its output under the first k *world* seeds
 // — a prefix of the very sample vector the point would produce. This keeps
@@ -731,13 +763,13 @@ func (ev *Evaluator) samplesFor(ctx context.Context, call siteCall) ([]float64, 
 				// Cache the mapped vector for exact re-hits, but do NOT
 				// register it as a basis: all mappings stay single-hop from
 				// computed points, so affine error cannot compound.
-				r.store.Put(site.ID, key, mapped)
+				gen := r.store.Put(site.ID, key, mapped)
 				kind := Identity
 				if match.Mapping.Kind == core.MappingAffine {
 					kind = Affine
 				}
 				r.record(kind)
-				return mapped, kind, 0, nil
+				return mapped, kind, gen, nil
 			}
 		}
 		// Basis evicted or unusable: simulate below.
@@ -748,8 +780,7 @@ func (ev *Evaluator) samplesFor(ctx context.Context, call siteCall) ([]float64, 
 	if err != nil {
 		return nil, Computed, 0, err
 	}
-	r.install(site.ID, key, samples, fp)
-	return samples, Computed, 0, nil
+	return samples, Computed, r.install(site.ID, key, samples, fp), nil
 }
 
 // simulate invokes the site's VG-Function for worlds [from, to), returning

@@ -401,7 +401,15 @@ func stitchShards(outs []*ShardOutput) (map[string][]float64, map[string]*aggreg
 // only: a column's t-digest is built from its vector — owned here, as
 // Column.Float64s copies and stitching concatenates — on its first
 // quantile, sketch or merge read, outside this span.
-func (ev *Evaluator) reduce(sp *obs.Span, outs []*ShardOutput) (map[string][]float64, map[string]*aggregate.ColumnStats, error) {
+//
+// payloads, non-nil only on the local path with a reuse engine, holds each
+// site's payload generation (Evaluator.payloads). A read column that passes
+// through a site whose vector is a stored payload takes the moments that
+// payload's store entry holds for its world count, folded by an earlier
+// point, and folds nothing; when the entry holds none, the column is folded
+// and its moments stored there. The span's moments_reused attribute counts
+// the columns answered from stored moments.
+func (ev *Evaluator) reduce(sp *obs.Span, outs []*ShardOutput, payloads []uint64) (map[string][]float64, map[string]*aggregate.ColumnStats, error) {
 	msp := sp.Child("sketch-merge")
 	defer msp.End()
 	columns, sketches, err := stitchShards(outs)
@@ -409,12 +417,32 @@ func (ev *Evaluator) reduce(sp *obs.Span, outs []*ShardOutput) (map[string][]flo
 		return nil, sketches, err
 	}
 	sketches = make(map[string]*aggregate.ColumnStats, len(columns))
+	reused := 0
 	for col, fs := range columns {
-		if ev.reads == nil || ev.reads[col] {
-			cs := aggregate.NewColumnStats()
-			cs.AddAll(fs)
-			sketches[col] = cs
+		if ev.reads != nil && !ev.reads[col] {
+			continue
 		}
+		si, pass := ev.passes[col]
+		var gen uint64
+		if pass && payloads != nil {
+			gen = payloads[si]
+		}
+		if gen != 0 {
+			if m, ok := ev.opts.Reuse.store.Moments(gen, len(fs)); ok {
+				sketches[col] = aggregate.FoldedColumnStats(m, fs)
+				reused++
+				continue
+			}
+		}
+		cs := aggregate.NewColumnStats()
+		cs.AddAll(fs)
+		sketches[col] = cs
+		if gen != 0 {
+			ev.opts.Reuse.store.SetMoments(ev.scn.Sites[si].ID, ev.keys[si], gen, len(fs), cs.Moments)
+		}
+	}
+	if payloads != nil {
+		msp.SetInt("moments_reused", int64(reused))
 	}
 	return columns, sketches, nil
 }

@@ -96,6 +96,10 @@ type Scenario struct {
 	Registry *vg.Registry
 	// OutputCols are the query's output column names, in order.
 	OutputCols []string
+	// PassThrough holds, per output column, the index in Sites of the site
+	// whose sample vector the column copies verbatim, or -1 (see
+	// passThrough).
+	PassThrough []int
 	// ResultsTable is the INTO target ("results" in Figure 2), or "".
 	ResultsTable string
 	// StaticTables are deterministic side tables the query's FROM clause
@@ -415,7 +419,47 @@ func (scn *Scenario) extractSites() error {
 	for i, item := range scn.Query.Items {
 		scn.OutputCols = append(scn.OutputCols, outputName(item, i))
 	}
+	scn.PassThrough = passThrough(ex, scn.Sites, scn.OutputCols)
 	return nil
+}
+
+// passThrough finds the output columns of the rewritten query ex that copy
+// a site's vector verbatim: column i passes through site s when its item is
+// exactly s's worlds-table column and the query keeps every worlds row
+// once, in world order — FROM is the worlds table alone, with no WHERE,
+// GROUP BY, HAVING, DISTINCT, ORDER BY, LIMIT or aggregate. A name two
+// output columns share passes nothing through, as results are keyed by
+// name. It returns one site index or -1 per item.
+func passThrough(ex sqlparser.Select, sites []Site, names []string) []int {
+	out := make([]int, len(ex.Items))
+	for i := range out {
+		out[i] = -1
+	}
+	if len(ex.From) != 1 || ex.Where != nil || len(ex.GroupBy) > 0 || ex.Having != nil ||
+		ex.Distinct || len(ex.OrderBy) > 0 || ex.Limit >= 0 {
+		return out
+	}
+	for _, item := range ex.Items {
+		if sqlengine.HasAggregate(item.Expr) {
+			return out
+		}
+	}
+	uses := make(map[string]int, len(names))
+	for _, n := range names {
+		uses[n]++
+	}
+	for i, item := range ex.Items {
+		ref, ok := item.Expr.(sqlparser.ColumnRef)
+		if !ok || ref != (sqlparser.ColumnRef{Name: ref.Name}) || uses[names[i]] > 1 {
+			continue
+		}
+		for si := range sites {
+			if sites[si].Column == ref.Name {
+				out[i] = si
+			}
+		}
+	}
+	return out
 }
 
 func outputName(item sqlparser.SelectItem, idx int) string {

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
+
+	"fuzzyprophet/internal/stats"
 )
 
 // openSpillStore returns a store whose RAM tier fits about `fit` entries of
@@ -657,4 +659,109 @@ func flipLast(t *testing.T, path string) {
 	if _, err := f.WriteAt(b, fi.Size()-1); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestMomentsSlot: a resident entry holds one moments slot, read by
+// generation and world count and set only while the entry still has the
+// generation it was set for. Reading or setting it counts nothing, touches
+// no LRU order and reads no payload. Replacing, evicting or demoting the
+// entry drops the slot; a promoted entry, though it keeps its generation,
+// starts with none; Sync, which leaves the entry resident, keeps it.
+func TestMomentsSlot(t *testing.T) {
+	perEntry := (&Entry{Site: "s", Key: "k00", Samples: make([]float64, 100)}).bytes()
+	var m stats.Moments
+	for _, x := range spillVec(0)[:64] {
+		m.Add(x)
+	}
+	// open returns a store over a spill tier whose RAM tier fits two
+	// entries, holding k00 (generation gen) with its 64-world slot set.
+	open := func(t *testing.T) (s *Store, gen uint64) {
+		t.Helper()
+		s, err := Open(Options{BudgetBytes: 2*perEntry + 10, SpillDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		gen = s.Put("s", "k00", spillVec(0))
+		if _, ok := s.Moments(gen, 64); ok {
+			t.Fatal("a new entry has moments")
+		}
+		s.SetMoments("s", "k00", gen, 64, m)
+		return s, gen
+	}
+	// slot reports k00's slot at 64 worlds, checking it holds m if set.
+	slot := func(t *testing.T, s *Store, gen uint64) bool {
+		t.Helper()
+		got, ok := s.Moments(gen, 64)
+		if ok && got != m {
+			t.Fatalf("slot holds %v, want %v", got, m)
+		}
+		return ok
+	}
+
+	t.Run("read and set", func(t *testing.T) {
+		s, gen := open(t)
+		s.Put("s", "k01", spillVec(1)) // k01 is now the most recent
+		before := s.Stats()
+		if !slot(t, s, gen) {
+			t.Fatal("the slot set is not read back")
+		}
+		if _, ok := s.Moments(gen, 100); ok {
+			t.Fatal("a 64-world slot read at 100 worlds")
+		}
+		s.SetMoments("s", "k00", gen+1, 100, stats.Moments{})
+		s.SetMoments("s", "k01", gen, 100, stats.Moments{})
+		if !slot(t, s, gen) {
+			t.Fatal("a set under another generation replaced the slot")
+		}
+		if after := s.Stats(); after != before {
+			t.Fatalf("slot reads and sets moved the counters: %+v, then %+v", before, after)
+		}
+		// k00 is still the least recently used: the next entry evicts it.
+		s.Put("s", "k02", spillVec(2))
+		if stored := s.order.Back().Value.(*Entry).Key; stored != "k01" {
+			t.Fatalf("least recently used is %s, want k01 (k00 evicted)", stored)
+		}
+		if slot(t, s, gen) {
+			t.Fatal("an evicted entry kept its slot")
+		}
+	})
+	t.Run("replaced", func(t *testing.T) {
+		s, gen := open(t)
+		regen := s.Put("s", "k00", spillVec(0))
+		if slot(t, s, gen) || slot(t, s, regen) {
+			t.Fatal("a replaced entry kept its slot")
+		}
+		s.SetMoments("s", "k00", gen, 64, m)
+		if slot(t, s, gen) {
+			t.Fatal("a set under the replaced generation landed")
+		}
+	})
+	t.Run("demoted and promoted", func(t *testing.T) {
+		s, gen := open(t)
+		s.Put("s", "k01", spillVec(1))
+		s.Put("s", "k02", spillVec(2))
+		if st := s.Stats(); st.Demoted != 1 {
+			t.Fatalf("demoted = %d, want 1", st.Demoted)
+		}
+		s.SetMoments("s", "k00", gen, 64, m)
+		if slot(t, s, gen) {
+			t.Fatal("a demoted entry has a slot")
+		}
+		if _, got, ok := s.Lookup("s", "k00"); !ok || got != gen {
+			t.Fatalf("promoted k00 = generation %d (found %v), want %d", got, ok, gen)
+		}
+		if slot(t, s, gen) {
+			t.Fatal("a promoted entry starts with a slot")
+		}
+	})
+	t.Run("Sync", func(t *testing.T) {
+		s, gen := open(t)
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if !slot(t, s, gen) {
+			t.Fatal("Sync dropped a resident entry's slot")
+		}
+	})
 }

@@ -27,6 +27,7 @@ import (
 	"unsafe"
 
 	"fuzzyprophet/internal/colstore"
+	"fuzzyprophet/internal/stats"
 )
 
 // KeyRef names one basis by its composite (site, key) address.
@@ -112,6 +113,12 @@ type Store struct {
 	// spilledGens remembers the generation of each entry that left RAM
 	// with its payload in the spill tier, so its promotion restores it.
 	spilledGens map[KeyRef]uint64
+	// moments holds the moments slot of RAM-resident entries, by
+	// generation (see Moments). An entry that leaves RAM or is replaced
+	// takes its slot with it, so a promoted entry starts with none. The
+	// slots are not charged to the budget: one is a few words beside a
+	// payload of one float per world.
+	moments map[uint64]momentSlot
 
 	hits     atomic.Int64
 	misses   atomic.Int64
@@ -130,6 +137,12 @@ type Store struct {
 	promoteNanos atomic.Int64
 }
 
+// momentSlot is the Welford moments of a payload's first worlds samples.
+type momentSlot struct {
+	worlds  int
+	moments stats.Moments
+}
+
 // NewStore returns a RAM-only store with the given memory budget in bytes.
 // A budget of <= 0 means unbounded.
 func NewStore(budgetBytes int64) *Store {
@@ -146,9 +159,10 @@ func NewStore(budgetBytes int64) *Store {
 // spilled under that directory are immediately addressable again.
 func Open(opts Options) (*Store, error) {
 	s := &Store{
-		budget: opts.BudgetBytes,
-		order:  list.New(),
-		index:  make(map[string]*list.Element),
+		budget:  opts.BudgetBytes,
+		order:   list.New(),
+		index:   make(map[string]*list.Element),
+		moments: make(map[uint64]momentSlot),
 	}
 	if opts.SpillDir != "" {
 		s.spilledGens = make(map[KeyRef]uint64)
@@ -176,11 +190,12 @@ func appendCompositeKey(dst []byte, site, key string) []byte {
 	return dst
 }
 
-// Put stores (or replaces) the samples for (site, key). The stored slice is
-// copied so later caller mutations cannot corrupt the basis. A stale spill
-// copy of the same key is invalidated (the new samples may be longer — a
-// larger world count under the same arguments).
-func (s *Store) Put(site, key string, samples []float64) {
+// Put stores (or replaces) the samples for (site, key) and returns the
+// generation it assigned them (see Lookup). The stored slice is copied so
+// later caller mutations cannot corrupt the basis. A stale spill copy of
+// the same key is invalidated (the new samples may be longer — a larger
+// world count under the same arguments).
+func (s *Store) Put(site, key string, samples []float64) uint64 {
 	cp := append([]float64(nil), samples...)
 	e := &Entry{Site: site, Key: key, Samples: cp}
 	var buf [64]byte
@@ -198,6 +213,7 @@ func (s *Store) Put(site, key string, samples []float64) {
 	}
 	if el, ok := s.index[ck]; ok {
 		old := el.Value.(*Entry)
+		delete(s.moments, old.gen)
 		s.used -= old.bytes()
 		el.Value = e
 		s.used += e.bytes()
@@ -209,6 +225,7 @@ func (s *Store) Put(site, key string, samples []float64) {
 		s.inserted.Add(1)
 	}
 	s.evictLocked()
+	return e.gen
 }
 
 // Get returns the samples for (site, key), marking the entry recently used.
@@ -260,6 +277,37 @@ func (s *Store) Gens(refs []KeyRef, out []uint64) {
 	}
 }
 
+// Moments returns the moments slot of the RAM-resident entry of generation
+// gen: the Welford moments of its first worlds samples, as SetMoments left
+// them. ok is false when no resident entry has that generation or its slot
+// holds another world count. It counts no hit or miss, leaves the LRU order
+// as it is and reads no payload.
+func (s *Store) Moments(gen uint64, worlds int) (m stats.Moments, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	slot, ok := s.moments[gen]
+	if !ok || slot.worlds != worlds {
+		return stats.Moments{}, false
+	}
+	return slot.moments, true
+}
+
+// SetMoments fills the moments slot of (site, key)'s RAM-resident entry
+// with m, the moments of its first worlds samples, when that entry's
+// generation is gen; otherwise (the entry was replaced or left RAM) it does
+// nothing. An entry holds one slot, so the last world count set wins. Like
+// Moments it counts no hit or miss, leaves the LRU order as it is and reads
+// no payload.
+func (s *Store) SetMoments(site, key string, gen uint64, worlds int, m stats.Moments) {
+	var buf [64]byte
+	ck := appendCompositeKey(buf[:0], site, key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if el, ok := s.index[string(ck)]; ok && el.Value.(*Entry).gen == gen {
+		s.moments[gen] = momentSlot{worlds: worlds, moments: m}
+	}
+}
+
 func (s *Store) lookupLocked(site, key string) ([]float64, uint64, bool) {
 	var buf [64]byte
 	ck := appendCompositeKey(buf[:0], site, key)
@@ -300,6 +348,7 @@ func (s *Store) removeLocked(el *list.Element) {
 	s.order.Remove(el)
 	var buf [64]byte
 	delete(s.index, string(appendCompositeKey(buf[:0], e.Site, e.Key)))
+	delete(s.moments, e.gen)
 	s.used -= e.bytes()
 }
 
